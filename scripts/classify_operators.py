@@ -47,6 +47,7 @@ def main():
 
     # verify the two known families against the system
     print("  family checks against the surviving system:")
+    all_ok = True
     for label, content in (
         ("T(L) = -b(L+W), T(W) = b(L+W)",
          {"t0_0_0": "-b", "t0_1_0": "-b", "t1_0_0": "b", "t1_1_0": "b"}),
@@ -62,8 +63,9 @@ def main():
                 assign[k] = parse(ext, v)
         residuals = [eq.embed(ext).subs(assign) for eq in system2.equations]
         ok = all(r.is_zero for r in residuals)
+        all_ok &= ok
         print(f"    [{'ok ' if ok else 'FAIL'}] {label}")
-    return 0
+    return 0 if all_ok else 1
 
 
 if __name__ == "__main__":

@@ -12,14 +12,13 @@ from .algebra import (
     sub_adjacent,
 )
 from .catalog import CatalogEntry, UnknownEntry, builtin_representations, catalog
-from .coeff import OUT_OF_WINDOW, CoeffWindow, coeff_bracket, nth_products, window_checks
+from .coeff import OUT_OF_WINDOW, CoeffWindow, nth_products, window_checks
 from .gd import (
     GDBialgebra,
     NotQuadratic,
     ProbeResult,
     algebra_from_gd,
     check_gd,
-    convert,
     gd_from_algebra,
     rb_gd_check,
     zero_divisor_probe,
@@ -27,7 +26,6 @@ from .gd import (
 from .linmap import ConformalLinearMap, ModuleMap, NotInvertible, invert_module_map, lift_constant
 from .operators import (
     BilinearForm,
-    CocycleForm,
     DegenerateForm,
     InconsistentSystem,
     PolySystem,

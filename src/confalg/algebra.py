@@ -10,14 +10,16 @@ where d acts on the output basis element and x is the bracket argument.
 Products of general elements follow from two extension rules: a power of d
 on the first argument becomes (-x)^m, on the second argument (x + d)^m.
 The same engine evaluates products at shifted arguments such as -x-d by
-first expanding against a reserved fresh variable and substituting it last.
+first expanding against the reserved variable z1 and substituting it last,
+and, given the slot variables, places a product in one tensor slot or
+evaluates a scalar-valued form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .poly import Poly, VarTable
+from .poly import Poly, VarTable, accumulate
 from .report import Report
 
 LIE = "lie"
@@ -93,33 +95,40 @@ def apply_bilinear(
     b: Vector,
     lam: Poly,
     out_rank: int,
-    fresh: str = "z1",
+    left: str = "d",
+    right: str = "d",
+    out: str | int = "d",
 ) -> Vector:
     """Sesquilinear extension of a structure-constant table.
 
-    ``a`` indexes the first factor's basis, ``b`` the second's; coefficients
-    may involve d plus passive variables.  The product is expanded at the
-    fresh variable and that variable is substituted by ``lam`` at the end,
-    so arguments like -x-d behave correctly.
+    ``a`` indexes the first factor's basis, ``b`` the second's.  ``left`` and
+    ``right`` name the derivation variable of each factor's coefficients;
+    ``out`` is the derivation acting on the result: ``d`` by default, a slot
+    variable ``d1``/``d2``/``d3`` for a tensor slot, or ``0`` for a
+    scalar-valued form.  A power of the left derivation becomes (-z)^m, of the
+    right one (z + out)^m, and the table's d becomes ``out``; the product is
+    expanded at the reserved variable z = z1, which is substituted by ``lam``
+    at the end, so arguments like -x-d behave correctly.
     """
-    z = Poly.var(table, fresh)
-    dvar = Poly.var(table, "d")
-    out = [Poly.zero(table) for _ in range(out_rank)]
+    z = Poly.var(table, "z1")
+    dout = Poly.var(table, out) if isinstance(out, str) else Poly.const(table, out)
+    at_z = {"x": z} if out == "d" else {"d": dout, "x": z}
+    acc = [Poly.zero(table) for _ in range(out_rank)]
     shifted_b = [None] * len(b)
     for i, fi in enumerate(a):
         if fi.is_zero:
             continue
-        fi_s = fi.subs({"d": -z})
+        fi_s = fi.subs({left: -z})
         for j, gj in enumerate(b):
             targets = products.get((i, j))
             if gj.is_zero or not targets:
                 continue
             if shifted_b[j] is None:
-                shifted_b[j] = gj.subs({"d": z + dvar})
-            left = fi_s * shifted_b[j]
+                shifted_b[j] = gj.subs({right: z + dout})
+            prod = fi_s * shifted_b[j]
             for k, P in targets.items():
-                out[k] = out[k] + left * P.subs({"x": z})
-    return tuple(p.subs({fresh: lam}) for p in out)
+                acc[k] = acc[k] + prod * P.subs(at_z)
+    return tuple(p.subs({"z1": lam}) for p in acc)
 
 
 def mul_at(A: ConformalAlgebra, a: Vector, b: Vector, lam: Poly) -> Vector:
@@ -214,9 +223,9 @@ def sub_adjacent(A: ConformalAlgebra, checked: bool = True) -> ConformalAlgebra:
         for j in range(A.rank):
             acc: dict[int, Poly] = {}
             for k, P in A.product(i, j).items():
-                acc[k] = acc.get(k, Poly.zero(t)) + P
+                accumulate(acc, k, P)
             for k, P in A.product(j, i).items():
-                acc[k] = acc.get(k, Poly.zero(t)) - P.subs({"x": -X - D})
+                accumulate(acc, k, -P.subs({"x": -X - D}))
             if acc:
                 products[(i, j)] = acc
     return ConformalAlgebra(LIE, A.basis, t, products)

@@ -42,14 +42,36 @@ USAGE_ERRORS = (InputError, ParseError, PolyError, PreconditionError, AlgebraErr
                 NotInvertible, NotQuadratic, DegenerateForm, UnknownEntry,
                 InconsistentSystem, KeyError, ValueError)
 
+# sections that may name a catalog entry (or, for representation, a standard
+# construction), and sections that must be objects
+NAMED_SECTIONS = ("algebra", "representation", "map", "tensor", "gd")
+OBJECT_SECTIONS = ("form", "element", "system")
+
+
+def _rational(text: str, what: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"{what} expects a rational, got {text!r}") from None
+
 
 class Session:
     """Input document plus the variable table shared by everything in it."""
 
     def __init__(self, doc: dict, args):
+        if not isinstance(doc, dict):
+            raise InputError("the input document must be a JSON object")
+        for section in NAMED_SECTIONS + OBJECT_SECTIONS:
+            ref = doc.get(section)
+            allowed = (str, dict) if section in NAMED_SECTIONS else dict
+            if ref is not None and not isinstance(ref, allowed):
+                raise InputError(f"section {section!r} cannot be a {type(ref).__name__}")
+        declared = doc.get("params", [])
+        if not (isinstance(declared, list) and all(isinstance(p, str) for p in declared)):
+            raise InputError("'params' must be a list of names")
+        declared = list(declared)
         self.doc = doc
         self.values: dict[str, Fraction] = {}
-        declared = list(doc.get("params", []))
         for spec in args.param or []:
             if "=" not in spec:
                 raise InputError(f"--param expects name=value|free, got {spec!r}")
@@ -57,7 +79,7 @@ class Session:
             if name not in declared:
                 declared.append(name)
             if value != "free":
-                self.values[name] = Fraction(value)
+                self.values[name] = _rational(value, f"--param {name}")
         # string-valued sections name catalog entries, except representation,
         # where a bare string is a standard-construction name
         for section in ("algebra", "map", "tensor", "gd"):
@@ -146,7 +168,7 @@ class Session:
             return Fraction(0)
         if w == "free":
             return Poly.var(self.table, "alpha")
-        return Fraction(w)
+        return _rational(w, "--weight")
 
 
 def _load(args) -> dict:
@@ -261,17 +283,15 @@ def cmd_cocycle_from_r(sess: Session, args) -> int:
 
 def cmd_check_cocycle(sess: Session, args) -> int:
     A = sess.algebra()
-    form = io.cocycle_from_dict(sess.doc.get("form") or {}, A.basis, sess.table)
-    if sess.values:
-        form = form.map_polys(lambda p: p.subs(sess.values))
+    doc = sess.doc.get("form") or {}
+    form = sess._subs(io.cocycle_from_dict(doc, A.basis, sess.table))
     return _report_result(args, cocycle_check(A, form))
 
 
 def cmd_form_suite(sess: Session, args) -> int:
     A = sess.algebra()
-    form = io.bilinear_from_dict(sess.doc.get("form") or {}, A.basis, sess.table)
-    if sess.values:
-        form = form.map_polys(lambda p: p.subs(sess.values))
+    doc = sess.doc.get("form") or {}
+    form = sess._subs(io.bilinear_from_dict(doc, A.basis, sess.table))
     r = sess.tensor(A) if sess.doc.get("tensor") is not None else None
     return _report_result(args, invariant_form_suite(A, form, r))
 

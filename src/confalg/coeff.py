@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .algebra import LIE, ConformalAlgebra, PreconditionError, Vector
 from .linmap import ModuleMap
-from .poly import Poly
+from .poly import Poly, accumulate
 from .report import Report
 
 
@@ -146,12 +146,7 @@ class CoeffWindow:
                     raw = t - s
                     if abs(raw) > self.N:
                         return OUT_OF_WINDOW
-                    key = (k, raw - self.shift(k))
-                    acc = out.get(key, Poly.zero(self.algebra.table)) + coeff
-                    if acc.is_zero:
-                        out.pop(key, None)
-                    else:
-                        out[key] = acc
+                    accumulate(out, (k, raw - self.shift(k)), coeff)
         return out
 
     def bracket(self, a, b):
@@ -166,11 +161,7 @@ class CoeffWindow:
                     return OUT_OF_WINDOW
                 scale = ca * cb
                 for key, c in piece.items():
-                    acc = out.get(key, Poly.zero(self.algebra.table)) + scale * c
-                    if acc.is_zero:
-                        out.pop(key, None)
-                    else:
-                        out[key] = acc
+                    accumulate(out, key, scale * c)
         return out
 
     def lift_map(self, T: ModuleMap):
@@ -195,41 +186,23 @@ class CoeffWindow:
                         raw = raw_m - s
                         if abs(raw) > self.N:
                             return OUT_OF_WINDOW
-                        key = (j, raw - self.shift(j))
-                        acc = out.get(key, Poly.zero(self.algebra.table)) + coeff
-                        if acc.is_zero:
-                            out.pop(key, None)
-                        else:
-                            out[key] = acc
+                        accumulate(out, (j, raw - self.shift(j)), coeff)
             return out
 
         return lifted
 
 
-def coeff_bracket(w: CoeffWindow, a, b):
-    """Product of window elements; OutOfWindow when an index escapes."""
-    return w.bracket(a, b)
-
-
 def _sub(a: WinElem, b: WinElem) -> WinElem:
     out = dict(a)
     for key, c in b.items():
-        acc = out.get(key, c * 0) - c
-        if acc.is_zero:
-            out.pop(key, None)
-        else:
-            out[key] = acc
+        accumulate(out, key, -c)
     return out
 
 
 def _add(a: WinElem, b: WinElem) -> WinElem:
     out = dict(a)
     for key, c in b.items():
-        acc = out.get(key, c * 0) + c
-        if acc.is_zero:
-            out.pop(key, None)
-        else:
-            out[key] = acc
+        accumulate(out, key, c)
     return out
 
 

@@ -17,10 +17,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import LIE, ConformalAlgebra, PreconditionError, ProductTable
+from .algebra import LIE, ConformalAlgebra, PreconditionError, ProductTable, vec_add, vec_sub
 from .linmap import ModuleMap
 from .operators import check_rota_baxter
-from .poly import Poly, VarTable
+from .poly import Poly, VarTable, accumulate
 from .report import Report
 
 ConstTable = dict[tuple[int, int], dict[int, Fraction]]
@@ -81,9 +81,7 @@ class GDBialgebra:
         return self._prod(self.lie, a, b)
 
     def star_prod(self, a, b) -> tuple[Poly, ...]:
-        left = self.circ_prod(a, b)
-        right = self.circ_prod(b, a)
-        return tuple(p + q for p, q in zip(left, right))
+        return vec_add(self.circ_prod(a, b), self.circ_prod(b, a))
 
     def basis_vector(self, i: int) -> tuple[Poly, ...]:
         one = Poly.const(self.table, 1)
@@ -96,13 +94,6 @@ def check_gd(V: GDBialgebra) -> Report:
     report = Report()
     basis = [V.basis_vector(i) for i in range(V.dim)]
     names = V.basis
-
-    def sub(a, b):
-        return tuple(p - q for p, q in zip(a, b))
-
-    def add(a, b):
-        return tuple(p + q for p, q in zip(a, b))
-
     rc = report.new_check("novikov_right_commutativity")
     ls = report.new_check("novikov_left_symmetry")
     anti = report.new_check("lie_antisymmetry")
@@ -111,22 +102,23 @@ def check_gd(V: GDBialgebra) -> Report:
     for i, a in enumerate(basis):
         for j, b in enumerate(basis):
             anti.add_vector(f"({names[i]},{names[j]})", names,
-                            add(V.lie_prod(a, b), V.lie_prod(b, a)))
+                            vec_add(V.lie_prod(a, b), V.lie_prod(b, a)))
             for k, c in enumerate(basis):
                 label = f"({names[i]},{names[j]},{names[k]})"
                 rc.add_vector(label, names,
-                              sub(V.circ_prod(V.circ_prod(a, b), c),
-                                  V.circ_prod(V.circ_prod(a, c), b)))
-                ls.add_vector(label, names, sub(
-                    sub(V.circ_prod(V.circ_prod(a, b), c), V.circ_prod(a, V.circ_prod(b, c))),
-                    sub(V.circ_prod(V.circ_prod(b, a), c), V.circ_prod(b, V.circ_prod(a, c)))))
-                jac.add_vector(label, names, sub(
+                              vec_sub(V.circ_prod(V.circ_prod(a, b), c),
+                                      V.circ_prod(V.circ_prod(a, c), b)))
+                ls.add_vector(label, names, vec_sub(
+                    vec_sub(V.circ_prod(V.circ_prod(a, b), c), V.circ_prod(a, V.circ_prod(b, c))),
+                    vec_sub(V.circ_prod(V.circ_prod(b, a), c), V.circ_prod(b, V.circ_prod(a, c)))))
+                jac.add_vector(label, names, vec_sub(
                     V.lie_prod(a, V.lie_prod(b, c)),
-                    add(V.lie_prod(V.lie_prod(a, b), c), V.lie_prod(b, V.lie_prod(a, c)))))
-                comp.add_vector(label, names, sub(
-                    add(V.lie_prod(V.circ_prod(a, b), c), V.circ_prod(V.lie_prod(a, b), c)),
-                    add(add(V.circ_prod(a, V.lie_prod(b, c)), V.lie_prod(V.circ_prod(a, c), b)),
-                        V.circ_prod(V.lie_prod(a, c), b))))
+                    vec_add(V.lie_prod(V.lie_prod(a, b), c), V.lie_prod(b, V.lie_prod(a, c)))))
+                comp.add_vector(label, names, vec_sub(
+                    vec_add(V.lie_prod(V.circ_prod(a, b), c), V.circ_prod(V.lie_prod(a, b), c)),
+                    vec_add(vec_add(V.circ_prod(a, V.lie_prod(b, c)),
+                                    V.lie_prod(V.circ_prod(a, c), b)),
+                            V.circ_prod(V.lie_prod(a, c), b))))
     return report
 
 
@@ -171,8 +163,7 @@ def algebra_from_gd(V: GDBialgebra, checked: bool = True) -> ConformalAlgebra:
     products: ProductTable = {}
 
     def put(pair, k, poly):
-        entry = products.setdefault(pair, {})
-        entry[k] = entry.get(k, Poly.zero(t)) + poly
+        accumulate(products.setdefault(pair, {}), k, poly)
 
     for (j, i), targets in V.circ.items():
         # circ[(j, i)] holds b o a for the bracket on (e_i, e_j)
@@ -183,18 +174,6 @@ def algebra_from_gd(V: GDBialgebra, checked: bool = True) -> ConformalAlgebra:
         for k, c in targets.items():
             put((i, j), k, Poly.const(t, c))
     return ConformalAlgebra(LIE, V.basis, t, products)
-
-
-def convert(x: GDBialgebra | ConformalAlgebra):
-    """Dictionary between bialgebras and affine-bracket conformal algebras.
-
-    Round trips are the identity on tables produced by the dictionary.
-    """
-    if isinstance(x, GDBialgebra):
-        return algebra_from_gd(x)
-    if isinstance(x, ConformalAlgebra):
-        return gd_from_algebra(x)
-    raise TypeError(f"cannot convert {type(x).__name__}")
 
 
 @dataclass
@@ -275,8 +254,7 @@ def rb_gd_check(V: GDBialgebra, T: ModuleMap, weight: Poly | Fraction | int = 0)
         for i in range(V.dim):
             for j in range(V.dim):
                 lhs = prod(rows[i], rows[j])
-                inner = tuple(p + q for p, q in zip(prod(rows[i], basis[j]),
-                                                    prod(basis[i], rows[j])))
+                inner = vec_add(prod(rows[i], basis[j]), prod(basis[i], rows[j]))
                 rhs = T.apply(inner)
                 extra = tuple(p * alpha for p in T.apply(prod(basis[i], basis[j])))
                 res = tuple(a - b - c for a, b, c in zip(lhs, rhs, extra))

@@ -11,8 +11,8 @@ from .algebra import LEFT_SYMMETRIC, LIE, ConformalAlgebra, ProductTable
 from .catalog import CatalogEntry
 from .gd import ConstTable, GDBialgebra
 from .linmap import ConformalLinearMap, ModuleMap
-from .operators import BilinearForm, CocycleForm, PolySystem
-from .poly import Poly, VarTable, parse
+from .operators import BilinearForm, PolySystem
+from .poly import Poly, VarTable, accumulate, parse
 from .reps import Representation, dual_rep, standard_rep
 from .tensor import Tensor2
 
@@ -23,6 +23,12 @@ class InputError(Exception):
 
 def _index(names: tuple[str, ...]) -> dict[str, int]:
     return {n: i for i, n in enumerate(names)}
+
+
+def _check_unique(names: tuple[str, ...], what: str) -> None:
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise InputError(f"repeated name(s) {', '.join(repeated)} in {what}")
 
 
 def _pair_table(doc: dict, names: tuple[str, ...], table: VarTable,
@@ -61,6 +67,7 @@ def algebra_from_dict(doc: dict, table: VarTable) -> ConformalAlgebra:
     basis = tuple(doc.get("basis", ()))
     if not basis:
         raise InputError("algebra needs a nonempty basis")
+    _check_unique(basis, "algebra basis")
     products = _pair_table(doc.get("products", {}), basis, table, "product")
     return ConformalAlgebra(kind, basis, table, products)
 
@@ -85,6 +92,7 @@ def rep_from_dict(doc: dict, A: ConformalAlgebra) -> Representation:
     mbasis = tuple(doc.get("module_basis", ()))
     if not mbasis:
         raise InputError("representation needs module_basis")
+    _check_unique(mbasis, "module_basis")
 
     def mixed_table(key: str) -> ProductTable:
         idx_a = _index(A.basis)
@@ -140,8 +148,7 @@ def tensor_from_dict(doc: dict, A: ConformalAlgebra) -> Tensor2:
         if i not in idx or j not in idx:
             raise InputError(f"unknown basis name in tensor entry {item!r}")
         key = (idx[i], idx[j])
-        p = parse(A.table, item.get("c", "0"))
-        coeffs[key] = coeffs.get(key, Poly.zero(A.table)) + p
+        accumulate(coeffs, key, parse(A.table, item.get("c", "0")))
     return Tensor2(A, coeffs)
 
 
@@ -201,25 +208,25 @@ def _form_matrix(doc: dict, basis: tuple[str, ...], table: VarTable) -> list[lis
     return matrix
 
 
-def cocycle_from_dict(doc: dict, basis: tuple[str, ...], table: VarTable) -> CocycleForm:
+def cocycle_from_dict(doc: dict, basis: tuple[str, ...], table: VarTable) -> BilinearForm:
     kind = doc.get("kind", "lie")
     if kind not in ("lie", "lsc"):
         raise InputError(f"unknown form kind {kind!r}")
-    return CocycleForm(kind, table, basis, _form_matrix(doc.get("matrix", {}), basis, table))
+    return BilinearForm(table, basis, _form_matrix(doc.get("matrix", {}), basis, table), kind)
 
 
 def bilinear_from_dict(doc: dict, basis: tuple[str, ...], table: VarTable) -> BilinearForm:
     return BilinearForm(table, basis, _form_matrix(doc.get("matrix", {}), basis, table))
 
 
-def form_to_dict(form: CocycleForm | BilinearForm) -> dict:
+def form_to_dict(form: BilinearForm) -> dict:
     matrix = {}
     for i, row in enumerate(form.matrix):
         for j, p in enumerate(row):
             if not p.is_zero:
                 matrix[f"{form.basis[i]},{form.basis[j]}"] = str(p)
     out = {"matrix": matrix}
-    if isinstance(form, CocycleForm):
+    if form.kind is not None:
         out["kind"] = form.kind
     return out
 
@@ -230,6 +237,7 @@ def gd_from_dict(doc: dict, table: VarTable) -> GDBialgebra:
     basis = tuple(doc.get("basis", ()))
     if not basis:
         raise InputError("bialgebra needs a basis")
+    _check_unique(basis, "bialgebra basis")
     idx = _index(basis)
 
     def const_table(key: str) -> ConstTable:

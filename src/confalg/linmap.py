@@ -109,9 +109,6 @@ class ConformalLinearMap:
     def at_zero(self) -> ModuleMap:
         return ModuleMap(self.table, [[p.subs({"x": 0}) for p in row] for row in self.matrix])
 
-    def apply_to_basis(self, i: int) -> Vector:
-        return tuple(self.matrix[i])
-
     def map_polys(self, fn, table: VarTable | None = None) -> "ConformalLinearMap":
         return ConformalLinearMap(table or self.table, [[fn(p) for p in row] for row in self.matrix])
 

@@ -20,6 +20,7 @@ from .algebra import (
     PreconditionError,
     ProductTable,
     Vector,
+    apply_bilinear,
     mul_at,
     vec_sub,
 )
@@ -60,7 +61,7 @@ def check_o_operator(T: ModuleMap, rep: Representation, ker_mode: bool = False) 
     """O-operator identity on all module pairs; with ker_mode, only up to ker(rho).
 
     In ker_mode the residual element is itself pushed through the
-    representation (at a fresh argument) and must act as zero.
+    representation (at the reserved argument z2) and must act as zero.
     """
     A = rep.algebra
     report = Report()
@@ -71,7 +72,7 @@ def check_o_operator(T: ModuleMap, rep: Representation, ker_mode: bool = False) 
         label = f"({rep.mbasis[i]},{rep.mbasis[j]})"
         if ker_mode:
             for k in range(rep.mrank):
-                acted = act(rep, res, rep.mbasis_vector(k), Z2, fresh="z2")
+                acted = act(rep, res, rep.mbasis_vector(k), Z2)
                 chk.add_vector(f"{label};{rep.mbasis[k]}", rep.mbasis, acted)
         else:
             chk.add_vector(label, A.basis, res)
@@ -174,47 +175,54 @@ def induced_lsc(T: ModuleMap, rep: Representation | None = None,
     raise ValueError(f"unknown mode {mode!r}")
 
 
-# -- 2-cocycles ---------------------------------------------------------------
+# -- bilinear forms and 2-cocycles ----------------------------------------------
 
 @dataclass
-class CocycleForm:
-    """Bilinear form with values c_ij(x) on basis pairs.
+class BilinearForm:
+    """Conformal bilinear form: values B_ij(x) on basis pairs.
 
     Conformal bilinearity is definitional through the extension rule
-    form(d^s e_i, d^t e_j) at x = (-x)^s x^t c_ij(x), so only the basis
-    matrix is stored.
+    form(d^s e_i, d^t e_j) at x = (-x)^s x^t B_ij(x), so only the basis
+    matrix is stored; its entries may use only x and parameters.  A 2-cocycle
+    form carries its ``kind`` ("lie" or "lsc"), which fixes its symmetry law.
     """
 
-    kind: str  # "lie" | "lsc"
     table: VarTable
     basis: tuple[str, ...]
     matrix: list[list[Poly]]
+    kind: str | None = None
+    products: ProductTable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        allowed = set(self.table.params) | {"x"}
+        self.products = {}
+        for i, row in enumerate(self.matrix):
+            for j, p in enumerate(row):
+                extra = p.variables() - allowed
+                if extra:
+                    raise ValueError(
+                        f"form entries may use only x and parameters, got {sorted(extra)}")
+                if not p.is_zero:
+                    self.products[(i, j)] = {0: p}
 
     def entry(self, i: int, j: int) -> Poly:
         return self.matrix[i][j]
 
     def eval_at(self, a: Vector, b: Vector, lam: Poly) -> Poly:
         """form(a, b) at argument lam for elements with d-dependent coefficients."""
-        t = self.table
-        z1 = Poly.var(t, "z1")
-        out = Poly.zero(t)
-        for i, p in enumerate(a):
-            if p.is_zero:
-                continue
-            ps = p.subs({"d": -z1})
-            for j, q in enumerate(b):
-                c = self.matrix[i][j]
-                if q.is_zero or c.is_zero:
-                    continue
-                out = out + ps * q.subs({"d": z1}) * c.subs({"x": z1})
-        return out.subs({"z1": lam})
+        return apply_bilinear(self.table, self.products, a, b, lam, 1, out=0)[0]
 
-    def map_polys(self, fn, table: VarTable | None = None) -> "CocycleForm":
-        return CocycleForm(self.kind, table or self.table, self.basis,
-                           [[fn(p) for p in row] for row in self.matrix])
+    def induced_map(self) -> ModuleMap:
+        """The map into the dual, a matrix over d: row i is B_ij(-d)."""
+        D = Poly.var(self.table, "d")
+        return ModuleMap(self.table, [[p.subs({"x": -D}) for p in row] for row in self.matrix])
+
+    def map_polys(self, fn, table: VarTable | None = None) -> "BilinearForm":
+        return BilinearForm(table or self.table, self.basis,
+                            [[fn(p) for p in row] for row in self.matrix], self.kind)
 
 
-def cocycle_from_r(A: ConformalAlgebra, r: Tensor2, kind: str) -> CocycleForm:
+def cocycle_from_r(A: ConformalAlgebra, r: Tensor2, kind: str) -> BilinearForm:
     """The form a, b -> pairing of T0^-1(a) with b, for non-degenerate r.
 
     Requires r skew (lie) or symmetric (lsc); raises NotInvertible when the
@@ -232,10 +240,10 @@ def cocycle_from_r(A: ConformalAlgebra, r: Tensor2, kind: str) -> CocycleForm:
     X = Poly.var(A.table, "x")
     matrix = [[inv.matrix[i][j].subs({"d": -X}) for j in range(A.rank)]
               for i in range(A.rank)]
-    return CocycleForm(kind, A.table, A.basis, matrix)
+    return BilinearForm(A.table, A.basis, matrix, kind)
 
 
-def cocycle_check(A: ConformalAlgebra, form: CocycleForm) -> Report:
+def cocycle_check(A: ConformalAlgebra, form: BilinearForm) -> Report:
     """Cocycle identity and the symmetry law, on all basis pairs/triples."""
     expected = "lie" if A.kind == LIE else "lsc"
     if form.kind != expected:
@@ -422,31 +430,6 @@ def solve_squares(system: PolySystem) -> SolveResult:
 
 # -- invariant bilinear forms --------------------------------------------------
 
-@dataclass
-class BilinearForm:
-    """Conformal bilinear form: values B_ij(x) on basis pairs.
-
-    Same extension rule as a cocycle form: derivation powers on the left
-    contribute (-x)^s, on the right x^t.
-    """
-
-    table: VarTable
-    basis: tuple[str, ...]
-    matrix: list[list[Poly]]
-
-    def entry(self, i: int, j: int) -> Poly:
-        return self.matrix[i][j]
-
-    def induced_map(self) -> ModuleMap:
-        """The map into the dual, a matrix over d: row i is B_ij(-d)."""
-        D = Poly.var(self.table, "d")
-        return ModuleMap(self.table, [[p.subs({"x": -D}) for p in row] for row in self.matrix])
-
-    def map_polys(self, fn, table: VarTable | None = None) -> "BilinearForm":
-        return BilinearForm(table or self.table, self.basis,
-                            [[fn(p) for p in row] for row in self.matrix])
-
-
 class DegenerateForm(Exception):
     pass
 
@@ -500,6 +483,7 @@ def invariant_form_suite(A: ConformalAlgebra, B: BilinearForm,
     X = Poly.var(t, "x")
     Y = Poly.var(t, "y")
     D = Poly.var(t, "d")
+    basis = [A.basis_vector(i) for i in range(A.rank)]
     report = Report()
     sym = report.new_check("symmetry")
     for i in range(A.rank):
@@ -509,13 +493,10 @@ def invariant_form_suite(A: ConformalAlgebra, B: BilinearForm,
     inv = report.new_check("invariance")
     for i in range(A.rank):
         for j in range(A.rank):
+            ij = mul_at(A, basis[i], basis[j], Y)
             for k in range(A.rank):
-                lhs = Poly.zero(t)
-                for l, P in A.product(i, j).items():
-                    lhs = lhs + P.subs({"d": -X, "x": Y}) * B.matrix[l][k]
-                rhs = Poly.zero(t)
-                for l, P in A.product(j, k).items():
-                    rhs = rhs + P.subs({"d": Y, "x": X - Y}) * B.matrix[i][l].subs({"x": Y})
+                lhs = B.eval_at(ij, basis[k], X)
+                rhs = B.eval_at(basis[i], mul_at(A, basis[j], basis[k], X - D), Y)
                 inv.add(f"({A.basis[i]},{A.basis[j]},{A.basis[k]})", lhs - rhs)
     nondeg = report.new_check("non_degenerate")
     degenerate = False

@@ -367,6 +367,15 @@ class Poly:
         return f"Poly({self})"
 
 
+def accumulate(acc: dict, key, p: Poly) -> None:
+    """Add ``p`` into the sparse map ``acc`` at ``key``, dropping zero sums."""
+    s = acc[key] + p if key in acc else p
+    if s.is_zero:
+        acc.pop(key, None)
+    else:
+        acc[key] = s
+
+
 # -- parsing ---------------------------------------------------------------
 
 _OPS = set("+-*^()")
@@ -457,6 +466,8 @@ class _Parser:
         if kind == "num":
             if "/" in text:
                 p, q = text.split("/")
+                if int(q) == 0:
+                    raise ParseError(f"zero denominator in {text!r}")
                 return Poly.const(self.table, Fraction(int(p), int(q)))
             return Poly.const(self.table, int(text))
         if kind == "name":

@@ -26,7 +26,7 @@ from .algebra import (
     vec_add,
     vec_sub,
 )
-from .poly import Poly, VarTable
+from .poly import Poly, VarTable, accumulate
 from .report import Report
 
 ADJOINT = "adjoint"
@@ -71,10 +71,6 @@ class Representation:
     def mrank(self) -> int:
         return len(self.mbasis)
 
-    def zero_mvector(self) -> Vector:
-        z = Poly.zero(self.algebra.table)
-        return (z,) * self.mrank
-
     def mbasis_vector(self, j: int) -> Vector:
         one = Poly.const(self.algebra.table, 1)
         z = Poly.zero(self.algebra.table)
@@ -94,15 +90,15 @@ class Representation:
 
 
 def act_at(rep: Representation, table: ProductTable, a: Vector, w: Vector,
-           lam: Poly, fresh: str = "z1") -> Vector:
+           lam: Poly) -> Vector:
     """Action of algebra element ``a`` on module element ``w`` at argument lam."""
-    return apply_bilinear(rep.algebra.table, table, a, w, lam, rep.mrank, fresh)
+    return apply_bilinear(rep.algebra.table, table, a, w, lam, rep.mrank)
 
 
-def act(rep: Representation, a: Vector, w: Vector, lam: Poly, fresh: str = "z1") -> Vector:
+def act(rep: Representation, a: Vector, w: Vector, lam: Poly) -> Vector:
     if not rep.is_lie:
         raise AlgebraError("plain action is defined for lie-kind representations")
-    return act_at(rep, rep.rho, a, w, lam, fresh)
+    return act_at(rep, rep.rho, a, w, lam)
 
 
 def check_rep(rep: Representation) -> Report:
@@ -178,7 +174,7 @@ def standard_rep(A: ConformalAlgebra, which: str) -> Representation:
         for (j, i), targets in A.products.items():
             entry = out.setdefault((i, j), {})
             for k, P in targets.items():
-                entry[k] = entry.get(k, Poly.zero(t)) + P.subs({"x": -X - D})
+                accumulate(entry, k, P.subs({"x": -X - D}))
         return out
 
     if which == REGULAR_LEFT:
@@ -191,9 +187,9 @@ def standard_rep(A: ConformalAlgebra, which: str) -> Representation:
         for pair in set(A.products) | set(rt):
             entry: dict[int, Poly] = {}
             for k, P in A.products.get(pair, {}).items():
-                entry[k] = entry.get(k, Poly.zero(t)) + P
+                accumulate(entry, k, P)
             for k, P in rt.get(pair, {}).items():
-                entry[k] = entry.get(k, Poly.zero(t)) - P
+                accumulate(entry, k, -P)
             out[pair] = entry
         return Representation(g, A.basis, rho=out)
     raise AlgebraError(f"unknown standard representation {which!r}")
@@ -221,7 +217,7 @@ def dual_rep(rep: Representation) -> Representation:
     for (i, k), targets in rep.rho.items():
         for j, P in targets.items():
             entry = out.setdefault((i, j), {})
-            entry[k] = entry.get(k, Poly.zero(t)) - P.subs({"d": -X - D})
+            accumulate(entry, k, -P.subs({"d": -X - D}))
     names = tuple(n + "*" for n in rep.mbasis)
     return Representation(rep.algebra, names, rho=out)
 
@@ -252,8 +248,7 @@ def semidirect(A: ConformalAlgebra, rep: Representation, checked: bool = True) -
         products[pair] = dict(targets)
 
     def put(pair, k, poly):
-        entry = products.setdefault(pair, {})
-        entry[k] = entry.get(k, Poly.zero(t)) + poly
+        accumulate(products.setdefault(pair, {}), k, poly)
 
     if A.kind == LIE:
         if rep.algebra is not A and rep.algebra.products != A.products:

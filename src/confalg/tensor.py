@@ -10,16 +10,25 @@ The quadratic expressions evaluated here place each product or bracket of
 two tensor factors in a fixed slot and substitute the auxiliary argument by
 that slot's derivation variable afterwards; within a bracket the first
 factor's derivation powers contribute (-mu)^k and the second factor's
-(mu + d_slot)^k, while passive slots keep their own variable.
+(mu + d_slot)^k, while passive slots keep their own variable.  Each such
+term is one ``apply_bilinear`` call per pair of rows or columns of r.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import ConformalAlgebra, LIE, LEFT_SYMMETRIC, PreconditionError, Vector, sub_adjacent
+from .algebra import (
+    LEFT_SYMMETRIC,
+    LIE,
+    ConformalAlgebra,
+    PreconditionError,
+    Vector,
+    apply_bilinear,
+    sub_adjacent,
+)
 from .linmap import ConformalLinearMap
-from .poly import Poly
+from .poly import Poly, accumulate
 from .report import Report
 from .reps import Representation, check_rep, dual_rep, semidirect
 
@@ -42,7 +51,7 @@ class Tensor2:
     def __add__(self, other: "Tensor2") -> "Tensor2":
         out = dict(self.coeffs)
         for k, p in other.coeffs.items():
-            out[k] = out.get(k, Poly.zero(self.algebra.table)) + p
+            accumulate(out, k, p)
         return Tensor2(self.algebra, out)
 
     def __neg__(self) -> "Tensor2":
@@ -110,9 +119,7 @@ def flip(r: Tensor2) -> Tensor2:
     d1, d2 = Poly.var(table, "d1"), Poly.var(table, "d2")
     out: dict[tuple[int, int], Poly] = {}
     for (i, j), p in r.coeffs.items():
-        key = (j, i)
-        q = p.subs({"d1": d2, "d2": d1})
-        out[key] = out.get(key, Poly.zero(table)) + q
+        accumulate(out, (j, i), p.subs({"d1": d2, "d2": d1}))
     return Tensor2(r.algebra, out)
 
 
@@ -123,10 +130,25 @@ def parts(r: Tensor2) -> Parts:
     return Parts(r21, skew, sym, is_skew=sym.is_zero, is_sym=skew.is_zero)
 
 
-def _check_indices(A: ConformalAlgebra, r: Tensor2) -> None:
-    for (i, j) in r.coeffs:
-        if not (0 <= i < A.rank and 0 <= j < A.rank):
-            raise PreconditionError("tensor indices exceed the algebra rank")
+def _slot_vectors(A: ConformalAlgebra, r: Tensor2) -> tuple[list[list[Poly]], ...]:
+    """The entries of r as vectors over one tensor factor, for apply_bilinear.
+
+    rows[p][q] = cols[q][p] = the entry on (e_p, e_q).  cols3 moves the
+    second factor to slot 3 (d2 := d3); swapped exchanges d1 and d2, so that
+    d1 marks the second factor.
+    """
+    t, n = A.table, A.rank
+    if any(not (0 <= i < n and 0 <= j < n) for i, j in r.coeffs):
+        raise PreconditionError("tensor indices exceed the algebra rank")
+    zero = Poly.zero(t)
+    rows = [[zero] * n for _ in range(n)]
+    cols = [[zero] * n for _ in range(n)]
+    for (p, q), f in r.coeffs.items():
+        rows[p][q] = cols[q][p] = f
+    d1, d2, d3 = (Poly.var(t, v) for v in ("d1", "d2", "d3"))
+    cols3 = [[f.subs({"d2": d3}) for f in col] for col in cols]
+    swapped = [[f.subs({"d1": d2, "d2": d1}) for f in row] for row in rows]
+    return rows, cols, cols3, swapped
 
 
 def cybe_residual(A: ConformalAlgebra, r: Tensor2) -> Tensor3:
@@ -140,35 +162,24 @@ def cybe_residual(A: ConformalAlgebra, r: Tensor2) -> Tensor3:
     """
     if A.kind != LIE:
         raise PreconditionError("conformal CYBE lives in a Lie-kind algebra")
-    _check_indices(A, r)
-    table = A.table
-    z1 = Poly.var(table, "z1")
-    d1 = Poly.var(table, "d1")
-    d2 = Poly.var(table, "d2")
-    d3 = Poly.var(table, "d3")
+    t, n, P = A.table, A.rank, A.products
+    d2, d3 = Poly.var(t, "d2"), Poly.var(t, "d3")
+    rows, cols, cols3, swapped = _slot_vectors(A, r)
     out: dict[tuple[int, int, int], Poly] = {}
-
-    def put(key, poly):
-        out[key] = out.get(key, Poly.zero(table)) + poly
-
-    entries = list(r.coeffs.items())
-    for (p_, q_), f in entries:
-        for (u_, v_), g in entries:
+    for i in range(n):
+        for j in range(n):
             # [a_i mu a_j] ox b_i ox b_j, mu := d2
-            fa = f.subs({"d1": -z1})
-            ga = g.subs({"d1": z1 + d1, "d2": d3})
-            for k, P in A.product(p_, u_).items():
-                put((k, q_, v_), (fa * ga * P.subs({"d": d1, "x": z1})).subs({"z1": d2}))
+            vec = apply_bilinear(t, P, cols[i], cols3[j], d2, n, left="d1", right="d1", out="d1")
+            for k, p in enumerate(vec):
+                accumulate(out, (k, i, j), p)
             # - a_i ox [a_j mu b_i] ox b_j, mu := d3
-            fb = f.subs({"d2": z1 + d2})
-            gb = g.subs({"d1": -z1, "d2": d3})
-            for k, P in A.product(u_, q_).items():
-                put((p_, k, v_), -(fb * gb * P.subs({"d": d2, "x": z1})).subs({"z1": d3}))
+            vec = apply_bilinear(t, P, cols3[j], rows[i], d3, n, left="d1", right="d2", out="d2")
+            for k, p in enumerate(vec):
+                accumulate(out, (i, k, j), -p)
             # - a_i ox a_j ox [b_j mu b_i], mu := d2
-            fc = f.subs({"d2": z1 + d3})
-            gc = g.subs({"d1": d2, "d2": -z1})
-            for k, P in A.product(v_, q_).items():
-                put((p_, u_, k), -(fc * gc * P.subs({"d": d3, "x": z1})).subs({"z1": d2}))
+            vec = apply_bilinear(t, P, swapped[j], rows[i], d2, n, left="d1", right="d2", out="d3")
+            for k, p in enumerate(vec):
+                accumulate(out, (i, j, k), -p)
     return normal_form3(Tensor3(A, out))
 
 
@@ -182,36 +193,25 @@ def s_residual(A: ConformalAlgebra, r: Tensor2) -> Tensor3:
     """
     if A.kind != LEFT_SYMMETRIC:
         raise PreconditionError("the conformal S-equation lives in a left-symmetric algebra")
-    _check_indices(A, r)
-    table = A.table
-    g_alg = sub_adjacent(A, checked=False)
-    z1 = Poly.var(table, "z1")
-    d1 = Poly.var(table, "d1")
-    d2 = Poly.var(table, "d2")
-    d3 = Poly.var(table, "d3")
+    t, n, P = A.table, A.rank, A.products
+    Q = sub_adjacent(A, checked=False).products
+    d1, d2 = Poly.var(t, "d1"), Poly.var(t, "d2")
+    rows, cols, cols3, swapped = _slot_vectors(A, r)
     out: dict[tuple[int, int, int], Poly] = {}
-
-    def put(key, poly):
-        out[key] = out.get(key, Poly.zero(table)) + poly
-
-    entries = list(r.coeffs.items())
-    for (p_, q_), f in entries:
-        for (u_, v_), g in entries:
+    for i in range(n):
+        for j in range(n):
             # (l_j mu r_i) ox r_j ox l_i, mu := d2
-            fa = f.subs({"d1": z1 + d1, "d2": d3})
-            ga = g.subs({"d1": d2, "d2": -z1})
-            for k, P in A.product(v_, p_).items():
-                put((k, u_, q_), (fa * ga * P.subs({"d": d1, "x": z1})).subs({"z1": d2}))
+            vec = apply_bilinear(t, P, swapped[j], cols3[i], d2, n, left="d1", right="d1", out="d1")
+            for k, p in enumerate(vec):
+                accumulate(out, (k, j, i), p)
             # - r_j ox (l_j mu r_i) ox l_i, mu := d1
-            fb = f.subs({"d1": z1 + d2, "d2": d3})
-            gb = g.subs({"d2": -z1})
-            for k, P in A.product(v_, p_).items():
-                put((u_, k, q_), -(fb * gb * P.subs({"d": d2, "x": z1})).subs({"z1": d1}))
+            vec = apply_bilinear(t, P, rows[j], cols3[i], d1, n, left="d2", right="d1", out="d2")
+            for k, p in enumerate(vec):
+                accumulate(out, (j, k, i), -p)
             # - r_i ox r_j ox [l_i mu l_j], mu := d1
-            fc = f.subs({"d2": -z1})
-            gc = g.subs({"d1": d2, "d2": z1 + d3})
-            for k, Q in g_alg.product(q_, v_).items():
-                put((p_, u_, k), -(fc * gc * Q.subs({"d": d3, "x": z1})).subs({"z1": d1}))
+            vec = apply_bilinear(t, Q, rows[i], swapped[j], d1, n, left="d2", right="d1", out="d3")
+            for k, p in enumerate(vec):
+                accumulate(out, (i, j, k), -p)
     return normal_form3(Tensor3(A, out))
 
 
@@ -267,27 +267,17 @@ def r_from_t(T: ConformalLinearMap, rep: Representation, mode: str = "skew",
 
 def cobracket_from_r(A: ConformalAlgebra, r: Tensor2, a: Vector) -> Tensor2:
     """Action of an element on both tensor slots, then argument := -d1-d2."""
-    table = A.table
-    z1 = Poly.var(table, "z1")
-    d1 = Poly.var(table, "d1")
-    d2 = Poly.var(table, "d2")
-    lam = -d1 - d2
+    t, n = A.table, A.rank
+    lam = -Poly.var(t, "d1") - Poly.var(t, "d2")
+    rows, cols, _, _ = _slot_vectors(A, r)
     out: dict[tuple[int, int], Poly] = {}
-
-    def put(key, poly):
-        out[key] = out.get(key, Poly.zero(table)) + poly
-
-    for (p_, q_), f in r.coeffs.items():
-        for i, h in enumerate(a):
-            if h.is_zero:
-                continue
-            hs = h.subs({"d": -z1})
-            f1 = f.subs({"d1": z1 + d1})
-            for k, P in A.product(i, p_).items():
-                put((k, q_), (hs * f1 * P.subs({"d": d1, "x": z1})).subs({"z1": lam}))
-            f2 = f.subs({"d2": z1 + d2})
-            for k, P in A.product(i, q_).items():
-                put((p_, k), (hs * f2 * P.subs({"d": d2, "x": z1})).subs({"z1": lam}))
+    for i in range(n):
+        for k, p in enumerate(apply_bilinear(t, A.products, a, cols[i], lam, n,
+                                             right="d1", out="d1")):
+            accumulate(out, (k, i), p)
+        for k, p in enumerate(apply_bilinear(t, A.products, a, rows[i], lam, n,
+                                             right="d2", out="d2")):
+            accumulate(out, (i, k), p)
     return Tensor2(A, out)
 
 

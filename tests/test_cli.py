@@ -228,3 +228,45 @@ class TestCli:
     def test_weight_free(self, tmp_path):
         doc = {"algebra": "vir", "map": {"L": {}}}
         assert run(tmp_path, "check-rb", doc, "--weight", "free") == 0
+
+
+DUPLICATE_ALGEBRA = {"algebra": {"kind": "lie", "basis": ["L", "L"],
+                                 "products": {"L,L": {"L": "d+2*x"}}}}
+
+
+class TestRejectedInput:
+    """Malformed input exits 2 with a JSON error, never with a traceback."""
+
+    @pytest.mark.parametrize("command, doc, extra", [
+        ("check-axioms", {"algebra": ["L"]}, ()),
+        ("check-rb", {"algebra": "hv", "map": ["L"]}, ()),
+        ("check-cocycle", {"algebra": "vir", "form": "nosuch"}, ()),
+        ("check-axioms", [], ()),
+        ("check-axioms", {"algebra": "vir", "params": [1]}, ()),
+        ("check-axioms", {"algebra": {"kind": "lie", "basis": ["L"],
+                                      "products": {"L,L": {"L": "d+1/0*x"}}}}, ()),
+        ("check-rb", {"algebra": "hv", "map": "hv_rb_family1"}, ("--param", "b=1/0")),
+        ("check-rb", {"algebra": "hv", "map": "hv_rb_family1"}, ("--weight", "1/0")),
+        ("check-axioms", DUPLICATE_ALGEBRA, ()),
+        ("check-rep", {"algebra": "vir",
+                       "representation": {"module_basis": ["V", "V"], "action": {}}}, ()),
+        ("gd-check", {"gd": {"basis": ["a", "a"], "circ": {}, "lie": {}}}, ()),
+        ("check-cocycle", {"algebra": "vir", "form": {"matrix": {"L,L": "d"}}}, ()),
+    ])
+    def test_exit_2(self, tmp_path, capsys, command, doc, extra):
+        assert run(tmp_path, command, doc, *extra) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "error" in json.loads(err)
+
+    def test_repeated_names_only_rejected_at_the_boundary(self):
+        from confalg import ConformalAlgebra, VarTable
+        from confalg.io_json import InputError, gd_from_dict
+        t = VarTable()
+        with pytest.raises(InputError, match="repeated"):
+            algebra_from_dict(DUPLICATE_ALGEBRA["algebra"], t)
+        with pytest.raises(InputError, match="repeated"):
+            gd_from_dict({"basis": ["a", "a"]}, t)
+        # constructions such as the dual-adjoint tower repeat names legitimately
+        A = ConformalAlgebra("lie", ("L", "L"), t, {})
+        assert A.basis == ("L", "L")

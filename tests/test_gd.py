@@ -64,14 +64,6 @@ class TestConvert:
         assert back.products == vir.products
         assert gd_from_algebra(back).circ == V.circ
 
-    def test_convert_dispatch(self, hv):
-        from confalg import convert
-        V = convert(hv)
-        assert isinstance(V, GDBialgebra)
-        assert convert(V).products == hv.products
-        with pytest.raises(TypeError):
-            convert(42)
-
     def test_quadratic_shape_violation(self, table, P):
         bad = ConformalAlgebra("lie", ("L",), table, {(0, 0): {0: P("d+2*x+x^2")}})
         with pytest.raises(NotQuadratic):

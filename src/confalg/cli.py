@@ -19,7 +19,8 @@ from . import io_json as io
 from .catalog import CatalogEntry, UnknownEntry, catalog, required_params
 from .algebra import AlgebraError, PreconditionError, check_axioms
 from .coeff import CoeffWindow, window_checks
-from .gd import NotQuadratic, algebra_from_gd, check_gd, gd_from_algebra, rb_gd_check, zero_divisor_probe
+from .gd import (GDBialgebra, NotQuadratic, algebra_from_gd, check_gd, gd_from_algebra,
+                 rb_gd_check, zero_divisor_probe)
 from .linmap import NotInvertible
 from .operators import (
     DegenerateForm,
@@ -32,20 +33,35 @@ from .operators import (
     rb_constraints,
     solve_squares,
 )
-from .poly import ParseError, Poly, PolyError, VarTable, parse
+from .poly import Poly, PolyError, VarTable
 from .report import Report
 from .reps import check_rep, dual_rep, semidirect
 from .tensor import cobracket_from_r, cybe_residual, r_from_t, s_residual, t_from_r, tensor3_report
 from .io_json import InputError
 
-USAGE_ERRORS = (InputError, ParseError, PolyError, PreconditionError, AlgebraError,
+USAGE_ERRORS = (InputError, PolyError, PreconditionError, AlgebraError,
                 NotInvertible, NotQuadratic, DegenerateForm, UnknownEntry,
-                InconsistentSystem, KeyError, ValueError)
+                InconsistentSystem, ValueError)
 
 # sections that may name a catalog entry (or, for representation, a standard
 # construction), and sections that must be objects
 NAMED_SECTIONS = ("algebra", "representation", "map", "tensor", "gd")
 OBJECT_SECTIONS = ("form", "element", "system")
+
+# section -> (catalog attribute a name looks up, reader of an inline section);
+# a reader takes the section, the session's table and what the caller passes.
+# Each reader looks io_json up at call time, so perfbench's tracer, which wraps
+# io_json's functions after import, sees every call.
+SECTIONS = {
+    "algebra": ("algebra", lambda doc, table: io.algebra_from_dict(doc, table)),
+    "representation": (None, lambda doc, table, A: io.rep_from_dict(doc, A)),
+    "map": ("linmap", lambda doc, table, src, dst, conformal=False:
+            io.map_from_dict(doc, src, dst, table, conformal)),
+    "tensor": ("tensor", lambda doc, table, A: io.tensor_from_dict(doc, A)),
+    "gd": ("gd", lambda doc, table: io.gd_from_dict(doc, table)),
+    "element": (None, lambda doc, table, A: io.element_from_dict(doc, A)),
+    "form": (None, lambda doc, table, A: io.form_from_dict(doc, A.basis, table)),
+}
 
 
 def _rational(text: str, what: str) -> Fraction:
@@ -82,9 +98,9 @@ class Session:
                 self.values[name] = _rational(value, f"--param {name}")
         # string-valued sections name catalog entries, except representation,
         # where a bare string is a standard-construction name
-        for section in ("algebra", "map", "tensor", "gd"):
+        for section, (attr, _) in SECTIONS.items():
             ref = doc.get(section)
-            if isinstance(ref, str):
+            if attr and isinstance(ref, str):
                 for p in required_params(ref):
                     if p not in declared:
                         declared.append(p)
@@ -94,73 +110,35 @@ class Session:
         self.table = VarTable(params=tuple(declared))
         self._entries: dict[str, CatalogEntry] = {}
 
-    def _entry(self, name: str) -> CatalogEntry:
-        if name not in self._entries:
-            self._entries[name] = catalog(name, table=self.table)
-        return self._entries[name]
-
     def _subs(self, obj):
-        if not self.values or obj is None:
+        """`obj` with the --param values substituted; an element is a tuple of
+        polynomials, and a bialgebra holds only rational constants."""
+        if not self.values or isinstance(obj, GDBialgebra):
             return obj
+        if isinstance(obj, tuple):
+            return tuple(p.subs(self.values) for p in obj)
         return obj.map_polys(lambda p: p.subs(self.values))
 
-    def algebra(self, required: bool = True):
-        ref = self.doc.get("algebra")
+    def section(self, name: str, *context, required: bool = True, **options):
+        """Section `name` read inline, or the catalog entry it names, with the
+        --param values substituted; None if it is missing and not `required`.
+        `context` and `options` are what its reader needs besides the table."""
+        ref = self.doc.get(name)
         if ref is None:
             if required:
-                raise InputError("input needs an 'algebra' section")
+                raise InputError(f"input needs a section {name!r}")
             return None
-        A = self._entry(ref).algebra if isinstance(ref, str) else io.algebra_from_dict(ref, self.table)
-        if A is None:
-            raise InputError(f"catalog entry {ref!r} has no algebra")
-        return self._subs(A)
-
-    def representation(self, A):
-        ref = self.doc.get("representation")
-        if ref is None:
-            raise InputError("input needs a 'representation' section")
-        if isinstance(ref, str):
-            ref = {"standard": ref}
-        return self._subs(io.rep_from_dict(ref, A))
-
-    def module_map(self, src, dst, conformal: bool = False):
-        ref = self.doc.get("map")
-        if ref is None:
-            raise InputError("input needs a 'map' section")
-        if isinstance(ref, str):
-            m = self._entry(ref).linmap
-            if m is None:
-                raise InputError(f"catalog entry {ref!r} has no map")
-            return self._subs(m)
-        if isinstance(ref, dict) and "map" not in ref:
-            ref = {"map": ref}
-        if conformal:
-            return self._subs(io.conformal_map_from_dict(ref, src, dst, self.table))
-        return self._subs(io.module_map_from_dict(ref, src, dst, self.table))
-
-    def tensor(self, A):
-        ref = self.doc.get("tensor")
-        if ref is None:
-            raise InputError("input needs a 'tensor' section")
-        if isinstance(ref, str):
-            r = self._entry(ref).tensor
-            if r is None:
-                raise InputError(f"catalog entry {ref!r} has no tensor")
-            r = io.tensor_from_dict(io.tensor_to_dict(r), A)
-        else:
-            r = io.tensor_from_dict(ref, A)
-        return self._subs(r)
-
-    def gd(self):
-        ref = self.doc.get("gd")
-        if ref is None:
-            raise InputError("input needs a 'gd' section")
-        if isinstance(ref, str):
-            g = self._entry(ref).gd
-            if g is None:
-                raise InputError(f"catalog entry {ref!r} has no bialgebra")
-            return g
-        return io.gd_from_dict(ref, self.table)
+        attr, reader = SECTIONS[name]
+        if attr and isinstance(ref, str):
+            if ref not in self._entries:
+                self._entries[ref] = catalog(ref, table=self.table)
+            obj = getattr(self._entries[ref], attr)
+            if obj is None:
+                raise InputError(f"catalog entry {ref!r} has no {name}")
+            if name != "tensor":
+                return self._subs(obj)
+            ref = io.tensor_to_dict(obj)  # re-read, so its basis names are checked against A
+        return self._subs(reader(ref, self.table, *context, **options))
 
     def weight(self, args) -> Poly | Fraction:
         w = getattr(args, "weight", None)
@@ -198,65 +176,65 @@ def _report_result(args, report: Report) -> int:
 # -- subcommand handlers -------------------------------------------------------
 
 def cmd_check_axioms(sess: Session, args) -> int:
-    return _report_result(args, check_axioms(sess.algebra()))
+    return _report_result(args, check_axioms(sess.section("algebra")))
 
 
 def cmd_check_rep(sess: Session, args) -> int:
-    A = sess.algebra()
-    return _report_result(args, check_rep(sess.representation(A)))
+    A = sess.section("algebra")
+    return _report_result(args, check_rep(sess.section("representation", A)))
 
 
 def cmd_check_cybe(sess: Session, args) -> int:
-    A = sess.algebra()
-    res = cybe_residual(A, sess.tensor(A))
+    A = sess.section("algebra")
+    res = cybe_residual(A, sess.section("tensor", A))
     return _report_result(args, tensor3_report("yang_baxter", res))
 
 
 def cmd_check_s(sess: Session, args) -> int:
-    A = sess.algebra()
-    res = s_residual(A, sess.tensor(A))
+    A = sess.section("algebra")
+    res = s_residual(A, sess.section("tensor", A))
     return _report_result(args, tensor3_report("s_equation", res))
 
 
 def cmd_check_o_operator(sess: Session, args) -> int:
-    A = sess.algebra()
-    rep = sess.representation(A)
-    T = sess.module_map(rep.mbasis, A.basis)
+    A = sess.section("algebra")
+    rep = sess.section("representation", A)
+    T = sess.section("map", rep.mbasis, A.basis)
     return _report_result(args, check_o_operator(T, rep, ker_mode=args.ker))
 
 
 def cmd_check_rb(sess: Session, args) -> int:
-    A = sess.algebra()
-    T = sess.module_map(A.basis, A.basis)
+    A = sess.section("algebra")
+    T = sess.section("map", A.basis, A.basis)
     return _report_result(args, check_rota_baxter(A, T, sess.weight(args)))
 
 
 def cmd_build_semidirect(sess: Session, args) -> int:
-    A = sess.algebra()
-    S = semidirect(A, sess.representation(A))
+    A = sess.section("algebra")
+    S = semidirect(A, sess.section("representation", A))
     _emit(args, io.algebra_to_dict(S))
     return 0
 
 
 def cmd_build_dual(sess: Session, args) -> int:
-    A = sess.algebra()
-    rep = dual_rep(sess.representation(A))
+    A = sess.section("algebra")
+    rep = dual_rep(sess.section("representation", A))
     _emit(args, io.rep_to_dict(rep))
     return 0
 
 
 def cmd_r_from_t(sess: Session, args) -> int:
-    A = sess.algebra()
-    rep = sess.representation(A)
-    T = sess.module_map(rep.mbasis, A.basis, conformal=True)
+    A = sess.section("algebra")
+    rep = sess.section("representation", A)
+    T = sess.section("map", rep.mbasis, A.basis, conformal=True)
     r = r_from_t(T, rep, mode=args.mode)
     _emit(args, {"algebra": io.algebra_to_dict(r.algebra), "tensor": io.tensor_to_dict(r)})
     return 0
 
 
 def cmd_t_from_r(sess: Session, args) -> int:
-    A = sess.algebra()
-    T = t_from_r(A, sess.tensor(A))
+    A = sess.section("algebra")
+    T = t_from_r(A, sess.section("tensor", A))
     dual_names = tuple(n + "*" for n in A.basis)
     payload = {"map": io.map_to_dict(T, dual_names, A.basis)["map"],
                "map_at_zero": io.map_to_dict(T.at_zero(), dual_names, A.basis)["map"]}
@@ -265,39 +243,37 @@ def cmd_t_from_r(sess: Session, args) -> int:
 
 
 def cmd_cobracket(sess: Session, args) -> int:
-    A = sess.algebra()
-    a = io.element_from_dict(sess.doc.get("element"), A)
-    if sess.values:
-        a = tuple(p.subs(sess.values) for p in a)
-    out = cobracket_from_r(A, sess.tensor(A), a)
+    A = sess.section("algebra")
+    out = cobracket_from_r(A, sess.section("tensor", A), sess.section("element", A))
     _emit(args, io.tensor_to_dict(out))
     return 0
 
 
 def cmd_cocycle_from_r(sess: Session, args) -> int:
-    A = sess.algebra()
-    form = cocycle_from_r(A, sess.tensor(A), args.kind)
+    A = sess.section("algebra")
+    form = cocycle_from_r(A, sess.section("tensor", A), args.kind)
     _emit(args, io.form_to_dict(form))
     return 0
 
 
 def cmd_check_cocycle(sess: Session, args) -> int:
-    A = sess.algebra()
-    doc = sess.doc.get("form") or {}
-    form = sess._subs(io.cocycle_from_dict(doc, A.basis, sess.table))
+    A = sess.section("algebra")
+    form = sess.section("form", A)
+    form.kind = form.kind or "lie"  # a form without a kind is a Lie 2-cocycle
     return _report_result(args, cocycle_check(A, form))
 
 
 def cmd_form_suite(sess: Session, args) -> int:
-    A = sess.algebra()
-    doc = sess.doc.get("form") or {}
-    form = sess._subs(io.bilinear_from_dict(doc, A.basis, sess.table))
-    r = sess.tensor(A) if sess.doc.get("tensor") is not None else None
+    A = sess.section("algebra")
+    form = sess.section("form", A)
+    r = sess.section("tensor", A, required=False)
     return _report_result(args, invariant_form_suite(A, form, r))
 
 
 def cmd_rb_constraints(sess: Session, args) -> int:
-    A = sess.algebra()
+    if args.degree < 0:
+        raise InputError(f"--degree must be at least 0, got {args.degree}")
+    A = sess.section("algebra")
     system, generic = rb_constraints(A, args.degree, sess.weight(args))
     payload = io.system_to_dict(system)
     payload["generic_map"] = io.map_to_dict(generic, A.basis, A.basis)["map"]
@@ -318,25 +294,24 @@ def cmd_solve(sess: Session, args) -> int:
 
 
 def cmd_gd_convert(sess: Session, args) -> int:
-    if sess.doc.get("gd") is not None:
-        V = sess.gd()
+    V = sess.section("gd", required=False)
+    if V is not None:
         _emit(args, io.algebra_to_dict(algebra_from_gd(V)))
-        return 0
-    A = sess.algebra()
-    _emit(args, io.gd_to_dict(gd_from_algebra(A)))
+    else:
+        _emit(args, io.gd_to_dict(gd_from_algebra(sess.section("algebra"))))
     return 0
 
 
 def cmd_gd_check(sess: Session, args) -> int:
-    V = sess.gd()
-    if sess.doc.get("map") is not None:
-        T = sess.module_map(V.basis, V.basis)
+    V = sess.section("gd")
+    T = sess.section("map", V.basis, V.basis, required=False)
+    if T is not None:
         return _report_result(args, rb_gd_check(V, T, sess.weight(args)))
     return _report_result(args, check_gd(V))
 
 
 def cmd_zero_divisors(sess: Session, args) -> int:
-    V = sess.gd()
+    V = sess.section("gd")
     probe = zero_divisor_probe(V)
     payload = {"status": probe.status}
     if probe.witness:
@@ -349,7 +324,9 @@ def cmd_zero_divisors(sess: Session, args) -> int:
 
 
 def cmd_coeff(sess: Session, args) -> int:
-    A = sess.algebra()
+    if args.window < 0:
+        raise InputError(f"--window must be at least 0, got {args.window}")
+    A = sess.section("algebra")
     shifts = {}
     for spec in args.shift or []:
         name, _, value = spec.partition("=")
@@ -357,9 +334,7 @@ def cmd_coeff(sess: Session, args) -> int:
             raise InputError(f"unknown generator {name!r} in --shift")
         shifts[A.basis.index(name)] = int(value)
     w = CoeffWindow(A, args.window, shifts)
-    T = None
-    if sess.doc.get("map") is not None:
-        T = sess.module_map(A.basis, A.basis)
+    T = sess.section("map", A.basis, A.basis, required=False)
     return _report_result(args, window_checks(w, T, sess.weight(args)))
 
 

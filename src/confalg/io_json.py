@@ -2,17 +2,22 @@
 
 Polynomials travel as text in the input grammar, so any residual printed in
 a report can be pasted back in.  Pair keys are comma-joined basis names
-("L,W"); missing pairs mean zero.
+("L,W"); missing pairs mean zero.  Every reader checks the shapes it reads
+and names the JSON path of the first one that is wrong.
 """
 
 from __future__ import annotations
 
+import json
+from fractions import Fraction
+from functools import partial
+
 from .algebra import LEFT_SYMMETRIC, LIE, ConformalAlgebra, ProductTable
 from .catalog import CatalogEntry
-from .gd import ConstTable, GDBialgebra
+from .gd import GDBialgebra
 from .linmap import ConformalLinearMap, ModuleMap
 from .operators import BilinearForm, PolySystem
-from .poly import Poly, VarTable, accumulate, parse
+from .poly import Poly, PolyError, VarTable, accumulate, parse
 from .reps import Representation, dual_rep, standard_rep
 from .tensor import Tensor2
 
@@ -21,41 +26,93 @@ class InputError(Exception):
     pass
 
 
-def _index(names: tuple[str, ...]) -> dict[str, int]:
-    return {n: i for i, n in enumerate(names)}
+def _type(value) -> str:
+    return "null" if value is None else type(value).__name__
 
 
-def _check_unique(names: tuple[str, ...], what: str) -> None:
-    repeated = sorted({n for n in names if names.count(n) > 1})
+def _container(doc, kind: type, path: str):
+    """A JSON object (kind dict) or list (kind list); a missing one reads as empty."""
+    if doc is None:
+        return kind()
+    if not isinstance(doc, kind):
+        what = "an object" if kind is dict else "a list"
+        raise InputError(f"{path} must be {what}, got {_type(doc)}")
+    return doc
+
+
+def _names(doc, path: str, nonempty: bool = True) -> tuple[str, ...]:
+    """A list of distinct strings, nonempty unless told otherwise."""
+    if not (isinstance(doc, list) and all(isinstance(n, str) for n in doc)) or (nonempty and not doc):
+        what = "a nonempty list" if nonempty else "a list"
+        raise InputError(f"{path} must be {what} of names, got {_type(doc)}")
+    repeated = sorted({n for n in doc if doc.count(n) > 1})
     if repeated:
-        raise InputError(f"repeated name(s) {', '.join(repeated)} in {what}")
+        raise InputError(f"repeated name(s) {', '.join(repeated)} in {path}")
+    return tuple(doc)
 
 
-def _pair_table(doc: dict, names: tuple[str, ...], table: VarTable,
-                what: str) -> ProductTable:
-    idx = _index(names)
-    out: ProductTable = {}
-    for key, targets in (doc or {}).items():
+def _poly(table: VarTable, text, path: str) -> Poly:
+    """Cell reader: a polynomial is a string in the input grammar."""
+    if not isinstance(text, str):
+        raise InputError(f"{path} must be a polynomial string, got {_type(text)}")
+    try:
+        return parse(table, text)
+    except (PolyError, RecursionError) as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
+def _rational(table: VarTable, text, path: str) -> Fraction:
+    """Cell reader: a bialgebra structure constant is a rational string or an integer."""
+    if type(text) not in (str, int):
+        raise InputError(f"{path} must be a rational string or an integer, got {_type(text)}")
+    value = _poly(table, str(text), path).constant_value()
+    if value is None:
+        raise InputError(f"{path} must be a rational, got {text!r}")
+    return value
+
+
+def _cells(doc, names: tuple[str, ...], path: str, cell) -> dict:
+    """{name: value} with every name in `names`, read to {index: cell(value, path)}."""
+    idx = {n: i for i, n in enumerate(names)}
+    out = {}
+    for name, value in _container(doc, dict, path).items():
+        if name not in idx:
+            raise InputError(f"unknown basis name {name!r} in {path}")
+        out[idx[name]] = cell(value, f"{path}.{name}")
+    return out
+
+
+def _table(doc, rows: tuple[str, ...], cols: tuple[str, ...], path: str, cell,
+           targets: tuple[str, ...] | None = None) -> dict:
+    """{"a,b": {target: value}} with a in `rows` and b in `cols`, read to
+    {(i, j): {k: cell(value, path)}}; without `targets`, {"a,b": value}."""
+    idx_r = {n: i for i, n in enumerate(rows)}
+    idx_c = {n: i for i, n in enumerate(cols)}
+    out = {}
+    for key, value in _container(doc, dict, path).items():
         parts = [p.strip() for p in key.split(",")]
-        if len(parts) != 2 or parts[0] not in idx or parts[1] not in idx:
-            raise InputError(f"bad {what} key {key!r}")
-        entry = {}
-        for tname, text in targets.items():
-            if tname not in idx:
-                raise InputError(f"unknown target basis name {tname!r} in {what}")
-            entry[idx[tname]] = parse(table, text)
-        out[(idx[parts[0]], idx[parts[1]])] = entry
+        if len(parts) != 2 or parts[0] not in idx_r or parts[1] not in idx_c:
+            raise InputError(f"bad key {key!r} in {path}")
+        sub = f"{path}[{json.dumps(key)}]"
+        out[(idx_r[parts[0]], idx_c[parts[1]])] = (
+            cell(value, sub) if targets is None else _cells(value, targets, sub, cell))
     return out
 
 
-def _pair_table_to_dict(tbl: ProductTable, src: tuple[str, ...],
-                        dst: tuple[str, ...]) -> dict:
+def _table_to_dict(tbl: dict, rows: tuple[str, ...], cols: tuple[str, ...],
+                   targets: tuple[str, ...]) -> dict:
+    """Inverse of `_table` with targets; zero cells and empty entries are left out."""
     out: dict = {}
-    for (i, j), targets in sorted(tbl.items()):
-        entry = {dst[k]: str(p) for k, p in sorted(targets.items()) if not p.is_zero}
+    for (i, j), cells in sorted(tbl.items()):
+        entry = {targets[k]: str(c) for k, c in sorted(cells.items()) if c != 0}
         if entry:
-            out[f"{src[i]},{src[j]}"] = entry
+            out[f"{rows[i]},{cols[j]}"] = entry
     return out
+
+
+def _matrix(cells: dict, rows: int, cols: int, table: VarTable) -> list[list[Poly]]:
+    zero = Poly.zero(table)
+    return [[cells.get((i, j), zero) for j in range(cols)] for i in range(rows)]
 
 
 # -- algebras ----------------------------------------------------------------
@@ -64,11 +121,9 @@ def algebra_from_dict(doc: dict, table: VarTable) -> ConformalAlgebra:
     kind = doc.get("kind", LIE)
     if kind not in (LIE, LEFT_SYMMETRIC):
         raise InputError(f"unknown algebra kind {kind!r}")
-    basis = tuple(doc.get("basis", ()))
-    if not basis:
-        raise InputError("algebra needs a nonempty basis")
-    _check_unique(basis, "algebra basis")
-    products = _pair_table(doc.get("products", {}), basis, table, "product")
+    basis = _names(doc.get("basis"), "algebra.basis")
+    products = _table(doc.get("products"), basis, basis, "algebra.products",
+                      partial(_poly, table), basis)
     return ConformalAlgebra(kind, basis, table, products)
 
 
@@ -77,78 +132,61 @@ def algebra_to_dict(A: ConformalAlgebra) -> dict:
         "kind": A.kind,
         "basis": list(A.basis),
         "params": list(A.table.params),
-        "products": _pair_table_to_dict(A.products, A.basis, A.basis),
+        "products": _table_to_dict(A.products, A.basis, A.basis, A.basis),
     }
 
 
 # -- representations ----------------------------------------------------------
 
-def rep_from_dict(doc: dict, A: ConformalAlgebra) -> Representation:
+def rep_from_dict(doc: dict | str, A: ConformalAlgebra) -> Representation:
+    """A table with module_basis and action (or action_l/action_r), or a
+    standard construction: its name, or {"standard": name, "dual": bool}."""
+    if isinstance(doc, str):
+        doc = {"standard": doc}
     if "standard" in doc:
-        rep = standard_rep(A, doc["standard"])
-        if doc.get("dual"):
-            rep = dual_rep(rep)
-        return rep
-    mbasis = tuple(doc.get("module_basis", ()))
-    if not mbasis:
-        raise InputError("representation needs module_basis")
-    _check_unique(mbasis, "module_basis")
+        which, dual = doc["standard"], doc.get("dual", False)
+        if not isinstance(which, str):
+            raise InputError(f"representation.standard must be a name, got {_type(which)}")
+        if not isinstance(dual, bool):
+            raise InputError(f"representation.dual must be a boolean, got {_type(dual)}")
+        rep = standard_rep(A, which)
+        return dual_rep(rep) if dual else rep
+    mbasis = _names(doc.get("module_basis"), "representation.module_basis")
 
-    def mixed_table(key: str) -> ProductTable:
-        idx_a = _index(A.basis)
-        idx_m = _index(mbasis)
-        out: ProductTable = {}
-        for pair, targets in (doc.get(key) or {}).items():
-            parts = [p.strip() for p in pair.split(",")]
-            if len(parts) != 2 or parts[0] not in idx_a or parts[1] not in idx_m:
-                raise InputError(f"bad action key {pair!r}")
-            entry = {}
-            for tname, text in targets.items():
-                if tname not in idx_m:
-                    raise InputError(f"unknown module basis name {tname!r}")
-                entry[idx_m[tname]] = parse(A.table, text)
-            out[(idx_a[parts[0]], idx_m[parts[1]])] = entry
-        return out
+    def action(key: str) -> ProductTable:
+        return _table(doc.get(key), A.basis, mbasis, f"representation.{key}",
+                      partial(_poly, A.table), mbasis)
 
     if "action" in doc:
-        return Representation(A, mbasis, rho=mixed_table("action"))
+        return Representation(A, mbasis, rho=action("action"))
     if "action_l" in doc or "action_r" in doc:
-        return Representation(A, mbasis, left=mixed_table("action_l"),
-                              right=mixed_table("action_r"))
+        return Representation(A, mbasis, left=action("action_l"), right=action("action_r"))
     raise InputError("representation needs action or action_l/action_r")
-
-
-def _mixed_table_to_dict(tbl: ProductTable, abasis: tuple[str, ...],
-                         mbasis: tuple[str, ...]) -> dict:
-    out: dict = {}
-    for (i, j), targets in sorted(tbl.items()):
-        entry = {mbasis[k]: str(p) for k, p in sorted(targets.items()) if not p.is_zero}
-        if entry:
-            out[f"{abasis[i]},{mbasis[j]}"] = entry
-    return out
 
 
 def rep_to_dict(rep: Representation) -> dict:
     out: dict = {"module_basis": list(rep.mbasis)}
+    b, m = rep.algebra.basis, rep.mbasis
     if rep.is_lie:
-        out["action"] = _mixed_table_to_dict(rep.rho, rep.algebra.basis, rep.mbasis)
+        out["action"] = _table_to_dict(rep.rho, b, m, m)
     else:
-        out["action_l"] = _mixed_table_to_dict(rep.left, rep.algebra.basis, rep.mbasis)
-        out["action_r"] = _mixed_table_to_dict(rep.right, rep.algebra.basis, rep.mbasis)
+        out["action_l"] = _table_to_dict(rep.left, b, m, m)
+        out["action_r"] = _table_to_dict(rep.right, b, m, m)
     return out
 
 
 # -- tensors -------------------------------------------------------------------
 
 def tensor_from_dict(doc: dict, A: ConformalAlgebra) -> Tensor2:
-    idx = _index(A.basis)
+    idx = {n: i for i, n in enumerate(A.basis)}
     coeffs: dict[tuple[int, int], Poly] = {}
-    for item in doc.get("entries", []):
+    for n, item in enumerate(_container(doc.get("entries"), list, "tensor.entries")):
+        path = f"tensor.entries[{n}]"
+        item = _container(item, dict, path)
         i, j = item.get("i"), item.get("j")
-        if i not in idx or j not in idx:
-            raise InputError(f"unknown basis name in tensor entry {item!r}")
-        key = (idx[i], idx[j])
-        accumulate(coeffs, key, parse(A.table, item.get("c", "0")))
+        if not all(isinstance(name, str) and name in idx for name in (i, j)):
+            raise InputError(f"{path} needs basis names i and j, got {i!r}, {j!r}")
+        accumulate(coeffs, (idx[i], idx[j]), _poly(A.table, item.get("c", "0"), f"{path}.c"))
     return Tensor2(A, coeffs)
 
 
@@ -160,30 +198,15 @@ def tensor_to_dict(r: Tensor2) -> dict:
 
 # -- linear maps ---------------------------------------------------------------
 
-def _map_matrix(doc: dict, src: tuple[str, ...], dst: tuple[str, ...],
-                table: VarTable) -> list[list[Poly]]:
-    idx_d = _index(dst)
-    matrix = [[Poly.zero(table) for _ in dst] for _ in src]
-    given = doc or {}
-    idx_s = _index(src)
-    for sname, row in given.items():
-        if sname not in idx_s:
-            raise InputError(f"unknown source basis name {sname!r} in map")
-        for tname, text in (row or {}).items():
-            if tname not in idx_d:
-                raise InputError(f"unknown target basis name {tname!r} in map")
-            matrix[idx_s[sname]][idx_d[tname]] = parse(table, text)
-    return matrix
-
-
-def module_map_from_dict(doc: dict, src: tuple[str, ...], dst: tuple[str, ...],
-                         table: VarTable) -> ModuleMap:
-    return ModuleMap(table, _map_matrix(doc.get("map", {}), src, dst, table))
-
-
-def conformal_map_from_dict(doc: dict, src: tuple[str, ...], dst: tuple[str, ...],
-                            table: VarTable) -> ConformalLinearMap:
-    return ConformalLinearMap(table, _map_matrix(doc.get("map", {}), src, dst, table))
+def map_from_dict(doc: dict, src: tuple[str, ...], dst: tuple[str, ...], table: VarTable,
+                  conformal: bool = False) -> ModuleMap | ConformalLinearMap:
+    """{source name: {target name: poly}}, bare or under a "map" key; a
+    module map over d, or with `conformal` a conformal linear map."""
+    rows = _cells(doc.get("map", doc), src, "map",
+                  lambda row, path: _cells(row, dst, path, partial(_poly, table)))
+    cells = {(i, j): p for i, row in rows.items() for j, p in row.items()}
+    cls = ConformalLinearMap if conformal else ModuleMap
+    return cls(table, _matrix(cells, len(src), len(dst), table))
 
 
 def map_to_dict(m: ModuleMap | ConformalLinearMap, src: tuple[str, ...],
@@ -197,26 +220,14 @@ def map_to_dict(m: ModuleMap | ConformalLinearMap, src: tuple[str, ...],
 
 # -- forms ---------------------------------------------------------------------
 
-def _form_matrix(doc: dict, basis: tuple[str, ...], table: VarTable) -> list[list[Poly]]:
-    idx = _index(basis)
-    matrix = [[Poly.zero(table) for _ in basis] for _ in basis]
-    for key, text in (doc or {}).items():
-        parts = [p.strip() for p in key.split(",")]
-        if len(parts) != 2 or parts[0] not in idx or parts[1] not in idx:
-            raise InputError(f"bad form key {key!r}")
-        matrix[idx[parts[0]]][idx[parts[1]]] = parse(table, text)
-    return matrix
-
-
-def cocycle_from_dict(doc: dict, basis: tuple[str, ...], table: VarTable) -> BilinearForm:
-    kind = doc.get("kind", "lie")
-    if kind not in ("lie", "lsc"):
+def form_from_dict(doc: dict, basis: tuple[str, ...], table: VarTable) -> BilinearForm:
+    """{"matrix": {"a,b": poly}, "kind": "lie" | "lsc"}; without a kind the
+    form is not a 2-cocycle of either kind."""
+    kind = doc.get("kind")
+    if kind not in (None, "lie", "lsc"):
         raise InputError(f"unknown form kind {kind!r}")
-    return BilinearForm(table, basis, _form_matrix(doc.get("matrix", {}), basis, table), kind)
-
-
-def bilinear_from_dict(doc: dict, basis: tuple[str, ...], table: VarTable) -> BilinearForm:
-    return BilinearForm(table, basis, _form_matrix(doc.get("matrix", {}), basis, table))
+    cells = _table(doc.get("matrix"), basis, basis, "form.matrix", partial(_poly, table))
+    return BilinearForm(table, basis, _matrix(cells, len(basis), len(basis), table), kind)
 
 
 def form_to_dict(form: BilinearForm) -> dict:
@@ -234,53 +245,24 @@ def form_to_dict(form: BilinearForm) -> dict:
 # -- bialgebras ------------------------------------------------------------------
 
 def gd_from_dict(doc: dict, table: VarTable) -> GDBialgebra:
-    basis = tuple(doc.get("basis", ()))
-    if not basis:
-        raise InputError("bialgebra needs a basis")
-    _check_unique(basis, "bialgebra basis")
-    idx = _index(basis)
-
-    def const_table(key: str) -> ConstTable:
-        out: ConstTable = {}
-        for pair, targets in (doc.get(key) or {}).items():
-            parts = [p.strip() for p in pair.split(",")]
-            if len(parts) != 2 or parts[0] not in idx or parts[1] not in idx:
-                raise InputError(f"bad {key} key {pair!r}")
-            entry = {}
-            for tname, text in targets.items():
-                if tname not in idx:
-                    raise InputError(f"unknown basis name {tname!r} in {key}")
-                value = parse(table, str(text)).constant_value()
-                if value is None:
-                    raise InputError(f"bialgebra structure constants must be rational, got {text!r}")
-                entry[idx[tname]] = value
-            out[(idx[parts[0]], idx[parts[1]])] = entry
-        return out
-
-    return GDBialgebra(basis, table, const_table("circ"), const_table("lie"))
+    basis = _names(doc.get("basis"), "gd.basis")
+    circ, lie = (_table(doc.get(key), basis, basis, f"gd.{key}", partial(_rational, table), basis)
+                 for key in ("circ", "lie"))
+    return GDBialgebra(basis, table, circ, lie)
 
 
 def gd_to_dict(V: GDBialgebra) -> dict:
-    def conv(tbl: ConstTable) -> dict:
-        out = {}
-        for (i, j), targets in sorted(tbl.items()):
-            out[f"{V.basis[i]},{V.basis[j]}"] = {
-                V.basis[k]: str(c) for k, c in sorted(targets.items())}
-        return out
-
-    return {"dim": V.dim, "basis": list(V.basis), "circ": conv(V.circ), "lie": conv(V.lie)}
+    b = V.basis
+    return {"dim": V.dim, "basis": list(b),
+            "circ": _table_to_dict(V.circ, b, b, b), "lie": _table_to_dict(V.lie, b, b, b)}
 
 
 # -- elements and systems ----------------------------------------------------------
 
-def element_from_dict(doc: dict, A: ConformalAlgebra):
-    idx = _index(A.basis)
-    vec = [Poly.zero(A.table) for _ in A.basis]
-    for name, text in (doc or {}).items():
-        if name not in idx:
-            raise InputError(f"unknown basis name {name!r} in element")
-        vec[idx[name]] = parse(A.table, text)
-    return tuple(vec)
+def element_from_dict(doc: dict, A: ConformalAlgebra) -> tuple[Poly, ...]:
+    cells = _cells(doc, A.basis, "element", partial(_poly, A.table))
+    zero = Poly.zero(A.table)
+    return tuple(cells.get(i, zero) for i in range(A.rank))
 
 
 def system_to_dict(system: PolySystem) -> dict:
@@ -292,10 +274,12 @@ def system_to_dict(system: PolySystem) -> dict:
 
 
 def system_from_dict(doc: dict) -> PolySystem:
-    params = tuple(doc.get("params", ())) + tuple(doc.get("unknowns", ()))
-    table = VarTable(params=params)
-    eqs = [parse(table, text) for text in doc.get("equations", [])]
-    return PolySystem(table, tuple(doc.get("unknowns", ())), eqs)
+    params = _names(doc.get("params", []), "system.params", nonempty=False)
+    unknowns = _names(doc.get("unknowns", []), "system.unknowns", nonempty=False)
+    table = VarTable(params=params + unknowns)
+    eqs = [_poly(table, text, f"system.equations[{n}]")
+           for n, text in enumerate(_container(doc.get("equations"), list, "system.equations"))]
+    return PolySystem(table, unknowns, eqs)
 
 
 def entry_to_dict(entry: CatalogEntry) -> dict:

@@ -250,6 +250,9 @@ def semidirect(A: ConformalAlgebra, rep: Representation, checked: bool = True) -
     def put(pair, k, poly):
         accumulate(products.setdefault(pair, {}), k, poly)
 
+    if rep.is_lie != (A.kind == LIE):
+        raise PreconditionError("a Lie-kind algebra needs a Lie-kind module, "
+                                "a left-symmetric one a bimodule")
     if A.kind == LIE:
         if rep.algebra is not A and rep.algebra.products != A.products:
             raise PreconditionError("representation is not over the given algebra")

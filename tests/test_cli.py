@@ -3,6 +3,7 @@ import json
 import pytest
 
 from confalg import (
+    BilinearForm,
     UnknownEntry,
     catalog,
     check_axioms,
@@ -10,15 +11,25 @@ from confalg import (
     check_rep,
     check_rota_baxter,
     cybe_residual,
+    rb_constraints,
     s_residual,
+    t_from_r,
 )
 from confalg.catalog import builtin_representations, names
 from confalg.cli import main
 from confalg.io_json import (
     algebra_from_dict,
     algebra_to_dict,
+    form_from_dict,
+    form_to_dict,
+    gd_from_dict,
+    gd_to_dict,
+    map_from_dict,
+    map_to_dict,
     rep_from_dict,
     rep_to_dict,
+    system_from_dict,
+    system_to_dict,
     tensor_from_dict,
     tensor_to_dict,
 )
@@ -75,6 +86,33 @@ class TestJsonRoundTrips:
         doc = tensor_to_dict(entry.tensor)
         back = tensor_from_dict(doc, entry.algebra)
         assert back == entry.tensor
+
+    def test_gd(self):
+        for name in ("vir_gd", "hv_gd"):
+            V = catalog(name).gd
+            assert gd_from_dict(gd_to_dict(V), V.table) == V
+
+    @pytest.mark.parametrize("kind", ["lie", "lsc", None])
+    def test_form(self, hv, P, kind):
+        form = BilinearForm(hv.table, hv.basis, [[P("x^3 - b"), P("0")], [P("2*x"), P("1/2")]], kind)
+        assert form_from_dict(form_to_dict(form), hv.basis, hv.table) == form
+
+    def test_map(self):
+        entry = catalog("hv_rb_family2")
+        T, basis = entry.linmap, entry.algebra.basis
+        assert map_from_dict(map_to_dict(T, basis, basis), basis, basis, T.table) == T
+
+    def test_conformal_map(self):
+        entry = catalog("hv_lsc1_skew_r")
+        T = t_from_r(entry.algebra, entry.tensor)
+        src = tuple(n + "*" for n in entry.algebra.basis)
+        doc = map_to_dict(T, src, entry.algebra.basis)
+        assert map_from_dict(doc, src, entry.algebra.basis, T.table, conformal=True) == T
+
+    def test_system(self, vir):
+        system, _ = rb_constraints(vir, 2, 0)
+        back = system_from_dict(system_to_dict(system))
+        assert back == system
 
 
 def run(tmp_path, command, doc=None, *extra):
@@ -230,6 +268,9 @@ class TestCli:
         assert run(tmp_path, "check-rb", doc, "--weight", "free") == 0
 
 
+# parentheses nested past the interpreter's recursion limit
+DEEP_NESTING = "(" * 5000 + "x" + ")" * 5000
+
 DUPLICATE_ALGEBRA = {"algebra": {"kind": "lie", "basis": ["L", "L"],
                                  "products": {"L,L": {"L": "d+2*x"}}}}
 
@@ -252,12 +293,57 @@ class TestRejectedInput:
                        "representation": {"module_basis": ["V", "V"], "action": {}}}, ()),
         ("gd-check", {"gd": {"basis": ["a", "a"], "circ": {}, "lie": {}}}, ()),
         ("check-cocycle", {"algebra": "vir", "form": {"matrix": {"L,L": "d"}}}, ()),
+        ("build-semidirect", {"algebra": "hv_lsc1", "representation": "regular_left"}, ()),
     ])
     def test_exit_2(self, tmp_path, capsys, command, doc, extra):
         assert run(tmp_path, command, doc, *extra) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert "error" in json.loads(err)
+
+    @pytest.mark.parametrize("command, doc, extra, names", [
+        pytest.param("check-axioms", {"algebra": {"basis": ["L"], "products": ["x"]}}, (),
+                     "algebra.products", id="list_products"),
+        pytest.param("check-rb", {"algebra": "hv", "map": {"L": ["W"]}}, (), "map.L",
+                     id="list_map_row"),
+        pytest.param("check-rep", {"algebra": "vir",
+                                   "representation": {"module_basis": ["V"],
+                                                      "action": {"L,V": ["V"]}}}, (),
+                     'representation.action["L,V"]', id="list_action_entry"),
+        pytest.param("check-axioms", {"algebra": {"basis": ["L"],
+                                                  "products": {"L,L": {"L": 3}}}}, (),
+                     'algebra.products["L,L"].L must be a polynomial string, got int',
+                     id="number_product"),
+        pytest.param("check-cybe", {"algebra": "vir",
+                                    "tensor": {"entries": [{"i": "L", "j": "L", "c": 1}]}}, (),
+                     "tensor.entries[0].c", id="number_tensor_entry"),
+        pytest.param("check-rb", {"algebra": "hv", "map": {"L": {"W": 1}}}, (), "map.L.W",
+                     id="number_map_entry"),
+        pytest.param("check-cocycle", {"algebra": "vir", "form": {"matrix": {"L,L": 1}}}, (),
+                     'form.matrix["L,L"]', id="number_form_entry"),
+        pytest.param("cobracket", {"algebra": "vir", "tensor": {"entries": []},
+                                   "element": {"L": 1}}, (), "element.L", id="number_element"),
+        pytest.param("check-axioms", {"algebra": {"basis": "LW", "products": {}}}, (),
+                     "algebra.basis", id="string_basis"),
+        pytest.param("check-rep", {"algebra": "vir",
+                                   "representation": {"standard": "adjoint", "dual": "no"}},
+                     (), "representation.dual", id="string_dual"),
+        pytest.param("gd-check", {"gd": {"basis": ["a"], "circ": {"a,a": {"a": 0.5}}}}, (),
+                     'gd.circ["a,a"].a must be a rational string or an integer, got float',
+                     id="float_constant"),
+        pytest.param("check-axioms", {"algebra": {"basis": ["L"],
+                                                  "products": {"L,L": {"L": DEEP_NESTING}}}},
+                     (), 'algebra.products["L,L"].L', id="deep_nesting"),
+        pytest.param("coeff", {"algebra": "hv"}, ("--window", "-1"), "--window",
+                     id="negative_window"),
+        pytest.param("rb-constraints", {"algebra": "vir"}, ("--degree", "-1"), "--degree",
+                     id="negative_degree"),
+    ])
+    def test_exit_2_names_the_path(self, tmp_path, capsys, command, doc, extra, names):
+        assert run(tmp_path, command, doc, *extra) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert names in json.loads(err)["error"]
 
     def test_repeated_names_only_rejected_at_the_boundary(self):
         from confalg import ConformalAlgebra, VarTable

@@ -30,7 +30,7 @@ from confalg import (
     standard_rep,
     sub_adjacent,
 )
-from confalg.io_json import cocycle_from_dict
+from confalg.io_json import form_from_dict
 
 
 @pytest.fixture(scope="module")
@@ -198,11 +198,11 @@ class TestCocycles:
             cocycle_from_r(vir, Tensor2(vir, {(0, 0): P("1")}), "lie")
 
     def test_zero_form_passes(self, vir, table):
-        form = cocycle_from_dict({"kind": "lie", "matrix": {}}, vir.basis, table)
+        form = form_from_dict({"kind": "lie", "matrix": {}}, vir.basis, table)
         assert cocycle_check(vir, form).ok
 
     def test_constant_diagonal_breaks_symmetry(self, vir, table):
-        form = cocycle_from_dict({"kind": "lie", "matrix": {"L,L": "1"}}, vir.basis, table)
+        form = form_from_dict({"kind": "lie", "matrix": {"L,L": "1"}}, vir.basis, table)
         report = cocycle_check(vir, form)
         assert not report.ok
         assert report.checks[0].residuals == [("(L,L)", "2")]

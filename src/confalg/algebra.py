@@ -149,14 +149,6 @@ def vec_add(a: Vector, b: Vector) -> Vector:
     return tuple(p + q for p, q in zip(a, b))
 
 
-def vec_scale(c, a: Vector) -> Vector:
-    return tuple(p * c for p in a)
-
-
-def vec_is_zero(a: Vector) -> bool:
-    return all(p.is_zero for p in a)
-
-
 def check_axioms(A: ConformalAlgebra) -> Report:
     """Defining identities on all basis pairs/triples, as residuals.
 
@@ -169,37 +161,29 @@ def check_axioms(A: ConformalAlgebra) -> Report:
     D = Poly.var(t, "d")
     report = Report()
     basis = [A.basis_vector(i) for i in range(A.rank)]
+
     if A.kind == LIE:
-        skew = report.new_check("skew_symmetry")
-        for i in range(A.rank):
-            for j in range(A.rank):
-                res = vec_add(mul_at(A, basis[i], basis[j], X),
-                              mul_at(A, basis[j], basis[i], -X - D))
-                skew.add_vector(f"({A.basis[i]},{A.basis[j]})", A.basis, res)
-        jac = report.new_check("jacobi")
-        for i in range(A.rank):
-            for j in range(A.rank):
-                for k in range(A.rank):
-                    lhs = mul_at(A, basis[i], mul_at(A, basis[j], basis[k], Y), X)
-                    t1 = mul_at(A, mul_at(A, basis[i], basis[j], X), basis[k], X + Y)
-                    t2 = mul_at(A, basis[j], mul_at(A, basis[i], basis[k], X), Y)
-                    res = vec_sub(vec_sub(lhs, t1), t2)
-                    jac.add_vector(
-                        f"({A.basis[i]},{A.basis[j]},{A.basis[k]})", A.basis, res)
+        def skew(i, j):
+            return vec_add(mul_at(A, basis[i], basis[j], X),
+                           mul_at(A, basis[j], basis[i], -X - D))
+
+        def jacobi(i, j, k):
+            lhs = mul_at(A, basis[i], mul_at(A, basis[j], basis[k], Y), X)
+            t1 = mul_at(A, mul_at(A, basis[i], basis[j], X), basis[k], X + Y)
+            t2 = mul_at(A, basis[j], mul_at(A, basis[i], basis[k], X), Y)
+            return vec_sub(vec_sub(lhs, t1), t2)
+
+        report.sweep("skew_symmetry", (A.basis,) * 2, skew, A.basis)
+        report.sweep("jacobi", (A.basis,) * 3, jacobi, A.basis)
     else:
-        ls = report.new_check("left_symmetry")
-        for i in range(A.rank):
-            for j in range(A.rank):
-                for k in range(A.rank):
-                    left = vec_sub(
-                        mul_at(A, mul_at(A, basis[i], basis[j], X), basis[k], X + Y),
-                        mul_at(A, basis[i], mul_at(A, basis[j], basis[k], Y), X))
-                    right = vec_sub(
-                        mul_at(A, mul_at(A, basis[j], basis[i], Y), basis[k], X + Y),
-                        mul_at(A, basis[j], mul_at(A, basis[i], basis[k], X), Y))
-                    ls.add_vector(
-                        f"({A.basis[i]},{A.basis[j]},{A.basis[k]})",
-                        A.basis, vec_sub(left, right))
+        def left_symmetry(i, j, k):
+            left = vec_sub(mul_at(A, mul_at(A, basis[i], basis[j], X), basis[k], X + Y),
+                           mul_at(A, basis[i], mul_at(A, basis[j], basis[k], Y), X))
+            right = vec_sub(mul_at(A, mul_at(A, basis[j], basis[i], Y), basis[k], X + Y),
+                            mul_at(A, basis[j], mul_at(A, basis[i], basis[k], X), Y))
+            return vec_sub(left, right)
+
+        report.sweep("left_symmetry", (A.basis,) * 3, left_symmetry, A.basis)
     return report
 
 

@@ -236,8 +236,8 @@ def cmd_t_from_r(sess: Session, args) -> int:
     A = sess.section("algebra")
     T = t_from_r(A, sess.section("tensor", A))
     dual_names = tuple(n + "*" for n in A.basis)
-    payload = {"map": io.map_to_dict(T, dual_names, A.basis)["map"],
-               "map_at_zero": io.map_to_dict(T.at_zero(), dual_names, A.basis)["map"]}
+    payload = {"map": io.map_to_dict(T, dual_names, A.basis),
+               "map_at_zero": io.map_to_dict(T.at_zero(), dual_names, A.basis)}
     _emit(args, payload)
     return 0
 
@@ -276,13 +276,14 @@ def cmd_rb_constraints(sess: Session, args) -> int:
     A = sess.section("algebra")
     system, generic = rb_constraints(A, args.degree, sess.weight(args))
     payload = io.system_to_dict(system)
-    payload["generic_map"] = io.map_to_dict(generic, A.basis, A.basis)["map"]
+    payload["generic_map"] = io.map_to_dict(generic, A.basis, A.basis)
     _emit(args, payload)
     return 0
 
 
 def cmd_solve(sess: Session, args) -> int:
-    system = io.system_from_dict(sess.doc.get("system") or sess.doc)
+    # a document without a system section is itself one, as rb-constraints writes it
+    system = io.system_from_dict(sess.doc["system"] if "system" in sess.doc else sess.doc)
     result = solve_squares(system)
     payload = {
         "status": result.status,

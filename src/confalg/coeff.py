@@ -110,19 +110,11 @@ class CoeffWindow:
     def label(self, i: int, m: int) -> str:
         return f"{self.algebra.basis[i]}_{m}"
 
-    def render(self, elem: WinElem) -> str:
-        if not elem:
-            return "0"
-        parts = [f"({c})*{self.label(i, m)}" for (i, m), c in sorted(elem.items())]
-        return " + ".join(parts)
-
     def _pair_bracket(self, i: int, m: int, j: int, n: int):
         key = (i, m, j, n)
-        if key in self._cache:
-            return self._cache[key]
-        result = self._pair_bracket_uncached(i, m, j, n)
-        self._cache[key] = result
-        return result
+        if key not in self._cache:
+            self._cache[key] = self._pair_bracket_uncached(i, m, j, n)
+        return self._cache[key]
 
     def _pair_bracket_uncached(self, i: int, m: int, j: int, n: int):
         mu = m + self.shift(i)
@@ -192,18 +184,15 @@ class CoeffWindow:
         return lifted
 
 
-def _sub(a: WinElem, b: WinElem) -> WinElem:
-    out = dict(a)
-    for key, c in b.items():
-        accumulate(out, key, -c)
-    return out
-
-
 def _add(a: WinElem, b: WinElem) -> WinElem:
     out = dict(a)
     for key, c in b.items():
         accumulate(out, key, c)
     return out
+
+
+def _sub(a: WinElem, b: WinElem) -> WinElem:
+    return _add(a, {key: -c for key, c in b.items()})
 
 
 def window_checks(w: CoeffWindow, T: ModuleMap | None = None,
@@ -215,61 +204,49 @@ def window_checks(w: CoeffWindow, T: ModuleMap | None = None,
     """
     if w.algebra.kind != LIE:
         raise PreconditionError("window checks expect a Lie-kind algebra")
-    report = Report()
     syms = w.symbols()
-    units = {sym: w.unit(*sym) for sym in syms}
-    anti = report.new_check("antisymmetry")
-    for a in syms:
-        for b in syms:
-            ab = w.bracket(units[a], units[b])
-            ba = w.bracket(units[b], units[a])
-            if ab is OUT_OF_WINDOW or ba is OUT_OF_WINDOW:
-                continue
-            res = _add(ab, ba)
-            for (k, m), c in sorted(res.items()):
-                anti.add(f"[{w.label(*a)},{w.label(*b)}]->{w.label(k, m)}", c)
-    jac = report.new_check("jacobi")
-    for a in syms:
-        for b in syms:
-            ab = w.bracket(units[a], units[b])
-            if ab is OUT_OF_WINDOW:
-                continue
-            for c in syms:
-                bc = w.bracket(units[b], units[c])
-                ac = w.bracket(units[a], units[c])
-                if bc is OUT_OF_WINDOW or ac is OUT_OF_WINDOW:
-                    continue
-                lhs = w.bracket(units[a], bc)
-                t1 = w.bracket(ab, units[c])
-                t2 = w.bracket(units[b], ac)
-                if OUT_OF_WINDOW in (lhs, t1, t2):
-                    continue
-                res = _sub(_sub(lhs, t1), t2)
-                for (k, m), cc in sorted(res.items()):
-                    jac.add(
-                        f"[{w.label(*a)},[{w.label(*b)},{w.label(*c)}]]->{w.label(k, m)}",
-                        cc)
+    units = [w.unit(*sym) for sym in syms]
+    names = tuple(w.label(*sym) for sym in syms)
+    targets = dict(zip(syms, names))
+    # the unit-pair brackets, each computed once; OUT_OF_WINDOW marks a skip
+    pair = {(a, b): w.bracket(units[a], units[b])
+            for a in range(len(syms)) for b in range(len(syms))}
+
+    def antisymmetry(a, b):
+        if OUT_OF_WINDOW in (pair[a, b], pair[b, a]):
+            return None
+        return _add(pair[a, b], pair[b, a])
+
+    def jacobi(a, b, c):
+        ab, bc, ac = pair[a, b], pair[b, c], pair[a, c]
+        if OUT_OF_WINDOW in (ab, bc, ac):
+            return None
+        lhs = w.bracket(units[a], bc)
+        t1 = w.bracket(ab, units[c])
+        t2 = w.bracket(units[b], ac)
+        if OUT_OF_WINDOW in (lhs, t1, t2):
+            return None
+        return _sub(_sub(lhs, t1), t2)
+
+    report = Report()
+    report.sweep("antisymmetry", (names,) * 2, antisymmetry, targets, "[{},{}]")
+    report.sweep("jacobi", (names,) * 3, jacobi, targets, "[{},[{},{}]]")
     if T is not None:
         alpha = weight if isinstance(weight, Poly) else Poly.const(w.algebra.table, weight)
         lift = w.lift_map(T)
-        lifted_units = {sym: lift(units[sym]) for sym in syms}
-        chk = report.new_check("lifted_rota_baxter")
-        for a in syms:
-            ta = lifted_units[a]
-            if ta is OUT_OF_WINDOW:
-                continue
-            for b in syms:
-                tb = lifted_units[b]
-                if tb is OUT_OF_WINDOW:
-                    continue
-                lhs = w.bracket(ta, tb)
-                r1 = lift(w.bracket(ta, units[b]))
-                r2 = lift(w.bracket(units[a], tb))
-                r3 = lift(w.bracket(units[a], units[b]))
-                if OUT_OF_WINDOW in (lhs, r1, r2, r3):
-                    continue
-                rhs = _add(_add(r1, r2), {k: c * alpha for k, c in r3.items()})
-                res = _sub(lhs, rhs)
-                for (k, m), cc in sorted(res.items()):
-                    chk.add(f"({w.label(*a)},{w.label(*b)})->{w.label(k, m)}", cc)
+        lifted_units = [lift(u) for u in units]
+
+        def lifted_rota_baxter(a, b):
+            ta, tb = lifted_units[a], lifted_units[b]
+            if OUT_OF_WINDOW in (ta, tb):
+                return None
+            lhs = w.bracket(ta, tb)
+            r1 = lift(w.bracket(ta, units[b]))
+            r2 = lift(w.bracket(units[a], tb))
+            r3 = lift(pair[a, b])
+            if OUT_OF_WINDOW in (lhs, r1, r2, r3):
+                return None
+            return _sub(lhs, _add(_add(r1, r2), {k: c * alpha for k, c in r3.items()}))
+
+        report.sweep("lifted_rota_baxter", (names,) * 2, lifted_rota_baxter, targets)
     return report

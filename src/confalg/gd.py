@@ -80,9 +80,6 @@ class GDBialgebra:
     def lie_prod(self, a, b) -> tuple[Poly, ...]:
         return self._prod(self.lie, a, b)
 
-    def star_prod(self, a, b) -> tuple[Poly, ...]:
-        return vec_add(self.circ_prod(a, b), self.circ_prod(b, a))
-
     def basis_vector(self, i: int) -> tuple[Poly, ...]:
         one = Poly.const(self.table, 1)
         z = Poly.zero(self.table)
@@ -91,34 +88,38 @@ class GDBialgebra:
 
 def check_gd(V: GDBialgebra) -> Report:
     """Novikov axioms, Lie axioms, and the mixed compatibility identity."""
-    report = Report()
     basis = [V.basis_vector(i) for i in range(V.dim)]
-    names = V.basis
-    rc = report.new_check("novikov_right_commutativity")
-    ls = report.new_check("novikov_left_symmetry")
-    anti = report.new_check("lie_antisymmetry")
-    jac = report.new_check("lie_jacobi")
-    comp = report.new_check("compatibility")
-    for i, a in enumerate(basis):
-        for j, b in enumerate(basis):
-            anti.add_vector(f"({names[i]},{names[j]})", names,
-                            vec_add(V.lie_prod(a, b), V.lie_prod(b, a)))
-            for k, c in enumerate(basis):
-                label = f"({names[i]},{names[j]},{names[k]})"
-                rc.add_vector(label, names,
-                              vec_sub(V.circ_prod(V.circ_prod(a, b), c),
-                                      V.circ_prod(V.circ_prod(a, c), b)))
-                ls.add_vector(label, names, vec_sub(
-                    vec_sub(V.circ_prod(V.circ_prod(a, b), c), V.circ_prod(a, V.circ_prod(b, c))),
-                    vec_sub(V.circ_prod(V.circ_prod(b, a), c), V.circ_prod(b, V.circ_prod(a, c)))))
-                jac.add_vector(label, names, vec_sub(
-                    V.lie_prod(a, V.lie_prod(b, c)),
-                    vec_add(V.lie_prod(V.lie_prod(a, b), c), V.lie_prod(b, V.lie_prod(a, c)))))
-                comp.add_vector(label, names, vec_sub(
-                    vec_add(V.lie_prod(V.circ_prod(a, b), c), V.circ_prod(V.lie_prod(a, b), c)),
-                    vec_add(vec_add(V.circ_prod(a, V.lie_prod(b, c)),
-                                    V.lie_prod(V.circ_prod(a, c), b)),
-                            V.circ_prod(V.lie_prod(a, c), b))))
+    circ, lie = V.circ_prod, V.lie_prod
+
+    def right_commutativity(i, j, k):
+        a, b, c = basis[i], basis[j], basis[k]
+        return vec_sub(circ(circ(a, b), c), circ(circ(a, c), b))
+
+    def left_symmetry(i, j, k):
+        a, b, c = basis[i], basis[j], basis[k]
+        return vec_sub(vec_sub(circ(circ(a, b), c), circ(a, circ(b, c))),
+                       vec_sub(circ(circ(b, a), c), circ(b, circ(a, c))))
+
+    def antisymmetry(i, j):
+        return vec_add(lie(basis[i], basis[j]), lie(basis[j], basis[i]))
+
+    def jacobi(i, j, k):
+        a, b, c = basis[i], basis[j], basis[k]
+        return vec_sub(lie(a, lie(b, c)), vec_add(lie(lie(a, b), c), lie(b, lie(a, c))))
+
+    def compatibility(i, j, k):
+        a, b, c = basis[i], basis[j], basis[k]
+        return vec_sub(vec_add(lie(circ(a, b), c), circ(lie(a, b), c)),
+                       vec_add(vec_add(circ(a, lie(b, c)), lie(circ(a, c), b)),
+                               circ(lie(a, c), b)))
+
+    report = Report()
+    pairs, triples = (V.basis,) * 2, (V.basis,) * 3
+    report.sweep("novikov_right_commutativity", triples, right_commutativity, V.basis)
+    report.sweep("novikov_left_symmetry", triples, left_symmetry, V.basis)
+    report.sweep("lie_antisymmetry", pairs, antisymmetry, V.basis)
+    report.sweep("lie_jacobi", triples, jacobi, V.basis)
+    report.sweep("compatibility", triples, compatibility, V.basis)
     return report
 
 
@@ -250,15 +251,14 @@ def rb_gd_check(V: GDBialgebra, T: ModuleMap, weight: Poly | Fraction | int = 0)
     basis = [V.basis_vector(i) for i in range(V.dim)]
     rows = [T.row(i) for i in range(V.dim)]
     for name, prod in (("rota_baxter_novikov", V.circ_prod), ("rota_baxter_lie", V.lie_prod)):
-        chk = report.new_check(name)
-        for i in range(V.dim):
-            for j in range(V.dim):
-                lhs = prod(rows[i], rows[j])
-                inner = vec_add(prod(rows[i], basis[j]), prod(basis[i], rows[j]))
-                rhs = T.apply(inner)
-                extra = tuple(p * alpha for p in T.apply(prod(basis[i], basis[j])))
-                res = tuple(a - b - c for a, b, c in zip(lhs, rhs, extra))
-                chk.add_vector(f"({V.basis[i]},{V.basis[j]})", V.basis, res)
+        def residual(i, j):
+            lhs = prod(rows[i], rows[j])
+            inner = vec_add(prod(rows[i], basis[j]), prod(basis[i], rows[j]))
+            rhs = T.apply(inner)
+            extra = tuple(p * alpha for p in T.apply(prod(basis[i], basis[j])))
+            return tuple(a - b - c for a, b, c in zip(lhs, rhs, extra))
+
+        report.sweep(name, (V.basis,) * 2, residual, V.basis)
     lifted = check_rota_baxter(algebra_from_gd(V, checked=False), T, alpha)
     chk = report.new_check("lifted_rota_baxter")
     for item in lifted.checks:

@@ -200,9 +200,9 @@ def tensor_to_dict(r: Tensor2) -> dict:
 
 def map_from_dict(doc: dict, src: tuple[str, ...], dst: tuple[str, ...], table: VarTable,
                   conformal: bool = False) -> ModuleMap | ConformalLinearMap:
-    """{source name: {target name: poly}}, bare or under a "map" key; a
-    module map over d, or with `conformal` a conformal linear map."""
-    rows = _cells(doc.get("map", doc), src, "map",
+    """{source name: {target name: poly}}; a module map over d, or with
+    `conformal` a conformal linear map."""
+    rows = _cells(doc, src, "map",
                   lambda row, path: _cells(row, dst, path, partial(_poly, table)))
     cells = {(i, j): p for i, row in rows.items() for j, p in row.items()}
     cls = ConformalLinearMap if conformal else ModuleMap
@@ -211,11 +211,8 @@ def map_from_dict(doc: dict, src: tuple[str, ...], dst: tuple[str, ...], table: 
 
 def map_to_dict(m: ModuleMap | ConformalLinearMap, src: tuple[str, ...],
                 dst: tuple[str, ...]) -> dict:
-    out: dict = {}
-    for i, row in enumerate(m.matrix):
-        entry = {dst[j]: str(p) for j, p in enumerate(row) if not p.is_zero}
-        out[src[i]] = entry
-    return {"map": out}
+    return {src[i]: {dst[j]: str(p) for j, p in enumerate(row) if not p.is_zero}
+            for i, row in enumerate(m.matrix)}
 
 
 # -- forms ---------------------------------------------------------------------
@@ -274,6 +271,9 @@ def system_to_dict(system: PolySystem) -> dict:
 
 
 def system_from_dict(doc: dict) -> PolySystem:
+    doc = _container(doc, dict, "system")
+    if doc.get("equations") is None:
+        raise InputError("system needs equations, a list of polynomial strings")
     params = _names(doc.get("params", []), "system.params", nonempty=False)
     unknowns = _names(doc.get("unknowns", []), "system.unknowns", nonempty=False)
     table = VarTable(params=params + unknowns)
@@ -289,7 +289,7 @@ def entry_to_dict(entry: CatalogEntry) -> dict:
     if entry.representation is not None:
         out["representation"] = rep_to_dict(entry.representation)
     if entry.linmap is not None:
-        out["map"] = map_to_dict(entry.linmap, entry.algebra.basis, entry.algebra.basis)["map"]
+        out["map"] = map_to_dict(entry.linmap, entry.algebra.basis, entry.algebra.basis)
     if entry.tensor is not None:
         out["tensor"] = tensor_to_dict(entry.tensor)
     if entry.gd is not None:

@@ -33,10 +33,12 @@ from .tensor import Tensor2, parts, t_from_r
 
 # -- O-operators and Rota-Baxter operators ----------------------------------
 
-def o_operator_residuals(T: ModuleMap, rep: Representation) -> dict[tuple[int, int], Vector]:
-    """Residuals of the defining identity of an O-operator on module pairs.
+def check_o_operator(T: ModuleMap, rep: Representation, ker_mode: bool = False) -> Report:
+    """O-operator identity on all module pairs; with ker_mode, only up to ker(rho).
 
-    [T(u)_x T(v)] - T( rho(T(u))_x v - rho(T(v))_{-x-d} u ).
+    The residual on (u, v) is [T(u)_x T(v)] - T( rho(T(u))_x v - rho(T(v))_{-x-d} u ).
+    In ker_mode the residual element is itself pushed through the
+    representation (at the reserved argument z2) and must act as zero.
     """
     A = rep.algebra
     if A.kind != LIE:
@@ -46,36 +48,23 @@ def o_operator_residuals(T: ModuleMap, rep: Representation) -> dict[tuple[int, i
     t = A.table
     X = Poly.var(t, "x")
     D = Poly.var(t, "d")
-    out: dict[tuple[int, int], Vector] = {}
     rows = [T.row(i) for i in range(rep.mrank)]
-    for i in range(rep.mrank):
-        for j in range(rep.mrank):
-            lhs = mul_at(A, rows[i], rows[j], X)
-            inner = vec_sub(act(rep, rows[i], rep.mbasis_vector(j), X),
-                            act(rep, rows[j], rep.mbasis_vector(i), -X - D))
-            out[(i, j)] = vec_sub(lhs, T.apply(inner))
-    return out
 
+    def residual(i, j):
+        lhs = mul_at(A, rows[i], rows[j], X)
+        inner = vec_sub(act(rep, rows[i], rep.mbasis_vector(j), X),
+                        act(rep, rows[j], rep.mbasis_vector(i), -X - D))
+        return vec_sub(lhs, T.apply(inner))
 
-def check_o_operator(T: ModuleMap, rep: Representation, ker_mode: bool = False) -> Report:
-    """O-operator identity on all module pairs; with ker_mode, only up to ker(rho).
-
-    In ker_mode the residual element is itself pushed through the
-    representation (at the reserved argument z2) and must act as zero.
-    """
-    A = rep.algebra
     report = Report()
-    name = "o_operator_mod_kernel" if ker_mode else "o_operator"
-    chk = report.new_check(name)
-    Z2 = Poly.var(A.table, "z2")
-    for (i, j), res in sorted(o_operator_residuals(T, rep).items()):
-        label = f"({rep.mbasis[i]},{rep.mbasis[j]})"
-        if ker_mode:
-            for k in range(rep.mrank):
-                acted = act(rep, res, rep.mbasis_vector(k), Z2)
-                chk.add_vector(f"{label};{rep.mbasis[k]}", rep.mbasis, acted)
-        else:
-            chk.add_vector(label, A.basis, res)
+    if not ker_mode:
+        report.sweep("o_operator", (rep.mbasis,) * 2, residual, A.basis)
+        return report
+    Z2 = Poly.var(t, "z2")
+    pairs = {(i, j): residual(i, j) for i in range(rep.mrank) for j in range(rep.mrank)}
+    report.sweep("o_operator_mod_kernel", (rep.mbasis,) * 3,
+                 lambda i, j, k: act(rep, pairs[i, j], rep.mbasis_vector(k), Z2),
+                 rep.mbasis, "({},{});{}")
     return report
 
 
@@ -105,10 +94,9 @@ def rota_baxter_residuals(A: ConformalAlgebra, T: ModuleMap,
 
 def check_rota_baxter(A: ConformalAlgebra, T: ModuleMap,
                       weight: Poly | Fraction | int = 0) -> Report:
+    residuals = rota_baxter_residuals(A, T, weight)
     report = Report()
-    chk = report.new_check("rota_baxter")
-    for (i, j), res in sorted(rota_baxter_residuals(A, T, weight).items()):
-        chk.add_vector(f"({A.basis[i]},{A.basis[j]})", A.basis, res)
+    report.sweep("rota_baxter", (A.basis,) * 2, lambda i, j: residuals[i, j], A.basis)
     return report
 
 
@@ -132,13 +120,9 @@ def induced_lsc(T: ModuleMap, rep: Representation | None = None,
             raise PreconditionError("map is not Rota-Baxter of weight 0", rbrep)
         t = algebra.table
         X = Poly.var(t, "x")
-        products: ProductTable = {}
-        for i in range(algebra.rank):
-            for j in range(algebra.rank):
-                vec = mul_at(algebra, T.row(i), algebra.basis_vector(j), X)
-                entry = {k: p for k, p in enumerate(vec) if not p.is_zero}
-                if entry:
-                    products[(i, j)] = entry
+        # zero entries are dropped by ConformalAlgebra itself
+        products = {(i, j): dict(enumerate(mul_at(algebra, T.row(i), algebra.basis_vector(j), X)))
+                    for i in range(algebra.rank) for j in range(algebra.rank)}
         return ConformalAlgebra(LEFT_SYMMETRIC, algebra.basis, t, products)
 
     if rep is None:
@@ -150,27 +134,16 @@ def induced_lsc(T: ModuleMap, rep: Representation | None = None,
         orep = check_o_operator(T, rep)
         if not orep.ok:
             raise PreconditionError("map is not an O-operator", orep)
-        products = {}
-        for i in range(rep.mrank):
-            for j in range(rep.mrank):
-                vec = act(rep, T.row(i), rep.mbasis_vector(j), X)
-                entry = {k: p for k, p in enumerate(vec) if not p.is_zero}
-                if entry:
-                    products[(i, j)] = entry
+        products = {(i, j): dict(enumerate(act(rep, T.row(i), rep.mbasis_vector(j), X)))
+                    for i in range(rep.mrank) for j in range(rep.mrank)}
         return ConformalAlgebra(LEFT_SYMMETRIC, rep.mbasis, t, products)
     if mode == "bijective":
         orep = check_o_operator(T, rep)
         if not orep.ok:
             raise PreconditionError("map is not an O-operator", orep)
         Tinv = invert_module_map(T)
-        products = {}
-        for i in range(A.rank):
-            for j in range(A.rank):
-                inner = act(rep, A.basis_vector(i), Tinv.row(j), X)
-                vec = T.apply(inner)
-                entry = {k: p for k, p in enumerate(vec) if not p.is_zero}
-                if entry:
-                    products[(i, j)] = entry
+        products = {(i, j): dict(enumerate(T.apply(act(rep, A.basis_vector(i), Tinv.row(j), X))))
+                    for i in range(A.rank) for j in range(A.rank)}
         return ConformalAlgebra(LEFT_SYMMETRIC, A.basis, t, products)
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -252,29 +225,25 @@ def cocycle_check(A: ConformalAlgebra, form: BilinearForm) -> Report:
     X = Poly.var(t, "x")
     Y = Poly.var(t, "y")
     basis = [A.basis_vector(i) for i in range(A.rank)]
+
+    def symmetry(i, j):
+        lhs = form.eval_at(basis[i], basis[j], X)
+        rhs = form.eval_at(basis[j], basis[i], -X)
+        return lhs + rhs if form.kind == "lie" else lhs - rhs
+
+    def cocycle(i, j, k):
+        if form.kind == "lie":
+            return (form.eval_at(basis[i], mul_at(A, basis[j], basis[k], Y), X)
+                    - form.eval_at(basis[j], mul_at(A, basis[i], basis[k], X), Y)
+                    - form.eval_at(mul_at(A, basis[i], basis[j], X), basis[k], X + Y))
+        return (form.eval_at(mul_at(A, basis[i], basis[j], X), basis[k], X + Y)
+                - form.eval_at(basis[i], mul_at(A, basis[j], basis[k], Y), X)
+                - form.eval_at(mul_at(A, basis[j], basis[i], Y), basis[k], X + Y)
+                + form.eval_at(basis[j], mul_at(A, basis[i], basis[k], X), Y))
+
     report = Report()
-    sym = report.new_check("symmetry")
-    for i in range(A.rank):
-        for j in range(A.rank):
-            lhs = form.eval_at(basis[i], basis[j], X)
-            rhs = form.eval_at(basis[j], basis[i], -X)
-            res = lhs + rhs if form.kind == "lie" else lhs - rhs
-            sym.add(f"({A.basis[i]},{A.basis[j]})", res)
-    coc = report.new_check("cocycle_identity")
-    for i in range(A.rank):
-        for j in range(A.rank):
-            for k in range(A.rank):
-                label = f"({A.basis[i]},{A.basis[j]},{A.basis[k]})"
-                if form.kind == "lie":
-                    res = (form.eval_at(basis[i], mul_at(A, basis[j], basis[k], Y), X)
-                           - form.eval_at(basis[j], mul_at(A, basis[i], basis[k], X), Y)
-                           - form.eval_at(mul_at(A, basis[i], basis[j], X), basis[k], X + Y))
-                else:
-                    res = (form.eval_at(mul_at(A, basis[i], basis[j], X), basis[k], X + Y)
-                           - form.eval_at(basis[i], mul_at(A, basis[j], basis[k], Y), X)
-                           - form.eval_at(mul_at(A, basis[j], basis[i], Y), basis[k], X + Y)
-                           + form.eval_at(basis[j], mul_at(A, basis[i], basis[k], X), Y))
-                coc.add(label, res)
+    report.sweep("symmetry", (A.basis,) * 2, symmetry)
+    report.sweep("cocycle_identity", (A.basis,) * 3, cocycle)
     return report
 
 
@@ -437,35 +406,22 @@ class DegenerateForm(Exception):
 def form_pr_map(A: ConformalAlgebra, B: BilinearForm, r: Tensor2) -> ConformalLinearMap:
     """The endomorphism determined by r through a non-degenerate form.
 
-    Defined by pairing(r, u ox v) = pairing(P_{x-d}(u), v); computed by
-    inverting the form's matrix over the polynomial ring.
+    Defined by pairing(r, u ox v) = pairing(P_{x-d}(u), v).  The form's
+    inverse cancels against its pairing, so P(e_i) = sum_p B_pi(x+d) T(e_p*)
+    with T = t_from_r(A, r).
     """
-    inv = invert_module_map(B.induced_map())  # raises NotInvertible when degenerate
     t = A.table
-    X = Poly.var(t, "x")
-    Y = Poly.var(t, "y")
-    D = Poly.var(t, "d")
+    shift = {"x": Poly.var(t, "x") + Poly.var(t, "d")}
+    T = t_from_r(A, r).matrix
     n = A.rank
-    rhs = [[Poly.zero(t) for _ in range(n)] for _ in range(n)]
-    for (p_, q_), f in r.coeffs.items():
-        fc = f.subs({"d1": Y - X, "d2": -Y})
-        for i in range(n):
-            Bpi = B.matrix[p_][i].subs({"x": X - Y})
+    matrix = [[Poly.zero(t) for _ in range(n)] for _ in range(n)]
+    for p, row in enumerate(B.matrix):
+        for i, Bpi in enumerate(row):
             if Bpi.is_zero:
                 continue
-            for j in range(n):
-                Bqj = B.matrix[q_][j].subs({"x": Y})
-                if not Bqj.is_zero:
-                    rhs[i][j] = rhs[i][j] + fc * Bpi * Bqj
-    matrix = [[Poly.zero(t) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            acc = Poly.zero(t)
-            for j in range(n):
-                invjk = inv.matrix[j][k].subs({"d": -Y})
-                if not invjk.is_zero:
-                    acc = acc + rhs[i][j] * invjk
-            matrix[i][k] = acc.subs({"y": -D})
+            Bpi = Bpi.subs(shift)
+            for k in range(n):
+                matrix[i][k] = matrix[i][k] + Bpi * T[p][k]
     return ConformalLinearMap(t, matrix)
 
 
@@ -484,32 +440,27 @@ def invariant_form_suite(A: ConformalAlgebra, B: BilinearForm,
     Y = Poly.var(t, "y")
     D = Poly.var(t, "d")
     basis = [A.basis_vector(i) for i in range(A.rank)]
+    products = {(i, j): mul_at(A, basis[i], basis[j], Y)
+                for i in range(A.rank) for j in range(A.rank)}
+
+    def invariance(i, j, k):
+        lhs = B.eval_at(products[i, j], basis[k], X)
+        rhs = B.eval_at(basis[i], mul_at(A, basis[j], basis[k], X - D), Y)
+        return lhs - rhs
+
     report = Report()
-    sym = report.new_check("symmetry")
-    for i in range(A.rank):
-        for j in range(A.rank):
-            sym.add(f"({A.basis[i]},{A.basis[j]})",
-                    B.matrix[i][j] - B.matrix[j][i].subs({"x": -X}))
-    inv = report.new_check("invariance")
-    for i in range(A.rank):
-        for j in range(A.rank):
-            ij = mul_at(A, basis[i], basis[j], Y)
-            for k in range(A.rank):
-                lhs = B.eval_at(ij, basis[k], X)
-                rhs = B.eval_at(basis[i], mul_at(A, basis[j], basis[k], X - D), Y)
-                inv.add(f"({A.basis[i]},{A.basis[j]},{A.basis[k]})", lhs - rhs)
+    report.sweep("symmetry", (A.basis,) * 2,
+                 lambda i, j: B.matrix[i][j] - B.matrix[j][i].subs({"x": -X}))
+    report.sweep("invariance", (A.basis,) * 3, invariance)
     nondeg = report.new_check("non_degenerate")
-    degenerate = False
     try:
         invert_module_map(B.induced_map())
     except NotInvertible as exc:
-        degenerate = True
         nondeg.residuals.append(("det", str(exc)))
     if r is not None:
-        if degenerate:
+        if not nondeg.ok:
             raise DegenerateForm("tensor checks need a non-degenerate form")
-        P0 = form_pr_map(A, B, r).at_zero()
-        chk = report.new_check("induced_rota_baxter")
-        for (i, j), res in sorted(rota_baxter_residuals(A, P0, 0).items()):
-            chk.add_vector(f"({A.basis[i]},{A.basis[j]})", A.basis, res)
+        residuals = rota_baxter_residuals(A, form_pr_map(A, B, r).at_zero(), 0)
+        report.sweep("induced_rota_baxter", (A.basis,) * 2,
+                     lambda i, j: residuals[i, j], A.basis)
     return report

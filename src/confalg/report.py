@@ -2,11 +2,12 @@
 
 A check passes iff every residual is the zero polynomial.  Failures keep the
 offending basis label and the rendered residual so every failed check is a
-reproducible input.
+reproducible input.  ``Report.sweep`` enumerates and labels basis tuples.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 
@@ -24,9 +25,12 @@ class CheckItem:
             self.residuals.append((basis, str(poly)))
 
     def add_vector(self, basis: str, target_names, vec) -> None:
-        for name, p in zip(target_names, vec):
+        """`vec` holds one polynomial per target name, or is a dict from keys
+        of `target_names` to polynomials, recorded in key order."""
+        entries = sorted(vec.items()) if isinstance(vec, dict) else enumerate(vec)
+        for key, p in entries:
             if not p.is_zero:
-                self.residuals.append((f"{basis}->{name}", str(p)))
+                self.residuals.append((f"{basis}->{target_names[key]}", str(p)))
 
 
 @dataclass
@@ -42,6 +46,27 @@ class Report:
         self.checks.append(item)
         return item
 
+    def sweep(self, name: str, axes: tuple[tuple[str, ...], ...], residual,
+              targets=None, label: str | None = None) -> CheckItem:
+        """Check `name`: run residual(*idx) on every index tuple over `axes`.
+
+        `axes` holds the names of each index.  A residual is a polynomial, a
+        vector over `targets` (see `CheckItem.add_vector`), or None to skip the
+        instance.  Labels are label.format(*names), by default "(a,b,...)".
+        """
+        item = self.new_check(name)
+        label = label or "(" + ",".join(["{}"] * len(axes)) + ")"
+        for idx in itertools.product(*(range(len(axis)) for axis in axes)):
+            res = residual(*idx)
+            if res is None:
+                continue
+            basis = label.format(*(axis[i] for axis, i in zip(axes, idx)))
+            if targets is None:
+                item.add(basis, res)
+            else:
+                item.add_vector(basis, targets, res)
+        return item
+
     def to_dict(self) -> dict:
         return {
             "ok": self.ok,
@@ -54,10 +79,3 @@ class Report:
                 for c in self.checks
             ],
         }
-
-    def summary(self) -> str:
-        lines = []
-        for c in self.checks:
-            state = "ok" if c.ok else f"FAILED ({len(c.residuals)} residuals)"
-            lines.append(f"{c.name}: {state}")
-        return "\n".join(lines)

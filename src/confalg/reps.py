@@ -111,42 +111,36 @@ def check_rep(rep: Representation) -> Report:
     report = Report()
     eb = [A.basis_vector(i) for i in range(A.rank)]
     vb = [rep.mbasis_vector(j) for j in range(rep.mrank)]
-
-    def label(i, j, k):
-        return f"({A.basis[i]},{A.basis[j]};{rep.mbasis[k]})"
+    axes = (A.basis, A.basis, rep.mbasis)
+    label = "({},{};{})"
 
     if rep.is_lie:
-        chk = report.new_check("module_axiom")
-        for i in range(A.rank):
-            for j in range(A.rank):
-                for k in range(rep.mrank):
-                    lhs = act(rep, mul_at(A, eb[i], eb[j], X), vb[k], X + Y)
-                    rhs = vec_sub(act(rep, eb[i], act(rep, eb[j], vb[k], Y), X),
-                                  act(rep, eb[j], act(rep, eb[i], vb[k], X), Y))
-                    chk.add_vector(label(i, j, k), rep.mbasis, vec_sub(lhs, rhs))
-    else:
-        left, right = rep.left, rep.right
-        c1 = report.new_check("left_action_axiom")
-        c2 = report.new_check("right_action_axiom")
-        for i in range(A.rank):
-            for j in range(A.rank):
-                for k in range(rep.mrank):
-                    l_ab = act_at(rep, left, mul_at(A, eb[i], eb[j], X), vb[k], X + Y)
-                    l_a_l_b = act_at(rep, left, eb[i], act_at(rep, left, eb[j], vb[k], Y), X)
-                    l_ba = act_at(rep, left, mul_at(A, eb[j], eb[i], Y), vb[k], X + Y)
-                    l_b_l_a = act_at(rep, left, eb[j], act_at(rep, left, eb[i], vb[k], X), Y)
-                    res = vec_sub(vec_sub(l_ab, l_a_l_b), vec_sub(l_ba, l_b_l_a))
-                    c1.add_vector(label(i, j, k), rep.mbasis, res)
+        def module_axiom(i, j, k):
+            lhs = act(rep, mul_at(A, eb[i], eb[j], X), vb[k], X + Y)
+            rhs = vec_sub(act(rep, eb[i], act(rep, eb[j], vb[k], Y), X),
+                          act(rep, eb[j], act(rep, eb[i], vb[k], X), Y))
+            return vec_sub(lhs, rhs)
 
-                    t1 = act_at(rep, right, eb[j],
-                                act_at(rep, left, eb[i], vb[k], X), -X - Y - D)
-                    t2 = act_at(rep, left, eb[i],
-                                act_at(rep, right, eb[j], vb[k], -Y - D), X)
-                    t3 = act_at(rep, right, eb[j],
-                                act_at(rep, right, eb[i], vb[k], X), -X - Y - D)
-                    t4 = act_at(rep, right, mul_at(A, eb[i], eb[j], X), vb[k], -Y - D)
-                    res = vec_add(vec_sub(vec_sub(t1, t2), t3), t4)
-                    c2.add_vector(label(i, j, k), rep.mbasis, res)
+        report.sweep("module_axiom", axes, module_axiom, rep.mbasis, label)
+        return report
+    left, right = rep.left, rep.right
+
+    def left_action(i, j, k):
+        l_ab = act_at(rep, left, mul_at(A, eb[i], eb[j], X), vb[k], X + Y)
+        l_a_l_b = act_at(rep, left, eb[i], act_at(rep, left, eb[j], vb[k], Y), X)
+        l_ba = act_at(rep, left, mul_at(A, eb[j], eb[i], Y), vb[k], X + Y)
+        l_b_l_a = act_at(rep, left, eb[j], act_at(rep, left, eb[i], vb[k], X), Y)
+        return vec_sub(vec_sub(l_ab, l_a_l_b), vec_sub(l_ba, l_b_l_a))
+
+    def right_action(i, j, k):
+        t1 = act_at(rep, right, eb[j], act_at(rep, left, eb[i], vb[k], X), -X - Y - D)
+        t2 = act_at(rep, left, eb[i], act_at(rep, right, eb[j], vb[k], -Y - D), X)
+        t3 = act_at(rep, right, eb[j], act_at(rep, right, eb[i], vb[k], X), -X - Y - D)
+        t4 = act_at(rep, right, mul_at(A, eb[i], eb[j], X), vb[k], -Y - D)
+        return vec_add(vec_sub(vec_sub(t1, t2), t3), t4)
+
+    report.sweep("left_action_axiom", axes, left_action, rep.mbasis, label)
+    report.sweep("right_action_axiom", axes, right_action, rep.mbasis, label)
     return report
 
 
@@ -168,30 +162,18 @@ def standard_rep(A: ConformalAlgebra, which: str) -> Representation:
     if A.kind != LEFT_SYMMETRIC:
         raise PreconditionError(f"{which} requires a left-symmetric algebra")
     g = sub_adjacent(A)
-
-    def right_table() -> ProductTable:
+    if which == REGULAR_LEFT:
+        return Representation(g, A.basis, rho=dict(A.products))
+    if which == REGULAR_RIGHT:
         out: ProductTable = {}
         for (j, i), targets in A.products.items():
             entry = out.setdefault((i, j), {})
             for k, P in targets.items():
                 accumulate(entry, k, P.subs({"x": -X - D}))
-        return out
-
-    if which == REGULAR_LEFT:
-        return Representation(g, A.basis, rho=dict(A.products))
-    if which == REGULAR_RIGHT:
-        return Representation(g, A.basis, rho=right_table())
-    if which == LEFT_MINUS_RIGHT:
-        rt = right_table()
-        out: ProductTable = {}
-        for pair in set(A.products) | set(rt):
-            entry: dict[int, Poly] = {}
-            for k, P in A.products.get(pair, {}).items():
-                accumulate(entry, k, P)
-            for k, P in rt.get(pair, {}).items():
-                accumulate(entry, k, -P)
-            out[pair] = entry
         return Representation(g, A.basis, rho=out)
+    if which == LEFT_MINUS_RIGHT:
+        # L - R has the table P_ij - P_ji(-x-d): the adjoint of g
+        return Representation(g, A.basis, rho=g.products)
     raise AlgebraError(f"unknown standard representation {which!r}")
 
 

@@ -67,10 +67,6 @@ class Tensor2:
     def map_polys(self, fn, algebra: ConformalAlgebra | None = None) -> "Tensor2":
         return Tensor2(algebra or self.algebra, {k: fn(p) for k, p in self.coeffs.items()})
 
-    def labels(self) -> dict[str, str]:
-        b = self.algebra.basis
-        return {f"({b[i]},{b[j]})": str(p) for (i, j), p in sorted(self.coeffs.items())}
-
 
 @dataclass
 class Tensor3:
@@ -87,11 +83,6 @@ class Tensor3:
 
     def entry(self, i: int, j: int, k: int) -> Poly:
         return self.coeffs.get((i, j, k), Poly.zero(self.algebra.table))
-
-    def labels(self) -> dict[str, str]:
-        b = self.algebra.basis
-        return {f"({b[i]},{b[j]},{b[k]})": str(p)
-                for (i, j, k), p in sorted(self.coeffs.items())}
 
 
 def normal_form3(t: Tensor3) -> Tensor3:
@@ -282,10 +273,11 @@ def cobracket_from_r(A: ConformalAlgebra, r: Tensor2, a: Vector) -> Tensor2:
 
 
 def tensor3_report(name: str, t: Tensor3) -> Report:
+    """One check whose residuals are the nonzero entries of a cube element."""
+    b = t.algebra.basis
     report = Report()
-    chk = report.new_check(name)
-    for label, poly in t.labels().items():
-        chk.residuals.append((label, poly))
+    report.new_check(name).residuals.extend(
+        (f"({b[i]},{b[j]},{b[k]})", str(p)) for (i, j, k), p in sorted(t.coeffs.items()))
     return report
 
 

@@ -223,6 +223,9 @@ class TestCli:
         doc = {"system": {"unknowns": ["u", "v"], "equations": ["u*v"]}}
         assert run(tmp_path, "solve", doc) == 1
 
+    def test_empty_equation_list_solves(self, tmp_path):
+        assert run(tmp_path, "solve", {"system": {"equations": []}}) == 0
+
     def test_gd_flow(self, tmp_path, capsys):
         assert run(tmp_path, "gd-convert", {"gd": "vir_gd"}) == 0
         algebra = json.loads(capsys.readouterr().out)
@@ -267,6 +270,11 @@ class TestCli:
         doc = {"algebra": "vir", "map": {"L": {}}}
         assert run(tmp_path, "check-rb", doc, "--weight", "free") == 0
 
+    def test_basis_element_named_map(self, tmp_path):
+        doc = {"algebra": {"basis": ["map"], "products": {"map,map": {"map": "d+2*x"}}},
+               "map": {"map": {"map": "0"}}}
+        assert run(tmp_path, "check-rb", doc) == 0
+
 
 # parentheses nested past the interpreter's recursion limit
 DEEP_NESTING = "(" * 5000 + "x" + ")" * 5000
@@ -294,6 +302,8 @@ class TestRejectedInput:
         ("gd-check", {"gd": {"basis": ["a", "a"], "circ": {}, "lie": {}}}, ()),
         ("check-cocycle", {"algebra": "vir", "form": {"matrix": {"L,L": "d"}}}, ()),
         ("build-semidirect", {"algebra": "hv_lsc1", "representation": "regular_left"}, ()),
+        ("solve", {"algebra": "vir"}, ()),
+        ("solve", {"system": {}}, ()),
     ])
     def test_exit_2(self, tmp_path, capsys, command, doc, extra):
         assert run(tmp_path, command, doc, *extra) == 2

@@ -133,3 +133,16 @@ class TestWindowChecks:
         assert not check_rota_baxter(hv, T, 0).ok
         report = window_checks(CoeffWindow(hv, 4), T, 0)
         assert not report.ok
+        assert ("(L_-2,L_0)->L_-3", "2") in report.checks[2].residuals
+
+    def test_perturbed_family_fails_lift(self, hv, table, P):
+        T = ModuleMap(table, [[P("-b"), P("1-b")], [P("b"), P("b")]])
+        report = window_checks(CoeffWindow(hv, 2), T, 0)
+        assert [c.ok for c in report.checks] == [True, True, False]
+        assert ("(L_-2,L_1)->L_-2", "3*b") in report.checks[2].residuals
+
+    def test_mutant_fails_antisymmetry_and_jacobi(self, table, P):
+        mutant = ConformalAlgebra("lie", ("L",), table, {(0, 0): {0: P("d+3*x")}})
+        anti, jacobi = window_checks(CoeffWindow(mutant, 1)).checks
+        assert ("[L_0,L_1]->L_0", "1") in anti.residuals
+        assert ("[L_-1,[L_1,L_1]]->L_-1", "-3") in jacobi.residuals

@@ -77,6 +77,13 @@ class TestOOperator:
         T = ModuleMap.identity(table, 1)
         assert not check_o_operator(T, rep, ker_mode=True).ok
 
+    def test_ker_mode_labels(self, hv, family1, P):
+        rep = standard_rep(hv, "adjoint")
+        report = check_o_operator(family1.perturbed(0, 1, P("d")), rep, ker_mode=True)
+        assert report.checks[0].name == "o_operator_mod_kernel"
+        assert ("(L,L);W->W", "2*d*x*z2*b - d*z2^2*b + 2*x*z2^2*b - z2^3*b") \
+            in report.checks[0].residuals
+
 
 class TestRotaBaxter:
     def test_family1_symbolic(self, hv, family1):

@@ -1,5 +1,6 @@
-"""Differential tests: the tensor equations, the cobracket and form evaluation
-against reference oracles that expand every entry pair by hand.
+"""Differential tests: the tensor equations, the cobracket, form evaluation and
+the endomorphism a tensor induces through a form, against reference oracles
+that expand every entry pair by hand.
 
 Each oracle spells out, per pair of tensor entries (or per pair of element
 components), the expansion of one sesquilinear product at the reserved
@@ -10,6 +11,7 @@ must agree exactly, term for term, on zero and nonzero residuals alike.
 
 import dataclasses
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -22,10 +24,12 @@ from confalg import (
     cobracket_from_r,
     cocycle_from_r,
     cybe_residual,
+    invert_module_map,
     normal_form3,
     s_residual,
     sub_adjacent,
 )
+from confalg.operators import BilinearForm, form_pr_map
 from conftest import poly_strategy
 
 T = VarTable(params=("b", "g0", "g1", "g2", "g3"))
@@ -142,6 +146,37 @@ def oracle_eval_at(form, a, b, lam):
     return out.subs({"z1": lam})
 
 
+def oracle_form_pr_map(A, B, r):
+    """pairing(r, u ox v) = pairing(P_{x-d}(u), v), solved by inverting the form."""
+    inv = invert_module_map(B.induced_map())
+    t = A.table
+    X = Poly.var(t, "x")
+    Y = Poly.var(t, "y")
+    D = Poly.var(t, "d")
+    n = A.rank
+    rhs = [[Poly.zero(t) for _ in range(n)] for _ in range(n)]
+    for (p_, q_), f in r.coeffs.items():
+        fc = f.subs({"d1": Y - X, "d2": -Y})
+        for i in range(n):
+            Bpi = B.matrix[p_][i].subs({"x": X - Y})
+            if Bpi.is_zero:
+                continue
+            for j in range(n):
+                Bqj = B.matrix[q_][j].subs({"x": Y})
+                if not Bqj.is_zero:
+                    rhs[i][j] = rhs[i][j] + fc * Bpi * Bqj
+    matrix = [[Poly.zero(t) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for k in range(n):
+            acc = Poly.zero(t)
+            for j in range(n):
+                invjk = inv.matrix[j][k].subs({"d": -Y})
+                if not invjk.is_zero:
+                    acc = acc + rhs[i][j] * invjk
+            matrix[i][k] = acc.subs({"y": -D})
+    return matrix
+
+
 # -- inputs --------------------------------------------------------------------
 
 index = st.integers(0, RANK - 1)
@@ -157,6 +192,21 @@ arguments = st.sampled_from([X, -X, Y, X + Y, X - D, -X - D])
 # the library's form type, as cocycle_from_r returns it; tests replace its matrix
 FORM = cocycle_from_r(LIE_ENTRY.algebra, LIE_ENTRY.tensor, "lie")
 BUMP = {(0, 2): Poly.var(T, "d1") * Poly.var(T, "b"), (3, 1): Poly.var(T, "d2") + 1}
+
+
+HV = catalog("hv", table=T).algebra
+
+
+@st.composite
+def unit_triangular_forms(draw, A):
+    """A form whose matrix is unit triangular, upper or lower, with entries in x and b."""
+    n = A.rank
+    cell = poly_strategy(T, names=("x", "b"), max_terms=3, max_degree=2)
+    upper = draw(st.booleans())
+    matrix = [[Poly.const(T, 1) if i == j
+               else draw(cell) if (j > i) == upper else Poly.zero(T)
+               for j in range(n)] for i in range(n)]
+    return BilinearForm(T, A.basis, matrix)
 
 
 def bumped(entry, bump):
@@ -195,6 +245,15 @@ class TestOracles:
     def test_eval_at(self, matrix, a, b, lam):
         form = dataclasses.replace(FORM, matrix=matrix)
         assert form.eval_at(tuple(a), tuple(b), lam) == oracle_eval_at(form, a, b, lam)
+
+    @pytest.mark.parametrize("A", [HV, LIE_ENTRY.algebra], ids=["hv", "hv_lsc1_skew_r"])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_form_pr_map(self, A, data):
+        form = data.draw(unit_triangular_forms(A))
+        ix = st.integers(0, A.rank - 1)
+        r = Tensor2(A, data.draw(st.dictionaries(st.tuples(ix, ix), slot_poly, max_size=4)))
+        assert form_pr_map(A, form, r).matrix == oracle_form_pr_map(A, form, r)
 
     def test_nonzero_residuals_are_compared(self):
         lie = bumped(LIE_ENTRY, BUMP)

@@ -5,6 +5,7 @@ from confalg import (
     LIE,
     PreconditionError,
     Representation,
+    catalog,
     check_axioms,
     check_rep,
     dual_rep,
@@ -42,6 +43,12 @@ class TestCheckRep:
         # composition side cancels, so the residual is x - y
         assert report.checks[0].residuals == [("(L,L;v)->v", "x - y")]
 
+    def test_constant_right_action_fails(self, comm1, P):
+        rep = Representation(comm1, ("v",), left={}, right={(0, 0): {0: P("d")}})
+        report = check_rep(rep)
+        assert [c.name for c in report.checks] == ["left_action_axiom", "right_action_axiom"]
+        assert report.checks[1].residuals == [("(e,e;v)->v", "d*x + d*y + d")]
+
     def test_regular_left_of_lsc(self, comm1, hv_lsc1):
         assert check_rep(standard_rep(comm1, "regular_left")).ok
         assert check_rep(standard_rep(hv_lsc1, "regular_left")).ok
@@ -49,6 +56,11 @@ class TestCheckRep:
     def test_left_minus_right(self, hv_lsc1):
         rep = check_rep(standard_rep(hv_lsc1, "left_minus_right"))
         assert rep.ok
+        # L - R is the adjoint representation of the sub-adjacent Lie algebra
+        lsc = [hv_lsc1] + [catalog(name).algebra
+                           for name in ("hv_lsc2", "hv_lsc1_sym_r", "hv_lsc2_sym_r")]
+        assert all(standard_rep(A, "left_minus_right").rho == sub_adjacent(A).products
+                   for A in lsc)
 
     def test_regular_module_axioms(self, comm1, hv_lsc1):
         assert check_rep(regular_module(comm1)).ok

@@ -72,9 +72,7 @@ class ConformalAlgebra:
         return (z,) * self.rank
 
     def basis_vector(self, i: int) -> Vector:
-        one = Poly.const(self.table, 1)
-        z = Poly.zero(self.table)
-        return tuple(one if k == i else z for k in range(self.rank))
+        return unit_vector(self.table, self.rank, i)
 
     def map_polys(self, fn, table: VarTable | None = None) -> "ConformalAlgebra":
         t = table or self.table
@@ -86,6 +84,13 @@ class ConformalAlgebra:
 
     def embed(self, table: VarTable) -> "ConformalAlgebra":
         return self.map_polys(lambda p: p.embed(table), table)
+
+
+def unit_vector(table: VarTable, rank: int, i: int) -> Vector:
+    """The i-th of `rank` unit coordinate vectors."""
+    one = Poly.const(table, 1)
+    z = Poly.zero(table)
+    return tuple(one if k == i else z for k in range(rank))
 
 
 def apply_bilinear(

@@ -9,7 +9,7 @@ exercises the constructions it documents.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import Callable
 
 from .algebra import LIE, ConformalAlgebra, sub_adjacent
 from .gd import GDBialgebra, gd_from_algebra
@@ -36,7 +36,6 @@ class CatalogEntry:
     name: str
     note: str
     algebra: ConformalAlgebra | None = None
-    representation: Representation | None = None
     linmap: ModuleMap | None = None
     tensor: Tensor2 | None = None
     gd: GDBialgebra | None = None
@@ -72,125 +71,82 @@ def _lsc(table: VarTable, family: int) -> ConformalAlgebra:
     return induced_lsc(T, mode="rb", algebra=hv)
 
 
-def _skew_entry(table: VarTable, family: int) -> tuple[ConformalAlgebra, Tensor2]:
+def _skew_entry(table: VarTable, family: int) -> dict:
     A = _lsc(table, family)
     g = sub_adjacent(A)
     dual = dual_rep(standard_rep(A, REGULAR_LEFT))
     S = semidirect(g, dual, checked=False)
-    return S, canonical_skew_tensor(S, A.rank)
+    return {"algebra": S, "tensor": canonical_skew_tensor(S, A.rank)}
 
 
-def _sym_entry(table: VarTable, family: int) -> tuple[ConformalAlgebra, Tensor2]:
+def _sym_entry(table: VarTable, family: int) -> dict:
     A = _lsc(table, family)
     dual = dual_rep(standard_rep(A, REGULAR_LEFT))
     S = semidirect(A, with_zero_right(A, dual), checked=False)
-    return S, canonical_sym_tensor(S, A.rank)
+    return {"algebra": S, "tensor": canonical_sym_tensor(S, A.rank)}
 
 
-PARAMS_BY_NAME: dict[str, tuple[str, ...]] = {
-    "vir": (),
-    "hv": (),
-    "vir_gd": (),
-    "hv_gd": (),
-    "hv_rb_family1": ("b",),
-    "hv_rb_family2": ("g0", "g1", "g2", "g3"),
-    "hv_lsc1": ("b",),
-    "hv_lsc2": ("g0", "g1", "g2", "g3"),
-    "hv_lsc1_skew_r": ("b",),
-    "hv_lsc2_skew_r": ("g0", "g1", "g2", "g3"),
-    "hv_lsc1_sym_r": ("b",),
-    "hv_lsc2_sym_r": ("g0", "g1", "g2", "g3"),
+FAMILY1 = ("b",)
+FAMILY2 = ("g0", "g1", "g2", "g3")
+
+# name -> (free parameters, note, builder); a builder takes the variable table
+# and returns the CatalogEntry fields besides the name and the note.
+ENTRIES: dict[str, tuple[tuple[str, ...], str, Callable[[VarTable], dict]]] = {
+    "vir": ((), "rank-1 algebra with bracket (d+2x) on its generator",
+            lambda t: {"algebra": virasoro(t)}),
+    "hv": ((), "rank-2 algebra: (d+2x) on L, (d+x) on L with W, x on W with L",
+           lambda t: {"algebra": heisenberg_virasoro(t)}),
+    "vir_gd": ((), "dimension-1 Novikov product L.L = L, zero bracket",
+               lambda t: {"gd": gd_from_algebra(virasoro(t))}),
+    "hv_gd": ((), "dimension-2 Novikov product L.L = L, W.L = W, zero bracket",
+              lambda t: {"gd": gd_from_algebra(heisenberg_virasoro(t))}),
+    "hv_rb_family1": (
+        FAMILY1, "weight-0 family T(L) = -b(L+W), T(W) = b(L+W) on the rank-2 algebra",
+        lambda t: {"algebra": heisenberg_virasoro(t), "linmap": rb_family1(t)}),
+    "hv_rb_family2": (
+        FAMILY2, "weight-0 family T(L) = g(d) W, T(W) = 0 with cubic symbolic g",
+        lambda t: {"algebra": heisenberg_virasoro(t), "linmap": rb_family2(t)}),
+    "hv_lsc1": (FAMILY1, "left-symmetric product induced by operator family 1",
+                lambda t: {"algebra": _lsc(t, 1)}),
+    "hv_lsc2": (FAMILY2, "left-symmetric product induced by operator family 2",
+                lambda t: {"algebra": _lsc(t, 2)}),
+    "hv_lsc1_skew_r": (FAMILY1, "skew canonical tensor over the rank-4 sum with the dual module "
+                                "(family 1)", lambda t: _skew_entry(t, 1)),
+    "hv_lsc2_skew_r": (FAMILY2, "skew canonical tensor over the rank-4 sum with the dual module "
+                                "(family 2)", lambda t: _skew_entry(t, 2)),
+    "hv_lsc1_sym_r": (FAMILY1, "symmetric canonical tensor over the rank-4 left-symmetric sum "
+                               "(family 1)", lambda t: _sym_entry(t, 1)),
+    "hv_lsc2_sym_r": (FAMILY2, "symmetric canonical tensor over the rank-4 left-symmetric sum "
+                               "(family 2)", lambda t: _sym_entry(t, 2)),
 }
 
 
 def names() -> list[str]:
-    return sorted(PARAMS_BY_NAME)
+    return sorted(ENTRIES)
 
 
 def required_params(name: str) -> tuple[str, ...]:
-    if name not in PARAMS_BY_NAME:
+    if name not in ENTRIES:
         raise UnknownEntry(f"unknown catalog entry {name!r}; available: {', '.join(names())}")
-    return PARAMS_BY_NAME[name]
+    return ENTRIES[name][0]
 
 
-def catalog(name: str, table: VarTable | None = None,
-            values: dict | None = None) -> CatalogEntry:
-    """Build a catalog entry, optionally over a caller-supplied table.
-
-    ``values`` substitutes rational values for free parameters after
-    construction.
-    """
+def catalog(name: str, table: VarTable | None = None) -> CatalogEntry:
+    """Build a catalog entry, optionally over a caller-supplied table."""
     needed = required_params(name)
     if table is None:
         table = VarTable(params=needed)
     for p in needed:
         if p not in table:
             raise UnknownEntry(f"entry {name} needs parameter {p} in the variable table")
-
-    if name == "vir":
-        entry = CatalogEntry(name, "rank-1 algebra with bracket (d+2x) on its generator",
-                             algebra=virasoro(table))
-    elif name == "hv":
-        entry = CatalogEntry(
-            name, "rank-2 algebra: (d+2x) on L, (d+x) on L with W, x on W with L",
-            algebra=heisenberg_virasoro(table))
-    elif name == "vir_gd":
-        entry = CatalogEntry(name, "dimension-1 Novikov product L.L = L, zero bracket",
-                             gd=gd_from_algebra(virasoro(table)))
-    elif name == "hv_gd":
-        entry = CatalogEntry(name, "dimension-2 Novikov product L.L = L, W.L = W, zero bracket",
-                             gd=gd_from_algebra(heisenberg_virasoro(table)))
-    elif name == "hv_rb_family1":
-        entry = CatalogEntry(
-            name, "weight-0 family T(L) = -b(L+W), T(W) = b(L+W) on the rank-2 algebra",
-            algebra=heisenberg_virasoro(table), linmap=rb_family1(table))
-    elif name == "hv_rb_family2":
-        entry = CatalogEntry(
-            name, "weight-0 family T(L) = g(d) W, T(W) = 0 with cubic symbolic g",
-            algebra=heisenberg_virasoro(table), linmap=rb_family2(table))
-    elif name in ("hv_lsc1", "hv_lsc2"):
-        fam = 1 if name.endswith("1") else 2
-        entry = CatalogEntry(
-            name, f"left-symmetric product induced by operator family {fam}",
-            algebra=_lsc(table, fam))
-    elif name.endswith("_skew_r"):
-        fam = 1 if "lsc1" in name else 2
-        S, r = _skew_entry(table, fam)
-        entry = CatalogEntry(
-            name, "skew canonical tensor over the rank-4 sum with the dual module "
-                  f"(family {fam})",
-            algebra=S, tensor=r)
-    elif name.endswith("_sym_r"):
-        fam = 1 if "lsc1" in name else 2
-        S, r = _sym_entry(table, fam)
-        entry = CatalogEntry(
-            name, "symmetric canonical tensor over the rank-4 left-symmetric sum "
-                  f"(family {fam})",
-            algebra=S, tensor=r)
-    else:  # pragma: no cover - guarded by required_params
-        raise UnknownEntry(name)
-
-    if values:
-        subs = {k: Fraction(v) if not isinstance(v, (Poly,)) else v for k, v in values.items()}
-
-        def fn(p: Poly) -> Poly:
-            return p.subs(subs)
-
-        if entry.algebra is not None:
-            entry.algebra = entry.algebra.map_polys(fn)
-        if entry.representation is not None:
-            entry.representation = entry.representation.map_polys(fn)
-        if entry.linmap is not None:
-            entry.linmap = entry.linmap.map_polys(fn)
-        if entry.tensor is not None:
-            entry.tensor = entry.tensor.map_polys(fn, entry.algebra)
-    return entry
+    _, note, build = ENTRIES[name]
+    return CatalogEntry(name, note, **build(table))
 
 
 def builtin_representations(table: VarTable | None = None) -> dict[str, Representation]:
     """Every named representation the test-suite treats as builtin."""
     if table is None:
-        table = VarTable(params=("b", "g0", "g1", "g2", "g3"))
+        table = VarTable(params=FAMILY1 + FAMILY2)
     out: dict[str, Representation] = {}
     out["vir_adjoint"] = standard_rep(virasoro(table), "adjoint")
     out["hv_adjoint"] = standard_rep(heisenberg_virasoro(table), "adjoint")

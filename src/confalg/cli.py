@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -165,7 +166,12 @@ def _emit(args, payload: dict) -> None:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # the reader closed the pipe early; the flush at exit writes to
+            # devnull, so it cannot raise again, and the exit status stands
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _report_result(args, report: Report) -> int:

@@ -28,13 +28,6 @@ from .report import Report
 class OutOfWindow:
     """Sentinel value for products leaving the index window."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self) -> str:
         return "OutOfWindow"
 
@@ -61,18 +54,15 @@ def nth_products(A: ConformalAlgebra) -> dict[tuple[int, int], list[Vector]]:
     return out
 
 
-def _binom(m: int, j: int) -> Fraction:
-    num = Fraction(1)
-    for s in range(j):
-        num *= m - s
-    return num / math.factorial(j)
-
-
 def _falling(t: int, s: int) -> int:
     out = 1
     for k in range(s):
         out *= t - k
     return out
+
+
+def _binom(m: int, j: int) -> Fraction:
+    return Fraction(_falling(m, j), math.factorial(j))
 
 
 @dataclass
@@ -82,18 +72,14 @@ class CoeffWindow:
     algebra: ConformalAlgebra
     N: int
     shifts: dict[int, int] = field(default_factory=dict)
-    _nth: dict = field(default_factory=dict, repr=False)
-    _cache: dict = field(default_factory=dict, repr=False)
+    _nth: dict = field(init=False, repr=False)
+    _cache: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         self._nth = nth_products(self.algebra)
-        self._cache = {}
 
     def shift(self, i: int) -> int:
         return self.shifts.get(i, 0)
-
-    def contains(self, i: int, m: int) -> bool:
-        return abs(m + self.shift(i)) <= self.N
 
     def symbols(self) -> list[tuple[int, int]]:
         out = []
@@ -103,43 +89,45 @@ class CoeffWindow:
         return out
 
     def unit(self, i: int, m: int) -> WinElem:
-        if not self.contains(i, m):
+        if abs(m + self.shift(i)) > self.N:
             raise PreconditionError(f"symbol index {m} outside the window")
         return {(i, m): Poly.const(self.algebra.table, 1)}
 
     def label(self, i: int, m: int) -> str:
         return f"{self.algebra.basis[i]}_{m}"
 
-    def _pair_bracket(self, i: int, m: int, j: int, n: int):
+    def _reduce(self, terms) -> WinElem | OutOfWindow:
+        """The sum of scale * p(d) u_t over (k, t, p, scale) in `terms`, where u_t
+        is generator k at raw index t and (d^s u)_t = (-1)^s t(t-1)...(t-s+1) u_{t-s};
+        OUT_OF_WINDOW as soon as an index leaves the window."""
+        out: WinElem = {}
+        for k, t, poly, scale in terms:
+            for (s,), cof in poly.split(("d",)).items():
+                coeff = cof * (scale * ((-1) ** s * _falling(t, s)))
+                if coeff.is_zero:
+                    continue
+                raw = t - s
+                if abs(raw) > self.N:
+                    return OUT_OF_WINDOW
+                accumulate(out, (k, raw - self.shift(k)), coeff)
+        return out
+
+    def _pair_bracket(self, i: int, m: int, j: int, n: int) -> WinElem | OutOfWindow:
+        """The product of the unit symbols (i, m) and (j, n), memoised."""
         key = (i, m, j, n)
         if key not in self._cache:
-            self._cache[key] = self._pair_bracket_uncached(i, m, j, n)
+            mu = m + self.shift(i)
+            nu = n + self.shift(j)
+            if abs(mu) > self.N or abs(nu) > self.N:
+                self._cache[key] = OUT_OF_WINDOW
+            else:
+                # a_m . b_n = sum_deg binom(m, deg) (a_(deg) b)_{m+n-deg}
+                self._cache[key] = self._reduce(
+                    (k, mu + nu - deg, poly, cb)
+                    for deg, vec in enumerate(self._nth.get((i, j), []))
+                    for cb in [_binom(mu, deg)] if cb != 0
+                    for k, poly in enumerate(vec) if not poly.is_zero)
         return self._cache[key]
-
-    def _pair_bracket_uncached(self, i: int, m: int, j: int, n: int):
-        mu = m + self.shift(i)
-        nu = n + self.shift(j)
-        if abs(mu) > self.N or abs(nu) > self.N:
-            return OUT_OF_WINDOW
-        out: WinElem = {}
-        for deg, vec in enumerate(self._nth.get((i, j), [])):
-            cb = _binom(mu, deg)
-            if cb == 0:
-                continue
-            t = mu + nu - deg
-            for k, poly in enumerate(vec):
-                if poly.is_zero:
-                    continue
-                for (s,), cof in poly.split(("d",)).items():
-                    fall = _falling(t, s)
-                    coeff = cof * (cb * fall * (-1) ** s)
-                    if coeff.is_zero:
-                        continue
-                    raw = t - s
-                    if abs(raw) > self.N:
-                        return OUT_OF_WINDOW
-                    accumulate(out, (k, raw - self.shift(k)), coeff)
-        return out
 
     def bracket(self, a, b):
         """Bilinear product of window elements; OutOfWindow propagates."""
@@ -164,22 +152,9 @@ class CoeffWindow:
         def lifted(elem):
             if elem is OUT_OF_WINDOW:
                 return OUT_OF_WINDOW
-            out: WinElem = {}
-            for (i, m), c in elem.items():
-                raw_m = m + self.shift(i)
-                for j, entry in enumerate(T.matrix[i]):
-                    if entry.is_zero:
-                        continue
-                    for (s,), cof in entry.split(("d",)).items():
-                        fall = _falling(raw_m, s)
-                        coeff = c * cof * (fall * (-1) ** s)
-                        if coeff.is_zero:
-                            continue
-                        raw = raw_m - s
-                        if abs(raw) > self.N:
-                            return OUT_OF_WINDOW
-                        accumulate(out, (j, raw - self.shift(j)), coeff)
-            return out
+            return self._reduce((j, m + self.shift(i), entry, c)
+                                for (i, m), c in elem.items()
+                                for j, entry in enumerate(T.matrix[i]) if not entry.is_zero)
 
         return lifted
 

@@ -17,9 +17,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import LIE, ConformalAlgebra, PreconditionError, ProductTable, vec_add, vec_sub
+from .algebra import (LIE, ConformalAlgebra, PreconditionError, ProductTable, unit_vector,
+                      vec_add, vec_sub)
 from .linmap import ModuleMap
-from .operators import check_rota_baxter
+from .operators import rota_baxter_residuals
 from .poly import Poly, VarTable, accumulate
 from .report import Report
 
@@ -59,13 +60,9 @@ class GDBialgebra:
     def _prod(self, tbl: ConstTable, a, b) -> tuple[Poly, ...]:
         out = [Poly.zero(self.table) for _ in range(self.dim)]
         for i, p in enumerate(a):
-            if isinstance(p, (int, Fraction)):
-                p = Poly.const(self.table, p)
             if p.is_zero:
                 continue
             for j, q in enumerate(b):
-                if isinstance(q, (int, Fraction)):
-                    q = Poly.const(self.table, q)
                 targets = tbl.get((i, j))
                 if q.is_zero or not targets:
                     continue
@@ -81,9 +78,7 @@ class GDBialgebra:
         return self._prod(self.lie, a, b)
 
     def basis_vector(self, i: int) -> tuple[Poly, ...]:
-        one = Poly.const(self.table, 1)
-        z = Poly.zero(self.table)
-        return tuple(one if k == i else z for k in range(self.dim))
+        return unit_vector(self.table, self.dim, i)
 
 
 def check_gd(V: GDBialgebra) -> Report:
@@ -241,12 +236,11 @@ def rb_gd_check(V: GDBialgebra, T: ModuleMap, weight: Poly | Fraction | int = 0)
     gdrep = check_gd(V)
     if not gdrep.ok:
         raise PreconditionError("bialgebra axioms fail", gdrep)
-    t = V.table
     for row in T.matrix:
         for p in row:
             if "d" in p.variables():
                 raise PreconditionError("the operator on a bialgebra must be constant")
-    alpha = weight if isinstance(weight, Poly) else Poly.const(t, weight)
+    alpha = weight if isinstance(weight, Poly) else Poly.const(V.table, weight)
     report = Report()
     basis = [V.basis_vector(i) for i in range(V.dim)]
     rows = [T.row(i) for i in range(V.dim)]
@@ -259,8 +253,6 @@ def rb_gd_check(V: GDBialgebra, T: ModuleMap, weight: Poly | Fraction | int = 0)
             return tuple(a - b - c for a, b, c in zip(lhs, rhs, extra))
 
         report.sweep(name, (V.basis,) * 2, residual, V.basis)
-    lifted = check_rota_baxter(algebra_from_gd(V, checked=False), T, alpha)
-    chk = report.new_check("lifted_rota_baxter")
-    for item in lifted.checks:
-        chk.residuals.extend(item.residuals)
+    lifted = rota_baxter_residuals(algebra_from_gd(V, checked=False), T, alpha)
+    report.sweep("lifted_rota_baxter", (V.basis,) * 2, lambda i, j: lifted[i, j], V.basis)
     return report

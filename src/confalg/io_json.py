@@ -286,8 +286,6 @@ def entry_to_dict(entry: CatalogEntry) -> dict:
     out: dict = {"name": entry.name, "note": entry.note}
     if entry.algebra is not None:
         out["algebra"] = algebra_to_dict(entry.algebra)
-    if entry.representation is not None:
-        out["representation"] = rep_to_dict(entry.representation)
     if entry.linmap is not None:
         out["map"] = map_to_dict(entry.linmap, entry.algebra.basis, entry.algebra.basis)
     if entry.tensor is not None:

@@ -79,11 +79,8 @@ class ModuleMap:
         return (isinstance(other, ModuleMap) and self.table == other.table
                 and self.matrix == other.matrix)
 
-    def map_polys(self, fn, table: VarTable | None = None) -> "ModuleMap":
-        return ModuleMap(table or self.table, [[fn(p) for p in row] for row in self.matrix])
-
-    def embed(self, table: VarTable) -> "ModuleMap":
-        return self.map_polys(lambda p: p.embed(table), table)
+    def map_polys(self, fn) -> "ModuleMap":
+        return ModuleMap(self.table, [[fn(p) for p in row] for row in self.matrix])
 
     def perturbed(self, i: int, j: int, delta: Poly | int) -> "ModuleMap":
         out = [list(row) for row in self.matrix]
@@ -109,11 +106,8 @@ class ConformalLinearMap:
     def at_zero(self) -> ModuleMap:
         return ModuleMap(self.table, [[p.subs({"x": 0}) for p in row] for row in self.matrix])
 
-    def map_polys(self, fn, table: VarTable | None = None) -> "ConformalLinearMap":
-        return ConformalLinearMap(table or self.table, [[fn(p) for p in row] for row in self.matrix])
-
-    def embed(self, table: VarTable) -> "ConformalLinearMap":
-        return self.map_polys(lambda p: p.embed(table), table)
+    def map_polys(self, fn) -> "ConformalLinearMap":
+        return ConformalLinearMap(self.table, [[fn(p) for p in row] for row in self.matrix])
 
 
 def lift_constant(m: ModuleMap) -> ConformalLinearMap:

@@ -190,8 +190,8 @@ class BilinearForm:
         D = Poly.var(self.table, "d")
         return ModuleMap(self.table, [[p.subs({"x": -D}) for p in row] for row in self.matrix])
 
-    def map_polys(self, fn, table: VarTable | None = None) -> "BilinearForm":
-        return BilinearForm(table or self.table, self.basis,
+    def map_polys(self, fn) -> "BilinearForm":
+        return BilinearForm(self.table, self.basis,
                             [[fn(p) for p in row] for row in self.matrix], self.kind)
 
 
@@ -262,8 +262,7 @@ class PolySystem:
 
 
 def rb_constraints(A: ConformalAlgebra, degree_bound: int,
-                   weight: Poly | Fraction | int = 0,
-                   prefix: str = "t") -> tuple[PolySystem, ModuleMap]:
+                   weight: Poly | Fraction | int = 0) -> tuple[PolySystem, ModuleMap]:
     """Equations on the coefficients of an undetermined Rota-Baxter operator.
 
     The candidate is T(e_i) = sum_{j, k <= degree_bound} t_i_j_k d^k e_j with
@@ -271,7 +270,7 @@ def rb_constraints(A: ConformalAlgebra, degree_bound: int,
     contributes one equation.  Returns the system and the generic map.
     """
     n = A.rank
-    unknowns = tuple(f"{prefix}{i}_{j}_{k}"
+    unknowns = tuple(f"t{i}_{j}_{k}"
                      for i in range(n) for j in range(n) for k in range(degree_bound + 1))
     for u in unknowns:
         if u in A.table:
@@ -285,7 +284,7 @@ def rb_constraints(A: ConformalAlgebra, degree_bound: int,
         for j in range(n):
             entry = Poly.zero(ext)
             for k in range(degree_bound + 1):
-                entry = entry + Poly.var(ext, f"{prefix}{i}_{j}_{k}") * D ** k
+                entry = entry + Poly.var(ext, f"t{i}_{j}_{k}") * D ** k
             row.append(entry)
         matrix.append(row)
     T = ModuleMap(ext, matrix)

@@ -391,14 +391,14 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
         elif ch in _OPS:
             tokens.append((ch, ch))
             i += 1
-        elif ch.isdigit():
+        elif ch.isdecimal():  # the digits int() accepts; isdigit() also takes "²"
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             num = text[i:j]
             if j < n and text[j] == "/":
                 k = j + 1
-                while k < n and text[k].isdigit():
+                while k < n and text[k].isdecimal():
                     k += 1
                 if k == j + 1:
                     raise ParseError(f"malformed rational at position {i}")

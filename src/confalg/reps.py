@@ -23,10 +23,11 @@ from .algebra import (
     clean_table,
     mul_at,
     sub_adjacent,
+    unit_vector,
     vec_add,
     vec_sub,
 )
-from .poly import Poly, VarTable, accumulate
+from .poly import Poly, accumulate
 from .report import Report
 
 ADJOINT = "adjoint"
@@ -72,21 +73,16 @@ class Representation:
         return len(self.mbasis)
 
     def mbasis_vector(self, j: int) -> Vector:
-        one = Poly.const(self.algebra.table, 1)
-        z = Poly.zero(self.algebra.table)
-        return tuple(one if k == j else z for k in range(self.mrank))
+        return unit_vector(self.algebra.table, self.mrank, j)
 
-    def map_polys(self, fn, table: VarTable | None = None) -> "Representation":
+    def map_polys(self, fn) -> "Representation":
         def conv(tbl):
             if tbl is None:
                 return None
             return {pair: {k: fn(p) for k, p in tg.items()} for pair, tg in tbl.items()}
 
-        A = self.algebra.map_polys(fn, table)
+        A = self.algebra.map_polys(fn)
         return Representation(A, self.mbasis, conv(self.rho), conv(self.left), conv(self.right))
-
-    def embed(self, table: VarTable) -> "Representation":
-        return self.map_polys(lambda p: p.embed(table), table)
 
 
 def act_at(rep: Representation, table: ProductTable, a: Vector, w: Vector,

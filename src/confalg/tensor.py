@@ -45,9 +45,6 @@ class Tensor2:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def entry(self, i: int, j: int) -> Poly:
-        return self.coeffs.get((i, j), Poly.zero(self.algebra.table))
-
     def __add__(self, other: "Tensor2") -> "Tensor2":
         out = dict(self.coeffs)
         for k, p in other.coeffs.items():
@@ -64,8 +61,8 @@ class Tensor2:
         return (isinstance(other, Tensor2) and self.algebra.basis == other.algebra.basis
                 and self.coeffs == other.coeffs)
 
-    def map_polys(self, fn, algebra: ConformalAlgebra | None = None) -> "Tensor2":
-        return Tensor2(algebra or self.algebra, {k: fn(p) for k, p in self.coeffs.items()})
+    def map_polys(self, fn) -> "Tensor2":
+        return Tensor2(self.algebra, {k: fn(p) for k, p in self.coeffs.items()})
 
 
 @dataclass
@@ -274,28 +271,26 @@ def cobracket_from_r(A: ConformalAlgebra, r: Tensor2, a: Vector) -> Tensor2:
 
 def tensor3_report(name: str, t: Tensor3) -> Report:
     """One check whose residuals are the nonzero entries of a cube element."""
-    b = t.algebra.basis
+    zero = Poly.zero(t.algebra.table)
     report = Report()
-    report.new_check(name).residuals.extend(
-        (f"({b[i]},{b[j]},{b[k]})", str(p)) for (i, j, k), p in sorted(t.coeffs.items()))
+    report.sweep(name, (t.algebra.basis,) * 3, lambda i, j, k: t.coeffs.get((i, j, k), zero))
     return report
+
+
+def _canonical_tensor(S: ConformalAlgebra, n: int, skew: bool) -> Tensor2:
+    one = Poly.const(S.table, 1)
+    coeffs: dict[tuple[int, int], Poly] = {}
+    for i in range(n):
+        coeffs[(i, n + i)] = one
+        coeffs[(n + i, i)] = -one if skew else one
+    return Tensor2(S, coeffs)
 
 
 def canonical_skew_tensor(S: ConformalAlgebra, n: int) -> Tensor2:
     """sum_i (e_i ox e_i* - e_i* ox e_i) over a rank-2n semidirect sum."""
-    one = Poly.const(S.table, 1)
-    coeffs: dict[tuple[int, int], Poly] = {}
-    for i in range(n):
-        coeffs[(i, n + i)] = one
-        coeffs[(n + i, i)] = -one
-    return Tensor2(S, coeffs)
+    return _canonical_tensor(S, n, skew=True)
 
 
 def canonical_sym_tensor(S: ConformalAlgebra, n: int) -> Tensor2:
     """sum_i (e_i ox e_i* + e_i* ox e_i) over a rank-2n semidirect sum."""
-    one = Poly.const(S.table, 1)
-    coeffs: dict[tuple[int, int], Poly] = {}
-    for i in range(n):
-        coeffs[(i, n + i)] = one
-        coeffs[(n + i, i)] = one
-    return Tensor2(S, coeffs)
+    return _canonical_tensor(S, n, skew=False)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -57,11 +61,6 @@ class TestCatalog:
                     assert s_residual(entry.algebra, r).is_zero, name
             else:
                 assert check_axioms(entry.algebra).ok, name
-
-    def test_parameter_values(self):
-        entry = catalog("hv_rb_family1", values={"b": 2})
-        assert check_rota_baxter(entry.algebra, entry.linmap, 0).ok
-        assert entry.linmap.matrix[0][0] == -2
 
     def test_builtin_reps_pass(self):
         for name, rep in builtin_representations().items():
@@ -255,6 +254,18 @@ class TestCli:
         assert payload["map"]["L"]["W"] == "-b"
         assert main(["catalog", "nosuch"]) == 2
 
+    def test_reader_closing_the_pipe(self):
+        """A reader that closes stdout early changes neither the exit status nor stderr."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        argv = [sys.executable, "-m", "confalg.cli", "catalog", "hv_lsc1_skew_r"]
+        child = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                 env=dict(os.environ, PYTHONPATH=src))
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        child.stderr.close()
+        assert child.wait(timeout=60) == 0
+        assert "Traceback" not in err
+
     def test_out_file(self, tmp_path):
         out = tmp_path / "report.json"
         path = tmp_path / "in.json"
@@ -344,6 +355,9 @@ class TestRejectedInput:
         pytest.param("check-axioms", {"algebra": {"basis": ["L"],
                                                   "products": {"L,L": {"L": DEEP_NESTING}}}},
                      (), 'algebra.products["L,L"].L', id="deep_nesting"),
+        pytest.param("check-axioms", {"algebra": {"basis": ["L"],
+                                                  "products": {"L,L": {"L": "d+2*x^\u00b2"}}}},
+                     (), 'algebra.products["L,L"].L', id="superscript_digit"),
         pytest.param("coeff", {"algebra": "hv"}, ("--window", "-1"), "--window",
                      id="negative_window"),
         pytest.param("rb-constraints", {"algebra": "vir"}, ("--degree", "-1"), "--degree",

@@ -346,6 +346,9 @@ def cmd_coeff(sess: Session, args) -> int:
 
 
 def cmd_catalog(sess: Session, args) -> int:
+    if args.param:
+        raise InputError("catalog prints definitions and takes no --param; "
+                         "substituted checks go through the other commands")
     entry = catalog(args.name)
     _emit(args, io.entry_to_dict(entry))
     return 0

@@ -19,13 +19,12 @@ from .algebra import (
     PreconditionError,
     ProductTable,
     Vector,
+    _chains,
+    _signed_sum,
     apply_bilinear,
     clean_table,
-    mul_at,
     sub_adjacent,
     unit_vector,
-    vec_add,
-    vec_sub,
 )
 from .poly import Poly, accumulate
 from .report import Report
@@ -98,43 +97,34 @@ def act(rep: Representation, a: Vector, w: Vector, lam: Poly) -> Vector:
 
 
 def check_rep(rep: Representation) -> Report:
-    """Module axioms as residuals on algebra pairs x module basis."""
+    """Module axioms as residuals on algebra pairs x module basis, each a
+    signed sum of nested actions from ``_chains``."""
     A = rep.algebra
     t = A.table
     X = Poly.var(t, "x")
     Y = Poly.var(t, "y")
     D = Poly.var(t, "d")
+    P = A.products
     report = Report()
-    eb = [A.basis_vector(i) for i in range(A.rank)]
-    vb = [rep.mbasis_vector(j) for j in range(rep.mrank)]
     axes = (A.basis, A.basis, rep.mbasis)
     label = "({},{};{})"
 
     if rep.is_lie:
-        def module_axiom(i, j, k):
-            lhs = act(rep, mul_at(A, eb[i], eb[j], X), vb[k], X + Y)
-            rhs = vec_sub(act(rep, eb[i], act(rep, eb[j], vb[k], Y), X),
-                          act(rep, eb[j], act(rep, eb[i], vb[k], X), Y))
-            return vec_sub(lhs, rhs)
-
+        rho = rep.rho
+        module_axiom = _signed_sum((1, _chains(P, rho, X, X + Y, right=False)),
+                                   (-1, _chains(rho, rho, Y, X, right=True)),
+                                   (1, _chains(rho, rho, X, Y, right=True, swap=True)))
         report.sweep("module_axiom", axes, module_axiom, rep.mbasis, label)
         return report
     left, right = rep.left, rep.right
-
-    def left_action(i, j, k):
-        l_ab = act_at(rep, left, mul_at(A, eb[i], eb[j], X), vb[k], X + Y)
-        l_a_l_b = act_at(rep, left, eb[i], act_at(rep, left, eb[j], vb[k], Y), X)
-        l_ba = act_at(rep, left, mul_at(A, eb[j], eb[i], Y), vb[k], X + Y)
-        l_b_l_a = act_at(rep, left, eb[j], act_at(rep, left, eb[i], vb[k], X), Y)
-        return vec_sub(vec_sub(l_ab, l_a_l_b), vec_sub(l_ba, l_b_l_a))
-
-    def right_action(i, j, k):
-        t1 = act_at(rep, right, eb[j], act_at(rep, left, eb[i], vb[k], X), -X - Y - D)
-        t2 = act_at(rep, left, eb[i], act_at(rep, right, eb[j], vb[k], -Y - D), X)
-        t3 = act_at(rep, right, eb[j], act_at(rep, right, eb[i], vb[k], X), -X - Y - D)
-        t4 = act_at(rep, right, mul_at(A, eb[i], eb[j], X), vb[k], -Y - D)
-        return vec_add(vec_sub(vec_sub(t1, t2), t3), t4)
-
+    left_action = _signed_sum((1, _chains(P, left, X, X + Y, right=False)),
+                              (-1, _chains(left, left, Y, X, right=True)),
+                              (-1, _chains(P, left, Y, X + Y, right=False, swap=True)),
+                              (1, _chains(left, left, X, Y, right=True, swap=True)))
+    right_action = _signed_sum((1, _chains(left, right, X, -X - Y - D, right=True, swap=True)),
+                               (-1, _chains(right, left, -Y - D, X, right=True)),
+                               (-1, _chains(right, right, X, -X - Y - D, right=True, swap=True)),
+                               (1, _chains(P, right, X, -Y - D, right=False)))
     report.sweep("left_action_axiom", axes, left_action, rep.mbasis, label)
     report.sweep("right_action_axiom", axes, right_action, rep.mbasis, label)
     return report

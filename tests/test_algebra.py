@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, settings
 
+import confalg.algebra
+import confalg.reps
 from confalg import (
     ConformalAlgebra,
     LEFT_SYMMETRIC,
@@ -9,7 +11,12 @@ from confalg import (
     PreconditionError,
     VarTable,
     bracket,
+    catalog,
     check_axioms,
+    check_rep,
+    dual_rep,
+    semidirect,
+    standard_rep,
     sub_adjacent,
 )
 from conftest import poly_strategy
@@ -85,6 +92,27 @@ class TestAxioms:
         bad = ConformalAlgebra(LEFT_SYMMETRIC, ("e",), table,
                                {(0, 0): {0: P("x")}})
         assert not check_axioms(bad).ok
+
+
+class TestSparseEngine:
+    def test_tower_checks_avoid_the_dense_product(self, monkeypatch):
+        """check_axioms and check_rep on the rank-16 dual-adjoint tower of vir
+        never call apply_bilinear: every basis tuple is a sum over chains of
+        nonzero structure constants."""
+        S = catalog("vir", table=VarTable(params=("b",))).algebra
+        while S.rank < 16:
+            S = semidirect(S, dual_rep(standard_rep(S, "adjoint")), checked=False)
+        rep = standard_rep(S, "adjoint")
+
+        def dense(*args, **kwargs):
+            raise AssertionError("a basis-tuple check took the dense path")
+
+        monkeypatch.setattr(confalg.algebra, "apply_bilinear", dense)
+        monkeypatch.setattr(confalg.reps, "apply_bilinear", dense)
+        assert check_axioms(S).ok
+        assert check_rep(rep).ok
+        with pytest.raises(AssertionError, match="dense path"):
+            confalg.algebra.mul_at(S, S.basis_vector(0), S.basis_vector(0), Poly.var(S.table, "x"))
 
 
 class TestSubAdjacent:

@@ -315,6 +315,7 @@ class TestRejectedInput:
         ("build-semidirect", {"algebra": "hv_lsc1", "representation": "regular_left"}, ()),
         ("solve", {"algebra": "vir"}, ()),
         ("solve", {"system": {}}, ()),
+        ("catalog", None, ("hv_rb_family1", "--param", "b=2")),
     ])
     def test_exit_2(self, tmp_path, capsys, command, doc, extra):
         assert run(tmp_path, command, doc, *extra) == 2

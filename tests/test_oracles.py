@@ -1,12 +1,16 @@
-"""Differential tests: the tensor equations, the cobracket, form evaluation and
-the endomorphism a tensor induces through a form, against reference oracles
-that expand every entry pair by hand.
+"""Differential tests: the tensor equations, the cobracket, form evaluation,
+the endomorphism a tensor induces through a form, and the axiom and module
+checks, against reference oracles that expand every entry pair by hand or
+evaluate every basis tuple through the dense product.
 
 Each oracle spells out, per pair of tensor entries (or per pair of element
 components), the expansion of one sesquilinear product at the reserved
 variable z1, the shift by the slot derivation and the final substitution of
 z1.  The library computes the same sums through ``apply_bilinear``; the two
-must agree exactly, term for term, on zero and nonzero residuals alike.
+must agree exactly, term for term, on zero and nonzero residuals alike.  The
+axiom and module oracles evaluate each basis tuple with ``mul_at``/``act``,
+which visit every slot; the library sums over chains of nonzero structure
+constants, and the two reports must be equal as dicts.
 """
 
 import dataclasses
@@ -16,20 +20,35 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from confalg import (
+    LEFT_SYMMETRIC,
+    LIE,
+    ConformalAlgebra,
     Poly,
+    Report,
+    Representation,
     Tensor2,
     Tensor3,
     VarTable,
     catalog,
     cobracket_from_r,
     cocycle_from_r,
+    check_axioms,
+    check_rep,
     cybe_residual,
+    dual_rep,
     invert_module_map,
+    mul_at,
     normal_form3,
+    parse,
+    regular_module,
     s_residual,
+    semidirect,
+    standard_rep,
     sub_adjacent,
 )
+from confalg.algebra import vec_add, vec_sub
 from confalg.operators import BilinearForm, form_pr_map
+from confalg.reps import act, act_at
 from conftest import poly_strategy
 
 T = VarTable(params=("b", "g0", "g1", "g2", "g3"))
@@ -177,6 +196,83 @@ def oracle_form_pr_map(A, B, r):
     return matrix
 
 
+def oracle_check_axioms(A):
+    """check_axioms with every instance a dense product of basis vectors."""
+    t = A.table
+    X = Poly.var(t, "x")
+    Y = Poly.var(t, "y")
+    D = Poly.var(t, "d")
+    report = Report()
+    basis = [A.basis_vector(i) for i in range(A.rank)]
+
+    if A.kind == LIE:
+        def skew(i, j):
+            return vec_add(mul_at(A, basis[i], basis[j], X),
+                           mul_at(A, basis[j], basis[i], -X - D))
+
+        def jacobi(i, j, k):
+            lhs = mul_at(A, basis[i], mul_at(A, basis[j], basis[k], Y), X)
+            t1 = mul_at(A, mul_at(A, basis[i], basis[j], X), basis[k], X + Y)
+            t2 = mul_at(A, basis[j], mul_at(A, basis[i], basis[k], X), Y)
+            return vec_sub(vec_sub(lhs, t1), t2)
+
+        report.sweep("skew_symmetry", (A.basis,) * 2, skew, A.basis)
+        report.sweep("jacobi", (A.basis,) * 3, jacobi, A.basis)
+    else:
+        def left_symmetry(i, j, k):
+            left = vec_sub(mul_at(A, mul_at(A, basis[i], basis[j], X), basis[k], X + Y),
+                           mul_at(A, basis[i], mul_at(A, basis[j], basis[k], Y), X))
+            right = vec_sub(mul_at(A, mul_at(A, basis[j], basis[i], Y), basis[k], X + Y),
+                            mul_at(A, basis[j], mul_at(A, basis[i], basis[k], X), Y))
+            return vec_sub(left, right)
+
+        report.sweep("left_symmetry", (A.basis,) * 3, left_symmetry, A.basis)
+    return report
+
+
+def oracle_check_rep(rep):
+    """check_rep with every instance a dense action on basis vectors."""
+    A = rep.algebra
+    t = A.table
+    X = Poly.var(t, "x")
+    Y = Poly.var(t, "y")
+    D = Poly.var(t, "d")
+    report = Report()
+    eb = [A.basis_vector(i) for i in range(A.rank)]
+    vb = [rep.mbasis_vector(j) for j in range(rep.mrank)]
+    axes = (A.basis, A.basis, rep.mbasis)
+    label = "({},{};{})"
+
+    if rep.is_lie:
+        def module_axiom(i, j, k):
+            lhs = act(rep, mul_at(A, eb[i], eb[j], X), vb[k], X + Y)
+            rhs = vec_sub(act(rep, eb[i], act(rep, eb[j], vb[k], Y), X),
+                          act(rep, eb[j], act(rep, eb[i], vb[k], X), Y))
+            return vec_sub(lhs, rhs)
+
+        report.sweep("module_axiom", axes, module_axiom, rep.mbasis, label)
+        return report
+    left, right = rep.left, rep.right
+
+    def left_action(i, j, k):
+        l_ab = act_at(rep, left, mul_at(A, eb[i], eb[j], X), vb[k], X + Y)
+        l_a_l_b = act_at(rep, left, eb[i], act_at(rep, left, eb[j], vb[k], Y), X)
+        l_ba = act_at(rep, left, mul_at(A, eb[j], eb[i], Y), vb[k], X + Y)
+        l_b_l_a = act_at(rep, left, eb[j], act_at(rep, left, eb[i], vb[k], X), Y)
+        return vec_sub(vec_sub(l_ab, l_a_l_b), vec_sub(l_ba, l_b_l_a))
+
+    def right_action(i, j, k):
+        t1 = act_at(rep, right, eb[j], act_at(rep, left, eb[i], vb[k], X), -X - Y - D)
+        t2 = act_at(rep, left, eb[i], act_at(rep, right, eb[j], vb[k], -Y - D), X)
+        t3 = act_at(rep, right, eb[j], act_at(rep, right, eb[i], vb[k], X), -X - Y - D)
+        t4 = act_at(rep, right, mul_at(A, eb[i], eb[j], X), vb[k], -Y - D)
+        return vec_add(vec_sub(vec_sub(t1, t2), t3), t4)
+
+    report.sweep("left_action_axiom", axes, left_action, rep.mbasis, label)
+    report.sweep("right_action_axiom", axes, right_action, rep.mbasis, label)
+    return report
+
+
 # -- inputs --------------------------------------------------------------------
 
 index = st.integers(0, RANK - 1)
@@ -195,6 +291,59 @@ BUMP = {(0, 2): Poly.var(T, "d1") * Poly.var(T, "b"), (3, 1): Poly.var(T, "d2") 
 
 
 HV = catalog("hv", table=T).algebra
+
+
+# random structure constants over two free parameters, for the axiom and module
+# checks: most instances fail, so nonzero residuals are compared too
+BC = VarTable(params=("b", "c"))
+structure_poly = poly_strategy(BC, names=("d", "x", "b", "c"), max_terms=2, max_degree=2)
+
+
+def sparse_tables(rows, cols, targets):
+    """Tables {(i, j): {k: poly}} on rows x cols with targets in range(targets)."""
+    cell = st.dictionaries(st.integers(0, targets - 1), structure_poly, min_size=1, max_size=2)
+    pair = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+    return st.dictionaries(pair, cell, max_size=rows * cols // 2 + 1)
+
+
+@st.composite
+def random_algebras(draw, kind, max_rank=4):
+    n = draw(st.integers(1, max_rank))
+    products = draw(sparse_tables(n, n, n))
+    return ConformalAlgebra(kind, tuple(f"e{i}" for i in range(n)), BC, products)
+
+
+@st.composite
+def random_modules(draw, kind):
+    A = draw(random_algebras(kind, max_rank=3))
+    m = draw(st.integers(1, 3))
+    mbasis = tuple(f"v{i}" for i in range(m))
+    if kind == LIE:
+        return Representation(A, mbasis, rho=draw(sparse_tables(A.rank, m, m)))
+    return Representation(A, mbasis, left=draw(sparse_tables(A.rank, m, m)),
+                           right=draw(sparse_tables(A.rank, m, m)))
+
+
+def catalog_modules():
+    """The regular module, the three standard representations and their duals of
+    both induced left-symmetric algebras."""
+    for name in ("hv_lsc1", "hv_lsc2"):
+        A = catalog(name, table=T).algebra
+        yield f"{name}.regular_module", regular_module(A)
+        for which in ("regular_left", "regular_right", "left_minus_right"):
+            rep = standard_rep(A, which)
+            yield f"{name}.{which}", rep
+            yield f"{name}.{which}.dual", dual_rep(rep)
+
+
+def mutant_tower():
+    """The dual-adjoint tower of the rank-1 table d+3*x, which fails skew-symmetry, to rank 8."""
+    table = VarTable(params=("b",))
+    levels = [ConformalAlgebra(LIE, ("L",), table, {(0, 0): {0: parse(table, "d+3*x")}})]
+    while levels[-1].rank < 8:
+        S = levels[-1]
+        levels.append(semidirect(S, dual_rep(standard_rep(S, "adjoint")), checked=False))
+    return levels
 
 
 @st.composite
@@ -262,3 +411,51 @@ class TestOracles:
         assert not oracle_s(lsc.algebra, lsc).is_zero
         assert oracle_cybe(LIE_ENTRY.algebra, LIE_ENTRY.tensor).is_zero
         assert oracle_s(LSC_ENTRY.algebra, LSC_ENTRY.tensor).is_zero
+
+
+class TestAxiomOracles:
+    @pytest.mark.parametrize("kind", [LIE, LEFT_SYMMETRIC])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_check_axioms_random(self, kind, data):
+        A = data.draw(random_algebras(kind))
+        assert check_axioms(A).to_dict() == oracle_check_axioms(A).to_dict()
+
+    @pytest.mark.parametrize("kind", [LIE, LEFT_SYMMETRIC])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_check_rep_random(self, kind, data):
+        rep = data.draw(random_modules(kind))
+        assert check_rep(rep).to_dict() == oracle_check_rep(rep).to_dict()
+
+    @pytest.mark.parametrize("name", ["hv_lsc1", "hv_lsc2"])
+    def test_catalog_algebras(self, name):
+        A = catalog(name, table=T).algebra
+        for B in (A, sub_adjacent(A)):
+            assert check_axioms(B).to_dict() == oracle_check_axioms(B).to_dict()
+
+    def test_catalog_modules(self):
+        for label, rep in catalog_modules():
+            assert check_rep(rep).to_dict() == oracle_check_rep(rep).to_dict(), label
+
+    def test_mutant_tower(self):
+        levels = mutant_tower()
+        assert [S.rank for S in levels] == [1, 2, 4, 8]
+        for S in levels:
+            got = check_axioms(S).to_dict()
+            assert got == oracle_check_axioms(S).to_dict(), S.rank
+            assert not got["ok"]
+            rep = standard_rep(S, "adjoint")
+            assert check_rep(rep).to_dict() == oracle_check_rep(rep).to_dict(), S.rank
+        top = check_axioms(levels[-1])
+        assert [c.name for c in top.checks if not c.ok][0] == "skew_symmetry"
+        assert sum(len(c.residuals) for c in top.checks) == 65
+
+    def test_failing_instances_are_compared(self):
+        """A parametric table and module that fail: the residuals themselves agree."""
+        A = ConformalAlgebra(LIE, ("e0",), BC, {(0, 0): {0: parse(BC, "b*d + c*x")}})
+        rep = Representation(A, ("v0",), rho={(0, 0): {0: parse(BC, "x^2")}})
+        for got, want in ((check_axioms(A), oracle_check_axioms(A)),
+                          (check_rep(rep), oracle_check_rep(rep))):
+            assert not want.ok
+            assert got.to_dict() == want.to_dict()

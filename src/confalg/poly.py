@@ -5,9 +5,15 @@ a small set of formal variables: the derivation slots ``d, d1, d2, d3`` (one
 per tensor slot), the bracket arguments ``x, y`` (lambda and mu), two
 reserved internal substitution variables ``z1, z2``, and any number of
 user-declared free parameters.  A polynomial is a sparse map from exponent
-tuples to nonzero rational coefficients, always kept in normal form, so
-polynomial equality is literal dict equality and residual-zero checks are
-exact and decidable.
+tuples to nonzero rational coefficients, always kept in normal form: an
+integral coefficient is stored as an ``int`` and any other as a ``Fraction``
+(denominator never 1), and every operation returns a normal form.  So
+polynomial equality is literal dict equality, equal polynomials hash alike,
+and residual-zero checks are exact and decidable.  Integral arithmetic, the
+common case, stays in machine-speed ``int`` operations.
+
+The parser bounds what a text may expand to (``MAX_PARSE_DEGREE``,
+``MAX_PARSE_TERM_PRODUCTS``) and raises ``ParseError`` past either cap.
 
 An identity that holds with a free parameter left symbolic holds for every
 rational (in particular every nonzero) value of that parameter.
@@ -16,6 +22,8 @@ rational (in particular every nonzero) value of that parameter.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
+from operator import add, itemgetter
 from typing import Iterable, Mapping, Union
 
 Scalar = Union[int, Fraction]
@@ -85,26 +93,48 @@ class VarTable:
         return f"VarTable(params={self.params!r})"
 
 
-def _as_fraction(value: Scalar) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
+def _scalar(value: Scalar) -> Scalar:
+    """``value`` as a stored coefficient: an int, or a Fraction whose denominator is not 1."""
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     raise TypeError(f"expected a rational scalar, got {type(value).__name__}")
 
 
+def _normal(terms: dict) -> dict:
+    """``terms`` with zero values dropped and integral Fractions stored as int."""
+    out = {}
+    for exps, c in terms.items():
+        if c:
+            out[exps] = c if type(c) is int or c.denominator != 1 else c.numerator
+    return out
+
+
+def _make(table: VarTable, terms: dict) -> "Poly":
+    """A Poly over ``table`` whose ``terms`` are already in normal form."""
+    res = Poly.__new__(Poly)
+    res.table = table
+    res.terms = terms
+    return res
+
+
 class Poly:
-    """Normal-form sparse polynomial: exponent tuple -> nonzero Fraction."""
+    """Normal-form sparse polynomial: exponent tuple -> nonzero coefficient.
+
+    A coefficient is an int when it is integral and a Fraction otherwise, so
+    two equal polynomials have equal term maps.
+    """
 
     __slots__ = ("table", "terms")
 
     def __init__(self, table: VarTable, terms: Mapping[tuple[int, ...], Scalar] | None = None):
         self.table = table
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], Scalar] = {}
         if terms:
             width = len(table.names)
             for exps, c in terms.items():
-                c = _as_fraction(c)
+                c = _scalar(c)
                 if c == 0:
                     continue
                 if len(exps) != width or any(e < 0 for e in exps):
@@ -120,10 +150,10 @@ class Poly:
 
     @classmethod
     def const(cls, table: VarTable, value: Scalar) -> "Poly":
-        value = _as_fraction(value)
+        value = _scalar(value)
         if value == 0:
             return cls(table)
-        return cls(table, {(0,) * len(table.names): value})
+        return _make(table, {(0,) * len(table.names): value})
 
     @classmethod
     def var(cls, table: VarTable, name: str, power: int = 1) -> "Poly":
@@ -135,12 +165,12 @@ class Poly:
             return cls.const(table, 1)
         exps = [0] * len(table.names)
         exps[table.index[name]] = power
-        return cls(table, {tuple(exps): Fraction(1)})
+        return _make(table, {tuple(exps): 1})
 
     # -- ring operations ---------------------------------------------------
 
     def _check(self, other: "Poly") -> None:
-        if self.table != other.table:
+        if self.table is not other.table and self.table != other.table:
             raise VarTableMismatch("polynomials over different variable tables")
 
     def _coerce(self, other: "Poly | Scalar") -> "Poly":
@@ -152,24 +182,21 @@ class Poly:
     def __add__(self, other: "Poly | Scalar") -> "Poly":
         other = self._coerce(other)
         out = dict(self.terms)
+        get = out.get
         for exps, c in other.terms.items():
-            s = out.get(exps, Fraction(0)) + c
-            if s == 0:
-                out.pop(exps, None)
-            else:
+            s = get(exps, 0) + c
+            if not s:
+                del out[exps]
+            elif type(s) is int or s.denominator != 1:
                 out[exps] = s
-        res = Poly.__new__(Poly)
-        res.table = self.table
-        res.terms = out
-        return res
+            else:
+                out[exps] = s.numerator
+        return _make(self.table, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        res = Poly.__new__(Poly)
-        res.table = self.table
-        res.terms = {e: -c for e, c in self.terms.items()}
-        return res
+        return _make(self.table, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Poly | Scalar") -> "Poly":
         return self + (-self._coerce(other))
@@ -179,27 +206,19 @@ class Poly:
 
     def __mul__(self, other: "Poly | Scalar") -> "Poly":
         if not isinstance(other, Poly):
-            c = _as_fraction(other)
+            c = _scalar(other)
             if c == 0:
                 return Poly(self.table)
-            res = Poly.__new__(Poly)
-            res.table = self.table
-            res.terms = {e: c * v for e, v in self.terms.items()}
-            return res
+            return _make(self.table, _normal({e: c * v for e, v in self.terms.items()}))
         self._check(other)
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], Scalar] = {}
+        get = out.get
+        right = list(other.terms.items())
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(key, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        res = Poly.__new__(Poly)
-        res.table = self.table
-        res.terms = out
-        return res
+            for e2, c2 in right:
+                key = tuple(map(add, e1, e2))
+                out[key] = get(key, 0) + c1 * c2
+        return _make(self.table, _normal(out))
 
     __rmul__ = __mul__
 
@@ -211,8 +230,9 @@ class Poly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __eq__(self, other: object) -> bool:
@@ -236,18 +256,14 @@ class Poly:
         if len(self.terms) == 1:
             (exps, c), = self.terms.items()
             if not any(exps):
-                return c
+                return Fraction(c)
         return None
 
     # -- structure queries -------------------------------------------------
 
     def variables(self) -> set[str]:
-        used: set[int] = set()
-        for exps in self.terms:
-            for i, e in enumerate(exps):
-                if e:
-                    used.add(i)
-        return {self.table.names[i] for i in used}
+        names = self.table.names
+        return {names[i] for i, column in enumerate(zip(*self.terms)) if any(column)}
 
     def degree_in(self, name: str) -> int:
         if name not in self.table.index:
@@ -266,55 +282,76 @@ class Poly:
             if n not in self.table.index:
                 raise UnknownVariable(f"unknown variable {n!r}")
         idxs = [self.table.index[n] for n in names]
-        groups: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
+        groups: dict[tuple[int, ...], dict[tuple[int, ...], Scalar]] = {}
         for exps, c in self.terms.items():
             key = tuple(exps[i] for i in idxs)
             rest = list(exps)
             for i in idxs:
                 rest[i] = 0
             groups.setdefault(key, {})[tuple(rest)] = c
-        return {k: Poly(self.table, v) for k, v in groups.items()}
+        return {k: _make(self.table, v) for k, v in groups.items()}
 
     def coefficient(self, name: str, power: int) -> "Poly":
         """Cofactor of name**power (the variable itself is removed)."""
         i = self.table.index[name]
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], Scalar] = {}
         for exps, c in self.terms.items():
             if exps[i] == power:
                 rest = list(exps)
                 rest[i] = 0
                 out[tuple(rest)] = c
-        return Poly(self.table, out)
+        return _make(self.table, out)
 
     # -- substitution ------------------------------------------------------
 
     def subs(self, mapping: Mapping[str, "Poly | Scalar"]) -> "Poly":
-        """Simultaneous substitution of variables by polynomials."""
-        if not mapping or self.is_zero:
+        """Simultaneous substitution of variables by polynomials.
+
+        Terms are grouped by their exponents in the substituted variables;
+        each distinct exponent pattern expands its product of powers once,
+        and terms free of those variables are copied as they are.
+        """
+        terms = self.terms
+        if not mapping or not terms:
             return self
+        index = self.table.index
         values: dict[int, Poly] = {}
         for name, value in mapping.items():
-            if name not in self.table.index:
+            if name not in index:
                 raise UnknownVariable(f"unknown variable {name!r}")
-            values[self.table.index[name]] = self._coerce(value)
-        touched = set(values)
-        out = Poly.zero(self.table)
-        pow_cache: dict[tuple[int, int], Poly] = {}
-        for exps, c in self.terms.items():
-            rest = list(exps)
-            factors: list[tuple[int, int]] = []
-            for i in touched:
-                if exps[i]:
-                    factors.append((i, exps[i]))
-                    rest[i] = 0
-            term = Poly(self.table, {tuple(rest): c})
-            for i, e in factors:
-                key = (i, e)
-                if key not in pow_cache:
-                    pow_cache[key] = values[i] ** e
-                term = term * pow_cache[key]
-            out = out + term
-        return out
+            values[index[name]] = self._coerce(value)
+        idxs = tuple(values)
+        pick = itemgetter(*idxs)  # a bare exponent when one variable is substituted
+        width = len(self.table.names)
+        untouched = pick((0,) * width)
+        powers: dict[tuple[int, int], Poly] = {}
+        expansions: dict = {}
+        out: dict[tuple[int, ...], Scalar] = {}
+        get = out.get
+        for exps, c in terms.items():
+            pattern = pick(exps)
+            if pattern == untouched:
+                out[exps] = get(exps, 0) + c
+                continue
+            expansion = expansions.get(pattern)
+            if expansion is None:
+                prod = None
+                shift = [0] * width
+                for i, e in zip(idxs, pattern if len(idxs) > 1 else (pattern,)):
+                    if e:
+                        if (i, e) not in powers:
+                            powers[i, e] = values[i] if e == 1 else values[i] ** e
+                        prod = powers[i, e] if prod is None else prod * powers[i, e]
+                        shift[i] = -e
+                # each product term replaces the term's own powers of the variables
+                expansion = [(tuple(map(add, e2, shift)), c2) for e2, c2 in prod.terms.items()]
+                expansions[pattern] = expansion
+            for e2, c2 in expansion:
+                key = tuple(map(add, exps, e2))
+                out[key] = get(key, 0) + c * c2
+        if not expansions:
+            return self
+        return _make(self.table, _normal(out))
 
     def embed(self, table: VarTable) -> "Poly":
         """Re-express over a larger table containing all current names."""
@@ -326,13 +363,13 @@ class Poly:
                 raise UnknownVariable(f"target table lacks variable {n!r}")
             pos.append(table.index[n])
         width = len(table.names)
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], Scalar] = {}
         for exps, c in self.terms.items():
             new = [0] * width
             for p, e in zip(pos, exps):
                 new[p] = e
             out[tuple(new)] = c
-        return Poly(table, out)
+        return _make(table, out)
 
     # -- rendering ---------------------------------------------------------
 
@@ -378,7 +415,25 @@ def accumulate(acc: dict, key, p: Poly) -> None:
 
 # -- parsing ---------------------------------------------------------------
 
+# Polynomial text comes from outside the program, so the parser bounds the
+# work it expands: before each ``*`` and ``^`` it checks the total degree of
+# the result, and it counts the term products the whole text costs (a power
+# is charged as repeated multiplication by its base).
+MAX_PARSE_DEGREE = 100
+MAX_PARSE_TERM_PRODUCTS = 200_000
+
 _OPS = set("+-*^()")
+
+
+def _degree(p: Poly) -> int:
+    return max(map(sum, p.terms), default=0)
+
+
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"numeral of {len(text)} digits is too long") from None
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
@@ -423,6 +478,17 @@ class _Parser:
         self.table = table
         self.tokens = tokens
         self.pos = 0
+        self.products = 0
+
+    def check_degree(self, degree: int) -> None:
+        if degree > MAX_PARSE_DEGREE:
+            raise ParseError(f"total degree {degree} exceeds the cap of {MAX_PARSE_DEGREE}")
+
+    def spend(self, products: int) -> None:
+        self.products += products
+        if self.products > MAX_PARSE_TERM_PRODUCTS:
+            raise ParseError(f"expansion exceeds the cap of {MAX_PARSE_TERM_PRODUCTS} "
+                             "term products")
 
     def peek(self) -> str:
         return self.tokens[self.pos][0]
@@ -448,7 +514,10 @@ class _Parser:
         result = self.factor()
         while self.peek() == "*":
             self.next()
-            result = result * self.factor()
+            right = self.factor()
+            self.check_degree(_degree(result) + _degree(right))
+            self.spend(len(result.terms) * len(right.terms))
+            result = result * right
         return result
 
     def factor(self) -> Poly:
@@ -458,18 +527,22 @@ class _Parser:
             kind, text = self.next()
             if kind != "num" or "/" in text:
                 raise ParseError("exponent must be a nonnegative integer")
-            base = base ** int(text)
+            n, t = _int(text), len(base.terms)
+            self.check_degree(_degree(base) * n)
+            # n - 1 multiplications by base, the k-th of at most comb(t + k - 1, k) terms
+            self.spend(t * comb(t + n - 1, n - 1) if n and t else 0)
+            base = base ** n
         return base
 
     def atom(self) -> Poly:
         kind, text = self.next()
         if kind == "num":
             if "/" in text:
-                p, q = text.split("/")
-                if int(q) == 0:
+                p, q = map(_int, text.split("/"))
+                if q == 0:
                     raise ParseError(f"zero denominator in {text!r}")
-                return Poly.const(self.table, Fraction(int(p), int(q)))
-            return Poly.const(self.table, int(text))
+                return Poly.const(self.table, Fraction(p, q))
+            return Poly.const(self.table, _int(text))
         if kind == "name":
             if text in ("z1", "z2"):
                 raise ParseError(f"variable {text!r} is reserved for internal use")

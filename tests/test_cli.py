@@ -359,6 +359,13 @@ class TestRejectedInput:
         pytest.param("check-axioms", {"algebra": {"basis": ["L"],
                                                   "products": {"L,L": {"L": "d+2*x^\u00b2"}}}},
                      (), 'algebra.products["L,L"].L', id="superscript_digit"),
+        pytest.param("check-axioms", {"algebra": {"basis": ["L"], "products": {
+                         "L,L": {"L": "(d+x+y+d1+d2+d3)^40"}}}},
+                     (), 'algebra.products["L,L"].L: expansion exceeds the cap',
+                     id="parse_product_cap"),
+        pytest.param("check-axioms", {"algebra": {"basis": ["L"],
+                                                  "products": {"L,L": {"L": "x^999999999"}}}},
+                     (), 'algebra.products["L,L"].L: total degree', id="parse_degree_cap"),
         pytest.param("coeff", {"algebra": "hv"}, ("--window", "-1"), "--window",
                      id="negative_window"),
         pytest.param("rb-constraints", {"algebra": "vir"}, ("--degree", "-1"), "--degree",

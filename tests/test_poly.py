@@ -1,9 +1,11 @@
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from confalg import ParseError, Poly, UnknownVariable, VarTable, VarTableMismatch, parse
+from confalg.poly import MAX_PARSE_DEGREE
 from conftest import poly_strategy
 
 T = VarTable(params=("b",))
@@ -34,6 +36,22 @@ class TestArithmetic:
         assert p("d+x") ** 3 == p("d+x") * p("d+x") * p("d+x")
         with pytest.raises(Exception):
             p("d") ** -1
+
+    @pytest.mark.parametrize("n", range(1, 18))
+    def test_pow_multiplications(self, monkeypatch, n):
+        calls = []
+        mul = Poly.__mul__
+
+        def counting(a, b):
+            calls.append(1)
+            return mul(a, b)
+
+        base = p("d+x")
+        monkeypatch.setattr(Poly, "__mul__", counting)
+        q = base ** n
+        monkeypatch.undo()
+        assert len(calls) == n.bit_length() - 1 + bin(n).count("1")
+        assert q == p(f"(d+x)^{n}")
 
     def test_table_mismatch(self):
         other = VarTable(params=("c",))
@@ -105,6 +123,27 @@ class TestParser:
     def test_unary_minus(self):
         assert p("-d-2*x") == -p("d+2*x")
 
+    @pytest.mark.parametrize("text", ["(d+x+y+d1+d2+d3)^40", "x^999999999", "2^999999999",
+                                      "x^60*d^41", "(d+x+y+d1+d2+d3+b)^5*(d+x+y+d1+d2+d3+b)^5",
+                                      "x^" + "9" * 5000, "1" * 5000 + "*d"])
+    def test_caps_reject_without_expanding(self, monkeypatch, text):
+        pow_ = Poly.__pow__
+
+        def bounded_pow(a, n):
+            assert n <= MAX_PARSE_DEGREE, "the parser expanded a power over the caps"
+            return pow_(a, n)
+
+        monkeypatch.setattr(Poly, "__pow__", bounded_pow)
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="cap|too long"):
+            p(text)
+        assert time.perf_counter() - start < 1
+
+    def test_caps_admit_what_they_bound(self):
+        assert p(f"x^{MAX_PARSE_DEGREE}") == Poly.var(T, "x", MAX_PARSE_DEGREE)
+        # charged 7 * comb(14, 7) = 24,024 term products
+        assert len(p("(d+x+y+d1+d2+d3+b)^8").terms) == 3003
+
     def test_errors(self):
         for bad in ("d+", "q", "z1", "2**3", "d^-1", "(d", "d^x", "1/"):
             with pytest.raises(ParseError):
@@ -140,3 +179,44 @@ class TestRingAxioms:
         left = a.subs({"x": q}).subs({"y": r})
         right = a.subs({"y": r}).subs({"x": q.subs({"y": r})})
         assert left == right
+
+
+def _assert_normal(q: Poly) -> None:
+    width = len(q.table.names)
+    for exps, c in q.terms.items():
+        assert type(exps) is tuple and len(exps) == width
+        assert all(type(e) is int and e >= 0 for e in exps)
+        assert c != 0
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+scalars = st.sampled_from([Fraction(1, 2), Fraction(-2, 3), Fraction(4), 3, -1])
+
+
+class TestNormalForm:
+    """Every result is in normal form, so equal polynomials have equal term maps
+    and hashes however they were built (rb_constraints dedups on this)."""
+
+    @given(a=poly_strategy(T), b=poly_strategy(T), q=scalars, n=st.integers(0, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_every_operation(self, a, b, q, n):
+        a, b = a * Fraction(1, 2), b * Fraction(-1, 3)
+        results = [a + b, a - b, -a, a * b, a * q, q * a, a + q, q - a, a ** n,
+                   a.subs({"x": b}), a.subs({"d": q, "y": p("x+1/2")}), a.subs({"x": 0}),
+                   parse(T, str(a)), a.embed(T.extended(("c",))), a.coefficient("d", 1),
+                   *a.split(("d", "x")).values(), Poly(T, {(0,) * len(T.names): Fraction(6, 3)}),
+                   Poly.const(T, q)]
+        for r in results:
+            _assert_normal(r)
+
+    @given(a=poly_strategy(T), b=poly_strategy(T), c=poly_strategy(T))
+    @settings(max_examples=60, deadline=None)
+    def test_equal_polys_hash_equal(self, a, b, c):
+        half = Fraction(1, 2)
+        pairs = [(a * (b + c), a * b + a * c),
+                 ((a + b) - b, a),
+                 ((a * half + b * half) * 2, a + b),
+                 (a.subs({"x": p("2*x")}).subs({"x": p("1/2*x")}), a)]
+        for left, right in pairs:
+            assert left == right
+            assert hash(left) == hash(right)

@@ -1,7 +1,8 @@
 """Differential tests: the tensor equations, the cobracket, form evaluation,
 the endomorphism a tensor induces through a form, and the axiom and module
 checks, against reference oracles that expand every entry pair by hand or
-evaluate every basis tuple through the dense product.
+evaluate every basis tuple through the dense product.  The zero-divisor
+probe is compared against the brute-force pair search it replaced.
 
 Each oracle spells out, per pair of tensor entries (or per pair of element
 components), the expansion of one sesquilinear product at the reserved
@@ -14,6 +15,8 @@ constants, and the two reports must be equal as dicts.
 """
 
 import dataclasses
+import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,6 +26,7 @@ from confalg import (
     LEFT_SYMMETRIC,
     LIE,
     ConformalAlgebra,
+    GDBialgebra,
     Poly,
     Report,
     Representation,
@@ -45,9 +49,11 @@ from confalg import (
     semidirect,
     standard_rep,
     sub_adjacent,
+    zero_divisor_probe,
 )
 from confalg.algebra import vec_add, vec_sub
 from confalg.operators import BilinearForm, form_pr_map
+from confalg.gd import ProbeResult
 from confalg.reps import act, act_at
 from conftest import poly_strategy
 
@@ -293,6 +299,42 @@ BUMP = {(0, 2): Poly.var(T, "d1") * Poly.var(T, "b"), (3, 1): Poly.var(T, "d2") 
 HV = catalog("hv", table=T).algebra
 
 
+def oracle_star(V, a, b):
+    out = [Fraction(0)] * V.dim
+    for tbl, (u, v) in ((V.circ, (a, b)), (V.circ, (b, a))):
+        for (i, j), targets in tbl.items():
+            c = u[i] * v[j]
+            if c == 0:
+                continue
+            for k, s in targets.items():
+                out[k] += c * s
+    return tuple(out)
+
+
+def candidate_key(tup):
+    """The probe's candidate order: simplest coefficient vectors first."""
+    return (sum(abs(c) for c in tup), tuple(abs(c) for c in tup),
+            tuple(0 if c >= 0 else 1 for c in tup))
+
+
+def oracle_probe(V, bound=3):
+    """Every pair (a, b) of nonzero vectors in the box [-bound, bound]^n."""
+    if V.dim == 1:
+        e = (Fraction(1),)
+        if all(c == 0 for c in oracle_star(V, e, e)):
+            return ProbeResult("witness", (e, e))
+        return ProbeResult("no_zero_divisors")
+    candidates = [tuple(Fraction(c) for c in tup)
+                  for tup in itertools.product(range(-bound, bound + 1), repeat=V.dim)]
+    candidates = [c for c in candidates if any(c)]
+    candidates.sort(key=candidate_key)
+    for a in candidates:
+        for b in candidates:
+            if all(c == 0 for c in oracle_star(V, a, b)):
+                return ProbeResult("witness", (a, b))
+    return ProbeResult("unknown")
+
+
 # random structure constants over two free parameters, for the axiom and module
 # checks: most instances fail, so nonzero residuals are compared too
 BC = VarTable(params=("b", "c"))
@@ -322,6 +364,26 @@ def random_modules(draw, kind):
         return Representation(A, mbasis, rho=draw(sparse_tables(A.rank, m, m)))
     return Representation(A, mbasis, left=draw(sparse_tables(A.rank, m, m)),
                            right=draw(sparse_tables(A.rank, m, m)))
+
+
+STAR_ENTRY = st.sampled_from([Fraction(c) for c in (1, -1, 2, -2, 3)]
+                             + [Fraction(1, 2), Fraction(-1, 2)])
+
+
+@st.composite
+def star_tables(draw):
+    """Novikov tables of dim 2-3 with no Lie part, symmetric or not; half the
+    entries are zero, so that zero divisors inside the box are common."""
+    n = draw(st.integers(2, 3))
+    symmetric = draw(st.booleans())
+    entry = st.one_of(st.just(Fraction(0)), STAR_ENTRY)
+    circ = {}
+    for i, j in itertools.product(range(n), repeat=2):
+        if symmetric and j < i:
+            circ[i, j] = dict(circ[j, i])
+        else:
+            circ[i, j] = {k: draw(entry) for k in range(n)}
+    return GDBialgebra(tuple(f"e{i}" for i in range(n)), VarTable(), circ, {})
 
 
 def catalog_modules():
@@ -459,3 +521,20 @@ class TestAxiomOracles:
                           (check_rep(rep), oracle_check_rep(rep))):
             assert not want.ok
             assert got.to_dict() == want.to_dict()
+
+
+class TestProbeOracle:
+    @given(V=star_tables(), bound=st.integers(1, 2))
+    @settings(max_examples=40, deadline=None)
+    def test_probe_against_pair_search(self, V, bound):
+        got, want = zero_divisor_probe(V, bound), oracle_probe(V, bound)
+        assert got.status in ("witness", "unknown")
+        if want.status == "witness":
+            assert got.status == "witness"
+        if got.status == "witness":
+            a, b = got.witness
+            assert all(c.denominator == 1 and abs(c) <= bound for c in a)
+            assert any(a) and any(b)
+            assert not any(oracle_star(V, a, b))
+            if want.status == "witness":
+                assert candidate_key(a) <= candidate_key(want.witness[0])

@@ -14,12 +14,13 @@ conformal bracket forces the argument part to equal the star product.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (LIE, ConformalAlgebra, PreconditionError, ProductTable, unit_vector,
                       vec_add, vec_sub)
-from .linmap import ModuleMap
+from .linmap import ModuleMap, kernel
 from .operators import rota_baxter_residuals
 from .poly import Poly, VarTable, accumulate
 from .report import Report
@@ -190,40 +191,51 @@ class ProbeResult:
         return tuple(names)
 
 
-def _star_const(V: GDBialgebra, a: tuple[Fraction, ...], b: tuple[Fraction, ...]):
-    out = [Fraction(0)] * V.dim
-    for tbl, (u, v) in ((V.circ, (a, b)), (V.circ, (b, a))):
-        for (i, j), targets in tbl.items():
-            c = u[i] * v[j]
-            if c == 0:
-                continue
-            for k, s in targets.items():
-                out[k] += c * s
-    return tuple(out)
+def _star_matrices(V: GDBialgebra) -> list[list[list[int]]]:
+    """Integer matrices M_i, rows indexed by the target, with M_i b = den * (e_i * b)."""
+    den = math.lcm(*(c.denominator for t in V.circ.values() for c in t.values()))
+    dims = range(V.dim)
+
+    def circ(i, j, k):
+        return V.circ.get((i, j), {}).get(k, 0) * den
+
+    return [[[int(circ(i, j, k) + circ(j, i, k)) for j in dims] for k in dims] for i in dims]
+
+
+def _candidate_key(tup) -> tuple:
+    return (sum(abs(c) for c in tup), tuple(abs(c) for c in tup),
+            tuple(0 if c >= 0 else 1 for c in tup))
+
+
+def _coprime(v: dict[int, Fraction], columns: range) -> tuple[Fraction, ...]:
+    """v in coprime integers: v times lcm(denominators) / gcd(numerators)."""
+    scale = Fraction(math.lcm(*(c.denominator for c in v.values())),
+                     math.gcd(*(c.numerator for c in v.values())))
+    return tuple(v.get(j, 0) * scale for j in columns)
 
 
 def zero_divisor_probe(V: GDBialgebra, bound: int = 3) -> ProbeResult:
     """Search for a nonzero pair with zero star product.
 
     Dimension 1 is decided exactly.  In higher dimension the probe tries
-    integer coefficient vectors with entries in [-bound, bound], simplest
-    first, and reports a witness or Unknown; absence is never claimed.
+    integer vectors a in [-bound, bound]^n, simplest first, and stops at the
+    first a with a nonzero kernel of b -> a * b over Q.  The partner b is the
+    kernel basis vector in coprime integers that comes first in the same
+    order; it may lie outside the box.  Otherwise the result is Unknown:
+    absence is never claimed.
     """
+    mats = _star_matrices(V)
     if V.dim == 1:
-        e = (Fraction(1),)
-        if all(c == 0 for c in _star_const(V, e, e)):
-            return ProbeResult("witness", (e, e))
-        return ProbeResult("no_zero_divisors")
-    candidates = [tuple(Fraction(c) for c in tup)
-                  for tup in itertools.product(range(-bound, bound + 1), repeat=V.dim)]
-    candidates = [c for c in candidates if any(c)]
-    candidates.sort(key=lambda tup: (sum(abs(c) for c in tup),
-                                     tuple(abs(c) for c in tup),
-                                     tuple(0 if c >= 0 else 1 for c in tup)))
-    for a in candidates:
-        for b in candidates:
-            if all(c == 0 for c in _star_const(V, a, b)):
-                return ProbeResult("witness", (a, b))
+        if mats[0][0][0]:
+            return ProbeResult("no_zero_divisors")
+        return ProbeResult("witness", ((Fraction(1),),) * 2)
+    columns = range(V.dim)
+    box = itertools.product(range(-bound, bound + 1), repeat=V.dim)
+    for a in sorted((a for a in box if any(a)), key=_candidate_key):
+        rows = [{j: sum(x * m[k][j] for x, m in zip(a, mats)) for j in columns} for k in columns]
+        if null := kernel(rows, columns):
+            b = min((_coprime(v, columns) for v in null), key=_candidate_key)
+            return ProbeResult("witness", (tuple(map(Fraction, a)), b))
     return ProbeResult("unknown")
 
 

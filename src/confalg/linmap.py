@@ -7,10 +7,14 @@ T_x(v_i) = sum_j a_ij(x, d) e_j; its specialization at x = 0 is a plain
 ModuleMap.  Invertibility over the polynomial ring in d means the
 determinant is a nonzero rational constant; the inverse is adjugate over
 determinant.
+
+Over Q, `rref` row-reduces sparse rows {column: rational} over the
+integers, and `kernel` gives a basis of their common null space.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -160,3 +164,47 @@ def invert_module_map(m: ModuleMap) -> ModuleMap:
                 cof = -cof
             adj[j][i] = cof * inv_det
     return ModuleMap(m.table, adj)
+
+
+def rref(rows, columns) -> tuple[list[dict], list]:
+    """Reduced row echelon form over Q of sparse rows {column: rational}.
+
+    `columns` is the column order.  Returns the nonzero reduced rows, each
+    {column: Fraction} with pivot 1, and their pivot columns in that order.
+    The rows are cleared of denominators and reduced over the integers,
+    fraction-free (Bareiss, Math. Comp. 22, 1968): each step divides exactly
+    by the previous pivot, and in the end all pivots equal the last one.
+    """
+    index = {c: i for i, c in enumerate(columns)}
+    mat = []
+    for row in rows:
+        den = math.lcm(*(v.denominator for v in row.values()))
+        dense = [0] * len(columns)
+        for c, v in row.items():
+            dense[index[c]] = v.numerator * (den // v.denominator)
+        mat.append(dense)
+    pivots, prev = [], 1
+    for j in range(len(columns)):
+        r = len(pivots)
+        hit = next((i for i in range(r, len(mat)) if mat[i][j]), None)
+        if hit is None:
+            continue
+        mat[r], mat[hit] = mat[hit], mat[r]
+        top = mat[r]
+        mat = [row if i == r else [(top[j] * x - row[j] * y) // prev for x, y in zip(row, top)]
+               for i, row in enumerate(mat)]
+        prev = top[j]
+        pivots.append(j)
+    reduced = [{columns[k]: Fraction(x, prev) for k, x in enumerate(row) if x}
+               for row in mat[:len(pivots)]]
+    return reduced, [columns[j] for j in pivots]
+
+
+def kernel(rows, columns) -> list[dict]:
+    """A basis of the vectors v with sum_c row[c] * v[c] = 0 for every row:
+    one {column: Fraction} per free column of `rref`, in `columns` order, with
+    1 there and minus that column of the reduced rows at their pivots."""
+    reduced, pivots = rref(rows, columns)
+    bound = set(pivots)
+    return [{f: Fraction(1), **{p: -row[f] for row, p in zip(reduced, pivots) if f in row}}
+            for f in columns if f not in bound]

@@ -238,6 +238,16 @@ class TestCli:
         assert payload["witness_basis"] == ["W", "W"]
         assert run(tmp_path, "zero-divisors", {"gd": "vir_gd"}) == 0
 
+    def test_zero_divisor_partner_outside_the_box(self, tmp_path, capsys):
+        """a * b = f(a, b) u with f_uu = 0, f_uv = 1, f_vv = 7.  The first
+        candidate a = v has partners only outside the box [-3, 3]^2, b ~ (-7, 1);
+        the witness comes from the exact kernel of b -> v * b."""
+        doc = {"gd": {"basis": ["u", "v"], "circ": {"u,v": {"u": 1}, "v,v": {"u": "7/2"}}}}
+        assert run(tmp_path, "zero-divisors", doc) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["witness"] == [["0", "1"], ["-7", "1"]]
+        assert "witness_basis" not in payload
+
     def test_gd_check_with_map(self, tmp_path):
         doc = {"gd": "hv_gd", "params": ["b"],
                "map": {"L": {"L": "-b", "W": "-b"}, "W": {"L": "b", "W": "b"}}}

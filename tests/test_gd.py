@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,18 @@ from confalg import (
 )
 
 F = Fraction
+
+
+def radical_fields(table, n, copies=1):
+    """The product of `copies` copies of Q(2^(1/n)), each on 1, a, ..., a^(n-1),
+    with half its multiplication as the Novikov product, so that the star
+    product is the field product (as in the benchmark's cube_root_field)."""
+    circ = {}
+    for o in range(0, n * copies, n):
+        for i, j in itertools.product(range(n), repeat=2):
+            k, c = (i + j, F(1, 2)) if i + j < n else (i + j - n, F(1))
+            circ[o + i, o + j] = {o + k: c}
+    return GDBialgebra(tuple(f"e{i}" for i in range(n * copies)), table, circ, {})
 
 
 class TestCheckGd:
@@ -127,6 +140,23 @@ class TestZeroDivisors:
                          (1, 0): {1: half}, (1, 1): {0: F(1)}},
                         {})
         assert zero_divisor_probe(V).status == "unknown"
+
+    def test_fields_of_dim_4_and_5_are_unknown(self, table):
+        """Kernel per candidate a: 2,400 candidates at dim 4 and bound 3, not
+        the 5.8 million pairs of a search over (a, b)."""
+        assert zero_divisor_probe(radical_fields(table, 4)).status == "unknown"
+        assert zero_divisor_probe(radical_fields(table, 5), bound=2).status == "unknown"
+
+    def test_product_of_fields_has_a_verified_witness(self, table):
+        # Q(sqrt 2) x Q(sqrt 2): the two units multiply to zero
+        V = radical_fields(table, 2, copies=2)
+        probe = zero_divisor_probe(V)
+        assert probe.status == "witness"
+        a, b = probe.witness
+        assert any(a) and any(b)
+        a, b = ([Poly.const(table, c) for c in vec] for vec in (a, b))
+        star = [p + q for p, q in zip(V.circ_prod(a, b), V.circ_prod(b, a))]
+        assert all(p.is_zero for p in star)
 
 
 class TestRbGd:

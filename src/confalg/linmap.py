@@ -205,6 +205,6 @@ def kernel(rows, columns) -> list[dict]:
     one {column: Fraction} per free column of `rref`, in `columns` order, with
     1 there and minus that column of the reduced rows at their pivots."""
     reduced, pivots = rref(rows, columns)
-    bound = set(pivots)
+    pivoted = set(pivots)
     return [{f: Fraction(1), **{p: -row[f] for row, p in zip(reduced, pivots) if f in row}}
-            for f in columns if f not in bound]
+            for f in columns if f not in pivoted]

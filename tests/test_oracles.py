@@ -1,8 +1,9 @@
 """Differential tests: the tensor equations, the cobracket, form evaluation,
 the endomorphism a tensor induces through a form, and the axiom and module
-checks, against reference oracles that expand every entry pair by hand or
-evaluate every basis tuple through the dense product.  The zero-divisor
-probe is compared against the brute-force pair search it replaced.
+checks and the 2-cocycle check, against reference oracles that expand every
+entry pair by hand or evaluate every basis tuple through the dense product.
+The zero-divisor probe is compared against the brute-force pair search it
+replaced.
 
 Each oracle spells out, per pair of tensor entries (or per pair of element
 components), the expansion of one sesquilinear product at the reserved
@@ -34,7 +35,10 @@ from confalg import (
     Tensor3,
     VarTable,
     catalog,
+    canonical_skew_tensor,
+    canonical_sym_tensor,
     cobracket_from_r,
+    cocycle_check,
     cocycle_from_r,
     check_axioms,
     check_rep,
@@ -44,16 +48,19 @@ from confalg import (
     mul_at,
     normal_form3,
     parse,
+    r_from_t,
     regular_module,
     s_residual,
     semidirect,
     standard_rep,
     sub_adjacent,
+    with_zero_right,
     zero_divisor_probe,
 )
 from confalg.algebra import vec_add, vec_sub
 from confalg.operators import BilinearForm, form_pr_map
 from confalg.gd import ProbeResult
+from confalg.linmap import ConformalLinearMap, ModuleMap
 from confalg.reps import act, act_at
 from conftest import poly_strategy
 
@@ -236,6 +243,34 @@ def oracle_check_axioms(A):
     return report
 
 
+def oracle_cocycle_check(A, form):
+    """cocycle_check with every instance a dense product and form evaluation."""
+    t = A.table
+    X = Poly.var(t, "x")
+    Y = Poly.var(t, "y")
+    basis = [A.basis_vector(i) for i in range(A.rank)]
+
+    def symmetry(i, j):
+        lhs = form.eval_at(basis[i], basis[j], X)
+        rhs = form.eval_at(basis[j], basis[i], -X)
+        return lhs + rhs if form.kind == "lie" else lhs - rhs
+
+    def cocycle(i, j, k):
+        if form.kind == "lie":
+            return (form.eval_at(basis[i], mul_at(A, basis[j], basis[k], Y), X)
+                    - form.eval_at(basis[j], mul_at(A, basis[i], basis[k], X), Y)
+                    - form.eval_at(mul_at(A, basis[i], basis[j], X), basis[k], X + Y))
+        return (form.eval_at(mul_at(A, basis[i], basis[j], X), basis[k], X + Y)
+                - form.eval_at(basis[i], mul_at(A, basis[j], basis[k], Y), X)
+                - form.eval_at(mul_at(A, basis[j], basis[i], Y), basis[k], X + Y)
+                + form.eval_at(basis[j], mul_at(A, basis[i], basis[k], X), Y))
+
+    report = Report()
+    report.sweep("symmetry", (A.basis,) * 2, symmetry)
+    report.sweep("cocycle_identity", (A.basis,) * 3, cocycle)
+    return report
+
+
 def oracle_check_rep(rep):
     """check_rep with every instance a dense action on basis vectors."""
     A = rep.algebra
@@ -290,10 +325,78 @@ form_matrix = st.lists(st.lists(poly_strategy(T, names=("x", "b"), max_terms=3, 
                                 min_size=RANK, max_size=RANK),
                        min_size=RANK, max_size=RANK)
 X, Y, D = (Poly.var(T, n) for n in ("x", "y", "d"))
+form_cell = poly_strategy(T, names=("x", "b"), max_terms=2, max_degree=2)
 arguments = st.sampled_from([X, -X, Y, X + Y, X - D, -X - D])
 # the library's form type, as cocycle_from_r returns it; tests replace its matrix
 FORM = cocycle_from_r(LIE_ENTRY.algebra, LIE_ENTRY.tensor, "lie")
 BUMP = {(0, 2): Poly.var(T, "d1") * Poly.var(T, "b"), (3, 1): Poly.var(T, "d2") + 1}
+
+
+# rank-8 inputs of the benchmark's tensor-equation shape: the semidirect sums of
+# each catalog left-symmetric algebra with the dual of its regular module (S2),
+# doubled once more with the canonical skew and symmetric tensors, and tensors
+# read off identity-plus-x-part maps, one entry of which is bumped by 1
+PERTURBED = {"hv_lsc1": (0, 1), "hv_lsc2": (1, 0)}
+
+
+def rank8_sums(fam):
+    """(Sk, rk, Ss, rs): the Lie and left-symmetric doubles of S2 with their
+    canonical tensors, and the regular module of S2."""
+    A = catalog(fam, table=T).algebra
+    S2 = semidirect(A, with_zero_right(A, dual_rep(standard_rep(A, "regular_left"))),
+                    checked=False)
+    regular = standard_rep(S2, "regular_left")
+    Sk = semidirect(sub_adjacent(S2, checked=False), dual_rep(regular), checked=False)
+    Ss = semidirect(S2, with_zero_right(S2, dual_rep(regular)), checked=False)
+    return Sk, canonical_skew_tensor(Sk, S2.rank), Ss, canonical_sym_tensor(Ss, S2.rank), regular
+
+
+def rank8_maps(fam, regular):
+    """The identity plus a checkerboard of x*d and x^2, and the same map with
+    the family's entry bumped by 1."""
+    n = regular.mrank
+    cell = [[X * D if (i + j) % 2 == 0 else X * X for j in range(n)] for i in range(n)]
+    identity = ModuleMap.identity(T, n).matrix
+    dense = [[identity[i][j] + cell[i][j] for j in range(n)] for i in range(n)]
+    bumped_map = [row[:] for row in dense]
+    pi, pj = PERTURBED[fam]
+    bumped_map[pi][pj] = bumped_map[pi][pj] + 1
+    return [ConformalLinearMap(T, m) for m in (dense, bumped_map)]
+
+
+def rank8_cybe_tensors(fam):
+    """Skew tensors of the dense and the bumped map, and the raw (not skew) one."""
+    _, _, _, _, regular = rank8_sums(fam)
+    dense, bumped_map = rank8_maps(fam, regular)
+    return {"dense": r_from_t(dense, regular, "skew"),
+            "bumped": r_from_t(bumped_map, regular, "skew"),
+            "raw": r_from_t(dense, regular, "raw")}
+
+
+def rank8_s_tensors(fam):
+    """The same entries, symmetric and raw, on the left-symmetric double."""
+    _, _, Ss, rs, regular = rank8_sums(fam)
+    dense, bumped_map = rank8_maps(fam, regular)
+    return {"canonical": rs,
+            "dense": Tensor2(Ss, r_from_t(dense, regular, "sym").coeffs),
+            "bumped": Tensor2(Ss, r_from_t(bumped_map, regular, "sym").coeffs),
+            "raw": Tensor2(Ss, r_from_t(dense, regular, "raw").coeffs)}
+
+
+def cocycle_inputs():
+    """(label, algebra, tensor, kind): the four rank-4 catalog tensors and the
+    canonical tensors of both rank-8 doubles, whose cocycles pass."""
+    for name, kind in (("hv_lsc1_skew_r", "lie"), ("hv_lsc2_skew_r", "lie"),
+                       ("hv_lsc1_sym_r", "lsc"), ("hv_lsc2_sym_r", "lsc")):
+        e = catalog(name, table=T)
+        yield name, e.algebra, e.tensor, kind
+    for fam in PERTURBED:
+        Sk, rk, Ss, rs, _ = rank8_sums(fam)
+        yield f"S2.{fam}.skew8", Sk, rk, "lie"
+        yield f"S2.{fam}.sym8", Ss, rs, "lsc"
+
+
+COCYCLE_INPUTS = {label: (A, cocycle_from_r(A, r, kind)) for label, A, r, kind in cocycle_inputs()}
 
 
 HV = catalog("hv", table=T).algebra
@@ -466,6 +569,45 @@ class TestOracles:
         r = Tensor2(A, data.draw(st.dictionaries(st.tuples(ix, ix), slot_poly, max_size=4)))
         assert form_pr_map(A, form, r).matrix == oracle_form_pr_map(A, form, r)
 
+    @pytest.mark.parametrize("fam", sorted(PERTURBED))
+    def test_cybe_rank8(self, fam):
+        for label, r in rank8_cybe_tensors(fam).items():
+            got = cybe_residual(r.algebra, r).coeffs
+            assert got == oracle_cybe(r.algebra, r).coeffs, label
+            assert bool(got) == (label != "dense"), label
+
+    @pytest.mark.parametrize("fam", sorted(PERTURBED))
+    def test_s_equation_rank8(self, fam):
+        for label, r in rank8_s_tensors(fam).items():
+            got = s_residual(r.algebra, r).coeffs
+            assert got == oracle_s(r.algebra, r).coeffs, label
+            assert bool(got) == (label == "bumped"), label
+
+    @pytest.mark.parametrize("fam", sorted(PERTURBED))
+    def test_cobracket_rank8(self, fam):
+        tensors = list(rank8_cybe_tensors(fam).values()) + list(rank8_s_tensors(fam).values())
+        for r in tensors:
+            S = r.algebra
+            general = tuple(Poly.const(T, i - 3) + D ** (i % 3) * Poly.var(T, "b")
+                            for i in range(S.rank))
+            for a in [S.basis_vector(i) for i in range(S.rank)] + [general]:
+                assert cobracket_from_r(S, r, a).coeffs == oracle_cobracket(S, r, a).coeffs
+
+    @pytest.mark.parametrize("label", sorted(COCYCLE_INPUTS))
+    @given(data=st.data())
+    @settings(max_examples=6, deadline=None)
+    def test_cocycle_check(self, label, data):
+        """The form of a non-degenerate tensor, with up to three entries bumped
+        by polynomials in x and b (most bumps fail)."""
+        A, form = COCYCLE_INPUTS[label]
+        ix = st.integers(0, A.rank - 1)
+        bump = data.draw(st.dictionaries(st.tuples(ix, ix), form_cell, max_size=3))
+        matrix = [row[:] for row in form.matrix]
+        for (i, j), p in bump.items():
+            matrix[i][j] = matrix[i][j] + p
+        form = BilinearForm(T, A.basis, matrix, form.kind)
+        assert cocycle_check(A, form).to_dict() == oracle_cocycle_check(A, form).to_dict()
+
     def test_nonzero_residuals_are_compared(self):
         lie = bumped(LIE_ENTRY, BUMP)
         lsc = bumped(LSC_ENTRY, BUMP)
@@ -473,6 +615,11 @@ class TestOracles:
         assert not oracle_s(lsc.algebra, lsc).is_zero
         assert oracle_cybe(LIE_ENTRY.algebra, LIE_ENTRY.tensor).is_zero
         assert oracle_s(LSC_ENTRY.algebra, LSC_ENTRY.tensor).is_zero
+        for label, (A, form) in COCYCLE_INPUTS.items():
+            assert oracle_cocycle_check(A, form).ok, label
+            matrix = [row[:] for row in form.matrix]
+            matrix[0][1] = matrix[0][1] + X * X
+            assert not oracle_cocycle_check(A, BilinearForm(T, A.basis, matrix, form.kind)).ok
 
 
 class TestAxiomOracles:

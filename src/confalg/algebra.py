@@ -11,14 +11,14 @@ Products of general elements follow from two extension rules: a power of d
 on the first argument becomes (-x)^m, on the second argument (x + d)^m.
 The same engine, ``apply_bilinear``, evaluates products at shifted arguments
 such as -x-d by first expanding against the reserved variable z1 and
-substituting it last, and, given the slot variables, places a product in one
-tensor slot or evaluates a scalar-valued form.  It handles general elements
-and remains the reference for the identity checks.
+substituting it last, and evaluates scalar-valued forms.  It handles general
+elements and remains the reference for the identity checks.
 
-The axioms and module checks evaluate every basis tuple at once instead: a
-nested product of basis elements is a sum over chains of nonzero structure
-constants (``_chains``), so their cost follows the number of nonzero entries,
-not the n^5 slot visits of calling ``apply_bilinear`` per instance.
+The axioms, module and 2-cocycle checks evaluate every basis tuple at once
+instead: a nested product of basis elements is a sum over chains of nonzero
+structure constants (``_chains``), so their cost follows the number of
+nonzero entries, not the n^5 slot visits of calling ``apply_bilinear`` per
+instance.
 """
 
 from __future__ import annotations
@@ -106,20 +106,17 @@ def apply_bilinear(
     b: Vector,
     lam: Poly,
     out_rank: int,
-    left: str = "d",
-    right: str = "d",
     out: str | int = "d",
 ) -> Vector:
     """Sesquilinear extension of a structure-constant table.
 
-    ``a`` indexes the first factor's basis, ``b`` the second's.  ``left`` and
-    ``right`` name the derivation variable of each factor's coefficients;
-    ``out`` is the derivation acting on the result: ``d`` by default, a slot
-    variable ``d1``/``d2``/``d3`` for a tensor slot, or ``0`` for a
-    scalar-valued form.  A power of the left derivation becomes (-z)^m, of the
-    right one (z + out)^m, and the table's d becomes ``out``; the product is
-    expanded at the reserved variable z = z1, which is substituted by ``lam``
-    at the end, so arguments like -x-d behave correctly.
+    ``a`` indexes the first factor's basis, ``b`` the second's, both with
+    coefficients in d.  ``out`` is the derivation acting on the result: ``d``
+    by default, or ``0`` for a scalar-valued form.  A power of the first
+    factor's d becomes (-z)^m, of the second's (z + out)^m, and the table's d
+    becomes ``out``; the product is expanded at the reserved variable z = z1,
+    which is substituted by ``lam`` at the end, so arguments like -x-d behave
+    correctly.
     """
     z = Poly.var(table, "z1")
     dout = Poly.var(table, out) if isinstance(out, str) else Poly.const(table, out)
@@ -129,13 +126,13 @@ def apply_bilinear(
     for i, fi in enumerate(a):
         if fi.is_zero:
             continue
-        fi_s = fi.subs({left: -z})
+        fi_s = fi.subs({"d": -z})
         for j, gj in enumerate(b):
             targets = products.get((i, j))
             if gj.is_zero or not targets:
                 continue
             if shifted_b[j] is None:
-                shifted_b[j] = gj.subs({right: z + dout})
+                shifted_b[j] = gj.subs({"d": z + dout})
             prod = fi_s * shifted_b[j]
             for k, P in targets.items():
                 acc[k] = acc[k] + prod * P.subs(at_z)
@@ -161,7 +158,8 @@ def vec_add(a: Vector, b: Vector) -> Vector:
 
 
 def _chains(inner: ProductTable, outer: ProductTable, lam_in: Poly, lam_out: Poly,
-            *, right: bool, swap: bool = False) -> dict[tuple[int, int, int], dict[int, Poly]]:
+            *, right: bool, swap: bool = False,
+            scalar: bool = False) -> dict[tuple[int, int, int], dict[int, Poly]]:
     """Nested products of basis elements, as sums over chains of nonzero entries.
 
     right:  (i, j, k) -> e_i _lam_out (e_j _lam_in v_k)
@@ -172,8 +170,11 @@ def _chains(inner: ProductTable, outer: ProductTable, lam_in: Poly, lam_out: Pol
     The inner argument is substituted before d is shifted, as in
     ``apply_bilinear``, so lam_in may contain d.  Keys without a chain are
     absent; with ``swap`` the value for (i, j, k) is stored at (j, i, k).
+    With ``scalar`` the outer table is a form, whose output carries no d, so
+    the right shift is d -> lam_out.
     """
-    shift = {"d": lam_out + Poly.var(lam_out.table, "d")} if right else {"d": -lam_out}
+    d_out = Poly.zero(lam_out.table) if scalar else Poly.var(lam_out.table, "d")
+    shift = {"d": lam_out + d_out} if right else {"d": -lam_out}
     by_factor: dict[int, list[tuple[int, dict[int, Poly]]]] = {}
     for (a, b), targets in outer.items():
         at_out = {m: P.subs({"x": lam_out}) for m, P in targets.items()}

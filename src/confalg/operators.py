@@ -20,6 +20,8 @@ from .algebra import (
     PreconditionError,
     ProductTable,
     Vector,
+    _chains,
+    _signed_sum,
     apply_bilinear,
     mul_at,
     vec_sub,
@@ -217,33 +219,41 @@ def cocycle_from_r(A: ConformalAlgebra, r: Tensor2, kind: str) -> BilinearForm:
 
 
 def cocycle_check(A: ConformalAlgebra, form: BilinearForm) -> Report:
-    """Cocycle identity and the symmetry law, on all basis pairs/triples."""
+    """Cocycle identity and the symmetry law, on all basis pairs/triples.
+
+    Symmetry reads the matrix: B_ij(x) + B_ji(-x) (lie) or B_ij(x) - B_ji(-x)
+    (lsc).  Each cocycle term is a chain sum over the structure constants and
+    the form's entries, e.g. form(e_i, e_j _y e_k) at x = sum_l B_il(x) P_jkl(x, y)
+    and form(e_i _x e_j, e_k) at x+y = sum_l P_ijl(-x-y, x) B_lk(x+y).
+    """
     expected = "lie" if A.kind == LIE else "lsc"
     if form.kind != expected:
         raise PreconditionError(f"form kind {form.kind!r} does not match algebra kind")
+    n = A.rank
+    if len(form.basis) != n or len(form.matrix) != n or any(len(row) != n for row in form.matrix):
+        raise PreconditionError(f"form size does not match the algebra rank {n}")
     t = A.table
     X = Poly.var(t, "x")
     Y = Poly.var(t, "y")
-    basis = [A.basis_vector(i) for i in range(A.rank)]
+    B, P, F = form.matrix, A.products, form.products
 
     def symmetry(i, j):
-        lhs = form.eval_at(basis[i], basis[j], X)
-        rhs = form.eval_at(basis[j], basis[i], -X)
-        return lhs + rhs if form.kind == "lie" else lhs - rhs
+        rhs = B[j][i].subs({"x": -X})
+        return B[i][j] + rhs if form.kind == "lie" else B[i][j] - rhs
 
-    def cocycle(i, j, k):
-        if form.kind == "lie":
-            return (form.eval_at(basis[i], mul_at(A, basis[j], basis[k], Y), X)
-                    - form.eval_at(basis[j], mul_at(A, basis[i], basis[k], X), Y)
-                    - form.eval_at(mul_at(A, basis[i], basis[j], X), basis[k], X + Y))
-        return (form.eval_at(mul_at(A, basis[i], basis[j], X), basis[k], X + Y)
-                - form.eval_at(basis[i], mul_at(A, basis[j], basis[k], Y), X)
-                - form.eval_at(mul_at(A, basis[j], basis[i], Y), basis[k], X + Y)
-                + form.eval_at(basis[j], mul_at(A, basis[i], basis[k], X), Y))
-
+    if form.kind == "lie":
+        cocycle = _signed_sum((1, _chains(P, F, Y, X, right=True, scalar=True)),
+                              (-1, _chains(P, F, X, Y, right=True, swap=True, scalar=True)),
+                              (-1, _chains(P, F, X, X + Y, right=False)))
+    else:
+        cocycle = _signed_sum((1, _chains(P, F, X, X + Y, right=False)),
+                              (-1, _chains(P, F, Y, X, right=True, scalar=True)),
+                              (-1, _chains(P, F, Y, X + Y, right=False, swap=True)),
+                              (1, _chains(P, F, X, Y, right=True, swap=True, scalar=True)))
+    zero = Poly.zero(t)
     report = Report()
     report.sweep("symmetry", (A.basis,) * 2, symmetry)
-    report.sweep("cocycle_identity", (A.basis,) * 3, cocycle)
+    report.sweep("cocycle_identity", (A.basis,) * 3, lambda *idx: cocycle(*idx).get(0, zero))
     return report
 
 

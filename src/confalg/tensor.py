@@ -7,11 +7,15 @@ the diagonal derivation d1 + d2 + d3, which the normal form eliminates by
 substituting d3 := -d1 - d2.
 
 The quadratic expressions evaluated here place each product or bracket of
-two tensor factors in a fixed slot and substitute the auxiliary argument by
-that slot's derivation variable afterwards; within a bracket the first
-factor's derivation powers contribute (-mu)^k and the second factor's
-(mu + d_slot)^k, while passive slots keep their own variable.  Each such
-term is one ``apply_bilinear`` call per pair of rows or columns of r.
+two tensor factors in a fixed slot at an argument mu given by the slot
+variables; within a bracket the first factor's derivation becomes -mu, the
+second factor's mu + d_slot, and the table's d becomes d_slot, while passive
+slots keep their own variable.  Once the argument is fixed every factor is a
+plain substitution, taken directly at d3 := -d1 - d2, so each term is a sum
+over the nonzero table entries (p, q) -> k and the entries of r in row or
+column p and q (``_slot_sum``), with every entry and table value substituted
+once per check.  ``apply_bilinear``, which expands at a reserved variable
+first, remains the reference for general elements.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ from .algebra import (
     LIE,
     ConformalAlgebra,
     PreconditionError,
+    ProductTable,
     Vector,
-    apply_bilinear,
     sub_adjacent,
 )
 from .linmap import ConformalLinearMap
@@ -78,9 +82,6 @@ class Tensor3:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def entry(self, i: int, j: int, k: int) -> Poly:
-        return self.coeffs.get((i, j, k), Poly.zero(self.algebra.table))
-
 
 def normal_form3(t: Tensor3) -> Tensor3:
     """Reduce modulo the diagonal derivation: substitute d3 := -d1-d2."""
@@ -118,25 +119,35 @@ def parts(r: Tensor2) -> Parts:
     return Parts(r21, skew, sym, is_skew=sym.is_zero, is_sym=skew.is_zero)
 
 
-def _slot_vectors(A: ConformalAlgebra, r: Tensor2) -> tuple[list[list[Poly]], ...]:
-    """The entries of r as vectors over one tensor factor, for apply_bilinear.
-
-    rows[p][q] = cols[q][p] = the entry on (e_p, e_q).  cols3 moves the
-    second factor to slot 3 (d2 := d3); swapped exchanges d1 and d2, so that
-    d1 marks the second factor.
-    """
-    t, n = A.table, A.rank
-    if any(not (0 <= i < n and 0 <= j < n) for i, j in r.coeffs):
-        raise PreconditionError("tensor indices exceed the algebra rank")
-    zero = Poly.zero(t)
-    rows = [[zero] * n for _ in range(n)]
-    cols = [[zero] * n for _ in range(n)]
+def _grouped(A: ConformalAlgebra, r: Tensor2, at: dict[str, Poly],
+             by_column: bool = False) -> dict[int, list[tuple[int, Poly]]]:
+    """The nonzero entries f_pq|at of r: p -> [(q, f_pq|at)], or with
+    ``by_column`` q -> [(p, f_pq|at)]."""
+    n = A.rank
+    out: dict[int, list[tuple[int, Poly]]] = {}
     for (p, q), f in r.coeffs.items():
-        rows[p][q] = cols[q][p] = f
-    d1, d2, d3 = (Poly.var(t, v) for v in ("d1", "d2", "d3"))
-    cols3 = [[f.subs({"d2": d3}) for f in col] for col in cols]
-    swapped = [[f.subs({"d1": d2, "d2": d1}) for f in row] for row in rows]
-    return rows, cols, cols3, swapped
+        if not (0 <= p < n and 0 <= q < n):
+            raise PreconditionError("tensor indices exceed the algebra rank")
+        g = f.subs(at)
+        if not g.is_zero:
+            out.setdefault(q if by_column else p, []).append((p if by_column else q, g))
+    return out
+
+
+def _slot_sum(out: dict, products: ProductTable, at: dict[str, Poly], left: dict,
+              right: dict, place, sign: int = 1) -> None:
+    """out[place(k, u, v)] += sign * f * g * P_pqk|at over every table entry
+    (p, q) -> k, every (u, f) in left[p] and every (v, g) in right[q]."""
+    for (p, q), targets in products.items():
+        fs, gs = left.get(p), right.get(q)
+        if not fs or not gs:
+            continue
+        at_targets = [(k, P.subs(at) if sign > 0 else -P.subs(at)) for k, P in targets.items()]
+        for u, f in fs:
+            for v, g in gs:
+                fg = f * g
+                for k, P in at_targets:
+                    accumulate(out, place(k, u, v), fg * P)
 
 
 def cybe_residual(A: ConformalAlgebra, r: Tensor2) -> Tensor3:
@@ -150,25 +161,21 @@ def cybe_residual(A: ConformalAlgebra, r: Tensor2) -> Tensor3:
     """
     if A.kind != LIE:
         raise PreconditionError("conformal CYBE lives in a Lie-kind algebra")
-    t, n, P = A.table, A.rank, A.products
-    d2, d3 = Poly.var(t, "d2"), Poly.var(t, "d3")
-    rows, cols, cols3, swapped = _slot_vectors(A, r)
+    t, P = A.table, A.products
+    d1, d2 = Poly.var(t, "d1"), Poly.var(t, "d2")
+    d3 = -d1 - d2
+    rows_a = _grouped(A, r, {"d1": -d2})                      # f(-d2, d2)
+    rows_b = _grouped(A, r, {"d1": d1 + d2, "d2": d3})        # f(d1+d2, d3)
+    cols_c = _grouped(A, r, {"d2": -d1}, by_column=True)      # f(d1, -d1)
+    cols_e = _grouped(A, r, {"d1": d2, "d2": -d2}, by_column=True)  # f(d2, -d2)
     out: dict[tuple[int, int, int], Poly] = {}
-    for i in range(n):
-        for j in range(n):
-            # [a_i mu a_j] ox b_i ox b_j, mu := d2
-            vec = apply_bilinear(t, P, cols[i], cols3[j], d2, n, left="d1", right="d1", out="d1")
-            for k, p in enumerate(vec):
-                accumulate(out, (k, i, j), p)
-            # - a_i ox [a_j mu b_i] ox b_j, mu := d3
-            vec = apply_bilinear(t, P, cols3[j], rows[i], d3, n, left="d1", right="d2", out="d2")
-            for k, p in enumerate(vec):
-                accumulate(out, (i, k, j), -p)
-            # - a_i ox a_j ox [b_j mu b_i], mu := d2
-            vec = apply_bilinear(t, P, swapped[j], rows[i], d2, n, left="d1", right="d2", out="d3")
-            for k, p in enumerate(vec):
-                accumulate(out, (i, j, k), -p)
-    return normal_form3(Tensor3(A, out))
+    # [a_i mu a_j] ox b_i ox b_j, mu := d2
+    _slot_sum(out, P, {"d": d1, "x": d2}, rows_a, rows_b, lambda k, i, j: (k, i, j))
+    # - a_i ox [a_j mu b_i] ox b_j, mu := d3
+    _slot_sum(out, P, {"d": d2, "x": d3}, rows_b, cols_c, lambda k, j, i: (i, k, j), -1)
+    # - a_i ox a_j ox [b_j mu b_i], mu := d2
+    _slot_sum(out, P, {"d": d3, "x": d2}, cols_e, cols_c, lambda k, j, i: (i, j, k), -1)
+    return Tensor3(A, out, reduced=True)
 
 
 def s_residual(A: ConformalAlgebra, r: Tensor2) -> Tensor3:
@@ -181,26 +188,21 @@ def s_residual(A: ConformalAlgebra, r: Tensor2) -> Tensor3:
     """
     if A.kind != LEFT_SYMMETRIC:
         raise PreconditionError("the conformal S-equation lives in a left-symmetric algebra")
-    t, n, P = A.table, A.rank, A.products
+    t, P = A.table, A.products
     Q = sub_adjacent(A, checked=False).products
     d1, d2 = Poly.var(t, "d1"), Poly.var(t, "d2")
-    rows, cols, cols3, swapped = _slot_vectors(A, r)
+    d3 = -d1 - d2
+    rows_b = _grouped(A, r, {"d1": d1 + d2, "d2": d3})        # f(d1+d2, d3)
+    cols_c = _grouped(A, r, {"d2": -d1}, by_column=True)      # f(d1, -d1)
+    cols_e = _grouped(A, r, {"d1": d2, "d2": -d2}, by_column=True)  # f(d2, -d2)
     out: dict[tuple[int, int, int], Poly] = {}
-    for i in range(n):
-        for j in range(n):
-            # (l_j mu r_i) ox r_j ox l_i, mu := d2
-            vec = apply_bilinear(t, P, swapped[j], cols3[i], d2, n, left="d1", right="d1", out="d1")
-            for k, p in enumerate(vec):
-                accumulate(out, (k, j, i), p)
-            # - r_j ox (l_j mu r_i) ox l_i, mu := d1
-            vec = apply_bilinear(t, P, rows[j], cols3[i], d1, n, left="d2", right="d1", out="d2")
-            for k, p in enumerate(vec):
-                accumulate(out, (j, k, i), -p)
-            # - r_i ox r_j ox [l_i mu l_j], mu := d1
-            vec = apply_bilinear(t, Q, rows[i], swapped[j], d1, n, left="d2", right="d1", out="d3")
-            for k, p in enumerate(vec):
-                accumulate(out, (i, j, k), -p)
-    return normal_form3(Tensor3(A, out))
+    # (l_j mu r_i) ox r_j ox l_i, mu := d2
+    _slot_sum(out, P, {"d": d1, "x": d2}, cols_e, rows_b, lambda k, j, i: (k, j, i))
+    # - r_j ox (l_j mu r_i) ox l_i, mu := d1
+    _slot_sum(out, P, {"d": d2, "x": d1}, cols_c, rows_b, lambda k, j, i: (j, k, i), -1)
+    # - r_i ox r_j ox [l_i mu l_j], mu := d1
+    _slot_sum(out, Q, {"d": d3, "x": d1}, cols_c, cols_e, lambda k, i, j: (i, j, k), -1)
+    return Tensor3(A, out, reduced=True)
 
 
 def t_from_r(A: ConformalAlgebra, r: Tensor2) -> ConformalLinearMap:
@@ -255,17 +257,17 @@ def r_from_t(T: ConformalLinearMap, rep: Representation, mode: str = "skew",
 
 def cobracket_from_r(A: ConformalAlgebra, r: Tensor2, a: Vector) -> Tensor2:
     """Action of an element on both tensor slots, then argument := -d1-d2."""
-    t, n = A.table, A.rank
-    lam = -Poly.var(t, "d1") - Poly.var(t, "d2")
-    rows, cols, _, _ = _slot_vectors(A, r)
+    if len(a) != A.rank:
+        raise PreconditionError(f"element has {len(a)} components, the algebra rank is {A.rank}")
+    t, P = A.table, A.products
+    d1, d2 = Poly.var(t, "d1"), Poly.var(t, "d2")
+    lam = -d1 - d2
+    element = {p: [(p, h.subs({"d": -lam}))] for p, h in enumerate(a) if not h.is_zero}
     out: dict[tuple[int, int], Poly] = {}
-    for i in range(n):
-        for k, p in enumerate(apply_bilinear(t, A.products, a, cols[i], lam, n,
-                                             right="d1", out="d1")):
-            accumulate(out, (k, i), p)
-        for k, p in enumerate(apply_bilinear(t, A.products, a, rows[i], lam, n,
-                                             right="d2", out="d2")):
-            accumulate(out, (i, k), p)
+    _slot_sum(out, P, {"d": d1, "x": lam}, element,
+              _grouped(A, r, {"d1": -d2}), lambda k, _, i: (k, i))
+    _slot_sum(out, P, {"d": d2, "x": lam}, element,
+              _grouped(A, r, {"d2": -d1}, by_column=True), lambda k, _, i: (i, k))
     return Tensor2(A, out)
 
 

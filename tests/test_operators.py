@@ -13,6 +13,7 @@ from confalg import (
     Tensor2,
     VarTable,
     canonical_skew_tensor,
+    catalog,
     check_axioms,
     check_o_operator,
     check_rota_baxter,
@@ -213,6 +214,16 @@ class TestCocycles:
         report = cocycle_check(vir, form)
         assert not report.ok
         assert report.checks[0].residuals == [("(L,L)", "2")]
+
+    def test_form_of_the_wrong_size_rejected(self, table, P):
+        A = catalog("hv_lsc1_skew_r", table=table).algebra
+        assert A.rank == 4
+        small = BilinearForm(table, ("L",), [[P("x")]], "lie")
+        with pytest.raises(PreconditionError, match="form size"):
+            cocycle_check(A, small)
+        short_rows = BilinearForm(table, A.basis, [[P("x")] for _ in range(4)], "lie")
+        with pytest.raises(PreconditionError, match="form size"):
+            cocycle_check(A, short_rows)
 
     def test_non_solution_gives_non_cocycle(self, hv, P):
         # skew and non-degenerate, but not a Yang-Baxter solution: the

@@ -8,11 +8,12 @@ replaced.
 Each oracle spells out, per pair of tensor entries (or per pair of element
 components), the expansion of one sesquilinear product at the reserved
 variable z1, the shift by the slot derivation and the final substitution of
-z1.  The library computes the same sums through ``apply_bilinear``; the two
-must agree exactly, term for term, on zero and nonzero residuals alike.  The
-axiom and module oracles evaluate each basis tuple with ``mul_at``/``act``,
+z1.  The library substitutes each entry once, directly at the bracket's
+argument, and sums over nonzero table entries; the two must agree exactly,
+term for term, on zero and nonzero residuals alike.  The axiom, module and
+cocycle oracles evaluate each basis tuple with ``mul_at``/``act``/``eval_at``,
 which visit every slot; the library sums over chains of nonzero structure
-constants, and the two reports must be equal as dicts.
+constants (and form entries), and the two reports must be equal as dicts.
 """
 
 import dataclasses

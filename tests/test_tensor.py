@@ -1,16 +1,22 @@
 import pytest
 from hypothesis import given, settings
 
+import confalg.algebra
+import confalg.operators
+import confalg.tensor
 from confalg import (
     ConformalLinearMap,
     Poly,
+    PreconditionError,
     Tensor2,
     Tensor3,
     VarTable,
     canonical_skew_tensor,
     canonical_sym_tensor,
+    catalog,
     check_o_operator,
     cobracket_from_r,
+    cocycle_check,
     cybe_residual,
     dual_rep,
     flip,
@@ -25,6 +31,7 @@ from confalg import (
     with_zero_right,
 )
 from conftest import poly_strategy
+from test_oracles import COCYCLE_INPUTS, PERTURBED, rank8_cybe_tensors, rank8_s_tensors
 
 T = VarTable(params=("b", "g0", "g1", "g2", "g3"))
 
@@ -36,7 +43,7 @@ class TestNormalForm:
 
     def test_hand_reduction(self, vir, P):
         t = Tensor3(vir, {(0, 0, 0): P("d1-d2-3*d3")})
-        assert normal_form3(t).entry(0, 0, 0) == P("4*d1+2*d2")
+        assert normal_form3(t).coeffs[(0, 0, 0)] == P("4*d1+2*d2")
 
     def test_idempotent(self, vir, P):
         t = normal_form3(Tensor3(vir, {(0, 0, 0): P("d3^2")}))
@@ -114,7 +121,7 @@ class TestSEquation:
     def test_derivative_square_fails(self, comm1, P):
         # hand expansion: (d1+d2) d3 (d1^2 - d2^2), reduced by d3 := -d1-d2
         res = s_residual(comm1, Tensor2(comm1, {(0, 0): P("d1*d2")}))
-        assert res.entry(0, 0, 0) == -(P("d1+d2") ** 3) * P("d1-d2")
+        assert res.coeffs[(0, 0, 0)] == -(P("d1+d2") ** 3) * P("d1-d2")
         # agreement with the operator criterion: the associated map at zero
         # is not an O-operator for the dual of left multiplication
         T0 = t_from_r(comm1, Tensor2(comm1, {(0, 0): P("d1*d2")})).at_zero()
@@ -202,3 +209,41 @@ class TestCobracket:
         S = r1.algebra
         for a in [S.basis_vector(i) for i in range(S.rank)]:
             assert cobracket_from_r(S, r1, a) == cobracket_from_r(S, r2, a)
+
+    def test_element_of_the_wrong_length_rejected(self, table):
+        e = catalog("hv_lsc1_skew_r", table=table)
+        assert e.algebra.rank == 4
+        for size in (1, 6):
+            a = (Poly.const(table, 1),) * size
+            with pytest.raises(PreconditionError, match="components"):
+                cobracket_from_r(e.algebra, e.tensor, a)
+
+
+class TestSparseEngine:
+    def test_tensor_checks_avoid_the_dense_product(self, monkeypatch):
+        """The CYBE, the S-equation, the cobracket and the 2-cocycle check on the
+        rank-8 tensors and forms of the tensor-equation benchmark never call
+        apply_bilinear: each is a sum over nonzero table, tensor or form entries."""
+        cybe = {fam: rank8_cybe_tensors(fam) for fam in PERTURBED}
+        s_eq = {fam: rank8_s_tensors(fam) for fam in PERTURBED}
+
+        def dense(*args, **kwargs):
+            raise AssertionError("a tensor check took the dense path")
+
+        for module in (confalg.algebra, confalg.tensor, confalg.operators):
+            monkeypatch.setattr(module, "apply_bilinear", dense, raising=False)
+        for fam in PERTURBED:
+            for label, r in cybe[fam].items():
+                S = r.algebra
+                assert cybe_residual(S, r).is_zero == (label == "dense")
+                for i in range(S.rank):
+                    cobracket_from_r(S, r, S.basis_vector(i))
+            for label, r in s_eq[fam].items():
+                assert s_residual(r.algebra, r).is_zero == (label != "bumped")
+        for A, form in COCYCLE_INPUTS.values():
+            assert cocycle_check(A, form).ok
+        A, form = COCYCLE_INPUTS["S2.hv_lsc1.skew8"]
+        with pytest.raises(AssertionError, match="dense path"):
+            form.eval_at(A.basis_vector(0), A.basis_vector(4), Poly.var(A.table, "x"))
+        with pytest.raises(AssertionError, match="dense path"):
+            confalg.algebra.mul_at(A, A.basis_vector(0), A.basis_vector(0), Poly.var(A.table, "x"))

@@ -3,7 +3,9 @@ the endomorphism a tensor induces through a form, and the axiom and module
 checks and the 2-cocycle check, against reference oracles that expand every
 entry pair by hand or evaluate every basis tuple through the dense product.
 The zero-divisor probe is compared against the brute-force pair search it
-replaced.
+replaced, and the square/linear solver against the round-by-round elimination
+it replaced, which substitutes the whole assignment into every equation and
+matches every equation again after each elimination.
 
 Each oracle spells out, per pair of tensor entries (or per pair of element
 components), the expansion of one sesquilinear product at the reserved
@@ -29,7 +31,9 @@ from confalg import (
     LIE,
     ConformalAlgebra,
     GDBialgebra,
+    InconsistentSystem,
     Poly,
+    PolySystem,
     Report,
     Representation,
     Tensor2,
@@ -50,9 +54,12 @@ from confalg import (
     normal_form3,
     parse,
     r_from_t,
+    rb_constraints,
     regular_module,
     s_residual,
     semidirect,
+    solve_squares,
+    SolveResult,
     standard_rep,
     sub_adjacent,
     with_zero_right,
@@ -439,6 +446,86 @@ def oracle_probe(V, bound=3):
     return ProbeResult("unknown")
 
 
+def _match_square(eq, unknowns):
+    """q * v^2 with rational q and a single unknown v."""
+    if len(eq.terms) != 1:
+        return None
+    exps = next(iter(eq.terms))
+    names = [(eq.table.names[i], e) for i, e in enumerate(exps) if e]
+    if len(names) == 1 and names[0][1] == 2 and names[0][0] in unknowns:
+        return names[0][0]
+    return None
+
+
+def _match_linear(eq, unknowns):
+    """c * v + rest with rational c and rest free of v; first match by name."""
+    for v in sorted(eq.variables() & unknowns):
+        if eq.degree_in(v) != 1:
+            continue
+        coeff = eq.coefficient(v, 1)
+        c = coeff.constant_value()
+        if c is None or c == 0:
+            continue
+        rest = eq.coefficient(v, 0)
+        if coeff * Poly.var(eq.table, v) + rest == eq:
+            return v, c, rest
+    return None
+
+
+def oracle_solve_squares(system):
+    """Round by round: substitute the whole assignment into every equation,
+    then match every equation from the start; close the assignment under
+    itself at the end."""
+    unknowns = set(system.unknowns)
+    assignment = {}
+    equations = list(system.equations)
+    while True:
+        substituted = []
+        for eq in equations:
+            eq = eq.subs(assignment) if assignment else eq
+            value = eq.constant_value()
+            if value is not None:
+                if value != 0:
+                    raise InconsistentSystem(f"equation reduces to {value}")
+                continue
+            substituted.append(eq)
+        equations = substituted
+        progress = False
+        for eq in equations:
+            v = _match_square(eq, unknowns)
+            if v is not None:
+                assignment[v] = Poly.zero(system.table)
+                progress = True
+                break
+            m = _match_linear(eq, unknowns)
+            if m is not None:
+                v, c, rest = m
+                assignment[v] = rest * (Fraction(-1) / c)
+                progress = True
+                break
+        if not progress:
+            break
+    for _ in range(len(assignment)):
+        closed = {v: p.subs(assignment) for v, p in assignment.items()}
+        if closed == assignment:
+            break
+        assignment = closed
+    fixed = {v for v, p in assignment.items() if not (p.variables() & unknowns)}
+    if not equations and fixed == unknowns:
+        return SolveResult("solved", assignment, [])
+    return SolveResult("partial", assignment, equations)
+
+
+def solve_outcome(solve, system):
+    """Status, ordered assignment and remaining equations, or the message of
+    InconsistentSystem."""
+    try:
+        result = solve(system)
+    except InconsistentSystem as exc:
+        return "inconsistent", str(exc)
+    return result.status, list(result.assignment.items()), result.remaining
+
+
 # random structure constants over two free parameters, for the axiom and module
 # checks: most instances fail, so nonzero residuals are compared too
 BC = VarTable(params=("b", "c"))
@@ -686,3 +773,95 @@ class TestProbeOracle:
             assert not any(oracle_star(V, a, b))
             if want.status == "witness":
                 assert candidate_key(a) <= candidate_key(want.witness[0])
+
+
+# solver systems over 2-4 unknowns and the parameter b; the table lists the
+# unknowns in a drawn order, so that index order and name order differ
+SOLVER_NAMES = ("u", "v", "w3", "w12")
+SOLVER_COEFF = st.sampled_from([Fraction(c) for c in (1, -1, 2, -3)]
+                               + [Fraction(1, 2), Fraction(-2, 3)])
+
+
+@st.composite
+def solver_systems(draw):
+    """Sums of monomials of degree <= 2, mostly q*v^2 and c*v + rest so that
+    eliminations chain; zero and constant equations included."""
+    names = draw(st.permutations(SOLVER_NAMES))[:draw(st.integers(2, 4))]
+    table = VarTable(params=("b",) + tuple(names))
+
+    def terms(pool, count):
+        out = Poly.zero(table)
+        for _ in range(count):
+            monomial = Poly.const(table, 1)
+            for name in draw(st.lists(st.sampled_from(pool), max_size=2)):
+                monomial = monomial * Poly.var(table, name)
+            out = out + draw(SOLVER_COEFF) * monomial
+        return out
+
+    equations = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(("square", "linear", "linear", "general", "constant")))
+        v = draw(st.sampled_from(names))
+        if kind == "square":
+            eq = draw(SOLVER_COEFF) * Poly.var(table, v) ** 2
+        elif kind == "linear":
+            others = [n for n in names if n != v] + ["b"]
+            eq = draw(SOLVER_COEFF) * Poly.var(table, v) + terms(others, draw(st.integers(0, 3)))
+        elif kind == "general":
+            eq = terms(list(names) + ["b"], draw(st.integers(0, 4)))
+        else:
+            eq = Poly.const(table, draw(st.sampled_from((0, 0, 0, 1, -2))))
+        equations.append(eq)
+    return PolySystem(table, tuple(names), equations)
+
+
+def workload_systems():
+    """The constraint systems of the benchmark's systems workload, at weights 0 and 1."""
+    plain = VarTable()
+    vir = catalog("vir", table=plain).algebra
+    hv = catalog("hv", table=plain).algebra
+    hv_dual = semidirect(hv, dual_rep(standard_rep(hv, "adjoint")), checked=False)
+    for name, A, degrees in (("vir", vir, range(1, 5)), ("hv", hv, range(1, 5)),
+                             ("hv_dual", hv_dual, range(0, 3))):
+        for D in degrees:
+            for weight in (0, 1):
+                yield f"{name}.D{D}.w{weight}", A, D, weight
+
+
+WORKLOAD_SYSTEMS = {label: (A, D, w) for label, A, D, w in workload_systems()}
+
+
+class TestSolverOracle:
+    @given(system=solver_systems())
+    @settings(max_examples=200, deadline=None)
+    def test_random_systems(self, system):
+        assert solve_outcome(solve_squares, system) == solve_outcome(oracle_solve_squares, system)
+
+    def test_unknown_outside_the_table(self):
+        """An unknown the table does not hold is never eliminated."""
+        table = VarTable(params=("u",))
+        u = Poly.var(table, "u")
+        system = PolySystem(table, ("u", "zz"), [u * u, u * u - 2 * u])
+        want = solve_outcome(oracle_solve_squares, system)
+        assert want[0] == "partial"
+        assert solve_outcome(solve_squares, system) == want
+
+    def test_chain_and_inconsistency(self):
+        """A chain whose first value needs two back-substitutions, and a
+        system that an elimination makes inconsistent."""
+        table = VarTable(params=("b", "w12", "u", "v"))
+        u, v, w = (Poly.var(table, n) for n in ("u", "v", "w12"))
+        b = Poly.var(table, "b")
+        chained = PolySystem(table, ("u", "v", "w12"), [w + u * v, u - b * v, v - 1])
+        want = solve_outcome(oracle_solve_squares, chained)
+        assert want == ("solved", [("w12", -b), ("u", b), ("v", Poly.const(table, 1))], [])
+        assert solve_outcome(solve_squares, chained) == want
+        bad = PolySystem(table, ("u", "v"), [u * v + 1, v * v])
+        assert solve_outcome(oracle_solve_squares, bad) == ("inconsistent", "equation reduces to 1")
+        assert solve_outcome(solve_squares, bad) == solve_outcome(oracle_solve_squares, bad)
+
+    @pytest.mark.parametrize("label", sorted(WORKLOAD_SYSTEMS))
+    def test_workload_systems(self, label):
+        A, D, weight = WORKLOAD_SYSTEMS[label]
+        system, _ = rb_constraints(A, D, weight)
+        assert solve_outcome(solve_squares, system) == solve_outcome(oracle_solve_squares, system)

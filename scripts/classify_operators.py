@@ -11,7 +11,7 @@ Usage: python scripts/classify_operators.py [--degree D]
 
 import argparse
 
-from confalg import Poly, VarTable, catalog, rb_constraints, solve_squares
+from confalg import Poly, VarTable, catalog, parse, rb_constraints, solve_squares
 
 
 def show_system(name, system):
@@ -47,6 +47,7 @@ def main():
 
     # verify the two known families against the system
     print("  family checks against the surviving system:")
+    ext = system2.table.extended(("b", "g0", "g1", "g2", "g3"))
     all_ok = True
     for label, content in (
         ("T(L) = -b(L+W), T(W) = b(L+W)",
@@ -55,8 +56,6 @@ def main():
          {f"t0_1_{k}": g for k, g in enumerate(("g0", "g1", "g2", "g3"))
           if k <= args.degree}),
     ):
-        ext = system2.table.extended(("b", "g0", "g1", "g2", "g3"))
-        from confalg import parse
         assign = {u: Poly.zero(ext) for u in system2.unknowns}
         for k, v in content.items():
             if k in assign:

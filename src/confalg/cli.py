@@ -4,8 +4,8 @@ emit a machine-readable report.
 The input document carries named sections ("algebra", "representation",
 "map", "tensor", "form", "gd", "element", "system"); a section may be a
 full JSON presentation or the name of a catalog entry.  Exit codes:
-0 all checks passed, 1 a check failed (nonzero residual, Partial solve,
-witness found), 2 malformed input or violated precondition.
+0 all checks passed, 1 a check failed (nonzero residual, partial or
+inconsistent solve, witness found), 2 malformed input or violated precondition.
 """
 
 from __future__ import annotations
@@ -41,8 +41,7 @@ from .tensor import cobracket_from_r, cybe_residual, r_from_t, s_residual, t_fro
 from .io_json import InputError
 
 USAGE_ERRORS = (InputError, PolyError, PreconditionError, AlgebraError,
-                NotInvertible, NotQuadratic, DegenerateForm, UnknownEntry,
-                InconsistentSystem, ValueError)
+                NotInvertible, NotQuadratic, DegenerateForm, UnknownEntry, ValueError)
 
 # sections that may name a catalog entry (or, for representation, a standard
 # construction), and sections that must be objects
@@ -290,7 +289,12 @@ def cmd_rb_constraints(sess: Session, args) -> int:
 def cmd_solve(sess: Session, args) -> int:
     # a document without a system section is itself one, as rb-constraints writes it
     system = io.system_from_dict(sess.doc["system"] if "system" in sess.doc else sess.doc)
-    result = solve_squares(system)
+    try:
+        result = solve_squares(system)
+    except InconsistentSystem as exc:
+        # a well-formed system with no solution is a decided check, not bad input
+        _emit(args, {"status": "inconsistent", "reason": str(exc)})
+        return 1
     payload = {
         "status": result.status,
         "assignment": {k: str(v) for k, v in sorted(result.assignment.items())},

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 
 from .algebra import (
     LEFT_SYMMETRIC,
@@ -332,78 +333,80 @@ class SolveResult:
         return self.status == "solved"
 
 
-def _match_square(eq: Poly, unknowns: set[str]) -> str | None:
-    """q * v^2 with rational q and a single unknown v."""
-    if len(eq.terms) != 1:
+def _live(eq: Poly, unknowns: dict[int, str]) -> list | None:
+    """[eq, the unknowns it holds, its match] from one pass over its terms, or
+    None when eq is zero.
+
+    The match is (v, None) for q*v^2, or (v, c) for c*v + rest with v in no
+    other term; the square comes first, then the linear unknown first by name.
+    Raises InconsistentSystem when eq is a nonzero constant.
+    """
+    value = eq.constant_value()
+    if value is not None:
+        if value != 0:
+            raise InconsistentSystem(f"equation reduces to {value}")
         return None
-    exps = next(iter(eq.terms))
-    names = [(eq.table.names[i], e) for i, e in enumerate(exps) if e]
-    if len(names) == 1 and names[0][1] == 2 and names[0][0] in unknowns:
-        return names[0][0]
-    return None
-
-
-def _match_linear(eq: Poly, unknowns: set[str]) -> tuple[str, Fraction, Poly] | None:
-    """c * v + rest with rational c and rest free of v; first match by name."""
-    for v in sorted(eq.variables() & unknowns):
-        if eq.degree_in(v) != 1:
-            continue
-        coeff = eq.coefficient(v, 1)
-        c = coeff.constant_value()
-        if c is None or c == 0:
-            continue
-        rest = eq.coefficient(v, 0)
-        # all terms must have v-degree 0 or 1; degree_in == 1 ensures max,
-        # and the two cofactors must rebuild the equation exactly.
-        if coeff * Poly.var(eq.table, v) + rest == eq:
-            return v, c, rest
-    return None
+    count: dict[int, int] = {}  # unknown -> number of terms that hold it
+    units: dict[int, int | Fraction] = {}  # unknown v -> c of the term c*v
+    positions = range(len(eq.table.names))
+    for exps, c in eq.terms.items():
+        held = list(compress(positions, exps))  # the variables of this term
+        for i in held:
+            if i in unknowns:
+                count[i] = count.get(i, 0) + 1
+        if len(held) == 1 and held[0] in unknowns:
+            if exps[held[0]] == 2 and len(eq.terms) == 1:
+                return [eq, set(count), (held[0], None)]
+            if exps[held[0]] == 1:
+                units[held[0]] = c
+    linear = [i for i in units if count[i] == 1]
+    if not linear:
+        return [eq, set(count), None]
+    v = min(linear, key=unknowns.__getitem__)
+    return [eq, set(count), (v, units[v])]
 
 
 def solve_squares(system: PolySystem) -> SolveResult:
     """Iterated square and linear elimination; sound, deliberately incomplete.
 
+    Each round eliminates one unknown through the first equation, in list
+    order, that matches: q*v^2 sets v := 0, and c*v + rest with v in no other
+    term sets v := -rest/c. Within an equation the square comes first, then
+    the linear unknown first by name. Only the equations that hold v are
+    substituted and matched again; an assigned unknown appears in no live
+    equation and in no value assigned after it.
+
     Raises InconsistentSystem when an equation reduces to a nonzero constant.
     """
-    unknowns = set(system.unknowns)
+    table = system.table
+    unknowns = {table.index[v]: v for v in set(system.unknowns) if v in table.index}
     assignment: dict[str, Poly] = {}
-    equations = list(system.equations)
+    live = [state for state in (_live(eq, unknowns) for eq in system.equations) if state]
     while True:
-        substituted = []
-        for eq in equations:
-            eq = eq.subs(assignment) if assignment else eq
-            value = eq.constant_value()
-            if value is not None:
-                if value != 0:
-                    raise InconsistentSystem(f"equation reduces to {value}")
-                continue
-            substituted.append(eq)
-        equations = substituted
-        progress = False
-        for eq in equations:
-            v = _match_square(eq, unknowns)
-            if v is not None:
-                assignment[v] = Poly.zero(system.table)
-                progress = True
-                break
-            m = _match_linear(eq, unknowns)
-            if m is not None:
-                v, c, rest = m
-                assignment[v] = rest * (Fraction(-1) / c)
-                progress = True
-                break
-        if not progress:
+        first = next((state for state in live if state[2] is not None), None)
+        if first is None:
             break
-    # close the assignment under itself so solved values are unknown-free
-    for _ in range(len(assignment)):
-        closed = {v: p.subs(assignment) for v, p in assignment.items()}
-        if closed == assignment:
-            break
-        assignment = closed
-    fixed = {v for v, p in assignment.items() if not (p.variables() & unknowns)}
-    if not equations and fixed == unknowns:
+        eq, _, (v, c) = first
+        name = unknowns[v]
+        value = Poly.zero(table) if c is None else eq.coefficient(name, 0) * (Fraction(-1) / c)
+        assignment[name] = value
+        kept = []
+        for state in live:
+            if v in state[1]:
+                state = _live(state[0].subs({name: value}), unknowns)
+            if state:
+                kept.append(state)
+        live = kept
+    # back-substitute in reverse elimination order, so solved values are unknown-free
+    closed: dict[str, Poly] = {}
+    for name in reversed(assignment):
+        closed[name] = assignment[name].subs(closed)
+    assignment = {name: closed[name] for name in assignment}
+    names = set(system.unknowns)
+    fixed = {v for v, p in assignment.items() if not (p.variables() & names)}
+    if not live and fixed == names:
         return SolveResult("solved", assignment, [])
-    return SolveResult("partial", assignment, equations)
+    return SolveResult("partial", assignment, [state[0] for state in live])
 
 
 # -- invariant bilinear forms --------------------------------------------------

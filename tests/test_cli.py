@@ -222,6 +222,15 @@ class TestCli:
         doc = {"system": {"unknowns": ["u", "v"], "equations": ["u*v"]}}
         assert run(tmp_path, "solve", doc) == 1
 
+    def test_inconsistent_solve_exit(self, tmp_path, capsys):
+        """A well-formed system without solutions is a failed check, not bad input."""
+        doc = {"system": {"unknowns": ["u"], "equations": ["u^2", "u+1"]}}
+        assert run(tmp_path, "solve", doc) == 1
+        out = capsys.readouterr()
+        assert json.loads(out.out) == {"status": "inconsistent",
+                                       "reason": "equation reduces to 1"}
+        assert out.err == ""
+
     def test_empty_equation_list_solves(self, tmp_path):
         assert run(tmp_path, "solve", {"system": {"equations": []}}) == 0
 

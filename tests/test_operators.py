@@ -327,6 +327,25 @@ class TestSolver:
         with pytest.raises(InconsistentSystem):
             solve_squares(system)
 
+    def test_substitutes_only_equations_that_hold_the_unknown(self, monkeypatch):
+        """Work guard: each elimination substitutes into the equations that hold
+        the eliminated unknown, not into every equation (13,090 calls when
+        every round substituted the whole assignment into every equation)."""
+        hv = catalog("hv", table=VarTable()).algebra
+        hv_dual = semidirect(hv, dual_rep(standard_rep(hv, "adjoint")), checked=False)
+        system, _ = rb_constraints(hv_dual, 2, 0)
+        calls = []
+        subs = Poly.subs
+
+        def counted(p, mapping):
+            calls.append(mapping)
+            return subs(p, mapping)
+
+        monkeypatch.setattr(Poly, "subs", counted)
+        res = solve_squares(system)
+        assert res.status == "partial" and len(res.assignment) == 17
+        assert len(calls) <= 4000
+
     def test_rank2_classification_stays_partial(self, hv):
         # the rank-2 system has genuinely mixed quadratic equations, so the
         # limited solver reports partial rather than guessing; both known

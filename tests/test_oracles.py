@@ -5,7 +5,9 @@ entry pair by hand or evaluate every basis tuple through the dense product.
 The zero-divisor probe is compared against the brute-force pair search it
 replaced, and the square/linear solver against the round-by-round elimination
 it replaced, which substitutes the whole assignment into every equation and
-matches every equation again after each elimination.
+matches every equation again after each elimination.  The coefficient-window
+checks are compared against the sweep that brackets general window elements
+with ``CoeffWindow.bracket`` and lifts them with ``lift_map``.
 
 Each oracle spells out, per pair of tensor entries (or per pair of element
 components), the expansion of one sesquilinear product at the reserved
@@ -29,17 +31,20 @@ from hypothesis import strategies as st
 from confalg import (
     LEFT_SYMMETRIC,
     LIE,
+    OUT_OF_WINDOW,
     ConformalAlgebra,
     GDBialgebra,
     InconsistentSystem,
     Poly,
     PolySystem,
+    PreconditionError,
     Report,
     Representation,
     Tensor2,
     Tensor3,
     VarTable,
     catalog,
+    CoeffWindow,
     canonical_skew_tensor,
     canonical_sym_tensor,
     cobracket_from_r,
@@ -62,11 +67,13 @@ from confalg import (
     SolveResult,
     standard_rep,
     sub_adjacent,
+    window_checks,
     with_zero_right,
     zero_divisor_probe,
 )
 from confalg.algebra import vec_add, vec_sub
 from confalg.operators import BilinearForm, form_pr_map
+from confalg.poly import accumulate
 from confalg.gd import ProbeResult
 from confalg.linmap import ConformalLinearMap, ModuleMap
 from confalg.reps import act, act_at
@@ -865,3 +872,139 @@ class TestSolverOracle:
         A, D, weight = WORKLOAD_SYSTEMS[label]
         system, _ = rb_constraints(A, D, weight)
         assert solve_outcome(solve_squares, system) == solve_outcome(oracle_solve_squares, system)
+
+
+def _window_add(a, b):
+    out = dict(a)
+    for key, c in b.items():
+        accumulate(out, key, c)
+    return out
+
+
+def _window_sub(a, b):
+    return _window_add(a, {key: -c for key, c in b.items()})
+
+
+def oracle_window_checks(w, T=None, weight=0):
+    """The window sweep that brackets general elements: each Jacobi triple
+    brackets a unit with a unit-pair bracket through ``CoeffWindow.bracket``,
+    and each Rota-Baxter pair lifts general elements through ``lift_map``."""
+    if w.algebra.kind != LIE:
+        raise PreconditionError("window checks expect a Lie-kind algebra")
+    syms = w.symbols()
+    units = [w.unit(*sym) for sym in syms]
+    names = tuple(w.label(*sym) for sym in syms)
+    targets = dict(zip(syms, names))
+    pair = {(a, b): w.bracket(units[a], units[b])
+            for a in range(len(syms)) for b in range(len(syms))}
+
+    def antisymmetry(a, b):
+        if OUT_OF_WINDOW in (pair[a, b], pair[b, a]):
+            return None
+        return _window_add(pair[a, b], pair[b, a])
+
+    def jacobi(a, b, c):
+        ab, bc, ac = pair[a, b], pair[b, c], pair[a, c]
+        if OUT_OF_WINDOW in (ab, bc, ac):
+            return None
+        lhs = w.bracket(units[a], bc)
+        t1 = w.bracket(ab, units[c])
+        t2 = w.bracket(units[b], ac)
+        if OUT_OF_WINDOW in (lhs, t1, t2):
+            return None
+        return _window_sub(_window_sub(lhs, t1), t2)
+
+    report = Report()
+    report.sweep("antisymmetry", (names,) * 2, antisymmetry, targets, "[{},{}]")
+    report.sweep("jacobi", (names,) * 3, jacobi, targets, "[{},[{},{}]]")
+    if T is not None:
+        alpha = weight if isinstance(weight, Poly) else Poly.const(w.algebra.table, weight)
+        lift = w.lift_map(T)
+        lifted_units = [lift(u) for u in units]
+
+        def lifted_rota_baxter(a, b):
+            ta, tb = lifted_units[a], lifted_units[b]
+            if OUT_OF_WINDOW in (ta, tb):
+                return None
+            lhs = w.bracket(ta, tb)
+            r1 = lift(w.bracket(ta, units[b]))
+            r2 = lift(w.bracket(units[a], tb))
+            r3 = lift(pair[a, b])
+            if OUT_OF_WINDOW in (lhs, r1, r2, r3):
+                return None
+            return _window_sub(lhs, _window_add(_window_add(r1, r2),
+                                                {k: c * alpha for k, c in r3.items()}))
+
+        report.sweep("lifted_rota_baxter", (names,) * 2, lifted_rota_baxter, targets)
+    return report
+
+
+# window algebras: Virasoro, Heisenberg-Virasoro, the rank-1 table d+3*x (which
+# fails antisymmetry) and a rank-2 table whose constants hold b and whose
+# x^2 entry has a second n-th product (most of its instances fail)
+BA = VarTable(params=("b", "alpha"))
+WINDOW_ALGEBRAS = {
+    "vir": ConformalAlgebra(LIE, ("L",), BA, {(0, 0): {0: parse(BA, "d+2*x")}}),
+    "hv": ConformalAlgebra(LIE, ("L", "W"), BA, {(0, 0): {0: parse(BA, "d+2*x")},
+                                                 (0, 1): {1: parse(BA, "d+x")},
+                                                 (1, 0): {1: parse(BA, "x")}}),
+    "mutant": ConformalAlgebra(LIE, ("L",), BA, {(0, 0): {0: parse(BA, "d+3*x")}}),
+    "b_table": ConformalAlgebra(LIE, ("L", "W"), BA, {
+        (0, 0): {0: parse(BA, "d+2*x")},
+        (0, 1): {1: parse(BA, "b*d+b*x")},
+        (1, 0): {0: parse(BA, "b"), 1: parse(BA, "x-b*d")},
+        (1, 1): {0: parse(BA, "b*x^2"), 1: parse(BA, "1")}}),
+}
+WINDOW_WEIGHTS = (0, Fraction(1, 2), Poly.var(BA, "alpha"))
+map_entry = poly_strategy(BA, names=("d", "b"), max_terms=3, max_degree=3)
+
+
+@st.composite
+def window_cases(draw):
+    """An algebra, a window 0-4 with shifts -2..2, an optional map with entries
+    in d and b, and a weight."""
+    A = WINDOW_ALGEBRAS[draw(st.sampled_from(sorted(WINDOW_ALGEBRAS)))]
+    shifts = draw(st.dictionaries(st.integers(0, A.rank - 1), st.integers(-2, 2)))
+    w = CoeffWindow(A, draw(st.integers(0, 4)), shifts)
+    T = None
+    if draw(st.booleans()):
+        T = ModuleMap(BA, [[draw(map_entry) for _ in range(A.rank)] for _ in range(A.rank)])
+    return w, T, draw(st.sampled_from(WINDOW_WEIGHTS))
+
+
+def workload_windows():
+    """The four windows of the benchmark's systems workload."""
+    table = VarTable(params=("b", "g0", "g1", "g2", "g3"))
+    hv = catalog("hv", table=table).algebra
+    for N in (4, 6):
+        for fam in (1, 2):
+            yield f"N{N}.family{fam}", N, hv, catalog(f"hv_rb_family{fam}", table=table).linmap
+
+
+WORKLOAD_WINDOWS = {label: (N, A, T) for label, N, A, T in workload_windows()}
+
+
+class TestWindowOracle:
+    @given(case=window_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_random_windows(self, case):
+        w, T, weight = case
+        want = oracle_window_checks(CoeffWindow(w.algebra, w.N, w.shifts), T, weight)
+        assert window_checks(w, T, weight).to_dict() == want.to_dict()
+
+    def test_failing_instances_are_compared(self):
+        """The b table fails all three checks, and the perturbed family fails
+        the lift, so residuals and skips are compared, not only verdicts."""
+        A = WINDOW_ALGEBRAS["b_table"]
+        T = ModuleMap(BA, [[parse(BA, "-b"), parse(BA, "1-b+d^2")],
+                           [parse(BA, "b*d"), parse(BA, "b")]])
+        for weight in WINDOW_WEIGHTS:
+            want = oracle_window_checks(CoeffWindow(A, 3, {0: 1}), T, weight).to_dict()
+            assert [c["ok"] for c in want["checks"]] == [False, False, False]
+            assert window_checks(CoeffWindow(A, 3, {0: 1}), T, weight).to_dict() == want
+
+    @pytest.mark.parametrize("label", sorted(WORKLOAD_WINDOWS))
+    def test_workload_windows(self, label):
+        N, A, T = WORKLOAD_WINDOWS[label]
+        want = oracle_window_checks(CoeffWindow(A, N, {0: 1, 1: 0}), T, 0)
+        assert window_checks(CoeffWindow(A, N, {0: 1, 1: 0}), T, 0).to_dict() == want.to_dict()

@@ -343,7 +343,13 @@ def cmd_coeff(sess: Session, args) -> int:
         name, _, value = spec.partition("=")
         if name not in A.basis:
             raise InputError(f"unknown generator {name!r} in --shift")
-        shifts[A.basis.index(name)] = int(value)
+        i = A.basis.index(name)
+        if i in shifts:
+            raise InputError(f"--shift names generator {name!r} twice")
+        try:
+            shifts[i] = int(value)
+        except ValueError:
+            raise InputError(f"--shift expects name=integer, got {spec!r}") from None
     w = CoeffWindow(A, args.window, shifts)
     T = sess.section("map", A.basis, A.basis, required=False)
     return _report_result(args, window_checks(w, T, sess.weight(args)))

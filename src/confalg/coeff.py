@@ -11,6 +11,14 @@ Only a finite symmetric index window [-N, N] is materialized; products that
 need an index outside the window return the OutOfWindow sentinel, which
 property checks treat as "skip".  An optional per-generator shift relabels
 v_m as v_{m+s} to reproduce textbook index conventions.
+
+``window_checks`` brackets no general elements.  It builds one unit-pair
+table, the bracket of every two window symbols as [(symbol, coefficient)],
+and evaluates each identity as a sum over chains of its entries, as
+``algebra._chains`` does for basis tuples: [a,[b,c]] = sum_k C_bc^k C_ak.  The
+lifted operator is linear, so T(x) = sum_k x_k T(u_k) with each lifted unit
+computed once.  The Jacobi sweep visits (rank * (2N + 1))^3 triples, and a
+window past ``MAX_WINDOW_TRIPLES`` of them is refused before any is built.
 """
 
 from __future__ import annotations
@@ -33,6 +41,9 @@ class OutOfWindow:
 
 
 OUT_OF_WINDOW = OutOfWindow()
+
+# the most Jacobi triples, (rank * (2N + 1))^3, that window_checks sweeps
+MAX_WINDOW_TRIPLES = 1_000_000
 
 # window element: (basis index, user index) -> coefficient (parameter poly)
 WinElem = dict[tuple[int, int], Poly]
@@ -159,69 +170,84 @@ class CoeffWindow:
         return lifted
 
 
-def _add(a: WinElem, b: WinElem) -> WinElem:
-    out = dict(a)
-    for key, c in b.items():
-        accumulate(out, key, c)
-    return out
-
-
-def _sub(a: WinElem, b: WinElem) -> WinElem:
-    return _add(a, {key: -c for key, c in b.items()})
+def _chain(out: dict, terms, rows, sign: int = 1) -> bool:
+    """Add sign * sum of c * rows[k] over (k, c) in `terms` into `out`, where a
+    row is [(symbol, coefficient)]; False as soon as a needed row is None."""
+    for k, c in terms:
+        row = rows[k]
+        if row is None:
+            return False
+        for m, q in row:
+            p = c * q
+            accumulate(out, m, p if sign > 0 else -p)
+    return True
 
 
 def window_checks(w: CoeffWindow, T: ModuleMap | None = None,
                   weight: Poly | Fraction | int = 0) -> Report:
     """Lie axioms on window symbols, and the lifted Rota-Baxter identity.
 
-    Triples (or pairs) with any product outside the window are skipped; the
-    report covers every admissible combination.
+    Each is a chain sum over the unit-pair table, whose entry is None for a
+    pair that leaves the window.  A triple (or pair) is skipped when a pair it
+    needs leaves the window, or when a symbol in the support of an argument of
+    the lift lifts out of it; the report covers every admissible combination.
     """
     if w.algebra.kind != LIE:
         raise PreconditionError("window checks expect a Lie-kind algebra")
+    n = w.algebra.rank * (2 * w.N + 1)
+    if n ** 3 > MAX_WINDOW_TRIPLES:
+        raise PreconditionError(f"window {w.N} needs {n ** 3} Jacobi triples, "
+                                f"over the cap of {MAX_WINDOW_TRIPLES}")
     syms = w.symbols()
-    units = [w.unit(*sym) for sym in syms]
+    index = {sym: a for a, sym in enumerate(syms)}
     names = tuple(w.label(*sym) for sym in syms)
-    targets = dict(zip(syms, names))
-    # the unit-pair brackets, each computed once; OUT_OF_WINDOW marks a skip
-    pair = {(a, b): w.bracket(units[a], units[b])
-            for a in range(len(syms)) for b in range(len(syms))}
+
+    def row(elem):
+        return None if elem is OUT_OF_WINDOW else [(index[k], c) for k, c in elem.items()]
+
+    table = [[row(w._pair_bracket(*sa, *sb)) for sb in syms] for sa in syms]
+    cols = list(zip(*table))
 
     def antisymmetry(a, b):
-        if OUT_OF_WINDOW in (pair[a, b], pair[b, a]):
+        ab, ba = table[a][b], table[b][a]
+        if ab is None or ba is None:
             return None
-        return _add(pair[a, b], pair[b, a])
+        out: dict = {}
+        for m, q in ab + ba:
+            accumulate(out, m, q)
+        return out
 
     def jacobi(a, b, c):
-        ab, bc, ac = pair[a, b], pair[b, c], pair[a, c]
-        if OUT_OF_WINDOW in (ab, bc, ac):
+        ab, bc, ac = table[a][b], table[b][c], table[a][c]
+        if ab is None or bc is None or ac is None:
             return None
-        lhs = w.bracket(units[a], bc)
-        t1 = w.bracket(ab, units[c])
-        t2 = w.bracket(units[b], ac)
-        if OUT_OF_WINDOW in (lhs, t1, t2):
-            return None
-        return _sub(_sub(lhs, t1), t2)
+        out: dict = {}
+        if (_chain(out, bc, table[a]) and _chain(out, ab, cols[c], -1)
+                and _chain(out, ac, table[b], -1)):
+            return out
+        return None
 
     report = Report()
-    report.sweep("antisymmetry", (names,) * 2, antisymmetry, targets, "[{},{}]")
-    report.sweep("jacobi", (names,) * 3, jacobi, targets, "[{},[{},{}]]")
+    report.sweep("antisymmetry", (names,) * 2, antisymmetry, names, "[{},{}]")
+    report.sweep("jacobi", (names,) * 3, jacobi, names, "[{},[{},{}]]")
     if T is not None:
         alpha = weight if isinstance(weight, Poly) else Poly.const(w.algebra.table, weight)
         lift = w.lift_map(T)
-        lifted_units = [lift(u) for u in units]
+        lifted = [row(lift(w.unit(*sym))) for sym in syms]
 
         def lifted_rota_baxter(a, b):
-            ta, tb = lifted_units[a], lifted_units[b]
-            if OUT_OF_WINDOW in (ta, tb):
+            ta, tb, ab = lifted[a], lifted[b], table[a][b]
+            if ta is None or tb is None or ab is None:
                 return None
-            lhs = w.bracket(ta, tb)
-            r1 = lift(w.bracket(ta, units[b]))
-            r2 = lift(w.bracket(units[a], tb))
-            r3 = lift(pair[a, b])
-            if OUT_OF_WINDOW in (lhs, r1, r2, r3):
-                return None
-            return _sub(lhs, _add(_add(r1, r2), {k: c * alpha for k, c in r3.items()}))
+            # [T a, T b] - T([T a, b] + [a, T b] + alpha [a, b])
+            out, left, right = {}, {}, {}
+            if (all(_chain(out, [(l, c * q) for l, q in tb], table[k]) for k, c in ta)
+                    and _chain(left, ta, cols[b]) and _chain(right, tb, table[a])
+                    and _chain(out, left.items(), lifted, -1)
+                    and _chain(out, right.items(), lifted, -1)
+                    and _chain(out, [(k, c * alpha) for k, c in ab], lifted, -1)):
+                return out
+            return None
 
-        report.sweep("lifted_rota_baxter", (names,) * 2, lifted_rota_baxter, targets)
+        report.sweep("lifted_rota_baxter", (names,) * 2, lifted_rota_baxter, names)
     return report

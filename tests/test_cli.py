@@ -387,6 +387,15 @@ class TestRejectedInput:
                      (), 'algebra.products["L,L"].L: total degree', id="parse_degree_cap"),
         pytest.param("coeff", {"algebra": "hv"}, ("--window", "-1"), "--window",
                      id="negative_window"),
+        pytest.param("coeff", {"algebra": "hv"}, ("--window", "100000"),
+                     "Jacobi triples, over the cap of 1000000", id="window_cap"),
+        pytest.param("coeff", {"algebra": "hv"}, ("--window", "2", "--shift", "L"),
+                     "--shift expects name=integer, got 'L'", id="shift_without_value"),
+        pytest.param("coeff", {"algebra": "hv"}, ("--window", "2", "--shift", "L=x"),
+                     "--shift expects name=integer, got 'L=x'", id="shift_not_integer"),
+        pytest.param("coeff", {"algebra": "hv"},
+                     ("--window", "2", "--shift", "L=1", "--shift", "L=2"),
+                     "--shift names generator 'L' twice", id="shift_twice"),
         pytest.param("rb-constraints", {"algebra": "vir"}, ("--degree", "-1"), "--degree",
                      id="negative_degree"),
     ])

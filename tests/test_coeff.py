@@ -1,12 +1,18 @@
 from fractions import Fraction
 
+import pytest
+
+import confalg.coeff
 from confalg import (
     OUT_OF_WINDOW,
     CoeffWindow,
     ConformalAlgebra,
     ModuleMap,
     Poly,
+    PreconditionError,
+    VarTable,
     bracket,
+    catalog,
     check_rota_baxter,
     nth_products,
     window_checks,
@@ -146,3 +152,50 @@ class TestWindowChecks:
         anti, jacobi = window_checks(CoeffWindow(mutant, 1)).checks
         assert ("[L_0,L_1]->L_0", "1") in anti.residuals
         assert ("[L_-1,[L_1,L_1]]->L_-1", "-3") in jacobi.residuals
+
+
+class TestChainSums:
+    def test_window_checks_bracket_no_general_elements(self, monkeypatch, hv, table, P):
+        """Every identity is a chain sum over the unit-pair table, on passing
+        and failing maps alike."""
+        def general(*args, **kwargs):
+            raise AssertionError("window_checks bracketed general elements")
+
+        monkeypatch.setattr(CoeffWindow, "bracket", general)
+        good = ModuleMap(table, [[P("-b"), P("-b")], [P("b"), P("b")]])
+        bad = ModuleMap(table, [[P("-b"), P("1-b")], [P("b"), P("b")]])
+        w = CoeffWindow(hv, 4, shifts={0: 1, 1: 0})
+        assert window_checks(w, good, 0).ok
+        assert [c.ok for c in window_checks(w, bad, 0).checks] == [True, True, False]
+        with pytest.raises(AssertionError, match="general elements"):
+            w.bracket(w.unit(0, 0), w.unit(0, 1))
+
+    def test_multiplications_on_the_benchmark_windows(self, monkeypatch):
+        """The four windows of the systems benchmark workload take at most
+        50,000 polynomial multiplications; bracketing general elements for
+        every Jacobi triple took 99,474."""
+        t = VarTable(params=("b", "g0", "g1", "g2", "g3"))
+        hv = catalog("hv", table=t).algebra
+        maps = [catalog(f"hv_rb_family{fam}", table=t).linmap for fam in (1, 2)]
+        mul = Poly.__mul__
+        calls = 0
+
+        def counting(self, other):
+            nonlocal calls
+            calls += 1
+            return mul(self, other)
+
+        monkeypatch.setattr(Poly, "__mul__", counting)
+        monkeypatch.setattr(Poly, "__rmul__", counting)
+        for N in (4, 6):
+            for T in maps:
+                assert window_checks(CoeffWindow(hv, N, {0: 1, 1: 0}), T, 0).ok
+        assert 0 < calls <= 50_000
+
+    def test_window_cap(self, monkeypatch, hv):
+        """A window whose Jacobi sweep passes the cap is refused before any
+        bracket is built; the cap itself is allowed."""
+        monkeypatch.setattr(confalg.coeff, "MAX_WINDOW_TRIPLES", (2 * 13) ** 3)
+        assert window_checks(CoeffWindow(hv, 6)).ok
+        with pytest.raises(PreconditionError, match="window 7 needs 27000 Jacobi triples"):
+            window_checks(CoeffWindow(hv, 7))

@@ -9,22 +9,16 @@ exercises the constructions it documents.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .algebra import LIE, ConformalAlgebra, sub_adjacent
-from .gd import GDBialgebra, gd_from_algebra
-from .linmap import ModuleMap
-from .operators import induced_lsc
 from .poly import Poly, VarTable, parse
-from .reps import (
-    REGULAR_LEFT,
-    Representation,
-    dual_rep,
-    semidirect,
-    standard_rep,
-    with_zero_right,
-)
-from .tensor import Tensor2, canonical_skew_tensor, canonical_sym_tensor
+
+if TYPE_CHECKING:
+    from .gd import GDBialgebra
+    from .linmap import ModuleMap
+    from .reps import Representation
+    from .tensor import Tensor2
 
 
 class UnknownEntry(Exception):
@@ -55,23 +49,28 @@ def heisenberg_virasoro(table: VarTable) -> ConformalAlgebra:
 
 
 def rb_family1(table: VarTable) -> ModuleMap:
+    from .linmap import ModuleMap
     b = Poly.var(table, "b")
     return ModuleMap(table, [[-b, -b], [b, b]])
 
 
 def rb_family2(table: VarTable) -> ModuleMap:
+    from .linmap import ModuleMap
     g = parse(table, "g0 + g1*d + g2*d^2 + g3*d^3")
     z = Poly.zero(table)
     return ModuleMap(table, [[z, g], [z, z]])
 
 
 def _lsc(table: VarTable, family: int) -> ConformalAlgebra:
+    from .operators import induced_lsc
     hv = heisenberg_virasoro(table)
     T = rb_family1(table) if family == 1 else rb_family2(table)
     return induced_lsc(T, mode="rb", algebra=hv)
 
 
 def _skew_entry(table: VarTable, family: int) -> dict:
+    from .reps import REGULAR_LEFT, dual_rep, semidirect, standard_rep
+    from .tensor import canonical_skew_tensor
     A = _lsc(table, family)
     g = sub_adjacent(A)
     dual = dual_rep(standard_rep(A, REGULAR_LEFT))
@@ -80,10 +79,17 @@ def _skew_entry(table: VarTable, family: int) -> dict:
 
 
 def _sym_entry(table: VarTable, family: int) -> dict:
+    from .reps import REGULAR_LEFT, dual_rep, semidirect, standard_rep, with_zero_right
+    from .tensor import canonical_sym_tensor
     A = _lsc(table, family)
     dual = dual_rep(standard_rep(A, REGULAR_LEFT))
     S = semidirect(A, with_zero_right(A, dual), checked=False)
     return {"algebra": S, "tensor": canonical_sym_tensor(S, A.rank)}
+
+
+def _gd_entry(A: ConformalAlgebra) -> dict:
+    from .gd import gd_from_algebra
+    return {"gd": gd_from_algebra(A)}
 
 
 FAMILY1 = ("b",)
@@ -97,9 +103,9 @@ ENTRIES: dict[str, tuple[tuple[str, ...], str, Callable[[VarTable], dict]]] = {
     "hv": ((), "rank-2 algebra: (d+2x) on L, (d+x) on L with W, x on W with L",
            lambda t: {"algebra": heisenberg_virasoro(t)}),
     "vir_gd": ((), "dimension-1 Novikov product L.L = L, zero bracket",
-               lambda t: {"gd": gd_from_algebra(virasoro(t))}),
+               lambda t: _gd_entry(virasoro(t))),
     "hv_gd": ((), "dimension-2 Novikov product L.L = L, W.L = W, zero bracket",
-              lambda t: {"gd": gd_from_algebra(heisenberg_virasoro(t))}),
+              lambda t: _gd_entry(heisenberg_virasoro(t))),
     "hv_rb_family1": (
         FAMILY1, "weight-0 family T(L) = -b(L+W), T(W) = b(L+W) on the rank-2 algebra",
         lambda t: {"algebra": heisenberg_virasoro(t), "linmap": rb_family1(t)}),
@@ -145,6 +151,7 @@ def catalog(name: str, table: VarTable | None = None) -> CatalogEntry:
 
 def builtin_representations(table: VarTable | None = None) -> dict[str, Representation]:
     """Every named representation the test-suite treats as builtin."""
+    from .reps import standard_rep
     if table is None:
         table = VarTable(params=FAMILY1 + FAMILY2)
     out: dict[str, Representation] = {}

@@ -17,31 +17,24 @@ import sys
 from fractions import Fraction
 
 from . import io_json as io
+from .algebra import AlgebraError, PreconditionError
 from .catalog import CatalogEntry, UnknownEntry, catalog, required_params
-from .algebra import AlgebraError, PreconditionError, check_axioms
-from .coeff import CoeffWindow, window_checks
-from .gd import (GDBialgebra, NotQuadratic, algebra_from_gd, check_gd, gd_from_algebra,
-                 rb_gd_check, zero_divisor_probe)
-from .linmap import NotInvertible
-from .operators import (
-    DegenerateForm,
-    InconsistentSystem,
-    check_o_operator,
-    check_rota_baxter,
-    cocycle_check,
-    cocycle_from_r,
-    invariant_form_suite,
-    rb_constraints,
-    solve_squares,
-)
+from .io_json import InputError
 from .poly import Poly, PolyError, VarTable
 from .report import Report
-from .reps import check_rep, dual_rep, semidirect
-from .tensor import cobracket_from_r, cybe_residual, r_from_t, s_residual, t_from_r, tensor3_report
-from .io_json import InputError
 
-USAGE_ERRORS = (InputError, PolyError, PreconditionError, AlgebraError,
-                NotInvertible, NotQuadratic, DegenerateForm, UnknownEntry, ValueError)
+USAGE_ERRORS = (InputError, PolyError, PreconditionError, AlgebraError, UnknownEntry, ValueError)
+# usage errors of the modules that a subcommand may leave unloaded
+LAZY_USAGE_ERRORS = (("linmap", "NotInvertible"), ("gd", "NotQuadratic"),
+                     ("operators", "DegenerateForm"))
+
+
+def _usage_errors() -> tuple[type, ...]:
+    """USAGE_ERRORS and the lazy ones of the modules loaded by now; a module
+    that was never imported raised nothing."""
+    loaded = [(sys.modules.get(f"{__package__}.{mod}"), name) for mod, name in LAZY_USAGE_ERRORS]
+    return USAGE_ERRORS + tuple(getattr(mod, name) for mod, name in loaded if mod)
+
 
 # sections that may name a catalog entry (or, for representation, a standard
 # construction), and sections that must be objects
@@ -110,10 +103,11 @@ class Session:
         self.table = VarTable(params=tuple(declared))
         self._entries: dict[str, CatalogEntry] = {}
 
-    def _subs(self, obj):
-        """`obj` with the --param values substituted; an element is a tuple of
-        polynomials, and a bialgebra holds only rational constants."""
-        if not self.values or isinstance(obj, GDBialgebra):
+    def _subs(self, name: str, obj):
+        """Section `name`'s object `obj` with the --param values substituted;
+        an element is a tuple of polynomials, and a bialgebra (section gd)
+        holds only rational constants."""
+        if not self.values or name == "gd":
             return obj
         if isinstance(obj, tuple):
             return tuple(p.subs(self.values) for p in obj)
@@ -136,9 +130,9 @@ class Session:
             if obj is None:
                 raise InputError(f"catalog entry {ref!r} has no {name}")
             if name != "tensor":
-                return self._subs(obj)
+                return self._subs(name, obj)
             ref = io.tensor_to_dict(obj)  # re-read, so its basis names are checked against A
-        return self._subs(reader(ref, self.table, *context, **options))
+        return self._subs(name, reader(ref, self.table, *context, **options))
 
     def weight(self, args) -> Poly | Fraction:
         w = getattr(args, "weight", None)
@@ -181,27 +175,32 @@ def _report_result(args, report: Report) -> int:
 # -- subcommand handlers -------------------------------------------------------
 
 def cmd_check_axioms(sess: Session, args) -> int:
+    from .algebra import check_axioms
     return _report_result(args, check_axioms(sess.section("algebra")))
 
 
 def cmd_check_rep(sess: Session, args) -> int:
+    from .reps import check_rep
     A = sess.section("algebra")
     return _report_result(args, check_rep(sess.section("representation", A)))
 
 
 def cmd_check_cybe(sess: Session, args) -> int:
+    from .tensor import cybe_residual, tensor3_report
     A = sess.section("algebra")
     res = cybe_residual(A, sess.section("tensor", A))
     return _report_result(args, tensor3_report("yang_baxter", res))
 
 
 def cmd_check_s(sess: Session, args) -> int:
+    from .tensor import s_residual, tensor3_report
     A = sess.section("algebra")
     res = s_residual(A, sess.section("tensor", A))
     return _report_result(args, tensor3_report("s_equation", res))
 
 
 def cmd_check_o_operator(sess: Session, args) -> int:
+    from .operators import check_o_operator
     A = sess.section("algebra")
     rep = sess.section("representation", A)
     T = sess.section("map", rep.mbasis, A.basis)
@@ -209,12 +208,14 @@ def cmd_check_o_operator(sess: Session, args) -> int:
 
 
 def cmd_check_rb(sess: Session, args) -> int:
+    from .operators import check_rota_baxter
     A = sess.section("algebra")
     T = sess.section("map", A.basis, A.basis)
     return _report_result(args, check_rota_baxter(A, T, sess.weight(args)))
 
 
 def cmd_build_semidirect(sess: Session, args) -> int:
+    from .reps import semidirect
     A = sess.section("algebra")
     S = semidirect(A, sess.section("representation", A))
     _emit(args, io.algebra_to_dict(S))
@@ -222,6 +223,7 @@ def cmd_build_semidirect(sess: Session, args) -> int:
 
 
 def cmd_build_dual(sess: Session, args) -> int:
+    from .reps import dual_rep
     A = sess.section("algebra")
     rep = dual_rep(sess.section("representation", A))
     _emit(args, io.rep_to_dict(rep))
@@ -229,6 +231,7 @@ def cmd_build_dual(sess: Session, args) -> int:
 
 
 def cmd_r_from_t(sess: Session, args) -> int:
+    from .tensor import r_from_t
     A = sess.section("algebra")
     rep = sess.section("representation", A)
     T = sess.section("map", rep.mbasis, A.basis, conformal=True)
@@ -238,6 +241,7 @@ def cmd_r_from_t(sess: Session, args) -> int:
 
 
 def cmd_t_from_r(sess: Session, args) -> int:
+    from .tensor import t_from_r
     A = sess.section("algebra")
     T = t_from_r(A, sess.section("tensor", A))
     dual_names = tuple(n + "*" for n in A.basis)
@@ -248,6 +252,7 @@ def cmd_t_from_r(sess: Session, args) -> int:
 
 
 def cmd_cobracket(sess: Session, args) -> int:
+    from .tensor import cobracket_from_r
     A = sess.section("algebra")
     out = cobracket_from_r(A, sess.section("tensor", A), sess.section("element", A))
     _emit(args, io.tensor_to_dict(out))
@@ -255,6 +260,7 @@ def cmd_cobracket(sess: Session, args) -> int:
 
 
 def cmd_cocycle_from_r(sess: Session, args) -> int:
+    from .operators import cocycle_from_r
     A = sess.section("algebra")
     form = cocycle_from_r(A, sess.section("tensor", A), args.kind)
     _emit(args, io.form_to_dict(form))
@@ -262,6 +268,7 @@ def cmd_cocycle_from_r(sess: Session, args) -> int:
 
 
 def cmd_check_cocycle(sess: Session, args) -> int:
+    from .operators import cocycle_check
     A = sess.section("algebra")
     form = sess.section("form", A)
     form.kind = form.kind or "lie"  # a form without a kind is a Lie 2-cocycle
@@ -269,6 +276,7 @@ def cmd_check_cocycle(sess: Session, args) -> int:
 
 
 def cmd_form_suite(sess: Session, args) -> int:
+    from .operators import invariant_form_suite
     A = sess.section("algebra")
     form = sess.section("form", A)
     r = sess.section("tensor", A, required=False)
@@ -276,6 +284,7 @@ def cmd_form_suite(sess: Session, args) -> int:
 
 
 def cmd_rb_constraints(sess: Session, args) -> int:
+    from .operators import rb_constraints
     if args.degree < 0:
         raise InputError(f"--degree must be at least 0, got {args.degree}")
     A = sess.section("algebra")
@@ -287,6 +296,7 @@ def cmd_rb_constraints(sess: Session, args) -> int:
 
 
 def cmd_solve(sess: Session, args) -> int:
+    from .operators import InconsistentSystem, solve_squares
     # a document without a system section is itself one, as rb-constraints writes it
     system = io.system_from_dict(sess.doc["system"] if "system" in sess.doc else sess.doc)
     try:
@@ -305,6 +315,7 @@ def cmd_solve(sess: Session, args) -> int:
 
 
 def cmd_gd_convert(sess: Session, args) -> int:
+    from .gd import algebra_from_gd, gd_from_algebra
     V = sess.section("gd", required=False)
     if V is not None:
         _emit(args, io.algebra_to_dict(algebra_from_gd(V)))
@@ -314,6 +325,7 @@ def cmd_gd_convert(sess: Session, args) -> int:
 
 
 def cmd_gd_check(sess: Session, args) -> int:
+    from .gd import check_gd, rb_gd_check
     V = sess.section("gd")
     T = sess.section("map", V.basis, V.basis, required=False)
     if T is not None:
@@ -322,6 +334,7 @@ def cmd_gd_check(sess: Session, args) -> int:
 
 
 def cmd_zero_divisors(sess: Session, args) -> int:
+    from .gd import zero_divisor_probe
     V = sess.section("gd")
     probe = zero_divisor_probe(V)
     payload = {"status": probe.status}
@@ -335,6 +348,7 @@ def cmd_zero_divisors(sess: Session, args) -> int:
 
 
 def cmd_coeff(sess: Session, args) -> int:
+    from .coeff import CoeffWindow, window_checks
     if args.window < 0:
         raise InputError(f"--window must be at least 0, got {args.window}")
     A = sess.section("algebra")
@@ -421,7 +435,7 @@ def main(argv=None) -> int:
         doc = _load(args)
         sess = Session(doc, args)
         return args.handler(sess, args)
-    except USAGE_ERRORS as exc:
+    except _usage_errors() as exc:  # evaluated only when an exception arrives
         print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}), file=sys.stderr)
         return 2
 

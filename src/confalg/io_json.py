@@ -11,15 +11,18 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import partial
+from typing import TYPE_CHECKING
 
 from .algebra import LEFT_SYMMETRIC, LIE, ConformalAlgebra, ProductTable
-from .catalog import CatalogEntry
-from .gd import GDBialgebra
-from .linmap import ConformalLinearMap, ModuleMap
-from .operators import BilinearForm, PolySystem
 from .poly import Poly, PolyError, VarTable, accumulate, parse
-from .reps import Representation, dual_rep, standard_rep
-from .tensor import Tensor2
+
+if TYPE_CHECKING:
+    from .catalog import CatalogEntry
+    from .gd import GDBialgebra
+    from .linmap import ConformalLinearMap, ModuleMap
+    from .operators import BilinearForm, PolySystem
+    from .reps import Representation
+    from .tensor import Tensor2
 
 
 class InputError(Exception):
@@ -141,6 +144,7 @@ def algebra_to_dict(A: ConformalAlgebra) -> dict:
 def rep_from_dict(doc: dict | str, A: ConformalAlgebra) -> Representation:
     """A table with module_basis and action (or action_l/action_r), or a
     standard construction: its name, or {"standard": name, "dual": bool}."""
+    from .reps import Representation, dual_rep, standard_rep
     if isinstance(doc, str):
         doc = {"standard": doc}
     if "standard" in doc:
@@ -178,6 +182,7 @@ def rep_to_dict(rep: Representation) -> dict:
 # -- tensors -------------------------------------------------------------------
 
 def tensor_from_dict(doc: dict, A: ConformalAlgebra) -> Tensor2:
+    from .tensor import Tensor2
     idx = {n: i for i, n in enumerate(A.basis)}
     coeffs: dict[tuple[int, int], Poly] = {}
     for n, item in enumerate(_container(doc.get("entries"), list, "tensor.entries")):
@@ -202,6 +207,7 @@ def map_from_dict(doc: dict, src: tuple[str, ...], dst: tuple[str, ...], table: 
                   conformal: bool = False) -> ModuleMap | ConformalLinearMap:
     """{source name: {target name: poly}}; a module map over d, or with
     `conformal` a conformal linear map."""
+    from .linmap import ConformalLinearMap, ModuleMap
     rows = _cells(doc, src, "map",
                   lambda row, path: _cells(row, dst, path, partial(_poly, table)))
     cells = {(i, j): p for i, row in rows.items() for j, p in row.items()}
@@ -220,6 +226,7 @@ def map_to_dict(m: ModuleMap | ConformalLinearMap, src: tuple[str, ...],
 def form_from_dict(doc: dict, basis: tuple[str, ...], table: VarTable) -> BilinearForm:
     """{"matrix": {"a,b": poly}, "kind": "lie" | "lsc"}; without a kind the
     form is not a 2-cocycle of either kind."""
+    from .operators import BilinearForm
     kind = doc.get("kind")
     if kind not in (None, "lie", "lsc"):
         raise InputError(f"unknown form kind {kind!r}")
@@ -242,6 +249,7 @@ def form_to_dict(form: BilinearForm) -> dict:
 # -- bialgebras ------------------------------------------------------------------
 
 def gd_from_dict(doc: dict, table: VarTable) -> GDBialgebra:
+    from .gd import GDBialgebra
     basis = _names(doc.get("basis"), "gd.basis")
     circ, lie = (_table(doc.get(key), basis, basis, f"gd.{key}", partial(_rational, table), basis)
                  for key in ("circ", "lie"))
@@ -271,6 +279,7 @@ def system_to_dict(system: PolySystem) -> dict:
 
 
 def system_from_dict(doc: dict) -> PolySystem:
+    from .operators import PolySystem
     doc = _container(doc, dict, "system")
     if doc.get("equations") is None:
         raise InputError("system needs equations, a list of polynomial strings")

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
+from typing import TYPE_CHECKING
 
 from .algebra import (
     LEFT_SYMMETRIC,
@@ -30,8 +31,10 @@ from .algebra import (
 from .linmap import ConformalLinearMap, ModuleMap, NotInvertible, invert_module_map
 from .poly import Poly, VarTable
 from .report import Report
-from .reps import Representation, act
-from .tensor import Tensor2, parts, t_from_r
+
+if TYPE_CHECKING:
+    from .reps import Representation
+    from .tensor import Tensor2
 
 
 # -- O-operators and Rota-Baxter operators ----------------------------------
@@ -43,6 +46,7 @@ def check_o_operator(T: ModuleMap, rep: Representation, ker_mode: bool = False) 
     In ker_mode the residual element is itself pushed through the
     representation (at the reserved argument z2) and must act as zero.
     """
+    from .reps import act
     A = rep.algebra
     if A.kind != LIE:
         raise PreconditionError("O-operators are defined against a Lie-kind representation")
@@ -115,6 +119,7 @@ def induced_lsc(T: ModuleMap, rep: Representation | None = None,
     rb:         a *_x b = [T(a)_x b] on the algebra (T Rota-Baxter, weight 0,
                 pass ``algebra``).
     """
+    from .reps import act
     if mode == "rb":
         if algebra is None:
             raise PreconditionError("rb mode needs the ambient Lie algebra")
@@ -204,6 +209,7 @@ def cocycle_from_r(A: ConformalAlgebra, r: Tensor2, kind: str) -> BilinearForm:
     Requires r skew (lie) or symmetric (lsc); raises NotInvertible when the
     associated module map is degenerate.
     """
+    from .tensor import parts, t_from_r
     pp = parts(r)
     if kind == "lie" and not pp.is_skew:
         raise PreconditionError("a lie-kind cocycle needs a skew-symmetric tensor")
@@ -422,6 +428,7 @@ def form_pr_map(A: ConformalAlgebra, B: BilinearForm, r: Tensor2) -> ConformalLi
     inverse cancels against its pairing, so P(e_i) = sum_p B_pi(x+d) T(e_p*)
     with T = t_from_r(A, r).
     """
+    from .tensor import t_from_r
     t = A.table
     shift = {"x": Poly.var(t, "x") + Poly.var(t, "d")}
     T = t_from_r(A, r).matrix
@@ -465,6 +472,7 @@ def invariant_form_suite(A: ConformalAlgebra, B: BilinearForm,
                  lambda i, j: B.matrix[i][j] - B.matrix[j][i].subs({"x": -X}))
     report.sweep("invariance", (A.basis,) * 3, invariance)
     nondeg = report.new_check("non_degenerate")
+    nondeg.evaluated = 1  # the determinant of the induced map
     try:
         invert_module_map(B.induced_map())
     except NotInvertible as exc:

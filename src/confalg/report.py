@@ -8,6 +8,7 @@ reproducible input.  ``Report.sweep`` enumerates and labels basis tuples.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 
@@ -15,6 +16,9 @@ from dataclasses import dataclass, field
 class CheckItem:
     name: str
     residuals: list[tuple[str, str]] = field(default_factory=list)
+    # instances a sweep evaluated and skipped; not in to_dict yet
+    evaluated: int = 0
+    skipped: int = 0
 
     @property
     def ok(self) -> bool:
@@ -53,18 +57,21 @@ class Report:
         `axes` holds the names of each index.  A residual is a polynomial, a
         vector over `targets` (see `CheckItem.add_vector`), or None to skip the
         instance.  Labels are label.format(*names), by default "(a,b,...)".
+        The item counts the instances evaluated and skipped.
         """
         item = self.new_check(name)
         label = label or "(" + ",".join(["{}"] * len(axes)) + ")"
         for idx in itertools.product(*(range(len(axis)) for axis in axes)):
             res = residual(*idx)
             if res is None:
+                item.skipped += 1
                 continue
             basis = label.format(*(axis[i] for axis, i in zip(axes, idx)))
             if targets is None:
                 item.add(basis, res)
             else:
                 item.add_vector(basis, targets, res)
+        item.evaluated = math.prod(map(len, axes)) - item.skipped
         return item
 
     def to_dict(self) -> dict:

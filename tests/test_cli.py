@@ -416,3 +416,70 @@ class TestRejectedInput:
         # constructions such as the dual-adjoint tower repeat names legitimately
         A = ConformalAlgebra("lie", ("L", "L"), t, {})
         assert A.basis == ("L", "L")
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def fresh(tmp_path, command, doc=None, *extra, code=None):
+    """`command` in a fresh interpreter; its exit code, stdout and stderr.
+    With `code`, the child runs that script with `command` and the rest as
+    its arguments instead of the front end."""
+    argv = [command]
+    if doc is not None:
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(doc))
+        argv += ["--in", str(path)]
+    head = ["-c", code] if code else ["-m", "confalg.cli"]
+    child = subprocess.run([sys.executable, *head, *argv, *extra], capture_output=True,
+                           text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=120)
+    return child.returncode, child.stdout, child.stderr
+
+
+class TestFreshProcess:
+    """A subcommand loads only the modules it runs, so its errors are caught
+    without the modules that raise them being imported up front.  In-process
+    tests cannot see this: the test process has every module loaded."""
+
+    @pytest.mark.parametrize("command, doc, extra, error", [
+        ("gd-convert", {"algebra": "hv_lsc1"}, (), "NotQuadratic"),
+        ("cocycle-from-r", {"algebra": "vir", "tensor": {"L": {"L": "0"}}}, ("--kind", "lie"),
+         "NotInvertible"),
+        ("form-suite", {"algebra": {"kind": "lie", "basis": ["A", "B"], "products": {}},
+                        "form": {"matrix": {"A,A": "1"}},
+                        "tensor": {"entries": [{"i": "A", "j": "B", "c": "d1"}]}}, (),
+         "DegenerateForm"),
+        ("check-axioms", {"algebra": "nosuch"}, (), "UnknownEntry"),
+    ])
+    def test_exit_2(self, tmp_path, command, doc, extra, error):
+        code, out, err = fresh(tmp_path, command, doc, *extra)
+        assert (code, out) == (2, "")
+        assert "Traceback" not in err
+        assert json.loads(err)["error"].startswith(f"{error}: ")
+
+    # runs the front end, then prints the confalg modules it loaded
+    LOADED = ("import json, sys\n"
+              "from confalg.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "loaded = sorted(m for m in sys.modules if m.startswith('confalg.'))\n"
+              "print(json.dumps([code, loaded]))\n")
+
+    def loaded(self, tmp_path, command, doc, *extra):
+        out_file = tmp_path / f"{command}.out.json"
+        code, out, err = fresh(tmp_path, command, doc, *extra, "--out", str(out_file),
+                               code=self.LOADED)
+        assert err == "" and json.loads(out)[0] in (0, 1)
+        return {m.removeprefix("confalg.") for m in json.loads(out)[1]}
+
+    def test_subcommands_load_only_what_they_run(self, tmp_path):
+        family1 = {"algebra": "hv", "map": "hv_rb_family1"}
+        assert not self.loaded(tmp_path, "check-axioms", {"algebra": "hv"}) & {
+            "operators", "gd", "tensor", "reps", "linmap", "coeff"}
+        assert not self.loaded(tmp_path, "coeff", family1, "--window", "2") & {
+            "operators", "gd", "tensor", "reps"}
+        without = {"gd", "coeff", "reps", "tensor"}
+        assert not self.loaded(tmp_path, "check-rb", family1) & without
+        assert not self.loaded(tmp_path, "rb-constraints", {"algebra": "vir"},
+                               "--degree", "2") & without
+        system = json.loads((tmp_path / "rb-constraints.out.json").read_text())
+        assert not self.loaded(tmp_path, "solve", system) & without

@@ -147,6 +147,19 @@ class TestWindowChecks:
         assert [c.ok for c in report.checks] == [True, True, False]
         assert ("(L_-2,L_1)->L_-2", "3*b") in report.checks[2].residuals
 
+    def test_evaluated_and_skipped_counts(self):
+        """Each check counts the instances it evaluated and skipped; the
+        N = 0 window evaluates every instance, so it is not vacuous."""
+        entry = catalog("hv_rb_family1")
+
+        def counts(report):
+            return [(c.name, c.evaluated, c.skipped) for c in report.checks]
+
+        assert counts(window_checks(CoeffWindow(entry.algebra, 0))) == [
+            ("antisymmetry", 4, 0), ("jacobi", 8, 0)]
+        assert counts(window_checks(CoeffWindow(entry.algebra, 1), entry.linmap, 0)) == [
+            ("antisymmetry", 27, 9), ("jacobi", 120, 96), ("lifted_rota_baxter", 24, 12)]
+
     def test_mutant_fails_antisymmetry_and_jacobi(self, table, P):
         mutant = ConformalAlgebra("lie", ("L",), table, {(0, 0): {0: P("d+3*x")}})
         anti, jacobi = window_checks(CoeffWindow(mutant, 1)).checks

@@ -986,8 +986,9 @@ WORKLOAD_WINDOWS = {label: (N, A, T) for label, N, A, T in workload_windows()}
 
 
 def window_outcome(check, w, T, weight):
-    """The report of check(w, T, weight) as a dict, and the instances each
-    sweep skipped: the report alone does not tell a skip from a zero residual."""
+    """The report of check(w, T, weight) as a dict, the instances each sweep
+    skipped, and each check's evaluated and skipped counts: the report dict
+    alone does not tell a skip from a zero residual."""
     skipped = []
     sweep = Report.sweep
 
@@ -1001,7 +1002,10 @@ def window_outcome(check, w, T, weight):
 
     with mock.patch.object(Report, "sweep", recording):
         report = check(CoeffWindow(w.algebra, w.N, w.shifts), T, weight)
-    return report.to_dict(), skipped
+    counts = [(c.name, c.evaluated, c.skipped) for c in report.checks]
+    for name, _, n in counts:
+        assert n == sum(1 for s, _ in skipped if s == name)
+    return report.to_dict(), skipped, counts
 
 
 class TestWindowOracle:

@@ -1,8 +1,13 @@
 import ast
+import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 import confalg
 from confalg import Poly, VarTable, check_axioms, parse
@@ -67,3 +72,50 @@ def test_benchmark_tracer_reads_kernel_terms(hv):
     metrics = tracer.layer_metrics(traced)
     assert metrics["poly.mul.term_products"][0] > 0
     assert metrics["poly.subs.affine_ratio"][0] == 1.0
+
+
+# the public names of the package, as its namespace held them when it
+# imported every submodule eagerly
+PUBLIC_NAMES = """
+    LEFT_SYMMETRIC LIE AlgebraError ConformalAlgebra PreconditionError bracket check_axioms
+    mul_at sub_adjacent CatalogEntry UnknownEntry builtin_representations catalog OUT_OF_WINDOW
+    CoeffWindow nth_products window_checks GDBialgebra NotQuadratic ProbeResult algebra_from_gd
+    check_gd gd_from_algebra rb_gd_check zero_divisor_probe ConformalLinearMap ModuleMap
+    NotInvertible invert_module_map lift_constant BilinearForm DegenerateForm InconsistentSystem
+    PolySystem SolveResult check_o_operator check_rota_baxter cocycle_check cocycle_from_r
+    induced_lsc invariant_form_suite rb_constraints solve_squares ParseError Poly PolyError
+    UnknownVariable VarTable VarTableMismatch parse CheckItem Report Representation check_rep
+    dual_rep regular_module semidirect standard_rep with_zero_right Tensor2 Tensor3
+    canonical_skew_tensor canonical_sym_tensor cobracket_from_r cybe_residual flip normal_form3
+    parts r_from_t s_residual t_from_r
+""".split()
+
+
+def test_lazy_namespace_keeps_the_public_names():
+    assert len(PUBLIC_NAMES) == 71
+    assert sorted(confalg.__all__) == sorted(PUBLIC_NAMES)
+    namespace = {}
+    exec("from confalg import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(PUBLIC_NAMES)
+    for name in PUBLIC_NAMES:
+        module = importlib.import_module(f"confalg.{confalg._HOME[name]}")
+        assert namespace[name] is getattr(confalg, name) is getattr(module, name)
+    assert set(PUBLIC_NAMES) <= set(dir(confalg))
+    with pytest.raises(AttributeError):
+        confalg.no_such_name  # noqa: B018
+
+
+def test_catalog_stays_the_function_in_a_fresh_process():
+    """Importing the submodule confalg.catalog binds the package attribute
+    `catalog` to it unless the package imported it before binding the function."""
+    probe = ("import inspect\n"
+             "import confalg.catalog\n"
+             "from confalg.catalog import names\n"
+             "from confalg import catalog\n"
+             "import confalg\n"
+             "assert inspect.isfunction(catalog) and catalog is confalg.catalog\n"
+             "assert catalog('vir').name == 'vir' and 'vir' in names()\n")
+    src = str(Path(confalg.__file__).resolve().parent.parent)
+    child = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                           env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert child.returncode == 0, child.stderr

@@ -7,7 +7,11 @@ replaced, and the square/linear solver against the round-by-round elimination
 it replaced, which substitutes the whole assignment into every equation and
 matches every equation again after each elimination.  The coefficient-window
 checks are compared against the sweep that brackets general window elements
-with ``CoeffWindow.bracket`` and lifts them with ``lift_map``.
+with ``CoeffWindow.bracket`` and lifts them with ``lift_map``.  The
+Rota-Baxter residuals are compared against four dense products per basis
+pair, and the constraint systems against the expansion of the generic map,
+whose entries hold every unknown, split by (d, x) exponents: as ordered
+equation lists, because the solver eliminates in list order.
 
 Each oracle spells out, per pair of tensor entries (or per pair of element
 components), the expansion of one sesquilinear product at the reserved
@@ -55,6 +59,7 @@ from confalg import (
     check_rep,
     cybe_residual,
     dual_rep,
+    induced_lsc,
     invert_module_map,
     mul_at,
     normal_form3,
@@ -73,7 +78,7 @@ from confalg import (
     zero_divisor_probe,
 )
 from confalg.algebra import vec_add, vec_sub
-from confalg.operators import BilinearForm, form_pr_map
+from confalg.operators import BilinearForm, form_pr_map, rota_baxter_residuals
 from confalg.poly import accumulate
 from confalg.gd import ProbeResult
 from confalg.linmap import ConformalLinearMap, ModuleMap
@@ -873,6 +878,120 @@ class TestSolverOracle:
         A, D, weight = WORKLOAD_SYSTEMS[label]
         system, _ = rb_constraints(A, D, weight)
         assert solve_outcome(solve_squares, system) == solve_outcome(oracle_solve_squares, system)
+
+
+def oracle_rota_baxter_residuals(A, T, weight):
+    """Per basis pair, four dense products through ``mul_at``:
+    [T(a)_x T(b)] - T([a_x T(b)]) - T([T(a)_x b]) - alpha T([a_x b])."""
+    t = A.table
+    X = Poly.var(t, "x")
+    alpha = weight if isinstance(weight, Poly) else Poly.const(t, weight)
+    out = {}
+    rows = [T.row(i) for i in range(A.rank)]
+    basis = [A.basis_vector(i) for i in range(A.rank)]
+    for i in range(A.rank):
+        for j in range(A.rank):
+            lhs = mul_at(A, rows[i], rows[j], X)
+            r1 = T.apply(mul_at(A, basis[i], rows[j], X))
+            r2 = T.apply(mul_at(A, rows[i], basis[j], X))
+            r3 = tuple(p * alpha for p in T.apply(mul_at(A, basis[i], basis[j], X)))
+            out[(i, j)] = vec_sub(vec_sub(vec_sub(lhs, r1), r2), r3)
+    return out
+
+
+def oracle_rb_constraints(A, degree_bound, weight=0):
+    """Expand the generic map, whose entries hold every unknown, through the
+    dense residuals; split each residual by its (d, x) exponents and keep the
+    first of each pair of equations equal up to sign."""
+    n = A.rank
+    unknowns = tuple(f"t{i}_{j}_{k}"
+                     for i in range(n) for j in range(n) for k in range(degree_bound + 1))
+    ext = A.table.extended(unknowns)
+    A2 = A.embed(ext)
+    D = Poly.var(ext, "d")
+    matrix = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            entry = Poly.zero(ext)
+            for k in range(degree_bound + 1):
+                entry = entry + Poly.var(ext, f"t{i}_{j}_{k}") * D ** k
+            row.append(entry)
+        matrix.append(row)
+    T = ModuleMap(ext, matrix)
+    w = weight.embed(ext) if isinstance(weight, Poly) else Poly.const(ext, weight)
+    equations = []
+    seen = set()
+    for _, res in sorted(oracle_rota_baxter_residuals(A2, T, w).items()):
+        for poly in res:
+            for _, eq in sorted(poly.split(("d", "x")).items()):
+                if eq.is_zero:
+                    continue
+                key = frozenset(eq.terms.items())
+                negkey = frozenset((-eq).terms.items())
+                if key in seen or negkey in seen:
+                    continue
+                seen.add(key)
+                equations.append(eq)
+    return PolySystem(ext, unknowns, equations), T
+
+
+map_cell = poly_strategy(BC, names=("d", "b", "c"), max_terms=2, max_degree=2)
+alphas = poly_strategy(BC, names=("b", "c"), max_terms=2, max_degree=2).map(
+    lambda p: p * Fraction(1, 2))
+# weights 0, 1, the parameter b, and a polynomial alpha in b and c
+weights = st.one_of(st.sampled_from((0, 1, Poly.var(BC, "b"))), alphas)
+
+
+@st.composite
+def rb_cases(draw, max_rank=3):
+    """A random table of either kind, a weight, and a random map on the table."""
+    A = draw(random_algebras(draw(st.sampled_from((LIE, LEFT_SYMMETRIC))), max_rank))
+    matrix = [[draw(map_cell) for _ in range(A.rank)] for _ in range(A.rank)]
+    return A, draw(weights), ModuleMap(BC, matrix)
+
+
+def system_outcome(system, generic):
+    return system.table, system.unknowns, system.equations, generic.matrix
+
+
+class TestRotaBaxterOracle:
+    @given(case=rb_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_residuals_random(self, case):
+        A, weight, T = case
+        assert rota_baxter_residuals(A, T, weight) == oracle_rota_baxter_residuals(A, T, weight)
+
+    @given(case=rb_cases(), degree=st.integers(0, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_constraints_random(self, case, degree):
+        A, weight, _ = case
+        assert (system_outcome(*rb_constraints(A, degree, weight))
+                == system_outcome(*oracle_rb_constraints(A, degree, weight)))
+
+    def test_nonzero_residuals_are_compared(self):
+        vir = catalog("vir", table=BC).algebra
+        T = ModuleMap(BC, [[Poly.var(BC, "d") + Poly.var(BC, "b")]])
+        want = oracle_rota_baxter_residuals(vir, T, Fraction(1, 3))
+        assert not want[0, 0][0].is_zero
+        assert rota_baxter_residuals(vir, T, Fraction(1, 3)) == want
+
+    @pytest.mark.parametrize("name", ["hv_lsc1", "hv_lsc2"])
+    def test_induced_rb_table(self, name):
+        """The rb-mode product table a *_x b = [T(a)_x b] against mul_at per pair."""
+        hv = catalog("hv", table=T).algebra
+        fam = catalog(name.replace("lsc", "rb_family"), table=T).linmap
+        X = Poly.var(T, "x")
+        want = {(i, j): dict(enumerate(mul_at(hv, fam.row(i), hv.basis_vector(j), X)))
+                for i in range(hv.rank) for j in range(hv.rank)}
+        want = ConformalAlgebra(LEFT_SYMMETRIC, hv.basis, T, want).products
+        assert induced_lsc(fam, mode="rb", algebra=hv).products == want
+
+    @pytest.mark.parametrize("label", sorted(WORKLOAD_SYSTEMS))
+    def test_workload_systems(self, label):
+        A, D, weight = WORKLOAD_SYSTEMS[label]
+        assert (system_outcome(*rb_constraints(A, D, weight))
+                == system_outcome(*oracle_rb_constraints(A, D, weight)))
 
 
 def _window_add(a, b):

@@ -252,19 +252,12 @@ def rb_gd_check(V: GDBialgebra, T: ModuleMap, weight: Poly | Fraction | int = 0)
         for p in row:
             if "d" in p.variables():
                 raise PreconditionError("the operator on a bialgebra must be constant")
-    alpha = weight if isinstance(weight, Poly) else Poly.const(V.table, weight)
     report = Report()
-    basis = [V.basis_vector(i) for i in range(V.dim)]
-    rows = [T.row(i) for i in range(V.dim)]
-    for name, prod in (("rota_baxter_novikov", V.circ_prod), ("rota_baxter_lie", V.lie_prod)):
-        def residual(i, j):
-            lhs = prod(rows[i], rows[j])
-            inner = vec_add(prod(rows[i], basis[j]), prod(basis[i], rows[j]))
-            rhs = T.apply(inner)
-            extra = tuple(p * alpha for p in T.apply(prod(basis[i], basis[j])))
-            return tuple(a - b - c for a, b, c in zip(lhs, rhs, extra))
-
-        report.sweep(name, (V.basis,) * 2, residual, V.basis)
-    lifted = rota_baxter_residuals(algebra_from_gd(V, checked=False), T, alpha)
+    for name, table in (("rota_baxter_novikov", V.circ), ("rota_baxter_lie", V.lie)):
+        P = {pair: {k: Poly.const(V.table, c) for k, c in targets.items()}
+             for pair, targets in table.items()}
+        res = rota_baxter_residuals(ConformalAlgebra(LIE, V.basis, V.table, P), T, weight)
+        report.sweep(name, (V.basis,) * 2, lambda i, j, res=res: res[i, j], V.basis)
+    lifted = rota_baxter_residuals(algebra_from_gd(V, checked=False), T, weight)
     report.sweep("lifted_rota_baxter", (V.basis,) * 2, lambda i, j: lifted[i, j], V.basis)
     return report

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
+from operator import mul
 from typing import TYPE_CHECKING
 
 from .algebra import (
@@ -29,7 +30,7 @@ from .algebra import (
     vec_sub,
 )
 from .linmap import ConformalLinearMap, ModuleMap, NotInvertible, invert_module_map
-from .poly import Poly, VarTable
+from .poly import Poly, VarTable, _make, _normal
 from .report import Report
 
 if TYPE_CHECKING:
@@ -75,6 +76,61 @@ def check_o_operator(T: ModuleMap, rep: Representation, ker_mode: bool = False) 
     return report
 
 
+def _rb_sums(t: VarTable, P: ProductTable, entries: list[tuple], weight=None) -> dict:
+    """The weight-alpha Rota-Baxter residual of a map T as four sums over the
+    nonzero table entries (p, q) -> l and the map's entries (i, p, tag, T_ip(d)):
+
+        sum T_ip(-x) T_jq(x+d) P_pqm - sum T_jq(x+d) P_iql T_lm(d)
+        - sum T_ip(-x) P_pjl T_lm(d) - alpha sum P_ijl T_lm(d);
+
+    with no weight, the product [T(e_i)_x e_j] = sum T_ip(-x) P_pjm alone.  A tag
+    is a tuple of unknown indices, () for a concrete map; the result maps
+    (i, j, m, the sorted tags of a term's factors) to their polynomial.  Each
+    entry is substituted once at each argument, and each product formed once.
+    """
+    memo: dict = {}
+
+    def times(a, b):  # the memo keeps the factors, and so their ids, alive
+        key = id(a), id(b)
+        if key not in memo:
+            memo[key] = a * b, a, b
+        return memo[key][0]
+
+    def view(arg=None):  # by column at d = arg, or by row
+        at = {id(f): f if arg is None else f.subs({"d": arg}) for *_, f in entries}
+        out: dict = {}
+        for i, p, tag, f in entries:
+            key, other = (i, p) if arg is None else (p, i)
+            out.setdefault(key, []).append((other, tag, at[id(f)]))
+        return out
+
+    X, one = Poly.var(t, "x"), Poly.const(t, 1)
+    ident = {k: [(k, (), one)] for pair, targets in P.items() for k in (*pair, *targets)}
+    views = ((ident, view(-X)), (ident, view(X + Poly.var(t, "d"))), (ident, view()))
+    sums = [((1, 0, 0), one)] if weight is None else [
+        ((1, 1, 0), one), ((0, 1, 1), -one), ((1, 0, 1), -one), ((0, 0, 1), -(one * weight))]
+    acc: dict = {}
+    for flags, scale in sums:  # a flag picks the map for L, R, O, else the identity
+        left, right, out = (v[flag] for v, flag in zip(views, flags))
+        for (p, q), targets in P.items():  # acc += scale L_ip(-x) R_jq(x+d) P_pql O_lm(d)
+            targets = [(l, times(Pl, scale)) for l, Pl in targets.items()]
+            for i, ta, a in left.get(p, ()):
+                for j, tb, b in right.get(q, ()):
+                    ab = times(a, b)
+                    for l, Pl in targets:
+                        abP = times(ab, Pl)
+                        for m, tc, c in out.get(l, ()):
+                            terms = acc.setdefault((i, j, m, tuple(sorted(ta + tb + tc))), {})
+                            for e, v in times(abP, c).terms.items():
+                                terms[e] = terms.get(e, 0) + v
+    return {key: _make(t, _normal(terms)) for key, terms in acc.items()}
+
+
+def _entries(T: ModuleMap) -> list[tuple]:
+    return [(i, p, (), f) for i, row in enumerate(T.matrix) for p, f in enumerate(row)
+            if not f.is_zero]
+
+
 def rota_baxter_residuals(A: ConformalAlgebra, T: ModuleMap,
                           weight: Poly | Fraction | int) -> dict[tuple[int, int], Vector]:
     """Residuals of the weight-alpha Rota-Baxter identity on basis pairs.
@@ -84,19 +140,8 @@ def rota_baxter_residuals(A: ConformalAlgebra, T: ModuleMap,
     if T.src_rank != A.rank or T.dst_rank != A.rank:
         raise PreconditionError("map shape does not match the algebra")
     t = A.table
-    X = Poly.var(t, "x")
-    alpha = weight if isinstance(weight, Poly) else Poly.const(t, weight)
-    out: dict[tuple[int, int], Vector] = {}
-    rows = [T.row(i) for i in range(A.rank)]
-    basis = [A.basis_vector(i) for i in range(A.rank)]
-    for i in range(A.rank):
-        for j in range(A.rank):
-            lhs = mul_at(A, rows[i], rows[j], X)
-            r1 = T.apply(mul_at(A, basis[i], rows[j], X))
-            r2 = T.apply(mul_at(A, rows[i], basis[j], X))
-            r3 = tuple(p * alpha for p in T.apply(mul_at(A, basis[i], basis[j], X)))
-            out[(i, j)] = vec_sub(vec_sub(vec_sub(lhs, r1), r2), r3)
-    return out
+    sums, n = _rb_sums(t, A.products, _entries(T), weight), range(A.rank)
+    return {(i, j): tuple(sums.get((i, j, m, ()), Poly.zero(t)) for m in n) for i in n for j in n}
 
 
 def check_rota_baxter(A: ConformalAlgebra, T: ModuleMap,
@@ -119,7 +164,6 @@ def induced_lsc(T: ModuleMap, rep: Representation | None = None,
     rb:         a *_x b = [T(a)_x b] on the algebra (T Rota-Baxter, weight 0,
                 pass ``algebra``).
     """
-    from .reps import act
     if mode == "rb":
         if algebra is None:
             raise PreconditionError("rb mode needs the ambient Lie algebra")
@@ -127,12 +171,12 @@ def induced_lsc(T: ModuleMap, rep: Representation | None = None,
         if not rbrep.ok:
             raise PreconditionError("map is not Rota-Baxter of weight 0", rbrep)
         t = algebra.table
-        X = Poly.var(t, "x")
-        # zero entries are dropped by ConformalAlgebra itself
-        products = {(i, j): dict(enumerate(mul_at(algebra, T.row(i), algebra.basis_vector(j), X)))
-                    for i in range(algebra.rank) for j in range(algebra.rank)}
+        products: ProductTable = {}
+        for (i, j, m, _), p in _rb_sums(t, algebra.products, _entries(T)).items():
+            products.setdefault((i, j), {})[m] = p
         return ConformalAlgebra(LEFT_SYMMETRIC, algebra.basis, t, products)
 
+    from .reps import act
     if rep is None:
         raise PreconditionError(f"mode {mode!r} needs a representation")
     A = rep.algebra
@@ -266,6 +310,10 @@ def cocycle_check(A: ConformalAlgebra, form: BilinearForm) -> Report:
 
 # -- Rota-Baxter constraint systems -------------------------------------------
 
+# rb_constraints refuses a degree bound past this cap before building anything
+MAX_RB_DEGREE = 24
+
+
 @dataclass
 class PolySystem:
     """Fully expanded polynomial equations in the unknown parameters."""
@@ -285,41 +333,40 @@ def rb_constraints(A: ConformalAlgebra, degree_bound: int,
     The candidate is T(e_i) = sum_{j, k <= degree_bound} t_i_j_k d^k e_j with
     one unknown per coefficient; each (d, x)-monomial of each residual
     contributes one equation.  Returns the system and the generic map.
+    They are read off ``_rb_sums`` in (i, j, m, d-exponent, x-exponent) order;
+    of two equal up to sign, only the first is kept.
     """
-    n = A.rank
-    unknowns = tuple(f"t{i}_{j}_{k}"
-                     for i in range(n) for j in range(n) for k in range(degree_bound + 1))
+    if degree_bound > MAX_RB_DEGREE:
+        raise PreconditionError(f"degree {degree_bound} is over the cap of {MAX_RB_DEGREE}")
+    n, k1 = A.rank, degree_bound + 1
+    unknowns = tuple(f"t{i}_{j}_{k}" for i in range(n) for j in range(n) for k in range(k1))
     for u in unknowns:
         if u in A.table:
             raise PreconditionError(f"unknown name {u} collides with an existing variable")
-    ext = A.table.extended(unknowns)
-    A2 = A.embed(ext)
-    D = Poly.var(ext, "d")
-    matrix = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            entry = Poly.zero(ext)
-            for k in range(degree_bound + 1):
-                entry = entry + Poly.var(ext, f"t{i}_{j}_{k}") * D ** k
-            row.append(entry)
-        matrix.append(row)
-    T = ModuleMap(ext, matrix)
-    w = weight.embed(ext) if isinstance(weight, Poly) else Poly.const(ext, weight)
+    t = A.table
+    powers = [Poly.var(t, "d", k) for k in range(k1)]
+    acc = _rb_sums(t, A.products, [(i, p, ((i * n + p) * k1 + k,), powers[k])
+                                   for i in range(n) for p in range(n) for k in range(k1)], weight)
+    monomials = {tag: tuple(map(tag.count, range(len(unknowns)))) for tag in {k[3] for k in acc}}
+    keep = tuple(int(name not in ("d", "x")) for name in t.names)
+    di, xi = t.index["d"], t.index["x"]
+    groups: dict[tuple, dict] = {}  # (i, j, m, d-exponent, x-exponent) -> the equation's terms
+    for (i, j, m, tag), poly in acc.items():
+        for e, c in poly.terms.items():
+            eq = groups.setdefault((i, j, m, e[di], e[xi]), {})
+            eq[tuple(map(mul, e, keep)) + monomials[tag]] = c
+    ext = t.extended(unknowns)
     equations: list[Poly] = []
     seen: set[frozenset] = set()
-    for _, res in sorted(rota_baxter_residuals(A2, T, w).items()):
-        for poly in res:
-            for _, eq in sorted(poly.split(("d", "x")).items()):
-                if eq.is_zero:
-                    continue
-                key = frozenset(eq.terms.items())
-                negkey = frozenset((-eq).terms.items())
-                if key in seen or negkey in seen:
-                    continue
-                seen.add(key)
-                equations.append(eq)
-    return PolySystem(ext, unknowns, equations), T
+    for key in sorted(groups):
+        terms = frozenset(groups[key].items())
+        if terms not in seen and frozenset((e, -c) for e, c in terms) not in seen:
+            seen.add(terms)
+            equations.append(_make(ext, groups[key]))
+    D = Poly.var(ext, "d")
+    generic = ModuleMap(ext, [[sum(Poly.var(ext, f"t{i}_{j}_{k}") * D ** k for k in range(k1))
+                               for j in range(n)] for i in range(n)])
+    return PolySystem(ext, unknowns, equations), generic
 
 
 # -- the limited square/linear elimination solver -----------------------------

@@ -398,6 +398,8 @@ class TestRejectedInput:
                      "--shift names generator 'L' twice", id="shift_twice"),
         pytest.param("rb-constraints", {"algebra": "vir"}, ("--degree", "-1"), "--degree",
                      id="negative_degree"),
+        pytest.param("rb-constraints", {"algebra": "hv"}, ("--degree", "1000000"),
+                     "degree 1000000 is over the cap of 24", id="degree_cap"),
     ])
     def test_exit_2_names_the_path(self, tmp_path, capsys, command, doc, extra, names):
         assert run(tmp_path, command, doc, *extra) == 2
@@ -483,3 +485,5 @@ class TestFreshProcess:
                                "--degree", "2") & without
         system = json.loads((tmp_path / "rb-constraints.out.json").read_text())
         assert not self.loaded(tmp_path, "solve", system) & without
+        # the rb mode of induced_lsc builds its table without the representation module
+        assert not self.loaded(tmp_path, "catalog", None, "hv_lsc1") & without

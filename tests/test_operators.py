@@ -32,6 +32,16 @@ from confalg import (
     sub_adjacent,
 )
 from confalg.io_json import form_from_dict
+from confalg.operators import MAX_RB_DEGREE
+
+
+def plain_algebra(name):
+    """A catalog algebra without parameters; NAME_dual is its semidirect sum
+    with the dual of its adjoint module."""
+    A = catalog(name.removesuffix("_dual"), table=VarTable()).algebra
+    if name.endswith("_dual"):
+        return semidirect(A, dual_rep(standard_rep(A, "adjoint")), checked=False)
+    return A
 
 
 @pytest.fixture(scope="module")
@@ -287,6 +297,28 @@ class TestConstraints:
             T = ModuleMap(table, matrix)
             rb_ok = check_rota_baxter(hv, T, 0).ok
             assert sys_ok == rb_ok == expect_ok
+
+
+    @pytest.mark.parametrize("name, degrees, sizes", [
+        ("vir", range(1, 5), [7, 16, 28, 44]),
+        ("hv", range(1, 5), [44, 109, 211, 344]),
+        ("hv_dual", range(0, 3), [93, 428, 1016]),
+    ])
+    def test_system_sizes(self, name, degrees, sizes):
+        """Equation counts of the benchmark's systems, as the generic-map
+        expansion gave them; the solver eliminates in list order, so a change
+        here changes what it finds."""
+        assert [len(rb_constraints(plain_algebra(name), D, 0)[0].equations)
+                for D in degrees] == sizes
+        if name == "hv_dual":
+            res = solve_squares(rb_constraints(plain_algebra(name), 2, 0)[0])
+            assert (res.status, len(res.assignment), len(res.remaining)) == ("partial", 17, 345)
+
+    def test_degree_cap(self, vir):
+        """A degree past the cap is refused before anything is built."""
+        with pytest.raises(PreconditionError, match="over the cap"):
+            rb_constraints(vir, 1_000_000, 0)
+        assert rb_constraints(vir, MAX_RB_DEGREE, 0)[0].equations
 
 
 class TestSolver:

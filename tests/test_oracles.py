@@ -80,7 +80,7 @@ from confalg import (
 from confalg.algebra import vec_add, vec_sub
 from confalg.operators import BilinearForm, form_pr_map, rota_baxter_residuals
 from confalg.poly import accumulate
-from confalg.gd import ProbeResult
+from confalg.gd import ProbeResult, algebra_from_gd, rb_gd_check
 from confalg.linmap import ConformalLinearMap, ModuleMap
 from confalg.reps import act, act_at
 from conftest import poly_strategy
@@ -936,6 +936,26 @@ def oracle_rb_constraints(A, degree_bound, weight=0):
     return PolySystem(ext, unknowns, equations), T
 
 
+def oracle_rb_gd_check(V, T, weight):
+    """Both operations of a bialgebra through its dense products per basis
+    pair, and the lifted identity through the dense residuals."""
+    alpha = weight if isinstance(weight, Poly) else Poly.const(V.table, weight)
+    report = Report()
+    basis = [V.basis_vector(i) for i in range(V.dim)]
+    rows = [T.row(i) for i in range(V.dim)]
+    for name, prod in (("rota_baxter_novikov", V.circ_prod), ("rota_baxter_lie", V.lie_prod)):
+        def residual(i, j):
+            lhs = prod(rows[i], rows[j])
+            rhs = T.apply(vec_add(prod(rows[i], basis[j]), prod(basis[i], rows[j])))
+            extra = tuple(p * alpha for p in T.apply(prod(basis[i], basis[j])))
+            return tuple(a - b - c for a, b, c in zip(lhs, rhs, extra))
+
+        report.sweep(name, (V.basis,) * 2, residual, V.basis)
+    lifted = oracle_rota_baxter_residuals(algebra_from_gd(V, checked=False), T, alpha)
+    report.sweep("lifted_rota_baxter", (V.basis,) * 2, lambda i, j: lifted[i, j], V.basis)
+    return report
+
+
 map_cell = poly_strategy(BC, names=("d", "b", "c"), max_terms=2, max_degree=2)
 alphas = poly_strategy(BC, names=("b", "c"), max_terms=2, max_degree=2).map(
     lambda p: p * Fraction(1, 2))
@@ -986,6 +1006,14 @@ class TestRotaBaxterOracle:
                 for i in range(hv.rank) for j in range(hv.rank)}
         want = ConformalAlgebra(LEFT_SYMMETRIC, hv.basis, T, want).products
         assert induced_lsc(fam, mode="rb", algebra=hv).products == want
+
+    @given(name=st.sampled_from(("vir_gd", "hv_gd")), weight=weights, data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_rb_gd_check(self, name, weight, data):
+        V = catalog(name, table=BC).gd
+        constant = poly_strategy(BC, names=("b", "c"), max_terms=2, max_degree=1)
+        T = ModuleMap(BC, [[data.draw(constant) for _ in range(V.dim)] for _ in range(V.dim)])
+        assert rb_gd_check(V, T, weight).to_dict() == oracle_rb_gd_check(V, T, weight).to_dict()
 
     @pytest.mark.parametrize("label", sorted(WORKLOAD_SYSTEMS))
     def test_workload_systems(self, label):

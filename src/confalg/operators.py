@@ -83,10 +83,10 @@ def _rb_sums(t: VarTable, P: ProductTable, entries: list[tuple], weight=None) ->
         sum T_ip(-x) T_jq(x+d) P_pqm - sum T_jq(x+d) P_iql T_lm(d)
         - sum T_ip(-x) P_pjl T_lm(d) - alpha sum P_ijl T_lm(d);
 
-    with no weight, the product [T(e_i)_x e_j] = sum T_ip(-x) P_pjm alone.  A tag
-    is a tuple of unknown indices, () for a concrete map; the result maps
-    (i, j, m, the sorted tags of a term's factors) to their polynomial.  Each
-    entry is substituted once at each argument, and each product formed once.
+    with no weight, the product [T(e_i)_x e_j] = sum T_ip(-x) P_pjm alone.  A
+    tag is a tuple of unknown indices, () for a concrete map.  The result maps
+    (i, j, m, the sorted tags of a term's factors) to the sum of those terms.
+    Each entry is substituted once at each argument, each product formed once.
     """
     memo: dict = {}
 
@@ -310,8 +310,8 @@ def cocycle_check(A: ConformalAlgebra, form: BilinearForm) -> Report:
 
 # -- Rota-Baxter constraint systems -------------------------------------------
 
-# rb_constraints refuses a degree bound past this cap before building anything
-MAX_RB_DEGREE = 24
+# the largest rank^3 (D + 1)^2, the order of its equation count, rb_constraints builds
+MAX_RB_SIZE = 5000
 
 
 @dataclass
@@ -336,9 +336,9 @@ def rb_constraints(A: ConformalAlgebra, degree_bound: int,
     They are read off ``_rb_sums`` in (i, j, m, d-exponent, x-exponent) order;
     of two equal up to sign, only the first is kept.
     """
-    if degree_bound > MAX_RB_DEGREE:
-        raise PreconditionError(f"degree {degree_bound} is over the cap of {MAX_RB_DEGREE}")
     n, k1 = A.rank, degree_bound + 1
+    if (size := n ** 3 * k1 ** 2) > MAX_RB_SIZE:
+        raise PreconditionError(f"rank^3 (degree + 1)^2 = {size} is over the cap of {MAX_RB_SIZE}")
     unknowns = tuple(f"t{i}_{j}_{k}" for i in range(n) for j in range(n) for k in range(k1))
     for u in unknowns:
         if u in A.table:

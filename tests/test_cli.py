@@ -399,7 +399,7 @@ class TestRejectedInput:
         pytest.param("rb-constraints", {"algebra": "vir"}, ("--degree", "-1"), "--degree",
                      id="negative_degree"),
         pytest.param("rb-constraints", {"algebra": "hv"}, ("--degree", "1000000"),
-                     "degree 1000000 is over the cap of 24", id="degree_cap"),
+                     "over the cap of 5000", id="degree_cap"),
     ])
     def test_exit_2_names_the_path(self, tmp_path, capsys, command, doc, extra, names):
         assert run(tmp_path, command, doc, *extra) == 2

@@ -32,7 +32,7 @@ from confalg import (
     sub_adjacent,
 )
 from confalg.io_json import form_from_dict
-from confalg.operators import MAX_RB_DEGREE
+from confalg.operators import MAX_RB_SIZE
 
 
 def plain_algebra(name):
@@ -314,11 +314,14 @@ class TestConstraints:
             res = solve_squares(rb_constraints(plain_algebra(name), 2, 0)[0])
             assert (res.status, len(res.assignment), len(res.remaining)) == ("partial", 17, 345)
 
-    def test_degree_cap(self, vir):
-        """A degree past the cap is refused before anything is built."""
-        with pytest.raises(PreconditionError, match="over the cap"):
-            rb_constraints(vir, 1_000_000, 0)
-        assert rb_constraints(vir, MAX_RB_DEGREE, 0)[0].equations
+    @pytest.mark.parametrize("name, largest", [("vir", 69), ("hv", 24), ("hv_dual", 7)])
+    def test_size_cap(self, name, largest):
+        """A system past the cap is refused before anything is built."""
+        A = plain_algebra(name)
+        assert A.rank ** 3 * (largest + 1) ** 2 <= MAX_RB_SIZE < A.rank ** 3 * (largest + 2) ** 2
+        for D in (largest + 1, 1_000_000):
+            with pytest.raises(PreconditionError, match="over the cap"):
+                rb_constraints(A, D, 0)
 
 
 class TestSolver:

@@ -333,8 +333,8 @@ def rb_constraints(A: ConformalAlgebra, degree_bound: int,
     The candidate is T(e_i) = sum_{j, k <= degree_bound} t_i_j_k d^k e_j with
     one unknown per coefficient; each (d, x)-monomial of each residual
     contributes one equation.  Returns the system and the generic map.
-    They are read off ``_rb_sums`` in (i, j, m, d-exponent, x-exponent) order;
-    of two equal up to sign, only the first is kept.
+    The equations are read off ``_rb_sums`` in (i, j, m, d-exponent, x-exponent)
+    order; of two equal up to sign, only the first is kept.
     """
     n, k1 = A.rank, degree_bound + 1
     if (size := n ** 3 * k1 ** 2) > MAX_RB_SIZE:

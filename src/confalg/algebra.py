@@ -23,9 +23,7 @@ instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .poly import Poly, VarTable, accumulate
+from .poly import Poly, Record, VarTable, accumulate
 from .report import Report
 
 LIE = "lie"
@@ -54,17 +52,13 @@ def clean_table(products: ProductTable) -> ProductTable:
     return out
 
 
-@dataclass
-class ConformalAlgebra:
-    kind: str
-    basis: tuple[str, ...]
-    table: VarTable
-    products: ProductTable
-
-    def __post_init__(self) -> None:
-        if self.kind not in (LIE, LEFT_SYMMETRIC):
-            raise AlgebraError(f"unknown algebra kind {self.kind!r}")
-        self.products = clean_table(self.products)
+class ConformalAlgebra(Record):
+    def __init__(self, kind: str, basis: tuple[str, ...], table: VarTable,
+                 products: ProductTable) -> None:
+        if kind not in (LIE, LEFT_SYMMETRIC):
+            raise AlgebraError(f"unknown algebra kind {kind!r}")
+        self.kind, self.basis, self.table = kind, basis, table
+        self.products = clean_table(products)
 
     @property
     def rank(self) -> int:

@@ -8,11 +8,10 @@ exercises the constructions it documents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from .algebra import LIE, ConformalAlgebra, sub_adjacent
-from .poly import Poly, VarTable, parse
+from .poly import Poly, Record, VarTable, parse
 
 if TYPE_CHECKING:
     from .gd import GDBialgebra
@@ -25,14 +24,12 @@ class UnknownEntry(Exception):
     pass
 
 
-@dataclass
-class CatalogEntry:
-    name: str
-    note: str
-    algebra: ConformalAlgebra | None = None
-    linmap: ModuleMap | None = None
-    tensor: Tensor2 | None = None
-    gd: GDBialgebra | None = None
+class CatalogEntry(Record):
+    def __init__(self, name: str, note: str, algebra: ConformalAlgebra | None = None,
+                 linmap: ModuleMap | None = None, tensor: Tensor2 | None = None,
+                 gd: GDBialgebra | None = None) -> None:
+        self.name, self.note, self.algebra = name, note, algebra
+        self.linmap, self.tensor, self.gd = linmap, tensor, gd
 
 
 def virasoro(table: VarTable) -> ConformalAlgebra:

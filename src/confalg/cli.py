@@ -149,15 +149,18 @@ def _load(args) -> dict:
     try:
         with open(args.infile, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read input: {exc}")
 
 
 def _emit(args, payload: dict) -> None:
     text = json.dumps(payload, indent=2, sort_keys=False)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write --out {args.out}: {exc.strerror or exc}") from None
     else:
         try:
             print(text, flush=True)

@@ -24,12 +24,11 @@ window past ``MAX_WINDOW_TRIPLES`` of them is refused before any is built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import LIE, ConformalAlgebra, PreconditionError, Vector
 from .linmap import ModuleMap
-from .poly import Poly, accumulate
+from .poly import Poly, Record, accumulate
 from .report import Report
 
 
@@ -76,18 +75,17 @@ def _binom(m: int, j: int) -> Fraction:
     return Fraction(_falling(m, j), math.factorial(j))
 
 
-@dataclass
-class CoeffWindow:
+class CoeffWindow(Record):
     """Symbols v_m for each generator v and |m + shift_v| <= N."""
 
-    algebra: ConformalAlgebra
-    N: int
-    shifts: dict[int, int] = field(default_factory=dict)
-    _nth: dict = field(init=False, repr=False)
-    _cache: dict = field(init=False, repr=False, default_factory=dict)
+    _uncompared = ("_nth", "_cache")
 
-    def __post_init__(self) -> None:
-        self._nth = nth_products(self.algebra)
+    def __init__(self, algebra: ConformalAlgebra, N: int,
+                 shifts: dict[int, int] | None = None) -> None:
+        self.algebra, self.N = algebra, N
+        self.shifts = {} if shifts is None else shifts
+        self._nth = nth_products(algebra)
+        self._cache = {}
 
     def shift(self, i: int) -> int:
         return self.shifts.get(i, 0)

@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (LIE, ConformalAlgebra, PreconditionError, ProductTable, unit_vector,
                       vec_add, vec_sub)
 from .linmap import ModuleMap, kernel
 from .operators import rota_baxter_residuals
-from .poly import Poly, VarTable, accumulate
+from .poly import Poly, Record, VarTable, accumulate
 from .report import Report
 
 ConstTable = dict[tuple[int, int], dict[int, Fraction]]
@@ -41,18 +40,13 @@ def _clean_const(table: ConstTable) -> ConstTable:
     return out
 
 
-@dataclass
-class GDBialgebra:
+class GDBialgebra(Record):
     """A Novikov product and a Lie bracket on one space, with compatibility."""
 
-    basis: tuple[str, ...]
-    table: VarTable
-    circ: ConstTable
-    lie: ConstTable
-
-    def __post_init__(self) -> None:
-        self.circ = _clean_const(self.circ)
-        self.lie = _clean_const(self.lie)
+    def __init__(self, basis: tuple[str, ...], table: VarTable, circ: ConstTable,
+                 lie: ConstTable) -> None:
+        self.basis, self.table = basis, table
+        self.circ, self.lie = _clean_const(circ), _clean_const(lie)
 
     @property
     def dim(self) -> int:
@@ -173,10 +167,11 @@ def algebra_from_gd(V: GDBialgebra, checked: bool = True) -> ConformalAlgebra:
     return ConformalAlgebra(LIE, V.basis, t, products)
 
 
-@dataclass
-class ProbeResult:
-    status: str  # "no_zero_divisors" | "witness" | "unknown"
-    witness: tuple[tuple[Fraction, ...], tuple[Fraction, ...]] | None = None
+class ProbeResult(Record):
+    def __init__(self, status: str,
+                 witness: tuple[tuple[Fraction, ...], tuple[Fraction, ...]] | None = None) -> None:
+        self.status = status  # "no_zero_divisors" | "witness" | "unknown"
+        self.witness = witness
 
     def witness_names(self, V: GDBialgebra) -> tuple[str, str] | None:
         """Basis names when both witness vectors are basis elements."""

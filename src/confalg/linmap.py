@@ -15,10 +15,9 @@ integers, and `kernel` gives a basis of their common null space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import Poly, VarTable
+from .poly import Poly, Record, VarTable
 
 Vector = tuple[Poly, ...]
 
@@ -40,19 +39,16 @@ def _apply_matrix(matrix: list[list[Poly]], w: Vector, table: VarTable) -> Vecto
     return tuple(out)
 
 
-@dataclass
-class ModuleMap:
+class ModuleMap(Record):
     """Matrix over the polynomial ring in d; rows index the source basis."""
 
-    table: VarTable
-    matrix: list[list[Poly]]
-
-    def __post_init__(self) -> None:
-        for row in self.matrix:
+    def __init__(self, table: VarTable, matrix: list[list[Poly]]) -> None:
+        for row in matrix:
             for p in row:
-                extra = p.variables() - set(self.table.params) - {"d"}
+                extra = p.variables() - set(table.params) - {"d"}
                 if extra:
                     raise ValueError(f"module map entries may use only d and parameters, got {sorted(extra)}")
+        self.table, self.matrix = table, matrix
 
     @property
     def src_rank(self) -> int:
@@ -79,10 +75,6 @@ class ModuleMap:
     def row(self, i: int) -> Vector:
         return tuple(self.matrix[i])
 
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, ModuleMap) and self.table == other.table
-                and self.matrix == other.matrix)
-
     def map_polys(self, fn) -> "ModuleMap":
         return ModuleMap(self.table, [[fn(p) for p in row] for row in self.matrix])
 
@@ -92,12 +84,11 @@ class ModuleMap:
         return ModuleMap(self.table, out)
 
 
-@dataclass
-class ConformalLinearMap:
+class ConformalLinearMap(Record):
     """Matrix a_ij(x, d): the map at bracket argument x; rows index the source."""
 
-    table: VarTable
-    matrix: list[list[Poly]]
+    def __init__(self, table: VarTable, matrix: list[list[Poly]]) -> None:
+        self.table, self.matrix = table, matrix
 
     @property
     def src_rank(self) -> int:

@@ -10,7 +10,6 @@ solved (when possible) by a deliberately small elimination loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
 from operator import mul
@@ -30,7 +29,7 @@ from .algebra import (
     vec_sub,
 )
 from .linmap import ConformalLinearMap, ModuleMap, NotInvertible, invert_module_map
-from .poly import Poly, VarTable, _make, _normal
+from .poly import Poly, Record, VarTable, _make, _normal
 from .report import Report
 
 if TYPE_CHECKING:
@@ -202,8 +201,7 @@ def induced_lsc(T: ModuleMap, rep: Representation | None = None,
 
 # -- bilinear forms and 2-cocycles ----------------------------------------------
 
-@dataclass
-class BilinearForm:
+class BilinearForm(Record):
     """Conformal bilinear form: values B_ij(x) on basis pairs.
 
     Conformal bilinearity is definitional through the extension rule
@@ -212,16 +210,14 @@ class BilinearForm:
     form carries its ``kind`` ("lie" or "lsc"), which fixes its symmetry law.
     """
 
-    table: VarTable
-    basis: tuple[str, ...]
-    matrix: list[list[Poly]]
-    kind: str | None = None
-    products: ProductTable = field(init=False, repr=False, compare=False)
+    _uncompared = ("products",)
 
-    def __post_init__(self) -> None:
-        allowed = set(self.table.params) | {"x"}
-        self.products = {}
-        for i, row in enumerate(self.matrix):
+    def __init__(self, table: VarTable, basis: tuple[str, ...], matrix: list[list[Poly]],
+                 kind: str | None = None) -> None:
+        self.table, self.basis, self.matrix, self.kind = table, basis, matrix, kind
+        allowed = set(table.params) | {"x"}
+        self.products: ProductTable = {}
+        for i, row in enumerate(matrix):
             for j, p in enumerate(row):
                 extra = p.variables() - allowed
                 if extra:
@@ -314,13 +310,13 @@ def cocycle_check(A: ConformalAlgebra, form: BilinearForm) -> Report:
 MAX_RB_SIZE = 5000
 
 
-@dataclass
-class PolySystem:
+class PolySystem(Record):
     """Fully expanded polynomial equations in the unknown parameters."""
 
-    table: VarTable
-    unknowns: tuple[str, ...]
-    equations: list[Poly] = field(default_factory=list)
+    def __init__(self, table: VarTable, unknowns: tuple[str, ...],
+                 equations: list[Poly] | None = None) -> None:
+        self.table, self.unknowns = table, unknowns
+        self.equations = [] if equations is None else equations
 
     def evaluate(self, assignment: dict[str, Poly | Fraction | int]) -> list[Poly]:
         return [eq.subs(assignment) for eq in self.equations]
@@ -375,11 +371,10 @@ class InconsistentSystem(Exception):
     pass
 
 
-@dataclass
-class SolveResult:
-    status: str  # "solved" | "partial"
-    assignment: dict[str, Poly]
-    remaining: list[Poly]
+class SolveResult(Record):
+    def __init__(self, status: str, assignment: dict[str, Poly], remaining: list[Poly]) -> None:
+        self.status = status  # "solved" | "partial"
+        self.assignment, self.remaining = assignment, remaining
 
     @property
     def solved(self) -> bool:

@@ -93,6 +93,27 @@ class VarTable:
         return f"VarTable(params={self.params!r})"
 
 
+class Record:
+    """Base of the package's plain record classes.  Two instances of one class
+    are equal when their attributes are, apart from the caches named in
+    ``_uncompared``; instances are unhashable, and repr lists the compared
+    attributes in the order ``__init__`` sets them."""
+
+    _uncompared: tuple[str, ...] = ()
+
+    def _fields(self) -> dict:
+        return {k: v for k, v in vars(self).items() if k not in self._uncompared}
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in self._fields().items())
+        return f"{type(self).__qualname__}({fields})"
+
+
 def _scalar(value: Scalar) -> Scalar:
     """``value`` as a stored coefficient: an int, or a Fraction whose denominator is not 1."""
     if isinstance(value, int):

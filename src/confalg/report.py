@@ -9,16 +9,17 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+
+from .poly import Record
 
 
-@dataclass
-class CheckItem:
-    name: str
-    residuals: list[tuple[str, str]] = field(default_factory=list)
-    # instances a sweep evaluated and skipped; not in to_dict yet
-    evaluated: int = 0
-    skipped: int = 0
+class CheckItem(Record):
+    def __init__(self, name: str, residuals: list[tuple[str, str]] | None = None,
+                 evaluated: int = 0, skipped: int = 0) -> None:
+        self.name = name
+        self.residuals = [] if residuals is None else residuals
+        # instances a sweep evaluated and skipped; not in to_dict yet
+        self.evaluated, self.skipped = evaluated, skipped
 
     @property
     def ok(self) -> bool:
@@ -37,9 +38,9 @@ class CheckItem:
                 self.residuals.append((f"{basis}->{target_names[key]}", str(p)))
 
 
-@dataclass
-class Report:
-    checks: list[CheckItem] = field(default_factory=list)
+class Report(Record):
+    def __init__(self, checks: list[CheckItem] | None = None) -> None:
+        self.checks = [] if checks is None else checks
 
     @property
     def ok(self) -> bool:

@@ -9,8 +9,6 @@ its right analogue, their difference, conformal duals, and semidirect sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import (
     LEFT_SYMMETRIC,
     LIE,
@@ -26,7 +24,7 @@ from .algebra import (
     sub_adjacent,
     unit_vector,
 )
-from .poly import Poly, accumulate
+from .poly import Poly, Record, accumulate
 from .report import Report
 
 ADJOINT = "adjoint"
@@ -35,33 +33,23 @@ REGULAR_RIGHT = "regular_right"
 LEFT_MINUS_RIGHT = "left_minus_right"
 
 
-@dataclass
-class Representation:
+class Representation(Record):
     """Module over a conformal algebra, given by action tables.
 
     Lie kind: ``rho`` is set.  Left-symmetric kind: ``left`` and ``right``
     are set (either may be empty for the zero action).
     """
 
-    algebra: ConformalAlgebra
-    mbasis: tuple[str, ...]
-    rho: ProductTable | None = None
-    left: ProductTable | None = None
-    right: ProductTable | None = None
-
-    def __post_init__(self) -> None:
-        if self.rho is not None:
-            self.rho = clean_table(self.rho)
-        if self.left is not None:
-            self.left = clean_table(self.left)
-        if self.right is not None:
-            self.right = clean_table(self.right)
-        if (self.rho is None) == (self.left is None and self.right is None):
+    def __init__(self, algebra: ConformalAlgebra, mbasis: tuple[str, ...],
+                 rho: ProductTable | None = None, left: ProductTable | None = None,
+                 right: ProductTable | None = None) -> None:
+        if (rho is None) == (left is None and right is None):
             raise AlgebraError("give either rho (lie) or left/right tables (lsc)")
-        if self.left is not None and self.right is None:
-            self.right = {}
-        if self.right is not None and self.left is None:
-            self.left = {}
+        self.algebra, self.mbasis = algebra, mbasis
+        if rho is None:  # a missing left or right table is the zero action
+            self.rho, self.left, self.right = None, clean_table(left or {}), clean_table(right or {})
+        else:
+            self.rho, self.left, self.right = clean_table(rho), None, None
 
     @property
     def is_lie(self) -> bool:

@@ -20,8 +20,6 @@ first, remains the reference for general elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import (
     LEFT_SYMMETRIC,
     LIE,
@@ -32,18 +30,15 @@ from .algebra import (
     sub_adjacent,
 )
 from .linmap import ConformalLinearMap
-from .poly import Poly, accumulate
+from .poly import Poly, Record, accumulate
 from .report import Report
 from .reps import Representation, check_rep, dual_rep, semidirect
 
 
-@dataclass
-class Tensor2:
-    algebra: ConformalAlgebra
-    coeffs: dict[tuple[int, int], Poly]
-
-    def __post_init__(self) -> None:
-        self.coeffs = {k: p for k, p in self.coeffs.items() if not p.is_zero}
+class Tensor2(Record):
+    def __init__(self, algebra: ConformalAlgebra, coeffs: dict[tuple[int, int], Poly]) -> None:
+        self.algebra = algebra
+        self.coeffs = {k: p for k, p in coeffs.items() if not p.is_zero}
 
     @property
     def is_zero(self) -> bool:
@@ -69,14 +64,12 @@ class Tensor2:
         return Tensor2(self.algebra, {k: fn(p) for k, p in self.coeffs.items()})
 
 
-@dataclass
-class Tensor3:
-    algebra: ConformalAlgebra
-    coeffs: dict[tuple[int, int, int], Poly]
-    reduced: bool = False
-
-    def __post_init__(self) -> None:
-        self.coeffs = {k: p for k, p in self.coeffs.items() if not p.is_zero}
+class Tensor3(Record):
+    def __init__(self, algebra: ConformalAlgebra, coeffs: dict[tuple[int, int, int], Poly],
+                 reduced: bool = False) -> None:
+        self.algebra = algebra
+        self.coeffs = {k: p for k, p in coeffs.items() if not p.is_zero}
+        self.reduced = reduced
 
     @property
     def is_zero(self) -> bool:
@@ -93,13 +86,11 @@ def normal_form3(t: Tensor3) -> Tensor3:
                    reduced=True)
 
 
-@dataclass
-class Parts:
-    r21: Tensor2
-    skew: Tensor2
-    sym: Tensor2
-    is_skew: bool
-    is_sym: bool
+class Parts(Record):
+    def __init__(self, r21: Tensor2, skew: Tensor2, sym: Tensor2, is_skew: bool,
+                 is_sym: bool) -> None:
+        self.r21, self.skew, self.sym = r21, skew, sym
+        self.is_skew, self.is_sym = is_skew, is_sym
 
 
 def flip(r: Tensor2) -> Tensor2:

@@ -1,9 +1,23 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
 from confalg import ConformalAlgebra, LIE, LEFT_SYMMETRIC, Poly, VarTable, parse
+
+
+@pytest.fixture(scope="session")
+def bare_modules():
+    """The modules a bare `python -c` child holds, with the package on its
+    path: what start-up and any `site` hook import outside the package."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    child = subprocess.run([sys.executable, "-c", "import sys; print(*sys.modules)"],
+                           capture_output=True, text=True, env=env, timeout=60, check=True)
+    return set(child.stdout.split())
 
 
 @pytest.fixture(scope="session")

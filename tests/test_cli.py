@@ -407,6 +407,19 @@ class TestRejectedInput:
         assert "Traceback" not in err
         assert names in json.loads(err)["error"]
 
+    def test_unwritable_out_names_the_path(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.json"
+        assert run(tmp_path, "check-axioms", {"algebra": "hv"}, "--out", str(out)) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == f"InputError: cannot write --out {out}: No such file or directory"
+
+    def test_undecodable_input(self, tmp_path, capsys):
+        path = tmp_path / "in.json"
+        path.write_bytes(b'{"algebra": "\xff"}')
+        assert main(["check-axioms", "--in", str(path)]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error.startswith("InputError: cannot read input: 'utf-8' codec can't decode")
+
     def test_repeated_names_only_rejected_at_the_boundary(self):
         from confalg import ConformalAlgebra, VarTable
         from confalg.io_json import InputError, gd_from_dict
@@ -459,12 +472,11 @@ class TestFreshProcess:
         assert "Traceback" not in err
         assert json.loads(err)["error"].startswith(f"{error}: ")
 
-    # runs the front end, then prints the confalg modules it loaded
+    # runs the front end, then prints the modules it loaded
     LOADED = ("import json, sys\n"
               "from confalg.cli import main\n"
               "code = main(sys.argv[1:])\n"
-              "loaded = sorted(m for m in sys.modules if m.startswith('confalg.'))\n"
-              "print(json.dumps([code, loaded]))\n")
+              "print(json.dumps([code, sorted(sys.modules)]))\n")
 
     def loaded(self, tmp_path, command, doc, *extra):
         out_file = tmp_path / f"{command}.out.json"
@@ -473,12 +485,14 @@ class TestFreshProcess:
         assert err == "" and json.loads(out)[0] in (0, 1)
         return {m.removeprefix("confalg.") for m in json.loads(out)[1]}
 
-    def test_subcommands_load_only_what_they_run(self, tmp_path):
+    def test_subcommands_load_only_what_they_run(self, tmp_path, bare_modules):
         family1 = {"algebra": "hv", "map": "hv_rb_family1"}
+        # unless a bare interpreter loads them too
+        startup = {"dataclasses", "inspect"} - bare_modules
         assert not self.loaded(tmp_path, "check-axioms", {"algebra": "hv"}) & {
-            "operators", "gd", "tensor", "reps", "linmap", "coeff"}
+            "operators", "gd", "tensor", "reps", "linmap", "coeff", *startup}
         assert not self.loaded(tmp_path, "coeff", family1, "--window", "2") & {
-            "operators", "gd", "tensor", "reps"}
+            "operators", "gd", "tensor", "reps", *startup}
         without = {"gd", "coeff", "reps", "tensor"}
         assert not self.loaded(tmp_path, "check-rb", family1) & without
         assert not self.loaded(tmp_path, "rb-constraints", {"algebra": "vir"},

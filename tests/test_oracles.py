@@ -24,7 +24,6 @@ which visit every slot; the library sums over chains of nonzero structure
 constants (and form entries), and the two reports must be equal as dicts.
 """
 
-import dataclasses
 import itertools
 from fractions import Fraction
 from unittest import mock
@@ -658,7 +657,7 @@ class TestOracles:
     @given(matrix=form_matrix, a=element, b=element, lam=arguments)
     @settings(max_examples=40, deadline=None)
     def test_eval_at(self, matrix, a, b, lam):
-        form = dataclasses.replace(FORM, matrix=matrix)
+        form = BilinearForm(FORM.table, FORM.basis, matrix, FORM.kind)
         assert form.eval_at(tuple(a), tuple(b), lam) == oracle_eval_at(form, a, b, lam)
 
     @pytest.mark.parametrize("A", [HV, LIE_ENTRY.algebra], ids=["hv", "hv_lsc1_skew_r"])

@@ -14,10 +14,13 @@ from confalg import Poly, VarTable, check_axioms, parse
 from confalg.algebra import unit_vector
 
 
-def test_runtime_imports_only_the_standard_library():
-    """The package has no runtime dependencies outside the standard library."""
-    outside = []
-    for path in sorted(Path(confalg.__file__).parent.glob("*.py")):
+PACKAGE = Path(confalg.__file__).parent
+
+
+def _absolute_imports() -> list[tuple[str, str]]:
+    """(file name, top-level module) for each absolute import in the package."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
@@ -25,9 +28,34 @@ def test_runtime_imports_only_the_standard_library():
                 modules = [node.module]
             else:
                 continue
-            outside += [f"{path.name}: {m}" for m in modules
-                        if m.split(".")[0] not in sys.stdlib_module_names]
-    assert not outside
+            out += [(path.name, m.split(".")[0]) for m in modules]
+    return out
+
+
+def test_runtime_imports_only_the_standard_library():
+    """The package has no runtime dependencies outside the standard library."""
+    assert not [(f, m) for f, m in _absolute_imports() if m not in sys.stdlib_module_names]
+
+
+# dataclasses and the inspect it imports: about 10 ms of every CLI call
+STARTUP_COSTS = {"dataclasses", "inspect"}
+
+
+def test_runtime_imports_neither_dataclasses_nor_inspect():
+    assert not [(f, m) for f, m in _absolute_imports() if m in STARTUP_COSTS]
+
+
+def test_submodules_load_neither_dataclasses_nor_inspect(bare_modules):
+    """Checked against a bare child, so that a `site` hook outside the
+    package that imports either cannot fail it."""
+    probe = "".join(f"import confalg.{path.stem}\n" for path in sorted(PACKAGE.glob("*.py"))
+                    if path.stem != "__init__")
+    child = subprocess.run([sys.executable, "-c", probe + "import sys; print(*sys.modules)"],
+                           capture_output=True, text=True, timeout=60,
+                           env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)))
+    assert child.returncode == 0, child.stderr
+    loaded = set(child.stdout.split())
+    assert "confalg.tensor" in loaded and not (loaded - bare_modules) & STARTUP_COSTS
 
 
 def _benchmark_module(name: str):

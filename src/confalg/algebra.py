@@ -23,7 +23,7 @@ instance.
 
 from __future__ import annotations
 
-from .poly import Poly, Record, VarTable, accumulate
+from .poly import Poly, Record, Sums, VarTable
 from .report import Report
 
 LIE = "lie"
@@ -152,8 +152,7 @@ def vec_add(a: Vector, b: Vector) -> Vector:
 
 
 def _chains(inner: ProductTable, outer: ProductTable, lam_in: Poly, lam_out: Poly,
-            *, right: bool, swap: bool = False,
-            scalar: bool = False) -> dict[tuple[int, int, int], dict[int, Poly]]:
+            *, right: bool, swap: bool = False, scalar: bool = False):
     """Nested products of basis elements, as sums over chains of nonzero entries.
 
     right:  (i, j, k) -> e_i _lam_out (e_j _lam_in v_k)
@@ -161,11 +160,11 @@ def _chains(inner: ProductTable, outer: ProductTable, lam_in: Poly, lam_out: Pol
     left:   (i, j, k) -> (e_i _lam_in e_j) _lam_out v_k
                        = sum_l inner_ijl(d, lam_in)|_{d -> -lam_out} outer_lkm(d, lam_out)
 
-    The inner argument is substituted before d is shifted, as in
-    ``apply_bilinear``, so lam_in may contain d.  Keys without a chain are
-    absent; with ``swap`` the value for (i, j, k) is stored at (j, i, k).
-    With ``scalar`` the outer table is a form, whose output carries no d, so
-    the right shift is d -> lam_out.
+    Yields one ((i, j, k, m), inner factor, outer factor) per chain, for
+    ``_signed_sum``; with ``swap`` the key is (j, i, k, m).  The inner
+    argument is substituted before d is shifted, as in ``apply_bilinear``, so
+    lam_in may contain d.  With ``scalar`` the outer table is a form, whose
+    output carries no d, so the right shift is d -> lam_out.
     """
     d_out = Poly.zero(lam_out.table) if scalar else Poly.var(lam_out.table, "d")
     shift = {"d": lam_out + d_out} if right else {"d": -lam_out}
@@ -173,7 +172,6 @@ def _chains(inner: ProductTable, outer: ProductTable, lam_in: Poly, lam_out: Pol
     for (a, b), targets in outer.items():
         at_out = {m: P.subs({"x": lam_out}) for m, P in targets.items()}
         by_factor.setdefault(b if right else a, []).append((a if right else b, at_out))
-    out: dict[tuple[int, int, int], dict[int, Poly]] = {}
     for (p, q), targets in inner.items():
         for l, P in targets.items():
             chains = by_factor.get(l)
@@ -182,22 +180,29 @@ def _chains(inner: ProductTable, outer: ProductTable, lam_in: Poly, lam_out: Pol
             s = P.subs({"x": lam_in}).subs(shift)
             for o, at_out in chains:
                 i, j, k = (o, p, q) if right else (p, q, o)
-                acc = out.setdefault((j, i, k) if swap else (i, j, k), {})
+                i, j = (j, i) if swap else (i, j)
                 for m, Q in at_out.items():
-                    accumulate(acc, m, s * Q)
+                    yield (i, j, k, m), s, Q
+
+
+def _nest(sums: dict) -> dict:
+    """{(*head, last): value} as {head: {last: value}}, e.g. a product table."""
+    out: dict = {}
+    for key, value in sums.items():
+        out.setdefault(key[:-1], {})[key[-1]] = value
     return out
 
 
-def _signed_sum(*terms):
-    """Residual idx -> sum of sign * sums[idx] over (sign, sums) terms, a dict
-    {target: poly}; ``Report.sweep`` reads a missing target as zero."""
-    def residual(*idx):
-        out: dict[int, Poly] = {}
-        for sign, sums in terms:
-            for m, p in sums.get(idx, {}).items():
-                accumulate(out, m, p if sign > 0 else -p)
-        return out
-    return residual
+def _signed_sum(table: VarTable, *terms):
+    """Residual idx -> {target: poly}, the sum of sign * a * b over the
+    ((*idx, target), a, b) each (sign, chain) term yields (b may be None);
+    ``Report.sweep`` reads a missing target as zero."""
+    sums = Sums(table)
+    for sign, chain in terms:
+        for key, a, b in chain:
+            sums.add(key, a, b, sign)
+    nested = _nest(sums.close())
+    return lambda *idx: nested.get(idx, {})
 
 
 def check_axioms(A: ConformalAlgebra) -> Report:
@@ -215,15 +220,16 @@ def check_axioms(A: ConformalAlgebra) -> Report:
     report = Report()
 
     if A.kind == LIE:
-        flipped = {(j, i): {k: Q.subs({"x": -X - D}) for k, Q in targets.items()}
-                   for (i, j), targets in P.items()}
-        report.sweep("skew_symmetry", (A.basis,) * 2, _signed_sum((1, P), (1, flipped)), A.basis)
-        jacobi = _signed_sum((1, _chains(P, P, Y, X, right=True)),
+        cells = [((i, j, k), Q, None) for (i, j), targets in P.items() for k, Q in targets.items()]
+        flipped = [((j, i, k), Q.subs({"x": -X - D}), None) for (i, j, k), Q, _ in cells]
+        report.sweep("skew_symmetry", (A.basis,) * 2, _signed_sum(t, (1, cells), (1, flipped)),
+                     A.basis)
+        jacobi = _signed_sum(t, (1, _chains(P, P, Y, X, right=True)),
                              (-1, _chains(P, P, X, X + Y, right=False)),
                              (-1, _chains(P, P, X, Y, right=True, swap=True)))
         report.sweep("jacobi", (A.basis,) * 3, jacobi, A.basis)
     else:
-        left_symmetry = _signed_sum((1, _chains(P, P, X, X + Y, right=False)),
+        left_symmetry = _signed_sum(t, (1, _chains(P, P, X, X + Y, right=False)),
                                     (-1, _chains(P, P, Y, X, right=True)),
                                     (-1, _chains(P, P, Y, X + Y, right=False, swap=True)),
                                     (1, _chains(P, P, X, Y, right=True, swap=True)))
@@ -246,14 +252,11 @@ def sub_adjacent(A: ConformalAlgebra, checked: bool = True) -> ConformalAlgebra:
     t = A.table
     X = Poly.var(t, "x")
     D = Poly.var(t, "d")
-    products: ProductTable = {}
+    sums = Sums(t)
     for i in range(A.rank):
         for j in range(A.rank):
-            acc: dict[int, Poly] = {}
             for k, P in A.product(i, j).items():
-                accumulate(acc, k, P)
+                sums.add((i, j, k), P)
             for k, P in A.product(j, i).items():
-                accumulate(acc, k, -P.subs({"x": -X - D}))
-            if acc:
-                products[(i, j)] = acc
-    return ConformalAlgebra(LIE, A.basis, t, products)
+                sums.add((i, j, k), P.subs({"x": -X - D}), None, -1)
+    return ConformalAlgebra(LIE, A.basis, t, _nest(sums.close()))

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .algebra import LIE, ConformalAlgebra, PreconditionError, Vector
 from .linmap import ModuleMap
-from .poly import Poly, Record, accumulate
+from .poly import Poly, Record, Sums
 from .report import Report
 
 
@@ -106,20 +106,20 @@ class CoeffWindow(Record):
         return f"{self.algebra.basis[i]}_{m}"
 
     def _reduce(self, terms) -> WinElem | OutOfWindow:
-        """The sum of scale * p(d) u_t over (k, t, p, scale) in `terms`, where u_t
-        is generator k at raw index t and (d^s u)_t = (-1)^s t(t-1)...(t-s+1) u_{t-s};
-        OUT_OF_WINDOW as soon as an index leaves the window."""
-        out: WinElem = {}
+        """The sum of scale * p(d) u_t over the (k, t, p, scale) in `terms`: u_t is
+        generator k at raw index t, (d^s u)_t = (-1)^s t(t-1)...(t-s+1) u_{t-s} and
+        scale a polynomial; OUT_OF_WINDOW as soon as an index leaves the window."""
+        out = Sums(self.algebra.table)
         for k, t, poly, scale in terms:
             for (s,), cof in poly.split(("d",)).items():
-                coeff = cof * (scale * ((-1) ** s * _falling(t, s)))
-                if coeff.is_zero:
+                factor = (-1) ** s * _falling(t, s)
+                if not factor or scale.is_zero:
                     continue
                 raw = t - s
                 if abs(raw) > self.N:
                     return OUT_OF_WINDOW
-                accumulate(out, (k, raw - self.shift(k)), coeff)
-        return out
+                out.add((k, raw - self.shift(k)), cof, scale, factor)
+        return out.close()
 
     def _pair_bracket(self, i: int, m: int, j: int, n: int) -> WinElem | OutOfWindow:
         """The product of the unit symbols (i, m) and (j, n), memoised."""
@@ -132,7 +132,7 @@ class CoeffWindow(Record):
             else:
                 # a_m . b_n = sum_deg binom(m, deg) (a_(deg) b)_{m+n-deg}
                 self._cache[key] = self._reduce(
-                    (k, mu + nu - deg, poly, cb)
+                    (k, mu + nu - deg, poly, Poly.const(self.algebra.table, cb))
                     for deg, vec in enumerate(self._nth.get((i, j), []))
                     for cb in [_binom(mu, deg)] if cb != 0
                     for k, poly in enumerate(vec) if not poly.is_zero)
@@ -142,7 +142,7 @@ class CoeffWindow(Record):
         """Bilinear product of window elements; OutOfWindow propagates."""
         if a is OUT_OF_WINDOW or b is OUT_OF_WINDOW:
             return OUT_OF_WINDOW
-        out: WinElem = {}
+        out = Sums(self.algebra.table)
         for (i, m), ca in a.items():
             for (j, n), cb in b.items():
                 piece = self._pair_bracket(i, m, j, n)
@@ -150,8 +150,8 @@ class CoeffWindow(Record):
                     return OUT_OF_WINDOW
                 scale = ca * cb
                 for key, c in piece.items():
-                    accumulate(out, key, scale * c)
-        return out
+                    out.add(key, scale, c)
+        return out.close()
 
     def lift_map(self, T: ModuleMap):
         """The operator a_n -> T(a)_n, with d-powers reduced into index shifts."""
@@ -168,7 +168,7 @@ class CoeffWindow(Record):
         return lifted
 
 
-def _chain(out: dict, terms, rows, sign: int = 1) -> bool:
+def _chain(out: Sums, terms, rows, sign: int = 1) -> bool:
     """Add sign * sum of c * rows[k] over (k, c) in `terms` into `out`, where a
     row is [(symbol, coefficient)]; False as soon as a needed row is None."""
     for k, c in terms:
@@ -176,8 +176,7 @@ def _chain(out: dict, terms, rows, sign: int = 1) -> bool:
         if row is None:
             return False
         for m, q in row:
-            p = c * q
-            accumulate(out, m, p if sign > 0 else -p)
+            out.add(m, c, q, sign)
     return True
 
 
@@ -196,7 +195,7 @@ def window_checks(w: CoeffWindow, T: ModuleMap | None = None,
     if n ** 3 > MAX_WINDOW_TRIPLES:
         raise PreconditionError(f"window {w.N} needs {n ** 3} Jacobi triples, "
                                 f"over the cap of {MAX_WINDOW_TRIPLES}")
-    syms = w.symbols()
+    t, syms = w.algebra.table, w.symbols()
     index = {sym: a for a, sym in enumerate(syms)}
     names = tuple(w.label(*sym) for sym in syms)
 
@@ -210,26 +209,26 @@ def window_checks(w: CoeffWindow, T: ModuleMap | None = None,
         ab, ba = table[a][b], table[b][a]
         if ab is None or ba is None:
             return None
-        out: dict = {}
+        out = Sums(t)
         for m, q in ab + ba:
-            accumulate(out, m, q)
-        return out
+            out.add(m, q)
+        return out.close()
 
     def jacobi(a, b, c):
         ab, bc, ac = table[a][b], table[b][c], table[a][c]
         if ab is None or bc is None or ac is None:
             return None
-        out: dict = {}
+        out = Sums(t)
         if (_chain(out, bc, table[a]) and _chain(out, ab, cols[c], -1)
                 and _chain(out, ac, table[b], -1)):
-            return out
+            return out.close()
         return None
 
     report = Report()
     report.sweep("antisymmetry", (names,) * 2, antisymmetry, names, "[{},{}]")
     report.sweep("jacobi", (names,) * 3, jacobi, names, "[{},[{},{}]]")
     if T is not None:
-        alpha = weight if isinstance(weight, Poly) else Poly.const(w.algebra.table, weight)
+        alpha = weight if isinstance(weight, Poly) else Poly.const(t, weight)
         lift = w.lift_map(T)
         lifted = [row(lift(w.unit(*sym))) for sym in syms]
 
@@ -238,13 +237,13 @@ def window_checks(w: CoeffWindow, T: ModuleMap | None = None,
             if ta is None or tb is None or ab is None:
                 return None
             # [T a, T b] - T([T a, b] + [a, T b] + alpha [a, b])
-            out, left, right = {}, {}, {}
+            out, left, right = Sums(t), Sums(t), Sums(t)
             if (all(_chain(out, [(l, c * q) for l, q in tb], table[k]) for k, c in ta)
                     and _chain(left, ta, cols[b]) and _chain(right, tb, table[a])
-                    and _chain(out, left.items(), lifted, -1)
-                    and _chain(out, right.items(), lifted, -1)
+                    and _chain(out, left.close().items(), lifted, -1)
+                    and _chain(out, right.close().items(), lifted, -1)
                     and _chain(out, [(k, c * alpha) for k, c in ab], lifted, -1)):
-                return out
+                return out.close()
             return None
 
         report.sweep("lifted_rota_baxter", (names,) * 2, lifted_rota_baxter, names)

@@ -17,11 +17,11 @@ import itertools
 import math
 from fractions import Fraction
 
-from .algebra import (LIE, ConformalAlgebra, PreconditionError, ProductTable, unit_vector,
-                      vec_add, vec_sub)
+from .algebra import (LIE, ConformalAlgebra, PreconditionError, _nest, unit_vector, vec_add,
+                      vec_sub)
 from .linmap import ModuleMap, kernel
 from .operators import rota_baxter_residuals
-from .poly import Poly, Record, VarTable, accumulate
+from .poly import Poly, Record, Sums, VarTable
 from .report import Report
 
 ConstTable = dict[tuple[int, int], dict[int, Fraction]]
@@ -151,20 +151,16 @@ def algebra_from_gd(V: GDBialgebra, checked: bool = True) -> ConformalAlgebra:
     t = V.table
     D = Poly.var(t, "d")
     X = Poly.var(t, "x")
-    products: ProductTable = {}
-
-    def put(pair, k, poly):
-        accumulate(products.setdefault(pair, {}), k, poly)
-
+    one, sums = Poly.const(t, 1), Sums(t)
     for (j, i), targets in V.circ.items():
         # circ[(j, i)] holds b o a for the bracket on (e_i, e_j)
         for k, c in targets.items():
-            put((i, j), k, (D + X) * c)
-            put((j, i), k, X * c)
+            sums.add((i, j, k), D + X, None, c)
+            sums.add((j, i, k), X, None, c)
     for (j, i), targets in V.lie.items():
         for k, c in targets.items():
-            put((i, j), k, Poly.const(t, c))
-    return ConformalAlgebra(LIE, V.basis, t, products)
+            sums.add((i, j, k), one, None, c)
+    return ConformalAlgebra(LIE, V.basis, t, _nest(sums.close()))
 
 
 class ProbeResult(Record):

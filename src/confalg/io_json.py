@@ -14,7 +14,7 @@ from functools import partial
 from typing import TYPE_CHECKING
 
 from .algebra import LEFT_SYMMETRIC, LIE, ConformalAlgebra, ProductTable
-from .poly import Poly, PolyError, VarTable, accumulate, parse
+from .poly import Poly, PolyError, Sums, VarTable, parse
 
 if TYPE_CHECKING:
     from .catalog import CatalogEntry
@@ -184,15 +184,15 @@ def rep_to_dict(rep: Representation) -> dict:
 def tensor_from_dict(doc: dict, A: ConformalAlgebra) -> Tensor2:
     from .tensor import Tensor2
     idx = {n: i for i, n in enumerate(A.basis)}
-    coeffs: dict[tuple[int, int], Poly] = {}
+    coeffs = Sums(A.table)
     for n, item in enumerate(_container(doc.get("entries"), list, "tensor.entries")):
         path = f"tensor.entries[{n}]"
         item = _container(item, dict, path)
         i, j = item.get("i"), item.get("j")
         if not all(isinstance(name, str) and name in idx for name in (i, j)):
             raise InputError(f"{path} needs basis names i and j, got {i!r}, {j!r}")
-        accumulate(coeffs, (idx[i], idx[j]), _poly(A.table, item.get("c", "0"), f"{path}.c"))
-    return Tensor2(A, coeffs)
+        coeffs.add((idx[i], idx[j]), _poly(A.table, item.get("c", "0"), f"{path}.c"))
+    return Tensor2(A, coeffs.close())
 
 
 def tensor_to_dict(r: Tensor2) -> dict:

@@ -29,7 +29,7 @@ from .algebra import (
     vec_sub,
 )
 from .linmap import ConformalLinearMap, ModuleMap, NotInvertible, invert_module_map
-from .poly import Poly, Record, VarTable, _make, _normal
+from .poly import Poly, Record, Sums, VarTable, _make
 from .report import Report
 
 if TYPE_CHECKING:
@@ -108,7 +108,7 @@ def _rb_sums(t: VarTable, P: ProductTable, entries: list[tuple], weight=None) ->
     views = ((ident, view(-X)), (ident, view(X + Poly.var(t, "d"))), (ident, view()))
     sums = [((1, 0, 0), one)] if weight is None else [
         ((1, 1, 0), one), ((0, 1, 1), -one), ((1, 0, 1), -one), ((0, 0, 1), -(one * weight))]
-    acc: dict = {}
+    acc = Sums(t)
     for flags, scale in sums:  # a flag picks the map for L, R, O, else the identity
         left, right, out = (v[flag] for v, flag in zip(views, flags))
         for (p, q), targets in P.items():  # acc += scale L_ip(-x) R_jq(x+d) P_pql O_lm(d)
@@ -119,10 +119,8 @@ def _rb_sums(t: VarTable, P: ProductTable, entries: list[tuple], weight=None) ->
                     for l, Pl in targets:
                         abP = times(ab, Pl)
                         for m, tc, c in out.get(l, ()):
-                            terms = acc.setdefault((i, j, m, tuple(sorted(ta + tb + tc))), {})
-                            for e, v in times(abP, c).terms.items():
-                                terms[e] = terms.get(e, 0) + v
-    return {key: _make(t, _normal(terms)) for key, terms in acc.items()}
+                            acc.add((i, j, m, tuple(sorted(ta + tb + tc))), times(abP, c))
+    return acc.close()
 
 
 def _entries(T: ModuleMap) -> list[tuple]:
@@ -289,11 +287,11 @@ def cocycle_check(A: ConformalAlgebra, form: BilinearForm) -> Report:
         return B[i][j] + rhs if form.kind == "lie" else B[i][j] - rhs
 
     if form.kind == "lie":
-        cocycle = _signed_sum((1, _chains(P, F, Y, X, right=True, scalar=True)),
+        cocycle = _signed_sum(t, (1, _chains(P, F, Y, X, right=True, scalar=True)),
                               (-1, _chains(P, F, X, Y, right=True, swap=True, scalar=True)),
                               (-1, _chains(P, F, X, X + Y, right=False)))
     else:
-        cocycle = _signed_sum((1, _chains(P, F, X, X + Y, right=False)),
+        cocycle = _signed_sum(t, (1, _chains(P, F, X, X + Y, right=False)),
                               (-1, _chains(P, F, Y, X, right=True, scalar=True)),
                               (-1, _chains(P, F, Y, X + Y, right=False, swap=True)),
                               (1, _chains(P, F, X, Y, right=True, swap=True, scalar=True)))

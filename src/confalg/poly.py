@@ -425,13 +425,42 @@ class Poly:
         return f"Poly({self})"
 
 
-def accumulate(acc: dict, key, p: Poly) -> None:
-    """Add ``p`` into the sparse map ``acc`` at ``key``, dropping zero sums."""
-    s = acc[key] + p if key in acc else p
-    if s.is_zero:
-        acc.pop(key, None)
-    else:
-        acc[key] = s
+class Sums:
+    """Sums of products, one polynomial per key: ``add`` multiplies term by term
+    into the key's raw exponent -> coefficient dict, ``close`` normalises every
+    key once and drops zero sums (Monagan & Pearce, CASC 2007)."""
+
+    __slots__ = ("table", "raw")
+
+    def __init__(self, table: VarTable):
+        self.table, self.raw = table, {}
+
+    def add(self, key, a: Poly, b: Poly | None = None, sign: Scalar = 1) -> None:
+        """Add sign * a * b, or sign * a when ``b`` is None, at ``key``."""
+        t = self.table
+        if (a.table is not t and a.table != t
+                or b is not None and b.table is not t and b.table != t):
+            raise VarTableMismatch("polynomials over different variable tables")
+        terms = self.raw.setdefault(key, {})
+        get = terms.get
+        if b is None:
+            for e, c in a.terms.items():
+                terms[e] = get(e, 0) + sign * c
+            return
+        right = b.terms.items()
+        for e1, c1 in a.terms.items():
+            c1 *= sign
+            for e2, c2 in right:
+                e = tuple(map(add, e1, e2))
+                terms[e] = get(e, 0) + c1 * c2
+
+    def close(self) -> dict:
+        """Each key's nonzero sum as a Poly, in the order keys were first added."""
+        out = {}
+        for key, terms in self.raw.items():
+            if terms := _normal(terms):
+                out[key] = _make(self.table, terms)
+        return out
 
 
 # -- parsing ---------------------------------------------------------------

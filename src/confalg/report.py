@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from operator import attrgetter
 
 from .poly import Record
 
@@ -57,8 +58,8 @@ class Report(Record):
 
         `axes` holds the names of each index.  A residual is a polynomial, a
         vector over `targets` (see `CheckItem.add_vector`), or None to skip the
-        instance.  Labels are label.format(*names), by default "(a,b,...)".
-        The item counts the instances evaluated and skipped.
+        instance.  A nonzero residual is labelled label.format(*names), by
+        default "(a,b,...)".  The item counts the instances evaluated and skipped.
         """
         item = self.new_check(name)
         label = label or "(" + ",".join(["{}"] * len(axes)) + ")"
@@ -66,6 +67,9 @@ class Report(Record):
             res = residual(*idx)
             if res is None:
                 item.skipped += 1
+                continue
+            polys = (res,) if targets is None else res.values() if isinstance(res, dict) else res
+            if all(map(attrgetter("is_zero"), polys)):
                 continue
             basis = label.format(*(axis[i] for axis, i in zip(axes, idx)))
             if targets is None:

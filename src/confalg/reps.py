@@ -24,7 +24,7 @@ from .algebra import (
     sub_adjacent,
     unit_vector,
 )
-from .poly import Poly, Record, accumulate
+from .poly import Poly, Record
 from .report import Report
 
 ADJOINT = "adjoint"
@@ -99,17 +99,17 @@ def check_rep(rep: Representation) -> Report:
 
     if rep.is_lie:
         rho = rep.rho
-        module_axiom = _signed_sum((1, _chains(P, rho, X, X + Y, right=False)),
+        module_axiom = _signed_sum(t, (1, _chains(P, rho, X, X + Y, right=False)),
                                    (-1, _chains(rho, rho, Y, X, right=True)),
                                    (1, _chains(rho, rho, X, Y, right=True, swap=True)))
         report.sweep("module_axiom", axes, module_axiom, rep.mbasis, label)
         return report
     left, right = rep.left, rep.right
-    left_action = _signed_sum((1, _chains(P, left, X, X + Y, right=False)),
+    left_action = _signed_sum(t, (1, _chains(P, left, X, X + Y, right=False)),
                               (-1, _chains(left, left, Y, X, right=True)),
                               (-1, _chains(P, left, Y, X + Y, right=False, swap=True)),
                               (1, _chains(left, left, X, Y, right=True, swap=True)))
-    right_action = _signed_sum((1, _chains(left, right, X, -X - Y - D, right=True, swap=True)),
+    right_action = _signed_sum(t, (1, _chains(left, right, X, -X - Y - D, right=True, swap=True)),
                                (-1, _chains(right, left, -Y - D, X, right=True)),
                                (-1, _chains(right, right, X, -X - Y - D, right=True, swap=True)),
                                (1, _chains(P, right, X, -Y - D, right=False)))
@@ -141,9 +141,7 @@ def standard_rep(A: ConformalAlgebra, which: str) -> Representation:
     if which == REGULAR_RIGHT:
         out: ProductTable = {}
         for (j, i), targets in A.products.items():
-            entry = out.setdefault((i, j), {})
-            for k, P in targets.items():
-                accumulate(entry, k, P.subs({"x": -X - D}))
+            out[(i, j)] = {k: P.subs({"x": -X - D}) for k, P in targets.items()}
         return Representation(g, A.basis, rho=out)
     if which == LEFT_MINUS_RIGHT:
         # L - R has the table P_ij - P_ji(-x-d): the adjoint of g
@@ -172,8 +170,7 @@ def dual_rep(rep: Representation) -> Representation:
     out: ProductTable = {}
     for (i, k), targets in rep.rho.items():
         for j, P in targets.items():
-            entry = out.setdefault((i, j), {})
-            accumulate(entry, k, -P.subs({"d": -X - D}))
+            out.setdefault((i, j), {})[k] = -P.subs({"d": -X - D})
     names = tuple(n + "*" for n in rep.mbasis)
     return Representation(rep.algebra, names, rho=out)
 
@@ -204,7 +201,7 @@ def semidirect(A: ConformalAlgebra, rep: Representation, checked: bool = True) -
         products[pair] = dict(targets)
 
     def put(pair, k, poly):
-        accumulate(products.setdefault(pair, {}), k, poly)
+        products.setdefault(pair, {})[k] = poly  # every (pair, k) is set once
 
     if rep.is_lie != (A.kind == LIE):
         raise PreconditionError("a Lie-kind algebra needs a Lie-kind module, "

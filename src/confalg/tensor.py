@@ -30,7 +30,7 @@ from .algebra import (
     sub_adjacent,
 )
 from .linmap import ConformalLinearMap
-from .poly import Poly, Record, accumulate
+from .poly import Poly, Record, Sums
 from .report import Report
 from .reps import Representation, check_rep, dual_rep, semidirect
 
@@ -45,10 +45,10 @@ class Tensor2(Record):
         return not self.coeffs
 
     def __add__(self, other: "Tensor2") -> "Tensor2":
-        out = dict(self.coeffs)
-        for k, p in other.coeffs.items():
-            accumulate(out, k, p)
-        return Tensor2(self.algebra, out)
+        out = Sums(self.algebra.table)
+        for k, p in (*self.coeffs.items(), *other.coeffs.items()):
+            out.add(k, p)
+        return Tensor2(self.algebra, out.close())
 
     def __neg__(self) -> "Tensor2":
         return Tensor2(self.algebra, {k: -p for k, p in self.coeffs.items()})
@@ -97,10 +97,8 @@ def flip(r: Tensor2) -> Tensor2:
     """r^21: swap the tensor factors (basis indices and d1 <-> d2)."""
     table = r.algebra.table
     d1, d2 = Poly.var(table, "d1"), Poly.var(table, "d2")
-    out: dict[tuple[int, int], Poly] = {}
-    for (i, j), p in r.coeffs.items():
-        accumulate(out, (j, i), p.subs({"d1": d2, "d2": d1}))
-    return Tensor2(r.algebra, out)
+    return Tensor2(r.algebra, {(j, i): p.subs({"d1": d2, "d2": d1})
+                               for (i, j), p in r.coeffs.items()})
 
 
 def parts(r: Tensor2) -> Parts:
@@ -125,7 +123,7 @@ def _grouped(A: ConformalAlgebra, r: Tensor2, at: dict[str, Poly],
     return out
 
 
-def _slot_sum(out: dict, products: ProductTable, at: dict[str, Poly], left: dict,
+def _slot_sum(out: Sums, products: ProductTable, at: dict[str, Poly], left: dict,
               right: dict, place, sign: int = 1) -> None:
     """out[place(k, u, v)] += sign * f * g * P_pqk|at over every table entry
     (p, q) -> k, every (u, f) in left[p] and every (v, g) in right[q]."""
@@ -133,12 +131,12 @@ def _slot_sum(out: dict, products: ProductTable, at: dict[str, Poly], left: dict
         fs, gs = left.get(p), right.get(q)
         if not fs or not gs:
             continue
-        at_targets = [(k, P.subs(at) if sign > 0 else -P.subs(at)) for k, P in targets.items()]
+        at_targets = [(k, P.subs(at)) for k, P in targets.items()]
         for u, f in fs:
             for v, g in gs:
                 fg = f * g
                 for k, P in at_targets:
-                    accumulate(out, place(k, u, v), fg * P)
+                    out.add(place(k, u, v), fg, P, sign)
 
 
 def cybe_residual(A: ConformalAlgebra, r: Tensor2) -> Tensor3:
@@ -159,14 +157,14 @@ def cybe_residual(A: ConformalAlgebra, r: Tensor2) -> Tensor3:
     rows_b = _grouped(A, r, {"d1": d1 + d2, "d2": d3})        # f(d1+d2, d3)
     cols_c = _grouped(A, r, {"d2": -d1}, by_column=True)      # f(d1, -d1)
     cols_e = _grouped(A, r, {"d1": d2, "d2": -d2}, by_column=True)  # f(d2, -d2)
-    out: dict[tuple[int, int, int], Poly] = {}
+    out = Sums(t)
     # [a_i mu a_j] ox b_i ox b_j, mu := d2
     _slot_sum(out, P, {"d": d1, "x": d2}, rows_a, rows_b, lambda k, i, j: (k, i, j))
     # - a_i ox [a_j mu b_i] ox b_j, mu := d3
     _slot_sum(out, P, {"d": d2, "x": d3}, rows_b, cols_c, lambda k, j, i: (i, k, j), -1)
     # - a_i ox a_j ox [b_j mu b_i], mu := d2
     _slot_sum(out, P, {"d": d3, "x": d2}, cols_e, cols_c, lambda k, j, i: (i, j, k), -1)
-    return Tensor3(A, out, reduced=True)
+    return Tensor3(A, out.close(), reduced=True)
 
 
 def s_residual(A: ConformalAlgebra, r: Tensor2) -> Tensor3:
@@ -186,14 +184,14 @@ def s_residual(A: ConformalAlgebra, r: Tensor2) -> Tensor3:
     rows_b = _grouped(A, r, {"d1": d1 + d2, "d2": d3})        # f(d1+d2, d3)
     cols_c = _grouped(A, r, {"d2": -d1}, by_column=True)      # f(d1, -d1)
     cols_e = _grouped(A, r, {"d1": d2, "d2": -d2}, by_column=True)  # f(d2, -d2)
-    out: dict[tuple[int, int, int], Poly] = {}
+    out = Sums(t)
     # (l_j mu r_i) ox r_j ox l_i, mu := d2
     _slot_sum(out, P, {"d": d1, "x": d2}, cols_e, rows_b, lambda k, j, i: (k, j, i))
     # - r_j ox (l_j mu r_i) ox l_i, mu := d1
     _slot_sum(out, P, {"d": d2, "x": d1}, cols_c, rows_b, lambda k, j, i: (j, k, i), -1)
     # - r_i ox r_j ox [l_i mu l_j], mu := d1
     _slot_sum(out, Q, {"d": d3, "x": d1}, cols_c, cols_e, lambda k, i, j: (i, j, k), -1)
-    return Tensor3(A, out, reduced=True)
+    return Tensor3(A, out.close(), reduced=True)
 
 
 def t_from_r(A: ConformalAlgebra, r: Tensor2) -> ConformalLinearMap:
@@ -254,12 +252,12 @@ def cobracket_from_r(A: ConformalAlgebra, r: Tensor2, a: Vector) -> Tensor2:
     d1, d2 = Poly.var(t, "d1"), Poly.var(t, "d2")
     lam = -d1 - d2
     element = {p: [(p, h.subs({"d": -lam}))] for p, h in enumerate(a) if not h.is_zero}
-    out: dict[tuple[int, int], Poly] = {}
+    out = Sums(t)
     _slot_sum(out, P, {"d": d1, "x": lam}, element,
               _grouped(A, r, {"d1": -d2}), lambda k, _, i: (k, i))
     _slot_sum(out, P, {"d": d2, "x": lam}, element,
               _grouped(A, r, {"d2": -d1}, by_column=True), lambda k, _, i: (i, k))
-    return Tensor2(A, out)
+    return Tensor2(A, out.close())
 
 
 def tensor3_report(name: str, t: Tensor3) -> Report:

@@ -78,7 +78,6 @@ from confalg import (
 )
 from confalg.algebra import vec_add, vec_sub
 from confalg.operators import BilinearForm, form_pr_map, rota_baxter_residuals
-from confalg.poly import accumulate
 from confalg.gd import ProbeResult, algebra_from_gd, rb_gd_check
 from confalg.linmap import ConformalLinearMap, ModuleMap
 from confalg.reps import act, act_at
@@ -1022,9 +1021,14 @@ class TestRotaBaxterOracle:
 
 
 def _window_add(a, b):
+    """a + b for window elements, by Poly addition, with zero sums dropped."""
     out = dict(a)
     for key, c in b.items():
-        accumulate(out, key, c)
+        s = out[key] + c if key in out else c
+        if s.is_zero:
+            out.pop(key, None)
+        else:
+            out[key] = s
     return out
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import confalg
-from confalg import Poly, VarTable, check_axioms, parse
+from confalg import Poly, VarTable, bracket, check_axioms, parse
 from confalg.algebra import unit_vector
 
 
@@ -92,6 +92,9 @@ def test_benchmark_tracer_reads_kernel_terms(hv):
     traced.install()
     try:
         report = check_axioms(hv)
+        # the checks sum through poly.Sums; general elements still multiply
+        # through Poly.__mul__ and subs
+        bracket(hv, hv.basis_vector(0), hv.basis_vector(0))
     finally:
         traced.uninstall()
     assert report.ok

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from confalg import ParseError, Poly, UnknownVariable, VarTable, VarTableMismatch, parse
-from confalg.poly import MAX_PARSE_DEGREE
+from confalg.poly import MAX_PARSE_DEGREE, Sums
 from conftest import poly_strategy
 
 T = VarTable(params=("b",))
@@ -220,3 +220,60 @@ class TestNormalForm:
         for left, right in pairs:
             assert left == right
             assert hash(left) == hash(right)
+
+
+rational_polys = st.builds(lambda q, c: q * c, poly_strategy(T),
+                           st.sampled_from([1, -2, Fraction(1, 2), Fraction(-3, 4)]))
+
+
+class TestSums:
+    """The in-place accumulator against Poly arithmetic."""
+
+    @given(adds=st.lists(st.tuples(st.integers(0, 3), rational_polys,
+                                   st.none() | rational_polys,
+                                   st.sampled_from([1, -1, 2, Fraction(1, 3)])), max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_poly_arithmetic(self, adds):
+        sums, want, order = Sums(T), {}, []
+        for key, a, b, sign in adds:
+            sums.add(key, a, b, sign)
+            want[key] = want.get(key, Poly.zero(T)) + (a if b is None else a * b) * sign
+            order += [key] if key not in order else []
+        closed = sums.close()
+        assert list(closed) == [k for k in order if not want[k].is_zero]
+        assert {k: q.terms for k, q in closed.items()} == {
+            k: q.terms for k, q in want.items() if not q.is_zero}
+        for q in closed.values():
+            assert q.table is T
+            _assert_normal(q)
+
+    def test_cancelled_key_is_dropped(self):
+        sums = Sums(T)
+        sums.add("gone", p("d+x"), p("b"))
+        sums.add("gone", p("b*x"), p("1"), -1)
+        sums.add("gone", p("d"), p("-b"))
+        sums.add("kept", p("d"))
+        assert sums.close() == {"kept": p("d")}
+
+    def test_without_second_factor(self):
+        sums = Sums(T)
+        sums.add(0, p("d+1/2*x"), None, -2)
+        sums.add(0, p("x"), sign=Fraction(1, 2))
+        assert sums.close() == {0: p("-2*d - 1/2*x")}
+
+    def test_integral_fraction_sums_are_ints(self):
+        sums = Sums(T)
+        for _ in range(2):
+            sums.add(0, p("2/3*d"), p("3/4*x"))
+            sums.add(1, p("d"), None, Fraction(1, 2))
+        closed = sums.close()
+        assert closed == {0: p("d*x"), 1: p("d")}
+        for q in closed.values():
+            _assert_normal(q)
+
+    def test_mixed_tables_raise(self):
+        other = VarTable(params=("c", "b"))
+        foreign = parse(other, "d")
+        for a, b in ((foreign, None), (foreign, p("d")), (p("d"), foreign)):
+            with pytest.raises(VarTableMismatch):
+                Sums(T).add(0, a, b)

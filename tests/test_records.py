@@ -139,3 +139,27 @@ def test_keyword_construction(vir, P):
     assert entry.algebra is vir and entry.linmap is entry.tensor is entry.gd is None
     assert CoeffWindow(vir, 2, shifts={0: 1}).shift(0) == 1
     assert Parts(*[Tensor2(vir, {})] * 3, is_skew=True, is_sym=False).is_skew
+
+
+class _CountingLabel(str):
+    """A sweep label that counts how often it is formatted."""
+    calls = 0
+
+    def format(self, *args):
+        _CountingLabel.calls += 1
+        return super().format(*args)
+
+
+def test_sweep_labels_only_nonzero_residuals(P):
+    zero = P("0")
+    residuals = {(0, 0): P("d"), (0, 1): zero, (1, 0): None, (1, 1): zero}
+    vectors = {(0, 0): {1: P("x")}, (0, 1): {}, (1, 0): (zero, zero), (1, 1): {0: zero}}
+    report, names = Report(), ("L", "W")
+    _CountingLabel.calls = 0
+    poly = report.sweep("poly", (names,) * 2, lambda i, j: residuals[i, j],
+                        label=_CountingLabel("({},{})"))
+    vector = report.sweep("vector", (names,) * 2, lambda i, j: vectors[i, j], names,
+                          _CountingLabel("[{},{}]"))
+    assert _CountingLabel.calls == 2
+    assert poly.residuals == [("(L,L)", "d")] and vector.residuals == [("[L,L]->W", "x")]
+    assert (poly.evaluated, poly.skipped, vector.evaluated, vector.skipped) == (3, 1, 4, 0)

@@ -22,6 +22,10 @@ term for term, on zero and nonzero residuals alike.  The axiom, module and
 cocycle oracles evaluate each basis tuple with ``mul_at``/``act``/``eval_at``,
 which visit every slot; the library sums over chains of nonzero structure
 constants (and form entries), and the two reports must be equal as dicts.
+The O-operator identity (both modes), the o_product and bijective tables of
+``induced_lsc`` and the invariance sweep of ``invariant_form_suite`` are
+compared with their dense bodies, one ``mul_at``/``act``/``eval_at`` call per
+module pair or basis triple.
 """
 
 import itertools
@@ -55,10 +59,12 @@ from confalg import (
     cocycle_check,
     cocycle_from_r,
     check_axioms,
+    check_o_operator,
     check_rep,
     cybe_residual,
     dual_rep,
     induced_lsc,
+    invariant_form_suite,
     invert_module_map,
     mul_at,
     normal_form3,
@@ -72,6 +78,7 @@ from confalg import (
     SolveResult,
     standard_rep,
     sub_adjacent,
+    t_from_r,
     window_checks,
     with_zero_right,
     zero_divisor_probe,
@@ -1184,3 +1191,208 @@ class TestWindowOracle:
         N, A, T = WORKLOAD_WINDOWS[label]
         w = CoeffWindow(A, N, {0: 1, 1: 0})
         assert window_outcome(window_checks, w, T, 0) == window_outcome(oracle_window_checks, w, T, 0)
+
+
+def oracle_check_o_operator(T, rep, ker_mode=False):
+    """check_o_operator with every module pair a dense product and two dense
+    actions; in ker_mode every residual is pushed through ``act`` at z2."""
+    A = rep.algebra
+    t = A.table
+    X = Poly.var(t, "x")
+    D = Poly.var(t, "d")
+    rows = [T.row(i) for i in range(rep.mrank)]
+
+    def residual(i, j):
+        lhs = mul_at(A, rows[i], rows[j], X)
+        inner = vec_sub(act(rep, rows[i], rep.mbasis_vector(j), X),
+                        act(rep, rows[j], rep.mbasis_vector(i), -X - D))
+        return vec_sub(lhs, T.apply(inner))
+
+    report = Report()
+    if not ker_mode:
+        report.sweep("o_operator", (rep.mbasis,) * 2, residual, A.basis)
+        return report
+    Z2 = Poly.var(t, "z2")
+    pairs = {(i, j): residual(i, j) for i in range(rep.mrank) for j in range(rep.mrank)}
+    report.sweep("o_operator_mod_kernel", (rep.mbasis,) * 3,
+                 lambda i, j, k: act(rep, pairs[i, j], rep.mbasis_vector(k), Z2),
+                 rep.mbasis, "({},{});{}")
+    return report
+
+
+def oracle_induced_lsc(T, rep, mode):
+    """The o_product table u *_x v = rho(T(u))_x v on the module, or the
+    bijective table a *_x b = T(rho(a)_x T^-1(b)) on the algebra, one dense
+    action per pair."""
+    A = rep.algebra
+    X = Poly.var(A.table, "x")
+    if mode == "o_product":
+        products = {(i, j): dict(enumerate(act(rep, T.row(i), rep.mbasis_vector(j), X)))
+                    for i in range(rep.mrank) for j in range(rep.mrank)}
+        return ConformalAlgebra(LEFT_SYMMETRIC, rep.mbasis, A.table, products)
+    Tinv = invert_module_map(T)
+    products = {(i, j): dict(enumerate(T.apply(act(rep, A.basis_vector(i), Tinv.row(j), X))))
+                for i in range(A.rank) for j in range(A.rank)}
+    return ConformalAlgebra(LEFT_SYMMETRIC, A.basis, A.table, products)
+
+
+def oracle_invariance(A, B):
+    """The invariance sweep of invariant_form_suite, each triple through
+    ``mul_at`` and ``eval_at``: pairing([a_y b], c) at x - pairing(a, [b_{x-d} c]) at y."""
+    t = A.table
+    X, Y, D = (Poly.var(t, n) for n in ("x", "y", "d"))
+    basis = [A.basis_vector(i) for i in range(A.rank)]
+
+    def invariance(i, j, k):
+        lhs = B.eval_at(mul_at(A, basis[i], basis[j], Y), basis[k], X)
+        rhs = B.eval_at(basis[i], mul_at(A, basis[j], basis[k], X - D), Y)
+        return lhs - rhs
+
+    report = Report()
+    report.sweep("invariance", (A.basis,) * 3, invariance)
+    return report
+
+
+def hv_tower(rank):
+    """The dual-adjoint tower of hv, hv, hv + hv*, ..., up to `rank`."""
+    S = catalog("hv", table=T).algebra
+    while S.rank < rank:
+        S = semidirect(S, dual_rep(standard_rep(S, "adjoint")), checked=False)
+    return S
+
+
+def tower_map(n):
+    """A non-diagonal map on rank n: the identity plus d or b off the diagonal
+    in a checkerboard, and d^2 in the corner."""
+    b = Poly.var(T, "b")
+    matrix = [[Poly.const(T, 1) if i == j else D if (i + j) % 3 == 0 else
+               b if (i + j) % 3 == 1 else Poly.zero(T) for j in range(n)] for i in range(n)]
+    matrix[0][n - 1] = matrix[0][n - 1] + D * D
+    return ModuleMap(T, matrix)
+
+
+def o_operator_cases():
+    """(label, map, representation): both hv families on the adjoint and the
+    coadjoint, the rank-8 level of the hv tower with a non-diagonal map on its
+    coadjoint, and the map of the rank-8 canonical skew tensor, an invertible
+    O-operator for the coadjoint of its double."""
+    hv = catalog("hv", table=T).algebra
+    for fam in (1, 2):
+        linmap = catalog(f"hv_rb_family{fam}", table=T).linmap
+        yield f"family{fam}.adjoint", linmap, standard_rep(hv, "adjoint")
+        yield f"family{fam}.coadjoint", linmap, dual_rep(standard_rep(hv, "adjoint"))
+    S8 = hv_tower(8)
+    yield "tower8", tower_map(8), dual_rep(standard_rep(S8, "adjoint"))
+    Sk, rk, _, _, _ = rank8_sums("hv_lsc1")
+    yield "skew8", t_from_r(Sk, rk).at_zero(), dual_rep(standard_rep(Sk, "adjoint"))
+
+
+O_OPERATOR_CASES = {label: (Tm, rep) for label, Tm, rep in o_operator_cases()}
+
+
+@st.composite
+def o_operator_inputs(draw):
+    """A random Lie-kind module and a random map from it into its algebra."""
+    rep = draw(random_modules(LIE))
+    matrix = [[draw(map_cell) for _ in range(rep.algebra.rank)] for _ in range(rep.mrank)]
+    return ModuleMap(BC, matrix), rep
+
+
+@st.composite
+def invertible_inputs(draw):
+    """A random Lie-kind module on as many generators as its algebra, and a
+    unit triangular map between them, upper or lower."""
+    A = draw(random_algebras(LIE, max_rank=3))
+    rep = Representation(A, tuple(f"v{i}" for i in range(A.rank)),
+                         rho=draw(sparse_tables(A.rank, A.rank, A.rank)))
+    upper = draw(st.booleans())
+    n = A.rank
+    matrix = [[Poly.const(BC, 1) if i == j else draw(map_cell) if (j > i) == upper
+               else Poly.zero(BC) for j in range(n)] for i in range(n)]
+    return ModuleMap(BC, matrix), rep
+
+
+def induced_tables(T, rep, mode):
+    """induced_lsc's table with the O-operator precondition taken as met, so
+    that maps that are not O-operators compare their tables too."""
+    with mock.patch("confalg.operators.check_o_operator", return_value=Report()):
+        return induced_lsc(T, rep=rep, mode=mode).products
+
+
+def invariance_item(A, B):
+    return next(c for c in invariant_form_suite(A, B).checks if c.name == "invariance")
+
+
+INVARIANCE_ALGEBRAS = {"vir": catalog("vir", table=T).algebra, "hv": HV, "hv_dual": hv_tower(4)}
+
+
+class TestOOperatorOracle:
+    @pytest.mark.parametrize("ker_mode", [False, True])
+    @given(case=o_operator_inputs())
+    @settings(max_examples=40, deadline=None)
+    def test_random(self, ker_mode, case):
+        Tm, rep = case
+        assert check_o_operator(Tm, rep, ker_mode) == oracle_check_o_operator(Tm, rep, ker_mode)
+
+    @pytest.mark.parametrize("ker_mode", [False, True])
+    @pytest.mark.parametrize("label", sorted(O_OPERATOR_CASES))
+    def test_cases(self, label, ker_mode):
+        Tm, rep = O_OPERATOR_CASES[label]
+        want = oracle_check_o_operator(Tm, rep, ker_mode)
+        assert check_o_operator(Tm, rep, ker_mode) == want
+        if label == "tower8" and not ker_mode:
+            assert not want.ok
+        if label in ("family1.adjoint", "family2.adjoint", "skew8"):
+            assert want.ok
+
+    @given(case=o_operator_inputs())
+    @settings(max_examples=40, deadline=None)
+    def test_o_product_random(self, case):
+        Tm, rep = case
+        assert induced_tables(Tm, rep, "o_product") == \
+            oracle_induced_lsc(Tm, rep, "o_product").products
+
+    @given(case=invertible_inputs())
+    @settings(max_examples=40, deadline=None)
+    def test_bijective_random(self, case):
+        Tm, rep = case
+        assert induced_tables(Tm, rep, "bijective") == \
+            oracle_induced_lsc(Tm, rep, "bijective").products
+
+    @pytest.mark.parametrize("label", ["family1.adjoint", "family2.adjoint", "skew8"])
+    def test_induced_cases(self, label):
+        Tm, rep = O_OPERATOR_CASES[label]
+        modes = ("o_product", "bijective") if label == "skew8" else ("o_product",)
+        for mode in modes:
+            want = oracle_induced_lsc(Tm, rep, mode)
+            assert want.products
+            assert induced_lsc(Tm, rep=rep, mode=mode) == want, mode
+
+
+class TestInvarianceOracle:
+    @pytest.mark.parametrize("name", sorted(INVARIANCE_ALGEBRAS))
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_random_forms(self, name, data):
+        A = INVARIANCE_ALGEBRAS[name]
+        cells = st.lists(st.lists(form_cell, min_size=A.rank, max_size=A.rank),
+                         min_size=A.rank, max_size=A.rank)
+        B = BilinearForm(T, A.basis, data.draw(cells))
+        assert invariance_item(A, B) == oracle_invariance(A, B).checks[0]
+
+    def test_invariant_trace_form(self):
+        """The trace form of a simple current algebra is invariant; bumping
+        one entry breaks it, and the residuals agree."""
+        cur = ConformalAlgebra(LIE, ("e", "h", "f"), T, {
+            (1, 0): {0: parse(T, "2")}, (0, 1): {0: parse(T, "-2")},
+            (1, 2): {2: parse(T, "-2")}, (2, 1): {2: parse(T, "2")},
+            (0, 2): {1: parse(T, "1")}, (2, 0): {1: parse(T, "-1")}})
+        matrix = [[parse(T, s) for s in row] for row in (("0", "0", "4"), ("0", "8", "0"),
+                                                          ("4", "0", "0"))]
+        want = oracle_invariance(cur, BilinearForm(T, cur.basis, matrix)).checks[0]
+        assert want.ok and want.evaluated == 27
+        assert invariance_item(cur, BilinearForm(T, cur.basis, matrix)) == want
+        matrix[1][1] = matrix[1][1] + X
+        want = oracle_invariance(cur, BilinearForm(T, cur.basis, matrix)).checks[0]
+        assert not want.ok
+        assert invariance_item(cur, BilinearForm(T, cur.basis, matrix)) == want

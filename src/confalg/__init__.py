@@ -13,7 +13,7 @@ from .catalog import catalog
 _EXPORTS = {
     "algebra": "LEFT_SYMMETRIC LIE AlgebraError ConformalAlgebra PreconditionError bracket "
                "check_axioms mul_at sub_adjacent",
-    "catalog": "CatalogEntry UnknownEntry builtin_representations catalog",
+    "catalog": "CatalogEntry UnknownEntry catalog",
     "coeff": "OUT_OF_WINDOW CoeffWindow nth_products window_checks",
     "gd": "GDBialgebra NotQuadratic ProbeResult algebra_from_gd check_gd gd_from_algebra "
           "rb_gd_check zero_divisor_probe",
@@ -23,8 +23,7 @@ _EXPORTS = {
                  "invariant_form_suite rb_constraints solve_squares",
     "poly": "ParseError Poly PolyError UnknownVariable VarTable VarTableMismatch parse",
     "report": "CheckItem Report",
-    "reps": "Representation check_rep dual_rep regular_module semidirect standard_rep "
-            "with_zero_right",
+    "reps": "Representation check_rep dual_rep semidirect standard_rep with_zero_right",
     "tensor": "Tensor2 Tensor3 canonical_skew_tensor canonical_sym_tensor cobracket_from_r "
               "cybe_residual flip normal_form3 parts r_from_t s_residual t_from_r",
 }

@@ -9,16 +9,19 @@ basis pairs by polynomials P_ijk(d, x), meaning
 where d acts on the output basis element and x is the bracket argument.
 Products of general elements follow from two extension rules: a power of d
 on the first argument becomes (-x)^m, on the second argument (x + d)^m.
-The same engine, ``apply_bilinear``, evaluates products at shifted arguments
-such as -x-d by first expanding against the reserved variable z1 and
-substituting it last, and evaluates scalar-valued forms.  It handles general
-elements and remains the reference for the identity checks.
+``apply_bilinear`` evaluates such products, at shifted arguments like -x-d
+too, by first expanding against the reserved variable z1 and substituting
+it last.  It serves general elements (``mul_at``, ``bracket``, the module
+actions and ``BilinearForm.eval_at``) and is the reference the oracle tests
+compare the identity checks with.
 
-The axioms, module and 2-cocycle checks evaluate every basis tuple at once
-instead: a nested product of basis elements is a sum over chains of nonzero
-structure constants (``_chains``), so their cost follows the number of
-nonzero entries, not the n^5 slot visits of calling ``apply_bilinear`` per
-instance.
+Every identity check evaluates all its basis tuples at once through one
+table contraction, ``_contract``: a sum over the nonzero table entries
+(p, q) -> l and the entries of three views, one per factor, that holds each
+instance's residual.  A nested product of basis elements is one contraction
+of the outer table with the inner table viewed by its targets (``_nested``),
+so the cost follows the number of nonzero entries, not the n^5 slot visits
+of calling ``apply_bilinear`` per instance.
 """
 
 from __future__ import annotations
@@ -151,38 +154,87 @@ def vec_add(a: Vector, b: Vector) -> Vector:
     return tuple(p + q for p, q in zip(a, b))
 
 
-def _chains(inner: ProductTable, outer: ProductTable, lam_in: Poly, lam_out: Poly,
-            *, right: bool, swap: bool = False, scalar: bool = False):
-    """Nested products of basis elements, as sums over chains of nonzero entries.
+def _contract(sums: Sums, products: ProductTable, at: dict, place, left: dict | None = None,
+              right: dict | None = None, out: dict | None = None, sign: int = 1) -> None:
+    """Add sign * a * b * P_pql|at * c at place(i, j, m) for every nonzero table
+    entry (p, q) -> l, every (i, a) in left[p], every (j, b) in right[q] and
+    every (m, c) in out[l].
 
-    right:  (i, j, k) -> e_i _lam_out (e_j _lam_in v_k)
-                       = sum_l inner_jkl(d, lam_in)|_{d -> lam_out + d} outer_ilm(d, lam_out)
-    left:   (i, j, k) -> (e_i _lam_in e_j) _lam_out v_k
-                       = sum_l inner_ijl(d, lam_in)|_{d -> -lam_out} outer_lkm(d, lam_out)
+    A view maps an index to [(index, factor)]; a missing view is the identity,
+    which yields (p, None) for p, and a None factor is 1.  Within a table
+    entry, a * b and, when there is an out view, a * b * P are memoised by the
+    ids of their factors, which views share (a constraint system's map
+    entries are a few powers of d); ``Sums.add`` multiplies in the last factor.
+    """
+    memo: dict = {}
 
-    Yields one ((i, j, k, m), inner factor, outer factor) per chain, for
-    ``_signed_sum``; with ``swap`` the key is (j, i, k, m).  The inner
-    argument is substituted before d is shifted, as in ``apply_bilinear``, so
-    lam_in may contain d.  With ``scalar`` the outer table is a form, whose
-    output carries no d, so the right shift is d -> lam_out.
+    def times(f, g):  # the memo holds the factors, so their ids stay theirs
+        key = id(f), id(g)
+        if key not in memo:
+            memo[key] = f * g, f, g
+        return memo[key][0]
+
+    for (p, q), targets in products.items():
+        fs = [(p, None)] if left is None else left.get(p)
+        gs = [(q, None)] if right is None else right.get(q)
+        if not fs or not gs:
+            continue
+        at_targets = [(l, P.subs(at)) for l, P in targets.items()]
+        memo.clear()
+        for i, a in fs:
+            for j, b in gs:
+                ab = b if a is None else a if b is None else times(a, b)
+                for l, P in at_targets:
+                    if out is None:
+                        sums.add(place(i, j, l), P, ab, sign)
+                    elif cs := out.get(l):
+                        abP = P if ab is None else times(ab, P)
+                        for m, c in cs:
+                            sums.add(place(i, j, m), abP, c, sign)
+
+
+def _view(entries, at: dict | None = None) -> dict:
+    """{key: [(index, f|at)]} of (key, index, f) triples, a view for
+    ``_contract``; an f|at that is zero is left out, and an f that several
+    entries share is substituted once, into one shared object."""
+    out: dict = {}
+    done: dict = {}  # id(f) -> (f, f|at); holding f keeps its id its own
+    for key, index, f in entries:
+        if at:
+            if id(f) not in done:
+                done[id(f)] = f, f.subs(at)
+            f = done[id(f)][1]
+        if not f.is_zero:
+            out.setdefault(key, []).append((index, f))
+    return out
+
+
+def _nested(sums: Sums, inner: ProductTable, outer: ProductTable, lam_in: Poly, lam_out: Poly,
+            *, right: bool, swap: bool = False, scalar: bool = False, sign: int = 1) -> None:
+    """Add sign * the nested products of basis elements at (i, j, k, m):
+
+    right:  e_i _lam_out (e_j _lam_in v_k)
+            = sum_l inner_jkl(d, lam_in)|_{d -> lam_out + d} outer_ilm(d, lam_out)
+    left:   (e_i _lam_in e_j) _lam_out v_k
+            = sum_l inner_ijl(d, lam_in)|_{d -> -lam_out} outer_lkm(d, lam_out)
+
+    as one contraction of the outer table with the inner table viewed by its
+    targets l; with ``swap`` the key is (j, i, k, m).  The inner argument is
+    substituted before d is shifted, as in ``apply_bilinear``, so lam_in may
+    contain d.  With ``scalar`` the outer table is a form, whose output
+    carries no d, so the right shift is d -> lam_out.
     """
     d_out = Poly.zero(lam_out.table) if scalar else Poly.var(lam_out.table, "d")
     shift = {"d": lam_out + d_out} if right else {"d": -lam_out}
-    by_factor: dict[int, list[tuple[int, dict[int, Poly]]]] = {}
-    for (a, b), targets in outer.items():
-        at_out = {m: P.subs({"x": lam_out}) for m, P in targets.items()}
-        by_factor.setdefault(b if right else a, []).append((a if right else b, at_out))
-    for (p, q), targets in inner.items():
-        for l, P in targets.items():
-            chains = by_factor.get(l)
-            if not chains:
-                continue
-            s = P.subs({"x": lam_in}).subs(shift)
-            for o, at_out in chains:
-                i, j, k = (o, p, q) if right else (p, q, o)
-                i, j = (j, i) if swap else (i, j)
-                for m, Q in at_out.items():
-                    yield (i, j, k, m), s, Q
+    view = _view(((l, (p, q), P.subs({"x": lam_in})) for (p, q), targets in inner.items()
+                  for l, P in targets.items()), shift)
+
+    def place(a, b, m):  # the inner pair is b on the right, a on the left
+        i, j, k = (a, *b) if right else (*a, b)
+        return (j, i, k, m) if swap else (i, j, k, m)
+
+    _contract(sums, outer, {"x": lam_out}, place, None if right else view, view if right else None,
+              sign=sign)
 
 
 def _nest(sums: dict) -> dict:
@@ -193,14 +245,9 @@ def _nest(sums: dict) -> dict:
     return out
 
 
-def _signed_sum(table: VarTable, *terms):
-    """Residual idx -> {target: poly}, the sum of sign * a * b over the
-    ((*idx, target), a, b) each (sign, chain) term yields (b may be None);
+def _residual(sums: Sums):
+    """Residual idx -> {target: poly} of sums keyed (*idx, target);
     ``Report.sweep`` reads a missing target as zero."""
-    sums = Sums(table)
-    for sign, chain in terms:
-        for key, a, b in chain:
-            sums.add(key, a, b, sign)
     nested = _nest(sums.close())
     return lambda *idx: nested.get(idx, {})
 
@@ -210,7 +257,7 @@ def check_axioms(A: ConformalAlgebra) -> Report:
 
     Lie kind: skew-symmetry and the Jacobi identity.  Left-symmetric kind:
     symmetry of the associator in the first two arguments.  Each identity is
-    a signed sum of nested products from ``_chains``.
+    a signed sum of nested products from ``_nested``.
     """
     t = A.table
     X = Poly.var(t, "x")
@@ -220,20 +267,21 @@ def check_axioms(A: ConformalAlgebra) -> Report:
     report = Report()
 
     if A.kind == LIE:
-        cells = [((i, j, k), Q, None) for (i, j), targets in P.items() for k, Q in targets.items()]
-        flipped = [((j, i, k), Q.subs({"x": -X - D}), None) for (i, j, k), Q, _ in cells]
-        report.sweep("skew_symmetry", (A.basis,) * 2, _signed_sum(t, (1, cells), (1, flipped)),
-                     A.basis)
-        jacobi = _signed_sum(t, (1, _chains(P, P, Y, X, right=True)),
-                             (-1, _chains(P, P, X, X + Y, right=False)),
-                             (-1, _chains(P, P, X, Y, right=True, swap=True)))
-        report.sweep("jacobi", (A.basis,) * 3, jacobi, A.basis)
+        skew, jacobi = Sums(t), Sums(t)
+        _contract(skew, P, {}, lambda i, j, k: (i, j, k))
+        _contract(skew, P, {"x": -X - D}, lambda i, j, k: (j, i, k))
+        report.sweep("skew_symmetry", (A.basis,) * 2, _residual(skew), A.basis)
+        _nested(jacobi, P, P, Y, X, right=True)
+        _nested(jacobi, P, P, X, X + Y, right=False, sign=-1)
+        _nested(jacobi, P, P, X, Y, right=True, swap=True, sign=-1)
+        report.sweep("jacobi", (A.basis,) * 3, _residual(jacobi), A.basis)
     else:
-        left_symmetry = _signed_sum(t, (1, _chains(P, P, X, X + Y, right=False)),
-                                    (-1, _chains(P, P, Y, X, right=True)),
-                                    (-1, _chains(P, P, Y, X + Y, right=False, swap=True)),
-                                    (1, _chains(P, P, X, Y, right=True, swap=True)))
-        report.sweep("left_symmetry", (A.basis,) * 3, left_symmetry, A.basis)
+        left_symmetry = Sums(t)
+        _nested(left_symmetry, P, P, X, X + Y, right=False)
+        _nested(left_symmetry, P, P, Y, X, right=True, sign=-1)
+        _nested(left_symmetry, P, P, Y, X + Y, right=False, swap=True, sign=-1)
+        _nested(left_symmetry, P, P, X, Y, right=True, swap=True)
+        report.sweep("left_symmetry", (A.basis,) * 3, _residual(left_symmetry), A.basis)
     return report
 
 
@@ -253,10 +301,6 @@ def sub_adjacent(A: ConformalAlgebra, checked: bool = True) -> ConformalAlgebra:
     X = Poly.var(t, "x")
     D = Poly.var(t, "d")
     sums = Sums(t)
-    for i in range(A.rank):
-        for j in range(A.rank):
-            for k, P in A.product(i, j).items():
-                sums.add((i, j, k), P)
-            for k, P in A.product(j, i).items():
-                sums.add((i, j, k), P.subs({"x": -X - D}), None, -1)
+    _contract(sums, A.products, {}, lambda i, j, k: (i, j, k))
+    _contract(sums, A.products, {"x": -X - D}, lambda i, j, k: (j, i, k), sign=-1)
     return ConformalAlgebra(LIE, A.basis, t, _nest(sums.close()))

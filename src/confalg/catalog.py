@@ -16,7 +16,6 @@ from .poly import Poly, Record, VarTable, parse
 if TYPE_CHECKING:
     from .gd import GDBialgebra
     from .linmap import ModuleMap
-    from .reps import Representation
     from .tensor import Tensor2
 
 
@@ -144,18 +143,3 @@ def catalog(name: str, table: VarTable | None = None) -> CatalogEntry:
             raise UnknownEntry(f"entry {name} needs parameter {p} in the variable table")
     _, note, build = ENTRIES[name]
     return CatalogEntry(name, note, **build(table))
-
-
-def builtin_representations(table: VarTable | None = None) -> dict[str, Representation]:
-    """Every named representation the test-suite treats as builtin."""
-    from .reps import standard_rep
-    if table is None:
-        table = VarTable(params=FAMILY1 + FAMILY2)
-    out: dict[str, Representation] = {}
-    out["vir_adjoint"] = standard_rep(virasoro(table), "adjoint")
-    out["hv_adjoint"] = standard_rep(heisenberg_virasoro(table), "adjoint")
-    for fam in (1, 2):
-        A = _lsc(table, fam)
-        out[f"hv_lsc{fam}_regular_left"] = standard_rep(A, "regular_left")
-        out[f"hv_lsc{fam}_left_minus_right"] = standard_rep(A, "left_minus_right")
-    return out

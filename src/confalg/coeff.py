@@ -14,11 +14,14 @@ v_m as v_{m+s} to reproduce textbook index conventions.
 
 ``window_checks`` brackets no general elements.  It builds one unit-pair
 table, the bracket of every two window symbols as [(symbol, coefficient)],
-and evaluates each identity as a sum over chains of its entries, as
-``algebra._chains`` does for basis tuples: [a,[b,c]] = sum_k C_bc^k C_ak.  The
-lifted operator is linear, so T(x) = sum_k x_k T(u_k) with each lifted unit
-computed once.  The Jacobi sweep visits (rank * (2N + 1))^3 triples, and a
-window past ``MAX_WINDOW_TRIPLES`` of them is refused before any is built.
+and evaluates each identity as a sum over chains of its entries (``_chain``):
+[a,[b,c]] = sum_k C_bc^k C_ak.  The lifted operator is linear, so
+T(x) = sum_k x_k T(u_k) with each lifted unit computed once.  ``_chain`` stays
+apart from ``algebra._contract``, the sum every other identity uses: a row of
+the unit-pair table may leave the window, which skips the instance, and the
+structure-constant contraction has no such case.  The Jacobi sweep visits
+(rank * (2N + 1))^3 triples, and a window past ``MAX_WINDOW_TRIPLES`` of them
+is refused before any is built.
 """
 
 from __future__ import annotations

@@ -3,6 +3,9 @@
 Everything here is an exact residual computation: an operator satisfies an
 identity iff the listed residual polynomials are all zero, and identities
 checked with free parameters left symbolic hold for every value at once.
+Every identity and every table ``induced_lsc`` builds is a few
+``algebra._contract`` sums over nonzero table entries, with a map's entries
+viewed by row or column; ``BilinearForm.eval_at`` serves general elements.
 The constraint generator turns the Rota-Baxter identity for an undetermined
 polynomial operator into a plain polynomial system in its coefficients,
 solved (when possible) by a deliberately small elimination loop.
@@ -22,11 +25,12 @@ from .algebra import (
     PreconditionError,
     ProductTable,
     Vector,
-    _chains,
-    _signed_sum,
+    _contract,
+    _nest,
+    _nested,
+    _residual,
+    _view,
     apply_bilinear,
-    mul_at,
-    vec_sub,
 )
 from .linmap import ConformalLinearMap, ModuleMap, NotInvertible, invert_module_map
 from .poly import Poly, Record, Sums, VarTable, _make
@@ -42,11 +46,12 @@ if TYPE_CHECKING:
 def check_o_operator(T: ModuleMap, rep: Representation, ker_mode: bool = False) -> Report:
     """O-operator identity on all module pairs; with ker_mode, only up to ker(rho).
 
-    The residual on (u, v) is [T(u)_x T(v)] - T( rho(T(u))_x v - rho(T(v))_{-x-d} u ).
-    In ker_mode the residual element is itself pushed through the
-    representation (at the reserved argument z2) and must act as zero.
+    The residual on (u, v) is [T(u)_x T(v)] - T( rho(T(u))_x v - rho(T(v))_{-x-d} u ),
+    in component m: sum T_up(-x) T_vq(x+d) P_pqm - sum T_up(-x) rho_pvk T_km(d)
+    + sum T_vq(x+d) rho_quk(d, -x-d) T_km(d), one ``_contract`` each.  In
+    ker_mode the residual element is itself pushed through the representation
+    (at the reserved argument z2) and must act as zero.
     """
-    from .reps import act
     A = rep.algebra
     if A.kind != LIE:
         raise PreconditionError("O-operators are defined against a Lie-kind representation")
@@ -55,23 +60,24 @@ def check_o_operator(T: ModuleMap, rep: Representation, ker_mode: bool = False) 
     t = A.table
     X = Poly.var(t, "x")
     D = Poly.var(t, "d")
-    rows = [T.row(i) for i in range(rep.mrank)]
-
-    def residual(i, j):
-        lhs = mul_at(A, rows[i], rows[j], X)
-        inner = vec_sub(act(rep, rows[i], rep.mbasis_vector(j), X),
-                        act(rep, rows[j], rep.mbasis_vector(i), -X - D))
-        return vec_sub(lhs, T.apply(inner))
-
+    cols = [(p, u, f) for u, p, _, f in _entries(T)]
+    at_neg, at_shift = _view(cols, {"d": -X}), _view(cols, {"d": X + D})
+    rows = _view((u, p, f) for u, p, _, f in _entries(T))
+    sums = Sums(t)
+    _contract(sums, A.products, {}, lambda u, v, m: (u, v, m), at_neg, at_shift)
+    _contract(sums, rep.rho, {}, lambda u, v, m: (u, v, m), at_neg, None, rows, -1)
+    _contract(sums, rep.rho, {"x": -X - D}, lambda v, u, m: (u, v, m), at_shift, None, rows)
     report = Report()
     if not ker_mode:
-        report.sweep("o_operator", (rep.mbasis,) * 2, residual, A.basis)
+        report.sweep("o_operator", (rep.mbasis,) * 2, _residual(sums), A.basis)
         return report
+    # rho(R_uv)_z2 v_k = sum R_uvl(-z2, x) rho_lkn(d, z2) v_n
     Z2 = Poly.var(t, "z2")
-    pairs = {(i, j): residual(i, j) for i in range(rep.mrank) for j in range(rep.mrank)}
-    report.sweep("o_operator_mod_kernel", (rep.mbasis,) * 3,
-                 lambda i, j, k: act(rep, pairs[i, j], rep.mbasis_vector(k), Z2),
-                 rep.mbasis, "({},{});{}")
+    pushed = Sums(t)
+    _contract(pushed, rep.rho, {"x": Z2}, lambda uv, k, n: (*uv, k, n),
+              _view(((l, (u, v), R) for (u, v, l), R in sums.close().items()), {"d": -Z2}))
+    report.sweep("o_operator_mod_kernel", (rep.mbasis,) * 3, _residual(pushed), rep.mbasis,
+                 "({},{});{}")
     return report
 
 
@@ -85,41 +91,28 @@ def _rb_sums(t: VarTable, P: ProductTable, entries: list[tuple], weight=None) ->
     with no weight, the product [T(e_i)_x e_j] = sum T_ip(-x) P_pjm alone.  A
     tag is a tuple of unknown indices, () for a concrete map.  The result maps
     (i, j, m, the sorted tags of a term's factors) to the sum of those terms.
-    Each entry is substituted once at each argument, each product formed once.
+    Each sum is one ``_contract``, with each map entry substituted once at each
+    argument; a zero weight skips the last sum.
     """
-    memo: dict = {}
+    X = Poly.var(t, "x")
+    cols = [(p, (i, tag), f) for i, p, tag, f in entries]
+    at_neg, at_shift = _view(cols, {"d": -X}), _view(cols, {"d": X + Poly.var(t, "d")})
+    rows = _view((i, (p, tag), f) for i, p, tag, f in entries)
+    ident = {k: [((k, ()), None)] for pair, targets in P.items() for k in (*pair, *targets)}
 
-    def times(a, b):  # the memo keeps the factors, and so their ids, alive
-        key = id(a), id(b)
-        if key not in memo:
-            memo[key] = a * b, a, b
-        return memo[key][0]
+    def place(a, b, c):
+        return a[0], b[0], c[0], tuple(sorted(a[1] + b[1] + c[1]))
 
-    def view(arg=None):  # by column at d = arg, or by row
-        at = {id(f): f if arg is None else f.subs({"d": arg}) for *_, f in entries}
-        out: dict = {}
-        for i, p, tag, f in entries:
-            key, other = (i, p) if arg is None else (p, i)
-            out.setdefault(key, []).append((other, tag, at[id(f)]))
-        return out
-
-    X, one = Poly.var(t, "x"), Poly.const(t, 1)
-    ident = {k: [(k, (), one)] for pair, targets in P.items() for k in (*pair, *targets)}
-    views = ((ident, view(-X)), (ident, view(X + Poly.var(t, "d"))), (ident, view()))
-    sums = [((1, 0, 0), one)] if weight is None else [
-        ((1, 1, 0), one), ((0, 1, 1), -one), ((1, 0, 1), -one), ((0, 0, 1), -(one * weight))]
+    views = [(at_neg, ident, ident, 1)]
+    if weight is not None:
+        alpha = weight if isinstance(weight, Poly) else Poly.const(t, weight)
+        views = [(at_neg, at_shift, ident, 1), (ident, at_shift, rows, -1),
+                 (at_neg, ident, rows, -1)]
+        if not alpha.is_zero:
+            views.append(({k: [((k, ()), alpha)] for k in ident}, ident, rows, -1))
     acc = Sums(t)
-    for flags, scale in sums:  # a flag picks the map for L, R, O, else the identity
-        left, right, out = (v[flag] for v, flag in zip(views, flags))
-        for (p, q), targets in P.items():  # acc += scale L_ip(-x) R_jq(x+d) P_pql O_lm(d)
-            targets = [(l, times(Pl, scale)) for l, Pl in targets.items()]
-            for i, ta, a in left.get(p, ()):
-                for j, tb, b in right.get(q, ()):
-                    ab = times(a, b)
-                    for l, Pl in targets:
-                        abP = times(ab, Pl)
-                        for m, tc, c in out.get(l, ()):
-                            acc.add((i, j, m, tuple(sorted(ta + tb + tc))), times(abP, c))
+    for left, right, out, sign in views:
+        _contract(acc, P, {}, place, left, right, out, sign)
     return acc.close()
 
 
@@ -160,6 +153,7 @@ def induced_lsc(T: ModuleMap, rep: Representation | None = None,
                 O-operator).
     rb:         a *_x b = [T(a)_x b] on the algebra (T Rota-Baxter, weight 0,
                 pass ``algebra``).
+    The rb and o_product tables are the weight-free sums of ``_rb_sums``.
     """
     if mode == "rb":
         if algebra is None:
@@ -167,34 +161,28 @@ def induced_lsc(T: ModuleMap, rep: Representation | None = None,
         rbrep = check_rota_baxter(algebra, T, 0)
         if not rbrep.ok:
             raise PreconditionError("map is not Rota-Baxter of weight 0", rbrep)
-        t = algebra.table
-        products: ProductTable = {}
-        for (i, j, m, _), p in _rb_sums(t, algebra.products, _entries(T)).items():
-            products.setdefault((i, j), {})[m] = p
-        return ConformalAlgebra(LEFT_SYMMETRIC, algebra.basis, t, products)
-
-    from .reps import act
-    if rep is None:
-        raise PreconditionError(f"mode {mode!r} needs a representation")
-    A = rep.algebra
-    t = A.table
-    X = Poly.var(t, "x")
-    if mode == "o_product":
+        t, table, basis = algebra.table, algebra.products, algebra.basis
+    else:
+        if rep is None:
+            raise PreconditionError(f"mode {mode!r} needs a representation")
+        if mode not in ("o_product", "bijective"):
+            raise ValueError(f"unknown mode {mode!r}")
         orep = check_o_operator(T, rep)
         if not orep.ok:
             raise PreconditionError("map is not an O-operator", orep)
-        products = {(i, j): dict(enumerate(act(rep, T.row(i), rep.mbasis_vector(j), X)))
-                    for i in range(rep.mrank) for j in range(rep.mrank)}
-        return ConformalAlgebra(LEFT_SYMMETRIC, rep.mbasis, t, products)
-    if mode == "bijective":
-        orep = check_o_operator(T, rep)
-        if not orep.ok:
-            raise PreconditionError("map is not an O-operator", orep)
-        Tinv = invert_module_map(T)
-        products = {(i, j): dict(enumerate(T.apply(act(rep, A.basis_vector(i), Tinv.row(j), X))))
-                    for i in range(A.rank) for j in range(A.rank)}
-        return ConformalAlgebra(LEFT_SYMMETRIC, A.basis, t, products)
-    raise ValueError(f"unknown mode {mode!r}")
+        t, table, basis = rep.algebra.table, rep.rho, rep.mbasis
+        if mode == "bijective":
+            # sum T^-1_jk(x+d) rho_ikn(d, x) T_nm(d)
+            shift = {"d": Poly.var(t, "x") + Poly.var(t, "d")}
+            sums = Sums(t)
+            _contract(sums, rep.rho, {}, lambda i, j, m: (i, j, m), None,
+                      _view(((k, j, f) for j, k, _, f in _entries(invert_module_map(T))), shift),
+                      _view((n, m, f) for n, m, _, f in _entries(T)))
+            return ConformalAlgebra(LEFT_SYMMETRIC, rep.algebra.basis, t, _nest(sums.close()))
+    products: ProductTable = {}
+    for (i, j, m, _), p in _rb_sums(t, table, _entries(T)).items():
+        products.setdefault((i, j), {})[m] = p
+    return ConformalAlgebra(LEFT_SYMMETRIC, basis, t, products)
 
 
 # -- bilinear forms and 2-cocycles ----------------------------------------------
@@ -274,9 +262,7 @@ def cocycle_check(A: ConformalAlgebra, form: BilinearForm) -> Report:
     expected = "lie" if A.kind == LIE else "lsc"
     if form.kind != expected:
         raise PreconditionError(f"form kind {form.kind!r} does not match algebra kind")
-    n = A.rank
-    if len(form.basis) != n or len(form.matrix) != n or any(len(row) != n for row in form.matrix):
-        raise PreconditionError(f"form size does not match the algebra rank {n}")
+    _check_size(A, form)
     t = A.table
     X = Poly.var(t, "x")
     Y = Poly.var(t, "y")
@@ -286,20 +272,27 @@ def cocycle_check(A: ConformalAlgebra, form: BilinearForm) -> Report:
         rhs = B[j][i].subs({"x": -X})
         return B[i][j] + rhs if form.kind == "lie" else B[i][j] - rhs
 
+    sums = Sums(t)
     if form.kind == "lie":
-        cocycle = _signed_sum(t, (1, _chains(P, F, Y, X, right=True, scalar=True)),
-                              (-1, _chains(P, F, X, Y, right=True, swap=True, scalar=True)),
-                              (-1, _chains(P, F, X, X + Y, right=False)))
+        _nested(sums, P, F, Y, X, right=True, scalar=True)
+        _nested(sums, P, F, X, Y, right=True, swap=True, scalar=True, sign=-1)
+        _nested(sums, P, F, X, X + Y, right=False, sign=-1)
     else:
-        cocycle = _signed_sum(t, (1, _chains(P, F, X, X + Y, right=False)),
-                              (-1, _chains(P, F, Y, X, right=True, scalar=True)),
-                              (-1, _chains(P, F, Y, X + Y, right=False, swap=True)),
-                              (1, _chains(P, F, X, Y, right=True, swap=True, scalar=True)))
-    zero = Poly.zero(t)
+        _nested(sums, P, F, X, X + Y, right=False)
+        _nested(sums, P, F, Y, X, right=True, scalar=True, sign=-1)
+        _nested(sums, P, F, Y, X + Y, right=False, swap=True, sign=-1)
+        _nested(sums, P, F, X, Y, right=True, swap=True, scalar=True)
+    cocycle, zero = _residual(sums), Poly.zero(t)
     report = Report()
     report.sweep("symmetry", (A.basis,) * 2, symmetry)
     report.sweep("cocycle_identity", (A.basis,) * 3, lambda *idx: cocycle(*idx).get(0, zero))
     return report
+
+
+def _check_size(A: ConformalAlgebra, form: BilinearForm) -> None:
+    n = A.rank
+    if len(form.basis) != n or len(form.matrix) != n or any(len(row) != n for row in form.matrix):
+        raise PreconditionError(f"form size does not match the algebra rank {n}")
 
 
 # -- Rota-Baxter constraint systems -------------------------------------------
@@ -494,23 +487,20 @@ def invariant_form_suite(A: ConformalAlgebra, B: BilinearForm,
     """
     if A.kind != LIE:
         raise PreconditionError("the invariant form suite expects a Lie-kind algebra")
+    _check_size(A, B)
     t = A.table
     X = Poly.var(t, "x")
     Y = Poly.var(t, "y")
     D = Poly.var(t, "d")
-    basis = [A.basis_vector(i) for i in range(A.rank)]
-    products = {(i, j): mul_at(A, basis[i], basis[j], Y)
-                for i in range(A.rank) for j in range(A.rank)}
-
-    def invariance(i, j, k):
-        lhs = B.eval_at(products[i, j], basis[k], X)
-        rhs = B.eval_at(basis[i], mul_at(A, basis[j], basis[k], X - D), Y)
-        return lhs - rhs
+    sums = Sums(t)
+    _nested(sums, A.products, B.products, Y, X, right=False)
+    _nested(sums, A.products, B.products, X - D, Y, right=True, scalar=True, sign=-1)
+    invariance, zero = _residual(sums), Poly.zero(t)
 
     report = Report()
     report.sweep("symmetry", (A.basis,) * 2,
                  lambda i, j: B.matrix[i][j] - B.matrix[j][i].subs({"x": -X}))
-    report.sweep("invariance", (A.basis,) * 3, invariance)
+    report.sweep("invariance", (A.basis,) * 3, lambda *idx: invariance(*idx).get(0, zero))
     nondeg = report.new_check("non_degenerate")
     nondeg.evaluated = 1  # the determinant of the induced map
     try:

@@ -17,14 +17,14 @@ from .algebra import (
     PreconditionError,
     ProductTable,
     Vector,
-    _chains,
-    _signed_sum,
+    _nested,
+    _residual,
     apply_bilinear,
     clean_table,
     sub_adjacent,
     unit_vector,
 )
-from .poly import Poly, Record
+from .poly import Poly, Record, Sums
 from .report import Report
 
 ADJOINT = "adjoint"
@@ -86,7 +86,7 @@ def act(rep: Representation, a: Vector, w: Vector, lam: Poly) -> Vector:
 
 def check_rep(rep: Representation) -> Report:
     """Module axioms as residuals on algebra pairs x module basis, each a
-    signed sum of nested actions from ``_chains``."""
+    signed sum of nested actions from ``_nested``."""
     A = rep.algebra
     t = A.table
     X = Poly.var(t, "x")
@@ -98,23 +98,24 @@ def check_rep(rep: Representation) -> Report:
     label = "({},{};{})"
 
     if rep.is_lie:
-        rho = rep.rho
-        module_axiom = _signed_sum(t, (1, _chains(P, rho, X, X + Y, right=False)),
-                                   (-1, _chains(rho, rho, Y, X, right=True)),
-                                   (1, _chains(rho, rho, X, Y, right=True, swap=True)))
-        report.sweep("module_axiom", axes, module_axiom, rep.mbasis, label)
+        rho, module_axiom = rep.rho, Sums(t)
+        _nested(module_axiom, P, rho, X, X + Y, right=False)
+        _nested(module_axiom, rho, rho, Y, X, right=True, sign=-1)
+        _nested(module_axiom, rho, rho, X, Y, right=True, swap=True)
+        report.sweep("module_axiom", axes, _residual(module_axiom), rep.mbasis, label)
         return report
     left, right = rep.left, rep.right
-    left_action = _signed_sum(t, (1, _chains(P, left, X, X + Y, right=False)),
-                              (-1, _chains(left, left, Y, X, right=True)),
-                              (-1, _chains(P, left, Y, X + Y, right=False, swap=True)),
-                              (1, _chains(left, left, X, Y, right=True, swap=True)))
-    right_action = _signed_sum(t, (1, _chains(left, right, X, -X - Y - D, right=True, swap=True)),
-                               (-1, _chains(right, left, -Y - D, X, right=True)),
-                               (-1, _chains(right, right, X, -X - Y - D, right=True, swap=True)),
-                               (1, _chains(P, right, X, -Y - D, right=False)))
-    report.sweep("left_action_axiom", axes, left_action, rep.mbasis, label)
-    report.sweep("right_action_axiom", axes, right_action, rep.mbasis, label)
+    left_action, right_action = Sums(t), Sums(t)
+    _nested(left_action, P, left, X, X + Y, right=False)
+    _nested(left_action, left, left, Y, X, right=True, sign=-1)
+    _nested(left_action, P, left, Y, X + Y, right=False, swap=True, sign=-1)
+    _nested(left_action, left, left, X, Y, right=True, swap=True)
+    _nested(right_action, left, right, X, -X - Y - D, right=True, swap=True)
+    _nested(right_action, right, left, -Y - D, X, right=True, sign=-1)
+    _nested(right_action, right, right, X, -X - Y - D, right=True, swap=True, sign=-1)
+    _nested(right_action, P, right, X, -Y - D, right=False)
+    report.sweep("left_action_axiom", axes, _residual(left_action), rep.mbasis, label)
+    report.sweep("right_action_axiom", axes, _residual(right_action), rep.mbasis, label)
     return report
 
 
@@ -147,14 +148,6 @@ def standard_rep(A: ConformalAlgebra, which: str) -> Representation:
         # L - R has the table P_ij - P_ji(-x-d): the adjoint of g
         return Representation(g, A.basis, rho=g.products)
     raise AlgebraError(f"unknown standard representation {which!r}")
-
-
-def regular_module(A: ConformalAlgebra) -> Representation:
-    """The regular module (A, left mult, right mult) of a left-symmetric algebra."""
-    if A.kind != LEFT_SYMMETRIC:
-        raise PreconditionError("regular module requires a left-symmetric algebra")
-    rr = standard_rep(A, REGULAR_RIGHT)
-    return Representation(A, A.basis, left=dict(A.products), right=rr.rho)
 
 
 def dual_rep(rep: Representation) -> Representation:

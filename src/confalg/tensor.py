@@ -11,11 +11,11 @@ two tensor factors in a fixed slot at an argument mu given by the slot
 variables; within a bracket the first factor's derivation becomes -mu, the
 second factor's mu + d_slot, and the table's d becomes d_slot, while passive
 slots keep their own variable.  Once the argument is fixed every factor is a
-plain substitution, taken directly at d3 := -d1 - d2, so each term is a sum
-over the nonzero table entries (p, q) -> k and the entries of r in row or
-column p and q (``_slot_sum``), with every entry and table value substituted
-once per check.  ``apply_bilinear``, which expands at a reserved variable
-first, remains the reference for general elements.
+plain substitution, taken directly at d3 := -d1 - d2, so each term is one
+``algebra._contract`` of the table with the entries of r viewed by row or
+column, each entry and table value substituted once per term.
+``apply_bilinear``, which expands at a reserved variable first, remains the
+reference for general elements.
 """
 
 from __future__ import annotations
@@ -25,8 +25,9 @@ from .algebra import (
     LIE,
     ConformalAlgebra,
     PreconditionError,
-    ProductTable,
     Vector,
+    _contract,
+    _view,
     sub_adjacent,
 )
 from .linmap import ConformalLinearMap
@@ -108,35 +109,14 @@ def parts(r: Tensor2) -> Parts:
     return Parts(r21, skew, sym, is_skew=sym.is_zero, is_sym=skew.is_zero)
 
 
-def _grouped(A: ConformalAlgebra, r: Tensor2, at: dict[str, Poly],
-             by_column: bool = False) -> dict[int, list[tuple[int, Poly]]]:
-    """The nonzero entries f_pq|at of r: p -> [(q, f_pq|at)], or with
-    ``by_column`` q -> [(p, f_pq|at)]."""
+def _entries(A: ConformalAlgebra, r: Tensor2) -> tuple[list, list]:
+    """r's entries as (row, column, f) and as (column, row, f) triples, for
+    ``_view``, after checking them against the rank of A."""
     n = A.rank
-    out: dict[int, list[tuple[int, Poly]]] = {}
-    for (p, q), f in r.coeffs.items():
-        if not (0 <= p < n and 0 <= q < n):
-            raise PreconditionError("tensor indices exceed the algebra rank")
-        g = f.subs(at)
-        if not g.is_zero:
-            out.setdefault(q if by_column else p, []).append((p if by_column else q, g))
-    return out
-
-
-def _slot_sum(out: Sums, products: ProductTable, at: dict[str, Poly], left: dict,
-              right: dict, place, sign: int = 1) -> None:
-    """out[place(k, u, v)] += sign * f * g * P_pqk|at over every table entry
-    (p, q) -> k, every (u, f) in left[p] and every (v, g) in right[q]."""
-    for (p, q), targets in products.items():
-        fs, gs = left.get(p), right.get(q)
-        if not fs or not gs:
-            continue
-        at_targets = [(k, P.subs(at)) for k, P in targets.items()]
-        for u, f in fs:
-            for v, g in gs:
-                fg = f * g
-                for k, P in at_targets:
-                    out.add(place(k, u, v), fg, P, sign)
+    rows = [(p, q, f) for (p, q), f in r.coeffs.items()]
+    if any(not (0 <= p < n and 0 <= q < n) for p, q, _ in rows):
+        raise PreconditionError("tensor indices exceed the algebra rank")
+    return rows, [(q, p, f) for p, q, f in rows]
 
 
 def cybe_residual(A: ConformalAlgebra, r: Tensor2) -> Tensor3:
@@ -153,17 +133,18 @@ def cybe_residual(A: ConformalAlgebra, r: Tensor2) -> Tensor3:
     t, P = A.table, A.products
     d1, d2 = Poly.var(t, "d1"), Poly.var(t, "d2")
     d3 = -d1 - d2
-    rows_a = _grouped(A, r, {"d1": -d2})                      # f(-d2, d2)
-    rows_b = _grouped(A, r, {"d1": d1 + d2, "d2": d3})        # f(d1+d2, d3)
-    cols_c = _grouped(A, r, {"d2": -d1}, by_column=True)      # f(d1, -d1)
-    cols_e = _grouped(A, r, {"d1": d2, "d2": -d2}, by_column=True)  # f(d2, -d2)
+    rows, cols = _entries(A, r)
+    rows_a = _view(rows, {"d1": -d2})                      # f(-d2, d2)
+    rows_b = _view(rows, {"d1": d1 + d2, "d2": d3})        # f(d1+d2, d3)
+    cols_c = _view(cols, {"d2": -d1})                      # f(d1, -d1)
+    cols_e = _view(cols, {"d1": d2, "d2": -d2})            # f(d2, -d2)
     out = Sums(t)
     # [a_i mu a_j] ox b_i ox b_j, mu := d2
-    _slot_sum(out, P, {"d": d1, "x": d2}, rows_a, rows_b, lambda k, i, j: (k, i, j))
+    _contract(out, P, {"d": d1, "x": d2}, lambda i, j, k: (k, i, j), rows_a, rows_b)
     # - a_i ox [a_j mu b_i] ox b_j, mu := d3
-    _slot_sum(out, P, {"d": d2, "x": d3}, rows_b, cols_c, lambda k, j, i: (i, k, j), -1)
+    _contract(out, P, {"d": d2, "x": d3}, lambda j, i, k: (i, k, j), rows_b, cols_c, sign=-1)
     # - a_i ox a_j ox [b_j mu b_i], mu := d2
-    _slot_sum(out, P, {"d": d3, "x": d2}, cols_e, cols_c, lambda k, j, i: (i, j, k), -1)
+    _contract(out, P, {"d": d3, "x": d2}, lambda j, i, k: (i, j, k), cols_e, cols_c, sign=-1)
     return Tensor3(A, out.close(), reduced=True)
 
 
@@ -181,16 +162,17 @@ def s_residual(A: ConformalAlgebra, r: Tensor2) -> Tensor3:
     Q = sub_adjacent(A, checked=False).products
     d1, d2 = Poly.var(t, "d1"), Poly.var(t, "d2")
     d3 = -d1 - d2
-    rows_b = _grouped(A, r, {"d1": d1 + d2, "d2": d3})        # f(d1+d2, d3)
-    cols_c = _grouped(A, r, {"d2": -d1}, by_column=True)      # f(d1, -d1)
-    cols_e = _grouped(A, r, {"d1": d2, "d2": -d2}, by_column=True)  # f(d2, -d2)
+    rows, cols = _entries(A, r)
+    rows_b = _view(rows, {"d1": d1 + d2, "d2": d3})        # f(d1+d2, d3)
+    cols_c = _view(cols, {"d2": -d1})                      # f(d1, -d1)
+    cols_e = _view(cols, {"d1": d2, "d2": -d2})            # f(d2, -d2)
     out = Sums(t)
     # (l_j mu r_i) ox r_j ox l_i, mu := d2
-    _slot_sum(out, P, {"d": d1, "x": d2}, cols_e, rows_b, lambda k, j, i: (k, j, i))
+    _contract(out, P, {"d": d1, "x": d2}, lambda j, i, k: (k, j, i), cols_e, rows_b)
     # - r_j ox (l_j mu r_i) ox l_i, mu := d1
-    _slot_sum(out, P, {"d": d2, "x": d1}, cols_c, rows_b, lambda k, j, i: (j, k, i), -1)
+    _contract(out, P, {"d": d2, "x": d1}, lambda j, i, k: (j, k, i), cols_c, rows_b, sign=-1)
     # - r_i ox r_j ox [l_i mu l_j], mu := d1
-    _slot_sum(out, Q, {"d": d3, "x": d1}, cols_c, cols_e, lambda k, i, j: (i, j, k), -1)
+    _contract(out, Q, {"d": d3, "x": d1}, lambda i, j, k: (i, j, k), cols_c, cols_e, sign=-1)
     return Tensor3(A, out.close(), reduced=True)
 
 
@@ -252,11 +234,12 @@ def cobracket_from_r(A: ConformalAlgebra, r: Tensor2, a: Vector) -> Tensor2:
     d1, d2 = Poly.var(t, "d1"), Poly.var(t, "d2")
     lam = -d1 - d2
     element = {p: [(p, h.subs({"d": -lam}))] for p, h in enumerate(a) if not h.is_zero}
+    rows, cols = _entries(A, r)
     out = Sums(t)
-    _slot_sum(out, P, {"d": d1, "x": lam}, element,
-              _grouped(A, r, {"d1": -d2}), lambda k, _, i: (k, i))
-    _slot_sum(out, P, {"d": d2, "x": lam}, element,
-              _grouped(A, r, {"d2": -d1}, by_column=True), lambda k, _, i: (i, k))
+    _contract(out, P, {"d": d1, "x": lam}, lambda _, i, k: (k, i), element,
+              _view(rows, {"d1": -d2}))
+    _contract(out, P, {"d": d2, "x": lam}, lambda _, i, k: (i, k), element,
+              _view(cols, {"d2": -d1}))
     return Tensor2(A, out.close())
 
 

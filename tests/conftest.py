@@ -7,7 +7,18 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from confalg import ConformalAlgebra, LIE, LEFT_SYMMETRIC, Poly, VarTable, parse
+from confalg import (
+    ConformalAlgebra,
+    LIE,
+    LEFT_SYMMETRIC,
+    PreconditionError,
+    Poly,
+    Representation,
+    VarTable,
+    catalog,
+    parse,
+    standard_rep,
+)
 
 
 @pytest.fixture(scope="session")
@@ -71,3 +82,25 @@ def poly_strategy(table, names=("d", "x", "y"), max_terms=4, max_degree=3):
     exp_tuple = st.tuples(*[st.integers(0, max_degree) for _ in names])
     coeff = st.integers(-6, 6).filter(lambda n: n != 0)
     return st.lists(st.tuples(exp_tuple, coeff), max_size=max_terms).map(build)
+
+
+def regular_module(A):
+    """The regular module (A, left mult, right mult) of a left-symmetric algebra."""
+    if A.kind != LEFT_SYMMETRIC:
+        raise PreconditionError("regular module requires a left-symmetric algebra")
+    rr = standard_rep(A, "regular_right")
+    return Representation(A, A.basis, left=dict(A.products), right=rr.rho)
+
+
+def builtin_representations(table=None):
+    """Every named representation the test-suite treats as builtin."""
+    if table is None:
+        table = VarTable(params=("b", "g0", "g1", "g2", "g3"))
+    out = {}
+    for name in ("vir", "hv"):
+        out[f"{name}_adjoint"] = standard_rep(catalog(name, table=table).algebra, "adjoint")
+    for fam in (1, 2):
+        A = catalog(f"hv_lsc{fam}", table=table).algebra
+        out[f"hv_lsc{fam}_regular_left"] = standard_rep(A, "regular_left")
+        out[f"hv_lsc{fam}_left_minus_right"] = standard_rep(A, "left_minus_right")
+    return out

@@ -43,9 +43,9 @@ from confalg import (
     with_zero_right,
     zero_divisor_probe,
 )
-from confalg.catalog import builtin_representations
 from confalg.coeff import OUT_OF_WINDOW, CoeffWindow, window_checks
 from confalg.gd import GDBialgebra
+from conftest import builtin_representations
 
 
 def criterion(num, title):

@@ -19,7 +19,7 @@ from confalg import (
     s_residual,
     t_from_r,
 )
-from confalg.catalog import builtin_representations, names
+from confalg.catalog import names
 from confalg.cli import main
 from confalg.io_json import (
     algebra_from_dict,
@@ -37,6 +37,7 @@ from confalg.io_json import (
     tensor_from_dict,
     tensor_to_dict,
 )
+from conftest import builtin_representations
 
 
 class TestCatalog:

@@ -415,6 +415,15 @@ class TestInvariantForms:
         with pytest.raises(DegenerateForm):
             invariant_form_suite(vir, B, Tensor2(vir, {(0, 0): P("d1-d2")}))
 
+    def test_form_size_must_match_the_rank(self, hv, table, P):
+        """A 1x1 or 3x3 form on the rank-2 algebra is refused, not read out of
+        range or checked as some other form."""
+        for size in (1, 3):
+            identity = [[P("1") if i == j else P("0") for j in range(size)] for i in range(size)]
+            B = BilinearForm(table, ("L", "W", "E")[:size], identity)
+            with pytest.raises(PreconditionError, match="form size"):
+                invariant_form_suite(hv, B)
+
     def test_tensor_check_on_abelian(self, table, P):
         ab = ConformalAlgebra("lie", ("A", "B"), table, {})
         B = BilinearForm(table, ("A", "B"), [[P("1"), P("0")], [P("0"), P("1")]])

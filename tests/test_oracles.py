@@ -28,7 +28,9 @@ compared with their dense bodies, one ``mul_at``/``act``/``eval_at`` call per
 module pair or basis triple.
 """
 
+import importlib
 import itertools
+import pkgutil
 from fractions import Fraction
 from unittest import mock
 
@@ -36,6 +38,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import confalg
 from confalg import (
     LEFT_SYMMETRIC,
     LIE,
@@ -61,6 +64,7 @@ from confalg import (
     check_axioms,
     check_o_operator,
     check_rep,
+    check_rota_baxter,
     cybe_residual,
     dual_rep,
     induced_lsc,
@@ -71,7 +75,6 @@ from confalg import (
     parse,
     r_from_t,
     rb_constraints,
-    regular_module,
     s_residual,
     semidirect,
     solve_squares,
@@ -88,7 +91,7 @@ from confalg.operators import BilinearForm, form_pr_map, rota_baxter_residuals
 from confalg.gd import ProbeResult, algebra_from_gd, rb_gd_check
 from confalg.linmap import ConformalLinearMap, ModuleMap
 from confalg.reps import act, act_at
-from conftest import poly_strategy
+from conftest import poly_strategy, regular_module
 
 T = VarTable(params=("b", "g0", "g1", "g2", "g3"))
 LIE_ENTRY = catalog("hv_lsc1_skew_r", table=T)
@@ -1326,6 +1329,15 @@ def invariance_item(A, B):
 INVARIANCE_ALGEBRAS = {"vir": catalog("vir", table=T).algebra, "hv": HV, "hv_dual": hv_tower(4)}
 
 
+# a simple current algebra of rank 3 (constant brackets) and its invariant trace form
+CUR = ConformalAlgebra(LIE, ("e", "h", "f"), T, {
+    (1, 0): {0: parse(T, "2")}, (0, 1): {0: parse(T, "-2")},
+    (1, 2): {2: parse(T, "-2")}, (2, 1): {2: parse(T, "2")},
+    (0, 2): {1: parse(T, "1")}, (2, 0): {1: parse(T, "-1")}})
+TRACE_FORM = BilinearForm(T, CUR.basis, [[parse(T, s) for s in row] for row in (
+    ("0", "0", "4"), ("0", "8", "0"), ("4", "0", "0"))])
+
+
 class TestOOperatorOracle:
     @pytest.mark.parametrize("ker_mode", [False, True])
     @given(case=o_operator_inputs())
@@ -1383,16 +1395,56 @@ class TestInvarianceOracle:
     def test_invariant_trace_form(self):
         """The trace form of a simple current algebra is invariant; bumping
         one entry breaks it, and the residuals agree."""
-        cur = ConformalAlgebra(LIE, ("e", "h", "f"), T, {
-            (1, 0): {0: parse(T, "2")}, (0, 1): {0: parse(T, "-2")},
-            (1, 2): {2: parse(T, "-2")}, (2, 1): {2: parse(T, "2")},
-            (0, 2): {1: parse(T, "1")}, (2, 0): {1: parse(T, "-1")}})
-        matrix = [[parse(T, s) for s in row] for row in (("0", "0", "4"), ("0", "8", "0"),
-                                                          ("4", "0", "0"))]
-        want = oracle_invariance(cur, BilinearForm(T, cur.basis, matrix)).checks[0]
+        want = oracle_invariance(CUR, TRACE_FORM).checks[0]
         assert want.ok and want.evaluated == 27
-        assert invariance_item(cur, BilinearForm(T, cur.basis, matrix)) == want
+        assert invariance_item(CUR, TRACE_FORM) == want
+        matrix = [row[:] for row in TRACE_FORM.matrix]
         matrix[1][1] = matrix[1][1] + X
-        want = oracle_invariance(cur, BilinearForm(T, cur.basis, matrix)).checks[0]
+        bumped_form = BilinearForm(T, CUR.basis, matrix)
+        want = oracle_invariance(CUR, bumped_form).checks[0]
         assert not want.ok
-        assert invariance_item(cur, BilinearForm(T, cur.basis, matrix)) == want
+        assert invariance_item(CUR, bumped_form) == want
+
+def test_identity_checks_never_call_the_dense_product(monkeypatch):
+    """Every identity check and induced table sums over nonzero entries: the
+    product engine, wrapped wherever the package binds it, is never called."""
+    calls = []
+    real = confalg.algebra.apply_bilinear
+
+    def counting(*args, **kwargs):
+        calls.append(args[2:5])
+        return real(*args, **kwargs)
+
+    bound = []
+    for info in pkgutil.iter_modules(confalg.__path__):
+        module = importlib.import_module(f"confalg.{info.name}")
+        if getattr(module, "apply_bilinear", None) is real:
+            monkeypatch.setattr(module, "apply_bilinear", counting)
+            bound.append(info.name)
+    assert {"algebra", "reps", "operators"} <= set(bound)
+
+    hv = catalog("hv", table=T).algebra
+    lsc = catalog("hv_lsc1", table=T).algebra
+    family1 = catalog("hv_rb_family1", table=T).linmap
+    adjoint = standard_rep(hv, "adjoint")
+    skew_map, skew_rep = O_OPERATOR_CASES["skew8"]
+    cocycle_algebra, form = COCYCLE_INPUTS["hv_lsc1_skew_r"]
+    r = LIE_ENTRY.tensor
+    reports = [check_axioms(hv), check_axioms(lsc), check_rep(adjoint),
+               check_rep(regular_module(lsc)), cocycle_check(cocycle_algebra, form),
+               check_rota_baxter(hv, family1, Poly.var(T, "b")),
+               check_o_operator(family1, adjoint), check_o_operator(family1, adjoint, True),
+               invariant_form_suite(CUR, TRACE_FORM),
+               invariant_form_suite(CUR, TRACE_FORM, Tensor2(CUR, {(0, 1): X, (1, 0): -X})),
+               window_checks(CoeffWindow(hv, 2, {0: 1}), family1, 1)]
+    assert all(report.checks for report in reports)
+    assert not cybe_residual(r.algebra, r).coeffs
+    assert not s_residual(LSC_ENTRY.algebra, LSC_ENTRY.tensor).coeffs
+    assert cobracket_from_r(r.algebra, r, r.algebra.basis_vector(0)).coeffs
+    assert rb_constraints(hv, 2)[0].equations
+    assert induced_lsc(family1, mode="rb", algebra=hv).products
+    assert induced_lsc(family1, rep=adjoint, mode="o_product").products
+    assert induced_lsc(skew_map, rep=skew_rep, mode="bijective").products
+    assert calls == []
+    mul_at(hv, hv.basis_vector(0), hv.basis_vector(1), X)
+    assert len(calls) == 1

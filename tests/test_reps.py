@@ -9,12 +9,12 @@ from confalg import (
     check_axioms,
     check_rep,
     dual_rep,
-    regular_module,
     semidirect,
     standard_rep,
     sub_adjacent,
     with_zero_right,
 )
+from conftest import regular_module
 
 
 @pytest.fixture(scope="module")

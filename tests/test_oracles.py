@@ -1265,8 +1265,8 @@ def hv_tower(rank):
 
 
 def tower_map(n):
-    """A non-diagonal map on rank n: the identity plus d or b off the diagonal
-    in a checkerboard, and d^2 in the corner."""
+    """A non-diagonal map on rank n: the identity, d where i + j = 0 mod 3 and
+    b where i + j = 1 mod 3 off the diagonal, and d^2 added in the top right corner."""
     b = Poly.var(T, "b")
     matrix = [[Poly.const(T, 1) if i == j else D if (i + j) % 3 == 0 else
                b if (i + j) % 3 == 1 else Poly.zero(T) for j in range(n)] for i in range(n)]

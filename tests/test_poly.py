@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from confalg import ParseError, Poly, UnknownVariable, VarTable, VarTableMismatch, parse
-from confalg.poly import MAX_PARSE_DEGREE, Sums
+from confalg.poly import MAX_PARSE_DEGREE, Substitution, Sums
 from conftest import poly_strategy
 
 T = VarTable(params=("b",))
@@ -78,6 +78,22 @@ class TestSubstitution:
         # simultaneous swap must not cascade
         q = p("d1 - d2")
         assert q.subs({"d1": p("d2"), "d2": p("d1")}) == p("d2 - d1")
+
+    def test_building_checks_names_and_tables(self):
+        other = VarTable(params=("c",))
+        for mapping, error in (({"c": 1}, UnknownVariable),
+                               ({"x": parse(other, "d")}, VarTableMismatch)):
+            with pytest.raises(error):
+                Substitution(T, mapping)
+            with pytest.raises(error):
+                p("x").subs(mapping)
+        with pytest.raises(VarTableMismatch):
+            Substitution(T, {"x": 1})(parse(other, "x"))
+
+    def test_scalars_become_constants(self):
+        half = Substitution(T, {"x": Fraction(1, 2), "b": 2})
+        assert half(p("d*x + b")) == p("1/2*d + 2")
+        assert half(p("d^2")) == p("d^2")
 
     def test_unknown_variable(self):
         with pytest.raises(UnknownVariable):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from confalg import Poly, VarTable, parse
+from confalg.poly import Substitution
 
 sympy = pytest.importorskip("sympy")
 
@@ -110,6 +111,25 @@ class TestSubstitution:
     def test_scalar_value(self, a, name, q):
         expr = to_sympy(a).xreplace({SYMS[name]: sympy.Rational(q.numerator, q.denominator)})
         assert same(a.subs({name: q}), expr)
+
+    @given(data=st.data(), pool=st.lists(polys(max_degree=2), min_size=1, max_size=4),
+           scale=rationals, vals=st.dictionaries(st.sampled_from(NAMES),
+                                                 polys(max_terms=3, max_degree=2), max_size=3))
+    @settings(max_examples=80, deadline=None)
+    def test_one_instance_many_polys(self, data, pool, scale, vals):
+        """One instance applied to a batch in a drawn order: its cached powers and
+        pattern expansions must not leak from one polynomial into the next.
+        Scaled copies and sums share their sources' exponent patterns."""
+        batch = pool + [q * scale for q in pool] + [a + b for a, b in zip(pool, pool[1:])]
+        batch = data.draw(st.permutations(batch))
+        sub = Substitution(T, vals)
+        replace = {SYMS[n]: to_sympy(v) for n, v in vals.items()}
+        for q in batch:
+            got = sub(q)
+            assert same(got, to_sympy(q).xreplace(replace))
+            assert got == q.subs(vals)
+            if not q.variables() & set(vals):
+                assert got is q
 
 
 class TestStructure:

@@ -26,7 +26,7 @@ of calling ``apply_bilinear`` per instance.
 
 from __future__ import annotations
 
-from .poly import Poly, Record, Sums, VarTable
+from .poly import Poly, Record, Substitution, Sums, VarTable
 from .report import Report
 
 LIE = "lie"
@@ -117,23 +117,24 @@ def apply_bilinear(
     """
     z = Poly.var(table, "z1")
     dout = Poly.var(table, out) if isinstance(out, str) else Poly.const(table, out)
-    at_z = {"x": z} if out == "d" else {"d": dout, "x": z}
+    at_z = Substitution(table, {"x": z} if out == "d" else {"d": dout, "x": z})
+    left, right = Substitution(table, {"d": -z}), Substitution(table, {"d": z + dout})
     acc = [Poly.zero(table) for _ in range(out_rank)]
     shifted_b = [None] * len(b)
     for i, fi in enumerate(a):
         if fi.is_zero:
             continue
-        fi_s = fi.subs({"d": -z})
+        fi_s = left(fi)
         for j, gj in enumerate(b):
             targets = products.get((i, j))
             if gj.is_zero or not targets:
                 continue
             if shifted_b[j] is None:
-                shifted_b[j] = gj.subs({"d": z + dout})
+                shifted_b[j] = right(gj)
             prod = fi_s * shifted_b[j]
             for k, P in targets.items():
-                acc[k] = acc[k] + prod * P.subs(at_z)
-    return tuple(p.subs({"z1": lam}) for p in acc)
+                acc[k] = acc[k] + prod * at_z(P)
+    return tuple(map(Substitution(table, {"z1": lam}), acc))
 
 
 def mul_at(A: ConformalAlgebra, a: Vector, b: Vector, lam: Poly) -> Vector:
@@ -167,6 +168,7 @@ def _contract(sums: Sums, products: ProductTable, at: dict, place, left: dict | 
     entries are a few powers of d); ``Sums.add`` multiplies in the last factor.
     """
     memo: dict = {}
+    at = Substitution(sums.table, at)
 
     def times(f, g):  # the memo holds the factors, so their ids stay theirs
         key = id(f), id(g)
@@ -179,7 +181,7 @@ def _contract(sums: Sums, products: ProductTable, at: dict, place, left: dict | 
         gs = [(q, None)] if right is None else right.get(q)
         if not fs or not gs:
             continue
-        at_targets = [(l, P.subs(at)) for l, P in targets.items()]
+        at_targets = [(l, at(P)) for l, P in targets.items()]
         memo.clear()
         for i, a in fs:
             for j, b in gs:
@@ -199,10 +201,12 @@ def _view(entries, at: dict | None = None) -> dict:
     entries share is substituted once, into one shared object."""
     out: dict = {}
     done: dict = {}  # id(f) -> (f, f|at); holding f keeps its id its own
+    sub = None
     for key, index, f in entries:
         if at:
             if id(f) not in done:
-                done[id(f)] = f, f.subs(at)
+                sub = sub or Substitution(f.table, at)
+                done[id(f)] = f, sub(f)
             f = done[id(f)][1]
         if not f.is_zero:
             out.setdefault(key, []).append((index, f))
@@ -226,7 +230,8 @@ def _nested(sums: Sums, inner: ProductTable, outer: ProductTable, lam_in: Poly, 
     """
     d_out = Poly.zero(lam_out.table) if scalar else Poly.var(lam_out.table, "d")
     shift = {"d": lam_out + d_out} if right else {"d": -lam_out}
-    view = _view(((l, (p, q), P.subs({"x": lam_in})) for (p, q), targets in inner.items()
+    at = Substitution(sums.table, {"x": lam_in})
+    view = _view(((l, (p, q), at(P)) for (p, q), targets in inner.items()
                   for l, P in targets.items()), shift)
 
     def place(a, b, m):  # the inner pair is b on the right, a on the left

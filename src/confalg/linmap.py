@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .poly import Poly, Record, VarTable
+from .poly import Poly, Record, Substitution, VarTable
 
 Vector = tuple[Poly, ...]
 
@@ -99,7 +99,8 @@ class ConformalLinearMap(Record):
         return len(self.matrix[0]) if self.matrix else 0
 
     def at_zero(self) -> ModuleMap:
-        return ModuleMap(self.table, [[p.subs({"x": 0}) for p in row] for row in self.matrix])
+        at = Substitution(self.table, {"x": 0})
+        return ModuleMap(self.table, [list(map(at, row)) for row in self.matrix])
 
     def map_polys(self, fn) -> "ConformalLinearMap":
         return ConformalLinearMap(self.table, [[fn(p) for p in row] for row in self.matrix])

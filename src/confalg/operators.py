@@ -33,7 +33,7 @@ from .algebra import (
     apply_bilinear,
 )
 from .linmap import ConformalLinearMap, ModuleMap, NotInvertible, invert_module_map
-from .poly import Poly, Record, Sums, VarTable, _make
+from .poly import Poly, Record, Substitution, Sums, VarTable, _make
 from .report import Report
 
 if TYPE_CHECKING:
@@ -221,8 +221,8 @@ class BilinearForm(Record):
 
     def induced_map(self) -> ModuleMap:
         """The map into the dual, a matrix over d: row i is B_ij(-d)."""
-        D = Poly.var(self.table, "d")
-        return ModuleMap(self.table, [[p.subs({"x": -D}) for p in row] for row in self.matrix])
+        at = Substitution(self.table, {"x": -Poly.var(self.table, "d")})
+        return ModuleMap(self.table, [list(map(at, row)) for row in self.matrix])
 
     def map_polys(self, fn) -> "BilinearForm":
         return BilinearForm(self.table, self.basis,
@@ -245,9 +245,8 @@ def cocycle_from_r(A: ConformalAlgebra, r: Tensor2, kind: str) -> BilinearForm:
         raise ValueError(f"unknown cocycle kind {kind!r}")
     T0 = t_from_r(A, r).at_zero()
     inv = invert_module_map(T0)
-    X = Poly.var(A.table, "x")
-    matrix = [[inv.matrix[i][j].subs({"d": -X}) for j in range(A.rank)]
-              for i in range(A.rank)]
+    at = Substitution(A.table, {"d": -Poly.var(A.table, "x")})
+    matrix = [[at(inv.matrix[i][j]) for j in range(A.rank)] for i in range(A.rank)]
     return BilinearForm(A.table, A.basis, matrix, kind)
 
 
@@ -267,9 +266,10 @@ def cocycle_check(A: ConformalAlgebra, form: BilinearForm) -> Report:
     X = Poly.var(t, "x")
     Y = Poly.var(t, "y")
     B, P, F = form.matrix, A.products, form.products
+    flip = Substitution(t, {"x": -X})
 
     def symmetry(i, j):
-        rhs = B[j][i].subs({"x": -X})
+        rhs = flip(B[j][i])
         return B[i][j] + rhs if form.kind == "lie" else B[i][j] - rhs
 
     sums = Sums(t)
@@ -310,7 +310,7 @@ class PolySystem(Record):
         self.equations = [] if equations is None else equations
 
     def evaluate(self, assignment: dict[str, Poly | Fraction | int]) -> list[Poly]:
-        return [eq.subs(assignment) for eq in self.equations]
+        return list(map(Substitution(self.table, assignment), self.equations))
 
 
 def rb_constraints(A: ConformalAlgebra, degree_bound: int,
@@ -429,10 +429,11 @@ def solve_squares(system: PolySystem) -> SolveResult:
         name = unknowns[v]
         value = Poly.zero(table) if c is None else eq.coefficient(name, 0) * (Fraction(-1) / c)
         assignment[name] = value
+        eliminate = Substitution(table, {name: value})
         kept = []
         for state in live:
             if v in state[1]:
-                state = _live(state[0].subs({name: value}), unknowns)
+                state = _live(eliminate(state[0]), unknowns)
             if state:
                 kept.append(state)
         live = kept
@@ -463,7 +464,7 @@ def form_pr_map(A: ConformalAlgebra, B: BilinearForm, r: Tensor2) -> ConformalLi
     """
     from .tensor import t_from_r
     t = A.table
-    shift = {"x": Poly.var(t, "x") + Poly.var(t, "d")}
+    shift = Substitution(t, {"x": Poly.var(t, "x") + Poly.var(t, "d")})
     T = t_from_r(A, r).matrix
     n = A.rank
     matrix = [[Poly.zero(t) for _ in range(n)] for _ in range(n)]
@@ -471,7 +472,7 @@ def form_pr_map(A: ConformalAlgebra, B: BilinearForm, r: Tensor2) -> ConformalLi
         for i, Bpi in enumerate(row):
             if Bpi.is_zero:
                 continue
-            Bpi = Bpi.subs(shift)
+            Bpi = shift(Bpi)
             for k in range(n):
                 matrix[i][k] = matrix[i][k] + Bpi * T[p][k]
     return ConformalLinearMap(t, matrix)
@@ -498,8 +499,8 @@ def invariant_form_suite(A: ConformalAlgebra, B: BilinearForm,
     invariance, zero = _residual(sums), Poly.zero(t)
 
     report = Report()
-    report.sweep("symmetry", (A.basis,) * 2,
-                 lambda i, j: B.matrix[i][j] - B.matrix[j][i].subs({"x": -X}))
+    flip = Substitution(t, {"x": -X})
+    report.sweep("symmetry", (A.basis,) * 2, lambda i, j: B.matrix[i][j] - flip(B.matrix[j][i]))
     report.sweep("invariance", (A.basis,) * 3, lambda *idx: invariance(*idx).get(0, zero))
     nondeg = report.new_check("non_degenerate")
     nondeg.evaluated = 1  # the determinant of the induced map

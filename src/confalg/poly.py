@@ -379,20 +379,19 @@ class Poly:
 
 
 class Substitution:
-    """Simultaneous substitution of variables by polynomials, prepared once and
-    applied to any number of polynomials over ``table``.
+    """Simultaneous substitution of variables by polynomials, prepared once for
+    any number of polynomials over ``table``.
 
     Terms are grouped by their exponents in the substituted variables; each
-    distinct exponent pattern expands its product of powers once per
-    instance, not once per polynomial, and terms free of those variables are
-    copied as they are.  A polynomial no term of which is touched is
-    returned as it is.
+    distinct exponent pattern expands its product of powers once per instance,
+    and terms free of those variables are copied as they are.  A polynomial
+    none of whose terms is touched is returned as it is.
     """
 
     __slots__ = ("table", "values", "pick", "untouched", "powers", "expansions")
 
     def __init__(self, table: VarTable, mapping: Mapping[str, "Poly | Scalar"]):
-        self.table, self.values = table, {}
+        self.table, self.values, self.powers, self.expansions = table, {}, {}, {}
         for name, value in mapping.items():
             if name not in table.index:
                 raise UnknownVariable(f"unknown variable {name!r}")
@@ -401,35 +400,17 @@ class Substitution:
             elif value.table is not table and value.table != table:
                 raise VarTableMismatch("polynomials over different variable tables")
             self.values[table.index[name]] = value
-        self.pick = self.untouched = None
         if self.values:  # pick gives a bare exponent when one variable is substituted
             self.pick = itemgetter(*self.values)
             self.untouched = self.pick((0,) * len(table.names))
-        self.powers: dict[tuple[int, int], Poly] = {}
-        self.expansions: dict = {}  # exponent pattern -> [(shift + exponents, coefficient)]
-
-    def _expand(self, pattern) -> list:
-        prod = None
-        shift = [0] * len(self.table.names)
-        values, powers = self.values, self.powers
-        for i, e in zip(values, pattern if len(values) > 1 else (pattern,)):
-            if e:
-                if (i, e) not in powers:
-                    powers[i, e] = values[i] if e == 1 else values[i] ** e
-                prod = powers[i, e] if prod is None else prod * powers[i, e]
-                shift[i] = -e
-        # each product term replaces the term's own powers of the variables
-        expansion = [(tuple(map(add, e2, shift)), c2) for e2, c2 in prod.terms.items()]
-        self.expansions[pattern] = expansion
-        return expansion
 
     def __call__(self, p: Poly) -> Poly:
-        terms = p.terms
-        if not self.values or not terms:
+        values, terms = self.values, p.terms
+        if not values or not terms:
             return p
         if p.table is not self.table and p.table != self.table:
             raise VarTableMismatch("polynomials over different variable tables")
-        pick, untouched, expansions = self.pick, self.untouched, self.expansions
+        pick, untouched, powers, expansions = self.pick, self.untouched, self.powers, self.expansions
         touched = False
         out: dict[tuple[int, ...], Scalar] = {}
         get = out.get
@@ -440,7 +421,19 @@ class Substitution:
                 continue
             touched = True
             expansion = expansions.get(pattern)
-            for e2, c2 in self._expand(pattern) if expansion is None else expansion:
+            if expansion is None:
+                prod = None
+                shift = [0] * len(exps)
+                for i, e in zip(values, pattern if len(values) > 1 else (pattern,)):
+                    if e:
+                        if (i, e) not in powers:
+                            powers[i, e] = values[i] if e == 1 else values[i] ** e
+                        prod = powers[i, e] if prod is None else prod * powers[i, e]
+                        shift[i] = -e
+                # each product term replaces the term's own powers of the variables
+                expansion = [(tuple(map(add, e2, shift)), c2) for e2, c2 in prod.terms.items()]
+                expansions[pattern] = expansion
+            for e2, c2 in expansion:
                 key = tuple(map(add, exps, e2))
                 out[key] = get(key, 0) + c * c2
         return _make(p.table, _normal(out)) if touched else p

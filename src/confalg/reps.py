@@ -24,7 +24,7 @@ from .algebra import (
     sub_adjacent,
     unit_vector,
 )
-from .poly import Poly, Record, Sums
+from .poly import Poly, Record, Substitution, Sums
 from .report import Report
 
 ADJOINT = "adjoint"
@@ -128,8 +128,6 @@ def standard_rep(A: ConformalAlgebra, which: str) -> Representation:
     R(e_i)_x e_j = (e_j)_{-x-d} e_i, left_minus_right their difference.
     """
     t = A.table
-    X = Poly.var(t, "x")
-    D = Poly.var(t, "d")
     if which == ADJOINT:
         if A.kind != LIE:
             raise PreconditionError("adjoint requires a Lie-kind algebra")
@@ -141,8 +139,9 @@ def standard_rep(A: ConformalAlgebra, which: str) -> Representation:
         return Representation(g, A.basis, rho=dict(A.products))
     if which == REGULAR_RIGHT:
         out: ProductTable = {}
+        skew = Substitution(t, {"x": -Poly.var(t, "x") - Poly.var(t, "d")})
         for (j, i), targets in A.products.items():
-            out[(i, j)] = {k: P.subs({"x": -X - D}) for k, P in targets.items()}
+            out[(i, j)] = {k: skew(P) for k, P in targets.items()}
         return Representation(g, A.basis, rho=out)
     if which == LEFT_MINUS_RIGHT:
         # L - R has the table P_ij - P_ji(-x-d): the adjoint of g
@@ -158,12 +157,11 @@ def dual_rep(rep: Representation) -> Representation:
     if not rep.is_lie:
         raise PreconditionError("dual_rep expects a lie-kind representation")
     t = rep.algebra.table
-    X = Poly.var(t, "x")
-    D = Poly.var(t, "d")
+    skew = Substitution(t, {"d": -Poly.var(t, "x") - Poly.var(t, "d")})
     out: ProductTable = {}
     for (i, k), targets in rep.rho.items():
         for j, P in targets.items():
-            out.setdefault((i, j), {})[k] = -P.subs({"d": -X - D})
+            out.setdefault((i, j), {})[k] = -skew(P)
     names = tuple(n + "*" for n in rep.mbasis)
     return Representation(rep.algebra, names, rho=out)
 
@@ -186,8 +184,7 @@ def semidirect(A: ConformalAlgebra, rep: Representation, checked: bool = True) -
         if not rr.ok:
             raise PreconditionError("module axioms fail", rr)
     t = A.table
-    X = Poly.var(t, "x")
-    D = Poly.var(t, "d")
+    skew = Substitution(t, {"x": -Poly.var(t, "x") - Poly.var(t, "d")})
     n = A.rank
     products: ProductTable = {}
     for pair, targets in A.products.items():
@@ -205,13 +202,13 @@ def semidirect(A: ConformalAlgebra, rep: Representation, checked: bool = True) -
         for (i, j), targets in rep.rho.items():
             for k, P in targets.items():
                 put((i, n + j), n + k, P)
-                put((n + j, i), n + k, -P.subs({"x": -X - D}))
+                put((n + j, i), n + k, -skew(P))
     else:
         for (i, j), targets in rep.left.items():
             for k, P in targets.items():
                 put((i, n + j), n + k, P)
         for (i, j), targets in rep.right.items():
             for k, P in targets.items():
-                put((n + j, i), n + k, P.subs({"x": -X - D}))
+                put((n + j, i), n + k, skew(P))
     basis = A.basis + rep.mbasis
     return ConformalAlgebra(A.kind, basis, t, products)

@@ -31,7 +31,7 @@ from .algebra import (
     sub_adjacent,
 )
 from .linmap import ConformalLinearMap
-from .poly import Poly, Record, Sums
+from .poly import Poly, Record, Substitution, Sums
 from .report import Report
 from .reps import Representation, check_rep, dual_rep, semidirect
 
@@ -82,9 +82,8 @@ def normal_form3(t: Tensor3) -> Tensor3:
     if t.reduced:
         return t
     table = t.algebra.table
-    repl = -Poly.var(table, "d1") - Poly.var(table, "d2")
-    return Tensor3(t.algebra, {k: p.subs({"d3": repl}) for k, p in t.coeffs.items()},
-                   reduced=True)
+    reduce = Substitution(table, {"d3": -Poly.var(table, "d1") - Poly.var(table, "d2")})
+    return Tensor3(t.algebra, {k: reduce(p) for k, p in t.coeffs.items()}, reduced=True)
 
 
 class Parts(Record):
@@ -97,9 +96,8 @@ class Parts(Record):
 def flip(r: Tensor2) -> Tensor2:
     """r^21: swap the tensor factors (basis indices and d1 <-> d2)."""
     table = r.algebra.table
-    d1, d2 = Poly.var(table, "d1"), Poly.var(table, "d2")
-    return Tensor2(r.algebra, {(j, i): p.subs({"d1": d2, "d2": d1})
-                               for (i, j), p in r.coeffs.items()})
+    swap = Substitution(table, {"d1": Poly.var(table, "d2"), "d2": Poly.var(table, "d1")})
+    return Tensor2(r.algebra, {(j, i): swap(p) for (i, j), p in r.coeffs.items()})
 
 
 def parts(r: Tensor2) -> Parts:
@@ -183,12 +181,12 @@ def t_from_r(A: ConformalAlgebra, r: Tensor2) -> ConformalLinearMap:
     and the target is A itself.
     """
     table = A.table
-    X = Poly.var(table, "x")
     D = Poly.var(table, "d")
+    at = Substitution(table, {"d1": -Poly.var(table, "x") - D, "d2": D})
     n = A.rank
     matrix = [[Poly.zero(table) for _ in range(n)] for _ in range(n)]
     for (i, k), f in r.coeffs.items():
-        matrix[i][k] = matrix[i][k] + f.subs({"d1": -X - D, "d2": D})
+        matrix[i][k] = matrix[i][k] + at(f)
     return ConformalLinearMap(table, matrix)
 
 
@@ -212,14 +210,14 @@ def r_from_t(T: ConformalLinearMap, rep: Representation, mode: str = "skew",
         raise PreconditionError("map shape does not match the representation")
     S = semidirect(A, dual_rep(rep), checked=False)
     d1 = Poly.var(table, "d1")
-    d2 = Poly.var(table, "d2")
+    at = Substitution(table, {"x": -d1 - Poly.var(table, "d2"), "d": d1})
     coeffs: dict[tuple[int, int], Poly] = {}
     for i in range(rep.mrank):
         for j in range(n):
             a = T.matrix[i][j]
             if a.is_zero:
                 continue
-            coeffs[(j, n + i)] = a.subs({"x": -d1 - d2, "d": d1})
+            coeffs[(j, n + i)] = at(a)
     rT = Tensor2(S, coeffs)
     if mode == "raw":
         return rT
@@ -233,7 +231,8 @@ def cobracket_from_r(A: ConformalAlgebra, r: Tensor2, a: Vector) -> Tensor2:
     t, P = A.table, A.products
     d1, d2 = Poly.var(t, "d1"), Poly.var(t, "d2")
     lam = -d1 - d2
-    element = {p: [(p, h.subs({"d": -lam}))] for p, h in enumerate(a) if not h.is_zero}
+    shift = Substitution(t, {"d": -lam})
+    element = {p: [(p, shift(h))] for p, h in enumerate(a) if not h.is_zero}
     rows, cols = _entries(A, r)
     out = Sums(t)
     _contract(out, P, {"d": d1, "x": lam}, lambda _, i, k: (k, i), element,

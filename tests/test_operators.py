@@ -33,6 +33,7 @@ from confalg import (
 )
 from confalg.io_json import form_from_dict
 from confalg.operators import MAX_RB_SIZE
+from confalg.poly import Substitution
 
 
 def plain_algebra(name):
@@ -370,13 +371,13 @@ class TestSolver:
         hv_dual = semidirect(hv, dual_rep(standard_rep(hv, "adjoint")), checked=False)
         system, _ = rb_constraints(hv_dual, 2, 0)
         calls = []
-        subs = Poly.subs
+        apply = Substitution.__call__
 
-        def counted(p, mapping):
-            calls.append(mapping)
-            return subs(p, mapping)
+        def counted(sub, p):
+            calls.append(p)
+            return apply(sub, p)
 
-        monkeypatch.setattr(Poly, "subs", counted)
+        monkeypatch.setattr(Substitution, "__call__", counted)
         res = solve_squares(system)
         assert res.status == "partial" and len(res.assignment) == 17
         assert len(calls) <= 4000

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import confalg
-from confalg import Poly, VarTable, bracket, check_axioms, parse
+from confalg import (ModuleMap, Poly, VarTable, bracket, catalog, check_axioms,
+                     check_o_operator, parse, standard_rep)
 from confalg.algebra import unit_vector
 
 
@@ -92,9 +93,11 @@ def test_benchmark_tracer_reads_kernel_terms(hv):
     traced.install()
     try:
         report = check_axioms(hv)
-        # the checks sum through poly.Sums; general elements still multiply
-        # through Poly.__mul__ and subs
+        # the checks sum through poly.Sums and substitute through prepared
+        # poly.Substitution instances; general elements still multiply through
+        # Poly.__mul__, and a single substitution goes through Poly.subs
         bracket(hv, hv.basis_vector(0), hv.basis_vector(0))
+        parse(hv.table, "d^2 + x").subs({"x": parse(hv.table, "-x-d")})
     finally:
         traced.uninstall()
     assert report.ok
@@ -103,6 +106,33 @@ def test_benchmark_tracer_reads_kernel_terms(hv):
     metrics = tracer.layer_metrics(traced)
     assert metrics["poly.mul.term_products"][0] > 0
     assert metrics["poly.subs.affine_ratio"][0] == 1.0
+
+
+def test_benchmark_checks_never_call_poly_subs(monkeypatch):
+    """Every identity check on the benchmark's tower and tensor_eqs inputs
+    substitutes through one prepared poly.Substitution per mapping: wrapped,
+    Poly.subs is never called."""
+    workloads = _benchmark_module("workloads")
+    jobs = [job for setup in (workloads.setup_tower, workloads.setup_tensor_eqs)
+            for group in setup() for job in group]
+    levels = workloads.dual_adjoint_tower(catalog("vir", table=VarTable()).algebra, 8)
+    calls = []
+    subs = Poly.subs
+
+    def counting(p, mapping):
+        calls.append(mapping)
+        return subs(p, mapping)
+
+    monkeypatch.setattr(Poly, "subs", counting)
+    verdicts = {job.key: job.observe(job.run())[0] for job in jobs}
+    for S in levels:
+        adjoint = standard_rep(S, "adjoint")
+        identity = ModuleMap.identity(S.table, S.rank)
+        assert all(check_o_operator(identity, adjoint, ker).checks for ker in (False, True))
+    assert {"ok", "equal", "fail:yang_baxter"} <= set(verdicts.values())
+    assert calls == []
+    parse(VarTable(), "x").subs({"x": 0})
+    assert len(calls) == 1
 
 
 # the public names of the package, as its namespace held them when it

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from . import io_json as io
 from .algebra import AlgebraError, PreconditionError
 from .catalog import CatalogEntry, UnknownEntry, catalog, required_params
 from .io_json import InputError
-from .poly import Poly, PolyError, VarTable
+from .poly import Poly, PolyError, Substitution, VarTable
 from .report import Report
 
 USAGE_ERRORS = (InputError, PolyError, PreconditionError, AlgebraError, UnknownEntry, ValueError)
@@ -57,11 +58,20 @@ SECTIONS = {
 }
 
 
+MAX_DIGITS = 4300  # the longest numeral poly.parse reads: Python's int() limit
+_LONG_EXPONENT = re.compile(r"[eE][-+]?[0_]*[1-9](_?\d){4}")  # five or more digits
+
+
 def _rational(text: str, what: str) -> Fraction:
+    """``text`` as a rational of at most MAX_DIGITS digits above and below the
+    line; an exponent of five or more digits is refused before it is expanded."""
     try:
-        return Fraction(text)
+        value = None if _LONG_EXPONENT.search(text) else Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise InputError(f"{what} expects a rational, got {text!r}") from None
+    if value is None or max(abs(value.numerator), value.denominator) >= 10 ** MAX_DIGITS:
+        raise InputError(f"{what} exceeds {MAX_DIGITS} digits or a four-digit exponent")
+    return value
 
 
 class Session:
@@ -109,9 +119,8 @@ class Session:
         holds only rational constants."""
         if not self.values or name == "gd":
             return obj
-        if isinstance(obj, tuple):
-            return tuple(p.subs(self.values) for p in obj)
-        return obj.map_polys(lambda p: p.subs(self.values))
+        at = Substitution(self.table, self.values)
+        return tuple(map(at, obj)) if isinstance(obj, tuple) else obj.map_polys(at)
 
     def section(self, name: str, *context, required: bool = True, **options):
         """Section `name` read inline, or the catalog entry it names, with the
@@ -149,8 +158,8 @@ def _load(args) -> dict:
     try:
         with open(args.infile, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read input: {exc}")
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise InputError(f"cannot read input: {exc}") from None
 
 
 def _emit(args, payload: dict) -> None:

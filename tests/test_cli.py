@@ -297,6 +297,11 @@ class TestCli:
         assert run(tmp_path, "check-rb", {"algebra": "hv", "map": "hv_rb_family1"},
                    "--param", "b=3") == 0
 
+    @pytest.mark.parametrize("value", ["1/3", "0.5", "free", "-2.5e-3", "1e4299", "1e-4299"])
+    def test_param_rationals_up_to_the_digit_cap(self, tmp_path, value):
+        assert run(tmp_path, "check-rb", {"algebra": "hv", "map": "hv_rb_family1"},
+                   "--param", f"b={value}") == 0
+
     def test_weight_free(self, tmp_path):
         doc = {"algebra": "vir", "map": {"L": {}}}
         assert run(tmp_path, "check-rb", doc, "--weight", "free") == 0
@@ -401,6 +406,15 @@ class TestRejectedInput:
                      id="negative_degree"),
         pytest.param("rb-constraints", {"algebra": "hv"}, ("--degree", "1000000"),
                      "over the cap of 5000", id="degree_cap"),
+        # Fraction would expand 10^3000000 before anything else ran
+        pytest.param("check-rb", {"algebra": "hv", "map": "hv_rb_family1"},
+                     ("--param", "b=1e3000000"), "--param b exceeds 4300 digits",
+                     id="param_exponent_cap"),
+        pytest.param("check-rb", {"algebra": "hv", "map": "hv_rb_family1"},
+                     ("--param", "b=1e4300"), "--param b exceeds 4300 digits",
+                     id="param_digit_cap"),
+        pytest.param("check-rb", {"algebra": "vir", "map": {"L": {}}}, ("--weight", "1e-4300"),
+                     "--weight exceeds 4300 digits", id="weight_digit_cap"),
     ])
     def test_exit_2_names_the_path(self, tmp_path, capsys, command, doc, extra, names):
         assert run(tmp_path, command, doc, *extra) == 2
@@ -420,6 +434,14 @@ class TestRejectedInput:
         assert main(["check-axioms", "--in", str(path)]) == 2
         error = json.loads(capsys.readouterr().err)["error"]
         assert error.startswith("InputError: cannot read input: 'utf-8' codec can't decode")
+
+    def test_deeply_nested_document(self, tmp_path, capsys):
+        """The JSON decoder recurses once per nested array."""
+        path = tmp_path / "in.json"
+        path.write_text("[" * 1000)
+        assert main(["check-axioms", "--in", str(path)]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error.startswith("InputError: cannot read input: maximum recursion depth")
 
     def test_repeated_names_only_rejected_at_the_boundary(self):
         from confalg import ConformalAlgebra, VarTable

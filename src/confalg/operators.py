@@ -266,10 +266,10 @@ def cocycle_check(A: ConformalAlgebra, form: BilinearForm) -> Report:
     X = Poly.var(t, "x")
     Y = Poly.var(t, "y")
     B, P, F = form.matrix, A.products, form.products
-    flip = Substitution(t, {"x": -X})
+    reflect = Substitution(t, {"x": -X})
 
     def symmetry(i, j):
-        rhs = flip(B[j][i])
+        rhs = reflect(B[j][i])
         return B[i][j] + rhs if form.kind == "lie" else B[i][j] - rhs
 
     sums = Sums(t)
@@ -499,8 +499,8 @@ def invariant_form_suite(A: ConformalAlgebra, B: BilinearForm,
     invariance, zero = _residual(sums), Poly.zero(t)
 
     report = Report()
-    flip = Substitution(t, {"x": -X})
-    report.sweep("symmetry", (A.basis,) * 2, lambda i, j: B.matrix[i][j] - flip(B.matrix[j][i]))
+    reflect = Substitution(t, {"x": -X})
+    report.sweep("symmetry", (A.basis,) * 2, lambda i, j: B.matrix[i][j] - reflect(B.matrix[j][i]))
     report.sweep("invariance", (A.basis,) * 3, lambda *idx: invariance(*idx).get(0, zero))
     nondeg = report.new_check("non_degenerate")
     nondeg.evaluated = 1  # the determinant of the induced map

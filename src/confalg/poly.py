@@ -410,7 +410,8 @@ class Substitution:
             return p
         if p.table is not self.table and p.table != self.table:
             raise VarTableMismatch("polynomials over different variable tables")
-        pick, untouched, powers, expansions = self.pick, self.untouched, self.powers, self.expansions
+        pick, untouched = self.pick, self.untouched
+        powers, expansions = self.powers, self.expansions
         touched = False
         out: dict[tuple[int, ...], Scalar] = {}
         get = out.get

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from confalg import (
     ConformalAlgebra,
+    GDBialgebra,
     LIE,
     LEFT_SYMMETRIC,
     PreconditionError,
@@ -82,6 +83,31 @@ def poly_strategy(table, names=("d", "x", "y"), max_terms=4, max_degree=3):
     exp_tuple = st.tuples(*[st.integers(0, max_degree) for _ in names])
     coeff = st.integers(-6, 6).filter(lambda n: n != 0)
     return st.lists(st.tuples(exp_tuple, coeff), max_size=max_terms).map(build)
+
+
+GD_CONSTANT = st.sampled_from([Fraction(c) for c in (1, -1, 2, -3)]
+                              + [Fraction(1, 2), Fraction(-2, 3)])
+
+
+def _constant_table(n):
+    """Sparse rational tables {(i, j): {k: c}} on n basis elements."""
+    cell = st.dictionaries(st.integers(0, n - 1), GD_CONSTANT, min_size=1, max_size=2)
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    return st.dictionaries(pair, cell, max_size=n * n // 2 + 1)
+
+
+@st.composite
+def gd_tables(draw, max_dim=4, antisymmetric=False):
+    """Bialgebras of dimension 1 to max_dim with sparse rational tables, so
+    that both passing and failing ones are common; with ``antisymmetric`` the
+    Lie part is [e_j, e_i] = -[e_i, e_j] with a zero diagonal."""
+    n = draw(st.integers(1, max_dim))
+    circ, lie = draw(_constant_table(n)), draw(_constant_table(n))
+    if antisymmetric:
+        upper = {(i, j): targets for (i, j), targets in lie.items() if i < j}
+        lie = {**upper, **{(j, i): {k: -c for k, c in targets.items()}
+                           for (i, j), targets in upper.items()}}
+    return GDBialgebra(tuple(f"e{i}" for i in range(n)), VarTable(), circ, lie)
 
 
 def regular_module(A):

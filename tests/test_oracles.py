@@ -25,7 +25,9 @@ constants (and form entries), and the two reports must be equal as dicts.
 The O-operator identity (both modes), the o_product and bijective tables of
 ``induced_lsc`` and the invariance sweep of ``invariant_form_suite`` are
 compared with their dense bodies, one ``mul_at``/``act``/``eval_at`` call per
-module pair or basis triple.
+module pair or basis triple.  The bialgebra check and both operations of the
+bialgebra Rota-Baxter check are compared with products of the constant tables
+that visit every slot pair, nested per basis pair or triple.
 """
 
 import importlib
@@ -35,7 +37,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
 import confalg
@@ -62,11 +64,13 @@ from confalg import (
     cocycle_check,
     cocycle_from_r,
     check_axioms,
+    check_gd,
     check_o_operator,
     check_rep,
     check_rota_baxter,
     cybe_residual,
     dual_rep,
+    gd_from_algebra,
     induced_lsc,
     invariant_form_suite,
     invert_module_map,
@@ -91,7 +95,7 @@ from confalg.operators import BilinearForm, form_pr_map, rota_baxter_residuals
 from confalg.gd import ProbeResult, algebra_from_gd, rb_gd_check
 from confalg.linmap import ConformalLinearMap, ModuleMap
 from confalg.reps import act, act_at
-from conftest import poly_strategy, regular_module
+from conftest import gd_tables, poly_strategy, regular_module
 
 T = VarTable(params=("b", "g0", "g1", "g2", "g3"))
 LIE_ENTRY = catalog("hv_lsc1_skew_r", table=T)
@@ -441,6 +445,65 @@ def oracle_star(V, a, b):
             for k, s in targets.items():
                 out[k] += c * s
     return tuple(out)
+
+
+def oracle_gd_product(V, tbl, a, b):
+    """The bilinear product of two vectors through a constant table, visiting
+    every slot pair."""
+    out = [Poly.zero(V.table) for _ in range(V.dim)]
+    for i, p in enumerate(a):
+        if p.is_zero:
+            continue
+        for j, q in enumerate(b):
+            targets = tbl.get((i, j))
+            if q.is_zero or not targets:
+                continue
+            pq = p * q
+            for k, c in targets.items():
+                out[k] = out[k] + pq * c
+    return tuple(out)
+
+
+def oracle_check_gd(V):
+    """check_gd with each identity a nest of dense products per basis triple."""
+    basis = [V.basis_vector(i) for i in range(V.dim)]
+
+    def circ(a, b):
+        return oracle_gd_product(V, V.circ, a, b)
+
+    def lie(a, b):
+        return oracle_gd_product(V, V.lie, a, b)
+
+    def right_commutativity(i, j, k):
+        a, b, c = basis[i], basis[j], basis[k]
+        return vec_sub(circ(circ(a, b), c), circ(circ(a, c), b))
+
+    def left_symmetry(i, j, k):
+        a, b, c = basis[i], basis[j], basis[k]
+        return vec_sub(vec_sub(circ(circ(a, b), c), circ(a, circ(b, c))),
+                       vec_sub(circ(circ(b, a), c), circ(b, circ(a, c))))
+
+    def antisymmetry(i, j):
+        return vec_add(lie(basis[i], basis[j]), lie(basis[j], basis[i]))
+
+    def jacobi(i, j, k):
+        a, b, c = basis[i], basis[j], basis[k]
+        return vec_sub(lie(a, lie(b, c)), vec_add(lie(lie(a, b), c), lie(b, lie(a, c))))
+
+    def compatibility(i, j, k):
+        a, b, c = basis[i], basis[j], basis[k]
+        return vec_sub(vec_add(lie(circ(a, b), c), circ(lie(a, b), c)),
+                       vec_add(vec_add(circ(a, lie(b, c)), lie(circ(a, c), b)),
+                               circ(lie(a, c), b)))
+
+    report = Report()
+    pairs, triples = (V.basis,) * 2, (V.basis,) * 3
+    report.sweep("novikov_right_commutativity", triples, right_commutativity, V.basis)
+    report.sweep("novikov_left_symmetry", triples, left_symmetry, V.basis)
+    report.sweep("lie_antisymmetry", pairs, antisymmetry, V.basis)
+    report.sweep("lie_jacobi", triples, jacobi, V.basis)
+    report.sweep("compatibility", triples, compatibility, V.basis)
+    return report
 
 
 def candidate_key(tup):
@@ -796,6 +859,47 @@ class TestProbeOracle:
                 assert candidate_key(a) <= candidate_key(want.witness[0])
 
 
+def gd_outcome(report):
+    """A report as a dict, with each check's evaluated and skipped counts."""
+    return report.to_dict(), [(c.name, c.evaluated, c.skipped) for c in report.checks]
+
+
+# bialgebras whose Lie part is drawn freely or antisymmetric
+GD_TABLES = st.one_of(gd_tables(), gd_tables(antisymmetric=True))
+
+
+class TestGdOracle:
+    @given(V=GD_TABLES)
+    @example(V=GDBialgebra(("L",), VarTable(), {(0, 0): {0: Fraction(1)}}, {}))
+    # e0 o e0 = e1 and [e0, e1] = e1 pass; [e0, e1] = e0 breaks compatibility
+    @example(V=GDBialgebra(("a", "b"), VarTable(), {(0, 0): {1: Fraction(1)}},
+                           {(0, 1): {1: Fraction(1)}, (1, 0): {1: Fraction(-1)}}))
+    @example(V=GDBialgebra(("a", "b"), VarTable(), {(0, 0): {1: Fraction(1)}},
+                           {(0, 1): {0: Fraction(1)}, (1, 0): {0: Fraction(-1)}}))
+    @settings(max_examples=150, deadline=None)
+    def test_random_tables(self, V):
+        assert gd_outcome(check_gd(V)) == gd_outcome(oracle_check_gd(V))
+
+    @pytest.mark.parametrize("verdict", [True, False])
+    def test_random_tables_draw_both_verdicts(self, verdict):
+        """Nonzero tables of dimension 2 or more are drawn that pass, and that fail."""
+        find(GD_TABLES, lambda V: (V.dim > 1 and bool(V.circ or V.lie)
+                                   and oracle_check_gd(V).ok == verdict),
+             settings=settings(database=None, phases=[Phase.generate]))
+
+    @pytest.mark.parametrize("dim", [4, 8])
+    def test_hv_tower(self, dim):
+        V = gd_from_algebra(hv_tower(dim))
+        want = gd_outcome(oracle_check_gd(V))
+        assert want[0]["ok"]
+        assert gd_outcome(check_gd(V)) == want
+
+    @pytest.mark.parametrize("name", ["vir_gd", "hv_gd"])
+    def test_catalog(self, name):
+        V = catalog(name, table=T).gd
+        assert gd_outcome(check_gd(V)) == gd_outcome(oracle_check_gd(V))
+
+
 # solver systems over 2-4 unknowns and the parameter b; the table lists the
 # unknowns in a drawn order, so that index order and name order differ
 SOLVER_NAMES = ("u", "v", "w3", "w12")
@@ -951,7 +1055,10 @@ def oracle_rb_gd_check(V, T, weight):
     report = Report()
     basis = [V.basis_vector(i) for i in range(V.dim)]
     rows = [T.row(i) for i in range(V.dim)]
-    for name, prod in (("rota_baxter_novikov", V.circ_prod), ("rota_baxter_lie", V.lie_prod)):
+    for name, tbl in (("rota_baxter_novikov", V.circ), ("rota_baxter_lie", V.lie)):
+        def prod(a, b, tbl=tbl):
+            return oracle_gd_product(V, tbl, a, b)
+
         def residual(i, j):
             lhs = prod(rows[i], rows[j])
             rhs = T.apply(vec_add(prod(rows[i], basis[j]), prod(basis[i], rows[j])))
@@ -1430,13 +1537,15 @@ def test_identity_checks_never_call_the_dense_product(monkeypatch):
     skew_map, skew_rep = O_OPERATOR_CASES["skew8"]
     cocycle_algebra, form = COCYCLE_INPUTS["hv_lsc1_skew_r"]
     r = LIE_ENTRY.tensor
+    hv_gd, b = catalog("hv_gd", table=T).gd, Poly.var(T, "b")
     reports = [check_axioms(hv), check_axioms(lsc), check_rep(adjoint),
                check_rep(regular_module(lsc)), cocycle_check(cocycle_algebra, form),
                check_rota_baxter(hv, family1, Poly.var(T, "b")),
                check_o_operator(family1, adjoint), check_o_operator(family1, adjoint, True),
                invariant_form_suite(CUR, TRACE_FORM),
                invariant_form_suite(CUR, TRACE_FORM, Tensor2(CUR, {(0, 1): X, (1, 0): -X})),
-               window_checks(CoeffWindow(hv, 2, {0: 1}), family1, 1)]
+               window_checks(CoeffWindow(hv, 2, {0: 1}), family1, 1),
+               check_gd(hv_gd), rb_gd_check(hv_gd, ModuleMap(T, [[b, b], [-b, -b]]), 1)]
     assert all(report.checks for report in reports)
     assert not cybe_residual(r.algebra, r).coeffs
     assert not s_residual(LSC_ENTRY.algebra, LSC_ENTRY.tensor).coeffs

@@ -147,14 +147,6 @@ def bracket(A: ConformalAlgebra, a: Vector, b: Vector) -> Vector:
     return mul_at(A, a, b, Poly.var(A.table, "x"))
 
 
-def vec_sub(a: Vector, b: Vector) -> Vector:
-    return tuple(p - q for p, q in zip(a, b))
-
-
-def vec_add(a: Vector, b: Vector) -> Vector:
-    return tuple(p + q for p, q in zip(a, b))
-
-
 def _contract(sums: Sums, products: ProductTable, at: dict, place, left: dict | None = None,
               right: dict | None = None, out: dict | None = None, sign: int = 1) -> None:
     """Add sign * a * b * P_pql|at * c at place(i, j, m) for every nonzero table
@@ -214,7 +206,8 @@ def _view(entries, at: dict | None = None) -> dict:
 
 
 def _nested(sums: Sums, inner: ProductTable, outer: ProductTable, lam_in: Poly, lam_out: Poly,
-            *, right: bool, swap: bool = False, scalar: bool = False, sign: int = 1) -> None:
+            *, right: bool, order: tuple[int, int, int] = (0, 1, 2), scalar: bool = False,
+            sign: int = 1) -> None:
     """Add sign * the nested products of basis elements at (i, j, k, m):
 
     right:  e_i _lam_out (e_j _lam_in v_k)
@@ -223,10 +216,11 @@ def _nested(sums: Sums, inner: ProductTable, outer: ProductTable, lam_in: Poly, 
             = sum_l inner_ijl(d, lam_in)|_{d -> -lam_out} outer_lkm(d, lam_out)
 
     as one contraction of the outer table with the inner table viewed by its
-    targets l; with ``swap`` the key is (j, i, k, m).  The inner argument is
-    substituted before d is shifted, as in ``apply_bilinear``, so lam_in may
-    contain d.  With ``scalar`` the outer table is a form, whose output
-    carries no d, so the right shift is d -> lam_out.
+    targets l; ``order`` permutes (i, j, k) in the key, so (1, 0, 2) puts the
+    product at (j, i, k, m).  The inner argument is substituted before d is
+    shifted, as in ``apply_bilinear``, so lam_in may contain d.  With
+    ``scalar`` the outer table is a form, whose output carries no d, so the
+    right shift is d -> lam_out.
     """
     d_out = Poly.zero(lam_out.table) if scalar else Poly.var(lam_out.table, "d")
     shift = {"d": lam_out + d_out} if right else {"d": -lam_out}
@@ -234,9 +228,11 @@ def _nested(sums: Sums, inner: ProductTable, outer: ProductTable, lam_in: Poly, 
     view = _view(((l, (p, q), at(P)) for (p, q), targets in inner.items()
                   for l, P in targets.items()), shift)
 
+    i, j, k = order
+
     def place(a, b, m):  # the inner pair is b on the right, a on the left
-        i, j, k = (a, *b) if right else (*a, b)
-        return (j, i, k, m) if swap else (i, j, k, m)
+        ijk = (a, *b) if right else (*a, b)
+        return ijk[i], ijk[j], ijk[k], m
 
     _contract(sums, outer, {"x": lam_out}, place, None if right else view, view if right else None,
               sign=sign)
@@ -278,14 +274,14 @@ def check_axioms(A: ConformalAlgebra) -> Report:
         report.sweep("skew_symmetry", (A.basis,) * 2, _residual(skew), A.basis)
         _nested(jacobi, P, P, Y, X, right=True)
         _nested(jacobi, P, P, X, X + Y, right=False, sign=-1)
-        _nested(jacobi, P, P, X, Y, right=True, swap=True, sign=-1)
+        _nested(jacobi, P, P, X, Y, right=True, order=(1, 0, 2), sign=-1)
         report.sweep("jacobi", (A.basis,) * 3, _residual(jacobi), A.basis)
     else:
         left_symmetry = Sums(t)
         _nested(left_symmetry, P, P, X, X + Y, right=False)
         _nested(left_symmetry, P, P, Y, X, right=True, sign=-1)
-        _nested(left_symmetry, P, P, Y, X + Y, right=False, swap=True, sign=-1)
-        _nested(left_symmetry, P, P, X, Y, right=True, swap=True)
+        _nested(left_symmetry, P, P, Y, X + Y, right=False, order=(1, 0, 2), sign=-1)
+        _nested(left_symmetry, P, P, X, Y, right=True, order=(1, 0, 2))
         report.sweep("left_symmetry", (A.basis,) * 3, _residual(left_symmetry), A.basis)
     return report
 

@@ -9,6 +9,11 @@ The dictionary reads, for basis elements a, b:
 so the derivative part stores the Novikov product with reversed arguments,
 the constant part the reversed Lie bracket, and skew-symmetry of the
 conformal bracket forces the argument part to equal the star product.
+
+The Novikov and Lie parts are checked as conformal algebras whose structure
+constants are constants: left symmetry, skew-symmetry and the Jacobi identity
+are ``check_axioms`` of the two, and right commutativity and compatibility
+are nested products of the two tables, contracted as in ``check_axioms``.
 """
 
 from __future__ import annotations
@@ -17,8 +22,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from .algebra import (LIE, ConformalAlgebra, PreconditionError, _nest, unit_vector, vec_add,
-                      vec_sub)
+from .algebra import (LEFT_SYMMETRIC, LIE, ConformalAlgebra, PreconditionError, _nest,
+                      _nested, _residual, check_axioms)
 from .linmap import ModuleMap, kernel
 from .operators import rota_baxter_residuals
 from .poly import Poly, Record, Sums, VarTable
@@ -32,12 +37,9 @@ class NotQuadratic(Exception):
 
 
 def _clean_const(table: ConstTable) -> ConstTable:
-    out: ConstTable = {}
-    for pair, targets in table.items():
-        kept = {k: Fraction(c) for k, c in targets.items() if c != 0}
-        if kept:
-            out[pair] = kept
-    return out
+    kept = {pair: {k: Fraction(c) for k, c in targets.items() if c != 0}
+            for pair, targets in table.items()}
+    return {pair: targets for pair, targets in kept.items() if targets}
 
 
 class GDBialgebra(Record):
@@ -52,64 +54,47 @@ class GDBialgebra(Record):
     def dim(self) -> int:
         return len(self.basis)
 
-    def _prod(self, tbl: ConstTable, a, b) -> tuple[Poly, ...]:
-        out = [Poly.zero(self.table) for _ in range(self.dim)]
-        for i, p in enumerate(a):
-            if p.is_zero:
-                continue
-            for j, q in enumerate(b):
-                targets = tbl.get((i, j))
-                if q.is_zero or not targets:
-                    continue
-                pq = p * q
-                for k, c in targets.items():
-                    out[k] = out[k] + pq * c
-        return tuple(out)
 
-    def circ_prod(self, a, b) -> tuple[Poly, ...]:
-        return self._prod(self.circ, a, b)
+def _algebras(V: GDBialgebra) -> tuple[ConformalAlgebra, ConformalAlgebra]:
+    """The Novikov product as a left-symmetric algebra and the Lie bracket as
+    a Lie algebra, on constant structure constants."""
+    def constants(table: ConstTable):
+        return {pair: {k: Poly.const(V.table, c) for k, c in targets.items()}
+                for pair, targets in table.items()}
 
-    def lie_prod(self, a, b) -> tuple[Poly, ...]:
-        return self._prod(self.lie, a, b)
+    return (ConformalAlgebra(LEFT_SYMMETRIC, V.basis, V.table, constants(V.circ)),
+            ConformalAlgebra(LIE, V.basis, V.table, constants(V.lie)))
 
-    def basis_vector(self, i: int) -> tuple[Poly, ...]:
-        return unit_vector(self.table, self.dim, i)
+
+# check_gd's names of the identities that check_axioms checks
+_AXIOM_NAMES = {"left_symmetry": "novikov_left_symmetry", "skew_symmetry": "lie_antisymmetry",
+                "jacobi": "lie_jacobi"}
 
 
 def check_gd(V: GDBialgebra) -> Report:
     """Novikov axioms, Lie axioms, and the mixed compatibility identity."""
-    basis = [V.basis_vector(i) for i in range(V.dim)]
-    circ, lie = V.circ_prod, V.lie_prod
-
-    def right_commutativity(i, j, k):
-        a, b, c = basis[i], basis[j], basis[k]
-        return vec_sub(circ(circ(a, b), c), circ(circ(a, c), b))
-
-    def left_symmetry(i, j, k):
-        a, b, c = basis[i], basis[j], basis[k]
-        return vec_sub(vec_sub(circ(circ(a, b), c), circ(a, circ(b, c))),
-                       vec_sub(circ(circ(b, a), c), circ(b, circ(a, c))))
-
-    def antisymmetry(i, j):
-        return vec_add(lie(basis[i], basis[j]), lie(basis[j], basis[i]))
-
-    def jacobi(i, j, k):
-        a, b, c = basis[i], basis[j], basis[k]
-        return vec_sub(lie(a, lie(b, c)), vec_add(lie(lie(a, b), c), lie(b, lie(a, c))))
-
-    def compatibility(i, j, k):
-        a, b, c = basis[i], basis[j], basis[k]
-        return vec_sub(vec_add(lie(circ(a, b), c), circ(lie(a, b), c)),
-                       vec_add(vec_add(circ(a, lie(b, c)), lie(circ(a, c), b)),
-                               circ(lie(a, c), b)))
+    novikov, lie = _algebras(V)
+    C, L, X = novikov.products, lie.products, Poly.var(V.table, "x")
+    # the tables are constant, so the bracket arguments do not matter
+    right_commutativity, compatibility = Sums(V.table), Sums(V.table)
+    # (a o b) o c - (a o c) o b
+    _nested(right_commutativity, C, C, X, X, right=False)
+    _nested(right_commutativity, C, C, X, X, right=False, order=(0, 2, 1), sign=-1)
+    # [a o b, c] + [a, b] o c - a o [b, c] - [a o c, b] - [a, c] o b
+    _nested(compatibility, C, L, X, X, right=False)
+    _nested(compatibility, L, C, X, X, right=False)
+    _nested(compatibility, L, C, X, X, right=True, sign=-1)
+    _nested(compatibility, C, L, X, X, right=False, order=(0, 2, 1), sign=-1)
+    _nested(compatibility, L, C, X, X, right=False, order=(0, 2, 1), sign=-1)
 
     report = Report()
-    pairs, triples = (V.basis,) * 2, (V.basis,) * 3
-    report.sweep("novikov_right_commutativity", triples, right_commutativity, V.basis)
-    report.sweep("novikov_left_symmetry", triples, left_symmetry, V.basis)
-    report.sweep("lie_antisymmetry", pairs, antisymmetry, V.basis)
-    report.sweep("lie_jacobi", triples, jacobi, V.basis)
-    report.sweep("compatibility", triples, compatibility, V.basis)
+    triples = (V.basis,) * 3
+    report.sweep("novikov_right_commutativity", triples, _residual(right_commutativity),
+                 V.basis)
+    for item in check_axioms(novikov).checks + check_axioms(lie).checks:
+        item.name = _AXIOM_NAMES[item.name]
+        report.checks.append(item)
+    report.sweep("compatibility", triples, _residual(compatibility), V.basis)
     return report
 
 
@@ -149,8 +134,7 @@ def algebra_from_gd(V: GDBialgebra, checked: bool = True) -> ConformalAlgebra:
         if not rep.ok:
             raise PreconditionError("bialgebra axioms fail", rep)
     t = V.table
-    D = Poly.var(t, "d")
-    X = Poly.var(t, "x")
+    D, X = Poly.var(t, "d"), Poly.var(t, "x")
     one, sums = Poly.const(t, 1), Sums(t)
     for (j, i), targets in V.circ.items():
         # circ[(j, i)] holds b o a for the bracket on (e_i, e_j)
@@ -239,15 +223,11 @@ def rb_gd_check(V: GDBialgebra, T: ModuleMap, weight: Poly | Fraction | int = 0)
     gdrep = check_gd(V)
     if not gdrep.ok:
         raise PreconditionError("bialgebra axioms fail", gdrep)
-    for row in T.matrix:
-        for p in row:
-            if "d" in p.variables():
-                raise PreconditionError("the operator on a bialgebra must be constant")
+    if any("d" in p.variables() for row in T.matrix for p in row):
+        raise PreconditionError("the operator on a bialgebra must be constant")
     report = Report()
-    for name, table in (("rota_baxter_novikov", V.circ), ("rota_baxter_lie", V.lie)):
-        P = {pair: {k: Poly.const(V.table, c) for k, c in targets.items()}
-             for pair, targets in table.items()}
-        res = rota_baxter_residuals(ConformalAlgebra(LIE, V.basis, V.table, P), T, weight)
+    for name, A in zip(("rota_baxter_novikov", "rota_baxter_lie"), _algebras(V)):
+        res = rota_baxter_residuals(A, T, weight)
         report.sweep(name, (V.basis,) * 2, lambda i, j, res=res: res[i, j], V.basis)
     lifted = rota_baxter_residuals(algebra_from_gd(V, checked=False), T, weight)
     report.sweep("lifted_rota_baxter", (V.basis,) * 2, lambda i, j: lifted[i, j], V.basis)

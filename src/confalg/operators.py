@@ -275,13 +275,13 @@ def cocycle_check(A: ConformalAlgebra, form: BilinearForm) -> Report:
     sums = Sums(t)
     if form.kind == "lie":
         _nested(sums, P, F, Y, X, right=True, scalar=True)
-        _nested(sums, P, F, X, Y, right=True, swap=True, scalar=True, sign=-1)
+        _nested(sums, P, F, X, Y, right=True, order=(1, 0, 2), scalar=True, sign=-1)
         _nested(sums, P, F, X, X + Y, right=False, sign=-1)
     else:
         _nested(sums, P, F, X, X + Y, right=False)
         _nested(sums, P, F, Y, X, right=True, scalar=True, sign=-1)
-        _nested(sums, P, F, Y, X + Y, right=False, swap=True, sign=-1)
-        _nested(sums, P, F, X, Y, right=True, swap=True, scalar=True)
+        _nested(sums, P, F, Y, X + Y, right=False, order=(1, 0, 2), sign=-1)
+        _nested(sums, P, F, X, Y, right=True, order=(1, 0, 2), scalar=True)
     cocycle, zero = _residual(sums), Poly.zero(t)
     report = Report()
     report.sweep("symmetry", (A.basis,) * 2, symmetry)

@@ -101,18 +101,18 @@ def check_rep(rep: Representation) -> Report:
         rho, module_axiom = rep.rho, Sums(t)
         _nested(module_axiom, P, rho, X, X + Y, right=False)
         _nested(module_axiom, rho, rho, Y, X, right=True, sign=-1)
-        _nested(module_axiom, rho, rho, X, Y, right=True, swap=True)
+        _nested(module_axiom, rho, rho, X, Y, right=True, order=(1, 0, 2))
         report.sweep("module_axiom", axes, _residual(module_axiom), rep.mbasis, label)
         return report
     left, right = rep.left, rep.right
     left_action, right_action = Sums(t), Sums(t)
     _nested(left_action, P, left, X, X + Y, right=False)
     _nested(left_action, left, left, Y, X, right=True, sign=-1)
-    _nested(left_action, P, left, Y, X + Y, right=False, swap=True, sign=-1)
-    _nested(left_action, left, left, X, Y, right=True, swap=True)
-    _nested(right_action, left, right, X, -X - Y - D, right=True, swap=True)
+    _nested(left_action, P, left, Y, X + Y, right=False, order=(1, 0, 2), sign=-1)
+    _nested(left_action, left, left, X, Y, right=True, order=(1, 0, 2))
+    _nested(right_action, left, right, X, -X - Y - D, right=True, order=(1, 0, 2))
     _nested(right_action, right, left, -Y - D, X, right=True, sign=-1)
-    _nested(right_action, right, right, X, -X - Y - D, right=True, swap=True, sign=-1)
+    _nested(right_action, right, right, X, -X - Y - D, right=True, order=(1, 0, 2), sign=-1)
     _nested(right_action, P, right, X, -Y - D, right=False)
     report.sweep("left_action_axiom", axes, _residual(left_action), rep.mbasis, label)
     report.sweep("right_action_axiom", axes, _residual(right_action), rep.mbasis, label)

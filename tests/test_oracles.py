@@ -90,7 +90,7 @@ from confalg import (
     with_zero_right,
     zero_divisor_probe,
 )
-from confalg.algebra import vec_add, vec_sub
+from confalg.algebra import unit_vector
 from confalg.operators import BilinearForm, form_pr_map, rota_baxter_residuals
 from confalg.gd import ProbeResult, algebra_from_gd, rb_gd_check
 from confalg.linmap import ConformalLinearMap, ModuleMap
@@ -104,6 +104,14 @@ RANK = LIE_ENTRY.algebra.rank
 
 
 # -- reference oracles ---------------------------------------------------------
+
+def vec_sub(a, b):
+    return tuple(p - q for p, q in zip(a, b))
+
+
+def vec_add(a, b):
+    return tuple(p + q for p, q in zip(a, b))
+
 
 def oracle_cybe(A, r):
     table = A.table
@@ -466,7 +474,7 @@ def oracle_gd_product(V, tbl, a, b):
 
 def oracle_check_gd(V):
     """check_gd with each identity a nest of dense products per basis triple."""
-    basis = [V.basis_vector(i) for i in range(V.dim)]
+    basis = [unit_vector(V.table, V.dim, i) for i in range(V.dim)]
 
     def circ(a, b):
         return oracle_gd_product(V, V.circ, a, b)
@@ -1053,7 +1061,7 @@ def oracle_rb_gd_check(V, T, weight):
     pair, and the lifted identity through the dense residuals."""
     alpha = weight if isinstance(weight, Poly) else Poly.const(V.table, weight)
     report = Report()
-    basis = [V.basis_vector(i) for i in range(V.dim)]
+    basis = [unit_vector(V.table, V.dim, i) for i in range(V.dim)]
     rows = [T.row(i) for i in range(V.dim)]
     for name, tbl in (("rota_baxter_novikov", V.circ), ("rota_baxter_lie", V.lie)):
         def prod(a, b, tbl=tbl):

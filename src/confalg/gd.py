@@ -101,30 +101,29 @@ def check_gd(V: GDBialgebra) -> Report:
 def gd_from_algebra(A: ConformalAlgebra) -> GDBialgebra:
     """Extract the bialgebra from an algebra with affine basis brackets.
 
-    Raises NotQuadratic when any structure constant has a nonlinear or mixed
-    monomial, or a non-rational coefficient.
+    Raises NotQuadratic when a structure constant has a non-rational
+    coefficient, or when the bialgebra read off the d and constant parts does
+    not give back every bracket: a nonlinear or mixed monomial, or an x part
+    other than the star product.
     """
     if A.kind != LIE:
         raise NotQuadratic("the correspondence applies to Lie-kind algebras")
-    circ: ConstTable = {}
-    lie: ConstTable = {}
+    parts: dict[tuple[int, int], ConstTable] = {(1, 0): {}, (0, 0): {}}  # circ, lie
     for (i, j), targets in A.products.items():
         for k, P in targets.items():
-            pieces = P.split(("d", "x"))
-            for key, cof in pieces.items():
-                value = cof.constant_value()
-                if value is None:
-                    raise NotQuadratic(
-                        f"structure constant on ({A.basis[i]},{A.basis[j]}) has"
-                        f" non-constant coefficient {cof}")
-                if key == (1, 0):
-                    circ.setdefault((j, i), {})[k] = value
-                elif key == (0, 0):
-                    lie.setdefault((j, i), {})[k] = value
-                elif key != (0, 1):
-                    raise NotQuadratic(
-                        f"monomial d^{key[0]}*x^{key[1]} on ({A.basis[i]},{A.basis[j]})")
-    return GDBialgebra(A.basis, A.table, circ, lie)
+            for key, cof in P.split(("d", "x")).items():
+                if (value := cof.constant_value()) is None:
+                    raise NotQuadratic(f"structure constant on ({A.basis[i]},{A.basis[j]}) has"
+                                       f" non-constant coefficient {cof}")
+                if key in parts:
+                    parts[key].setdefault((j, i), {})[k] = value
+    V = GDBialgebra(A.basis, A.table, parts[1, 0], parts[0, 0])
+    back = algebra_from_gd(V, checked=False)
+    for i, j in sorted(A.products.keys() | back.products.keys()):
+        if A.product(i, j) != back.product(i, j):
+            raise NotQuadratic(f"the bracket on ({A.basis[i]},{A.basis[j]}) is not"
+                               " d (b o a) + x (a * b) + [b, a] of the extracted bialgebra")
+    return V
 
 
 def algebra_from_gd(V: GDBialgebra, checked: bool = True) -> ConformalAlgebra:

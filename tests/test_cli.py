@@ -415,6 +415,10 @@ class TestRejectedInput:
                      id="param_digit_cap"),
         pytest.param("check-rb", {"algebra": "vir", "map": {"L": {}}}, ("--weight", "1e-4300"),
                      "--weight exceeds 4300 digits", id="weight_digit_cap"),
+        pytest.param("gd-convert", {"algebra": {"kind": "lie", "basis": ["L"],
+                                                "products": {"L,L": {"L": "d+3*x"}}}}, (),
+                     "the bracket on (L,L) is not d (b o a) + x (a * b) + [b, a]",
+                     id="x_part_not_star"),
     ])
     def test_exit_2_names_the_path(self, tmp_path, capsys, command, doc, extra, names):
         assert run(tmp_path, command, doc, *extra) == 2

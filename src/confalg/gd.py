@@ -188,6 +188,10 @@ def _coprime(v: dict[int, Fraction], columns: range) -> tuple[Fraction, ...]:
     return tuple(v.get(j, 0) * scale for j in columns)
 
 
+# the probe builds and sorts its whole box; this is [-3, 3]^6
+MAX_PROBE_CANDIDATES = 7 ** 6
+
+
 def zero_divisor_probe(V: GDBialgebra, bound: int = 3) -> ProbeResult:
     """Search for a nonzero pair with zero star product.
 
@@ -196,13 +200,17 @@ def zero_divisor_probe(V: GDBialgebra, bound: int = 3) -> ProbeResult:
     first a with a nonzero kernel of b -> a * b over Q.  The partner b is the
     kernel basis vector in coprime integers that comes first in the same
     order; it may lie outside the box.  Otherwise the result is Unknown:
-    absence is never claimed.
+    absence is never claimed.  A box of more than MAX_PROBE_CANDIDATES
+    vectors is refused before it is built.
     """
     mats = _star_matrices(V)
     if V.dim == 1:
         if mats[0][0][0]:
             return ProbeResult("no_zero_divisors")
         return ProbeResult("witness", ((Fraction(1),),) * 2)
+    if (size := (2 * bound + 1) ** V.dim) > MAX_PROBE_CANDIDATES:
+        raise PreconditionError(f"the probe box [-{bound}, {bound}]^{V.dim} holds {size}"
+                                f" vectors, over the cap of {MAX_PROBE_CANDIDATES}")
     columns = range(V.dim)
     box = itertools.product(range(-bound, bound + 1), repeat=V.dim)
     for a in sorted((a for a in box if any(a)), key=_candidate_key):

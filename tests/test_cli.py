@@ -419,6 +419,10 @@ class TestRejectedInput:
                                                 "products": {"L,L": {"L": "d+3*x"}}}}, (),
                      "the bracket on (L,L) is not d (b o a) + x (a * b) + [b, a]",
                      id="x_part_not_star"),
+        pytest.param("zero-divisors", {"gd": {"basis": [f"e{i}" for i in range(7)],
+                                              "circ": {"e0,e0": {"e0": 1}}}}, (),
+                     "[-3, 3]^7 holds 823543 vectors, over the cap of 117649",
+                     id="probe_cap"),
     ])
     def test_exit_2_names_the_path(self, tmp_path, capsys, command, doc, extra, names):
         assert run(tmp_path, command, doc, *extra) == 2

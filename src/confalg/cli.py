@@ -64,11 +64,13 @@ _LONG_EXPONENT = re.compile(r"[eE][-+]?[0_]*[1-9](_?\d){4}")  # five or more dig
 
 def _rational(text: str, what: str) -> Fraction:
     """``text`` as a rational of at most MAX_DIGITS digits above and below the
-    line; an exponent of five or more digits is refused before it is expanded."""
+    line; an exponent of five or more digits is refused before it is expanded.
+    A rejected text longer than 40 characters is named by its length."""
     try:
         value = None if _LONG_EXPONENT.search(text) else Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise InputError(f"{what} expects a rational, got {text!r}") from None
+        got = repr(text) if len(text) <= 40 else f"a text of {len(text)} characters"
+        raise InputError(f"{what} expects a rational, got {got}") from None
     if value is None or max(abs(value.numerator), value.denominator) >= 10 ** MAX_DIGITS:
         raise InputError(f"{what} exceeds {MAX_DIGITS} digits or a four-digit exponent")
     return value

@@ -415,6 +415,11 @@ class TestRejectedInput:
                      id="param_digit_cap"),
         pytest.param("check-rb", {"algebra": "vir", "map": {"L": {}}}, ("--weight", "1e-4300"),
                      "--weight exceeds 4300 digits", id="weight_digit_cap"),
+        # int() refuses the numeral, and the error names its length, not its digits
+        pytest.param("check-rb", {"algebra": "hv", "map": "hv_rb_family1"},
+                     ("--param", "b=" + "1" * 4301),
+                     "--param b expects a rational, got a text of 4301 characters",
+                     id="param_long_text"),
         pytest.param("gd-convert", {"algebra": {"kind": "lie", "basis": ["L"],
                                                 "products": {"L,L": {"L": "d+3*x"}}}}, (),
                      "the bracket on (L,L) is not d (b o a) + x (a * b) + [b, a]",
@@ -429,6 +434,7 @@ class TestRejectedInput:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert names in json.loads(err)["error"]
+        assert "1" * 100 not in err
 
     def test_unwritable_out_names_the_path(self, tmp_path, capsys):
         out = tmp_path / "missing" / "report.json"

@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
 
 from confalg import (
     ConformalAlgebra,
@@ -19,6 +20,7 @@ from confalg import (
     solve_squares,
     zero_divisor_probe,
 )
+from conftest import gd_tables
 
 F = Fraction
 
@@ -33,6 +35,15 @@ def radical_fields(table, n, copies=1):
             k, c = (i + j, F(1, 2)) if i + j < n else (i + j - n, F(1))
             circ[o + i, o + j] = {o + k: c}
     return GDBialgebra(tuple(f"e{i}" for i in range(n * copies)), table, circ, {})
+
+
+def hv_gd_with(extra):
+    """The bialgebra of hv, L o L = L and W o L = W, with the entries of
+    `extra` added to its Novikov table."""
+    circ = {(0, 0): {0: F(1)}, (1, 0): {1: F(1)}}
+    for key, targets in extra.items():
+        circ.setdefault(key, {}).update(targets)
+    return GDBialgebra(("L", "W"), VarTable(), circ, {})
 
 
 class TestCheckGd:
@@ -84,34 +95,24 @@ class TestConvert:
         with pytest.raises(NotQuadratic):
             gd_from_algebra(cross)
 
-    def test_axiom_transport(self, table, hv):
-        # the algebra built from a bialgebra table passes the conformal
-        # axioms exactly when the table passes its own axioms
-        good = gd_from_algebra(hv)
-        perturbations = [
-            {},                                    # valid
-            {(1, 1): {0: F(1)}},                   # W o W = L
-            {(0, 1): {1: F(1)}},                   # L o W = W
-            {(0, 1): {0: F(2)}, (1, 1): {1: F(1)}},
-        ]
-        for extra in perturbations:
-            circ = {k: dict(v) for k, v in good.circ.items()}
-            for key, targets in extra.items():
-                circ.setdefault(key, {}).update(targets)
-            V = GDBialgebra(good.basis, table, circ, {})
-            A = algebra_from_gd(V, checked=False)
-            assert check_axioms(A).ok == check_gd(V).ok
-
-    def test_transport_with_brackets(self, table):
-        # dimension-2 examples with a nonzero Lie part, both verdicts agree
-        cases = [
-            ({(0, 0): {0: F(1)}}, {(0, 1): {1: F(1)}, (1, 0): {1: F(-1)}}),
-            ({(0, 0): {0: F(1)}}, {(0, 1): {0: F(1)}, (1, 0): {0: F(-1)}}),
-        ]
-        for circ, lie in cases:
-            V = GDBialgebra(("a", "b"), table, circ, lie)
-            A = algebra_from_gd(V, checked=False)
-            assert check_axioms(A).ok == check_gd(V).ok
+    @given(V=gd_tables(antisymmetric=True))
+    @example(V=hv_gd_with({}))                                  # valid
+    @example(V=hv_gd_with({(1, 1): {0: F(1)}}))                 # W o W = L
+    @example(V=hv_gd_with({(0, 1): {1: F(1)}}))                 # L o W = W
+    @example(V=hv_gd_with({(0, 1): {0: F(2)}, (1, 1): {1: F(1)}}))
+    # dimension 2 with a nonzero Lie part
+    @example(V=GDBialgebra(("a", "b"), VarTable(), {(0, 0): {0: F(1)}},
+                           {(0, 1): {1: F(1)}, (1, 0): {1: F(-1)}}))
+    @example(V=GDBialgebra(("a", "b"), VarTable(), {(0, 0): {0: F(1)}},
+                           {(0, 1): {0: F(1)}, (1, 0): {0: F(-1)}}))
+    @settings(max_examples=150, deadline=None)
+    def test_axiom_transport(self, V):
+        """The algebra built from a bialgebra passes the conformal axioms exactly
+        when the bialgebra passes its own, and extraction gives the bialgebra back."""
+        A = algebra_from_gd(V, checked=False)
+        assert check_axioms(A).ok == check_gd(V).ok
+        back = gd_from_algebra(A)
+        assert (back.circ, back.lie) == (V.circ, V.lie)
 
 
 class TestZeroDivisors:

@@ -101,10 +101,10 @@ def check_gd(V: GDBialgebra) -> Report:
 def gd_from_algebra(A: ConformalAlgebra) -> GDBialgebra:
     """Extract the bialgebra from an algebra with affine basis brackets.
 
-    Raises NotQuadratic when a structure constant has a non-rational
-    coefficient, or when the bialgebra read off the d and constant parts does
-    not give back every bracket: a nonlinear or mixed monomial, or an x part
-    other than the star product.
+    Raises NotQuadratic when the bialgebra read off the rational coefficients
+    of d and of 1 does not give back every bracket: a coefficient that holds
+    a parameter, a nonlinear or mixed monomial, or an x part other than the
+    star product.
     """
     if A.kind != LIE:
         raise NotQuadratic("the correspondence applies to Lie-kind algebras")
@@ -112,10 +112,7 @@ def gd_from_algebra(A: ConformalAlgebra) -> GDBialgebra:
     for (i, j), targets in A.products.items():
         for k, P in targets.items():
             for key, cof in P.split(("d", "x")).items():
-                if (value := cof.constant_value()) is None:
-                    raise NotQuadratic(f"structure constant on ({A.basis[i]},{A.basis[j]}) has"
-                                       f" non-constant coefficient {cof}")
-                if key in parts:
+                if key in parts and (value := cof.constant_value()) is not None:
                     parts[key].setdefault((j, i), {})[k] = value
     V = GDBialgebra(A.basis, A.table, parts[1, 0], parts[0, 0])
     back = algebra_from_gd(V, checked=False)

@@ -88,12 +88,11 @@ class TestConvert:
         assert gd_from_algebra(back).circ == V.circ
 
     def test_quadratic_shape_violation(self, table, P):
-        bad = ConformalAlgebra("lie", ("L",), table, {(0, 0): {0: P("d+2*x+x^2")}})
-        with pytest.raises(NotQuadratic):
-            gd_from_algebra(bad)
-        cross = ConformalAlgebra("lie", ("L",), table, {(0, 0): {0: P("d*x")}})
-        with pytest.raises(NotQuadratic):
-            gd_from_algebra(cross)
+        # a nonlinear or mixed monomial, a parameter, an x part that is not the star product
+        for bracket in ("d+2*x+x^2", "d*x", "b*d+2*b*x", "d+3*x"):
+            bad = ConformalAlgebra("lie", ("L",), table, {(0, 0): {0: P(bracket)}})
+            with pytest.raises(NotQuadratic, match=r"the bracket on \(L,L\)"):
+                gd_from_algebra(bad)
 
     @given(V=gd_tables(antisymmetric=True))
     @example(V=hv_gd_with({}))                                  # valid

@@ -99,11 +99,6 @@ class TestConvert:
     @example(V=hv_gd_with({(1, 1): {0: F(1)}}))                 # W o W = L
     @example(V=hv_gd_with({(0, 1): {1: F(1)}}))                 # L o W = W
     @example(V=hv_gd_with({(0, 1): {0: F(2)}, (1, 1): {1: F(1)}}))
-    # dimension 2 with a nonzero Lie part
-    @example(V=GDBialgebra(("a", "b"), VarTable(), {(0, 0): {0: F(1)}},
-                           {(0, 1): {1: F(1)}, (1, 0): {1: F(-1)}}))
-    @example(V=GDBialgebra(("a", "b"), VarTable(), {(0, 0): {0: F(1)}},
-                           {(0, 1): {0: F(1)}, (1, 0): {0: F(-1)}}))
     @settings(max_examples=150, deadline=None)
     def test_axiom_transport(self, V):
         """The algebra built from a bialgebra passes the conformal axioms exactly
@@ -112,6 +107,19 @@ class TestConvert:
         assert check_axioms(A).ok == check_gd(V).ok
         back = gd_from_algebra(A)
         assert (back.circ, back.lie) == (V.circ, V.lie)
+
+    def test_transport_with_brackets(self, table):
+        # dimension-2 examples with a nonzero Lie part, both verdicts agree
+        cases = [
+            ({(0, 0): {0: F(1)}}, {(0, 1): {1: F(1)}, (1, 0): {1: F(-1)}}),
+            ({(0, 0): {0: F(1)}}, {(0, 1): {0: F(1)}, (1, 0): {0: F(-1)}}),
+        ]
+        for circ, lie in cases:
+            V = GDBialgebra(("a", "b"), table, circ, lie)
+            A = algebra_from_gd(V, checked=False)
+            assert check_axioms(A).ok == check_gd(V).ok
+            back = gd_from_algebra(A)
+            assert (back.circ, back.lie) == (V.circ, V.lie)
 
 
 class TestZeroDivisors:

@@ -20,6 +20,8 @@ from confalg import (
     parse,
     standard_rep,
 )
+from confalg.linmap import ModuleMap, NotInvertible
+from confalg.poly import Substitution
 
 
 @pytest.fixture(scope="session")
@@ -130,3 +132,143 @@ def builtin_representations(table=None):
         out[f"hv_lsc{fam}_regular_left"] = standard_rep(A, "regular_left")
         out[f"hv_lsc{fam}_left_minus_right"] = standard_rep(A, "left_minus_right")
     return out
+
+
+# -- dense references ------------------------------------------------------------
+# The bodies the library replaced with table contractions and one sparse
+# accumulator, kept as they were so that the differential tests compare the
+# library with code that does not share its engine.
+
+def oracle_apply_bilinear(table, products, a, b, lam, out_rank, out="d"):
+    """Sesquilinear extension of a structure-constant table, visiting every
+    slot pair: a power of the first factor's d becomes (-z)^m, of the second's
+    (z + out)^m, and the table's d becomes ``out``; the product is expanded at
+    the reserved variable z = z1, which is substituted by ``lam`` at the end."""
+    z = Poly.var(table, "z1")
+    dout = Poly.var(table, out) if isinstance(out, str) else Poly.const(table, out)
+    at_z = Substitution(table, {"x": z} if out == "d" else {"d": dout, "x": z})
+    left, right = Substitution(table, {"d": -z}), Substitution(table, {"d": z + dout})
+    acc = [Poly.zero(table) for _ in range(out_rank)]
+    shifted_b = [None] * len(b)
+    for i, fi in enumerate(a):
+        if fi.is_zero:
+            continue
+        fi_s = left(fi)
+        for j, gj in enumerate(b):
+            targets = products.get((i, j))
+            if gj.is_zero or not targets:
+                continue
+            if shifted_b[j] is None:
+                shifted_b[j] = right(gj)
+            prod = fi_s * shifted_b[j]
+            for k, P in targets.items():
+                acc[k] = acc[k] + prod * at_z(P)
+    return tuple(map(Substitution(table, {"z1": lam}), acc))
+
+
+def oracle_apply_matrix(matrix, w, table):
+    """The row vector w times a matrix of polynomials, entry by entry."""
+    cols = len(matrix[0]) if matrix else 0
+    out = [Poly.zero(table) for _ in range(cols)]
+    for i, h in enumerate(w):
+        if h.is_zero:
+            continue
+        for j in range(cols):
+            entry = matrix[i][j]
+            if not entry.is_zero:
+                out[j] = out[j] + h * entry
+    return tuple(out)
+
+
+def oracle_determinant(matrix, table):
+    """Laplace expansion along the first row."""
+    n = len(matrix)
+    if n == 0:
+        return Poly.const(table, 1)
+    if any(len(row) != n for row in matrix):
+        raise NotInvertible("matrix is not square")
+    if n == 1:
+        return matrix[0][0]
+    det = Poly.zero(table)
+    for j in range(n):
+        entry = matrix[0][j]
+        if entry.is_zero:
+            continue
+        minor = [[row[k] for k in range(n) if k != j] for row in matrix[1:]]
+        cofactor = oracle_determinant(minor, table)
+        signed = entry * cofactor
+        det = det + (signed if j % 2 == 0 else -signed)
+    return det
+
+
+def oracle_invert_module_map(m):
+    """Adjugate over the Laplace determinant, one minor per entry."""
+    n = m.src_rank
+    if n != m.dst_rank:
+        raise NotInvertible("matrix is not square")
+    det = oracle_determinant(m.matrix, m.table)
+    value = det.constant_value()
+    if value is None:
+        raise NotInvertible(f"determinant {det} is not a unit")
+    if value == 0:
+        raise NotInvertible("determinant is zero")
+    inv_det = Fraction(1) / value
+    adj = [[Poly.zero(m.table) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [[m.matrix[r][c] for c in range(n) if c != j]
+                     for r in range(n) if r != i]
+            cof = oracle_determinant(minor, m.table)
+            if (i + j) % 2:
+                cof = -cof
+            adj[j][i] = cof * inv_det
+    return ModuleMap(m.table, adj)
+
+
+def oracle_regular_right(A):
+    """R(e_i)_x e_j = (e_j)_{-x-d} e_i, re-keyed entry by entry."""
+    t = A.table
+    out = {}
+    skew = Substitution(t, {"x": -Poly.var(t, "x") - Poly.var(t, "d")})
+    for (j, i), targets in A.products.items():
+        out[(i, j)] = {k: skew(P) for k, P in targets.items()}
+    return out
+
+
+def oracle_dual_rep(rep):
+    """rho*_ijk(d, x) = -rho_ikj(-x-d, x), re-keyed entry by entry."""
+    t = rep.algebra.table
+    skew = Substitution(t, {"d": -Poly.var(t, "x") - Poly.var(t, "d")})
+    out = {}
+    for (i, k), targets in rep.rho.items():
+        for j, P in targets.items():
+            out.setdefault((i, j), {})[k] = -skew(P)
+    names = tuple(n + "*" for n in rep.mbasis)
+    return Representation(rep.algebra, names, rho=out)
+
+
+def oracle_semidirect(A, rep):
+    """The semidirect sum's table, copied and put entry by entry."""
+    t = A.table
+    skew = Substitution(t, {"x": -Poly.var(t, "x") - Poly.var(t, "d")})
+    n = A.rank
+    products = {}
+    for pair, targets in A.products.items():
+        products[pair] = dict(targets)
+
+    def put(pair, k, poly):
+        products.setdefault(pair, {})[k] = poly  # every (pair, k) is set once
+
+    if A.kind == LIE:
+        for (i, j), targets in rep.rho.items():
+            for k, P in targets.items():
+                put((i, n + j), n + k, P)
+                put((n + j, i), n + k, -skew(P))
+    else:
+        for (i, j), targets in rep.left.items():
+            for k, P in targets.items():
+                put((i, n + j), n + k, P)
+        for (i, j), targets in rep.right.items():
+            for k, P in targets.items():
+                put((n + j, i), n + k, skew(P))
+    return ConformalAlgebra(A.kind, A.basis + rep.mbasis, t, products)

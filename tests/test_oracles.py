@@ -19,21 +19,28 @@ variable z1, the shift by the slot derivation and the final substitution of
 z1.  The library substitutes each entry once, directly at the bracket's
 argument, and sums over nonzero table entries; the two must agree exactly,
 term for term, on zero and nonzero residuals alike.  The axiom, module and
-cocycle oracles evaluate each basis tuple with ``mul_at``/``act``/``eval_at``,
-which visit every slot; the library sums over chains of nonzero structure
-constants (and form entries), and the two reports must be equal as dicts.
-The O-operator identity (both modes), the o_product and bijective tables of
-``induced_lsc`` and the invariance sweep of ``invariant_form_suite`` are
-compared with their dense bodies, one ``mul_at``/``act``/``eval_at`` call per
-module pair or basis triple.  The bialgebra check and both operations of the
-bialgebra Rota-Baxter check are compared with products of the constant tables
-that visit every slot pair, nested per basis pair or triple.
+cocycle oracles evaluate each basis tuple with the dense product of
+``conftest.oracle_apply_bilinear`` (``dense_mul_at``, ``dense_act``) and
+``oracle_eval_at``, which visit every slot; the library sums over chains of
+nonzero structure constants (and form entries), and the two reports must be
+equal as dicts.  The O-operator identity (both modes), the o_product and
+bijective tables of ``induced_lsc`` and the invariance sweep of
+``invariant_form_suite`` are compared with their dense bodies, one dense
+product or action per module pair or basis triple; maps are applied and
+inverted by the dense ``oracle_apply_matrix`` and the Laplace
+``oracle_invert_module_map``.  ``apply_bilinear`` itself, ``invert_module_map``
+(matrix or message), ``semidirect``, ``dual_rep`` and the regular right
+representation are compared with those dense bodies directly.  The bialgebra
+check and both operations of the bialgebra Rota-Baxter check are compared
+with products of the constant tables that visit every slot pair, nested per
+basis pair or triple.
 """
 
 import importlib
 import itertools
 import pkgutil
 from fractions import Fraction
+from functools import partial
 from unittest import mock
 
 import pytest
@@ -48,6 +55,7 @@ from confalg import (
     ConformalAlgebra,
     GDBialgebra,
     InconsistentSystem,
+    NotInvertible,
     Poly,
     PolySystem,
     PreconditionError,
@@ -90,12 +98,21 @@ from confalg import (
     with_zero_right,
     zero_divisor_probe,
 )
-from confalg.algebra import unit_vector
+from confalg.algebra import apply_bilinear, unit_vector
 from confalg.operators import BilinearForm, form_pr_map, rota_baxter_residuals
 from confalg.gd import ProbeResult, algebra_from_gd, rb_gd_check
 from confalg.linmap import ConformalLinearMap, ModuleMap
-from confalg.reps import act, act_at
-from conftest import gd_tables, poly_strategy, regular_module
+from conftest import (
+    gd_tables,
+    oracle_apply_bilinear,
+    oracle_apply_matrix,
+    oracle_dual_rep,
+    oracle_invert_module_map,
+    oracle_regular_right,
+    oracle_semidirect,
+    poly_strategy,
+    regular_module,
+)
 
 T = VarTable(params=("b", "g0", "g1", "g2", "g3"))
 LIE_ENTRY = catalog("hv_lsc1_skew_r", table=T)
@@ -111,6 +128,22 @@ def vec_sub(a, b):
 
 def vec_add(a, b):
     return tuple(p + q for p, q in zip(a, b))
+
+
+def dense_mul_at(A, a, b, lam):
+    return oracle_apply_bilinear(A.table, A.products, a, b, lam, A.rank)
+
+
+def dense_act_at(rep, table, a, w, lam):
+    return oracle_apply_bilinear(rep.algebra.table, table, a, w, lam, rep.mrank)
+
+
+def dense_act(rep, a, w, lam):
+    return dense_act_at(rep, rep.rho, a, w, lam)
+
+
+def dense_apply(T, w):
+    return oracle_apply_matrix(T.matrix, w, T.table)
 
 
 def oracle_cybe(A, r):
@@ -221,7 +254,7 @@ def oracle_eval_at(form, a, b, lam):
 
 def oracle_form_pr_map(A, B, r):
     """pairing(r, u ox v) = pairing(P_{x-d}(u), v), solved by inverting the form."""
-    inv = invert_module_map(B.induced_map())
+    inv = oracle_invert_module_map(B.induced_map())
     t = A.table
     X = Poly.var(t, "x")
     Y = Poly.var(t, "y")
@@ -261,23 +294,24 @@ def oracle_check_axioms(A):
 
     if A.kind == LIE:
         def skew(i, j):
-            return vec_add(mul_at(A, basis[i], basis[j], X),
-                           mul_at(A, basis[j], basis[i], -X - D))
+            return vec_add(dense_mul_at(A, basis[i], basis[j], X),
+                           dense_mul_at(A, basis[j], basis[i], -X - D))
 
         def jacobi(i, j, k):
-            lhs = mul_at(A, basis[i], mul_at(A, basis[j], basis[k], Y), X)
-            t1 = mul_at(A, mul_at(A, basis[i], basis[j], X), basis[k], X + Y)
-            t2 = mul_at(A, basis[j], mul_at(A, basis[i], basis[k], X), Y)
+            lhs = dense_mul_at(A, basis[i], dense_mul_at(A, basis[j], basis[k], Y), X)
+            t1 = dense_mul_at(A, dense_mul_at(A, basis[i], basis[j], X), basis[k], X + Y)
+            t2 = dense_mul_at(A, basis[j], dense_mul_at(A, basis[i], basis[k], X), Y)
             return vec_sub(vec_sub(lhs, t1), t2)
 
         report.sweep("skew_symmetry", (A.basis,) * 2, skew, A.basis)
         report.sweep("jacobi", (A.basis,) * 3, jacobi, A.basis)
     else:
         def left_symmetry(i, j, k):
-            left = vec_sub(mul_at(A, mul_at(A, basis[i], basis[j], X), basis[k], X + Y),
-                           mul_at(A, basis[i], mul_at(A, basis[j], basis[k], Y), X))
-            right = vec_sub(mul_at(A, mul_at(A, basis[j], basis[i], Y), basis[k], X + Y),
-                            mul_at(A, basis[j], mul_at(A, basis[i], basis[k], X), Y))
+            mul = partial(dense_mul_at, A)
+            left = vec_sub(mul(mul(basis[i], basis[j], X), basis[k], X + Y),
+                           mul(basis[i], mul(basis[j], basis[k], Y), X))
+            right = vec_sub(mul(mul(basis[j], basis[i], Y), basis[k], X + Y),
+                            mul(basis[j], mul(basis[i], basis[k], X), Y))
             return vec_sub(left, right)
 
         report.sweep("left_symmetry", (A.basis,) * 3, left_symmetry, A.basis)
@@ -292,19 +326,19 @@ def oracle_cocycle_check(A, form):
     basis = [A.basis_vector(i) for i in range(A.rank)]
 
     def symmetry(i, j):
-        lhs = form.eval_at(basis[i], basis[j], X)
-        rhs = form.eval_at(basis[j], basis[i], -X)
+        lhs = oracle_eval_at(form, basis[i], basis[j], X)
+        rhs = oracle_eval_at(form, basis[j], basis[i], -X)
         return lhs + rhs if form.kind == "lie" else lhs - rhs
 
     def cocycle(i, j, k):
         if form.kind == "lie":
-            return (form.eval_at(basis[i], mul_at(A, basis[j], basis[k], Y), X)
-                    - form.eval_at(basis[j], mul_at(A, basis[i], basis[k], X), Y)
-                    - form.eval_at(mul_at(A, basis[i], basis[j], X), basis[k], X + Y))
-        return (form.eval_at(mul_at(A, basis[i], basis[j], X), basis[k], X + Y)
-                - form.eval_at(basis[i], mul_at(A, basis[j], basis[k], Y), X)
-                - form.eval_at(mul_at(A, basis[j], basis[i], Y), basis[k], X + Y)
-                + form.eval_at(basis[j], mul_at(A, basis[i], basis[k], X), Y))
+            return (oracle_eval_at(form, basis[i], dense_mul_at(A, basis[j], basis[k], Y), X)
+                    - oracle_eval_at(form, basis[j], dense_mul_at(A, basis[i], basis[k], X), Y)
+                    - oracle_eval_at(form, dense_mul_at(A, basis[i], basis[j], X), basis[k], X + Y))
+        return (oracle_eval_at(form, dense_mul_at(A, basis[i], basis[j], X), basis[k], X + Y)
+                - oracle_eval_at(form, basis[i], dense_mul_at(A, basis[j], basis[k], Y), X)
+                - oracle_eval_at(form, dense_mul_at(A, basis[j], basis[i], Y), basis[k], X + Y)
+                + oracle_eval_at(form, basis[j], dense_mul_at(A, basis[i], basis[k], X), Y))
 
     report = Report()
     report.sweep("symmetry", (A.basis,) * 2, symmetry)
@@ -327,9 +361,9 @@ def oracle_check_rep(rep):
 
     if rep.is_lie:
         def module_axiom(i, j, k):
-            lhs = act(rep, mul_at(A, eb[i], eb[j], X), vb[k], X + Y)
-            rhs = vec_sub(act(rep, eb[i], act(rep, eb[j], vb[k], Y), X),
-                          act(rep, eb[j], act(rep, eb[i], vb[k], X), Y))
+            lhs = dense_act(rep, dense_mul_at(A, eb[i], eb[j], X), vb[k], X + Y)
+            rhs = vec_sub(dense_act(rep, eb[i], dense_act(rep, eb[j], vb[k], Y), X),
+                          dense_act(rep, eb[j], dense_act(rep, eb[i], vb[k], X), Y))
             return vec_sub(lhs, rhs)
 
         report.sweep("module_axiom", axes, module_axiom, rep.mbasis, label)
@@ -337,17 +371,17 @@ def oracle_check_rep(rep):
     left, right = rep.left, rep.right
 
     def left_action(i, j, k):
-        l_ab = act_at(rep, left, mul_at(A, eb[i], eb[j], X), vb[k], X + Y)
-        l_a_l_b = act_at(rep, left, eb[i], act_at(rep, left, eb[j], vb[k], Y), X)
-        l_ba = act_at(rep, left, mul_at(A, eb[j], eb[i], Y), vb[k], X + Y)
-        l_b_l_a = act_at(rep, left, eb[j], act_at(rep, left, eb[i], vb[k], X), Y)
+        l_ab = dense_act_at(rep, left, dense_mul_at(A, eb[i], eb[j], X), vb[k], X + Y)
+        l_a_l_b = dense_act_at(rep, left, eb[i], dense_act_at(rep, left, eb[j], vb[k], Y), X)
+        l_ba = dense_act_at(rep, left, dense_mul_at(A, eb[j], eb[i], Y), vb[k], X + Y)
+        l_b_l_a = dense_act_at(rep, left, eb[j], dense_act_at(rep, left, eb[i], vb[k], X), Y)
         return vec_sub(vec_sub(l_ab, l_a_l_b), vec_sub(l_ba, l_b_l_a))
 
     def right_action(i, j, k):
-        t1 = act_at(rep, right, eb[j], act_at(rep, left, eb[i], vb[k], X), -X - Y - D)
-        t2 = act_at(rep, left, eb[i], act_at(rep, right, eb[j], vb[k], -Y - D), X)
-        t3 = act_at(rep, right, eb[j], act_at(rep, right, eb[i], vb[k], X), -X - Y - D)
-        t4 = act_at(rep, right, mul_at(A, eb[i], eb[j], X), vb[k], -Y - D)
+        t1 = dense_act_at(rep, right, eb[j], dense_act_at(rep, left, eb[i], vb[k], X), -X - Y - D)
+        t2 = dense_act_at(rep, left, eb[i], dense_act_at(rep, right, eb[j], vb[k], -Y - D), X)
+        t3 = dense_act_at(rep, right, eb[j], dense_act_at(rep, right, eb[i], vb[k], X), -X - Y - D)
+        t4 = dense_act_at(rep, right, dense_mul_at(A, eb[i], eb[j], X), vb[k], -Y - D)
         return vec_add(vec_sub(vec_sub(t1, t2), t3), t4)
 
     report.sweep("left_action_axiom", axes, left_action, rep.mbasis, label)
@@ -1011,10 +1045,10 @@ def oracle_rota_baxter_residuals(A, T, weight):
     basis = [A.basis_vector(i) for i in range(A.rank)]
     for i in range(A.rank):
         for j in range(A.rank):
-            lhs = mul_at(A, rows[i], rows[j], X)
-            r1 = T.apply(mul_at(A, basis[i], rows[j], X))
-            r2 = T.apply(mul_at(A, rows[i], basis[j], X))
-            r3 = tuple(p * alpha for p in T.apply(mul_at(A, basis[i], basis[j], X)))
+            lhs = dense_mul_at(A, rows[i], rows[j], X)
+            r1 = dense_apply(T, dense_mul_at(A, basis[i], rows[j], X))
+            r2 = dense_apply(T, dense_mul_at(A, rows[i], basis[j], X))
+            r3 = tuple(p * alpha for p in dense_apply(T, dense_mul_at(A, basis[i], basis[j], X)))
             out[(i, j)] = vec_sub(vec_sub(vec_sub(lhs, r1), r2), r3)
     return out
 
@@ -1069,8 +1103,8 @@ def oracle_rb_gd_check(V, T, weight):
 
         def residual(i, j):
             lhs = prod(rows[i], rows[j])
-            rhs = T.apply(vec_add(prod(rows[i], basis[j]), prod(basis[i], rows[j])))
-            extra = tuple(p * alpha for p in T.apply(prod(basis[i], basis[j])))
+            rhs = dense_apply(T, vec_add(prod(rows[i], basis[j]), prod(basis[i], rows[j])))
+            extra = tuple(p * alpha for p in dense_apply(T, prod(basis[i], basis[j])))
             return tuple(a - b - c for a, b, c in zip(lhs, rhs, extra))
 
         report.sweep(name, (V.basis,) * 2, residual, V.basis)
@@ -1125,7 +1159,7 @@ class TestRotaBaxterOracle:
         hv = catalog("hv", table=T).algebra
         fam = catalog(name.replace("lsc", "rb_family"), table=T).linmap
         X = Poly.var(T, "x")
-        want = {(i, j): dict(enumerate(mul_at(hv, fam.row(i), hv.basis_vector(j), X)))
+        want = {(i, j): dict(enumerate(dense_mul_at(hv, fam.row(i), hv.basis_vector(j), X)))
                 for i in range(hv.rank) for j in range(hv.rank)}
         want = ConformalAlgebra(LEFT_SYMMETRIC, hv.basis, T, want).products
         assert induced_lsc(fam, mode="rb", algebra=hv).products == want
@@ -1321,10 +1355,10 @@ def oracle_check_o_operator(T, rep, ker_mode=False):
     rows = [T.row(i) for i in range(rep.mrank)]
 
     def residual(i, j):
-        lhs = mul_at(A, rows[i], rows[j], X)
-        inner = vec_sub(act(rep, rows[i], rep.mbasis_vector(j), X),
-                        act(rep, rows[j], rep.mbasis_vector(i), -X - D))
-        return vec_sub(lhs, T.apply(inner))
+        lhs = dense_mul_at(A, rows[i], rows[j], X)
+        inner = vec_sub(dense_act(rep, rows[i], rep.mbasis_vector(j), X),
+                        dense_act(rep, rows[j], rep.mbasis_vector(i), -X - D))
+        return vec_sub(lhs, dense_apply(T, inner))
 
     report = Report()
     if not ker_mode:
@@ -1333,7 +1367,7 @@ def oracle_check_o_operator(T, rep, ker_mode=False):
     Z2 = Poly.var(t, "z2")
     pairs = {(i, j): residual(i, j) for i in range(rep.mrank) for j in range(rep.mrank)}
     report.sweep("o_operator_mod_kernel", (rep.mbasis,) * 3,
-                 lambda i, j, k: act(rep, pairs[i, j], rep.mbasis_vector(k), Z2),
+                 lambda i, j, k: dense_act(rep, pairs[i, j], rep.mbasis_vector(k), Z2),
                  rep.mbasis, "({},{});{}")
     return report
 
@@ -1345,11 +1379,12 @@ def oracle_induced_lsc(T, rep, mode):
     A = rep.algebra
     X = Poly.var(A.table, "x")
     if mode == "o_product":
-        products = {(i, j): dict(enumerate(act(rep, T.row(i), rep.mbasis_vector(j), X)))
+        products = {(i, j): dict(enumerate(dense_act(rep, T.row(i), rep.mbasis_vector(j), X)))
                     for i in range(rep.mrank) for j in range(rep.mrank)}
         return ConformalAlgebra(LEFT_SYMMETRIC, rep.mbasis, A.table, products)
-    Tinv = invert_module_map(T)
-    products = {(i, j): dict(enumerate(T.apply(act(rep, A.basis_vector(i), Tinv.row(j), X))))
+    Tinv = oracle_invert_module_map(T)
+    products = {(i, j): dict(enumerate(dense_apply(T, dense_act(rep, A.basis_vector(i),
+                                                                 Tinv.row(j), X))))
                 for i in range(A.rank) for j in range(A.rank)}
     return ConformalAlgebra(LEFT_SYMMETRIC, A.basis, A.table, products)
 
@@ -1362,8 +1397,8 @@ def oracle_invariance(A, B):
     basis = [A.basis_vector(i) for i in range(A.rank)]
 
     def invariance(i, j, k):
-        lhs = B.eval_at(mul_at(A, basis[i], basis[j], Y), basis[k], X)
-        rhs = B.eval_at(basis[i], mul_at(A, basis[j], basis[k], X - D), Y)
+        lhs = oracle_eval_at(B, dense_mul_at(A, basis[i], basis[j], Y), basis[k], X)
+        rhs = oracle_eval_at(B, basis[i], dense_mul_at(A, basis[j], basis[k], X - D), Y)
         return lhs - rhs
 
     report = Report()
@@ -1519,6 +1554,140 @@ class TestInvarianceOracle:
         want = oracle_invariance(CUR, bumped_form).checks[0]
         assert not want.ok
         assert invariance_item(CUR, bumped_form) == want
+
+
+# the bracket arguments the engine meets: shifted by d, in the second argument
+# y, holding a parameter, and the constants d and 0
+ENGINE_ARGUMENTS = [parse(BC, text) for text in
+                    ("x", "y", "-x-d", "x+y", "d", "0", "-y-d", "b*x", "x-d")]
+engine_element = poly_strategy(BC, names=("d", "b", "c"), max_terms=2, max_degree=2)
+inverse_cell = poly_strategy(BC, names=("d", "b"), max_terms=2, max_degree=1)
+
+
+def dense_matmul(a, b, table):
+    """The product of two matrices of polynomials, entry by entry."""
+    cols = len(b[0]) if b else 0
+    return [[sum((row[k] * b[k][j] for k in range(len(b))), Poly.zero(table))
+             for j in range(cols)] for row in a]
+
+
+@st.composite
+def module_maps(draw, max_rank=5):
+    """Square maps of rank 0 to max_rank in d and b: random entries (mostly
+    singular or of non-constant determinant), a unit lower times a unit upper
+    triangular map (determinant 1), the same with its first row scaled
+    (a rational determinant other than 1), or with two equal rows."""
+    n = draw(st.integers(0, max_rank))
+    kind = draw(st.sampled_from(("random", "unimodular", "scaled", "singular")))
+    if kind == "random":
+        return ModuleMap(BC, [[draw(inverse_cell) for _ in range(n)] for _ in range(n)])
+    one, zero = Poly.const(BC, 1), Poly.zero(BC)
+
+    def triangular(below):
+        return [[one if i == j else draw(inverse_cell) if (j < i) == below else zero
+                 for j in range(n)] for i in range(n)]
+
+    matrix = dense_matmul(triangular(True), triangular(False), BC)
+    if kind == "scaled" and n:
+        matrix[0] = [p * draw(st.sampled_from((2, -1, Fraction(-1, 3)))) for p in matrix[0]]
+    if kind == "singular" and n > 1:
+        matrix[-1] = list(matrix[0])
+    return ModuleMap(BC, matrix)
+
+
+def inversion_outcome(invert, m):
+    try:
+        return invert(m).matrix
+    except NotInvertible as exc:
+        return f"NotInvertible: {exc}"
+
+
+def without_axiom_checks():
+    """sub_adjacent with its left-symmetry precondition taken as met, so that
+    random tables reach the constructions that read it."""
+    return mock.patch("confalg.algebra.check_axioms", return_value=Report())
+
+
+class TestEngineOracles:
+    """The sesquilinear product, the module-map inverse and the three table
+    constructions against the dense bodies they replaced."""
+
+    @pytest.mark.parametrize("out", ["d", 0])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_apply_bilinear(self, out, data):
+        n = data.draw(st.integers(1, 3))
+        products = data.draw(sparse_tables(n, n, n))
+        a, b = (tuple(data.draw(st.lists(engine_element, min_size=n, max_size=n)))
+                for _ in range(2))
+        lam = data.draw(st.sampled_from(ENGINE_ARGUMENTS))
+        assert (apply_bilinear(BC, products, a, b, lam, n, out)
+                == oracle_apply_bilinear(BC, products, a, b, lam, n, out))
+
+    def test_apply_bilinear_argument_with_d(self):
+        """An argument that holds d is substituted after the factors' d shift:
+        in vir, L_lam L = (d + 2 lam) L is (-2x - d) L at lam = -x-d."""
+        vir = catalog("vir", table=BC).algebra
+        L, dL = (Poly.const(BC, 1),), (Poly.var(BC, "d"),)
+        for lam in ENGINE_ARGUMENTS:
+            for a, b in ((L, L), (dL, L), (L, dL), (dL, dL)):
+                assert mul_at(vir, a, b, lam) == dense_mul_at(vir, a, b, lam)
+        assert mul_at(vir, L, L, parse(BC, "-x-d")) == (parse(BC, "-2*x-d"),)
+
+    @given(m=module_maps())
+    @settings(max_examples=80, deadline=None)
+    def test_invert_module_map(self, m):
+        assert (inversion_outcome(invert_module_map, m)
+                == inversion_outcome(oracle_invert_module_map, m))
+
+    def test_invert_module_map_outcomes_are_drawn(self):
+        """The map strategy draws inverses and each NotInvertible message."""
+        def outcome(text):
+            return find(module_maps(), lambda m: text in str(
+                inversion_outcome(oracle_invert_module_map, m)),
+                settings=settings(database=None, phases=[Phase.generate]))
+
+        for text in ("not a unit", "is zero"):
+            assert outcome(text)
+        assert find(module_maps(), lambda m: m.src_rank > 2 and not isinstance(
+            inversion_outcome(oracle_invert_module_map, m), str),
+            settings=settings(database=None, phases=[Phase.generate]))
+
+    @given(A=random_algebras(LEFT_SYMMETRIC))
+    @settings(max_examples=40, deadline=None)
+    def test_regular_right(self, A):
+        with without_axiom_checks():
+            got = standard_rep(A, "regular_right")
+        assert got.rho == oracle_regular_right(A)
+
+    @given(rep=random_modules(LIE))
+    @settings(max_examples=40, deadline=None)
+    def test_dual_rep(self, rep):
+        assert dual_rep(rep) == oracle_dual_rep(rep)
+
+    @pytest.mark.parametrize("kind", [LIE, LEFT_SYMMETRIC])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_semidirect(self, kind, data):
+        rep = data.draw(random_modules(kind))
+        assert semidirect(rep.algebra, rep, checked=False) == oracle_semidirect(rep.algebra, rep)
+
+    def test_catalog_constructions(self):
+        """The catalog's left-symmetric algebras and their modules, and the
+        dual-adjoint tower of a table that fails skew-symmetry."""
+        for name in ("hv_lsc1", "hv_lsc2"):
+            A = catalog(name, table=T).algebra
+            assert standard_rep(A, "regular_right").rho == oracle_regular_right(A), name
+        for label, rep in catalog_modules():
+            if rep.is_lie:
+                assert dual_rep(rep) == oracle_dual_rep(rep), label
+            assert semidirect(rep.algebra, rep, checked=False) == \
+                oracle_semidirect(rep.algebra, rep), label
+        for S in mutant_tower()[:-1]:
+            dual = oracle_dual_rep(standard_rep(S, "adjoint"))
+            assert dual_rep(standard_rep(S, "adjoint")) == dual, S.rank
+            assert semidirect(S, dual, checked=False) == oracle_semidirect(S, dual), S.rank
+
 
 def test_identity_checks_never_call_the_dense_product(monkeypatch):
     """Every identity check and induced table sums over nonzero entries: the

@@ -10,10 +10,10 @@ where d acts on the output basis element and x is the bracket argument.
 Products of general elements follow from two extension rules: a power of d
 on the first argument becomes (-x)^m, on the second argument (x + d)^m.
 ``apply_bilinear`` evaluates such products, at shifted arguments like -x-d
-too, by first expanding against the reserved variable z1 and substituting
-it last.  It serves general elements (``mul_at``, ``bracket``, the module
-actions and ``BilinearForm.eval_at``) and is the reference the oracle tests
-compare the identity checks with.
+too, as one contraction of the table with the two elements viewed at their
+shifted derivations.  It serves general elements (``mul_at``, ``bracket``,
+the module actions and ``BilinearForm.eval_at``); its dense reference, which
+expands at a reserved variable first, lives with the tests.
 
 Every identity check evaluates all its basis tuples at once through one
 table contraction, ``_contract``: a sum over the nonzero table entries
@@ -109,32 +109,18 @@ def apply_bilinear(
 
     ``a`` indexes the first factor's basis, ``b`` the second's, both with
     coefficients in d.  ``out`` is the derivation acting on the result: ``d``
-    by default, or ``0`` for a scalar-valued form.  A power of the first
-    factor's d becomes (-z)^m, of the second's (z + out)^m, and the table's d
-    becomes ``out``; the product is expanded at the reserved variable z = z1,
-    which is substituted by ``lam`` at the end, so arguments like -x-d behave
-    correctly.
+    by default, or ``0`` for a scalar-valued form.  One ``_contract`` of the
+    table at x := lam (and d := out) with the two elements viewed at
+    d := -lam and d := lam + out; the substitutions are simultaneous, so lam
+    may hold d.
     """
-    z = Poly.var(table, "z1")
     dout = Poly.var(table, out) if isinstance(out, str) else Poly.const(table, out)
-    at_z = Substitution(table, {"x": z} if out == "d" else {"d": dout, "x": z})
-    left, right = Substitution(table, {"d": -z}), Substitution(table, {"d": z + dout})
-    acc = [Poly.zero(table) for _ in range(out_rank)]
-    shifted_b = [None] * len(b)
-    for i, fi in enumerate(a):
-        if fi.is_zero:
-            continue
-        fi_s = left(fi)
-        for j, gj in enumerate(b):
-            targets = products.get((i, j))
-            if gj.is_zero or not targets:
-                continue
-            if shifted_b[j] is None:
-                shifted_b[j] = right(gj)
-            prod = fi_s * shifted_b[j]
-            for k, P in targets.items():
-                acc[k] = acc[k] + prod * at_z(P)
-    return tuple(map(Substitution(table, {"z1": lam}), acc))
+    sums = Sums(table)
+    _contract(sums, products, {"x": lam} if out == "d" else {"d": dout, "x": lam},
+              lambda i, j, k: k, _view(((i, 0, f) for i, f in enumerate(a)), {"d": -lam}),
+              _view(((j, 0, g) for j, g in enumerate(b)), {"d": lam + dout}))
+    acc, zero = sums.close(), Poly.zero(table)
+    return tuple(acc.get(k, zero) for k in range(out_rank))
 
 
 def mul_at(A: ConformalAlgebra, a: Vector, b: Vector, lam: Poly) -> Vector:
@@ -217,8 +203,8 @@ def _nested(sums: Sums, inner: ProductTable, outer: ProductTable, lam_in: Poly, 
 
     as one contraction of the outer table with the inner table viewed by its
     targets l; ``order`` permutes (i, j, k) in the key, so (1, 0, 2) puts the
-    product at (j, i, k, m).  The inner argument is substituted before d is
-    shifted, as in ``apply_bilinear``, so lam_in may contain d.  With
+    product at (j, i, k, m).  The inner argument is substituted first and the
+    shift acts on the whole inner product, so lam_in may contain d.  With
     ``scalar`` the outer table is a form, whose output carries no d, so the
     right shift is d -> lam_out.
     """

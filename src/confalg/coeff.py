@@ -60,7 +60,7 @@ def nth_products(A: ConformalAlgebra) -> dict[tuple[int, int], list[Vector]]:
         for k, P in targets.items():
             for (xdeg,), cof in P.split(("x",)).items():
                 vec = per_n.setdefault(xdeg, [zero] * A.rank)
-                vec[k] = vec[k] + cof * math.factorial(xdeg)
+                vec[k] = cof * math.factorial(xdeg)
         if per_n:
             top = max(per_n)
             out[(i, j)] = [tuple(per_n.get(n, [zero] * A.rank)) for n in range(top + 1)]

@@ -5,8 +5,8 @@ t_ij(d) acting on coefficient vectors, T(v_i) = sum_j t_ij(d) e_j.  A
 ConformalLinearMap additionally depends on the bracket argument,
 T_x(v_i) = sum_j a_ij(x, d) e_j; its specialization at x = 0 is a plain
 ModuleMap.  Invertibility over the polynomial ring in d means the
-determinant is a nonzero rational constant; the inverse is adjugate over
-determinant.
+determinant is a nonzero rational constant; the inverse comes from the
+Faddeev-LeVerrier recurrence, n products of n x n matrices.
 
 Over Q, `rref` row-reduces sparse rows {column: rational} over the
 integers, and `kernel` gives a basis of their common null space.
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .poly import Poly, Record, Substitution, VarTable
+from .poly import Poly, Record, Substitution, Sums, VarTable
 
 Vector = tuple[Poly, ...]
 
@@ -26,17 +26,19 @@ class NotInvertible(Exception):
     pass
 
 
-def _apply_matrix(matrix: list[list[Poly]], w: Vector, table: VarTable) -> Vector:
-    cols = len(matrix[0]) if matrix else 0
-    out = [Poly.zero(table) for _ in range(cols)]
-    for i, h in enumerate(w):
-        if h.is_zero:
-            continue
-        for j in range(cols):
-            entry = matrix[i][j]
-            if not entry.is_zero:
-                out[j] = out[j] + h * entry
-    return tuple(out)
+def _matmul(left: list[list[Poly]], right: list[list[Poly]], table: VarTable) -> list[list[Poly]]:
+    """left * right, with rows of ``right`` indexed by columns of ``left``, as
+    one ``Sums`` keyed by (row, column) over the nonzero entry pairs."""
+    sums = Sums(table)
+    for i, row in enumerate(left):
+        for k, f in enumerate(row):
+            if not f.is_zero:
+                for j, g in enumerate(right[k]):
+                    if not g.is_zero:
+                        sums.add((i, j), f, g)
+    out, zero = sums.close(), Poly.zero(table)
+    cols = range(len(right[0]) if right else 0)
+    return [[out.get((i, j), zero) for j in cols] for i in range(len(left))]
 
 
 class ModuleMap(Record):
@@ -70,7 +72,7 @@ class ModuleMap(Record):
         return cls(table, [[one if i == j else z for j in range(rank)] for i in range(rank)])
 
     def apply(self, w: Vector) -> Vector:
-        return _apply_matrix(self.matrix, w, self.table)
+        return tuple(_matmul([list(w)], self.matrix, self.table)[0])
 
     def row(self, i: int) -> Vector:
         return tuple(self.matrix[i])
@@ -110,52 +112,31 @@ def lift_constant(m: ModuleMap) -> ConformalLinearMap:
     return ConformalLinearMap(m.table, [list(row) for row in m.matrix])
 
 
-def determinant(matrix: list[list[Poly]], table: VarTable) -> Poly:
-    n = len(matrix)
-    if n == 0:
-        return Poly.const(table, 1)
-    if any(len(row) != n for row in matrix):
-        raise NotInvertible("matrix is not square")
-    if n == 1:
-        return matrix[0][0]
-    det = Poly.zero(table)
-    for j in range(n):
-        entry = matrix[0][j]
-        if entry.is_zero:
-            continue
-        minor = [[row[k] for k in range(n) if k != j] for row in matrix[1:]]
-        cofactor = determinant(minor, table)
-        signed = entry * cofactor
-        det = det + (signed if j % 2 == 0 else -signed)
-    return det
-
-
 def invert_module_map(m: ModuleMap) -> ModuleMap:
     """Inverse of an invertible module map (unit determinant over d-polynomials).
 
     Raises NotInvertible when the determinant is zero or non-constant; this
-    is the non-degeneracy test used throughout.
+    is the non-degeneracy test used throughout.  Faddeev-LeVerrier: with
+    M_1 = 1, c_k = -tr(A M_k)/k and M_{k+1} = A M_k + c_k, the determinant
+    is (-1)^n c_n and the inverse -M_n/c_n, after n matrix products.
     """
-    n = m.src_rank
-    if n != m.dst_rank:
+    n, table = m.src_rank, m.table
+    if any(len(row) != n for row in m.matrix):
         raise NotInvertible("matrix is not square")
-    det = determinant(m.matrix, m.table)
+    M, c = ModuleMap.identity(table, n).matrix, Poly.const(table, 1)
+    for k in range(1, n + 1):
+        AM = _matmul(m.matrix, M, table)
+        c = sum((AM[i][i] for i in range(n)), Poly.zero(table)) * Fraction(-1, k)
+        if k < n:
+            M = [[p + c if i == j else p for j, p in enumerate(row)] for i, row in enumerate(AM)]
+    det = -c if n % 2 else c
     value = det.constant_value()
     if value is None:
         raise NotInvertible(f"determinant {det} is not a unit")
     if value == 0:
         raise NotInvertible("determinant is zero")
-    inv_det = Fraction(1) / value
-    adj = [[Poly.zero(m.table) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [[m.matrix[r][c] for c in range(n) if c != j]
-                     for r in range(n) if r != i]
-            cof = determinant(minor, m.table)
-            if (i + j) % 2:
-                cof = -cof
-            adj[j][i] = cof * inv_det
-    return ModuleMap(m.table, adj)
+    scale = Fraction(-1) / c.constant_value()
+    return ModuleMap(table, [[p * scale for p in row] for row in M])
 
 
 def rref(rows, columns) -> tuple[list[dict], list]:

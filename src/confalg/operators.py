@@ -32,7 +32,7 @@ from .algebra import (
     _view,
     apply_bilinear,
 )
-from .linmap import ConformalLinearMap, ModuleMap, NotInvertible, invert_module_map
+from .linmap import ConformalLinearMap, ModuleMap, NotInvertible, _matmul, invert_module_map
 from .poly import Poly, Record, Substitution, Sums, VarTable, _make
 from .report import Report
 
@@ -465,17 +465,8 @@ def form_pr_map(A: ConformalAlgebra, B: BilinearForm, r: Tensor2) -> ConformalLi
     from .tensor import t_from_r
     t = A.table
     shift = Substitution(t, {"x": Poly.var(t, "x") + Poly.var(t, "d")})
-    T = t_from_r(A, r).matrix
-    n = A.rank
-    matrix = [[Poly.zero(t) for _ in range(n)] for _ in range(n)]
-    for p, row in enumerate(B.matrix):
-        for i, Bpi in enumerate(row):
-            if Bpi.is_zero:
-                continue
-            Bpi = shift(Bpi)
-            for k in range(n):
-                matrix[i][k] = matrix[i][k] + Bpi * T[p][k]
-    return ConformalLinearMap(t, matrix)
+    shifted_transpose = [list(map(shift, column)) for column in zip(*B.matrix)]
+    return ConformalLinearMap(t, _matmul(shifted_transpose, t_from_r(A, r).matrix, t))
 
 
 def invariant_form_suite(A: ConformalAlgebra, B: BilinearForm,

@@ -17,6 +17,8 @@ from .algebra import (
     PreconditionError,
     ProductTable,
     Vector,
+    _contract,
+    _nest,
     _nested,
     _residual,
     apply_bilinear,
@@ -24,7 +26,7 @@ from .algebra import (
     sub_adjacent,
     unit_vector,
 )
-from .poly import Poly, Record, Substitution, Sums
+from .poly import Poly, Record, Sums
 from .report import Report
 
 ADJOINT = "adjoint"
@@ -138,11 +140,10 @@ def standard_rep(A: ConformalAlgebra, which: str) -> Representation:
     if which == REGULAR_LEFT:
         return Representation(g, A.basis, rho=dict(A.products))
     if which == REGULAR_RIGHT:
-        out: ProductTable = {}
-        skew = Substitution(t, {"x": -Poly.var(t, "x") - Poly.var(t, "d")})
-        for (j, i), targets in A.products.items():
-            out[(i, j)] = {k: skew(P) for k, P in targets.items()}
-        return Representation(g, A.basis, rho=out)
+        sums = Sums(t)
+        _contract(sums, A.products, {"x": -Poly.var(t, "x") - Poly.var(t, "d")},
+                  lambda j, i, k: (i, j, k))
+        return Representation(g, A.basis, rho=_nest(sums.close()))
     if which == LEFT_MINUS_RIGHT:
         # L - R has the table P_ij - P_ji(-x-d): the adjoint of g
         return Representation(g, A.basis, rho=g.products)
@@ -157,13 +158,11 @@ def dual_rep(rep: Representation) -> Representation:
     if not rep.is_lie:
         raise PreconditionError("dual_rep expects a lie-kind representation")
     t = rep.algebra.table
-    skew = Substitution(t, {"d": -Poly.var(t, "x") - Poly.var(t, "d")})
-    out: ProductTable = {}
-    for (i, k), targets in rep.rho.items():
-        for j, P in targets.items():
-            out.setdefault((i, j), {})[k] = -skew(P)
+    sums = Sums(t)
+    _contract(sums, rep.rho, {"d": -Poly.var(t, "x") - Poly.var(t, "d")},
+              lambda i, k, j: (i, j, k), sign=-1)
     names = tuple(n + "*" for n in rep.mbasis)
-    return Representation(rep.algebra, names, rho=out)
+    return Representation(rep.algebra, names, rho=_nest(sums.close()))
 
 
 def with_zero_right(A: ConformalAlgebra, rep: Representation) -> Representation:
@@ -183,32 +182,17 @@ def semidirect(A: ConformalAlgebra, rep: Representation, checked: bool = True) -
         rr = check_rep(rep)
         if not rr.ok:
             raise PreconditionError("module axioms fail", rr)
-    t = A.table
-    skew = Substitution(t, {"x": -Poly.var(t, "x") - Poly.var(t, "d")})
-    n = A.rank
-    products: ProductTable = {}
-    for pair, targets in A.products.items():
-        products[pair] = dict(targets)
-
-    def put(pair, k, poly):
-        products.setdefault(pair, {})[k] = poly  # every (pair, k) is set once
-
     if rep.is_lie != (A.kind == LIE):
         raise PreconditionError("a Lie-kind algebra needs a Lie-kind module, "
                                 "a left-symmetric one a bimodule")
-    if A.kind == LIE:
-        if rep.algebra is not A and rep.algebra.products != A.products:
-            raise PreconditionError("representation is not over the given algebra")
-        for (i, j), targets in rep.rho.items():
-            for k, P in targets.items():
-                put((i, n + j), n + k, P)
-                put((n + j, i), n + k, -skew(P))
-    else:
-        for (i, j), targets in rep.left.items():
-            for k, P in targets.items():
-                put((i, n + j), n + k, P)
-        for (i, j), targets in rep.right.items():
-            for k, P in targets.items():
-                put((n + j, i), n + k, skew(P))
-    basis = A.basis + rep.mbasis
-    return ConformalAlgebra(A.kind, basis, t, products)
+    if A.kind == LIE and rep.algebra is not A and rep.algebra.products != A.products:
+        raise PreconditionError("representation is not over the given algebra")
+    t, n = A.table, A.rank
+    sums = Sums(t)
+    _contract(sums, A.products, {}, lambda i, j, k: (i, j, k))
+    left, right, sign = (rep.rho, rep.rho, -1) if A.kind == LIE else (rep.left, rep.right, 1)
+    # l(a)_x v at (a, v), and r(b)_{-x-d} u (or -rho(b)_{-x-d} u) at (u, b)
+    _contract(sums, left, {}, lambda i, j, k: (i, n + j, n + k))
+    _contract(sums, right, {"x": -Poly.var(t, "x") - Poly.var(t, "d")},
+              lambda i, j, k: (n + j, i, n + k), sign=sign)
+    return ConformalAlgebra(A.kind, A.basis + rep.mbasis, t, _nest(sums.close()))

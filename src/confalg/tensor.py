@@ -13,9 +13,8 @@ second factor's mu + d_slot, and the table's d becomes d_slot, while passive
 slots keep their own variable.  Once the argument is fixed every factor is a
 plain substitution, taken directly at d3 := -d1 - d2, so each term is one
 ``algebra._contract`` of the table with the entries of r viewed by row or
-column, each entry and table value substituted once per term.
-``apply_bilinear``, which expands at a reserved variable first, remains the
-reference for general elements.
+column, each entry and table value substituted once per term, as
+``apply_bilinear`` does for two general elements.
 """
 
 from __future__ import annotations
@@ -186,7 +185,7 @@ def t_from_r(A: ConformalAlgebra, r: Tensor2) -> ConformalLinearMap:
     n = A.rank
     matrix = [[Poly.zero(table) for _ in range(n)] for _ in range(n)]
     for (i, k), f in r.coeffs.items():
-        matrix[i][k] = matrix[i][k] + at(f)
+        matrix[i][k] = at(f)
     return ConformalLinearMap(table, matrix)
 
 

@@ -1653,6 +1653,21 @@ class TestEngineOracles:
             inversion_outcome(oracle_invert_module_map, m), str),
             settings=settings(database=None, phases=[Phase.generate]))
 
+    def test_invert_dense_rank10(self):
+        """A dense unimodular map of rank 10 with entries linear in d, a unit
+        lower triangular map linear in d times a unit upper triangular
+        constant one, inverts; the inverse has degree 9 in d."""
+        n, one, zero, d = 10, Poly.const(BC, 1), Poly.zero(BC), Poly.var(BC, "d")
+        lower = [[one if i == j else d * (1 + (i + j) % 2) + (i - j) % 3 if j < i else zero
+                  for j in range(n)] for i in range(n)]
+        upper = [[one if i == j else Poly.const(BC, (-1) ** (i + j) * (1 + i * j % 2))
+                  if j > i else zero for j in range(n)] for i in range(n)]
+        matrix = dense_matmul(lower, upper, BC)
+        assert all(not p.is_zero and p.degree_in("d") <= 1 for row in matrix for p in row)
+        inverse = invert_module_map(ModuleMap(BC, matrix)).matrix
+        assert dense_matmul(matrix, inverse, BC) == ModuleMap.identity(BC, n).matrix
+        assert max(p.degree_in("d") for row in inverse for p in row) == 9
+
     @given(A=random_algebras(LEFT_SYMMETRIC))
     @settings(max_examples=40, deadline=None)
     def test_regular_right(self, A):

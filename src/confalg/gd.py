@@ -185,8 +185,18 @@ def _coprime(v: dict[int, Fraction], columns: range) -> tuple[Fraction, ...]:
     return tuple(v.get(j, 0) * scale for j in columns)
 
 
-# the probe builds and sorts its whole box; this is [-3, 3]^6
+# without a witness the probe computes one kernel per vector of its box;
+# this is [-3, 3]^6
 MAX_PROBE_CANDIDATES = 7 ** 6
+
+
+def _box(bound: int, dim: int):
+    """The nonzero vectors of [-bound, bound]^dim in ``_candidate_key`` order,
+    one at a time: the magnitude tuples sorted by (sum, tuple), and for each
+    its sign patterns, + before - position by position."""
+    magnitudes = sorted(itertools.product(range(bound + 1), repeat=dim), key=lambda m: (sum(m), m))
+    for mag in magnitudes[1:]:  # the first is the zero vector
+        yield from itertools.product(*((c, -c) if c else (0,) for c in mag))
 
 
 def zero_divisor_probe(V: GDBialgebra, bound: int = 3) -> ProbeResult:
@@ -197,8 +207,9 @@ def zero_divisor_probe(V: GDBialgebra, bound: int = 3) -> ProbeResult:
     first a with a nonzero kernel of b -> a * b over Q.  The partner b is the
     kernel basis vector in coprime integers that comes first in the same
     order; it may lie outside the box.  Otherwise the result is Unknown:
-    absence is never claimed.  A box of more than MAX_PROBE_CANDIDATES
-    vectors is refused before it is built.
+    absence is never claimed.  The box is enumerated lazily, so a witness
+    near the origin returns at once; a box of more than MAX_PROBE_CANDIDATES
+    vectors is refused up front.
     """
     mats = _star_matrices(V)
     if V.dim == 1:
@@ -209,8 +220,7 @@ def zero_divisor_probe(V: GDBialgebra, bound: int = 3) -> ProbeResult:
         raise PreconditionError(f"the probe box [-{bound}, {bound}]^{V.dim} holds {size}"
                                 f" vectors, over the cap of {MAX_PROBE_CANDIDATES}")
     columns = range(V.dim)
-    box = itertools.product(range(-bound, bound + 1), repeat=V.dim)
-    for a in sorted((a for a in box if any(a)), key=_candidate_key):
+    for a in _box(bound, V.dim):
         rows = [{j: sum(x * m[k][j] for x, m in zip(a, mats)) for j in columns} for k in columns]
         if null := kernel(rows, columns):
             b = min((_coprime(v, columns) for v in null), key=_candidate_key)

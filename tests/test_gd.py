@@ -20,6 +20,7 @@ from confalg import (
     solve_squares,
     zero_divisor_probe,
 )
+from confalg.gd import _box, _candidate_key
 from conftest import gd_tables
 
 F = Fraction
@@ -153,6 +154,28 @@ class TestZeroDivisors:
         the 5.8 million pairs of a search over (a, b)."""
         assert zero_divisor_probe(radical_fields(table, 4)).status == "unknown"
         assert zero_divisor_probe(radical_fields(table, 5), bound=2).status == "unknown"
+
+    @pytest.mark.parametrize("bound, dim", [(1, 1), (1, 4), (2, 3), (3, 2), (3, 4), (3, 6)])
+    def test_box_is_enumerated_in_candidate_order(self, bound, dim):
+        """The lazy box is the sorted box: every nonzero vector once, by the
+        sum of absolute values, then the absolute values, then the signs."""
+        box = itertools.product(range(-bound, bound + 1), repeat=dim)
+        assert list(_box(bound, dim)) == sorted((a for a in box if any(a)), key=_candidate_key)
+
+    def test_witness_near_the_origin_ends_the_enumeration(self, table, monkeypatch):
+        """The zero tables of dimension 6, the largest box under the cap, give
+        (e5, e5) at the first candidate: no key is computed for the other
+        117,647 vectors of the box, only for the kernel vectors of the partner."""
+        keys = []
+
+        def counting(tup):
+            keys.append(tup)
+            return _candidate_key(tup)
+
+        monkeypatch.setattr("confalg.gd._candidate_key", counting)
+        V = GDBialgebra(tuple(f"e{i}" for i in range(6)), table, {}, {})
+        assert zero_divisor_probe(V).witness_names(V) == ("e5", "e5")
+        assert len(keys) == 6
 
     def test_product_of_fields_has_a_verified_witness(self, table):
         # Q(sqrt 2) x Q(sqrt 2): the two units multiply to zero

@@ -2,8 +2,10 @@
 
 Polynomials travel as text in the input grammar, so any residual printed in
 a report can be pasted back in.  Pair keys are comma-joined basis names
-("L,W"); missing pairs mean zero.  Every reader checks the shapes it reads
-and names the JSON path of the first one that is wrong.
+("L,W"); missing pairs mean zero.  Every reader checks the shapes it reads,
+and the variables each polynomial may use (d and x in algebra and action
+tables and maps, d1 and d2 in tensor entries, d in elements, besides the
+declared parameters), and names the JSON path of the first one that is wrong.
 """
 
 from __future__ import annotations
@@ -54,14 +56,19 @@ def _names(doc, path: str, nonempty: bool = True) -> tuple[str, ...]:
     return tuple(doc)
 
 
-def _poly(table: VarTable, text, path: str) -> Poly:
-    """Cell reader: a polynomial is a string in the input grammar."""
+def _poly(table: VarTable, text, path: str, names: tuple[str, ...] | None = None) -> Poly:
+    """Cell reader: a polynomial is a string in the input grammar; with
+    `names`, one that may use only those variables and the parameters."""
     if not isinstance(text, str):
         raise InputError(f"{path} must be a polynomial string, got {_type(text)}")
     try:
-        return parse(table, text)
+        p = parse(table, text)
     except (PolyError, RecursionError) as exc:
         raise InputError(f"{path}: {exc}") from None
+    if names is not None and (extra := p.variables() - set(names) - set(table.params)):
+        raise InputError(f"{path} may use only {', '.join(names)} and parameters,"
+                         f" got {', '.join(sorted(extra))}")
+    return p
 
 
 def _rational(table: VarTable, text, path: str) -> Fraction:
@@ -126,7 +133,7 @@ def algebra_from_dict(doc: dict, table: VarTable) -> ConformalAlgebra:
         raise InputError(f"unknown algebra kind {kind!r}")
     basis = _names(doc.get("basis"), "algebra.basis")
     products = _table(doc.get("products"), basis, basis, "algebra.products",
-                      partial(_poly, table), basis)
+                      partial(_poly, table, names=("d", "x")), basis)
     return ConformalAlgebra(kind, basis, table, products)
 
 
@@ -159,7 +166,7 @@ def rep_from_dict(doc: dict | str, A: ConformalAlgebra) -> Representation:
 
     def action(key: str) -> ProductTable:
         return _table(doc.get(key), A.basis, mbasis, f"representation.{key}",
-                      partial(_poly, A.table), mbasis)
+                      partial(_poly, A.table, names=("d", "x")), mbasis)
 
     if "action" in doc:
         return Representation(A, mbasis, rho=action("action"))
@@ -191,7 +198,7 @@ def tensor_from_dict(doc: dict, A: ConformalAlgebra) -> Tensor2:
         i, j = item.get("i"), item.get("j")
         if not all(isinstance(name, str) and name in idx for name in (i, j)):
             raise InputError(f"{path} needs basis names i and j, got {i!r}, {j!r}")
-        coeffs.add((idx[i], idx[j]), _poly(A.table, item.get("c", "0"), f"{path}.c"))
+        coeffs.add((idx[i], idx[j]), _poly(A.table, item.get("c", "0"), f"{path}.c", ("d1", "d2")))
     return Tensor2(A, coeffs.close())
 
 
@@ -206,10 +213,11 @@ def tensor_to_dict(r: Tensor2) -> dict:
 def map_from_dict(doc: dict, src: tuple[str, ...], dst: tuple[str, ...], table: VarTable,
                   conformal: bool = False) -> ModuleMap | ConformalLinearMap:
     """{source name: {target name: poly}}; a module map over d, or with
-    `conformal` a conformal linear map."""
+    `conformal` a conformal linear map, in d and x.  A module map refuses x
+    itself."""
     from .linmap import ConformalLinearMap, ModuleMap
-    rows = _cells(doc, src, "map",
-                  lambda row, path: _cells(row, dst, path, partial(_poly, table)))
+    rows = _cells(doc, src, "map", lambda row, path: _cells(
+        row, dst, path, partial(_poly, table, names=("d", "x"))))
     cells = {(i, j): p for i, row in rows.items() for j, p in row.items()}
     cls = ConformalLinearMap if conformal else ModuleMap
     return cls(table, _matrix(cells, len(src), len(dst), table))
@@ -265,7 +273,7 @@ def gd_to_dict(V: GDBialgebra) -> dict:
 # -- elements and systems ----------------------------------------------------------
 
 def element_from_dict(doc: dict, A: ConformalAlgebra) -> tuple[Poly, ...]:
-    cells = _cells(doc, A.basis, "element", partial(_poly, A.table))
+    cells = _cells(doc, A.basis, "element", partial(_poly, A.table, names=("d",)))
     zero = Poly.zero(A.table)
     return tuple(cells.get(i, zero) for i in range(A.rank))
 

@@ -428,6 +428,24 @@ class TestRejectedInput:
                                               "circ": {"e0,e0": {"e0": 1}}}}, (),
                      "[-3, 3]^7 holds 823543 vectors, over the cap of 117649",
                      id="probe_cap"),
+        # each reader accepts only the variables of its object's grammar
+        pytest.param("check-axioms", {"algebra": {"basis": ["L"],
+                                                  "products": {"L,L": {"L": "d1"}}}}, (),
+                     'algebra.products["L,L"].L may use only d, x and parameters, got d1',
+                     id="product_slot_variable"),
+        pytest.param("check-rep", {"algebra": "vir",
+                                   "representation": {"module_basis": ["V"],
+                                                      "action": {"L,V": {"V": "d1"}}}}, (),
+                     'representation.action["L,V"].V may use only d, x and parameters, got d1',
+                     id="action_slot_variable"),
+        pytest.param("t-from-r", {"algebra": "hv_lsc1_skew_r",
+                                  "tensor": {"entries": [{"i": "L", "j": "W", "c": "x"}]}}, (),
+                     "tensor.entries[0].c may use only d1, d2 and parameters, got x",
+                     id="tensor_entry_x"),
+        pytest.param("r-from-t", {"algebra": "hv",
+                                  "representation": {"standard": "adjoint", "dual": True},
+                                  "map": {"L*": {"L": "y"}}}, (),
+                     "map.L*.L may use only d, x and parameters, got y", id="map_entry_y"),
     ])
     def test_exit_2_names_the_path(self, tmp_path, capsys, command, doc, extra, names):
         assert run(tmp_path, command, doc, *extra) == 2

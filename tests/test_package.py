@@ -42,6 +42,35 @@ def test_runtime_imports_only_the_standard_library():
 STARTUP_COSTS = {"dataclasses", "inspect"}
 
 
+def _unused_imports(source: str) -> list[str]:
+    """The names a module imports and never reads, in code or in a string
+    annotation; ``from __future__`` imports are exempt."""
+    tree = ast.parse(source)
+    imported, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        for note in (getattr(node, "returns", None), getattr(node, "annotation", None)):
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                used |= {n.id for n in ast.walk(ast.parse(note.value)) if isinstance(n, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """Each module of the package reads every name it imports; ``__init__``
+    imports only to re-export."""
+    unused = {path.name: names for path in sorted(PACKAGE.glob("*.py"))
+              if path.name != "__init__.py"
+              and (names := _unused_imports(path.read_text(encoding="utf-8")))}
+    assert unused == {}
+    assert _unused_imports("from .poly import Poly, Substitution\nPoly") == ["Substitution"]
+    assert _unused_imports("import math\nx: 'math.pi'") == []
+
+
 def test_runtime_imports_neither_dataclasses_nor_inspect():
     assert not [(f, m) for f, m in _absolute_imports() if m in STARTUP_COSTS]
 

@@ -446,6 +446,9 @@ class TestRejectedInput:
                                   "representation": {"standard": "adjoint", "dual": True},
                                   "map": {"L*": {"L": "y"}}}, (),
                      "map.L*.L may use only d, x and parameters, got y", id="map_entry_y"),
+        pytest.param("cobracket", {"algebra": "vir", "tensor": {"entries": []},
+                                   "element": {"L": "d1"}}, (),
+                     "element.L may use only d and parameters, got d1", id="element_slot_variable"),
     ])
     def test_exit_2_names_the_path(self, tmp_path, capsys, command, doc, extra, names):
         assert run(tmp_path, command, doc, *extra) == 2

@@ -41,11 +41,13 @@ class TestNthProducts:
         ab = ConformalAlgebra("lie", ("A",), table, {})
         assert nth_products(ab) == {}
 
-    def test_reconstruction(self, vir, hv, comm1, P):
-        # sum of x^n / n! times the n-th product rebuilds the bracket
+    def test_reconstruction(self, vir, hv, comm1, table, P):
+        # sum of x^n / n! times the n-th product rebuilds the bracket; the
+        # cubic table has n-th products with n! other than 1
         import math
         X = P("x")
-        for A in (vir, hv, comm1):
+        cubic = ConformalAlgebra("lie", ("L",), table, {(0, 0): {0: P("d*x^2 + b*x^3 + 1")}})
+        for A in (vir, hv, comm1, cubic):
             table = nth_products(A)
             for i in range(A.rank):
                 for j in range(A.rank):

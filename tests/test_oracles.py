@@ -1602,12 +1602,6 @@ def inversion_outcome(invert, m):
         return f"NotInvertible: {exc}"
 
 
-def without_axiom_checks():
-    """sub_adjacent with its left-symmetry precondition taken as met, so that
-    random tables reach the constructions that read it."""
-    return mock.patch("confalg.algebra.check_axioms", return_value=Report())
-
-
 class TestEngineOracles:
     """The sesquilinear product, the module-map inverse and the three table
     constructions against the dense bodies they replaced."""
@@ -1671,7 +1665,9 @@ class TestEngineOracles:
     @given(A=random_algebras(LEFT_SYMMETRIC))
     @settings(max_examples=40, deadline=None)
     def test_regular_right(self, A):
-        with without_axiom_checks():
+        # sub_adjacent's left-symmetry precondition taken as met, so that
+        # random tables reach the construction
+        with mock.patch("confalg.algebra.check_axioms", return_value=Report()):
             got = standard_rep(A, "regular_right")
         assert got.rho == oracle_regular_right(A)
 

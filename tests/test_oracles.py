@@ -1565,10 +1565,8 @@ inverse_cell = poly_strategy(BC, names=("d", "b"), max_terms=2, max_degree=1)
 
 
 def dense_matmul(a, b, table):
-    """The product of two matrices of polynomials, entry by entry."""
-    cols = len(b[0]) if b else 0
-    return [[sum((row[k] * b[k][j] for k in range(len(b))), Poly.zero(table))
-             for j in range(cols)] for row in a]
+    """The product of two matrices of polynomials, row by row."""
+    return [list(oracle_apply_matrix(b, row, table)) for row in a]
 
 
 @st.composite

@@ -235,6 +235,22 @@ class TestCli:
     def test_empty_equation_list_solves(self, tmp_path):
         assert run(tmp_path, "solve", {"system": {"equations": []}}) == 0
 
+    @pytest.mark.parametrize("weight", ["0", "1", "free"])
+    def test_constraints_and_solve_golden(self, tmp_path, capsys, weight):
+        """rb-constraints on hv at degree 2, and solve on its output, print
+        the text in tests/golden byte for byte."""
+        golden = Path(__file__).resolve().parent / "golden"
+        assert run(tmp_path, "rb-constraints", {"algebra": "hv"}, "--degree", "2",
+                   "--weight", weight) == 0
+        out = capsys.readouterr()
+        assert (out.out, out.err) == (
+            (golden / f"rb_constraints.hv.D2.w{weight}.json").read_text(), "")
+        path = tmp_path / "system.json"
+        path.write_text(out.out)
+        assert main(["solve", "--in", str(path)]) == 1
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ((golden / f"solve.hv.D2.w{weight}.json").read_text(), "")
+
     def test_gd_flow(self, tmp_path, capsys):
         assert run(tmp_path, "gd-convert", {"gd": "vir_gd"}) == 0
         algebra = json.loads(capsys.readouterr().out)

@@ -101,6 +101,7 @@ from confalg import (
 from confalg.algebra import apply_bilinear, unit_vector
 from confalg.operators import BilinearForm, form_pr_map, rota_baxter_residuals
 from confalg.gd import ProbeResult, algebra_from_gd, rb_gd_check
+from confalg.io_json import system_to_dict
 from confalg.linmap import ConformalLinearMap, ModuleMap
 from conftest import (
     gd_tables,
@@ -950,9 +951,10 @@ SOLVER_COEFF = st.sampled_from([Fraction(c) for c in (1, -1, 2, -3)]
 
 
 @st.composite
-def solver_systems(draw):
-    """Sums of monomials of degree <= 2, mostly q*v^2 and c*v + rest so that
-    eliminations chain; zero and constant equations included."""
+def solver_equations(draw):
+    """The table, unknowns and equations of a solver system: sums of monomials
+    of degree <= 2, mostly q*v^2 and c*v + rest so that eliminations chain;
+    zero and constant equations included."""
     names = draw(st.permutations(SOLVER_NAMES))[:draw(st.integers(2, 4))]
     table = VarTable(params=("b",) + tuple(names))
 
@@ -979,7 +981,11 @@ def solver_systems(draw):
         else:
             eq = Poly.const(table, draw(st.sampled_from((0, 0, 0, 1, -2))))
         equations.append(eq)
-    return PolySystem(table, tuple(names), equations)
+    return table, tuple(names), equations
+
+
+def solver_systems():
+    return solver_equations().map(lambda drawn: PolySystem(*drawn))
 
 
 def workload_systems():
@@ -1032,6 +1038,31 @@ class TestSolverOracle:
         A, D, weight = WORKLOAD_SYSTEMS[label]
         system, _ = rb_constraints(A, D, weight)
         assert solve_outcome(solve_squares, system) == solve_outcome(oracle_solve_squares, system)
+
+    @given(drawn=solver_equations())
+    @settings(max_examples=100, deadline=None)
+    def test_equations_round_trip(self, drawn):
+        """A system gives back the polynomials it was built from, in order,
+        and writes them as their text."""
+        table, unknowns, polys = drawn
+        system = PolySystem(table, unknowns, polys)
+        assert system.equations == polys
+        assert [p.table for p in system.equations] == [table] * len(polys)
+        assert system_to_dict(system)["equations"] == [str(p) for p in polys]
+
+    @pytest.mark.parametrize("text, unknowns, status, eliminated", [
+        ("b*u + 1", ("u",), "partial", []),  # a parameter in the coefficient is no match
+        ("u + b*v", ("u", "v"), "partial", ["u"]),
+        ("d*u^2", ("u",), "partial", []),  # d*u^2 is not a square
+        ("d*u^2 + v", ("u", "v"), "partial", ["v"]),
+        ("x*u + u*v + 1", ("u", "v"), "partial", []),
+    ])
+    def test_parameter_and_d_cases(self, text, unknowns, status, eliminated):
+        table = VarTable(params=("b", "u", "v"))
+        system = PolySystem(table, unknowns, [parse(table, text)])
+        want = solve_outcome(oracle_solve_squares, system)
+        assert (want[0], [v for v, _ in want[1]]) == (status, eliminated)
+        assert solve_outcome(solve_squares, system) == want
 
 
 def oracle_rota_baxter_residuals(A, T, weight):

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -103,6 +104,20 @@ def _benchmark_module(name: str):
 def test_benchmark_workloads_import():
     """The benchmark's workloads import the names they use from the package."""
     assert set(_benchmark_module("workloads").SETUPS) == {"tower", "tensor_eqs", "systems"}
+
+
+def test_benchmark_constraint_jobs_meet_their_answers():
+    """The systems workload's rb.* jobs, run and observed untimed, give the
+    labels perfbench/expected.json holds: they read system.table,
+    system.equations (embed, subs) and result.remaining."""
+    workloads = _benchmark_module("workloads")
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
+    expected = json.loads(path.read_text())["systems"]
+    jobs = [job for group in workloads.setup_systems() for job in group
+            if job.key.startswith("rb.")]
+    assert len(jobs) == 8
+    for job in jobs:
+        assert job.observe(job.run())[0] == expected[job.key]["expect"], job.key
 
 
 def test_benchmark_tracer_reads_kernel_terms(hv):

@@ -138,9 +138,10 @@ def algebra_from_dict(doc: dict, table: VarTable) -> ConformalAlgebra:
 
 
 def algebra_to_dict(A: ConformalAlgebra) -> dict:
+    """Refuses a basis with repeated names, whose product keys would collide."""
     return {
         "kind": A.kind,
-        "basis": list(A.basis),
+        "basis": list(_names(list(A.basis), "the algebra's basis")),
         "params": list(A.table.params),
         "products": _table_to_dict(A.products, A.basis, A.basis, A.basis),
     }

@@ -354,6 +354,8 @@ class TestRejectedInput:
         ("gd-check", {"gd": {"basis": ["a", "a"], "circ": {}, "lie": {}}}, ()),
         ("check-cocycle", {"algebra": "vir", "form": {"matrix": {"L,L": "d"}}}, ()),
         ("build-semidirect", {"algebra": "hv_lsc1", "representation": "regular_left"}, ()),
+        ("build-semidirect", {"algebra": "vir", "representation": {
+            "module_basis": ["L"], "action": {"L,L": {"L": "d+2*x"}}}}, ()),
         ("solve", {"algebra": "vir"}, ()),
         ("solve", {"system": {}}, ()),
         ("catalog", None, ("hv_rb_family1", "--param", "b=2")),
@@ -418,6 +420,9 @@ class TestRejectedInput:
         pytest.param("coeff", {"algebra": "hv"},
                      ("--window", "2", "--shift", "L=1", "--shift", "L=2"),
                      "--shift names generator 'L' twice", id="shift_twice"),
+        pytest.param("build-semidirect", {"algebra": "vir", "representation": {
+                         "module_basis": ["L"], "action": {"L,L": {"L": "d+2*x"}}}}, (),
+                     "repeated name(s) L in the algebra's basis", id="semidirect_repeated_names"),
         pytest.param("rb-constraints", {"algebra": "vir"}, ("--degree", "-1"), "--degree",
                      id="negative_degree"),
         pytest.param("rb-constraints", {"algebra": "hv"}, ("--degree", "1000000"),

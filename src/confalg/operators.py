@@ -14,8 +14,7 @@ solved (when possible) by a deliberately small elimination loop.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
-from operator import mul
+from itertools import chain
 from typing import TYPE_CHECKING
 
 from .algebra import (
@@ -33,7 +32,7 @@ from .algebra import (
     apply_bilinear,
 )
 from .linmap import ConformalLinearMap, ModuleMap, NotInvertible, _matmul, invert_module_map
-from .poly import Poly, Record, Substitution, Sums, VarTable, _make
+from .poly import Poly, Record, Substitution, Sums, VarTable, VarTableMismatch, _make, _normal
 from .report import Report
 
 if TYPE_CHECKING:
@@ -302,15 +301,85 @@ MAX_RB_SIZE = 5000
 
 
 class PolySystem(Record):
-    """Fully expanded polynomial equations in the unknown parameters."""
+    """Fully expanded polynomial equations in the unknown parameters, kept as
+    rows {monomial: rational}: a monomial is the sorted tuple of its variables'
+    positions in ``table``, one per power.  ``equations`` reads them as Polys."""
 
     def __init__(self, table: VarTable, unknowns: tuple[str, ...],
                  equations: list[Poly] | None = None) -> None:
-        self.table, self.unknowns = table, unknowns
-        self.equations = [] if equations is None else equations
+        self.table, self.unknowns, self.rows = table, unknowns, []
+        for eq in equations or ():
+            self.equations.append(eq)
+
+    @property
+    def equations(self) -> _Equations:
+        return _Equations(self)
 
     def evaluate(self, assignment: dict[str, Poly | Fraction | int]) -> list[Poly]:
         return list(map(Substitution(self.table, assignment), self.equations))
+
+
+class _Equations:
+    """A system's equations as Polys, each built when it is read."""
+
+    def __init__(self, system: PolySystem) -> None:
+        self.system = system
+
+    def __len__(self) -> int:
+        return len(self.system.rows)
+
+    def __getitem__(self, k):
+        rows, t = self.system.rows, self.system.table
+        return [_poly(t, row) for row in rows[k]] if isinstance(k, slice) else _poly(t, rows[k])
+
+    def __eq__(self, other: object) -> bool:
+        return list(self) == other if isinstance(other, (list, _Equations)) else NotImplemented
+
+    def append(self, eq: Poly) -> None:
+        if eq.table != self.system.table:
+            raise VarTableMismatch("equation over another variable table")
+        self.system.rows.append({tuple(i for i, e in enumerate(exps) for _ in range(e)): c
+                                 for exps, c in eq.terms.items()})
+
+
+def _poly(table: VarTable, row: dict) -> Poly:
+    terms = {}
+    for m, c in row.items():
+        exps = [0] * len(table.names)
+        for i in m:
+            exps[i] += 1
+        terms[tuple(exps)] = c
+    return _make(table, terms)
+
+
+def _substitution(values: dict[int, dict]):
+    """row -> row with each variable position in ``values`` replaced by its
+    row.  Each pattern of replaced positions is expanded once, for all rows,
+    as one row product: each pair of monomials merged and sorted."""
+    expansions: dict[tuple, dict] = {(): {(): 1}}
+    replaced = values.keys()
+
+    def expand(pattern: tuple) -> dict:
+        if pattern not in expansions:
+            out: dict = {}
+            for m1, c1 in expand(pattern[:-1]).items():
+                for m2, c2 in values[pattern[-1]].items():
+                    m = tuple(sorted(m1 + m2))
+                    out[m] = out.get(m, 0) + c1 * c2
+            expansions[pattern] = _normal(out)
+        return expansions[pattern]
+
+    def apply(row: dict) -> dict:
+        out = {m: c for m, c in row.items() if replaced.isdisjoint(m)}
+        for m, c in row.items():
+            if not replaced.isdisjoint(m):
+                rest = tuple(i for i in m if i not in values)
+                for m2, c2 in expand(tuple(i for i in m if i in values)).items():
+                    key = tuple(sorted(rest + m2))
+                    out[key] = out.get(key, 0) + c * c2
+        return _normal(out)
+
+    return apply
 
 
 def rb_constraints(A: ConformalAlgebra, degree_bound: int,
@@ -321,7 +390,8 @@ def rb_constraints(A: ConformalAlgebra, degree_bound: int,
     one unknown per coefficient; each (d, x)-monomial of each residual
     contributes one equation.  Returns the system and the generic map.
     The equations are read off ``_rb_sums`` in (i, j, m, d-exponent, x-exponent)
-    order; of two equal up to sign, only the first is kept.
+    order; of two equal up to sign, only the first is kept.  A term's monomial
+    is its parameters' positions, then its tag shifted past the parameters.
     """
     n, k1 = A.rank, degree_bound + 1
     if (size := n ** 3 * k1 ** 2) > MAX_RB_SIZE:
@@ -334,26 +404,28 @@ def rb_constraints(A: ConformalAlgebra, degree_bound: int,
     powers = [Poly.var(t, "d", k) for k in range(k1)]
     acc = _rb_sums(t, A.products, [(i, p, ((i * n + p) * k1 + k,), powers[k])
                                    for i in range(n) for p in range(n) for k in range(k1)], weight)
-    monomials = {tag: tuple(map(tag.count, range(len(unknowns)))) for tag in {k[3] for k in acc}}
-    keep = tuple(int(name not in ("d", "x")) for name in t.names)
-    di, xi = t.index["d"], t.index["x"]
-    groups: dict[tuple, dict] = {}  # (i, j, m, d-exponent, x-exponent) -> the equation's terms
+    base, di, xi = len(t.names), t.index["d"], t.index["x"]
+    split: dict[tuple, tuple] = {}  # a term's exponents -> its d- and x-exponent, parameters
+    groups: dict[tuple, dict] = {}  # (i, j, m, d-exponent, x-exponent) -> the equation's row
     for (i, j, m, tag), poly in acc.items():
+        tag = tuple(base + u for u in tag)
         for e, c in poly.terms.items():
-            eq = groups.setdefault((i, j, m, e[di], e[xi]), {})
-            eq[tuple(map(mul, e, keep)) + monomials[tag]] = c
+            if e not in split:
+                split[e] = e[di], e[xi], tuple(
+                    p for p, k in enumerate(e) if p != di and p != xi for _ in range(k))
+            de, xe, params = split[e]
+            groups.setdefault((i, j, m, de, xe), {})[params + tag] = c
     ext = t.extended(unknowns)
-    equations: list[Poly] = []
-    seen: set[frozenset] = set()
+    system, seen = PolySystem(ext, unknowns), set()
     for key in sorted(groups):
         terms = frozenset(groups[key].items())
         if terms not in seen and frozenset((e, -c) for e, c in terms) not in seen:
             seen.add(terms)
-            equations.append(_make(ext, groups[key]))
+            system.rows.append(groups[key])
     D = Poly.var(ext, "d")
     generic = ModuleMap(ext, [[sum(Poly.var(ext, f"t{i}_{j}_{k}") * D ** k for k in range(k1))
                                for j in range(n)] for i in range(n)])
-    return PolySystem(ext, unknowns, equations), generic
+    return system, generic
 
 
 # -- the limited square/linear elimination solver -----------------------------
@@ -372,37 +444,26 @@ class SolveResult(Record):
         return self.status == "solved"
 
 
-def _live(eq: Poly, unknowns: dict[int, str]) -> list | None:
-    """[eq, the unknowns it holds, its match] from one pass over its terms, or
-    None when eq is zero.
+def _live(row: dict, unknowns: dict[int, str]) -> list | None:
+    """[row, the unknowns it holds, its match] from one pass over its terms,
+    or None when the row is zero.
 
     The match is (v, None) for q*v^2, or (v, c) for c*v + rest with v in no
     other term; the square comes first, then the linear unknown first by name.
-    Raises InconsistentSystem when eq is a nonzero constant.
+    Raises InconsistentSystem when the row is a nonzero constant.
     """
-    value = eq.constant_value()
-    if value is not None:
-        if value != 0:
-            raise InconsistentSystem(f"equation reduces to {value}")
-        return None
-    count: dict[int, int] = {}  # unknown -> number of terms that hold it
-    units: dict[int, int | Fraction] = {}  # unknown v -> c of the term c*v
-    positions = range(len(eq.table.names))
-    for exps, c in eq.terms.items():
-        held = list(compress(positions, exps))  # the variables of this term
-        for i in held:
-            if i in unknowns:
-                count[i] = count.get(i, 0) + 1
-        if len(held) == 1 and held[0] in unknowns:
-            if exps[held[0]] == 2 and len(eq.terms) == 1:
-                return [eq, set(count), (held[0], None)]
-            if exps[held[0]] == 1:
-                units[held[0]] = c
-    linear = [i for i in units if count[i] == 1]
-    if not linear:
-        return [eq, set(count), None]
-    v = min(linear, key=unknowns.__getitem__)
-    return [eq, set(count), (v, units[v])]
+    if len(row) < 2:
+        (m, c), = row.items() or [((), 0)]
+        if not m:
+            if c:
+                raise InconsistentSystem(f"equation reduces to {c}")
+            return None
+        if len(m) == 2 and m[0] == m[1] and m[0] in unknowns:
+            return [row, {m[0]}, (m[0], None)]
+    flat = [*chain.from_iterable(row)]  # a unit c*v is in no other term iff v occurs once
+    linear = [m[0] for m in row if len(m) == 1 and m[0] in unknowns and flat.count(m[0]) == 1]
+    v = min(linear, key=unknowns.__getitem__, default=None)
+    return [row, unknowns.keys() & flat, None if v is None else (v, row[(v,)])]
 
 
 def solve_squares(system: PolySystem) -> SolveResult:
@@ -419,17 +480,16 @@ def solve_squares(system: PolySystem) -> SolveResult:
     """
     table = system.table
     unknowns = {table.index[v]: v for v in set(system.unknowns) if v in table.index}
-    assignment: dict[str, Poly] = {}
-    live = [state for state in (_live(eq, unknowns) for eq in system.equations) if state]
+    assignment: dict[int, dict] = {}
+    live = [state for state in (_live(row, unknowns) for row in system.rows) if state]
     while True:
         first = next((state for state in live if state[2] is not None), None)
         if first is None:
             break
-        eq, _, (v, c) = first
-        name = unknowns[v]
-        value = Poly.zero(table) if c is None else eq.coefficient(name, 0) * (Fraction(-1) / c)
-        assignment[name] = value
-        eliminate = Substitution(table, {name: value})
+        row, _, (v, c) = first
+        assignment[v] = {} if c is None else _normal(
+            {m: q * (Fraction(-1) / c) for m, q in row.items() if m != (v,)})
+        eliminate = _substitution({v: assignment[v]})
         kept = []
         for state in live:
             if v in state[1]:
@@ -437,16 +497,16 @@ def solve_squares(system: PolySystem) -> SolveResult:
             if state:
                 kept.append(state)
         live = kept
-    # back-substitute in reverse elimination order, so solved values are unknown-free
-    closed: dict[str, Poly] = {}
-    for name in reversed(assignment):
-        closed[name] = assignment[name].subs(closed)
-    assignment = {name: closed[name] for name in assignment}
+    # back-substitute in reverse elimination order, so solved values are
+    # unknown-free: a value holds no unknown eliminated before its own
+    for v in reversed(assignment):
+        assignment[v] = _substitution(assignment)(assignment[v])
+    solved = {unknowns[v]: _poly(table, row) for v, row in assignment.items()}
     names = set(system.unknowns)
-    fixed = {v for v, p in assignment.items() if not (p.variables() & names)}
+    fixed = {v for v, p in solved.items() if not (p.variables() & names)}
     if not live and fixed == names:
-        return SolveResult("solved", assignment, [])
-    return SolveResult("partial", assignment, [state[0] for state in live])
+        return SolveResult("solved", solved, [])
+    return SolveResult("partial", solved, [_poly(table, state[0]) for state in live])
 
 
 # -- invariant bilinear forms --------------------------------------------------

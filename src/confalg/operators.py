@@ -371,13 +371,14 @@ def _substitution(values: dict[int, dict]):
 
     def apply(row: dict) -> dict:
         out = {m: c for m, c in row.items() if replaced.isdisjoint(m)}
-        for m, c in row.items():
-            if not replaced.isdisjoint(m):
-                rest = tuple(i for i in m if i not in values)
-                for m2, c2 in expand(tuple(i for i in m if i in values)).items():
-                    key = tuple(sorted(rest + m2))
-                    out[key] = out.get(key, 0) + c * c2
-        return _normal(out)
+        touched = [t for t in ((m, c, expand(tuple(i for i in m if i in values)))
+                               for m, c in row.items() if not replaced.isdisjoint(m)) if t[2]]
+        for m, c, expansion in touched:  # a term whose expansion is zero is dropped
+            rest = tuple(i for i in m if i not in values)
+            for m2, c2 in expansion.items():
+                key = tuple(sorted(rest + m2))
+                out[key] = out.get(key, 0) + c * c2
+        return _normal(out) if touched else out
 
     return apply
 
@@ -391,7 +392,7 @@ def rb_constraints(A: ConformalAlgebra, degree_bound: int,
     contributes one equation.  Returns the system and the generic map.
     The equations are read off ``_rb_sums`` in (i, j, m, d-exponent, x-exponent)
     order; of two equal up to sign, only the first is kept.  A term's monomial
-    is its parameters' positions, then its tag shifted past the parameters.
+    is its parameters' positions followed by its tag, the unknowns' positions.
     """
     n, k1 = A.rank, degree_bound + 1
     if (size := n ** 3 * k1 ** 2) > MAX_RB_SIZE:
@@ -402,13 +403,12 @@ def rb_constraints(A: ConformalAlgebra, degree_bound: int,
             raise PreconditionError(f"unknown name {u} collides with an existing variable")
     t = A.table
     powers = [Poly.var(t, "d", k) for k in range(k1)]
-    acc = _rb_sums(t, A.products, [(i, p, ((i * n + p) * k1 + k,), powers[k])
+    base, di, xi = len(t.names), t.index["d"], t.index["x"]  # unknowns follow t's names
+    acc = _rb_sums(t, A.products, [(i, p, (base + (i * n + p) * k1 + k,), powers[k])
                                    for i in range(n) for p in range(n) for k in range(k1)], weight)
-    base, di, xi = len(t.names), t.index["d"], t.index["x"]
     split: dict[tuple, tuple] = {}  # a term's exponents -> its d- and x-exponent, parameters
     groups: dict[tuple, dict] = {}  # (i, j, m, d-exponent, x-exponent) -> the equation's row
     for (i, j, m, tag), poly in acc.items():
-        tag = tuple(base + u for u in tag)
         for e, c in poly.terms.items():
             if e not in split:
                 split[e] = e[di], e[xi], tuple(
@@ -452,18 +452,20 @@ def _live(row: dict, unknowns: dict[int, str]) -> list | None:
     other term; the square comes first, then the linear unknown first by name.
     Raises InconsistentSystem when the row is a nonzero constant.
     """
-    if len(row) < 2:
-        (m, c), = row.items() or [((), 0)]
+    if not row:
+        return None
+    if len(row) == 1:
+        (m, c), = row.items()
         if not m:
-            if c:
-                raise InconsistentSystem(f"equation reduces to {c}")
-            return None
+            raise InconsistentSystem(f"equation reduces to {c}")
         if len(m) == 2 and m[0] == m[1] and m[0] in unknowns:
             return [row, {m[0]}, (m[0], None)]
     flat = [*chain.from_iterable(row)]  # a unit c*v is in no other term iff v occurs once
     linear = [m[0] for m in row if len(m) == 1 and m[0] in unknowns and flat.count(m[0]) == 1]
-    v = min(linear, key=unknowns.__getitem__, default=None)
-    return [row, unknowns.keys() & flat, None if v is None else (v, row[(v,)])]
+    if not linear:
+        return [row, unknowns.keys() & flat, None]
+    v = min(linear, key=unknowns.__getitem__)
+    return [row, unknowns.keys() & flat, (v, row[(v,)])]
 
 
 def solve_squares(system: PolySystem) -> SolveResult:

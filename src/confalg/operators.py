@@ -392,7 +392,7 @@ def rb_constraints(A: ConformalAlgebra, degree_bound: int,
     contributes one equation.  Returns the system and the generic map.
     The equations are read off ``_rb_sums`` in (i, j, m, d-exponent, x-exponent)
     order; of two equal up to sign, only the first is kept.  A term's monomial
-    is its parameters' positions followed by its tag, the unknowns' positions.
+    is its parameters' positions, then its tag shifted past the parameters.
     """
     n, k1 = A.rank, degree_bound + 1
     if (size := n ** 3 * k1 ** 2) > MAX_RB_SIZE:
@@ -403,12 +403,14 @@ def rb_constraints(A: ConformalAlgebra, degree_bound: int,
             raise PreconditionError(f"unknown name {u} collides with an existing variable")
     t = A.table
     powers = [Poly.var(t, "d", k) for k in range(k1)]
-    base, di, xi = len(t.names), t.index["d"], t.index["x"]  # unknowns follow t's names
-    acc = _rb_sums(t, A.products, [(i, p, (base + (i * n + p) * k1 + k,), powers[k])
+    acc = _rb_sums(t, A.products, [(i, p, ((i * n + p) * k1 + k,), powers[k])
                                    for i in range(n) for p in range(n) for k in range(k1)], weight)
+    base, di, xi = len(t.names), t.index["d"], t.index["x"]  # unknowns follow t's names
     split: dict[tuple, tuple] = {}  # a term's exponents -> its d- and x-exponent, parameters
     groups: dict[tuple, dict] = {}  # (i, j, m, d-exponent, x-exponent) -> the equation's row
-    for (i, j, m, tag), poly in acc.items():
+    while acc:  # each sum is freed once its terms are in rows
+        (i, j, m, tag), poly = acc.popitem()
+        tag = tuple(base + u for u in tag)  # a fresh tuple: rows holding the sums' would pin them
         for e, c in poly.terms.items():
             if e not in split:
                 split[e] = e[di], e[xi], tuple(

@@ -354,11 +354,11 @@ class TestRejectedInput:
         ("gd-check", {"gd": {"basis": ["a", "a"], "circ": {}, "lie": {}}}, ()),
         ("check-cocycle", {"algebra": "vir", "form": {"matrix": {"L,L": "d"}}}, ()),
         ("build-semidirect", {"algebra": "hv_lsc1", "representation": "regular_left"}, ()),
-        ("build-semidirect", {"algebra": "vir", "representation": {
-            "module_basis": ["L"], "action": {"L,L": {"L": "d+2*x"}}}}, ()),
         ("solve", {"algebra": "vir"}, ()),
         ("solve", {"system": {}}, ()),
         ("catalog", None, ("hv_rb_family1", "--param", "b=2")),
+        ("build-semidirect", {"algebra": "vir", "representation": {
+            "module_basis": ["L"], "action": {"L,L": {"L": "d+2*x"}}}}, ()),
     ])
     def test_exit_2(self, tmp_path, capsys, command, doc, extra):
         assert run(tmp_path, command, doc, *extra) == 2

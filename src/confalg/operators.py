@@ -447,8 +447,7 @@ class SolveResult(Record):
 
 
 def _live(row: dict, unknowns: dict[int, str]) -> list | None:
-    """[row, the unknowns it holds, its match] from one pass over its terms,
-    or None when the row is zero.
+    """[row, the unknowns it holds, its match], or None when the row is zero.
 
     The match is (v, None) for q*v^2, or (v, c) for c*v + rest with v in no
     other term; the square comes first, then the linear unknown first by name.

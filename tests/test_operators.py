@@ -33,8 +33,8 @@ from confalg import (
     standard_rep,
     sub_adjacent,
 )
-from confalg.io_json import form_from_dict
 from confalg import operators
+from confalg.io_json import form_from_dict
 from confalg.operators import MAX_RB_SIZE
 from confalg.poly import Substitution, UnknownVariable
 

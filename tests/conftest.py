@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -16,12 +17,13 @@ from confalg import (
     Poly,
     Representation,
     VarTable,
+    VarTableMismatch,
     catalog,
     parse,
     standard_rep,
 )
 from confalg.linmap import ModuleMap, NotInvertible
-from confalg.poly import Substitution
+from confalg.poly import Substitution, _make, _normal
 
 
 @pytest.fixture(scope="session")
@@ -272,3 +274,85 @@ def oracle_semidirect(A, rep):
             for k, P in targets.items():
                 put((n + j, i), n + k, skew(P))
     return ConformalAlgebra(A.kind, A.basis + rep.mbasis, t, products)
+
+
+# -- full-width kernel references -------------------------------------------------
+# The kernel's term arithmetic as it was before products and substitutions
+# touched only a term's nonzero exponents: every product key is built across
+# every slot of the table.
+
+def _oracle_check(*polys):
+    if any(q.table != polys[0].table for q in polys):
+        raise VarTableMismatch("polynomials over different variable tables")
+
+
+def oracle_mul(a, b):
+    """Poly * Poly, each product key ``tuple(map(add, e1, e2))``."""
+    _oracle_check(a, b)
+    out = {}
+    get = out.get
+    right = list(b.terms.items())
+    for e1, c1 in a.terms.items():
+        for e2, c2 in right:
+            key = tuple(map(add, e1, e2))
+            out[key] = get(key, 0) + c1 * c2
+    return _make(a.table, _normal(out))
+
+
+def oracle_sums_add(sums, key, a, b=None, sign=1):
+    """``sums.add(key, a, b, sign)``, each product key built full width."""
+    _oracle_check(a, *(() if b is None else (b,)))
+    if a.table != sums.table:
+        raise VarTableMismatch("polynomials over different variable tables")
+    terms = sums.raw.setdefault(key, {})
+    get = terms.get
+    if b is None:
+        for e, c in a.terms.items():
+            terms[e] = get(e, 0) + sign * c
+        return
+    right = b.terms.items()
+    for e1, c1 in a.terms.items():
+        c1 *= sign
+        for e2, c2 in right:
+            e = tuple(map(add, e1, e2))
+            terms[e] = get(e, 0) + c1 * c2
+
+
+def _oracle_pow(q, n):
+    result, base = Poly.const(q.table, 1), q
+    while n:
+        if n & 1:
+            result = oracle_mul(result, base)
+        n >>= 1
+        if n:
+            base = oracle_mul(base, base)
+    return result
+
+
+def oracle_substitute(mapping, p):
+    """``p.subs(mapping)``: each touched term's product of powers of the
+    values, shifted by the term's own powers of the substituted variables and
+    added to the term, full width."""
+    table = p.table
+    values = {}
+    for name, value in mapping.items():
+        if not isinstance(value, Poly):
+            value = Poly.const(table, value)
+        _oracle_check(p, value)
+        values[table.index[name]] = value
+    out = {}
+    get = out.get
+    for exps, c in p.terms.items():
+        prod, shift = None, [0] * len(exps)
+        for i, value in values.items():
+            if e := exps[i]:
+                power = value if e == 1 else _oracle_pow(value, e)
+                prod = power if prod is None else oracle_mul(prod, power)
+                shift[i] = -e
+        if prod is None:
+            out[exps] = get(exps, 0) + c
+            continue
+        for e2, c2 in prod.terms.items():
+            key = tuple(map(add, exps, map(add, e2, shift)))
+            out[key] = get(key, 0) + c * c2
+    return _make(table, _normal(out))

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from confalg import ParseError, Poly, UnknownVariable, VarTable, VarTableMismatch, parse
 from confalg.poly import MAX_PARSE_DEGREE, Substitution, Sums
-from conftest import poly_strategy
+from conftest import oracle_mul, oracle_substitute, oracle_sums_add, poly_strategy
 
 T = VarTable(params=("b",))
 
@@ -293,3 +293,88 @@ class TestSums:
         for a, b in ((foreign, None), (foreign, p("d")), (p("d"), foreign)):
             with pytest.raises(VarTableMismatch):
                 Sums(T).add(0, a, b)
+
+
+# Tables of 8 and 13 slots; each kernel strategy draws over one of them.
+KERNEL_TABLES = (VarTable(), VarTable(params=("a", "b", "c", "e", "f")))
+KERNEL_SCALES = st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-3, 4)])
+
+
+def kernel_polys(table, max_terms=3):
+    """Zero, nonzero constants, single monomials and sums of a few terms, with
+    int and Fraction coefficients, in the slots a product or substitution must
+    keep apart: the first and last of the table, and a middle one."""
+    names = ("d", "x", table.names[-1])
+    return st.builds(lambda q, c: q * c, st.one_of(
+        st.builds(Poly.const, st.just(table), st.integers(-3, 3)),
+        poly_strategy(table, names, max_terms=1),
+        poly_strategy(table, names, max_terms=max_terms)), KERNEL_SCALES)
+
+
+def _items(q: Poly) -> list:
+    """q's terms in their order, each with its coefficient's type."""
+    return [(e, c, type(c)) for e, c in q.terms.items()]
+
+
+def _closed(sums: Sums) -> list:
+    return [(key, _items(q)) for key, q in sums.close().items()]
+
+
+@pytest.mark.parametrize("table", KERNEL_TABLES, ids=("no_params", "five_params"))
+class TestSparseKernel:
+    """Products and substitutions against the full-width bodies they replaced:
+    the same terms, in the same order, with the same coefficient types."""
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_mul(self, table, data):
+        a, b = data.draw(kernel_polys(table)), data.draw(kernel_polys(table))
+        assert _items(a * b) == _items(oracle_mul(a, b))
+        assert (a * b).table is table
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_sums_add(self, table, data):
+        sign = st.sampled_from([1, -1, 3, Fraction(1, 3), Fraction(-2, 5)])
+        adds = data.draw(st.lists(st.tuples(st.integers(0, 2), kernel_polys(table),
+                                            st.none() | kernel_polys(table), sign), max_size=6))
+        sums, oracle = Sums(table), Sums(table)
+        for key, a, b, s in adds:
+            sums.add(key, a, b, s)
+            oracle_sums_add(oracle, key, a, b, s)
+        assert _closed(sums) == _closed(oracle)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_sum_that_cancels(self, table, data):
+        a, b = data.draw(kernel_polys(table)), data.draw(kernel_polys(table))
+        sign = data.draw(KERNEL_SCALES)
+        sums = Sums(table)
+        sums.add(0, a, b, sign)
+        sums.add(0, b, a, -sign)
+        sums.add(1, a * b, None, sign)
+        sums.add(1, Poly.const(table, -sign), a * b)
+        assert sums.close() == {}
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_substitution(self, table, data):
+        names = data.draw(st.lists(st.sampled_from(("d", "x", table.names[-1])),
+                                   min_size=1, max_size=3, unique=True))
+        mapping = {n: data.draw(kernel_polys(table, 2) | KERNEL_SCALES) for n in names}
+        sub = Substitution(table, mapping)
+        polys = [data.draw(kernel_polys(table, 4)) for _ in range(2)]
+        for q in polys + polys:  # the second round reuses the expansions
+            assert _items(sub(q)) == _items(oracle_substitute(mapping, q))
+
+    def test_new_paths_check_tables(self, table):
+        foreign = VarTable(params=("z",))
+        const, mono = Poly.const(foreign, 2), Poly.var(foreign, "d")
+        mine = Poly.const(table, 3)
+        for a, b in ((const, mine), (mine, const), (mono, mine), (mine, mono)):
+            with pytest.raises(VarTableMismatch):
+                a * b
+            with pytest.raises(VarTableMismatch):
+                Sums(table).add(0, a, b)
+        with pytest.raises(VarTableMismatch):
+            Substitution(table, {"d": 1})(const)

@@ -80,7 +80,7 @@ def check_o_operator(T: ModuleMap, rep: Representation, ker_mode: bool = False) 
     return report
 
 
-def _rb_sums(t: VarTable, P: ProductTable, entries: list[tuple], weight=None) -> dict:
+def _rb_sums(t: VarTable, P: ProductTable, entries: list[tuple], weight=None) -> Sums:
     """The weight-alpha Rota-Baxter residual of a map T as four sums over the
     nonzero table entries (p, q) -> l and the map's entries (i, p, tag, T_ip(d)):
 
@@ -88,8 +88,8 @@ def _rb_sums(t: VarTable, P: ProductTable, entries: list[tuple], weight=None) ->
         - sum T_ip(-x) P_pjl T_lm(d) - alpha sum P_ijl T_lm(d);
 
     with no weight, the product [T(e_i)_x e_j] = sum T_ip(-x) P_pjm alone.  A
-    tag is a tuple of unknown indices, () for a concrete map.  The result maps
-    (i, j, m, the sorted tags of a term's factors) to the sum of those terms.
+    tag is a tuple of unknown indices, () for a concrete map.  The accumulator
+    returned is keyed (i, j, m, the sorted tags of a term's factors).
     Each sum is one ``_contract``, with each map entry substituted once at each
     argument; a zero weight skips the last sum.
     """
@@ -112,7 +112,7 @@ def _rb_sums(t: VarTable, P: ProductTable, entries: list[tuple], weight=None) ->
     acc = Sums(t)
     for left, right, out, sign in views:
         _contract(acc, P, {}, place, left, right, out, sign)
-    return acc.close()
+    return acc
 
 
 def _entries(T: ModuleMap) -> list[tuple]:
@@ -129,7 +129,7 @@ def rota_baxter_residuals(A: ConformalAlgebra, T: ModuleMap,
     if T.src_rank != A.rank or T.dst_rank != A.rank:
         raise PreconditionError("map shape does not match the algebra")
     t = A.table
-    sums, n = _rb_sums(t, A.products, _entries(T), weight), range(A.rank)
+    sums, n = _rb_sums(t, A.products, _entries(T), weight).close(), range(A.rank)
     return {(i, j): tuple(sums.get((i, j, m, ()), Poly.zero(t)) for m in n) for i in n for j in n}
 
 
@@ -179,7 +179,7 @@ def induced_lsc(T: ModuleMap, rep: Representation | None = None,
                       _view((n, m, f) for n, m, _, f in _entries(T)))
             return ConformalAlgebra(LEFT_SYMMETRIC, rep.algebra.basis, t, _nest(sums.close()))
     products: ProductTable = {}
-    for (i, j, m, _), p in _rb_sums(t, table, _entries(T)).items():
+    for (i, j, m, _), p in _rb_sums(t, table, _entries(T)).close().items():
         products.setdefault((i, j), {})[m] = p
     return ConformalAlgebra(LEFT_SYMMETRIC, basis, t, products)
 
@@ -408,10 +408,9 @@ def rb_constraints(A: ConformalAlgebra, degree_bound: int,
     base, di, xi = len(t.names), t.index["d"], t.index["x"]  # unknowns follow t's names
     split: dict[tuple, tuple] = {}  # a term's exponents -> its d- and x-exponent, parameters
     groups: dict[tuple, dict] = {}  # (i, j, m, d-exponent, x-exponent) -> the equation's row
-    while acc:  # each sum is freed once its terms are in rows
-        (i, j, m, tag), poly = acc.popitem()
+    for (i, j, m, tag), terms in acc.drain():  # each sum is freed once its terms are in rows
         tag = tuple(base + u for u in tag)  # a fresh tuple: rows holding the sums' would pin them
-        for e, c in poly.terms.items():
+        for e, c in terms.items():
             if e not in split:
                 split[e] = e[di], e[xi], tuple(
                     p for p, k in enumerate(e) if p != di and p != xi for _ in range(k))

@@ -137,7 +137,22 @@ def _make(table: VarTable, terms: dict) -> "Poly":
     res = Poly.__new__(Poly)
     res.table = table
     res.terms = terms
+    res._sparse_terms = None
     return res
+
+
+def _sparse(p: "Poly") -> list:
+    """p's terms as (exponents, coefficient, [(position, nonzero exponent)]), computed once."""
+    if p._sparse_terms is None:
+        p._sparse_terms = [(e, c, [(i, v) for i, v in enumerate(e) if v])
+                           for e, c in p.terms.items()]
+    return p._sparse_terms
+
+
+def _constant(p: "Poly") -> Scalar | None:
+    """The coefficient of a nonzero constant Poly, else None."""
+    if len(p.terms) == 1 and not (s := _sparse(p)[0])[2]:
+        return s[1]
 
 
 class Poly:
@@ -147,10 +162,10 @@ class Poly:
     two equal polynomials have equal term maps.
     """
 
-    __slots__ = ("table", "terms")
+    __slots__ = ("table", "terms", "_sparse_terms")
 
     def __init__(self, table: VarTable, terms: Mapping[tuple[int, ...], Scalar] | None = None):
-        self.table = table
+        self.table, self._sparse_terms = table, None
         clean: dict[tuple[int, ...], Scalar] = {}
         if terms:
             width = len(table.names)
@@ -226,18 +241,26 @@ class Poly:
         return self._coerce(other) - self
 
     def __mul__(self, other: "Poly | Scalar") -> "Poly":
-        if not isinstance(other, Poly):
-            c = _scalar(other)
+        if isinstance(other, Poly):
+            self._check(other)
+            c, rest = _constant(other), self
+            if c is None:
+                c, rest = _constant(self), other
+        else:
+            c, rest = _scalar(other), self
             if c == 0:
                 return Poly(self.table)
-            return _make(self.table, _normal({e: c * v for e, v in self.terms.items()}))
-        self._check(other)
+        if c is not None:  # a constant factor only scales the other's coefficients
+            return _make(self.table, _normal({e: c * v for e, v in rest.terms.items()}))
         out: dict[tuple[int, ...], Scalar] = {}
         get = out.get
-        right = list(other.terms.items())
+        right = _sparse(other)
         for e1, c1 in self.terms.items():
-            for e2, c2 in right:
-                key = tuple(map(add, e1, e2))
+            for _, c2, nz in right:
+                key = [*e1]
+                for i, v in nz:
+                    key[i] += v
+                key = tuple(key)
                 out[key] = get(key, 0) + c1 * c2
         return _make(self.table, _normal(out))
 
@@ -272,13 +295,8 @@ class Poly:
 
     def constant_value(self) -> Fraction | None:
         """The rational value if this polynomial is constant, else None."""
-        if not self.terms:
-            return Fraction(0)
-        if len(self.terms) == 1:
-            (exps, c), = self.terms.items()
-            if not any(exps):
-                return Fraction(c)
-        return None
+        c = _constant(self) if self.terms else 0
+        return None if c is None else Fraction(c)
 
     # -- structure queries -------------------------------------------------
 
@@ -351,16 +369,10 @@ class Poly:
         if not self.terms:
             return "0"
         names = self.table.names
-        ordered = sorted(self.terms, key=lambda e: (-sum(e), tuple(-v for v in e)))
         parts: list[str] = []
-        for exps, if_ in ((e, self.terms[e]) for e in ordered):
-            factors = []
-            for i, e in enumerate(exps):
-                if e == 1:
-                    factors.append(names[i])
-                elif e > 1:
-                    factors.append(f"{names[i]}^{e}")
-            coeff = if_
+        for exps in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
+            factors = [names[i] if e == 1 else f"{names[i]}^{e}" for i, e in enumerate(exps) if e]
+            coeff = self.terms[exps]
             mag = abs(coeff)
             if factors:
                 body = "*".join(factors)
@@ -384,8 +396,8 @@ class Substitution:
 
     Terms are grouped by their exponents in the substituted variables; each
     distinct exponent pattern expands its product of powers once per instance,
-    and terms free of those variables are copied as they are.  A polynomial
-    none of whose terms is touched is returned as it is.
+    as sparse exponent changes, and terms free of those variables are copied
+    as they are.  A polynomial none of whose terms is touched is returned as it is.
     """
 
     __slots__ = ("table", "values", "pick", "untouched", "powers", "expansions")
@@ -432,10 +444,14 @@ class Substitution:
                         prod = powers[i, e] if prod is None else prod * powers[i, e]
                         shift[i] = -e
                 # each product term replaces the term's own powers of the variables
-                expansion = [(tuple(map(add, e2, shift)), c2) for e2, c2 in prod.terms.items()]
+                expansion = [([(i, v) for i, v in enumerate(map(add, e2, shift)) if v], c2)
+                             for e2, c2 in prod.terms.items()]
                 expansions[pattern] = expansion
-            for e2, c2 in expansion:
-                key = tuple(map(add, exps, e2))
+            for nz, c2 in expansion:
+                key = [*exps]
+                for i, v in nz:
+                    key[i] += v
+                key = tuple(key)
                 out[key] = get(key, 0) + c * c2
         return _make(p.table, _normal(out)) if touched else p
 
@@ -443,7 +459,8 @@ class Substitution:
 class Sums:
     """Sums of products, one polynomial per key: ``add`` multiplies term by term
     into the key's raw exponent -> coefficient dict, ``close`` normalises every
-    key once and drops zero sums (Monagan & Pearce, CASC 2007)."""
+    key once and drops zero sums (Monagan & Pearce, CASC 2007).  A product adds
+    the right term's nonzero exponents; a constant factor only scales."""
 
     __slots__ = ("table", "raw")
 
@@ -458,16 +475,31 @@ class Sums:
             raise VarTableMismatch("polynomials over different variable tables")
         terms = self.raw.setdefault(key, {})
         get = terms.get
+        if b is not None:
+            if (c := _constant(b)) is not None:
+                b, sign = None, sign * c
+            elif (c := _constant(a)) is not None:
+                a, b, sign = b, None, sign * c
         if b is None:
             for e, c in a.terms.items():
                 terms[e] = get(e, 0) + sign * c
             return
-        right = b.terms.items()
+        right = _sparse(b)
         for e1, c1 in a.terms.items():
             c1 *= sign
-            for e2, c2 in right:
-                e = tuple(map(add, e1, e2))
+            for _, c2, nz in right:
+                e = [*e1]
+                for i, v in nz:
+                    e[i] += v
+                e = tuple(e)
                 terms[e] = get(e, 0) + c1 * c2
+
+    def drain(self):
+        """Pop each key's nonzero sum as a normal-form term dict, last-added key first."""
+        while self.raw:
+            key, terms = self.raw.popitem()
+            if terms := _normal(terms):
+                yield key, terms
 
     def close(self) -> dict:
         """Each key's nonzero sum as a Poly, in the order keys were first added."""

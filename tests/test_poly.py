@@ -287,6 +287,18 @@ class TestSums:
         for q in closed.values():
             _assert_normal(q)
 
+    @given(adds=st.lists(st.tuples(st.integers(0, 3), rational_polys, rational_polys),
+                         max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_drain_pops_what_close_returns(self, adds):
+        sums = Sums(T)
+        for key, a, b in adds:
+            sums.add(key, a, b)
+        closed = sums.close()
+        drained = list(sums.drain())
+        assert drained == [(key, q.terms) for key, q in reversed(closed.items())]
+        assert not sums.raw and sums.close() == {}
+
     def test_mixed_tables_raise(self):
         other = VarTable(params=("c", "b"))
         foreign = parse(other, "d")
@@ -355,6 +367,7 @@ class TestSparseKernel:
         sums.add(1, a * b, None, sign)
         sums.add(1, Poly.const(table, -sign), a * b)
         assert sums.close() == {}
+        assert list(sums.drain()) == [] and not sums.raw
 
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)

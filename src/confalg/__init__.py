@@ -11,8 +11,8 @@ from .catalog import catalog
 
 # submodule -> the public names it provides
 _EXPORTS = {
-    "algebra": "LEFT_SYMMETRIC LIE AlgebraError ConformalAlgebra PreconditionError bracket "
-               "check_axioms mul_at sub_adjacent",
+    "algebra": "LEFT_SYMMETRIC LIE AlgebraError ConformalAlgebra PreconditionError "
+               "apply_bilinear check_axioms sub_adjacent",
     "catalog": "CatalogEntry UnknownEntry catalog",
     "coeff": "OUT_OF_WINDOW CoeffWindow nth_products window_checks",
     "gd": "GDBialgebra NotQuadratic ProbeResult algebra_from_gd check_gd gd_from_algebra "
@@ -25,7 +25,7 @@ _EXPORTS = {
     "report": "CheckItem Report",
     "reps": "Representation check_rep dual_rep semidirect standard_rep with_zero_right",
     "tensor": "Tensor2 Tensor3 canonical_skew_tensor canonical_sym_tensor cobracket_from_r "
-              "cybe_residual flip normal_form3 parts r_from_t s_residual t_from_r",
+              "cybe_residual flip parts r_from_t s_residual t_from_r",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -9,11 +9,13 @@ basis pairs by polynomials P_ijk(d, x), meaning
 where d acts on the output basis element and x is the bracket argument.
 Products of general elements follow from two extension rules: a power of d
 on the first argument becomes (-x)^m, on the second argument (x + d)^m.
-``apply_bilinear`` evaluates such products, at shifted arguments like -x-d
-too, as one contraction of the table with the two elements viewed at their
-shifted derivations.  It serves general elements (``mul_at``, ``bracket``,
-the module actions and ``BilinearForm.eval_at``); its dense reference, which
-expands at a reserved variable first, lives with the tests.
+``apply_bilinear`` is the one entry for general elements: it evaluates the
+product a_lam b of an algebra (its own table), the action of an algebra
+element on a module element (a module table, out rank the module's) and a
+form's value (a form's ``products``, ``out=0``), at shifted arguments like
+-x-d too, as one contraction of the table with the two elements viewed at
+their shifted derivations.  Its dense reference, which expands at a reserved
+variable first, lives with the tests.
 
 Every identity check evaluates all its basis tuples at once through one
 table contraction, ``_contract``: a sum over the nonzero table entries
@@ -70,10 +72,6 @@ class ConformalAlgebra(Record):
     def product(self, i: int, j: int) -> dict[int, Poly]:
         return self.products.get((i, j), {})
 
-    def zero_vector(self) -> Vector:
-        z = Poly.zero(self.table)
-        return (z,) * self.rank
-
     def basis_vector(self, i: int) -> Vector:
         return unit_vector(self.table, self.rank, i)
 
@@ -112,7 +110,8 @@ def apply_bilinear(
     by default, or ``0`` for a scalar-valued form.  One ``_contract`` of the
     table at x := lam (and d := out) with the two elements viewed at
     d := -lam and d := lam + out; the substitutions are simultaneous, so lam
-    may hold d.
+    may hold d.  A product of A passes A's table and rank, a module action a
+    module table and the module's rank, a form its ``products``, 1 and ``out=0``.
     """
     dout = Poly.var(table, out) if isinstance(out, str) else Poly.const(table, out)
     sums = Sums(table)
@@ -121,16 +120,6 @@ def apply_bilinear(
               _view(((j, 0, g) for j, g in enumerate(b)), {"d": lam + dout}))
     acc, zero = sums.close(), Poly.zero(table)
     return tuple(acc.get(k, zero) for k in range(out_rank))
-
-
-def mul_at(A: ConformalAlgebra, a: Vector, b: Vector, lam: Poly) -> Vector:
-    """The lambda-product a_lam b of two elements of A."""
-    return apply_bilinear(A.table, A.products, a, b, lam, A.rank)
-
-
-def bracket(A: ConformalAlgebra, a: Vector, b: Vector) -> Vector:
-    """a_x b as an element-valued polynomial in the bracket argument x."""
-    return mul_at(A, a, b, Poly.var(A.table, "x"))
 
 
 def _contract(sums: Sums, products: ProductTable, at: dict, place, left: dict | None = None,

@@ -141,21 +141,6 @@ class CoeffWindow(Record):
                     for k, poly in enumerate(vec) if not poly.is_zero)
         return self._cache[key]
 
-    def bracket(self, a, b):
-        """Bilinear product of window elements; OutOfWindow propagates."""
-        if a is OUT_OF_WINDOW or b is OUT_OF_WINDOW:
-            return OUT_OF_WINDOW
-        out = Sums(self.algebra.table)
-        for (i, m), ca in a.items():
-            for (j, n), cb in b.items():
-                piece = self._pair_bracket(i, m, j, n)
-                if piece is OUT_OF_WINDOW:
-                    return OUT_OF_WINDOW
-                scale = ca * cb
-                for key, c in piece.items():
-                    out.add(key, scale, c)
-        return out.close()
-
     def lift_map(self, T: ModuleMap):
         """The operator a_n -> T(a)_n, with d-powers reduced into index shifts."""
         if T.src_rank != self.algebra.rank or T.dst_rank != self.algebra.rank:

@@ -5,7 +5,8 @@ identity iff the listed residual polynomials are all zero, and identities
 checked with free parameters left symbolic hold for every value at once.
 Every identity and every table ``induced_lsc`` builds is a few
 ``algebra._contract`` sums over nonzero table entries, with a map's entries
-viewed by row or column; ``BilinearForm.eval_at`` serves general elements.
+viewed by row or column; a form's value on general elements is
+``algebra.apply_bilinear`` of its ``products`` with ``out=0``.
 The constraint generator turns the Rota-Baxter identity for an undetermined
 polynomial operator into a plain polynomial system in its coefficients,
 solved (when possible) by a deliberately small elimination loop.
@@ -29,7 +30,6 @@ from .algebra import (
     _nested,
     _residual,
     _view,
-    apply_bilinear,
 )
 from .linmap import ConformalLinearMap, ModuleMap, NotInvertible, _matmul, invert_module_map
 from .poly import Poly, Record, Substitution, Sums, VarTable, VarTableMismatch, _make, _normal
@@ -191,8 +191,11 @@ class BilinearForm(Record):
 
     Conformal bilinearity is definitional through the extension rule
     form(d^s e_i, d^t e_j) at x = (-x)^s x^t B_ij(x), so only the basis
-    matrix is stored; its entries may use only x and parameters.  A 2-cocycle
-    form carries its ``kind`` ("lie" or "lsc"), which fixes its symmetry law.
+    matrix is stored; its entries may use only x and parameters.  ``products``
+    holds the nonzero entries as a table with one output, the form ``F`` of
+    ``cocycle_check``'s chain sums; ``apply_bilinear`` of it with ``out=0``
+    evaluates the form on general elements.  A 2-cocycle form carries its
+    ``kind`` ("lie" or "lsc"), which fixes its symmetry law.
     """
 
     _uncompared = ("products",)
@@ -213,10 +216,6 @@ class BilinearForm(Record):
 
     def entry(self, i: int, j: int) -> Poly:
         return self.matrix[i][j]
-
-    def eval_at(self, a: Vector, b: Vector, lam: Poly) -> Poly:
-        """form(a, b) at argument lam for elements with d-dependent coefficients."""
-        return apply_bilinear(self.table, self.products, a, b, lam, 1, out=0)[0]
 
     def induced_map(self) -> ModuleMap:
         """The map into the dual, a matrix over d: row i is B_ij(-d)."""

@@ -16,15 +16,12 @@ from .algebra import (
     ConformalAlgebra,
     PreconditionError,
     ProductTable,
-    Vector,
     _contract,
     _nest,
     _nested,
     _residual,
-    apply_bilinear,
     clean_table,
     sub_adjacent,
-    unit_vector,
 )
 from .poly import Poly, Record, Sums
 from .report import Report
@@ -61,9 +58,6 @@ class Representation(Record):
     def mrank(self) -> int:
         return len(self.mbasis)
 
-    def mbasis_vector(self, j: int) -> Vector:
-        return unit_vector(self.algebra.table, self.mrank, j)
-
     def map_polys(self, fn) -> "Representation":
         def conv(tbl):
             if tbl is None:
@@ -72,18 +66,6 @@ class Representation(Record):
 
         A = self.algebra.map_polys(fn)
         return Representation(A, self.mbasis, conv(self.rho), conv(self.left), conv(self.right))
-
-
-def act_at(rep: Representation, table: ProductTable, a: Vector, w: Vector,
-           lam: Poly) -> Vector:
-    """Action of algebra element ``a`` on module element ``w`` at argument lam."""
-    return apply_bilinear(rep.algebra.table, table, a, w, lam, rep.mrank)
-
-
-def act(rep: Representation, a: Vector, w: Vector, lam: Poly) -> Vector:
-    if not rep.is_lie:
-        raise AlgebraError("plain action is defined for lie-kind representations")
-    return act_at(rep, rep.rho, a, w, lam)
 
 
 def check_rep(rep: Representation) -> Report:

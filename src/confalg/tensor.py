@@ -3,8 +3,8 @@
 A tensor-square element is a table of coefficients f_ij(d1, d2) per basis
 pair, with d1 the derivation acting on the first slot and d2 on the second;
 a cube element likewise in d1, d2, d3.  Identities on the cube hold modulo
-the diagonal derivation d1 + d2 + d3, which the normal form eliminates by
-substituting d3 := -d1 - d2.
+the diagonal derivation d1 + d2 + d3, so every residual here is built in
+normal form, with d3 := -d1 - d2 substituted (``Tensor3.reduced``).
 
 The quadratic expressions evaluated here place each product or bracket of
 two tensor factors in a fixed slot at an argument mu given by the slot
@@ -13,8 +13,8 @@ second factor's mu + d_slot, and the table's d becomes d_slot, while passive
 slots keep their own variable.  Once the argument is fixed every factor is a
 plain substitution, taken directly at d3 := -d1 - d2, so each term is one
 ``algebra._contract`` of the table with the entries of r viewed by row or
-column, each entry and table value substituted once per term, as
-``apply_bilinear`` does for two general elements.
+column, each entry and table value substituted once per term, as the
+general-element entry ``algebra.apply_bilinear`` does for two elements.
 """
 
 from __future__ import annotations
@@ -74,15 +74,6 @@ class Tensor3(Record):
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-
-def normal_form3(t: Tensor3) -> Tensor3:
-    """Reduce modulo the diagonal derivation: substitute d3 := -d1-d2."""
-    if t.reduced:
-        return t
-    table = t.algebra.table
-    reduce = Substitution(table, {"d3": -Poly.var(table, "d1") - Poly.var(table, "d2")})
-    return Tensor3(t.algebra, {k: reduce(p) for k, p in t.coeffs.items()}, reduced=True)
 
 
 class Parts(Record):

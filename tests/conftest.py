@@ -9,6 +9,7 @@ import pytest
 from hypothesis import strategies as st
 
 from confalg import (
+    OUT_OF_WINDOW,
     ConformalAlgebra,
     GDBialgebra,
     LIE,
@@ -16,6 +17,7 @@ from confalg import (
     PreconditionError,
     Poly,
     Representation,
+    Tensor3,
     VarTable,
     VarTableMismatch,
     catalog,
@@ -23,7 +25,7 @@ from confalg import (
     standard_rep,
 )
 from confalg.linmap import ModuleMap, NotInvertible
-from confalg.poly import Substitution, _make, _normal
+from confalg.poly import Substitution, Sums, _make, _normal
 
 
 @pytest.fixture(scope="session")
@@ -166,6 +168,34 @@ def oracle_apply_bilinear(table, products, a, b, lam, out_rank, out="d"):
             for k, P in targets.items():
                 acc[k] = acc[k] + prod * at_z(P)
     return tuple(map(Substitution(table, {"z1": lam}), acc))
+
+
+def normal_form3(t):
+    """Reduce a cube modulo the diagonal derivation: substitute d3 := -d1-d2.
+    The residuals of ``confalg.tensor`` are built reduced; the oracles that
+    expand a cube first reduce it with this."""
+    if t.reduced:
+        return t
+    table = t.algebra.table
+    reduce = Substitution(table, {"d3": -Poly.var(table, "d1") - Poly.var(table, "d2")})
+    return Tensor3(t.algebra, {k: reduce(p) for k, p in t.coeffs.items()}, reduced=True)
+
+
+def window_bracket(w, a, b):
+    """Bilinear product of the window elements a and b of ``w``, through its
+    memoised unit-pair products; OUT_OF_WINDOW propagates."""
+    if a is OUT_OF_WINDOW or b is OUT_OF_WINDOW:
+        return OUT_OF_WINDOW
+    out = Sums(w.algebra.table)
+    for (i, m), ca in a.items():
+        for (j, n), cb in b.items():
+            piece = w._pair_bracket(i, m, j, n)
+            if piece is OUT_OF_WINDOW:
+                return OUT_OF_WINDOW
+            scale = ca * cb
+            for key, c in piece.items():
+                out.add(key, scale, c)
+    return out.close()
 
 
 def oracle_apply_matrix(matrix, w, table):

@@ -9,6 +9,8 @@ per-criterion lines.
 import functools
 from fractions import Fraction
 
+import pytest
+
 from confalg import (
     ConformalAlgebra,
     ConformalLinearMap,
@@ -45,7 +47,7 @@ from confalg import (
 )
 from confalg.coeff import OUT_OF_WINDOW, CoeffWindow, window_checks
 from confalg.gd import GDBialgebra
-from conftest import builtin_representations
+from conftest import builtin_representations, window_bracket
 
 
 def criterion(num, title):
@@ -71,16 +73,41 @@ def P(text):
     return parse(T, text)
 
 
-VIR = catalog("vir", table=T).algebra
-HV = catalog("hv", table=T).algebra
-FAMILY1 = catalog("hv_rb_family1", table=T).linmap
-FAMILY2 = catalog("hv_rb_family2", table=T).linmap
-LSC1 = catalog("hv_lsc1", table=T).algebra
-LSC2 = catalog("hv_lsc2", table=T).algebra
+# The catalog inputs are built when a criterion first asks for them, not at
+# import, so that a fault in building one fails the criteria that use it one
+# by one instead of the whole module at collection.
+@pytest.fixture(scope="module")
+def VIR():
+    return catalog("vir", table=T).algebra
+
+
+@pytest.fixture(scope="module")
+def HV():
+    return catalog("hv", table=T).algebra
+
+
+@pytest.fixture(scope="module")
+def FAMILY1():
+    return catalog("hv_rb_family1", table=T).linmap
+
+
+@pytest.fixture(scope="module")
+def FAMILY2():
+    return catalog("hv_rb_family2", table=T).linmap
+
+
+@pytest.fixture(scope="module")
+def LSC1():
+    return catalog("hv_lsc1", table=T).algebra
+
+
+@pytest.fixture(scope="module")
+def LSC2():
+    return catalog("hv_lsc2", table=T).algebra
 
 
 @criterion(1, "axiom suite: builtins pass, the skew mutant fails with a residual")
-def test_criterion_1():
+def test_criterion_1(VIR, HV):
     assert check_axioms(VIR).ok
     assert check_axioms(HV).ok
     mutant = ConformalAlgebra("lie", ("L",), T, {(0, 0): {0: P("d+3*x")}})
@@ -91,7 +118,7 @@ def test_criterion_1():
 
 
 @criterion(2, "both weight-0 operator families hold identically in their parameters")
-def test_criterion_2():
+def test_criterion_2(HV, FAMILY1, FAMILY2):
     from confalg.operators import rota_baxter_residuals
 
     for name, op in (("family1", FAMILY1), ("family2", FAMILY2)):
@@ -102,7 +129,7 @@ def test_criterion_2():
 
 
 @criterion(3, "induced left-symmetric products match the displayed tables")
-def test_criterion_3():
+def test_criterion_3(HV, FAMILY1, FAMILY2):
     A1 = induced_lsc(FAMILY1, mode="rb", algebra=HV)
     assert A1.product(0, 0) == {0: P("-b*(d+2*x)"), 1: P("-b*x")}
     assert A1.product(0, 1) == {1: P("-b*(d+x)")}
@@ -117,7 +144,7 @@ def test_criterion_3():
 
 
 @criterion(4, "canonical skew tensor solves the Yang-Baxter equation in the rank-4 sum")
-def test_criterion_4():
+def test_criterion_4(LSC1, LSC2):
     for A in (LSC1, LSC2):
         g = sub_adjacent(A)
         dual = dual_rep(standard_rep(A, "regular_left"))
@@ -127,7 +154,7 @@ def test_criterion_4():
 
 
 @criterion(5, "canonical symmetric tensor solves the S-equation in the rank-4 sum")
-def test_criterion_5():
+def test_criterion_5(LSC1, LSC2):
     for A in (LSC1, LSC2):
         dual = dual_rep(standard_rep(A, "regular_left"))
         S = semidirect(A, with_zero_right(A, dual))
@@ -136,7 +163,7 @@ def test_criterion_5():
 
 
 @criterion(6, "operator dictionary: both directions, and the argument-part invariance")
-def test_criterion_6():
+def test_criterion_6(HV, FAMILY1):
     rep = standard_rep(HV, "adjoint")
     # verified operator at zero argument, arbitrary argument-linear part
     X, D = P("x"), P("d")
@@ -160,7 +187,7 @@ def test_criterion_6():
 
 
 @criterion(7, "rank-1 classification: every operator coefficient is forced to zero")
-def test_criterion_7():
+def test_criterion_7(VIR):
     system, _ = rb_constraints(VIR, 3, 0)
     result = solve_squares(system)
     assert result.solved
@@ -179,7 +206,7 @@ def test_criterion_7():
 
 
 @criterion(8, "non-degenerate solutions induce 2-cocycles with the displayed values")
-def test_criterion_8():
+def test_criterion_8(LSC1, LSC2):
     for A in (LSC1, LSC2):
         n = A.rank
         g = sub_adjacent(A)
@@ -210,21 +237,21 @@ def test_criterion_8():
 
 
 @criterion(9, "index window: textbook relations, Jacobi, and the lifted operator")
-def test_criterion_9():
+def test_criterion_9(HV, FAMILY1):
     w = CoeffWindow(HV, 6, shifts={0: 1, 1: 0})
     one = Poly.const(T, 1)
     checked = 0
     for m in range(-4, 5):
         for n in range(-4, 5):
-            ll = w.bracket(w.unit(0, m), w.unit(0, n))
+            ll = window_bracket(w, w.unit(0, m), w.unit(0, n))
             if ll is not OUT_OF_WINDOW:
                 assert ll == ({} if m == n else {(0, m + n): one * (m - n)})
                 checked += 1
-            lw = w.bracket(w.unit(0, m), w.unit(1, n))
+            lw = window_bracket(w, w.unit(0, m), w.unit(1, n))
             if lw is not OUT_OF_WINDOW:
                 assert lw == ({} if n == 0 else {(1, m + n): one * (-n)})
                 checked += 1
-            ww = w.bracket(w.unit(1, m), w.unit(1, n))
+            ww = window_bracket(w, w.unit(1, m), w.unit(1, n))
             if ww is not OUT_OF_WINDOW:
                 assert ww == {}
     assert checked > 100
@@ -234,7 +261,7 @@ def test_criterion_9():
 
 
 @criterion(10, "bialgebra dictionary: exact round trips and the zero-divisor probes")
-def test_criterion_10():
+def test_criterion_10(VIR, HV):
     for A in (VIR, HV):
         V = gd_from_algebra(A)
         back = algebra_from_gd(V)
@@ -248,7 +275,7 @@ def test_criterion_10():
 
 
 @criterion(11, "every builtin representation dualizes and every semidirect sum closes")
-def test_criterion_11():
+def test_criterion_11(LSC1, LSC2):
     reps = builtin_representations(T)
     assert len(reps) >= 6
     for name, rep in reps.items():

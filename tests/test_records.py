@@ -15,6 +15,7 @@ from confalg import (
     ConformalLinearMap,
     GDBialgebra,
     ModuleMap,
+    Poly,
     PolySystem,
     ProbeResult,
     Report,
@@ -116,7 +117,7 @@ def test_mutable_defaults_are_not_shared(vir, hv):
     c.residuals.append(("(L)", "x"))
     assert d.residuals == [] and c != d
     s, u = PolySystem(vir.table, ()), PolySystem(vir.table, ())
-    s.equations.append(vir.zero_vector()[0])
+    s.equations.append(Poly.zero(vir.table))
     assert u.equations == []
     v, w = CoeffWindow(hv, 1), CoeffWindow(hv, 1)
     v.shifts[0] = 1

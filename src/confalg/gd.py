@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 
 from .algebra import (LEFT_SYMMETRIC, LIE, ConformalAlgebra, PreconditionError, _nest,
-                      _nested, _residual, check_axioms)
+                      _nested, check_axioms)
 from .linmap import ModuleMap, kernel
 from .operators import rota_baxter_residuals
 from .poly import Poly, Record, Sums, VarTable
@@ -89,12 +89,12 @@ def check_gd(V: GDBialgebra) -> Report:
 
     report = Report()
     triples = (V.basis,) * 3
-    report.sweep("novikov_right_commutativity", triples, _residual(right_commutativity),
+    report.sweep("novikov_right_commutativity", triples, _nest(right_commutativity.close()),
                  V.basis)
     for item in check_axioms(novikov).checks + check_axioms(lie).checks:
         item.name = _AXIOM_NAMES[item.name]
         report.checks.append(item)
-    report.sweep("compatibility", triples, _residual(compatibility), V.basis)
+    report.sweep("compatibility", triples, _nest(compatibility.close()), V.basis)
     return report
 
 
@@ -242,7 +242,7 @@ def rb_gd_check(V: GDBialgebra, T: ModuleMap, weight: Poly | Fraction | int = 0)
     report = Report()
     for name, A in zip(("rota_baxter_novikov", "rota_baxter_lie"), _algebras(V)):
         res = rota_baxter_residuals(A, T, weight)
-        report.sweep(name, (V.basis,) * 2, lambda i, j, res=res: res[i, j], V.basis)
+        report.sweep(name, (V.basis,) * 2, res, V.basis)
     lifted = rota_baxter_residuals(algebra_from_gd(V, checked=False), T, weight)
-    report.sweep("lifted_rota_baxter", (V.basis,) * 2, lambda i, j: lifted[i, j], V.basis)
+    report.sweep("lifted_rota_baxter", (V.basis,) * 2, lifted, V.basis)
     return report

@@ -2,7 +2,7 @@
 
 A check passes iff every residual is the zero polynomial.  Failures keep the
 offending basis label and the rendered residual so every failed check is a
-reproducible input.  ``Report.sweep`` enumerates and labels basis tuples.
+reproducible input.  ``Report.sweep`` labels the nonzero residuals of basis tuples.
 """
 
 from __future__ import annotations
@@ -52,19 +52,28 @@ class Report(Record):
         self.checks.append(item)
         return item
 
-    def sweep(self, name: str, axes: tuple[tuple[str, ...], ...], residual,
+    def sweep(self, name: str, axes: tuple[tuple[str, ...], ...], residuals,
               targets=None, label: str | None = None) -> CheckItem:
-        """Check `name`: run residual(*idx) on every index tuple over `axes`.
+        """Check `name` on every index tuple over `axes`, the names of each index.
 
-        `axes` holds the names of each index.  A residual is a polynomial, a
-        vector over `targets` (see `CheckItem.add_vector`), or None to skip the
-        instance.  A nonzero residual is labelled label.format(*names), by
-        default "(a,b,...)".  The item counts the instances evaluated and skipped.
-        """
-        item = self.new_check(name)
+        `residuals` maps index tuples to residuals (a missing one is zero) and
+        only its keys are visited, or is run as residuals(*idx) on every tuple
+        and may return None to skip it.  A residual is a polynomial or a vector
+        over `targets` (see `CheckItem.add_vector`).  Nonzero ones are labelled
+        label.format(*names), by default "(a,b,...)", in tuple order.  The item
+        counts the instances evaluated and skipped."""
         label = label or "(" + ",".join(["{}"] * len(axes)) + ")"
-        for idx in itertools.product(*(range(len(axis)) for axis in axes)):
-            res = residual(*idx)
+        shape = tuple(map(len, axes))
+        if callable(residuals):
+            entries = ((idx, residuals(*idx)) for idx in itertools.product(*map(range, shape)))
+        else:
+            for idx in residuals:
+                if not (isinstance(idx, tuple) and len(idx) == len(shape)
+                        and all(isinstance(i, int) and 0 <= i < n for i, n in zip(idx, shape))):
+                    raise ValueError(f"check {name!r}: residual key {idx!r} is outside its axes")
+            entries = ((idx, residuals[idx]) for idx in sorted(residuals))
+        item = self.new_check(name)
+        for idx, res in entries:
             if res is None:
                 item.skipped += 1
                 continue
@@ -76,7 +85,7 @@ class Report(Record):
                 item.add(basis, res)
             else:
                 item.add_vector(basis, targets, res)
-        item.evaluated = math.prod(map(len, axes)) - item.skipped
+        item.evaluated = math.prod(shape) - item.skipped
         return item
 
     def to_dict(self) -> dict:

@@ -234,9 +234,8 @@ def cobracket_from_r(A: ConformalAlgebra, r: Tensor2, a: Vector) -> Tensor2:
 
 def tensor3_report(name: str, t: Tensor3) -> Report:
     """One check whose residuals are the nonzero entries of a cube element."""
-    zero = Poly.zero(t.algebra.table)
     report = Report()
-    report.sweep(name, (t.algebra.basis,) * 3, lambda i, j, k: t.coeffs.get((i, j, k), zero))
+    report.sweep(name, (t.algebra.basis,) * 3, t.coeffs)
     return report
 
 

@@ -10,6 +10,7 @@ import contextlib
 import copy
 import io
 import json
+from functools import cache
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -37,9 +38,12 @@ def _entry_doc(name: str) -> dict:
     return doc
 
 
-def _base_documents() -> list[tuple[dict, list[str]]]:
+@cache
+def base_documents() -> list[tuple[dict, list[str]]]:
     """Small valid documents, each with the commands it feeds; between them
-    they feed every command in COMMANDS."""
+    they feed every command in COMMANDS.  Built at the first draw, not at
+    import, so that a fault in building a catalog entry fails the tests one by
+    one instead of the module at collection."""
     readme = dict(README_EXAMPLE, representation="adjoint",
                   element={"L": "b", "W": "d"}, form={"matrix": {"L,L": "x^3"}, "kind": "lie"},
                   tensor={"entries": [{"i": "L", "j": "W", "c": "d1"}]})
@@ -56,8 +60,6 @@ def _base_documents() -> list[tuple[dict, list[str]]]:
             (lsc, ["check-cybe", "check-cocycle", "cobracket"]),
             (gd, ["gd-check"])]
 
-
-BASE_DOCUMENTS = _base_documents()
 
 REPLACEMENTS = st.one_of(
     st.lists(st.sampled_from(["L", "W", 1, None]), max_size=2),
@@ -81,7 +83,7 @@ def _paths(node, prefix=()):
 @st.composite
 def fuzzed_cases(draw):
     """A command and a document that fed it before 1-3 replacements."""
-    base, commands = draw(st.sampled_from(BASE_DOCUMENTS))
+    base, commands = draw(st.sampled_from(base_documents()))
     doc = copy.deepcopy(base)
     for _ in range(draw(st.integers(1, 3))):
         *parents, last = draw(st.sampled_from(list(_paths(doc))))
@@ -107,8 +109,8 @@ def _run(doc_path, command: str, doc: dict, extra=()) -> tuple[int, str]:
 
 def test_base_documents_feed_every_command(doc_path):
     """Unchanged, each base document runs each of its commands to a verdict."""
-    assert {c for _, commands in BASE_DOCUMENTS for c in commands} == set(COMMANDS)
-    for doc, commands in BASE_DOCUMENTS:
+    assert {c for _, commands in base_documents() for c in commands} == set(COMMANDS)
+    for doc, commands in base_documents():
         for command in commands:
             assert _run(doc_path, command, doc)[0] in (0, 1), command
 

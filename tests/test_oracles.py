@@ -40,7 +40,7 @@ import importlib
 import itertools
 import pkgutil
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from unittest import mock
 
 import pytest
@@ -116,9 +116,22 @@ from conftest import (
 )
 
 T = VarTable(params=("b", "g0", "g1", "g2", "g3"))
-LIE_ENTRY = catalog("hv_lsc1_skew_r", table=T)
-LSC_ENTRY = catalog("hv_lsc2_sym_r", table=T)
-RANK = LIE_ENTRY.algebra.rank
+
+
+# Catalog inputs are built when a test first asks for them, not at import, so
+# that a fault in building one (the catalog verifies its entries) fails the
+# tests that use it one by one instead of the whole module at collection.
+@cache
+def entry(name):
+    return catalog(name, table=T)
+
+
+def lie_entry():
+    return entry("hv_lsc1_skew_r")
+
+
+def lsc_entry():
+    return entry("hv_lsc2_sym_r")
 
 
 # -- reference oracles ---------------------------------------------------------
@@ -392,19 +405,20 @@ def oracle_check_rep(rep):
 
 # -- inputs --------------------------------------------------------------------
 
-index = st.integers(0, RANK - 1)
+def _square(cell):
+    """Lists of as many cells as both entries' rank, which is read at the first draw."""
+    return st.deferred(lambda: st.lists(cell, min_size=lie_entry().algebra.rank,
+                                        max_size=lie_entry().algebra.rank))
+
+
+index = st.deferred(lambda: st.integers(0, lie_entry().algebra.rank - 1))
 slot_poly = poly_strategy(T, names=("d1", "d2", "b"), max_terms=3, max_degree=2)
 bumps = st.dictionaries(st.tuples(index, index), slot_poly, max_size=4)
-element = st.lists(poly_strategy(T, names=("d", "b"), max_terms=3, max_degree=2),
-                   min_size=RANK, max_size=RANK)
-form_matrix = st.lists(st.lists(poly_strategy(T, names=("x", "b"), max_terms=3, max_degree=2),
-                                min_size=RANK, max_size=RANK),
-                       min_size=RANK, max_size=RANK)
+element = _square(poly_strategy(T, names=("d", "b"), max_terms=3, max_degree=2))
+form_matrix = _square(_square(poly_strategy(T, names=("x", "b"), max_terms=3, max_degree=2)))
 X, Y, D = (Poly.var(T, n) for n in ("x", "y", "d"))
 form_cell = poly_strategy(T, names=("x", "b"), max_terms=2, max_degree=2)
 arguments = st.sampled_from([X, -X, Y, X + Y, X - D, -X - D])
-# the library's form type, as cocycle_from_r returns it; tests replace its matrix
-FORM = cocycle_from_r(LIE_ENTRY.algebra, LIE_ENTRY.tensor, "lie")
 BUMP = {(0, 2): Poly.var(T, "d1") * Poly.var(T, "b"), (3, 1): Poly.var(T, "d2") + 1}
 
 
@@ -415,10 +429,11 @@ BUMP = {(0, 2): Poly.var(T, "d1") * Poly.var(T, "b"), (3, 1): Poly.var(T, "d2") 
 PERTURBED = {"hv_lsc1": (0, 1), "hv_lsc2": (1, 0)}
 
 
+@cache
 def rank8_sums(fam):
     """(Sk, rk, Ss, rs): the Lie and left-symmetric doubles of S2 with their
     canonical tensors, and the regular module of S2."""
-    A = catalog(fam, table=T).algebra
+    A = entry(fam).algebra
     S2 = semidirect(A, with_zero_right(A, dual_rep(standard_rep(A, "regular_left"))),
                     checked=False)
     regular = standard_rep(S2, "regular_left")
@@ -459,23 +474,25 @@ def rank8_s_tensors(fam):
             "raw": Tensor2(Ss, r_from_t(dense, regular, "raw").coeffs)}
 
 
-def cocycle_inputs():
-    """(label, algebra, tensor, kind): the four rank-4 catalog tensors and the
-    canonical tensors of both rank-8 doubles, whose cocycles pass."""
-    for name, kind in (("hv_lsc1_skew_r", "lie"), ("hv_lsc2_skew_r", "lie"),
-                       ("hv_lsc1_sym_r", "lsc"), ("hv_lsc2_sym_r", "lsc")):
-        e = catalog(name, table=T)
-        yield name, e.algebra, e.tensor, kind
-    for fam in PERTURBED:
+# the four rank-4 catalog tensors and the canonical tensors of both rank-8
+# doubles, whose cocycles pass
+CATALOG_COCYCLES = {"hv_lsc1_skew_r": "lie", "hv_lsc2_skew_r": "lie",
+                    "hv_lsc1_sym_r": "lsc", "hv_lsc2_sym_r": "lsc"}
+COCYCLE_LABELS = (*CATALOG_COCYCLES,
+                  *(f"S2.{fam}.{shape}8" for fam in PERTURBED for shape in ("skew", "sym")))
+
+
+@cache
+def cocycle_input(label):
+    """(algebra, form): the cocycle of the tensor a label of COCYCLE_LABELS names."""
+    if label in CATALOG_COCYCLES:
+        e = entry(label)
+        A, r, kind = e.algebra, e.tensor, CATALOG_COCYCLES[label]
+    else:
+        _, fam, shape = label.split(".")
         Sk, rk, Ss, rs, _ = rank8_sums(fam)
-        yield f"S2.{fam}.skew8", Sk, rk, "lie"
-        yield f"S2.{fam}.sym8", Ss, rs, "lsc"
-
-
-COCYCLE_INPUTS = {label: (A, cocycle_from_r(A, r, kind)) for label, A, r, kind in cocycle_inputs()}
-
-
-HV = catalog("hv", table=T).algebra
+        A, r, kind = (Sk, rk, "lie") if shape == "skew8" else (Ss, rs, "lsc")
+    return A, cocycle_from_r(A, r, kind)
 
 
 def oracle_star(V, a, b):
@@ -750,7 +767,7 @@ class TestOracles:
     @example(bump=BUMP)
     @settings(max_examples=25, deadline=None)
     def test_cybe(self, bump):
-        r = bumped(LIE_ENTRY, bump)
+        r = bumped(lie_entry(), bump)
         assert cybe_residual(r.algebra, r).coeffs == oracle_cybe(r.algebra, r).coeffs
 
     @given(bump=bumps)
@@ -758,28 +775,31 @@ class TestOracles:
     @example(bump=BUMP)
     @settings(max_examples=25, deadline=None)
     def test_s_equation(self, bump):
-        r = bumped(LSC_ENTRY, bump)
+        r = bumped(lsc_entry(), bump)
         assert s_residual(r.algebra, r).coeffs == oracle_s(r.algebra, r).coeffs
 
     @given(bump=bumps, a=element)
     @settings(max_examples=25, deadline=None)
     def test_cobracket(self, bump, a):
-        for entry in (LIE_ENTRY, LSC_ENTRY):
-            r = bumped(entry, bump)
+        for e in (lie_entry(), lsc_entry()):
+            r = bumped(e, bump)
             got = cobracket_from_r(r.algebra, r, tuple(a))
             assert got.coeffs == oracle_cobracket(r.algebra, r, tuple(a)).coeffs
 
     @given(matrix=form_matrix, a=element, b=element, lam=arguments)
     @settings(max_examples=40, deadline=None)
     def test_eval_at(self, matrix, a, b, lam):
-        form = BilinearForm(FORM.table, FORM.basis, matrix, FORM.kind)
+        # the library's form type, as cocycle_from_r returns it, with a drawn matrix
+        _, lie_form = cocycle_input("hv_lsc1_skew_r")
+        form = BilinearForm(lie_form.table, lie_form.basis, matrix, lie_form.kind)
         assert (apply_bilinear(form.table, form.products, tuple(a), tuple(b), lam, 1, out=0)[0]
                 == oracle_eval_at(form, a, b, lam))
 
-    @pytest.mark.parametrize("A", [HV, LIE_ENTRY.algebra], ids=["hv", "hv_lsc1_skew_r"])
+    @pytest.mark.parametrize("name", ["hv", "hv_lsc1_skew_r"])
     @given(data=st.data())
     @settings(max_examples=25, deadline=None)
-    def test_form_pr_map(self, A, data):
+    def test_form_pr_map(self, name, data):
+        A = entry(name).algebra
         form = data.draw(unit_triangular_forms(A))
         ix = st.integers(0, A.rank - 1)
         r = Tensor2(A, data.draw(st.dictionaries(st.tuples(ix, ix), slot_poly, max_size=4)))
@@ -809,13 +829,13 @@ class TestOracles:
             for a in [S.basis_vector(i) for i in range(S.rank)] + [general]:
                 assert cobracket_from_r(S, r, a).coeffs == oracle_cobracket(S, r, a).coeffs
 
-    @pytest.mark.parametrize("label", sorted(COCYCLE_INPUTS))
+    @pytest.mark.parametrize("label", sorted(COCYCLE_LABELS))
     @given(data=st.data())
     @settings(max_examples=6, deadline=None)
     def test_cocycle_check(self, label, data):
         """The form of a non-degenerate tensor, with up to three entries bumped
         by polynomials in x and b (most bumps fail)."""
-        A, form = COCYCLE_INPUTS[label]
+        A, form = cocycle_input(label)
         ix = st.integers(0, A.rank - 1)
         bump = data.draw(st.dictionaries(st.tuples(ix, ix), form_cell, max_size=3))
         matrix = [row[:] for row in form.matrix]
@@ -825,13 +845,14 @@ class TestOracles:
         assert cocycle_check(A, form).to_dict() == oracle_cocycle_check(A, form).to_dict()
 
     def test_nonzero_residuals_are_compared(self):
-        lie = bumped(LIE_ENTRY, BUMP)
-        lsc = bumped(LSC_ENTRY, BUMP)
+        lie = bumped(lie_entry(), BUMP)
+        lsc = bumped(lsc_entry(), BUMP)
         assert not oracle_cybe(lie.algebra, lie).is_zero
         assert not oracle_s(lsc.algebra, lsc).is_zero
-        assert oracle_cybe(LIE_ENTRY.algebra, LIE_ENTRY.tensor).is_zero
-        assert oracle_s(LSC_ENTRY.algebra, LSC_ENTRY.tensor).is_zero
-        for label, (A, form) in COCYCLE_INPUTS.items():
+        assert oracle_cybe(lie_entry().algebra, lie_entry().tensor).is_zero
+        assert oracle_s(lsc_entry().algebra, lsc_entry().tensor).is_zero
+        for label in COCYCLE_LABELS:
+            A, form = cocycle_input(label)
             assert oracle_cocycle_check(A, form).ok, label
             matrix = [row[:] for row in form.matrix]
             matrix[0][1] = matrix[0][1] + X * X
@@ -989,20 +1010,25 @@ def solver_systems():
     return solver_equations().map(lambda drawn: PolySystem(*drawn))
 
 
-def workload_systems():
-    """The constraint systems of the benchmark's systems workload, at weights 0 and 1."""
-    plain = VarTable()
-    vir = catalog("vir", table=plain).algebra
-    hv = catalog("hv", table=plain).algebra
-    hv_dual = semidirect(hv, dual_rep(standard_rep(hv, "adjoint")), checked=False)
-    for name, A, degrees in (("vir", vir, range(1, 5)), ("hv", hv, range(1, 5)),
-                             ("hv_dual", hv_dual, range(0, 3))):
-        for D in degrees:
-            for weight in (0, 1):
-                yield f"{name}.D{D}.w{weight}", A, D, weight
+# the constraint systems of the benchmark's systems workload, at weights 0 and 1
+SYSTEM_DEGREES = {"vir": range(1, 5), "hv": range(1, 5), "hv_dual": range(0, 3)}
+WORKLOAD_SYSTEMS = [f"{name}.D{D}.w{weight}" for name, degrees in SYSTEM_DEGREES.items()
+                    for D in degrees for weight in (0, 1)]
+SYSTEMS_TABLE = VarTable()
 
 
-WORKLOAD_SYSTEMS = {label: (A, D, w) for label, A, D, w in workload_systems()}
+@cache
+def system_algebra(name):
+    if name == "hv_dual":
+        hv = system_algebra("hv")
+        return semidirect(hv, dual_rep(standard_rep(hv, "adjoint")), checked=False)
+    return catalog(name, table=SYSTEMS_TABLE).algebra
+
+
+def workload_system(label):
+    """(algebra, degree, weight) of a label of WORKLOAD_SYSTEMS."""
+    name, D, weight = label.split(".")
+    return system_algebra(name), int(D[1:]), int(weight[1:])
 
 
 class TestSolverOracle:
@@ -1036,7 +1062,7 @@ class TestSolverOracle:
 
     @pytest.mark.parametrize("label", sorted(WORKLOAD_SYSTEMS))
     def test_workload_systems(self, label):
-        A, D, weight = WORKLOAD_SYSTEMS[label]
+        A, D, weight = workload_system(label)
         system, _ = rb_constraints(A, D, weight)
         assert solve_outcome(solve_squares, system) == solve_outcome(oracle_solve_squares, system)
 
@@ -1206,7 +1232,7 @@ class TestRotaBaxterOracle:
 
     @pytest.mark.parametrize("label", sorted(WORKLOAD_SYSTEMS))
     def test_workload_systems(self, label):
-        A, D, weight = WORKLOAD_SYSTEMS[label]
+        A, D, weight = workload_system(label)
         assert (system_outcome(*rb_constraints(A, D, weight))
                 == system_outcome(*oracle_rb_constraints(A, D, weight)))
 
@@ -1314,16 +1340,14 @@ def window_cases(draw):
     return w, T, draw(st.sampled_from(WINDOW_WEIGHTS))
 
 
-def workload_windows():
-    """The four windows of the benchmark's systems workload."""
-    table = VarTable(params=("b", "g0", "g1", "g2", "g3"))
-    hv = catalog("hv", table=table).algebra
-    for N in (4, 6):
-        for fam in (1, 2):
-            yield f"N{N}.family{fam}", N, hv, catalog(f"hv_rb_family{fam}", table=table).linmap
+# the four windows of the benchmark's systems workload
+WORKLOAD_WINDOWS = [f"N{N}.family{fam}" for N in (4, 6) for fam in (1, 2)]
 
 
-WORKLOAD_WINDOWS = {label: (N, A, T) for label, N, A, T in workload_windows()}
+def workload_window(label):
+    """(N, algebra, map) of a label of WORKLOAD_WINDOWS."""
+    N, fam = label.split(".")
+    return int(N[1:]), entry("hv").algebra, entry(f"hv_rb_{fam}").linmap
 
 
 def window_outcome(check, w, T, weight):
@@ -1372,7 +1396,7 @@ class TestWindowOracle:
 
     @pytest.mark.parametrize("label", sorted(WORKLOAD_WINDOWS))
     def test_workload_windows(self, label):
-        N, A, T = WORKLOAD_WINDOWS[label]
+        N, A, T = workload_window(label)
         w = CoeffWindow(A, N, {0: 1, 1: 0})
         assert window_outcome(window_checks, w, T, 0) == window_outcome(oracle_window_checks, w, T, 0)
 
@@ -1440,9 +1464,10 @@ def oracle_invariance(A, B):
     return report
 
 
+@cache
 def hv_tower(rank):
     """The dual-adjoint tower of hv, hv, hv + hv*, ..., up to `rank`."""
-    S = catalog("hv", table=T).algebra
+    S = entry("hv").algebra
     while S.rank < rank:
         S = semidirect(S, dual_rep(standard_rep(S, "adjoint")), checked=False)
     return S
@@ -1458,23 +1483,24 @@ def tower_map(n):
     return ModuleMap(T, matrix)
 
 
-def o_operator_cases():
-    """(label, map, representation): both hv families on the adjoint and the
-    coadjoint, the rank-8 level of the hv tower with a non-diagonal map on its
-    coadjoint, and the map of the rank-8 canonical skew tensor, an invertible
-    O-operator for the coadjoint of its double."""
-    hv = catalog("hv", table=T).algebra
-    for fam in (1, 2):
-        linmap = catalog(f"hv_rb_family{fam}", table=T).linmap
-        yield f"family{fam}.adjoint", linmap, standard_rep(hv, "adjoint")
-        yield f"family{fam}.coadjoint", linmap, dual_rep(standard_rep(hv, "adjoint"))
-    S8 = hv_tower(8)
-    yield "tower8", tower_map(8), dual_rep(standard_rep(S8, "adjoint"))
-    Sk, rk, _, _, _ = rank8_sums("hv_lsc1")
-    yield "skew8", t_from_r(Sk, rk).at_zero(), dual_rep(standard_rep(Sk, "adjoint"))
+# both hv families on the adjoint and the coadjoint, the rank-8 level of the
+# hv tower with a non-diagonal map on its coadjoint, and the map of the rank-8
+# canonical skew tensor, an invertible O-operator for the coadjoint of its double
+O_OPERATOR_CASES = [f"family{fam}.{module}" for fam in (1, 2)
+                    for module in ("adjoint", "coadjoint")] + ["tower8", "skew8"]
 
 
-O_OPERATOR_CASES = {label: (Tm, rep) for label, Tm, rep in o_operator_cases()}
+@cache
+def o_operator_case(label):
+    """(map, representation) of a label of O_OPERATOR_CASES."""
+    if label == "tower8":
+        return tower_map(8), dual_rep(standard_rep(hv_tower(8), "adjoint"))
+    if label == "skew8":
+        Sk, rk, _, _, _ = rank8_sums("hv_lsc1")
+        return t_from_r(Sk, rk).at_zero(), dual_rep(standard_rep(Sk, "adjoint"))
+    fam, module = label.split(".")
+    adjoint = standard_rep(entry("hv").algebra, "adjoint")
+    return entry(f"hv_rb_{fam}").linmap, adjoint if module == "adjoint" else dual_rep(adjoint)
 
 
 @st.composite
@@ -1510,7 +1536,8 @@ def invariance_item(A, B):
     return next(c for c in invariant_form_suite(A, B).checks if c.name == "invariance")
 
 
-INVARIANCE_ALGEBRAS = {"vir": catalog("vir", table=T).algebra, "hv": HV, "hv_dual": hv_tower(4)}
+INVARIANCE_ALGEBRAS = {"vir": lambda: entry("vir").algebra, "hv": lambda: entry("hv").algebra,
+                       "hv_dual": lambda: hv_tower(4)}
 
 
 # a simple current algebra of rank 3 (constant brackets) and its invariant trace form
@@ -1533,7 +1560,7 @@ class TestOOperatorOracle:
     @pytest.mark.parametrize("ker_mode", [False, True])
     @pytest.mark.parametrize("label", sorted(O_OPERATOR_CASES))
     def test_cases(self, label, ker_mode):
-        Tm, rep = O_OPERATOR_CASES[label]
+        Tm, rep = o_operator_case(label)
         want = oracle_check_o_operator(Tm, rep, ker_mode)
         assert check_o_operator(Tm, rep, ker_mode) == want
         if label == "tower8" and not ker_mode:
@@ -1557,7 +1584,7 @@ class TestOOperatorOracle:
 
     @pytest.mark.parametrize("label", ["family1.adjoint", "family2.adjoint", "skew8"])
     def test_induced_cases(self, label):
-        Tm, rep = O_OPERATOR_CASES[label]
+        Tm, rep = o_operator_case(label)
         modes = ("o_product", "bijective") if label == "skew8" else ("o_product",)
         for mode in modes:
             want = oracle_induced_lsc(Tm, rep, mode)
@@ -1570,7 +1597,7 @@ class TestInvarianceOracle:
     @given(data=st.data())
     @settings(max_examples=20, deadline=None)
     def test_random_forms(self, name, data):
-        A = INVARIANCE_ALGEBRAS[name]
+        A = INVARIANCE_ALGEBRAS[name]()
         cells = st.lists(st.lists(form_cell, min_size=A.rank, max_size=A.rank),
                          min_size=A.rank, max_size=A.rank)
         B = BilinearForm(T, A.basis, data.draw(cells))
@@ -1759,9 +1786,9 @@ def test_identity_checks_never_call_the_dense_product(monkeypatch):
     lsc = catalog("hv_lsc1", table=T).algebra
     family1 = catalog("hv_rb_family1", table=T).linmap
     adjoint = standard_rep(hv, "adjoint")
-    skew_map, skew_rep = O_OPERATOR_CASES["skew8"]
-    cocycle_algebra, form = COCYCLE_INPUTS["hv_lsc1_skew_r"]
-    r = LIE_ENTRY.tensor
+    skew_map, skew_rep = o_operator_case("skew8")
+    cocycle_algebra, form = cocycle_input("hv_lsc1_skew_r")
+    r = lie_entry().tensor
     hv_gd, b = catalog("hv_gd", table=T).gd, Poly.var(T, "b")
     reports = [check_axioms(hv), check_axioms(lsc), check_rep(adjoint),
                check_rep(regular_module(lsc)), cocycle_check(cocycle_algebra, form),
@@ -1773,7 +1800,7 @@ def test_identity_checks_never_call_the_dense_product(monkeypatch):
                check_gd(hv_gd), rb_gd_check(hv_gd, ModuleMap(T, [[b, b], [-b, -b]]), 1)]
     assert all(report.checks for report in reports)
     assert not cybe_residual(r.algebra, r).coeffs
-    assert not s_residual(LSC_ENTRY.algebra, LSC_ENTRY.tensor).coeffs
+    assert not s_residual(lsc_entry().algebra, lsc_entry().tensor).coeffs
     assert cobracket_from_r(r.algebra, r, r.algebra.basis_vector(0)).coeffs
     assert rb_constraints(hv, 2)[0].equations
     assert induced_lsc(family1, mode="rb", algebra=hv).products

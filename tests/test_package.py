@@ -11,9 +11,13 @@ from pathlib import Path
 import pytest
 
 import confalg
-from confalg import (ModuleMap, Poly, VarTable, apply_bilinear, catalog, check_axioms,
-                     check_o_operator, parse, standard_rep)
+from confalg import (BilinearForm, ConformalAlgebra, ModuleMap, Poly, Report, Tensor2,
+                     VarTable, apply_bilinear, catalog, check_axioms, check_o_operator,
+                     check_rep, check_rota_baxter, cocycle_check, cocycle_from_r,
+                     cybe_residual, dual_rep, invariant_form_suite, parse, rb_gd_check,
+                     standard_rep, with_zero_right)
 from confalg.algebra import unit_vector
+from confalg.tensor import tensor3_report
 
 
 PACKAGE = Path(confalg.__file__).parent
@@ -178,6 +182,47 @@ def test_benchmark_checks_never_call_poly_subs(monkeypatch):
     assert calls == []
     parse(VarTable(), "x").subs({"x": 0})
     assert len(calls) == 1
+
+
+def test_checks_hand_their_sums_to_the_sweep(monkeypatch):
+    """Every check whose residuals sit in a sum passes Report.sweep the mapping
+    of the nonzero ones, so that its verdict costs in proportion to them, not
+    a callable run on every basis tuple.  The symmetry sweeps compute each
+    instance and are exempt, as are the coefficient windows (not run here)."""
+    residual_types = {}
+    sweep = Report.sweep
+
+    def recording(report, name, axes, residuals, *args):
+        residual_types.setdefault(name, set()).add(type(residuals))
+        return sweep(report, name, axes, residuals, *args)
+
+    monkeypatch.setattr(Report, "sweep", recording)
+    t = VarTable(params=("b", "g0", "g1", "g2", "g3"))
+    hv, lsc, skew = (catalog(name, table=t) for name in ("hv", "hv_lsc1", "hv_lsc1_skew_r"))
+    family = catalog("hv_rb_family1", table=t).linmap
+    adjoint = standard_rep(hv.algebra, "adjoint")
+    check_axioms(lsc.algebra)
+    check_rep(with_zero_right(lsc.algebra, standard_rep(lsc.algebra, "regular_left")))
+    check_rep(dual_rep(adjoint))
+    for ker_mode in (False, True):
+        check_o_operator(family, adjoint, ker_mode)
+    check_rota_baxter(hv.algebra, family)
+    rb_gd_check(catalog("hv_gd", table=t).gd, ModuleMap.identity(t, 2))
+    tensor3_report("yang_baxter", cybe_residual(skew.algebra, skew.tensor))
+    cocycle_check(skew.algebra, cocycle_from_r(skew.algebra, skew.tensor, "lie"))
+    ab = ConformalAlgebra("lie", ("A", "B"), t, {})
+    form = BilinearForm(t, ab.basis, [[parse(t, "1"), parse(t, "0")],
+                                      [parse(t, "0"), parse(t, "1")]])
+    invariant_form_suite(ab, form, Tensor2(ab, {(0, 1): parse(t, "d1"), (1, 0): parse(t, "-d2")}))
+
+    per_instance = {"symmetry"}
+    assert {name for name, types in residual_types.items() if types != {dict}} == per_instance
+    assert set(residual_types) - per_instance == {
+        "skew_symmetry", "jacobi", "left_symmetry", "module_axiom", "left_action_axiom",
+        "right_action_axiom", "o_operator", "o_operator_mod_kernel", "rota_baxter",
+        "novikov_right_commutativity", "compatibility", "rota_baxter_novikov", "rota_baxter_lie",
+        "lifted_rota_baxter", "yang_baxter", "cocycle_identity", "invariance",
+        "induced_rota_baxter"}
 
 
 # the public names of the package

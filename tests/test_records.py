@@ -1,10 +1,13 @@
 """Value semantics of the package's record classes: == compares their fields,
 each instance gets its own mutable defaults, keyword construction works as
-the package uses it, and instances are unhashable."""
+the package uses it, and instances are unhashable.  Also the two forms of
+``Report.sweep``: a mapping of residuals and a callable per instance."""
 
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from confalg import (
     BilinearForm,
@@ -23,12 +26,14 @@ from confalg import (
     SolveResult,
     Tensor2,
     Tensor3,
+    VarTable,
     parts,
     rb_constraints,
     solve_squares,
 )
 from confalg.poly import Record
 from confalg.tensor import Parts
+from conftest import poly_strategy
 
 RECORDS = (ConformalAlgebra, CatalogEntry, CoeffWindow, GDBialgebra, ProbeResult, ModuleMap,
            ConformalLinearMap, BilinearForm, PolySystem, SolveResult, CheckItem, Report,
@@ -164,3 +169,66 @@ def test_sweep_labels_only_nonzero_residuals(P):
     assert _CountingLabel.calls == 2
     assert poly.residuals == [("(L,L)", "d")] and vector.residuals == [("[L,L]->W", "x")]
     assert (poly.evaluated, poly.skipped, vector.evaluated, vector.skipped) == (3, 1, 4, 0)
+    # the same residuals as mappings, the poly one without its skipped instance
+    _CountingLabel.calls = 0
+    poly = report.sweep("poly", (names,) * 2, {k: v for k, v in residuals.items() if v},
+                        label=_CountingLabel("({},{})"))
+    vector = report.sweep("vector", (names,) * 2, vectors, names, _CountingLabel("[{},{}]"))
+    assert _CountingLabel.calls == 2
+    assert poly.residuals == [("(L,L)", "d")] and vector.residuals == [("[L,L]->W", "x")]
+    assert (poly.evaluated, poly.skipped, vector.evaluated, vector.skipped) == (4, 0, 4, 0)
+
+
+SWEEP_TABLE = VarTable(params=("b",))
+SWEEP_ZERO = Poly.zero(SWEEP_TABLE)
+sweep_poly = st.one_of(st.just(SWEEP_ZERO), poly_strategy(SWEEP_TABLE, names=("d", "x", "b"),
+                                                          max_terms=2, max_degree=2))
+# each kind of residual, with the value a per-instance sweep reads for a missing tuple
+SWEEP_KINDS = {
+    "poly": (None, sweep_poly, SWEEP_ZERO),
+    "vector": (("u", "v"), st.tuples(sweep_poly, sweep_poly), (SWEEP_ZERO, SWEEP_ZERO)),
+    "dict": (("u", "v"), st.dictionaries(st.integers(0, 1), sweep_poly, max_size=2), {}),
+}
+
+
+@st.composite
+def sweep_cases(draw):
+    """2-3 axes of 1-3 names, residuals of one kind on some of their tuples
+    (zeros among them), and the default or a custom label."""
+    axes = tuple(("L", "W", "E")[:draw(st.integers(1, 3))] for _ in range(draw(st.integers(2, 3))))
+    targets, residual, missing = SWEEP_KINDS[draw(st.sampled_from(sorted(SWEEP_KINDS)))]
+    key = st.tuples(*(st.integers(0, len(axis) - 1) for axis in axes))
+    mapping = draw(st.dictionaries(key, residual, max_size=8))
+    slots = ["{}"] * len(axes)
+    label = draw(st.sampled_from(["(" + ",".join(slots) + ")", "<" + "|".join(slots) + ">"]))
+    return axes, targets, mapping, missing, label
+
+
+def _is_zero(res):
+    return all(p.is_zero for p in (res.values() if isinstance(res, dict) else
+                                   (res,) if isinstance(res, Poly) else res))
+
+
+@given(case=sweep_cases())
+def test_sweep_of_a_mapping_equals_the_per_instance_sweep(case):
+    """A mapping gives the residuals, in order, and the counts of the
+    callable that reads it tuple by tuple; a zero residual gets no label."""
+    axes, targets, mapping, missing, label = case
+    _CountingLabel.calls = 0
+    sparse = Report().sweep("check", axes, mapping, targets, _CountingLabel(label))
+    assert _CountingLabel.calls == sum(not _is_zero(res) for res in mapping.values())
+    dense = Report().sweep("check", axes, lambda *idx: mapping.get(idx, missing), targets, label)
+    assert sparse.residuals == dense.residuals
+    assert (sparse.evaluated, sparse.skipped) == (dense.evaluated, dense.skipped)
+
+
+@pytest.mark.parametrize("key", [(0, 2), (2, 0), (-1, 0), (0,), (0, 0, 0), "LW"])
+def test_sweep_refuses_a_residual_keyed_outside_its_axes(P, key):
+    """A residual whose tuple is not one of the axes' would drop out of the
+    verdict; the sweep names the check and the key instead, zero or not, and
+    adds no check to the report."""
+    for value in (P("x"), P("0")):
+        report = Report()
+        with pytest.raises(ValueError, match=rf"'skew'.*{re.escape(repr(key))}"):
+            report.sweep("skew", (("L", "W"),) * 2, {(0, 0): P("d"), key: value})
+        assert report.checks == []

@@ -28,7 +28,8 @@ from confalg import (
     with_zero_right,
 )
 from conftest import normal_form3, poly_strategy
-from test_oracles import COCYCLE_INPUTS, PERTURBED, rank8_cybe_tensors, rank8_s_tensors
+from test_oracles import (COCYCLE_LABELS, PERTURBED, cocycle_input, rank8_cybe_tensors,
+                          rank8_s_tensors)
 
 T = VarTable(params=("b", "g0", "g1", "g2", "g3"))
 
@@ -236,9 +237,10 @@ class TestSparseEngine:
                     cobracket_from_r(S, r, S.basis_vector(i))
             for label, r in s_eq[fam].items():
                 assert s_residual(r.algebra, r).is_zero == (label != "bumped")
-        for A, form in COCYCLE_INPUTS.values():
+        for label in COCYCLE_LABELS:
+            A, form = cocycle_input(label)
             assert cocycle_check(A, form).ok
-        A, form = COCYCLE_INPUTS["S2.hv_lsc1.skew8"]
+        A, form = cocycle_input("S2.hv_lsc1.skew8")
         x = Poly.var(A.table, "x")
         with pytest.raises(AssertionError, match="dense path"):
             confalg.algebra.apply_bilinear(A.table, form.products, A.basis_vector(0),

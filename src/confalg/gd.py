@@ -240,9 +240,7 @@ def rb_gd_check(V: GDBialgebra, T: ModuleMap, weight: Poly | Fraction | int = 0)
     if any("d" in p.variables() for row in T.matrix for p in row):
         raise PreconditionError("the operator on a bialgebra must be constant")
     report = Report()
-    for name, A in zip(("rota_baxter_novikov", "rota_baxter_lie"), _algebras(V)):
-        res = rota_baxter_residuals(A, T, weight)
-        report.sweep(name, (V.basis,) * 2, res, V.basis)
-    lifted = rota_baxter_residuals(algebra_from_gd(V, checked=False), T, weight)
-    report.sweep("lifted_rota_baxter", (V.basis,) * 2, lifted, V.basis)
+    names = ("rota_baxter_novikov", "rota_baxter_lie", "lifted_rota_baxter")
+    for name, A in zip(names, (*_algebras(V), algebra_from_gd(V, checked=False))):
+        report.sweep(name, (V.basis,) * 2, rota_baxter_residuals(A, T, weight), V.basis)
     return report

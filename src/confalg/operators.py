@@ -5,8 +5,9 @@ identity iff the listed residual polynomials are all zero, and identities
 checked with free parameters left symbolic hold for every value at once.
 Every identity and every table ``induced_lsc`` builds is a few
 ``algebra._contract`` sums over nonzero table entries, with a map's entries
-viewed by row or column; a form's value on general elements is
-``algebra.apply_bilinear`` of its ``products`` with ``out=0``.
+viewed by row or column; ``_rb_sums`` builds the Rota-Baxter and O-operator
+identities and the rb and o_product tables.  A form's value on general
+elements is ``algebra.apply_bilinear`` of its ``products`` with ``out=0``.
 The constraint generator turns the Rota-Baxter identity for an undetermined
 polynomial operator into a plain polynomial system in its coefficients,
 solved (when possible) by a deliberately small elimination loop.
@@ -24,7 +25,6 @@ from .algebra import (
     ConformalAlgebra,
     PreconditionError,
     ProductTable,
-    Vector,
     _contract,
     _nest,
     _nested,
@@ -45,35 +45,29 @@ def check_o_operator(T: ModuleMap, rep: Representation, ker_mode: bool = False) 
     """O-operator identity on all module pairs; with ker_mode, only up to ker(rho).
 
     The residual on (u, v) is [T(u)_x T(v)] - T( rho(T(u))_x v - rho(T(v))_{-x-d} u ),
-    in component m: sum T_up(-x) T_vq(x+d) P_pqm - sum T_up(-x) rho_pvk T_km(d)
-    + sum T_vq(x+d) rho_quk(d, -x-d) T_km(d), one ``_contract`` each.  In
-    ker_mode the residual element is itself pushed through the representation
-    (at the reserved argument z2) and must act as zero.
+    the weight-0 Rota-Baxter residual at (n+u, n+v) of T^(a + u) = T(u) on the
+    semidirect sum A x_rho M (Bai 2007), whose M x A block is rho at x := -x-d.
+    In ker_mode the residual element is itself pushed through the
+    representation (at the reserved argument z2) and must act as zero.
     """
+    from .reps import semidirect
     A = rep.algebra
     if A.kind != LIE:
         raise PreconditionError("O-operators are defined against a Lie-kind representation")
     if T.src_rank != rep.mrank or T.dst_rank != A.rank:
         raise PreconditionError("map shape does not match the representation")
-    t = A.table
-    X = Poly.var(t, "x")
-    D = Poly.var(t, "d")
-    cols = [(p, u, f) for u, p, _, f in _entries(T)]
-    at_neg, at_shift = _view(cols, {"d": -X}), _view(cols, {"d": X + D})
-    rows = _view((u, p, f) for u, p, _, f in _entries(T))
-    sums = Sums(t)
-    _contract(sums, A.products, {}, lambda u, v, m: (u, v, m), at_neg, at_shift)
-    _contract(sums, rep.rho, {}, lambda u, v, m: (u, v, m), at_neg, None, rows, -1)
-    _contract(sums, rep.rho, {"x": -X - D}, lambda v, u, m: (u, v, m), at_shift, None, rows)
+    t, n, S = A.table, A.rank, semidirect(A, rep, checked=False)
+    sums = {(u - n, v - n, m): R for (u, v, m, _), R in _rb_sums(
+        t, S.products, [(n + u, p, (), f) for u, p, _, f in _entries(T)], 0).close().items()}
     report = Report()
     if not ker_mode:
-        report.sweep("o_operator", (rep.mbasis,) * 2, _nest(sums.close()), A.basis)
+        report.sweep("o_operator", (rep.mbasis,) * 2, _nest(sums), A.basis)
         return report
     # rho(R_uv)_z2 v_k = sum R_uvl(-z2, x) rho_lkn(d, z2) v_n
     Z2 = Poly.var(t, "z2")
     pushed = Sums(t)
     _contract(pushed, rep.rho, {"x": Z2}, lambda uv, k, n: (*uv, k, n),
-              _view(((l, (u, v), R) for (u, v, l), R in sums.close().items()), {"d": -Z2}))
+              _view(((l, (u, v), R) for (u, v, l), R in sums.items()), {"d": -Z2}))
     report.sweep("o_operator_mod_kernel", (rep.mbasis,) * 3, _nest(pushed.close()), rep.mbasis,
                  "({},{});{}")
     return report
@@ -120,23 +114,22 @@ def _entries(T: ModuleMap) -> list[tuple]:
 
 
 def rota_baxter_residuals(A: ConformalAlgebra, T: ModuleMap,
-                          weight: Poly | Fraction | int) -> dict[tuple[int, int], Vector]:
-    """Residuals of the weight-alpha Rota-Baxter identity on basis pairs.
+                          weight: Poly | Fraction | int) -> dict[tuple[int, int], dict[int, Poly]]:
+    """The nonzero residuals of the weight-alpha Rota-Baxter identity,
+    {(i, j): {m: residual}} over basis pairs and components:
 
     [T(a)_x T(b)] - T([a_x T(b)]) - T([T(a)_x b]) - alpha T([a_x b]).
     """
     if T.src_rank != A.rank or T.dst_rank != A.rank:
         raise PreconditionError("map shape does not match the algebra")
-    t = A.table
-    sums, n = _rb_sums(t, A.products, _entries(T), weight).close(), range(A.rank)
-    return {(i, j): tuple(sums.get((i, j, m, ()), Poly.zero(t)) for m in n) for i in n for j in n}
+    sums = _rb_sums(A.table, A.products, _entries(T), weight).close()
+    return _nest({k[:3]: p for k, p in sums.items()})
 
 
 def check_rota_baxter(A: ConformalAlgebra, T: ModuleMap,
                       weight: Poly | Fraction | int = 0) -> Report:
-    residuals = rota_baxter_residuals(A, T, weight)
     report = Report()
-    report.sweep("rota_baxter", (A.basis,) * 2, residuals, A.basis)
+    report.sweep("rota_baxter", (A.basis,) * 2, rota_baxter_residuals(A, T, weight), A.basis)
     return report
 
 
@@ -262,13 +255,7 @@ def cocycle_check(A: ConformalAlgebra, form: BilinearForm) -> Report:
     t = A.table
     X = Poly.var(t, "x")
     Y = Poly.var(t, "y")
-    B, P, F = form.matrix, A.products, form.products
-    reflect = Substitution(t, {"x": -X})
-
-    def symmetry(i, j):
-        rhs = reflect(B[j][i])
-        return B[i][j] + rhs if form.kind == "lie" else B[i][j] - rhs
-
+    P, F = A.products, form.products
     sums = Sums(t)
     if form.kind == "lie":
         _nested(sums, P, F, Y, X, right=True, scalar=True)
@@ -280,9 +267,17 @@ def cocycle_check(A: ConformalAlgebra, form: BilinearForm) -> Report:
         _nested(sums, P, F, Y, X + Y, right=False, order=(1, 0, 2), sign=-1)
         _nested(sums, P, F, X, Y, right=True, order=(1, 0, 2), scalar=True)
     report = Report()
-    report.sweep("symmetry", (A.basis,) * 2, symmetry)
+    report.sweep("symmetry", (A.basis,) * 2, _symmetry(form, 1 if form.kind == "lie" else -1))
     report.sweep("cocycle_identity", (A.basis,) * 3, {k[:-1]: p for k, p in sums.close().items()})
     return report
+
+
+def _symmetry(form: BilinearForm, sign: int) -> dict[tuple[int, int], Poly]:
+    """B_ij(x) + sign * B_ji(-x) on the nonzero entries and their transposes."""
+    t, B = form.table, form.matrix
+    reflect = Substitution(t, {"x": -Poly.var(t, "x")})
+    pairs = {k for i, j in form.products for k in ((i, j), (j, i))}
+    return {(i, j): B[i][j] + reflect(B[j][i]) * sign for i, j in pairs}
 
 
 def _check_size(A: ConformalAlgebra, form: BilinearForm) -> None:
@@ -547,8 +542,7 @@ def invariant_form_suite(A: ConformalAlgebra, B: BilinearForm,
     _nested(sums, A.products, B.products, Y, X, right=False)
     _nested(sums, A.products, B.products, X - D, Y, right=True, scalar=True, sign=-1)
     report = Report()
-    reflect = Substitution(t, {"x": -X})
-    report.sweep("symmetry", (A.basis,) * 2, lambda i, j: B.matrix[i][j] - reflect(B.matrix[j][i]))
+    report.sweep("symmetry", (A.basis,) * 2, _symmetry(B, -1))
     report.sweep("invariance", (A.basis,) * 3, {k[:-1]: p for k, p in sums.close().items()})
     nondeg = report.new_check("non_degenerate")
     nondeg.evaluated = 1  # the determinant of the induced map
@@ -559,6 +553,6 @@ def invariant_form_suite(A: ConformalAlgebra, B: BilinearForm,
     if r is not None:
         if not nondeg.ok:
             raise DegenerateForm("tensor checks need a non-degenerate form")
-        residuals = rota_baxter_residuals(A, form_pr_map(A, B, r).at_zero(), 0)
-        report.sweep("induced_rota_baxter", (A.basis,) * 2, residuals, A.basis)
+        report.sweep("induced_rota_baxter", (A.basis,) * 2,
+                     rota_baxter_residuals(A, form_pr_map(A, B, r).at_zero(), 0), A.basis)
     return report

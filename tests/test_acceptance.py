@@ -25,6 +25,7 @@ from confalg import (
     check_axioms,
     check_o_operator,
     check_rep,
+    check_rota_baxter,
     cobracket_from_r,
     cocycle_check,
     cocycle_from_r,
@@ -122,10 +123,13 @@ def test_criterion_2(HV, FAMILY1, FAMILY2):
     from confalg.operators import rota_baxter_residuals
 
     for name, op in (("family1", FAMILY1), ("family2", FAMILY2)):
-        residuals = rota_baxter_residuals(HV, op, Fraction(0))
-        for pair, vec in residuals.items():
-            for poly in vec:
-                assert poly.is_zero, (name, pair, str(poly))
+        assert rota_baxter_residuals(HV, op, Fraction(0)) == {}, name
+        (check,) = check_rota_baxter(HV, op, 0).checks
+        assert check.ok and check.evaluated == 4 and check.skipped == 0, name
+    # negative control: one perturbed entry leaves a nonzero residual
+    perturbed = [list(row) for row in FAMILY1.matrix]
+    perturbed[0][0] = perturbed[0][0] + P("1")
+    assert rota_baxter_residuals(HV, ModuleMap(T, perturbed), Fraction(0))
 
 
 @criterion(3, "induced left-symmetric products match the displayed tables")

@@ -1111,6 +1111,16 @@ def oracle_rota_baxter_residuals(A, T, weight):
     return out
 
 
+def nonzero_residuals(residuals):
+    """Dense residual vectors as {pair: {component: residual}}, with zero
+    components, and pairs left with none, dropped."""
+    out = {}
+    for pair, vec in residuals.items():
+        if kept := {m: p for m, p in enumerate(vec) if not p.is_zero}:
+            out[pair] = kept
+    return out
+
+
 def oracle_rb_constraints(A, degree_bound, weight=0):
     """Expand the generic map, whose entries hold every unknown, through the
     dense residuals; split each residual by its (d, x) exponents and keep the
@@ -1195,7 +1205,8 @@ class TestRotaBaxterOracle:
     @settings(max_examples=150, deadline=None)
     def test_residuals_random(self, case):
         A, weight, T = case
-        assert rota_baxter_residuals(A, T, weight) == oracle_rota_baxter_residuals(A, T, weight)
+        assert rota_baxter_residuals(A, T, weight) == nonzero_residuals(
+            oracle_rota_baxter_residuals(A, T, weight))
 
     @given(case=rb_cases(), degree=st.integers(0, 2))
     @settings(max_examples=60, deadline=None)
@@ -1209,7 +1220,7 @@ class TestRotaBaxterOracle:
         T = ModuleMap(BC, [[Poly.var(BC, "d") + Poly.var(BC, "b")]])
         want = oracle_rota_baxter_residuals(vir, T, Fraction(1, 3))
         assert not want[0, 0][0].is_zero
-        assert rota_baxter_residuals(vir, T, Fraction(1, 3)) == want
+        assert rota_baxter_residuals(vir, T, Fraction(1, 3)) == nonzero_residuals(want)
 
     @pytest.mark.parametrize("name", ["hv_lsc1", "hv_lsc2"])
     def test_induced_rb_table(self, name):

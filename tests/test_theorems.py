@@ -1,15 +1,20 @@
 """Equivalences between the tensor equations and their operator forms,
 checked on builtin structures and on randomized tensors."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confalg import (
+    ModuleMap,
+    Poly,
     Tensor2,
     VarTable,
     canonical_skew_tensor,
     canonical_sym_tensor,
+    catalog,
     check_o_operator,
+    check_rota_baxter,
     cybe_residual,
     dual_rep,
     flip,
@@ -21,6 +26,7 @@ from confalg import (
     t_from_r,
     with_zero_right,
 )
+from confalg.operators import rota_baxter_residuals
 from conftest import poly_strategy
 
 T = VarTable(params=("b", "g0", "g1", "g2", "g3"))
@@ -106,3 +112,45 @@ class TestSymmetricEquivalence:
         rep = dual_rep(standard_rep(A, "regular_left"))
         rhs = check_o_operator(T0, rep).ok
         assert lhs == rhs
+
+
+def family1_on_adjoint():
+    entry = catalog("hv_rb_family1", table=T)
+    return entry.linmap, standard_rep(entry.algebra, "adjoint")
+
+
+def skew_r_on_coadjoint():
+    entry = catalog("hv_lsc1_skew_r", table=T)
+    S = entry.algebra
+    return t_from_r(S, entry.tensor).at_zero(), dual_rep(standard_rep(S, "adjoint"))
+
+
+def perturbed(T_map):
+    matrix = [list(row) for row in T_map.matrix]
+    matrix[0][0] = matrix[0][0] + Poly.const(T, 1)
+    return ModuleMap(T, matrix)
+
+
+class TestOOperatorIsRotaBaxterOnSemidirect:
+    """T: M -> A is an O-operator for rho exactly when T^(a + u) = T(u) is a
+    weight-0 Rota-Baxter operator on the semidirect sum A x_rho M; the
+    Rota-Baxter residuals of T^ sit on module pairs only, and there they are
+    the O-operator residuals."""
+
+    @pytest.mark.parametrize("case", [family1_on_adjoint, skew_r_on_coadjoint])
+    @pytest.mark.parametrize("perturb", [False, True])
+    def test_same_verdict_and_residuals(self, case, perturb):
+        T_map, rep = case()
+        if perturb:
+            T_map = perturbed(T_map)
+        A, n = rep.algebra, rep.algebra.rank
+        S = semidirect(A, rep)
+        zero = Poly.zero(T)
+        hat = ModuleMap(T, [[zero] * S.rank for _ in range(n)]
+                        + [list(row) + [zero] * rep.mrank for row in T_map.matrix])
+        o_report = check_o_operator(T_map, rep)
+        rb_report = check_rota_baxter(S, hat, 0)
+        assert o_report.ok == rb_report.ok == (not perturb)
+        assert all(i >= n and j >= n for i, j in rota_baxter_residuals(S, hat, 0))
+        (o_check,), (rb_check,) = o_report.checks, rb_report.checks
+        assert o_check.residuals == rb_check.residuals

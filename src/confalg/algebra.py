@@ -84,9 +84,6 @@ class ConformalAlgebra(Record):
         }
         return ConformalAlgebra(self.kind, self.basis, t, prods)
 
-    def embed(self, table: VarTable) -> "ConformalAlgebra":
-        return self.map_polys(lambda p: p.embed(table), table)
-
 
 def unit_vector(table: VarTable, rank: int, i: int) -> Vector:
     """The i-th of `rank` unit coordinate vectors."""

@@ -18,23 +18,13 @@ import sys
 from fractions import Fraction
 
 from . import io_json as io
-from .algebra import AlgebraError, PreconditionError
+from .algebra import AlgebraError
 from .catalog import CatalogEntry, UnknownEntry, catalog, required_params
 from .io_json import InputError
 from .poly import Poly, PolyError, Substitution, VarTable
 from .report import Report
 
-USAGE_ERRORS = (InputError, PolyError, PreconditionError, AlgebraError, UnknownEntry, ValueError)
-# usage errors of the modules that a subcommand may leave unloaded
-LAZY_USAGE_ERRORS = (("linmap", "NotInvertible"), ("gd", "NotQuadratic"),
-                     ("operators", "DegenerateForm"))
-
-
-def _usage_errors() -> tuple[type, ...]:
-    """USAGE_ERRORS and the lazy ones of the modules loaded by now; a module
-    that was never imported raised nothing."""
-    loaded = [(sys.modules.get(f"{__package__}.{mod}"), name) for mod, name in LAZY_USAGE_ERRORS]
-    return USAGE_ERRORS + tuple(getattr(mod, name) for mod, name in loaded if mod)
+USAGE_ERRORS = (InputError, PolyError, AlgebraError, UnknownEntry, ValueError)
 
 
 # sections that may name a catalog entry (or, for representation, a standard
@@ -449,7 +439,7 @@ def main(argv=None) -> int:
         doc = _load(args)
         sess = Session(doc, args)
         return args.handler(sess, args)
-    except _usage_errors() as exc:  # evaluated only when an exception arrives
+    except USAGE_ERRORS as exc:
         print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}), file=sys.stderr)
         return 2
 

@@ -22,8 +22,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from .algebra import (LEFT_SYMMETRIC, LIE, ConformalAlgebra, PreconditionError, _nest,
-                      _nested, check_axioms)
+from .algebra import (LEFT_SYMMETRIC, LIE, AlgebraError, ConformalAlgebra, PreconditionError,
+                      _nest, _nested, check_axioms)
 from .linmap import ModuleMap, kernel
 from .operators import rota_baxter_residuals
 from .poly import Poly, Record, Sums, VarTable
@@ -32,7 +32,7 @@ from .report import Report
 ConstTable = dict[tuple[int, int], dict[int, Fraction]]
 
 
-class NotQuadratic(Exception):
+class NotQuadratic(AlgebraError):
     pass
 
 

@@ -17,12 +17,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .algebra import AlgebraError
 from .poly import Poly, Record, Substitution, Sums, VarTable
 
 Vector = tuple[Poly, ...]
 
 
-class NotInvertible(Exception):
+class NotInvertible(AlgebraError):
     pass
 
 
@@ -70,9 +71,6 @@ class ModuleMap(Record):
         one = Poly.const(table, 1)
         z = Poly.zero(table)
         return cls(table, [[one if i == j else z for j in range(rank)] for i in range(rank)])
-
-    def apply(self, w: Vector) -> Vector:
-        return tuple(_matmul([list(w)], self.matrix, self.table)[0])
 
     def row(self, i: int) -> Vector:
         return tuple(self.matrix[i])

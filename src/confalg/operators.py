@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING
 from .algebra import (
     LEFT_SYMMETRIC,
     LIE,
+    AlgebraError,
     ConformalAlgebra,
     PreconditionError,
     ProductTable,
@@ -505,7 +506,7 @@ def solve_squares(system: PolySystem) -> SolveResult:
 
 # -- invariant bilinear forms --------------------------------------------------
 
-class DegenerateForm(Exception):
+class DegenerateForm(AlgebraError):
     pass
 
 

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -20,7 +21,6 @@ from confalg import (
     Tensor3,
     VarTable,
     VarTableMismatch,
-    catalog,
     parse,
     standard_rep,
 )
@@ -124,18 +124,13 @@ def regular_module(A):
     return Representation(A, A.basis, left=dict(A.products), right=rr.rho)
 
 
-def builtin_representations(table=None):
-    """Every named representation the test-suite treats as builtin."""
-    if table is None:
-        table = VarTable(params=("b", "g0", "g1", "g2", "g3"))
-    out = {}
-    for name in ("vir", "hv"):
-        out[f"{name}_adjoint"] = standard_rep(catalog(name, table=table).algebra, "adjoint")
-    for fam in (1, 2):
-        A = catalog(f"hv_lsc{fam}", table=table).algebra
-        out[f"hv_lsc{fam}_regular_left"] = standard_rep(A, "regular_left")
-        out[f"hv_lsc{fam}_left_minus_right"] = standard_rep(A, "left_minus_right")
-    return out
+def load_script(name):
+    """A fresh module of scripts/<name>.py."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"script_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 # -- dense references ------------------------------------------------------------

@@ -17,6 +17,7 @@ from confalg import (
     cybe_residual,
     rb_constraints,
     s_residual,
+    standard_rep,
     t_from_r,
 )
 from confalg.catalog import names
@@ -37,7 +38,7 @@ from confalg.io_json import (
     tensor_from_dict,
     tensor_to_dict,
 )
-from conftest import builtin_representations
+from conftest import load_script
 
 
 class TestCatalog:
@@ -64,8 +65,8 @@ class TestCatalog:
                 assert check_axioms(entry.algebra).ok, name
 
     def test_builtin_reps_pass(self):
-        for name, rep in builtin_representations().items():
-            assert check_rep(rep).ok, name
+        for name, kind in load_script("verify_builtins").MODULES:
+            assert check_rep(standard_rep(catalog(name).algebra, kind)).ok, (name, kind)
 
 
 class TestJsonRoundTrips:

@@ -1129,7 +1129,7 @@ def oracle_rb_constraints(A, degree_bound, weight=0):
     unknowns = tuple(f"t{i}_{j}_{k}"
                      for i in range(n) for j in range(n) for k in range(degree_bound + 1))
     ext = A.table.extended(unknowns)
-    A2 = A.embed(ext)
+    A2 = A.map_polys(lambda p: p.embed(ext), ext)
     D = Poly.var(ext, "d")
     matrix = []
     for i in range(n):

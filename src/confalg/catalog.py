@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
-from .algebra import LIE, ConformalAlgebra, sub_adjacent
+from .algebra import LIE, ConformalAlgebra
 from .poly import Poly, Record, VarTable, parse
 
 if TYPE_CHECKING:
@@ -68,9 +68,8 @@ def _skew_entry(table: VarTable, family: int) -> dict:
     from .reps import REGULAR_LEFT, dual_rep, semidirect, standard_rep
     from .tensor import canonical_skew_tensor
     A = _lsc(table, family)
-    g = sub_adjacent(A)
     dual = dual_rep(standard_rep(A, REGULAR_LEFT))
-    S = semidirect(g, dual, checked=False)
+    S = semidirect(dual.algebra, dual, checked=False)
     return {"algebra": S, "tensor": canonical_skew_tensor(S, A.rank)}
 
 

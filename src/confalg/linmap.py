@@ -1,10 +1,10 @@
-"""Module maps and conformal linear maps between free modules.
+"""Conformal linear maps and module maps between free modules.
 
-A ModuleMap commutes with the derivation by construction: it is a matrix
-t_ij(d) acting on coefficient vectors, T(v_i) = sum_j t_ij(d) e_j.  A
-ConformalLinearMap additionally depends on the bracket argument,
-T_x(v_i) = sum_j a_ij(x, d) e_j; its specialization at x = 0 is a plain
-ModuleMap.  Invertibility over the polynomial ring in d means the
+A ConformalLinearMap is a matrix a_ij(x, d) in the bracket argument x,
+T_x(v_i) = sum_j a_ij(x, d) e_j, acting on coefficient vectors.  A ModuleMap
+is a conformal linear map free of x, a matrix t_ij(d); it commutes with the
+derivation by construction, and ``at_zero`` specializes any conformal linear
+map to one.  Invertibility over the polynomial ring in d means the
 determinant is a nonzero rational constant; the inverse comes from the
 Faddeev-LeVerrier recurrence, n products of n x n matrices.
 
@@ -42,48 +42,6 @@ def _matmul(left: list[list[Poly]], right: list[list[Poly]], table: VarTable) ->
     return [[out.get((i, j), zero) for j in cols] for i in range(len(left))]
 
 
-class ModuleMap(Record):
-    """Matrix over the polynomial ring in d; rows index the source basis."""
-
-    def __init__(self, table: VarTable, matrix: list[list[Poly]]) -> None:
-        for row in matrix:
-            for p in row:
-                extra = p.variables() - set(table.params) - {"d"}
-                if extra:
-                    raise ValueError(f"module map entries may use only d and parameters, got {sorted(extra)}")
-        self.table, self.matrix = table, matrix
-
-    @property
-    def src_rank(self) -> int:
-        return len(self.matrix)
-
-    @property
-    def dst_rank(self) -> int:
-        return len(self.matrix[0]) if self.matrix else 0
-
-    @classmethod
-    def zero(cls, table: VarTable, src: int, dst: int) -> "ModuleMap":
-        z = Poly.zero(table)
-        return cls(table, [[z for _ in range(dst)] for _ in range(src)])
-
-    @classmethod
-    def identity(cls, table: VarTable, rank: int) -> "ModuleMap":
-        one = Poly.const(table, 1)
-        z = Poly.zero(table)
-        return cls(table, [[one if i == j else z for j in range(rank)] for i in range(rank)])
-
-    def row(self, i: int) -> Vector:
-        return tuple(self.matrix[i])
-
-    def map_polys(self, fn) -> "ModuleMap":
-        return ModuleMap(self.table, [[fn(p) for p in row] for row in self.matrix])
-
-    def perturbed(self, i: int, j: int, delta: Poly | int) -> "ModuleMap":
-        out = [list(row) for row in self.matrix]
-        out[i][j] = out[i][j] + delta
-        return ModuleMap(self.table, out)
-
-
 class ConformalLinearMap(Record):
     """Matrix a_ij(x, d): the map at bracket argument x; rows index the source."""
 
@@ -103,7 +61,38 @@ class ConformalLinearMap(Record):
         return ModuleMap(self.table, [list(map(at, row)) for row in self.matrix])
 
     def map_polys(self, fn) -> "ConformalLinearMap":
-        return ConformalLinearMap(self.table, [[fn(p) for p in row] for row in self.matrix])
+        return type(self)(self.table, [[fn(p) for p in row] for row in self.matrix])
+
+
+class ModuleMap(ConformalLinearMap):
+    """A conformal linear map free of x: a matrix over the polynomial ring in d."""
+
+    def __init__(self, table: VarTable, matrix: list[list[Poly]]) -> None:
+        for row in matrix:
+            for p in row:
+                extra = p.variables() - set(table.params) - {"d"}
+                if extra:
+                    raise ValueError(f"module map entries may use only d and parameters, got {sorted(extra)}")
+        super().__init__(table, matrix)
+
+    @classmethod
+    def zero(cls, table: VarTable, src: int, dst: int) -> "ModuleMap":
+        z = Poly.zero(table)
+        return cls(table, [[z for _ in range(dst)] for _ in range(src)])
+
+    @classmethod
+    def identity(cls, table: VarTable, rank: int) -> "ModuleMap":
+        one = Poly.const(table, 1)
+        z = Poly.zero(table)
+        return cls(table, [[one if i == j else z for j in range(rank)] for i in range(rank)])
+
+    def row(self, i: int) -> Vector:
+        return tuple(self.matrix[i])
+
+    def perturbed(self, i: int, j: int, delta: Poly | int) -> "ModuleMap":
+        out = [list(row) for row in self.matrix]
+        out[i][j] = out[i][j] + delta
+        return ModuleMap(self.table, out)
 
 
 def lift_constant(m: ModuleMap) -> ConformalLinearMap:

@@ -302,37 +302,18 @@ class PolySystem(Record):
                  equations: list[Poly] | None = None) -> None:
         self.table, self.unknowns, self.rows = table, unknowns, []
         for eq in equations or ():
-            self.equations.append(eq)
+            if eq.table != table:
+                raise VarTableMismatch("equation over another variable table")
+            self.rows.append({tuple(i for i, e in enumerate(exps) for _ in range(e)): c
+                              for exps, c in eq.terms.items()})
 
     @property
-    def equations(self) -> _Equations:
-        return _Equations(self)
+    def equations(self) -> list[Poly]:
+        """The rows as Polys over ``table``, in a new list on each read."""
+        return [_poly(self.table, row) for row in self.rows]
 
     def evaluate(self, assignment: dict[str, Poly | Fraction | int]) -> list[Poly]:
         return list(map(Substitution(self.table, assignment), self.equations))
-
-
-class _Equations:
-    """A system's equations as Polys, each built when it is read."""
-
-    def __init__(self, system: PolySystem) -> None:
-        self.system = system
-
-    def __len__(self) -> int:
-        return len(self.system.rows)
-
-    def __getitem__(self, k):
-        rows, t = self.system.rows, self.system.table
-        return [_poly(t, row) for row in rows[k]] if isinstance(k, slice) else _poly(t, rows[k])
-
-    def __eq__(self, other: object) -> bool:
-        return list(self) == other if isinstance(other, (list, _Equations)) else NotImplemented
-
-    def append(self, eq: Poly) -> None:
-        if eq.table != self.system.table:
-            raise VarTableMismatch("equation over another variable table")
-        self.system.rows.append({tuple(i for i, e in enumerate(exps) for _ in range(e)): c
-                                 for exps, c in eq.terms.items()})
 
 
 def _poly(table: VarTable, row: dict) -> Poly:

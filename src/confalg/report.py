@@ -26,18 +26,6 @@ class CheckItem(Record):
     def ok(self) -> bool:
         return not self.residuals
 
-    def add(self, basis: str, poly) -> None:
-        if not poly.is_zero:
-            self.residuals.append((basis, str(poly)))
-
-    def add_vector(self, basis: str, target_names, vec) -> None:
-        """`vec` holds one polynomial per target name, or is a dict from keys
-        of `target_names` to polynomials, recorded in key order."""
-        entries = sorted(vec.items()) if isinstance(vec, dict) else enumerate(vec)
-        for key, p in entries:
-            if not p.is_zero:
-                self.residuals.append((f"{basis}->{target_names[key]}", str(p)))
-
 
 class Report(Record):
     def __init__(self, checks: list[CheckItem] | None = None) -> None:
@@ -58,10 +46,12 @@ class Report(Record):
 
         `residuals` maps index tuples to residuals (a missing one is zero) and
         only its keys are visited, or is run as residuals(*idx) on every tuple
-        and may return None to skip it.  A residual is a polynomial or a vector
-        over `targets` (see `CheckItem.add_vector`).  Nonzero ones are labelled
-        label.format(*names), by default "(a,b,...)", in tuple order.  The item
-        counts the instances evaluated and skipped."""
+        and may return None to skip it.  A residual is a polynomial, or a vector
+        over `targets`: a tuple of polynomials, or a dict from target indices to
+        polynomials read in index order.  An instance with a nonzero residual is
+        labelled label.format(*names), by default "(a,b,...)", and a vector's
+        nonzero entries get "->target" after it.  The item counts the instances
+        evaluated and skipped."""
         label = label or "(" + ",".join(["{}"] * len(axes)) + ")"
         shape = tuple(map(len, axes))
         if callable(residuals):
@@ -82,9 +72,11 @@ class Report(Record):
                 continue
             basis = label.format(*(axis[i] for axis, i in zip(axes, idx)))
             if targets is None:
-                item.add(basis, res)
+                item.residuals.append((basis, str(res)))
             else:
-                item.add_vector(basis, targets, res)
+                pairs = sorted(res.items()) if isinstance(res, dict) else enumerate(res)
+                item.residuals += [(f"{basis}->{targets[k]}", str(p))
+                                   for k, p in pairs if not p.is_zero]
         item.evaluated = math.prod(shape) - item.skipped
         return item
 

@@ -4,7 +4,7 @@ A tensor-square element is a table of coefficients f_ij(d1, d2) per basis
 pair, with d1 the derivation acting on the first slot and d2 on the second;
 a cube element likewise in d1, d2, d3.  Identities on the cube hold modulo
 the diagonal derivation d1 + d2 + d3, so every residual here is built in
-normal form, with d3 := -d1 - d2 substituted (``Tensor3.reduced``).
+normal form, with d3 := -d1 - d2 substituted.
 
 The quadratic expressions evaluated here place each product or bracket of
 two tensor factors in a fixed slot at an argument mu given by the slot
@@ -65,11 +65,9 @@ class Tensor2(Record):
 
 
 class Tensor3(Record):
-    def __init__(self, algebra: ConformalAlgebra, coeffs: dict[tuple[int, int, int], Poly],
-                 reduced: bool = False) -> None:
+    def __init__(self, algebra: ConformalAlgebra, coeffs: dict[tuple[int, int, int], Poly]) -> None:
         self.algebra = algebra
         self.coeffs = {k: p for k, p in coeffs.items() if not p.is_zero}
-        self.reduced = reduced
 
     @property
     def is_zero(self) -> bool:
@@ -133,7 +131,7 @@ def cybe_residual(A: ConformalAlgebra, r: Tensor2) -> Tensor3:
     _contract(out, P, {"d": d2, "x": d3}, lambda j, i, k: (i, k, j), rows_b, cols_c, sign=-1)
     # - a_i ox a_j ox [b_j mu b_i], mu := d2
     _contract(out, P, {"d": d3, "x": d2}, lambda j, i, k: (i, j, k), cols_e, cols_c, sign=-1)
-    return Tensor3(A, out.close(), reduced=True)
+    return Tensor3(A, out.close())
 
 
 def s_residual(A: ConformalAlgebra, r: Tensor2) -> Tensor3:
@@ -161,7 +159,7 @@ def s_residual(A: ConformalAlgebra, r: Tensor2) -> Tensor3:
     _contract(out, P, {"d": d2, "x": d1}, lambda j, i, k: (j, k, i), cols_c, rows_b, sign=-1)
     # - r_i ox r_j ox [l_i mu l_j], mu := d1
     _contract(out, Q, {"d": d3, "x": d1}, lambda i, j, k: (i, j, k), cols_c, cols_e, sign=-1)
-    return Tensor3(A, out.close(), reduced=True)
+    return Tensor3(A, out.close())
 
 
 def t_from_r(A: ConformalAlgebra, r: Tensor2) -> ConformalLinearMap:

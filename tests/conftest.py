@@ -169,11 +169,9 @@ def normal_form3(t):
     """Reduce a cube modulo the diagonal derivation: substitute d3 := -d1-d2.
     The residuals of ``confalg.tensor`` are built reduced; the oracles that
     expand a cube first reduce it with this."""
-    if t.reduced:
-        return t
     table = t.algebra.table
     reduce = Substitution(table, {"d3": -Poly.var(table, "d1") - Poly.var(table, "d2")})
-    return Tensor3(t.algebra, {k: reduce(p) for k, p in t.coeffs.items()}, reduced=True)
+    return Tensor3(t.algebra, {k: reduce(p) for k, p in t.coeffs.items()})
 
 
 def window_bracket(w, a, b):

@@ -12,12 +12,10 @@ from confalg import (
     catalog,
     check_axioms,
     check_gd,
-    check_rep,
     check_rota_baxter,
     cybe_residual,
     rb_constraints,
     s_residual,
-    standard_rep,
     t_from_r,
 )
 from confalg.catalog import names
@@ -38,7 +36,6 @@ from confalg.io_json import (
     tensor_from_dict,
     tensor_to_dict,
 )
-from conftest import load_script
 
 
 class TestCatalog:
@@ -63,10 +60,6 @@ class TestCatalog:
                     assert s_residual(entry.algebra, r).is_zero, name
             else:
                 assert check_axioms(entry.algebra).ok, name
-
-    def test_builtin_reps_pass(self):
-        for name, kind in load_script("verify_builtins").MODULES:
-            assert check_rep(standard_rep(catalog(name).algebra, kind)).ok, (name, kind)
 
 
 class TestJsonRoundTrips:

@@ -45,7 +45,7 @@ class TestNormalForm:
 
     def test_idempotent(self, vir, P):
         t = normal_form3(Tensor3(vir, {(0, 0, 0): P("d3^2")}))
-        assert normal_form3(t) is t
+        assert normal_form3(t) == t
 
     @given(q=poly_strategy(T, names=("d1", "d2", "d3")))
     @settings(max_examples=40, deadline=None)

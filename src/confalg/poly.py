@@ -13,7 +13,8 @@ and residual-zero checks are exact and decidable.  Integral arithmetic, the
 common case, stays in machine-speed ``int`` operations.
 
 The parser bounds what a text may expand to (``MAX_PARSE_DEGREE``,
-``MAX_PARSE_TERM_PRODUCTS``) and raises ``ParseError`` past either cap.
+``MAX_PARSE_TERM_PRODUCTS``, ``MAX_PARSE_COEFF``) and raises ``ParseError``
+past any cap.
 
 An identity that holds with a free parameter left symbolic holds for every
 rational (in particular every nonzero) value of that parameter.
@@ -22,7 +23,7 @@ rational (in particular every nonzero) value of that parameter.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from operator import add, itemgetter
 from typing import Iterable, Mapping, Union
 
@@ -155,6 +156,36 @@ def _constant(p: "Poly") -> Scalar | None:
         return s[1]
 
 
+def _accumulate(table: VarTable, terms: dict, a: "Poly", b: "Poly | None" = None,
+                sign: Scalar = 1) -> None:
+    """Add sign * a * b, or sign * a when ``b`` is None, into the raw exponent ->
+    coefficient dict ``terms``; ``_normal`` finishes it.  The one term-product
+    loop of the kernel: a product adds the right term's nonzero exponents, and a
+    constant factor only scales the other's coefficients."""
+    if (a.table is not table and a.table != table
+            or b is not None and b.table is not table and b.table != table):
+        raise VarTableMismatch("polynomials over different variable tables")
+    get = terms.get
+    if b is not None:
+        if (c := _constant(b)) is not None:
+            b, sign = None, sign * c
+        elif (c := _constant(a)) is not None:
+            a, b, sign = b, None, sign * c
+    if b is None:
+        for e, c in a.terms.items():
+            terms[e] = get(e, 0) + sign * c
+        return
+    right = _sparse(b)
+    for e1, c1 in a.terms.items():
+        c1 *= sign
+        for _, c2, nz in right:
+            e = [*e1]
+            for i, v in nz:
+                e[i] += v
+            e = tuple(e)
+            terms[e] = get(e, 0) + c1 * c2
+
+
 class Poly:
     """Normal-form sparse polynomial: exponent tuple -> nonzero coefficient.
 
@@ -205,29 +236,13 @@ class Poly:
 
     # -- ring operations ---------------------------------------------------
 
-    def _check(self, other: "Poly") -> None:
-        if self.table is not other.table and self.table != other.table:
-            raise VarTableMismatch("polynomials over different variable tables")
-
-    def _coerce(self, other: "Poly | Scalar") -> "Poly":
-        if isinstance(other, Poly):
-            self._check(other)
-            return other
-        return Poly.const(self.table, other)
-
-    def __add__(self, other: "Poly | Scalar") -> "Poly":
-        other = self._coerce(other)
+    def __add__(self, other: "Poly | Scalar", sign: Scalar = 1) -> "Poly":
+        """self + sign * other; ``-`` is ``+`` with sign -1."""
+        if not isinstance(other, Poly):
+            other = Poly.const(self.table, other)
         out = dict(self.terms)
-        get = out.get
-        for exps, c in other.terms.items():
-            s = get(exps, 0) + c
-            if not s:
-                del out[exps]
-            elif type(s) is int or s.denominator != 1:
-                out[exps] = s
-            else:
-                out[exps] = s.numerator
-        return _make(self.table, out)
+        _accumulate(self.table, out, other, sign=sign)
+        return _make(self.table, _normal(out))
 
     __radd__ = __add__
 
@@ -235,33 +250,17 @@ class Poly:
         return _make(self.table, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Poly | Scalar") -> "Poly":
-        return self + (-self._coerce(other))
+        return self.__add__(other, -1)
 
     def __rsub__(self, other: "Poly | Scalar") -> "Poly":
-        return self._coerce(other) - self
+        return Poly.const(self.table, other) - self
 
     def __mul__(self, other: "Poly | Scalar") -> "Poly":
-        if isinstance(other, Poly):
-            self._check(other)
-            c, rest = _constant(other), self
-            if c is None:
-                c, rest = _constant(self), other
-        else:
-            c, rest = _scalar(other), self
-            if c == 0:
-                return Poly(self.table)
-        if c is not None:  # a constant factor only scales the other's coefficients
-            return _make(self.table, _normal({e: c * v for e, v in rest.terms.items()}))
         out: dict[tuple[int, ...], Scalar] = {}
-        get = out.get
-        right = _sparse(other)
-        for e1, c1 in self.terms.items():
-            for _, c2, nz in right:
-                key = [*e1]
-                for i, v in nz:
-                    key[i] += v
-                key = tuple(key)
-                out[key] = get(key, 0) + c1 * c2
+        if isinstance(other, Poly):
+            _accumulate(self.table, out, self, other)
+        else:
+            _accumulate(self.table, out, self, sign=_scalar(other))
         return _make(self.table, _normal(out))
 
     __rmul__ = __mul__
@@ -304,12 +303,6 @@ class Poly:
         names = self.table.names
         return {names[i] for i, column in enumerate(zip(*self.terms)) if any(column)}
 
-    def degree_in(self, name: str) -> int:
-        if name not in self.table.index:
-            raise UnknownVariable(f"unknown variable {name!r}")
-        i = self.table.index[name]
-        return max((e[i] for e in self.terms), default=0)
-
     def split(self, names: tuple[str, ...]) -> dict[tuple[int, ...], "Poly"]:
         """Group terms by their exponents in ``names``.
 
@@ -329,17 +322,6 @@ class Poly:
                 rest[i] = 0
             groups.setdefault(key, {})[tuple(rest)] = c
         return {k: _make(self.table, v) for k, v in groups.items()}
-
-    def coefficient(self, name: str, power: int) -> "Poly":
-        """Cofactor of name**power (the variable itself is removed)."""
-        i = self.table.index[name]
-        out: dict[tuple[int, ...], Scalar] = {}
-        for exps, c in self.terms.items():
-            if exps[i] == power:
-                rest = list(exps)
-                rest[i] = 0
-                out[tuple(rest)] = c
-        return _make(self.table, out)
 
     def subs(self, mapping: Mapping[str, "Poly | Scalar"]) -> "Poly":
         """Simultaneous substitution of variables by polynomials; see ``Substitution``."""
@@ -459,8 +441,7 @@ class Substitution:
 class Sums:
     """Sums of products, one polynomial per key: ``add`` multiplies term by term
     into the key's raw exponent -> coefficient dict, ``close`` normalises every
-    key once and drops zero sums (Monagan & Pearce, CASC 2007).  A product adds
-    the right term's nonzero exponents; a constant factor only scales."""
+    key once and drops zero sums (Monagan & Pearce, CASC 2007)."""
 
     __slots__ = ("table", "raw")
 
@@ -469,30 +450,7 @@ class Sums:
 
     def add(self, key, a: Poly, b: Poly | None = None, sign: Scalar = 1) -> None:
         """Add sign * a * b, or sign * a when ``b`` is None, at ``key``."""
-        t = self.table
-        if (a.table is not t and a.table != t
-                or b is not None and b.table is not t and b.table != t):
-            raise VarTableMismatch("polynomials over different variable tables")
-        terms = self.raw.setdefault(key, {})
-        get = terms.get
-        if b is not None:
-            if (c := _constant(b)) is not None:
-                b, sign = None, sign * c
-            elif (c := _constant(a)) is not None:
-                a, b, sign = b, None, sign * c
-        if b is None:
-            for e, c in a.terms.items():
-                terms[e] = get(e, 0) + sign * c
-            return
-        right = _sparse(b)
-        for e1, c1 in a.terms.items():
-            c1 *= sign
-            for _, c2, nz in right:
-                e = [*e1]
-                for i, v in nz:
-                    e[i] += v
-                e = tuple(e)
-                terms[e] = get(e, 0) + c1 * c2
+        _accumulate(self.table, self.raw.setdefault(key, {}), a, b, sign)
 
     def drain(self):
         """Pop each key's nonzero sum as a normal-form term dict, last-added key first."""
@@ -514,16 +472,28 @@ class Sums:
 
 # Polynomial text comes from outside the program, so the parser bounds the
 # work it expands: before each ``*`` and ``^`` it checks the total degree of
-# the result, and it counts the term products the whole text costs (a power
-# is charged as repeated multiplication by its base).
+# the result and a bound on its coefficients' numerators and denominators,
+# and it counts the term products the whole text costs (a power is charged
+# as repeated multiplication by its base).  Coefficients stay below 10^4300,
+# as numerals must for int().
 MAX_PARSE_DEGREE = 100
 MAX_PARSE_TERM_PRODUCTS = 200_000
+MAX_PARSE_COEFF = 10 ** 4300
 
 _OPS = set("+-*^()")
 
 
 def _degree(p: Poly) -> int:
     return max(map(sum, p.terms), default=0)
+
+
+def _height(p: Poly) -> int:
+    """The larger of the common denominator of p's coefficients and the largest
+    numerator over it: it bounds each coefficient's numerator and denominator,
+    and the height of a product is at most the heights' product times the
+    smaller term count."""
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    return max([den, *(abs(c.numerator) * (den // c.denominator) for c in p.terms.values())])
 
 
 def _int(text: str) -> int:
@@ -581,6 +551,12 @@ class _Parser:
         if degree > MAX_PARSE_DEGREE:
             raise ParseError(f"total degree {degree} exceeds the cap of {MAX_PARSE_DEGREE}")
 
+    def check_height(self, h: int, n: int = 1) -> None:
+        """Refuse a result whose height may reach h^n >= MAX_PARSE_COEFF; h^n is
+        only computed when it has fewer bits than twice the cap's."""
+        if n * (h.bit_length() - 1) >= MAX_PARSE_COEFF.bit_length() or h ** n >= MAX_PARSE_COEFF:
+            raise ParseError("coefficients may exceed the cap of 4300 digits")
+
     def spend(self, products: int) -> None:
         self.products += products
         if self.products > MAX_PARSE_TERM_PRODUCTS:
@@ -613,6 +589,8 @@ class _Parser:
             self.next()
             right = self.factor()
             self.check_degree(_degree(result) + _degree(right))
+            self.check_height(_height(result) * _height(right)
+                              * min(len(result.terms), len(right.terms)))
             self.spend(len(result.terms) * len(right.terms))
             result = result * right
         return result
@@ -628,6 +606,8 @@ class _Parser:
             self.check_degree(_degree(base) * n)
             # n - 1 multiplications by base, the k-th of at most comb(t + k - 1, k) terms
             self.spend(t * comb(t + n - 1, n - 1) if n and t else 0)
+            # base^n has height at most (h * t)^n, h the height of base
+            self.check_height(_height(base) * t, n)
             base = base ** n
         return base
 

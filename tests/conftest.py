@@ -302,11 +302,30 @@ def oracle_semidirect(A, rep):
 # -- full-width kernel references -------------------------------------------------
 # The kernel's term arithmetic as it was before products and substitutions
 # touched only a term's nonzero exponents: every product key is built across
-# every slot of the table.
+# every slot of the table.  A sum merges its terms one by one, normalising each.
 
 def _oracle_check(*polys):
     if any(q.table != polys[0].table for q in polys):
         raise VarTableMismatch("polynomials over different variable tables")
+
+
+def oracle_add(a, b):
+    """Poly + Poly or scalar: b's terms merged into a copy of a's, each sum
+    dropped when zero and stored as an int when integral."""
+    if not isinstance(b, Poly):
+        b = Poly.const(a.table, b)
+    _oracle_check(a, b)
+    out = dict(a.terms)
+    get = out.get
+    for exps, c in b.terms.items():
+        s = get(exps, 0) + c
+        if not s:
+            del out[exps]
+        elif type(s) is int or s.denominator != 1:
+            out[exps] = s
+        else:
+            out[exps] = s.numerator
+    return _make(a.table, out)
 
 
 def oracle_mul(a, b):

@@ -448,6 +448,11 @@ class TestRejectedInput:
                                                   "products": {"L,L": {"L": "d1"}}}}, (),
                      'algebra.products["L,L"].L may use only d, x and parameters, got d1',
                      id="product_slot_variable"),
+        *(pytest.param("check-axioms", {"algebra": {"basis": ["L"],
+                                                    "products": {"L,L": {"L": text}}}}, (),
+                       'algebra.products["L,L"].L: coefficients may exceed the cap of 4300 digits',
+                       id=f"coefficient_cap_{i}")
+          for i, text in enumerate(("(2^99999)^99999*d + 2*x", "2^20000*d + x"))),
         pytest.param("check-rep", {"algebra": "vir",
                                    "representation": {"module_basis": ["V"],
                                                       "action": {"L,V": {"V": "d1"}}}}, (),

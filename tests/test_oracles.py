@@ -604,13 +604,14 @@ def _match_square(eq, unknowns):
 def _match_linear(eq, unknowns):
     """c * v + rest with rational c and rest free of v; first match by name."""
     for v in sorted(eq.variables() & unknowns):
-        if eq.degree_in(v) != 1:
+        groups = eq.split((v,))
+        if max(groups) != (1,):
             continue
-        coeff = eq.coefficient(v, 1)
+        coeff = groups[(1,)]
         c = coeff.constant_value()
         if c is None or c == 0:
             continue
-        rest = eq.coefficient(v, 0)
+        rest = groups.get((0,), Poly.zero(eq.table))
         if coeff * Poly.var(eq.table, v) + rest == eq:
             return v, c, rest
     return None
@@ -1732,10 +1733,11 @@ class TestEngineOracles:
         upper = [[one if i == j else Poly.const(BC, (-1) ** (i + j) * (1 + i * j % 2))
                   if j > i else zero for j in range(n)] for i in range(n)]
         matrix = dense_matmul(lower, upper, BC)
-        assert all(not p.is_zero and p.degree_in("d") <= 1 for row in matrix for p in row)
+        assert all(not p.is_zero and max(p.split(("d",))) <= (1,) for row in matrix for p in row)
         inverse = invert_module_map(ModuleMap(BC, matrix)).matrix
         assert dense_matmul(matrix, inverse, BC) == ModuleMap.identity(BC, n).matrix
-        assert max(p.degree_in("d") for row in inverse for p in row) == 9
+        d = BC.index["d"]
+        assert max(e[d] for row in inverse for p in row for e in p.terms) == 9
 
     @given(A=random_algebras(LEFT_SYMMETRIC))
     @settings(max_examples=40, deadline=None)

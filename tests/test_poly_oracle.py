@@ -149,20 +149,10 @@ class TestStructure:
         for key, cofactor in groups.items():
             assert same(cofactor, expected[key])
 
-    @given(a=polys(), name=st.sampled_from(NAMES), power=st.integers(0, 4))
-    @settings(max_examples=60, deadline=None)
-    def test_coefficient(self, a, name, power):
-        s = SYMS[name]
-        expected = sympy.Poly(to_sympy(a), s).as_dict().get((power,), sympy.Integer(0))
-        assert same(a.coefficient(name, power), expected)
-
     @given(a=polys())
     @settings(max_examples=40, deadline=None)
-    def test_variables_and_degree(self, a):
-        expr = to_sympy(a)
-        assert a.variables() == {str(s) for s in expr.free_symbols}
-        for n in NAMES:
-            assert a.degree_in(n) == (sympy.degree(expr, SYMS[n]) if a.terms else 0)
+    def test_variables(self, a):
+        assert a.variables() == {str(s) for s in to_sympy(a).free_symbols}
 
     @given(a=polys())
     @settings(max_examples=60, deadline=None)

@@ -21,7 +21,7 @@ from . import io_json as io
 from .algebra import AlgebraError
 from .catalog import CatalogEntry, UnknownEntry, catalog, required_params
 from .io_json import InputError
-from .poly import Poly, PolyError, Substitution, VarTable
+from .poly import MAX_PARSE_COEFF, MAX_PARSE_DIGITS, Poly, PolyError, Substitution, VarTable
 from .report import Report
 
 USAGE_ERRORS = (InputError, PolyError, AlgebraError, UnknownEntry, ValueError)
@@ -48,21 +48,21 @@ SECTIONS = {
 }
 
 
-MAX_DIGITS = 4300  # the longest numeral poly.parse reads: Python's int() limit
 _LONG_EXPONENT = re.compile(r"[eE][-+]?[0_]*[1-9](_?\d){4}")  # five or more digits
 
 
 def _rational(text: str, what: str) -> Fraction:
-    """``text`` as a rational of at most MAX_DIGITS digits above and below the
-    line; an exponent of five or more digits is refused before it is expanded.
+    """``text`` as a rational of at most ``poly.MAX_PARSE_DIGITS`` digits above
+    and below the line, the parser's cap on numerals and coefficients; an
+    exponent of five or more digits is refused before it is expanded.
     A rejected text longer than 40 characters is named by its length."""
     try:
         value = None if _LONG_EXPONENT.search(text) else Fraction(text)
     except (ValueError, ZeroDivisionError):
         got = repr(text) if len(text) <= 40 else f"a text of {len(text)} characters"
         raise InputError(f"{what} expects a rational, got {got}") from None
-    if value is None or max(abs(value.numerator), value.denominator) >= 10 ** MAX_DIGITS:
-        raise InputError(f"{what} exceeds {MAX_DIGITS} digits or a four-digit exponent")
+    if value is None or max(abs(value.numerator), value.denominator) >= MAX_PARSE_COEFF:
+        raise InputError(f"{what} exceeds {MAX_PARSE_DIGITS} digits or a four-digit exponent")
     return value
 
 

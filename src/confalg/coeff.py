@@ -216,7 +216,6 @@ def window_checks(w: CoeffWindow, T: ModuleMap | None = None,
     report.sweep("antisymmetry", (names,) * 2, antisymmetry, names, "[{},{}]")
     report.sweep("jacobi", (names,) * 3, jacobi, names, "[{},[{},{}]]")
     if T is not None:
-        alpha = weight if isinstance(weight, Poly) else Poly.const(t, weight)
         lift = w.lift_map(T)
         lifted = [row(lift(w.unit(*sym))) for sym in syms]
 
@@ -224,13 +223,13 @@ def window_checks(w: CoeffWindow, T: ModuleMap | None = None,
             ta, tb, ab = lifted[a], lifted[b], table[a][b]
             if ta is None or tb is None or ab is None:
                 return None
-            # [T a, T b] - T([T a, b] + [a, T b] + alpha [a, b])
+            # [T a, T b] - T([T a, b] + [a, T b] + weight [a, b])
             out, left, right = Sums(t), Sums(t), Sums(t)
             if (all(_chain(out, [(l, c * q) for l, q in tb], table[k]) for k, c in ta)
                     and _chain(left, ta, cols[b]) and _chain(right, tb, table[a])
                     and _chain(out, left.close().items(), lifted, -1)
                     and _chain(out, right.close().items(), lifted, -1)
-                    and _chain(out, [(k, c * alpha) for k, c in ab], lifted, -1)):
+                    and _chain(out, [(k, c * weight) for k, c in ab], lifted, -1)):
                 return out.close()
             return None
 

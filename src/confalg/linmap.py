@@ -20,8 +20,6 @@ from fractions import Fraction
 from .algebra import AlgebraError
 from .poly import Poly, Record, Substitution, Sums, VarTable
 
-Vector = tuple[Poly, ...]
-
 
 class NotInvertible(AlgebraError):
     pass
@@ -76,18 +74,10 @@ class ModuleMap(ConformalLinearMap):
         super().__init__(table, matrix)
 
     @classmethod
-    def zero(cls, table: VarTable, src: int, dst: int) -> "ModuleMap":
-        z = Poly.zero(table)
-        return cls(table, [[z for _ in range(dst)] for _ in range(src)])
-
-    @classmethod
     def identity(cls, table: VarTable, rank: int) -> "ModuleMap":
         one = Poly.const(table, 1)
         z = Poly.zero(table)
         return cls(table, [[one if i == j else z for j in range(rank)] for i in range(rank)])
-
-    def row(self, i: int) -> Vector:
-        return tuple(self.matrix[i])
 
     def perturbed(self, i: int, j: int, delta: Poly | int) -> "ModuleMap":
         out = [list(row) for row in self.matrix]

@@ -171,9 +171,7 @@ def induced_lsc(T: ModuleMap, rep: Representation | None = None,
                       _view(((k, j, f) for j, k, _, f in _entries(invert_module_map(T))), shift),
                       _view((n, m, f) for n, m, _, f in _entries(T)))
             return ConformalAlgebra(LEFT_SYMMETRIC, rep.algebra.basis, t, _nest(sums.close()))
-    products: ProductTable = {}
-    for (i, j, m, _), p in _rb_sums(t, table, _entries(T)).close().items():
-        products.setdefault((i, j), {})[m] = p
+    products = _nest({k[:3]: p for k, p in _rb_sums(t, table, _entries(T)).close().items()})
     return ConformalAlgebra(LEFT_SYMMETRIC, basis, t, products)
 
 
@@ -206,9 +204,6 @@ class BilinearForm(Record):
                         f"form entries may use only x and parameters, got {sorted(extra)}")
                 if not p.is_zero:
                     self.products[(i, j)] = {0: p}
-
-    def entry(self, i: int, j: int) -> Poly:
-        return self.matrix[i][j]
 
     def induced_map(self) -> ModuleMap:
         """The map into the dual, a matrix over d: row i is B_ij(-d)."""
@@ -311,9 +306,6 @@ class PolySystem(Record):
     def equations(self) -> list[Poly]:
         """The rows as Polys over ``table``, in a new list on each read."""
         return [_poly(self.table, row) for row in self.rows]
-
-    def evaluate(self, assignment: dict[str, Poly | Fraction | int]) -> list[Poly]:
-        return list(map(Substitution(self.table, assignment), self.equations))
 
 
 def _poly(table: VarTable, row: dict) -> Poly:

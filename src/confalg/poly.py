@@ -32,8 +32,6 @@ Scalar = Union[int, Fraction]
 PARTIAL_SLOTS = ("d", "d1", "d2", "d3")
 LAMBDA_SLOTS = ("x", "y", "z1", "z2")
 CANONICAL_VARS = PARTIAL_SLOTS + LAMBDA_SLOTS
-# z1/z2 are reserved for internal substitutions and rejected by the parser.
-INPUT_VARS = ("d", "d1", "d2", "d3", "x", "y")
 
 
 class PolyError(Exception):
@@ -473,12 +471,14 @@ class Sums:
 # Polynomial text comes from outside the program, so the parser bounds the
 # work it expands: before each ``*`` and ``^`` it checks the total degree of
 # the result and a bound on its coefficients' numerators and denominators,
-# and it counts the term products the whole text costs (a power is charged
-# as repeated multiplication by its base).  Coefficients stay below 10^4300,
-# as numerals must for int().
+# before each summand of a sum the common denominator so far, and it counts
+# the term products the whole text costs (a power is charged as repeated
+# multiplication by its base).  Coefficients stay below 10^4300, as numerals
+# must for int().
 MAX_PARSE_DEGREE = 100
 MAX_PARSE_TERM_PRODUCTS = 200_000
-MAX_PARSE_COEFF = 10 ** 4300
+MAX_PARSE_DIGITS = 4300
+MAX_PARSE_COEFF = 10 ** MAX_PARSE_DIGITS
 
 _OPS = set("+-*^()")
 
@@ -555,7 +555,7 @@ class _Parser:
         """Refuse a result whose height may reach h^n >= MAX_PARSE_COEFF; h^n is
         only computed when it has fewer bits than twice the cap's."""
         if n * (h.bit_length() - 1) >= MAX_PARSE_COEFF.bit_length() or h ** n >= MAX_PARSE_COEFF:
-            raise ParseError("coefficients may exceed the cap of 4300 digits")
+            raise ParseError(f"coefficients may exceed the cap of {MAX_PARSE_DIGITS} digits")
 
     def spend(self, products: int) -> None:
         self.products += products
@@ -572,16 +572,25 @@ class _Parser:
         return tok
 
     def expr(self) -> Poly:
-        sign = 1
+        """A sum of terms, added into one raw term dict and normalised once.
+        Every term's height is below the cap, and before each term is added the
+        common denominator of all terms so far is checked against it, so each
+        raw coefficient keeps a numerator below (terms added) * cap^2.  The
+        sum's own height is checked at the end."""
+        terms: dict[tuple[int, ...], Scalar] = {}
+        den, kind = 1, "+"
         if self.peek() in "+-":
             kind, _ = self.next()
-            sign = -1 if kind == "-" else 1
-        result = self.term() * sign
-        while self.peek() in "+-":
-            kind, _ = self.next()
+        while True:
             t = self.term()
-            result = result + t if kind == "+" else result - t
-        return result
+            den = lcm(den, *(c.denominator for c in t.terms.values()))
+            self.check_height(den)
+            _accumulate(self.table, terms, t, sign=-1 if kind == "-" else 1)
+            if self.peek() not in "+-":
+                result = _make(self.table, _normal(terms))
+                self.check_height(_height(result))
+                return result
+            kind, _ = self.next()
 
     def term(self) -> Poly:
         result = self.factor()

@@ -15,12 +15,10 @@ from .poly import Record
 
 
 class CheckItem(Record):
-    def __init__(self, name: str, residuals: list[tuple[str, str]] | None = None,
-                 evaluated: int = 0, skipped: int = 0) -> None:
-        self.name = name
-        self.residuals = [] if residuals is None else residuals
+    def __init__(self, name: str) -> None:
+        self.name, self.residuals = name, []
         # instances a sweep evaluated and skipped; not in to_dict yet
-        self.evaluated, self.skipped = evaluated, skipped
+        self.evaluated, self.skipped = 0, 0
 
     @property
     def ok(self) -> bool:
@@ -28,8 +26,8 @@ class CheckItem(Record):
 
 
 class Report(Record):
-    def __init__(self, checks: list[CheckItem] | None = None) -> None:
-        self.checks = [] if checks is None else checks
+    def __init__(self) -> None:
+        self.checks: list[CheckItem] = []
 
     @property
     def ok(self) -> bool:

@@ -82,7 +82,7 @@ def test_criterion_8():
             _, form = verify.cocycle_input(A, kind)
             for i in range(2 * n):
                 for j in range(2 * n):
-                    assert form.entry(i, j) == (sign if j == i + n else 1 if i == j + n else 0)
+                    assert form.matrix[i][j] == (sign if j == i + n else 1 if i == j + n else 0)
 
 
 def test_criterion_9():

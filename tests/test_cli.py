@@ -452,7 +452,8 @@ class TestRejectedInput:
                                                     "products": {"L,L": {"L": text}}}}, (),
                        'algebra.products["L,L"].L: coefficients may exceed the cap of 4300 digits',
                        id=f"coefficient_cap_{i}")
-          for i, text in enumerate(("(2^99999)^99999*d + 2*x", "2^20000*d + x"))),
+          for i, text in enumerate(("(2^99999)^99999*d + 2*x", "2^20000*d + x",
+                                    f"1/{10 ** 4299 + 1}*d + 1/{10 ** 4299 + 3}*x"))),
         pytest.param("check-rep", {"algebra": "vir",
                                    "representation": {"module_basis": ["V"],
                                                       "action": {"L,V": {"V": "d1"}}}}, (),

@@ -36,7 +36,7 @@ from confalg import (
 from confalg import operators
 from confalg.io_json import form_from_dict
 from confalg.operators import MAX_RB_SIZE
-from confalg.poly import Substitution, UnknownVariable
+from confalg.poly import Substitution
 
 
 def plain_algebra(name):
@@ -65,7 +65,7 @@ class TestOOperator:
 
     def test_zero_map(self, vir, table):
         rep = dual_rep(standard_rep(vir, "adjoint"))
-        assert check_o_operator(ModuleMap.zero(table, 1, 1), rep).ok
+        assert check_o_operator(ModuleMap(table, [[Poly.zero(table)]]), rep).ok
 
     def test_dual_adjoint_counterexample(self, vir, table, P):
         rep = dual_rep(standard_rep(vir, "adjoint"))
@@ -140,7 +140,8 @@ class TestInducedLsc:
         assert A.product(1, 1) == {}
 
     def test_zero_map(self, hv, table):
-        A = induced_lsc(ModuleMap.zero(table, 2, 2), mode="rb", algebra=hv)
+        A = induced_lsc(ModuleMap(table, [[Poly.zero(table)] * 2 for _ in range(2)]),
+                        mode="rb", algebra=hv)
         assert A.products == {}
         assert check_axioms(A).ok
 
@@ -207,7 +208,7 @@ class TestCocycles:
         for i in range(4):
             for j in range(4):
                 expected = P("-1") if j == i + n else (P("1") if i == j + n else P("0"))
-                assert form.entry(i, j) == expected
+                assert form.matrix[i][j] == expected
         assert cocycle_check(S, form).ok
 
     def test_degenerate_rejected(self, vir, P):
@@ -267,8 +268,8 @@ class TestConstraints:
         assign = {u: Poly.zero(system.table) for u in system.unknowns}
         for k, g in enumerate(("g0", "g1", "g2", "g3")):
             assign[f"t0_1_{k}"] = Poly.var(system.table, g)
-        residuals = system.evaluate(assign)
-        assert all(r.is_zero for r in residuals)
+        at = Substitution(system.table, assign)
+        assert all(at(eq).is_zero for eq in system.equations)
 
     def test_family1_satisfies_system(self, hv, table):
         system, _ = rb_constraints(hv, 0, 0)
@@ -277,7 +278,8 @@ class TestConstraints:
             "t0_0_0": -b, "t0_1_0": -b,
             "t1_0_0": b, "t1_1_0": b,
         }
-        assert all(r.is_zero for r in system.evaluate(assign))
+        at = Substitution(system.table, assign)
+        assert all(at(eq).is_zero for eq in system.equations)
 
     def test_random_map_agreement(self, hv, table, P):
         # a map satisfies the identity iff its coefficients satisfy the system
@@ -291,7 +293,8 @@ class TestConstraints:
         for content, expect_ok in cases:
             assign = {u: Poly.const(system.table, content.get(u, 0))
                       for u in system.unknowns}
-            sys_ok = all(r.is_zero for r in system.evaluate(assign))
+            at = Substitution(system.table, assign)
+            sys_ok = all(at(eq).is_zero for eq in system.equations)
             matrix = [[Poly.zero(table), Poly.zero(table)],
                       [Poly.zero(table), Poly.zero(table)]]
             D = Poly.var(table, "d")
@@ -331,16 +334,6 @@ class TestConstraints:
             tracemalloc.stop()
         assert len(system.equations) == 2552
         assert peak <= 19_900_000 / 2
-
-    def test_evaluate(self):
-        system, _ = rb_constraints(plain_algebra("hv"), 1, 0)
-        t = system.table
-        assignment = {"t0_0_0": parse(t, "t0_1_0 + 2"), "t1_1_1": 3, "t0_1_0": parse(t, "t1_0_0^2")}
-        at = Substitution(t, assignment)
-        assert system.evaluate(assignment) == [at(eq) for eq in system.equations]
-        assert system.evaluate({}) == system.equations
-        with pytest.raises(UnknownVariable):
-            system.evaluate({"nosuch": 1})
 
     @pytest.mark.parametrize("name, largest", [("vir", 69), ("hv", 24), ("hv_dual", 7)])
     def test_size_cap(self, name, largest):

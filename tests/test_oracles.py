@@ -1100,7 +1100,7 @@ def oracle_rota_baxter_residuals(A, T, weight):
     X = Poly.var(t, "x")
     alpha = weight if isinstance(weight, Poly) else Poly.const(t, weight)
     out = {}
-    rows = [T.row(i) for i in range(A.rank)]
+    rows = [tuple(T.matrix[i]) for i in range(A.rank)]
     basis = [A.basis_vector(i) for i in range(A.rank)]
     for i in range(A.rank):
         for j in range(A.rank):
@@ -1130,7 +1130,8 @@ def oracle_rb_constraints(A, degree_bound, weight=0):
     unknowns = tuple(f"t{i}_{j}_{k}"
                      for i in range(n) for j in range(n) for k in range(degree_bound + 1))
     ext = A.table.extended(unknowns)
-    A2 = A.map_polys(lambda p: p.embed(ext), ext)
+    A2 = ConformalAlgebra(A.kind, A.basis, ext, {pair: {k: p.embed(ext) for k, p in targets.items()}
+                                                  for pair, targets in A.products.items()})
     D = Poly.var(ext, "d")
     matrix = []
     for i in range(n):
@@ -1165,7 +1166,7 @@ def oracle_rb_gd_check(V, T, weight):
     alpha = weight if isinstance(weight, Poly) else Poly.const(V.table, weight)
     report = Report()
     basis = [unit_vector(V.table, V.dim, i) for i in range(V.dim)]
-    rows = [T.row(i) for i in range(V.dim)]
+    rows = [tuple(T.matrix[i]) for i in range(V.dim)]
     for name, tbl in (("rota_baxter_novikov", V.circ), ("rota_baxter_lie", V.lie)):
         def prod(a, b, tbl=tbl):
             return oracle_gd_product(V, tbl, a, b)
@@ -1229,7 +1230,8 @@ class TestRotaBaxterOracle:
         hv = catalog("hv", table=T).algebra
         fam = catalog(name.replace("lsc", "rb_family"), table=T).linmap
         X = Poly.var(T, "x")
-        want = {(i, j): dict(enumerate(dense_mul_at(hv, fam.row(i), hv.basis_vector(j), X)))
+        want = {(i, j): dict(enumerate(dense_mul_at(hv, tuple(fam.matrix[i]),
+                                                    hv.basis_vector(j), X)))
                 for i in range(hv.rank) for j in range(hv.rank)}
         want = ConformalAlgebra(LEFT_SYMMETRIC, hv.basis, T, want).products
         assert induced_lsc(fam, mode="rb", algebra=hv).products == want
@@ -1420,7 +1422,7 @@ def oracle_check_o_operator(T, rep, ker_mode=False):
     t = A.table
     X = Poly.var(t, "x")
     D = Poly.var(t, "d")
-    rows = [T.row(i) for i in range(rep.mrank)]
+    rows = [tuple(T.matrix[i]) for i in range(rep.mrank)]
     vb = [unit_vector(t, rep.mrank, j) for j in range(rep.mrank)]
 
     def residual(i, j):
@@ -1449,12 +1451,12 @@ def oracle_induced_lsc(T, rep, mode):
     X = Poly.var(A.table, "x")
     if mode == "o_product":
         vb = [unit_vector(A.table, rep.mrank, j) for j in range(rep.mrank)]
-        products = {(i, j): dict(enumerate(dense_act(rep, T.row(i), vb[j], X)))
+        products = {(i, j): dict(enumerate(dense_act(rep, tuple(T.matrix[i]), vb[j], X)))
                     for i in range(rep.mrank) for j in range(rep.mrank)}
         return ConformalAlgebra(LEFT_SYMMETRIC, rep.mbasis, A.table, products)
     Tinv = oracle_invert_module_map(T)
     products = {(i, j): dict(enumerate(dense_apply(T, dense_act(rep, A.basis_vector(i),
-                                                                 Tinv.row(j), X))))
+                                                                 tuple(Tinv.matrix[j]), X))))
                 for i in range(A.rank) for j in range(A.rank)}
     return ConformalAlgebra(LEFT_SYMMETRIC, A.basis, A.table, products)
 

@@ -1,3 +1,4 @@
+import itertools
 import operator
 import time
 from fractions import Fraction
@@ -11,6 +12,8 @@ from confalg.poly import MAX_PARSE_DEGREE, Substitution, Sums
 from conftest import oracle_add, oracle_mul, oracle_substitute, oracle_sums_add, poly_strategy
 
 T = VarTable(params=("b",))
+# each coefficient is under the 4300-digit cap, their common denominator is not
+SUM_OVER_CAP = f"1/{10 ** 4299 + 1}*d + 1/{10 ** 4299 + 3}*x"
 
 
 def p(text):
@@ -146,7 +149,10 @@ class TestParser:
     @pytest.mark.parametrize("text", ["(d+x+y+d1+d2+d3)^40", "x^999999999", "2^999999999",
                                       "x^60*d^41", "(d+x+y+d1+d2+d3+b)^5*(d+x+y+d1+d2+d3+b)^5",
                                       "x^" + "9" * 5000, "1" * 5000 + "*d",
-                                      "(2^99999)^99999*d + 2*x", "2^20000*d + x"])
+                                      "(2^99999)^99999*d + 2*x", "2^20000*d + x",
+                                      pytest.param(SUM_OVER_CAP, id="sum_over_cap"),
+                                      pytest.param("9" * 4300 + "*d + " + "9" * 4300 + "*d",
+                                                   id="sum_of_like_terms_over_cap")])
     def test_caps_reject_without_expanding(self, monkeypatch, text):
         pow_ = Poly.__pow__
 
@@ -165,8 +171,28 @@ class TestParser:
         assert p("(d+1)^100").terms[(50,) + (0,) * 8] == comb(100, 50)
         assert p("(2*d+3/7)^100").terms[(0,) * 9] == Fraction(3, 7) ** 100
         assert p("9" * 4300 + "*d") == Poly.var(T, "d") * int("9" * 4300)
+        # a sum is checked on its exact height, not a sum of its terms' heights
+        assert p("9" * 4300 + "*d + " + "9" * 4300 + "*x + 1") == (
+            (Poly.var(T, "d") + Poly.var(T, "x")) * int("9" * 4300) + 1)
         # charged 7 * comb(14, 7) = 24,024 term products
         assert len(p("(d+x+y+d1+d2+d3+b)^8").terms) == 3003
+
+    def test_sum_normalises_once(self):
+        assert p("1/2 + 1/3 - 5/6 + x") == Poly.var(T, "x")
+        _assert_normal(p("1/2*x + 1/2*x - 1/3 + 1/3*d - 1/3*d"))
+
+    def test_sum_is_linear(self):
+        """A sum adds every summand into one term dict: 6,000 distinct degree-3
+        monomials over 33 variables (74 KB of text) take well under 2 s of CPU."""
+        params = tuple(f"p{i}" for i in range(30))
+        t = VarTable(params)
+        monomials = itertools.islice(
+            itertools.combinations_with_replacement(("d", "x", "y", *params), 3), 6000)
+        text = " + ".join(map("*".join, monomials))
+        start = time.process_time()
+        q = parse(t, text)
+        assert time.process_time() - start < 2
+        assert len(q.terms) == 6000 and set(q.terms.values()) == {1}
 
     def test_errors(self):
         for bad in ("d+", "q", "z1", "2**3", "d^-1", "(d", "d^x", "1/"):

@@ -140,7 +140,7 @@ class Session:
         if w is None:
             return Fraction(0)
         if w == "free":
-            return Poly.var(self.table, "alpha")
+            return Substitution(self.table, self.values)(Poly.var(self.table, "alpha"))
         return _rational(w, "--weight")
 
 

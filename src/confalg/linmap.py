@@ -8,8 +8,9 @@ map to one.  Invertibility over the polynomial ring in d means the
 determinant is a nonzero rational constant; the inverse comes from the
 Faddeev-LeVerrier recurrence, n products of n x n matrices.
 
-Over Q, `rref` row-reduces sparse rows {column: rational} over the
-integers, and `kernel` gives a basis of their common null space.
+Over Q, `rref` reduces sparse rows {column: rational} one at a time, by
+sparse Gauss-Jordan over the integers, and `kernel` gives a basis of their
+common null space.
 """
 
 from __future__ import annotations
@@ -116,38 +117,46 @@ def invert_module_map(m: ModuleMap) -> ModuleMap:
     return ModuleMap(table, [[p * scale for p in row] for row in M])
 
 
+def _eliminate(row: dict, pivot_row: dict, p) -> dict:
+    """a * row - b * pivot_row, in which column p cancels, over its content."""
+    a, b = pivot_row[p], row[p]
+    out = {k: a * v for k, v in row.items()}
+    for k, v in pivot_row.items():
+        if s := out.get(k, 0) - b * v:
+            out[k] = s
+        else:  # a cancellation, so k is in row
+            del out[k]
+    g = math.gcd(*out.values())
+    return {k: v // g for k, v in out.items()} if g > 1 else out
+
+
 def rref(rows, columns) -> tuple[list[dict], list]:
     """Reduced row echelon form over Q of sparse rows {column: rational}.
 
     `columns` is the column order.  Returns the nonzero reduced rows, each
     {column: Fraction} with pivot 1, and their pivot columns in that order.
-    The rows are cleared of denominators and reduced over the integers,
-    fraction-free (Bareiss, Math. Comp. 22, 1968): each step divides exactly
-    by the previous pivot, and in the end all pivots equal the last one.
+    Gauss-Jordan over the integers, one row at a time: each row is cleared
+    of denominators and reduced by the kept rows whose pivots it holds, then
+    pivots at its first remaining column, which is cleared from the kept
+    rows.  The kept rows are always the RREF, up to scale, of the rows read.
     """
     index = {c: i for i, c in enumerate(columns)}
-    mat = []
+    kept: dict[int, dict[int, int]] = {}  # pivot position -> row
     for row in rows:
         den = math.lcm(*(v.denominator for v in row.values()))
-        dense = [0] * len(columns)
-        for c, v in row.items():
-            dense[index[c]] = v.numerator * (den // v.denominator)
-        mat.append(dense)
-    pivots, prev = [], 1
-    for j in range(len(columns)):
-        r = len(pivots)
-        hit = next((i for i in range(r, len(mat)) if mat[i][j]), None)
-        if hit is None:
-            continue
-        mat[r], mat[hit] = mat[hit], mat[r]
-        top = mat[r]
-        mat = [row if i == r else [(top[j] * x - row[j] * y) // prev for x, y in zip(row, top)]
-               for i, row in enumerate(mat)]
-        prev = top[j]
-        pivots.append(j)
-    reduced = [{columns[k]: Fraction(x, prev) for k, x in enumerate(row) if x}
-               for row in mat[:len(pivots)]]
-    return reduced, [columns[j] for j in pivots]
+        new = {index[c]: v.numerator * (den // v.denominator) for c, v in row.items() if v}
+        for p in [p for p in new if p in kept]:
+            new = _eliminate(new, kept[p], p)
+        if new:
+            p = min(new)
+            for q, old in kept.items():
+                if p in old:
+                    kept[q] = _eliminate(old, new, p)
+            kept[p] = new
+    pivots = sorted(kept)
+    reduced = [{columns[k]: Fraction(kept[p][k], kept[p][p]) for k in sorted(kept[p])}
+               for p in pivots]
+    return reduced, [columns[p] for p in pivots]
 
 
 def kernel(rows, columns) -> list[dict]:

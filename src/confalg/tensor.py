@@ -178,17 +178,16 @@ def t_from_r(A: ConformalAlgebra, r: Tensor2) -> ConformalLinearMap:
     return ConformalLinearMap(table, matrix)
 
 
-def r_from_t(T: ConformalLinearMap, rep: Representation, mode: str = "skew",
-             checked: bool = True) -> Tensor2:
+def r_from_t(T: ConformalLinearMap, rep: Representation, mode: str = "skew") -> Tensor2:
     """Tensor over the semidirect sum with the dual module, read off a map.
 
     Entry on (e_j, v_i*) is a_ij with x := -d1-d2 and d := d1.  Mode skew
-    subtracts the flip, sym adds it, raw returns the bare tensor.
+    subtracts the flip, sym adds it, raw returns the bare tensor.  The module
+    axioms of `rep` are checked first.
     """
-    if checked:
-        rr = check_rep(rep)
-        if not rr.ok:
-            raise PreconditionError("module axioms fail", rr)
+    rr = check_rep(rep)
+    if not rr.ok:
+        raise PreconditionError("module axioms fail", rr)
     if mode not in ("skew", "sym", "raw"):
         raise ValueError(f"unknown mode {mode!r}")
     A = rep.algebra

@@ -1,4 +1,5 @@
 import importlib.util
+import math
 import os
 import subprocess
 import sys
@@ -248,6 +249,41 @@ def oracle_invert_module_map(m):
                 cof = -cof
             adj[j][i] = cof * inv_det
     return ModuleMap(m.table, adj)
+
+
+def oracle_rref(rows, columns) -> tuple[list[dict], list]:
+    """Reduced row echelon form over Q of sparse rows {column: rational}:
+    the dense body ``linmap.rref`` had before its sparse elimination.
+
+    `columns` is the column order.  Returns the nonzero reduced rows, each
+    {column: Fraction} with pivot 1, and their pivot columns in that order.
+    The rows are cleared of denominators and reduced over the integers,
+    fraction-free (Bareiss, Math. Comp. 22, 1968): each step divides exactly
+    by the previous pivot, and in the end all pivots equal the last one.
+    """
+    index = {c: i for i, c in enumerate(columns)}
+    mat = []
+    for row in rows:
+        den = math.lcm(*(v.denominator for v in row.values()))
+        dense = [0] * len(columns)
+        for c, v in row.items():
+            dense[index[c]] = v.numerator * (den // v.denominator)
+        mat.append(dense)
+    pivots, prev = [], 1
+    for j in range(len(columns)):
+        r = len(pivots)
+        hit = next((i for i in range(r, len(mat)) if mat[i][j]), None)
+        if hit is None:
+            continue
+        mat[r], mat[hit] = mat[hit], mat[r]
+        top = mat[r]
+        mat = [row if i == r else [(top[j] * x - row[j] * y) // prev for x, y in zip(row, top)]
+               for i, row in enumerate(mat)]
+        prev = top[j]
+        pivots.append(j)
+    reduced = [{columns[k]: Fraction(x, prev) for k, x in enumerate(row) if x}
+               for row in mat[:len(pivots)]]
+    return reduced, [columns[j] for j in pivots]
 
 
 def oracle_regular_right(A):

@@ -316,6 +316,23 @@ class TestCli:
         doc = {"algebra": "vir", "map": {"L": {}}}
         assert run(tmp_path, "check-rb", doc, "--weight", "free") == 0
 
+    @pytest.mark.parametrize("value, code", [("0", 0), ("1", 1), ("free", 1)])
+    def test_weight_free_takes_a_fixed_alpha(self, tmp_path, value, code):
+        """Family 1 on hv is Rota-Baxter of weight 0 only."""
+        doc = {"algebra": "hv", "map": "hv_rb_family1"}
+        assert run(tmp_path, "check-rb", doc, "--weight", "free", "--param", f"alpha={value}") == code
+
+    def test_constraints_weight_free_takes_a_fixed_alpha(self, tmp_path, capsys):
+        doc = {"algebra": "hv", "map": "hv_rb_family1"}
+        assert run(tmp_path, "rb-constraints", doc, "--degree", "1", "--weight", "0") == 0
+        want = json.loads(capsys.readouterr().out)
+        assert run(tmp_path, "rb-constraints", doc, "--degree", "1",
+                   "--weight", "free", "--param", "alpha=0") == 0
+        got = json.loads(capsys.readouterr().out)
+        assert got["params"] == ["alpha"] + want["params"]
+        assert got["equations"] == want["equations"]
+        assert not any("alpha" in eq for eq in got["equations"])
+
     def test_basis_element_named_map(self, tmp_path):
         doc = {"algebra": {"basis": ["map"], "products": {"map,map": {"map": "d+2*x"}}},
                "map": {"map": {"map": "0"}}}

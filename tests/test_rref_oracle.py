@@ -4,7 +4,9 @@ Random sparse rational matrices, with zero rows, repeated rows and the zero
 matrix among them, go through `rref` and `kernel` and through
 `sympy.Matrix`: the reduced rows and pivot columns must be the same, the
 kernel must have the dimension of sympy's null space, and every kernel
-vector must be annihilated exactly by every row.
+vector must be annihilated exactly by every row.  `rref` must also give
+what the dense Bareiss reduction `oracle_rref` gives, key order and types
+included, there and on the Rota-Baxter constraint rows of hv.
 """
 
 from fractions import Fraction
@@ -12,7 +14,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from confalg import rb_constraints
 from confalg.linmap import kernel, rref
+from conftest import oracle_rref
 
 sympy = pytest.importorskip("sympy")
 
@@ -43,9 +47,14 @@ def to_sympy(rows, columns):
 @example(([], ["p", "q"]))
 @example(([{}, {"p": Fraction(0)}], ["q", "p"]))
 @example(([{"p": Fraction(1, 2), "q": Fraction(1, 3)}] * 3, ["q", "p"]))
+@example(([{"p": -2, "q": 3}, {"q": -4, "r": 1}, {"p": 6, "r": -5}], ["p", "q", "r"]))
+@example(([{"q": -3, "p": Fraction(3, 2)}, {"p": 1, "r": 2}], ["q", "r", "p"]))
+@example(([{"p": 1, "q": -2}, {"q": 3, "r": 1}, {"p": 2, "q": 2, "r": 2}], ["p", "q", "r"]))
 def test_against_sympy(matrix):
     rows, columns = matrix
     reduced, pivots = rref(rows, columns)
+    dense = oracle_rref(rows, columns)
+    assert (reduced, pivots) == dense and repr((reduced, pivots)) == repr(dense)
     want, want_pivots = to_sympy(rows, columns).rref()
     assert pivots == [columns[j] for j in want_pivots]
     assert to_sympy(reduced, columns) == want[:len(want_pivots), :]
@@ -57,3 +66,13 @@ def test_against_sympy(matrix):
         assert all(isinstance(c, Fraction) for c in v.values())
         for row in rows:
             assert sum(c * v.get(col, 0) for col, c in row.items()) == 0
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_rb_rows_against_dense(hv, degree):
+    """The weight-0 Rota-Baxter constraint rows of hv, columns by degree."""
+    rows = rb_constraints(hv, degree, 0)[0].rows
+    columns = sorted({m for row in rows for m in row}, key=lambda m: (len(m), m))
+    got, want = rref(rows, columns), oracle_rref(rows, columns)
+    assert got == want and repr(got) == repr(want)
+    assert len(got[1]) < len(rows)

@@ -76,13 +76,6 @@ class ConformalAlgebra(Record):
     def basis_vector(self, i: int) -> Vector:
         return unit_vector(self.table, self.rank, i)
 
-    def map_polys(self, fn) -> "ConformalAlgebra":
-        prods = {
-            pair: {k: fn(p) for k, p in targets.items()}
-            for pair, targets in self.products.items()
-        }
-        return ConformalAlgebra(self.kind, self.basis, self.table, prods)
-
 
 def unit_vector(table: VarTable, rank: int, i: int) -> Vector:
     """The i-th of `rank` unit coordinate vectors."""

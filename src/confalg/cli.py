@@ -2,8 +2,12 @@
 emit a machine-readable report.
 
 The input document carries named sections ("algebra", "representation",
-"map", "tensor", "form", "gd", "element", "system"); a section may be a
-full JSON presentation or the name of a catalog entry.  Exit codes:
+"map", "tensor", "form", "gd", "element", "system").  An "algebra", "map",
+"tensor" or "gd" section may be the name of a catalog entry: it then reads
+as the JSON `confalg catalog NAME` prints for that section, through the same
+reader as an inline one.  A "representation" may be a standard-construction
+name.  `--param` values are substituted into each polynomial as it is read;
+`solve` and `catalog` take none.  Exit codes:
 0 all checks passed, 1 a check failed (nonzero residual, partial or
 inconsistent solve, witness found), 2 malformed input or violated precondition.
 """
@@ -19,7 +23,7 @@ from fractions import Fraction
 
 from . import io_json as io
 from .algebra import AlgebraError
-from .catalog import CatalogEntry, UnknownEntry, catalog, required_params
+from .catalog import UnknownEntry, catalog, required_params
 from .io_json import InputError
 from .poly import MAX_PARSE_COEFF, MAX_PARSE_DIGITS, Poly, PolyError, Substitution, VarTable
 from .report import Report
@@ -27,24 +31,26 @@ from .report import Report
 USAGE_ERRORS = (InputError, PolyError, AlgebraError, UnknownEntry, ValueError)
 
 
-# sections that may name a catalog entry (or, for representation, a standard
-# construction), and sections that must be objects
+# sections that may be a string, those of them that name a catalog entry (a
+# string representation names a standard construction), and sections that
+# must be objects
 NAMED_SECTIONS = ("algebra", "representation", "map", "tensor", "gd")
+CATALOG_SECTIONS = ("algebra", "map", "tensor", "gd")
 OBJECT_SECTIONS = ("form", "element", "system")
 
-# section -> (catalog attribute a name looks up, reader of an inline section);
-# a reader takes the section, the session's table and what the caller passes.
-# Each reader looks io_json up at call time, so perfbench's tracer, which wraps
-# io_json's functions after import, sees every call.
-SECTIONS = {
-    "algebra": ("algebra", lambda doc, table: io.algebra_from_dict(doc, table)),
-    "representation": (None, lambda doc, table, A: io.rep_from_dict(doc, A)),
-    "map": ("linmap", lambda doc, table, src, dst, conformal=False:
-            io.map_from_dict(doc, src, dst, table, conformal)),
-    "tensor": ("tensor", lambda doc, table, A: io.tensor_from_dict(doc, A)),
-    "gd": ("gd", lambda doc, table: io.gd_from_dict(doc, table)),
-    "element": (None, lambda doc, table, A: io.element_from_dict(doc, A)),
-    "form": (None, lambda doc, table, A: io.form_from_dict(doc, A.basis, table)),
+# section -> its reader; a reader takes the section, the session's table, its
+# substitution of the --param values and what the caller passes.  Each reader
+# looks io_json up at call time, so perfbench's tracer, which wraps io_json's
+# functions after import, sees every call.
+READERS = {
+    "algebra": lambda doc, table, at: io.algebra_from_dict(doc, table, at),
+    "representation": lambda doc, table, at, A: io.rep_from_dict(doc, A, at),
+    "map": lambda doc, table, at, src, dst, conformal=False:
+        io.map_from_dict(doc, src, dst, table, conformal, at),
+    "tensor": lambda doc, table, at, A: io.tensor_from_dict(doc, A, at),
+    "gd": lambda doc, table, at: io.gd_from_dict(doc, table),
+    "element": lambda doc, table, at, A: io.element_from_dict(doc, A, at),
+    "form": lambda doc, table, at, A: io.form_from_dict(doc, A.basis, table, at),
 }
 
 
@@ -91,11 +97,9 @@ class Session:
                 declared.append(name)
             if value != "free":
                 self.values[name] = _rational(value, f"--param {name}")
-        # string-valued sections name catalog entries, except representation,
-        # where a bare string is a standard-construction name
-        for section, (attr, _) in SECTIONS.items():
+        for section in CATALOG_SECTIONS:
             ref = doc.get(section)
-            if attr and isinstance(ref, str):
+            if isinstance(ref, str):
                 for p in required_params(ref):
                     if p not in declared:
                         declared.append(p)
@@ -103,44 +107,33 @@ class Session:
         if weight == "free" and "alpha" not in declared:
             declared.append("alpha")
         self.table = VarTable(params=tuple(declared))
-        self._entries: dict[str, CatalogEntry] = {}
-
-    def _subs(self, name: str, obj):
-        """Section `name`'s object `obj` with the --param values substituted;
-        an element is a tuple of polynomials, and a bialgebra (section gd)
-        holds only rational constants."""
-        if not self.values or name == "gd":
-            return obj
-        at = Substitution(self.table, self.values)
-        return tuple(map(at, obj)) if isinstance(obj, tuple) else obj.map_polys(at)
+        self.at = Substitution(self.table, self.values)
+        self._entries: dict[str, dict] = {}
 
     def section(self, name: str, *context, required: bool = True, **options):
-        """Section `name` read inline, or the catalog entry it names, with the
-        --param values substituted; None if it is missing and not `required`.
-        `context` and `options` are what its reader needs besides the table."""
+        """Section `name` read with the --param values substituted, from the
+        document or, for a catalog name, from the JSON `catalog` prints for
+        that entry; None if it is missing and not `required`.  `context` and
+        `options` are what its reader needs besides the table."""
         ref = self.doc.get(name)
         if ref is None:
             if required:
                 raise InputError(f"input needs a section {name!r}")
             return None
-        attr, reader = SECTIONS[name]
-        if attr and isinstance(ref, str):
+        if name in CATALOG_SECTIONS and isinstance(ref, str):
             if ref not in self._entries:
-                self._entries[ref] = catalog(ref, table=self.table)
-            obj = getattr(self._entries[ref], attr)
-            if obj is None:
+                self._entries[ref] = io.entry_to_dict(catalog(ref, table=self.table))
+            if name not in self._entries[ref]:
                 raise InputError(f"catalog entry {ref!r} has no {name}")
-            if name != "tensor":
-                return self._subs(name, obj)
-            ref = io.tensor_to_dict(obj)  # re-read, so its basis names are checked against A
-        return self._subs(name, reader(ref, self.table, *context, **options))
+            ref = self._entries[ref][name]
+        return READERS[name](ref, self.table, self.at, *context, **options)
 
     def weight(self, args) -> Poly | Fraction:
         w = getattr(args, "weight", None)
         if w is None:
             return Fraction(0)
         if w == "free":
-            return Substitution(self.table, self.values)(Poly.var(self.table, "alpha"))
+            return self.at(Poly.var(self.table, "alpha"))
         return _rational(w, "--weight")
 
 
@@ -301,6 +294,8 @@ def cmd_rb_constraints(sess: Session, args) -> int:
 
 def cmd_solve(sess: Session, args) -> int:
     from .operators import InconsistentSystem, solve_squares
+    if args.param:
+        raise InputError("solve takes no --param; a system document declares its own params")
     # a document without a system section is itself one, as rb-constraints writes it
     system = io.system_from_dict(sess.doc["system"] if "system" in sess.doc else sess.doc)
     try:

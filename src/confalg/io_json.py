@@ -6,6 +6,8 @@ a report can be pasted back in.  Pair keys are comma-joined basis names
 and the variables each polynomial may use (d and x in algebra and action
 tables and maps, d1 and d2 in tensor entries, d in elements, besides the
 declared parameters), and names the JSON path of the first one that is wrong.
+A reader of polynomials takes an optional `Substitution`, applied to each
+one as it is parsed; the command line passes its `--param` values this way.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from functools import partial
 from typing import TYPE_CHECKING
 
 from .algebra import LEFT_SYMMETRIC, LIE, ConformalAlgebra, ProductTable
-from .poly import Poly, PolyError, Sums, VarTable, parse
+from .poly import Poly, PolyError, Substitution, Sums, VarTable, parse
 
 if TYPE_CHECKING:
     from .catalog import CatalogEntry
@@ -56,9 +58,11 @@ def _names(doc, path: str, nonempty: bool = True) -> tuple[str, ...]:
     return tuple(doc)
 
 
-def _poly(table: VarTable, text, path: str, names: tuple[str, ...] | None = None) -> Poly:
+def _poly(table: VarTable, text, path: str, names: tuple[str, ...] | None = None,
+          at: Substitution | None = None) -> Poly:
     """Cell reader: a polynomial is a string in the input grammar; with
-    `names`, one that may use only those variables and the parameters."""
+    `names`, one that may use only those variables and the parameters; with
+    `at`, substituted after the check."""
     if not isinstance(text, str):
         raise InputError(f"{path} must be a polynomial string, got {_type(text)}")
     try:
@@ -68,7 +72,7 @@ def _poly(table: VarTable, text, path: str, names: tuple[str, ...] | None = None
     if names is not None and (extra := p.variables() - set(names) - set(table.params)):
         raise InputError(f"{path} may use only {', '.join(names)} and parameters,"
                          f" got {', '.join(sorted(extra))}")
-    return p
+    return p if at is None else at(p)
 
 
 def _rational(table: VarTable, text, path: str) -> Fraction:
@@ -127,13 +131,14 @@ def _matrix(cells: dict, rows: int, cols: int, table: VarTable) -> list[list[Pol
 
 # -- algebras ----------------------------------------------------------------
 
-def algebra_from_dict(doc: dict, table: VarTable) -> ConformalAlgebra:
+def algebra_from_dict(doc: dict, table: VarTable,
+                      at: Substitution | None = None) -> ConformalAlgebra:
     kind = doc.get("kind", LIE)
     if kind not in (LIE, LEFT_SYMMETRIC):
         raise InputError(f"unknown algebra kind {kind!r}")
     basis = _names(doc.get("basis"), "algebra.basis")
     products = _table(doc.get("products"), basis, basis, "algebra.products",
-                      partial(_poly, table, names=("d", "x")), basis)
+                      partial(_poly, table, names=("d", "x"), at=at), basis)
     return ConformalAlgebra(kind, basis, table, products)
 
 
@@ -149,7 +154,8 @@ def algebra_to_dict(A: ConformalAlgebra) -> dict:
 
 # -- representations ----------------------------------------------------------
 
-def rep_from_dict(doc: dict | str, A: ConformalAlgebra) -> Representation:
+def rep_from_dict(doc: dict | str, A: ConformalAlgebra,
+                  at: Substitution | None = None) -> Representation:
     """A table with module_basis and action (or action_l/action_r), or a
     standard construction: its name, or {"standard": name, "dual": bool}."""
     from .reps import Representation, dual_rep, standard_rep
@@ -167,7 +173,7 @@ def rep_from_dict(doc: dict | str, A: ConformalAlgebra) -> Representation:
 
     def action(key: str) -> ProductTable:
         return _table(doc.get(key), A.basis, mbasis, f"representation.{key}",
-                      partial(_poly, A.table, names=("d", "x")), mbasis)
+                      partial(_poly, A.table, names=("d", "x"), at=at), mbasis)
 
     if "action" in doc:
         return Representation(A, mbasis, rho=action("action"))
@@ -189,7 +195,7 @@ def rep_to_dict(rep: Representation) -> dict:
 
 # -- tensors -------------------------------------------------------------------
 
-def tensor_from_dict(doc: dict, A: ConformalAlgebra) -> Tensor2:
+def tensor_from_dict(doc: dict, A: ConformalAlgebra, at: Substitution | None = None) -> Tensor2:
     from .tensor import Tensor2
     idx = {n: i for i, n in enumerate(A.basis)}
     coeffs = Sums(A.table)
@@ -199,7 +205,8 @@ def tensor_from_dict(doc: dict, A: ConformalAlgebra) -> Tensor2:
         i, j = item.get("i"), item.get("j")
         if not all(isinstance(name, str) and name in idx for name in (i, j)):
             raise InputError(f"{path} needs basis names i and j, got {i!r}, {j!r}")
-        coeffs.add((idx[i], idx[j]), _poly(A.table, item.get("c", "0"), f"{path}.c", ("d1", "d2")))
+        c = _poly(A.table, item.get("c", "0"), f"{path}.c", ("d1", "d2"), at)
+        coeffs.add((idx[i], idx[j]), c)
     return Tensor2(A, coeffs.close())
 
 
@@ -212,13 +219,14 @@ def tensor_to_dict(r: Tensor2) -> dict:
 # -- linear maps ---------------------------------------------------------------
 
 def map_from_dict(doc: dict, src: tuple[str, ...], dst: tuple[str, ...], table: VarTable,
-                  conformal: bool = False) -> ModuleMap | ConformalLinearMap:
+                  conformal: bool = False,
+                  at: Substitution | None = None) -> ModuleMap | ConformalLinearMap:
     """{source name: {target name: poly}}; a module map over d, or with
     `conformal` a conformal linear map, in d and x.  A module map refuses x
     itself."""
     from .linmap import ConformalLinearMap, ModuleMap
     rows = _cells(doc, src, "map", lambda row, path: _cells(
-        row, dst, path, partial(_poly, table, names=("d", "x"))))
+        row, dst, path, partial(_poly, table, names=("d", "x"), at=at)))
     cells = {(i, j): p for i, row in rows.items() for j, p in row.items()}
     cls = ConformalLinearMap if conformal else ModuleMap
     return cls(table, _matrix(cells, len(src), len(dst), table))
@@ -232,14 +240,15 @@ def map_to_dict(m: ModuleMap | ConformalLinearMap, src: tuple[str, ...],
 
 # -- forms ---------------------------------------------------------------------
 
-def form_from_dict(doc: dict, basis: tuple[str, ...], table: VarTable) -> BilinearForm:
+def form_from_dict(doc: dict, basis: tuple[str, ...], table: VarTable,
+                   at: Substitution | None = None) -> BilinearForm:
     """{"matrix": {"a,b": poly}, "kind": "lie" | "lsc"}; without a kind the
     form is not a 2-cocycle of either kind."""
     from .operators import BilinearForm
     kind = doc.get("kind")
     if kind not in (None, "lie", "lsc"):
         raise InputError(f"unknown form kind {kind!r}")
-    cells = _table(doc.get("matrix"), basis, basis, "form.matrix", partial(_poly, table))
+    cells = _table(doc.get("matrix"), basis, basis, "form.matrix", partial(_poly, table, at=at))
     return BilinearForm(table, basis, _matrix(cells, len(basis), len(basis), table), kind)
 
 
@@ -273,8 +282,9 @@ def gd_to_dict(V: GDBialgebra) -> dict:
 
 # -- elements and systems ----------------------------------------------------------
 
-def element_from_dict(doc: dict, A: ConformalAlgebra) -> tuple[Poly, ...]:
-    cells = _cells(doc, A.basis, "element", partial(_poly, A.table, names=("d",)))
+def element_from_dict(doc: dict, A: ConformalAlgebra,
+                      at: Substitution | None = None) -> tuple[Poly, ...]:
+    cells = _cells(doc, A.basis, "element", partial(_poly, A.table, names=("d",), at=at))
     zero = Poly.zero(A.table)
     return tuple(cells.get(i, zero) for i in range(A.rank))
 

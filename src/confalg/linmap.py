@@ -59,9 +59,6 @@ class ConformalLinearMap(Record):
         at = Substitution(self.table, {"x": 0})
         return ModuleMap(self.table, [list(map(at, row)) for row in self.matrix])
 
-    def map_polys(self, fn) -> "ConformalLinearMap":
-        return type(self)(self.table, [[fn(p) for p in row] for row in self.matrix])
-
 
 class ModuleMap(ConformalLinearMap):
     """A conformal linear map free of x: a matrix over the polynomial ring in d."""

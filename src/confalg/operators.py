@@ -210,10 +210,6 @@ class BilinearForm(Record):
         at = Substitution(self.table, {"x": -Poly.var(self.table, "d")})
         return ModuleMap(self.table, [list(map(at, row)) for row in self.matrix])
 
-    def map_polys(self, fn) -> "BilinearForm":
-        return BilinearForm(self.table, self.basis,
-                            [[fn(p) for p in row] for row in self.matrix], self.kind)
-
 
 def cocycle_from_r(A: ConformalAlgebra, r: Tensor2, kind: str) -> BilinearForm:
     """The form a, b -> pairing of T0^-1(a) with b, for non-degenerate r.

@@ -57,15 +57,6 @@ class Representation(Record):
     def mrank(self) -> int:
         return len(self.mbasis)
 
-    def map_polys(self, fn) -> "Representation":
-        def conv(tbl):
-            if tbl is None:
-                return None
-            return {pair: {k: fn(p) for k, p in tg.items()} for pair, tg in tbl.items()}
-
-        A = self.algebra.map_polys(fn)
-        return Representation(A, self.mbasis, conv(self.rho), conv(self.left), conv(self.right))
-
 
 def check_rep(rep: Representation) -> Report:
     """Module axioms as residuals on algebra pairs x module basis, each a

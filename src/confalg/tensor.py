@@ -60,9 +60,6 @@ class Tensor2(Record):
         return (isinstance(other, Tensor2) and self.algebra.basis == other.algebra.basis
                 and self.coeffs == other.coeffs)
 
-    def map_polys(self, fn) -> "Tensor2":
-        return Tensor2(self.algebra, {k: fn(p) for k, p in self.coeffs.items()})
-
 
 class Tensor3(Record):
     def __init__(self, algebra: ConformalAlgebra, coeffs: dict[tuple[int, int, int], Poly]) -> None:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,11 +19,12 @@ from confalg import (
     s_residual,
     t_from_r,
 )
-from confalg.catalog import names
+from confalg.catalog import names, required_params
 from confalg.cli import main
 from confalg.io_json import (
     algebra_from_dict,
     algebra_to_dict,
+    entry_to_dict,
     form_from_dict,
     form_to_dict,
     gd_from_dict,
@@ -107,6 +109,24 @@ class TestJsonRoundTrips:
         system, _ = rb_constraints(vir, 2, 0)
         back = system_from_dict(system_to_dict(system))
         assert back == system
+
+    @pytest.mark.parametrize("name", names())
+    def test_catalog_entry(self, name):
+        """Each section `confalg catalog NAME` prints reads back through its
+        reader equal to the object the catalog builds."""
+        entry = catalog(name)
+        doc = entry_to_dict(entry)
+        A = entry.algebra
+        built = {"algebra": A, "map": entry.linmap, "tensor": entry.tensor, "gd": entry.gd}
+        assert set(doc) - {"name", "note"} == {k for k, obj in built.items() if obj is not None}
+        if A is not None:
+            assert algebra_from_dict(doc["algebra"], A.table) == A
+        if entry.linmap is not None:
+            assert map_from_dict(doc["map"], A.basis, A.basis, A.table) == entry.linmap
+        if entry.tensor is not None:
+            assert tensor_from_dict(doc["tensor"], A) == entry.tensor
+        if entry.gd is not None:
+            assert gd_from_dict(doc["gd"], entry.gd.table) == entry.gd
 
 
 def run(tmp_path, command, doc=None, *extra):
@@ -339,8 +359,67 @@ class TestCli:
         assert run(tmp_path, "check-rb", doc) == 0
 
 
+def commands(sections: dict) -> list[tuple[str, dict]]:
+    """Commands over a catalog entry's `sections` that print the objects read
+    from them, or their checks, each with its document."""
+    if "map" in sections:
+        return [("check-rb", sections), ("r-from-t", dict(sections, representation="adjoint"))]
+    if "tensor" in sections:
+        check = "check-cybe" if sections["algebra"]["kind"] == "lie" else "check-s"
+        return [(check, sections), ("t-from-r", sections)]
+    return [("check-axioms", sections),
+            ("build-dual", dict(sections, representation="regular_left"))]
+
+
+def written(doc, params: tuple[str, ...], value: str):
+    """`doc` with each parameter name in its strings replaced by `(value)`."""
+    if isinstance(doc, dict):
+        return {k: written(v, params, value) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [written(v, params, value) for v in doc]
+    return re.sub(r"\b(" + "|".join(params) + r")\b", f"({value})", doc)
+
+
+class TestParamDifferential:
+    """A document run with --param prints what it prints, without --param,
+    with each parameter replaced by its value in the text."""
+
+    def same_output(self, tmp_path, capsys, command, doc, fixed_doc, params, value):
+        fixed = [arg for p in params for arg in ("--param", f"{p}={value}")]
+        got = run(tmp_path, command, doc, *fixed), capsys.readouterr()
+        want = run(tmp_path, command, dict(fixed_doc, params=list(params)))
+        assert (got[0], got[1].out, got[1].err) == (want, *capsys.readouterr()), command
+
+    @pytest.mark.parametrize("value", ["1/3", "0"])
+    @pytest.mark.parametrize("name", [n for n in names() if required_params(n)])
+    def test_named_equals_inline_text(self, tmp_path, capsys, name, value):
+        params = required_params(name)
+        entry = entry_to_dict(catalog(name))
+        entry["algebra"].pop("params")
+        inline = written({k: v for k, v in entry.items() if k not in ("name", "note")},
+                         params, value)
+        for command, doc in commands(inline):
+            named = {k: name if k in inline else v for k, v in doc.items()}
+            self.same_output(tmp_path, capsys, command, named, doc, params, value)
+
+    @pytest.mark.parametrize("value", ["1/3", "0"])
+    @pytest.mark.parametrize("command, doc", [
+        ("check-rep", {"algebra": "vir", "representation": {
+            "module_basis": ["V"], "action": {"L,V": {"V": "b*d + x"}}}}),
+        ("cobracket", {"algebra": "vir", "element": {"L": "b*d + 1"},
+                       "tensor": {"entries": [{"i": "L", "j": "L", "c": "b*d1 + d2"}]}}),
+        ("check-cocycle", {"algebra": "vir", "form": {"matrix": {"L,L": "x^3 + b*x^2"}}}),
+    ])
+    def test_inline_sections(self, tmp_path, capsys, command, doc, value):
+        self.same_output(tmp_path, capsys, command, dict(doc, params=["b"]),
+                         written(doc, ("b",), value), ("b",), value)
+
+
 # parentheses nested past the interpreter's recursion limit
 DEEP_NESTING = "(" * 5000 + "x" + ")" * 5000
+
+# with b = 0 the system is inconsistent, but a system declares its own params
+SYSTEM_WITH_PARAM = {"params": ["b"], "unknowns": ["u"], "equations": ["b*u + 1"]}
 
 DUPLICATE_ALGEBRA = {"algebra": {"kind": "lie", "basis": ["L", "L"],
                                  "products": {"L,L": {"L": "d+2*x"}}}}
@@ -370,6 +449,7 @@ class TestRejectedInput:
         ("catalog", None, ("hv_rb_family1", "--param", "b=2")),
         ("build-semidirect", {"algebra": "vir", "representation": {
             "module_basis": ["L"], "action": {"L,L": {"L": "d+2*x"}}}}, ()),
+        ("solve", SYSTEM_WITH_PARAM, ("--param", "b=0")),
     ])
     def test_exit_2(self, tmp_path, capsys, command, doc, extra):
         assert run(tmp_path, command, doc, *extra) == 2
@@ -487,6 +567,13 @@ class TestRejectedInput:
         pytest.param("cobracket", {"algebra": "vir", "tensor": {"entries": []},
                                    "element": {"L": "d1"}}, (),
                      "element.L may use only d and parameters, got d1", id="element_slot_variable"),
+        pytest.param("solve", SYSTEM_WITH_PARAM, ("--param", "b=0"), "solve takes no --param",
+                     id="solve_param"),
+        # a catalog map reads by its algebra's basis names, as an inline one does
+        pytest.param("check-o-operator", {"algebra": "hv",
+                                          "representation": {"standard": "adjoint", "dual": True},
+                                          "map": "hv_rb_family1"}, (),
+                     "unknown basis name 'L' in map", id="catalog_map_dual_module"),
     ])
     def test_exit_2_names_the_path(self, tmp_path, capsys, command, doc, extra, names):
         assert run(tmp_path, command, doc, *extra) == 2

@@ -16,7 +16,8 @@ v_m as v_{m+s} to reproduce textbook index conventions.
 table, the bracket of every two window symbols as [(symbol, coefficient)],
 and evaluates each identity as a sum over chains of its entries (``_chain``):
 [a,[b,c]] = sum_k C_bc^k C_ak.  The lifted operator is linear, so
-T(x) = sum_k x_k T(u_k) with each lifted unit computed once.  ``_chain`` stays
+T(x) = sum_k x_k T(u_k) with each lifted unit computed once, and so is each
+row [T a, u_l], so that [T a, T b] = sum_l q_l [T a, u_l].  ``_chain`` stays
 apart from ``algebra._contract``, the sum every other identity uses: a row of
 the unit-pair table may leave the window, which skips the instance, and the
 structure-constant contraction has no such case.  The Jacobi sweep visits
@@ -74,14 +75,14 @@ def _falling(t: int, s: int) -> int:
     return out
 
 
-def _binom(m: int, j: int) -> Fraction:
-    return Fraction(_falling(m, j), math.factorial(j))
+def _binom(m: int, j: int) -> int:
+    return _falling(m, j) // math.factorial(j)
 
 
 class CoeffWindow(Record):
     """Symbols v_m for each generator v and |m + shift_v| <= N."""
 
-    _uncompared = ("_nth", "_cache")
+    _uncompared = ("_nth", "_cache", "_splits")
 
     def __init__(self, algebra: ConformalAlgebra, N: int,
                  shifts: dict[int, int] | None = None) -> None:
@@ -89,6 +90,7 @@ class CoeffWindow(Record):
         self.shifts = {} if shifts is None else shifts
         self._nth = nth_products(algebra)
         self._cache = {}
+        self._splits = {}  # id(p) -> (p, p's d-split); holding p keeps its id its own
 
     def shift(self, i: int) -> int:
         return self.shifts.get(i, 0)
@@ -114,7 +116,9 @@ class CoeffWindow(Record):
         scale a polynomial; OUT_OF_WINDOW as soon as an index leaves the window."""
         out = Sums(self.algebra.table)
         for k, t, poly, scale in terms:
-            for (s,), cof in poly.split(("d",)).items():
+            if id(poly) not in self._splits:
+                self._splits[id(poly)] = poly, poly.split(("d",))
+            for (s,), cof in self._splits[id(poly)][1].items():
                 factor = (-1) ** s * _falling(t, s)
                 if not factor or scale.is_zero:
                     continue
@@ -175,7 +179,8 @@ def window_checks(w: CoeffWindow, T: ModuleMap | None = None,
     Each is a chain sum over the unit-pair table, whose entry is None for a
     pair that leaves the window.  A triple (or pair) is skipped when a pair it
     needs leaves the window, or when a symbol in the support of an argument of
-    the lift lifts out of it; the report covers every admissible combination.
+    the lift lifts out of it; each sweep gets the nonzero residuals of the
+    instances evaluated and the tuples skipped, in lexicographic order.
     """
     if w.algebra.kind != LIE:
         raise PreconditionError("window checks expect a Lie-kind algebra")
@@ -190,48 +195,67 @@ def window_checks(w: CoeffWindow, T: ModuleMap | None = None,
     def row(elem):
         return None if elem is OUT_OF_WINDOW else [(index[k], c) for k, c in elem.items()]
 
+    def chained(terms, rows):
+        out = Sums(t)
+        return list(out.close().items()) if _chain(out, terms, rows) else None
+
     table = [[row(w._pair_bracket(*sa, *sb)) for sb in syms] for sa in syms]
     cols = list(zip(*table))
-
-    def antisymmetry(a, b):
-        ab, ba = table[a][b], table[b][a]
-        if ab is None or ba is None:
-            return None
-        out = Sums(t)
-        for m, q in ab + ba:
-            out.add(m, q)
-        return out.close()
-
-    def jacobi(a, b, c):
-        ab, bc, ac = table[a][b], table[b][c], table[a][c]
-        if ab is None or bc is None or ac is None:
-            return None
-        out = Sums(t)
-        if (_chain(out, bc, table[a]) and _chain(out, ab, cols[c], -1)
-                and _chain(out, ac, table[b], -1)):
-            return out.close()
-        return None
-
     report = Report()
-    report.sweep("antisymmetry", (names,) * 2, antisymmetry, names, "[{},{}]")
-    report.sweep("jacobi", (names,) * 3, jacobi, names, "[{},[{},{}]]")
+
+    residuals, skipped = {}, []
+    for a, row_a in enumerate(table):
+        for b, ab in enumerate(row_a):
+            ba = table[b][a]
+            if ab is None or ba is None:
+                skipped.append((a, b))
+                continue
+            out = Sums(t)
+            for m, q in ab + ba:
+                out.add(m, q)
+            if res := out.close():
+                residuals[a, b] = res
+    report.sweep("antisymmetry", (names,) * 2, residuals, names, "[{},{}]", skipped)
+
+    residuals, skipped = {}, []
+    for a, row_a in enumerate(table):
+        for b, ab in enumerate(row_a):
+            if ab is None:
+                skipped += [(a, b, c) for c in range(n)]
+                continue
+            row_b = table[b]
+            for c, (bc, ac) in enumerate(zip(row_b, row_a)):
+                if bc is None or ac is None:
+                    skipped.append((a, b, c))
+                    continue
+                out = Sums(t)
+                if not (_chain(out, bc, row_a) and _chain(out, ab, cols[c], -1)
+                        and _chain(out, ac, row_b, -1)):
+                    skipped.append((a, b, c))
+                elif res := out.close():
+                    residuals[a, b, c] = res
+    report.sweep("jacobi", (names,) * 3, residuals, names, "[{},[{},{}]]", skipped)
+
     if T is not None:
         lift = w.lift_map(T)
         lifted = [row(lift(w.unit(*sym))) for sym in syms]
-
-        def lifted_rota_baxter(a, b):
-            ta, tb, ab = lifted[a], lifted[b], table[a][b]
-            if ta is None or tb is None or ab is None:
-                return None
-            # [T a, T b] - T([T a, b] + [a, T b] + weight [a, b])
-            out, left, right = Sums(t), Sums(t), Sums(t)
-            if (all(_chain(out, [(l, c * q) for l, q in tb], table[k]) for k, c in ta)
-                    and _chain(left, ta, cols[b]) and _chain(right, tb, table[a])
-                    and _chain(out, left.close().items(), lifted, -1)
-                    and _chain(out, right.close().items(), lifted, -1)
-                    and _chain(out, [(k, c * weight) for k, c in ab], lifted, -1)):
-                return out.close()
-            return None
-
-        report.sweep("lifted_rota_baxter", (names,) * 2, lifted_rota_baxter, names)
+        # the rows [T a, u_l] of each a that lifts into the window, each closed or None
+        lifted_rows = [None if ta is None else [chained(ta, col) for col in cols]
+                       for ta in lifted]
+        residuals, skipped = {}, []
+        for a, rows_a in enumerate(lifted_rows):
+            for b, (tb, ab) in enumerate(zip(lifted, table[a])):
+                # [T a, T b] - T([T a, b] + [a, T b] + weight [a, b])
+                out = Sums(t)
+                if (rows_a is not None and tb is not None and ab is not None
+                        and rows_a[b] is not None and _chain(out, tb, rows_a)
+                        and (right := chained(tb, table[a])) is not None
+                        and _chain(out, rows_a[b], lifted, -1)
+                        and _chain(out, right, lifted, -1)
+                        and _chain(out, [(k, c * weight) for k, c in ab], lifted, -1)):
+                    if res := out.close():
+                        residuals[a, b] = res
+                else:
+                    skipped.append((a, b))
+        report.sweep("lifted_rota_baxter", (names,) * 2, residuals, names, skipped=skipped)
     return report

@@ -290,10 +290,11 @@ def element_from_dict(doc: dict, A: ConformalAlgebra,
 
 
 def system_to_dict(system: PolySystem) -> dict:
+    from .operators import _poly  # one row at a time, not PolySystem.equations' list
     return {
         "params": [p for p in system.table.params if p not in system.unknowns],
         "unknowns": list(system.unknowns),
-        "equations": [str(eq) for eq in system.equations],
+        "equations": [str(_poly(system.table, row)) for row in system.rows],
     }
 
 

@@ -39,17 +39,18 @@ class Report(Record):
         return item
 
     def sweep(self, name: str, axes: tuple[tuple[str, ...], ...], residuals,
-              targets=None, label: str | None = None) -> CheckItem:
+              targets=None, label: str | None = None, skipped=()) -> CheckItem:
         """Check `name` on every index tuple over `axes`, the names of each index.
 
         `residuals` maps index tuples to residuals (a missing one is zero) and
         only its keys are visited, or is run as residuals(*idx) on every tuple
-        and may return None to skip it.  A residual is a polynomial, or a vector
-        over `targets`: a tuple of polynomials, or a dict from target indices to
-        polynomials read in index order.  An instance with a nonzero residual is
-        labelled label.format(*names), by default "(a,b,...)", and a vector's
-        nonzero entries get "->target" after it.  The item counts the instances
-        evaluated and skipped."""
+        and may return None to skip it.  `skipped` holds further tuples that
+        were not evaluated; they are counted, not visited.  A residual is a
+        polynomial, or a vector over `targets`: a tuple of polynomials, or a
+        dict from target indices to polynomials read in index order.  An
+        instance with a nonzero residual is labelled label.format(*names), by
+        default "(a,b,...)", and a vector's nonzero entries get "->target" after
+        it.  The item counts the instances evaluated and skipped."""
         label = label or "(" + ",".join(["{}"] * len(axes)) + ")"
         shape = tuple(map(len, axes))
         if callable(residuals):
@@ -61,6 +62,7 @@ class Report(Record):
                     raise ValueError(f"check {name!r}: residual key {idx!r} is outside its axes")
             entries = ((idx, residuals[idx]) for idx in sorted(residuals))
         item = self.new_check(name)
+        item.skipped = len(skipped)
         for idx, res in entries:
             if res is None:
                 item.skipped += 1

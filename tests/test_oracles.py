@@ -1367,24 +1367,29 @@ def workload_window(label):
 def window_outcome(check, w, T, weight):
     """The report of check(w, T, weight) as a dict, the instances each sweep
     skipped, and each check's evaluated and skipped counts: the report dict
-    alone does not tell a skip from a zero residual."""
-    skipped = []
+    alone does not tell a skip from a zero residual.  A mapping's skips are
+    the tuples passed as skipped; a callable's, the tuples it returns None on."""
+    skips = []
     sweep = Report.sweep
 
-    def recording(self, name, axes, residual, *rest):
+    def recording(self, name, axes, residual, targets=None, label=None, skipped=()):
+        skips.extend((name, idx) for idx in skipped)
+        if not callable(residual):
+            return sweep(self, name, axes, residual, targets, label, skipped)
+
         def traced(*idx):
             res = residual(*idx)
             if res is None:
-                skipped.append((name, idx))
+                skips.append((name, idx))
             return res
-        return sweep(self, name, axes, traced, *rest)
+        return sweep(self, name, axes, traced, targets, label, skipped)
 
     with mock.patch.object(Report, "sweep", recording):
         report = check(CoeffWindow(w.algebra, w.N, w.shifts), T, weight)
     counts = [(c.name, c.evaluated, c.skipped) for c in report.checks]
     for name, _, n in counts:
-        assert n == sum(1 for s, _ in skipped if s == name)
-    return report.to_dict(), skipped, counts
+        assert n == sum(1 for s, _ in skips if s == name)
+    return report.to_dict(), skips, counts
 
 
 class TestWindowOracle:

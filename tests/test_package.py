@@ -11,11 +11,11 @@ from pathlib import Path
 import pytest
 
 import confalg
-from confalg import (BilinearForm, ConformalAlgebra, ModuleMap, Poly, Report, Tensor2,
-                     VarTable, apply_bilinear, catalog, check_axioms, check_o_operator,
+from confalg import (BilinearForm, CoeffWindow, ConformalAlgebra, ModuleMap, Poly, Report,
+                     Tensor2, VarTable, apply_bilinear, catalog, check_axioms, check_o_operator,
                      check_rep, check_rota_baxter, cocycle_check, cocycle_from_r,
                      cybe_residual, dual_rep, invariant_form_suite, parse, rb_gd_check,
-                     standard_rep, with_zero_right)
+                     standard_rep, window_checks, with_zero_right)
 from confalg.algebra import unit_vector
 from confalg.tensor import tensor3_report
 
@@ -185,16 +185,15 @@ def test_benchmark_checks_never_call_poly_subs(monkeypatch):
 
 
 def test_checks_hand_their_sums_to_the_sweep(monkeypatch):
-    """Every check here passes Report.sweep the mapping of its nonzero
-    residuals, so that its verdict costs in proportion to them, not a callable
-    run on every basis tuple.  Only the coefficient windows (not run here)
-    compute each instance and may skip it."""
+    """Every check passes Report.sweep the mapping of its nonzero residuals,
+    so that its verdict costs in proportion to them, not a callable run on
+    every basis tuple."""
     residual_types = {}
     sweep = Report.sweep
 
-    def recording(report, name, axes, residuals, *args):
+    def recording(report, name, axes, residuals, *args, **kwargs):
         residual_types.setdefault(name, set()).add(type(residuals))
-        return sweep(report, name, axes, residuals, *args)
+        return sweep(report, name, axes, residuals, *args, **kwargs)
 
     monkeypatch.setattr(Report, "sweep", recording)
     t = VarTable(params=("b", "g0", "g1", "g2", "g3"))
@@ -214,11 +213,12 @@ def test_checks_hand_their_sums_to_the_sweep(monkeypatch):
     form = BilinearForm(t, ab.basis, [[parse(t, "1"), parse(t, "0")],
                                       [parse(t, "0"), parse(t, "1")]])
     invariant_form_suite(ab, form, Tensor2(ab, {(0, 1): parse(t, "d1"), (1, 0): parse(t, "-d2")}))
+    window_checks(CoeffWindow(hv.algebra, 2, {0: 1}), family, 0)
 
     assert all(types == {dict} for types in residual_types.values())
     assert set(residual_types) == {
-        "symmetry", "skew_symmetry", "jacobi", "left_symmetry", "module_axiom", "left_action_axiom",
-        "right_action_axiom", "o_operator", "o_operator_mod_kernel", "rota_baxter",
+        "antisymmetry", "symmetry", "skew_symmetry", "jacobi", "left_symmetry", "module_axiom",
+        "left_action_axiom", "right_action_axiom", "o_operator", "o_operator_mod_kernel", "rota_baxter",
         "novikov_right_commutativity", "compatibility", "rota_baxter_novikov", "rota_baxter_lie",
         "lifted_rota_baxter", "yang_baxter", "cocycle_identity", "invariance",
         "induced_rota_baxter"}

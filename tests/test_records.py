@@ -3,6 +3,7 @@ each instance gets its own mutable defaults, keyword construction works as
 the package uses it, and instances are unhashable.  Also the two forms of
 ``Report.sweep``: a mapping of residuals and a callable per instance."""
 
+import itertools
 import re
 from fractions import Fraction
 
@@ -182,6 +183,11 @@ def test_sweep_labels_only_nonzero_residuals(P):
     assert _CountingLabel.calls == 2
     assert poly.residuals == [("(L,L)", "d")] and vector.residuals == [("[L,L]->W", "x")]
     assert (poly.evaluated, poly.skipped, vector.evaluated, vector.skipped) == (4, 0, 4, 0)
+    # and with its skipped instance passed as such
+    poly = report.sweep("poly", (names,) * 2, {k: v for k, v in residuals.items() if v},
+                        label=_CountingLabel("({},{})"), skipped=[(1, 0)])
+    assert _CountingLabel.calls == 3 and poly.residuals == [("(L,L)", "d")]
+    assert (poly.evaluated, poly.skipped) == (3, 1)
 
 
 SWEEP_TABLE = VarTable(params=("b",))
@@ -199,14 +205,18 @@ SWEEP_KINDS = {
 @st.composite
 def sweep_cases(draw):
     """2-3 axes of 1-3 names, residuals of one kind on some of their tuples
-    (zeros among them), and the default or a custom label."""
+    (zeros among them), some other tuples skipped, in lexicographic order,
+    and the default or a custom label."""
     axes = tuple(("L", "W", "E")[:draw(st.integers(1, 3))] for _ in range(draw(st.integers(2, 3))))
     targets, residual, missing = SWEEP_KINDS[draw(st.sampled_from(sorted(SWEEP_KINDS)))]
     key = st.tuples(*(st.integers(0, len(axis) - 1) for axis in axes))
     mapping = draw(st.dictionaries(key, residual, max_size=8))
+    free = [idx for idx in itertools.product(*(range(len(axis)) for axis in axes))
+            if idx not in mapping]
+    skipped = sorted(draw(st.sets(st.sampled_from(free), max_size=6))) if free else []
     slots = ["{}"] * len(axes)
     label = draw(st.sampled_from(["(" + ",".join(slots) + ")", "<" + "|".join(slots) + ">"]))
-    return axes, targets, mapping, missing, label
+    return axes, targets, mapping, skipped, missing, label
 
 
 def _is_zero(res):
@@ -216,13 +226,16 @@ def _is_zero(res):
 
 @given(case=sweep_cases())
 def test_sweep_of_a_mapping_equals_the_per_instance_sweep(case):
-    """A mapping gives the residuals, in order, and the counts of the
-    callable that reads it tuple by tuple; a zero residual gets no label."""
-    axes, targets, mapping, missing, label = case
+    """A mapping and its skipped tuples give the residuals, in order, and the
+    counts of the callable that reads it tuple by tuple and returns None on a
+    skipped tuple; a zero residual gets no label."""
+    axes, targets, mapping, skipped, missing, label = case
     _CountingLabel.calls = 0
-    sparse = Report().sweep("check", axes, mapping, targets, _CountingLabel(label))
+    sparse = Report().sweep("check", axes, mapping, targets, _CountingLabel(label), skipped)
     assert _CountingLabel.calls == sum(not _is_zero(res) for res in mapping.values())
-    dense = Report().sweep("check", axes, lambda *idx: mapping.get(idx, missing), targets, label)
+    dense = Report().sweep("check", axes,
+                           lambda *idx: None if idx in skipped else mapping.get(idx, missing),
+                           targets, label)
     assert sparse.residuals == dense.residuals
     assert (sparse.evaluated, sparse.skipped) == (dense.evaluated, dense.skipped)
 

@@ -50,9 +50,14 @@ class PreconditionError(AlgebraError):
 
 
 def clean_table(products: ProductTable) -> ProductTable:
+    """The table without its zero entries, and with equal entries one object:
+    each entry equal to an earlier one, in variable table and terms, is
+    replaced by it, so the memos keyed by object (``Substitution``,
+    ``_contract``) treat copies of a value as the value."""
     out: ProductTable = {}
+    first: dict[Poly, Poly] = {}  # Poly hashes and compares by (table, terms)
     for pair, targets in products.items():
-        kept = {k: p for k, p in targets.items() if not p.is_zero}
+        kept = {k: first.setdefault(p, p) for k, p in targets.items() if not p.is_zero}
         if kept:
             out[pair] = kept
     return out
@@ -123,8 +128,14 @@ def _contract(sums: Sums, products: ProductTable, at: dict, place, left: dict | 
     entry, a * b and, when there is an out view, a * b * P are memoised by the
     ids of their factors, which views share (a constraint system's map
     entries are a few powers of d); ``Sums.add`` multiplies in the last factor.
+    Without an out view, a pair (a * b, P) that recurs anywhere in the
+    contraction, as equal table entries (one object after ``clean_table``)
+    and shared view entries make it, is multiplied once: its first use
+    multiplies into the sum in place, its second forms a * b * P, and every
+    later use adds that product.
     """
     memo: dict = {}
+    pairs: dict = {}  # (id(ab), id(P)) -> (ab, P), then (ab, P, P * ab), for the whole contraction
     at = Substitution(sums.table, at)
 
     def times(f, g):  # the memo holds the factors, so their ids stay theirs
@@ -144,27 +155,33 @@ def _contract(sums: Sums, products: ProductTable, at: dict, place, left: dict | 
             for j, b in gs:
                 ab = b if a is None else a if b is None else times(a, b)
                 for l, P in at_targets:
-                    if out is None:
+                    if out is not None:
+                        if cs := out.get(l):
+                            abP = P if ab is None else times(ab, P)
+                            for m, c in cs:
+                                sums.add(place(i, j, m), abP, c, sign)
+                    elif ab is None:
+                        sums.add(place(i, j, l), P, None, sign)
+                    elif (seen := pairs.get(key := (id(ab), id(P)))) is None:
+                        pairs[key] = ab, P
                         sums.add(place(i, j, l), P, ab, sign)
-                    elif cs := out.get(l):
-                        abP = P if ab is None else times(ab, P)
-                        for m, c in cs:
-                            sums.add(place(i, j, m), abP, c, sign)
+                    else:
+                        if len(seen) == 2:
+                            pairs[key] = seen = (ab, P, P * ab)
+                        sums.add(place(i, j, l), seen[2], None, sign)
 
 
 def _view(entries, at: dict | None = None) -> dict:
     """{key: [(index, f|at)]} of (key, index, f) triples, a view for
     ``_contract``; an f|at that is zero is left out, and an f that several
-    entries share is substituted once, into one shared object."""
+    entries share is substituted once, into one shared object, as
+    ``Substitution`` memoises by object."""
     out: dict = {}
-    done: dict = {}  # id(f) -> (f, f|at); holding f keeps its id its own
     sub = None
     for key, index, f in entries:
         if at:
-            if id(f) not in done:
-                sub = sub or Substitution(f.table, at)
-                done[id(f)] = f, sub(f)
-            f = done[id(f)][1]
+            sub = sub or Substitution(f.table, at)
+            f = sub(f)
         if not f.is_zero:
             out.setdefault(key, []).append((index, f))
     return out

@@ -377,13 +377,17 @@ class Substitution:
     Terms are grouped by their exponents in the substituted variables; each
     distinct exponent pattern expands its product of powers once per instance,
     as sparse exponent changes, and terms free of those variables are copied
-    as they are.  A polynomial none of whose terms is touched is returned as it is.
+    as they are.  A variable mapped to itself is dropped, and a polynomial none
+    of whose terms is touched is returned as it is.  Each input object is
+    substituted once per instance: a repeated input, such as a table entry
+    that several entries share, gets back the same result object.
     """
 
-    __slots__ = ("table", "values", "pick", "untouched", "powers", "expansions")
+    __slots__ = ("table", "values", "pick", "untouched", "powers", "expansions", "memo")
 
     def __init__(self, table: VarTable, mapping: Mapping[str, "Poly | Scalar"]):
-        self.table, self.values, self.powers, self.expansions = table, {}, {}, {}
+        # memo: id(p) -> (p, p|mapping); holding p keeps its id its own
+        self.table, self.values, self.powers, self.expansions, self.memo = table, {}, {}, {}, {}
         for name, value in mapping.items():
             if name not in table.index:
                 raise UnknownVariable(f"unknown variable {name!r}")
@@ -391,7 +395,8 @@ class Substitution:
                 value = Poly.const(table, value)
             elif value.table is not table and value.table != table:
                 raise VarTableMismatch("polynomials over different variable tables")
-            self.values[table.index[name]] = value
+            if value != Poly.var(table, name):
+                self.values[table.index[name]] = value
         if self.values:  # pick gives a bare exponent when one variable is substituted
             self.pick = itemgetter(*self.values)
             self.untouched = self.pick((0,) * len(table.names))
@@ -400,6 +405,8 @@ class Substitution:
         values, terms = self.values, p.terms
         if not values or not terms:
             return p
+        if (seen := self.memo.get(id(p))) is not None:
+            return seen[1]
         if p.table is not self.table and p.table != self.table:
             raise VarTableMismatch("polynomials over different variable tables")
         pick, untouched = self.pick, self.untouched
@@ -433,7 +440,9 @@ class Substitution:
                     key[i] += v
                 key = tuple(key)
                 out[key] = get(key, 0) + c * c2
-        return _make(p.table, _normal(out)) if touched else p
+        result = _make(p.table, _normal(out)) if touched else p
+        self.memo[id(p)] = p, result
+        return result
 
 
 class Sums:

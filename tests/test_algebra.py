@@ -1,7 +1,14 @@
+import itertools
+import sys
+from contextlib import contextmanager
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import confalg.algebra
+import confalg.poly
 from confalg import (
     ConformalAlgebra,
     LEFT_SYMMETRIC,
@@ -14,10 +21,13 @@ from confalg import (
     check_axioms,
     check_rep,
     dual_rep,
+    parse,
     semidirect,
     standard_rep,
     sub_adjacent,
 )
+from confalg.algebra import _contract, clean_table
+from confalg.poly import Sums
 from conftest import poly_strategy
 
 T = VarTable(params=("b", "g0", "g1", "g2", "g3"))
@@ -119,6 +129,129 @@ class TestSparseEngine:
         with pytest.raises(AssertionError, match="dense path"):
             confalg.algebra.apply_bilinear(S.table, S.products, S.basis_vector(0),
                                            S.basis_vector(0), Poly.var(S.table, "x"), S.rank)
+
+
+@st.composite
+def shared_contractions(draw):
+    """Two contractions of one table into one Sums: the table's entries, the
+    views' factors and the argument are drawn from small pools of objects, so
+    that the same object recurs across entries, views and both contractions."""
+    index = st.integers(0, 2)
+    entries = st.sampled_from(draw(st.lists(poly_strategy(T, ("d", "x", "b"), 3, 2),
+                                            min_size=1, max_size=3)))
+    factors = st.sampled_from(draw(st.lists(poly_strategy(T, ("d", "b"), 3, 2),
+                                            min_size=1, max_size=3)))
+    view = st.none() | st.dictionaries(index, st.lists(st.tuples(index, factors), min_size=1,
+                                                       max_size=3), max_size=3)
+    products = draw(st.dictionaries(st.tuples(index, index),
+                                    st.dictionaries(index, entries, min_size=1, max_size=3),
+                                    max_size=6))
+    X, D = Poly.var(T, "x"), Poly.var(T, "d")
+    calls = [(draw(st.sampled_from(({}, {"x": -X - D}, {"x": X * X + D}))),
+              draw(view), draw(view), draw(view), draw(st.sampled_from((1, -1))))
+             for _ in range(2)]
+    return products, calls
+
+
+class ReusedIds:
+    """``id`` as CPython may hand it out, at its most eager: the number of an
+    object that nothing but this registry holds any more goes to the next new
+    object.  A memo keyed by ids is right under it only if it holds the
+    objects it keys by."""
+
+    def __init__(self):
+        self.held = []  # number -> object
+
+    def __call__(self, obj):
+        held = self.held
+        for number in range(len(held)):
+            if held[number] is obj:
+                return number
+        for number in range(len(held)):
+            if sys.getrefcount(held[number]) <= 2:  # the registry's and the argument's
+                held[number] = obj
+                return number
+        held.append(obj)
+        return len(held) - 1
+
+
+@contextmanager
+def reused_ids():
+    """The id-keyed memos of the kernel and the contraction, under ``ReusedIds``."""
+    ids = ReusedIds()
+    with (mock.patch.object(confalg.algebra, "id", ids, create=True),
+          mock.patch.object(confalg.poly, "id", ids, create=True)):
+        yield
+
+
+class TestSharedEntries:
+    def test_clean_table_makes_equal_entries_one_object(self, table, P):
+        A = ConformalAlgebra(LIE, ("L", "W"), table, {
+            (0, 0): {0: P("d+2*x"), 1: P("0")},
+            (0, 1): {1: P("2*x+d"), 0: P("x")},
+            (1, 1): {0: P("x"), 1: P("d+2*x")}})
+        assert A.products == {(0, 0): {0: P("d+2*x")}, (0, 1): {1: P("d+2*x"), 0: P("x")},
+                              (1, 1): {0: P("x"), 1: P("d+2*x")}}
+        assert A.products[0, 0][0] is A.products[0, 1][1] is A.products[1, 1][1]
+        assert A.products[0, 1][0] is A.products[1, 1][0]
+        rep = standard_rep(A, "adjoint")
+        assert len({id(p) for targets in rep.rho.values() for p in targets.values()}) == 2
+
+    def test_clean_table_keeps_entries_over_other_tables_apart(self):
+        pa, pc = parse(VarTable(params=("a",)), "d+x"), parse(VarTable(params=("c",)), "d+x")
+        assert pa.terms == pc.terms
+        cleaned = clean_table({(0, 0): {0: pa, 1: pc}})
+        assert cleaned[0, 0][0] is pa and cleaned[0, 0][1] is pc
+
+    def test_contract_forms_a_product_only_for_a_recurring_pair(self, table, P, monkeypatch):
+        """Without an out view, a pair (a * b, P) multiplies into the sum in
+        place at its first use; its second forms the product, which every later
+        use adds."""
+        Q, R, f = P("d+2*x"), P("x"), P("d+1")
+        products = {(0, 0): {0: Q}, (0, 1): {0: Q, 1: R}, (0, 2): {1: Q}}
+        formed = []
+        mul = Poly.__mul__
+        monkeypatch.setattr(Poly, "__mul__", lambda a, b: formed.append((a, b)) or mul(a, b))
+        sums = Sums(table)
+        _contract(sums, products, {}, lambda i, j, k: (i, j, k),
+                  right={0: [(0, f)], 1: [(0, f)], 2: [(1, f)]}, sign=-1)
+        monkeypatch.undo()
+        assert formed == [(Q, f)] and formed[0][0] is Q and formed[0][1] is f
+        assert sums.close() == {(0, 0, 0): -2 * f * Q, (0, 0, 1): -f * R, (0, 1, 1): -f * Q}
+
+    def test_contract_holds_what_its_memos_key_by(self, table, P):
+        """Products of both views, formed per table entry, meet one shared P:
+        a number the pair memo keys by is never handed to another product."""
+        Q, g = P("d+2*x"), P("d+x")
+        left = {p: [(p, P(f"d+{p + 1}"))] for p in range(6)}
+        sums = Sums(table)
+        with reused_ids():
+            _contract(sums, {(p, 0): {0: Q} for p in range(6)}, {"x": P("-x-d")},
+                      lambda i, j, k: (i, j, k), left, {0: [(0, g)]})
+        assert sums.close() == {(p, 0, 0): left[p][0][1] * g * P("-d-2*x") for p in range(6)}
+
+    @given(case=shared_contractions())
+    @settings(max_examples=150, deadline=None)
+    def test_contract_with_shared_factors(self, case):
+        """The closed sums are sum(sign * a * b * P|at * c) built by Poly
+        arithmetic, with ids handed out again as soon as they are free."""
+        products, calls = case
+        one = Poly.const(T, 1)
+        sums, want = Sums(T), {}
+
+        def entries(view, p):
+            return [(p, one)] if view is None else view.get(p, [])
+
+        for at, left, right, out, sign in calls:
+            with reused_ids():
+                _contract(sums, products, at, lambda i, j, k: (i, j, k), left, right, out, sign)
+            for (p, q), targets in products.items():
+                for (i, a), (j, b), (l, P) in itertools.product(
+                        entries(left, p), entries(right, q), targets.items()):
+                    term = sign * a * b * P.subs(at)
+                    for m, c in entries(out, l):
+                        want[i, j, m] = want.get((i, j, m), Poly.zero(T)) + term * c
+        assert sums.close() == {key: p for key, p in want.items() if not p.is_zero}
 
 
 class TestSubAdjacent:

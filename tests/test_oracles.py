@@ -860,6 +860,60 @@ class TestOracles:
             assert not oracle_cocycle_check(A, BilinearForm(T, A.basis, matrix, form.kind)).ok
 
 
+@cache
+def vir_tower():
+    """The dual-adjoint tower of vir to rank 16: each level repeats the few
+    entries of the one below, so its table holds many equal entries."""
+    levels = [entry("vir").algebra]
+    while levels[-1].rank < 16:
+        S = levels[-1]
+        levels.append(semidirect(S, dual_rep(standard_rep(S, "adjoint")), checked=False))
+    return levels
+
+
+def uniform_dense(n, k):
+    """The rank-n Lie table in which every product (e_a, e_b) has every e_c,
+    each with the coefficient (d+x+1)^k."""
+    P = parse(T, f"(d+x+1)^{k}")
+    return ConformalAlgebra(LIE, tuple(f"e{a}" for a in range(n)), T,
+                            {(a, b): {c: P for c in range(n)} for a in range(n) for b in range(n)})
+
+
+def distinct_entries(table):
+    """The table with every entry a distinct object."""
+    return {pair: {k: Poly(p.table, dict(p.terms)) for k, p in targets.items()}
+            for pair, targets in table.items()}
+
+
+def objects(table):
+    return {id(p) for targets in table.values() for p in targets.values()}
+
+
+SHARED_INPUTS = {**{f"vir{2 ** r}": lambda r=r: vir_tower()[r] for r in range(2, 5)},
+                 "dense4": lambda: uniform_dense(4, 2)}
+
+
+class TestSharedEntries:
+    """Equal table entries are one object, so the checks substitute each once
+    and form each recurring product once; their reports are those of the same
+    table with every entry a distinct object, and those of the dense oracles."""
+
+    @pytest.mark.parametrize("label", SHARED_INPUTS)
+    def test_reports_equal_those_of_distinct_entries(self, label):
+        S = SHARED_INPUTS[label]()
+        copy = ConformalAlgebra(S.kind, S.basis, S.table, {})
+        copy.products = distinct_entries(S.products)
+        rep, rep_copy = standard_rep(S, "adjoint"), standard_rep(copy, "adjoint")
+        rep_copy.rho = distinct_entries(rep_copy.rho)
+        entries = sum(map(len, S.products.values()))
+        assert len(objects(S.products)) < entries == len(objects(copy.products))
+        assert len(objects(rep.rho)) < len(objects(rep_copy.rho))
+        for got, twin, want in ((check_axioms(S), check_axioms(copy), oracle_check_axioms(S)),
+                                (check_rep(rep), check_rep(rep_copy), oracle_check_rep(rep))):
+            assert got.to_dict() == twin.to_dict() == want.to_dict()
+        assert check_axioms(S).ok == (label != "dense4")
+
+
 class TestAxiomOracles:
     @pytest.mark.parametrize("kind", [LIE, LEFT_SYMMETRIC])
     @given(data=st.data())

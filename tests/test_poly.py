@@ -97,6 +97,20 @@ class TestSubstitution:
         with pytest.raises(VarTableMismatch):
             Substitution(T, {"x": 1})(parse(other, "x"))
 
+    def test_variable_mapped_to_itself_is_dropped(self):
+        q = p("d^2 + b*x")
+        assert Substitution(T, {"x": p("x")})(q) is q
+        assert Substitution(T, {"x": p("x"), "d": p("-x")})(q) == p("x^2 + b*x")
+        # the values' tables are checked before a variable is dropped
+        with pytest.raises(VarTableMismatch):
+            Substitution(T, {"x": parse(VarTable(params=("c",)), "x")})
+
+    def test_each_input_object_is_substituted_once(self):
+        sub = Substitution(T, {"x": p("-x-d")})
+        q, twin = p("d+2*x"), p("d+2*x")
+        assert sub(q) is sub(q)
+        assert sub(twin) == sub(q) == p("-d-2*x")
+
     def test_scalars_become_constants(self):
         half = Substitution(T, {"x": Fraction(1, 2), "b": 2})
         assert half(p("d*x + b")) == p("1/2*d + 2")

@@ -14,8 +14,8 @@ product a_lam b of an algebra (its own table), the action of an algebra
 element on a module element (a module table, out rank the module's) and a
 form's value (a form's ``products``, ``out=0``), at shifted arguments like
 -x-d too, as one contraction of the table with the two elements viewed at
-their shifted derivations.  Its dense reference, which expands at a reserved
-variable first, lives with the tests.
+their shifted derivations.  Its dense reference, which first expands at a
+scratch variable of a table extended for it, lives with the tests.
 
 Every identity check evaluates all its basis tuples at once through one
 table contraction, ``_contract``: a sum over the nonzero table entries

@@ -86,6 +86,8 @@ class CoeffWindow(Record):
 
     def __init__(self, algebra: ConformalAlgebra, N: int,
                  shifts: dict[int, int] | None = None) -> None:
+        if N < 0:
+            raise PreconditionError(f"window size {N} is negative")
         self.algebra, self.N = algebra, N
         self.shifts = {} if shifts is None else shifts
         self._nth = nth_products(algebra)

@@ -49,7 +49,8 @@ def check_o_operator(T: ModuleMap, rep: Representation, ker_mode: bool = False) 
     the weight-0 Rota-Baxter residual at (n+u, n+v) of T^(a + u) = T(u) on the
     semidirect sum A x_rho M (Bai 2007), whose M x A block is rho at x := -x-d.
     In ker_mode the residual element is itself pushed through the
-    representation (at the reserved argument z2) and must act as zero.
+    representation at the argument y, which neither the residuals nor rho
+    hold, and must act as zero.
     """
     from .reps import semidirect
     A = rep.algebra
@@ -64,11 +65,11 @@ def check_o_operator(T: ModuleMap, rep: Representation, ker_mode: bool = False) 
     if not ker_mode:
         report.sweep("o_operator", (rep.mbasis,) * 2, _nest(sums), A.basis)
         return report
-    # rho(R_uv)_z2 v_k = sum R_uvl(-z2, x) rho_lkn(d, z2) v_n
-    Z2 = Poly.var(t, "z2")
+    # rho(R_uv)_y v_k = sum R_uvl(-y, x) rho_lkn(d, y) v_n
+    Y = Poly.var(t, "y")
     pushed = Sums(t)
-    _contract(pushed, rep.rho, {"x": Z2}, lambda uv, k, n: (*uv, k, n),
-              _view(((l, (u, v), R) for (u, v, l), R in sums.items()), {"d": -Z2}))
+    _contract(pushed, rep.rho, {"x": Y}, lambda uv, k, n: (*uv, k, n),
+              _view(((l, (u, v), R) for (u, v, l), R in sums.items()), {"d": -Y}))
     report.sweep("o_operator_mod_kernel", (rep.mbasis,) * 3, _nest(pushed.close()), rep.mbasis,
                  "({},{});{}")
     return report
@@ -356,6 +357,8 @@ def rb_constraints(A: ConformalAlgebra, degree_bound: int,
     order; of two equal up to sign, only the first is kept.  A term's monomial
     is its parameters' positions, then its tag shifted past the parameters.
     """
+    if degree_bound < 0:
+        raise PreconditionError(f"degree bound {degree_bound} is negative")
     n, k1 = A.rank, degree_bound + 1
     if (size := n ** 3 * k1 ** 2) > MAX_RB_SIZE:
         raise PreconditionError(f"rank^3 (degree + 1)^2 = {size} is over the cap of {MAX_RB_SIZE}")

@@ -1,10 +1,10 @@
 """Exact sparse multivariate polynomials over the rationals.
 
 Every identity this package checks reduces to an equality of polynomials in
-a small set of formal variables: the derivation slots ``d, d1, d2, d3`` (one
-per tensor slot), the bracket arguments ``x, y`` (lambda and mu), two
-reserved internal substitution variables ``z1, z2``, and any number of
-user-declared free parameters.  A polynomial is a sparse map from exponent
+a small set of formal variables: the derivation ``d``, one derivation per
+tensor slot ``d1, d2`` (a cube is kept modulo the diagonal, so its third slot
+is -d1 - d2), the bracket arguments ``x, y`` (lambda and mu), and any number
+of user-declared free parameters.  A polynomial is a sparse map from exponent
 tuples to nonzero rational coefficients, always kept in normal form: an
 integral coefficient is stored as an ``int`` and any other as a ``Fraction``
 (denominator never 1), and every operation returns a normal form.  So
@@ -29,9 +29,7 @@ from typing import Iterable, Mapping, Union
 
 Scalar = Union[int, Fraction]
 
-PARTIAL_SLOTS = ("d", "d1", "d2", "d3")
-LAMBDA_SLOTS = ("x", "y", "z1", "z2")
-CANONICAL_VARS = PARTIAL_SLOTS + LAMBDA_SLOTS
+CANONICAL_VARS = ("d", "d1", "d2", "x", "y")
 
 
 class PolyError(Exception):
@@ -639,8 +637,6 @@ class _Parser:
                 return Poly.const(self.table, Fraction(p, q))
             return Poly.const(self.table, _int(text))
         if kind == "name":
-            if text in ("z1", "z2"):
-                raise ParseError(f"variable {text!r} is reserved for internal use")
             if text not in self.table.index:
                 raise ParseError(f"unknown variable {text!r}")
             return Poly.var(self.table, text)

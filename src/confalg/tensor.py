@@ -2,9 +2,10 @@
 
 A tensor-square element is a table of coefficients f_ij(d1, d2) per basis
 pair, with d1 the derivation acting on the first slot and d2 on the second;
-a cube element likewise in d1, d2, d3.  Identities on the cube hold modulo
-the diagonal derivation d1 + d2 + d3, so every residual here is built in
-normal form, with d3 := -d1 - d2 substituted.
+a cube element likewise in d1, d2 and a third slot derivation d3.  Identities
+on the cube hold modulo the diagonal derivation d1 + d2 + d3, so every
+residual here is built in normal form, with d3 := -d1 - d2 substituted: d3 is
+never a variable.
 
 The quadratic expressions evaluated here place each product or bracket of
 two tensor factors in a fixed slot at an argument mu given by the slot
@@ -170,7 +171,7 @@ def t_from_r(A: ConformalAlgebra, r: Tensor2) -> ConformalLinearMap:
     at = Substitution(table, {"d1": -Poly.var(table, "x") - D, "d2": D})
     n = A.rank
     matrix = [[Poly.zero(table) for _ in range(n)] for _ in range(n)]
-    for (i, k), f in r.coeffs.items():
+    for i, k, f in _entries(A, r)[0]:
         matrix[i][k] = at(f)
     return ConformalLinearMap(table, matrix)
 

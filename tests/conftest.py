@@ -139,40 +139,73 @@ def load_script(name):
 # accumulator, kept as they were so that the differential tests compare the
 # library with code that does not share its engine.
 
+class Scratch:
+    """``table`` extended by scratch variables ``names``, for a dense reference
+    that expands at variables the library's tables do not hold: ``embed``
+    takes a polynomial over ``table`` into the extended table ``ext`` (a
+    scalar stays as it is), and ``project`` takes a result back once its
+    scratch variables are substituted away."""
+
+    def __init__(self, table, names):
+        self.table, self.ext = table, table.extended(names)
+
+    def var(self, name):
+        return Poly.var(self.ext, name)
+
+    def embed(self, p):
+        return p.embed(self.ext) if isinstance(p, Poly) else p
+
+    def project(self, p):
+        """``p``, over any table that extends ``table`` by variables ``p``
+        does not hold, over ``table``."""
+        width = len(self.table.names)
+        assert p.table.names[:width] == self.table.names, p.table
+        assert not any(any(e[width:]) for e in p.terms), f"{p} holds a scratch variable"
+        return Poly(self.table, {e[:width]: c for e, c in p.terms.items()})
+
+
 def oracle_apply_bilinear(table, products, a, b, lam, out_rank, out="d"):
     """Sesquilinear extension of a structure-constant table, visiting every
     slot pair: a power of the first factor's d becomes (-z)^m, of the second's
     (z + out)^m, and the table's d becomes ``out``; the product is expanded at
-    the reserved variable z = z1, which is substituted by ``lam`` at the end."""
-    z = Poly.var(table, "z1")
-    dout = Poly.var(table, out) if isinstance(out, str) else Poly.const(table, out)
-    at_z = Substitution(table, {"x": z} if out == "d" else {"d": dout, "x": z})
-    left, right = Substitution(table, {"d": -z}), Substitution(table, {"d": z + dout})
-    acc = [Poly.zero(table) for _ in range(out_rank)]
+    the scratch variable z, which is substituted by ``lam`` at the end."""
+    s = Scratch(table, ("z",))
+    z = s.var("z")
+    dout = s.var(out) if isinstance(out, str) else Poly.const(s.ext, out)
+    at_z = Substitution(s.ext, {"x": z} if out == "d" else {"d": dout, "x": z})
+    left, right = Substitution(s.ext, {"d": -z}), Substitution(s.ext, {"d": z + dout})
+    acc = [Poly.zero(s.ext) for _ in range(out_rank)]
     shifted_b = [None] * len(b)
     for i, fi in enumerate(a):
         if fi.is_zero:
             continue
-        fi_s = left(fi)
+        fi_s = left(s.embed(fi))
         for j, gj in enumerate(b):
             targets = products.get((i, j))
             if gj.is_zero or not targets:
                 continue
             if shifted_b[j] is None:
-                shifted_b[j] = right(gj)
+                shifted_b[j] = right(s.embed(gj))
             prod = fi_s * shifted_b[j]
             for k, P in targets.items():
-                acc[k] = acc[k] + prod * at_z(P)
-    return tuple(map(Substitution(table, {"z1": lam}), acc))
+                acc[k] = acc[k] + prod * at_z(s.embed(P))
+    at_lam = Substitution(s.ext, {"z": s.embed(lam)})
+    return tuple(s.project(at_lam(p)) for p in acc)
 
 
 def normal_form3(t):
-    """Reduce a cube modulo the diagonal derivation: substitute d3 := -d1-d2.
-    The residuals of ``confalg.tensor`` are built reduced; the oracles that
-    expand a cube first reduce it with this."""
-    table = t.algebra.table
-    reduce = Substitution(table, {"d3": -Poly.var(table, "d1") - Poly.var(table, "d2")})
-    return Tensor3(t.algebra, {k: reduce(p) for k, p in t.coeffs.items()})
+    """Reduce a cube modulo the diagonal derivation: substitute d3 := -d1-d2,
+    with d3 a scratch variable of the coefficients' table, and project the
+    coefficients to the algebra's table; a coefficient over that table is
+    already reduced.  The residuals of ``confalg.tensor`` are built reduced;
+    the oracles that expand a cube first reduce it with this."""
+    back = Scratch(t.algebra.table, ())
+    out = {}
+    for k, p in t.coeffs.items():
+        if "d3" in p.table:
+            p = p.subs({"d3": -Poly.var(p.table, "d1") - Poly.var(p.table, "d2")})
+        out[k] = back.project(p)
+    return Tensor3(t.algebra, out)
 
 
 def window_bracket(w, a, b):

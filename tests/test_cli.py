@@ -506,7 +506,7 @@ class TestRejectedInput:
         pytest.param("check-axioms", {"algebra": {"basis": ["L"],
                                                   "products": {"L,L": {"L": "d+2*x^\u00b2"}}}},
                      (), 'algebra.products["L,L"].L', id="superscript_digit"),
-        pytest.param("check-axioms", {"algebra": {"basis": ["L"], "products": {
+        pytest.param("check-axioms", {"params": ["d3"], "algebra": {"basis": ["L"], "products": {
                          "L,L": {"L": "(d+x+y+d1+d2+d3)^40"}}}},
                      (), 'algebra.products["L,L"].L: expansion exceeds the cap',
                      id="parse_product_cap"),

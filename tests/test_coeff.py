@@ -106,6 +106,11 @@ class TestWindowBracket:
         report = window_checks(w)
         assert report.ok
 
+    def test_negative_window_rejected(self, hv):
+        # a window of no symbols would pass every check without evaluating one
+        with pytest.raises(PreconditionError, match="negative"):
+            CoeffWindow(hv, -1)
+
     def test_bilinearity(self, hv, P):
         w = CoeffWindow(hv, 6)
         a = {(0, 1): P("2"), (1, -1): P("-3/2")}

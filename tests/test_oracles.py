@@ -14,9 +14,12 @@ whose entries hold every unknown, split by (d, x) exponents: as ordered
 equation lists, because the solver eliminates in list order.
 
 Each oracle spells out, per pair of tensor entries (or per pair of element
-components), the expansion of one sesquilinear product at the reserved
+components), the expansion of one sesquilinear product at the scratch
 variable z1, the shift by the slot derivation and the final substitution of
-z1.  The library substitutes each entry once, directly at the bracket's
+z1; the cube oracles also hold the third slot derivation d3 until
+``conftest.normal_form3`` reduces it.  Both are variables of a table that
+``conftest.Scratch`` extends for the oracle, which the library never sees.
+The library substitutes each entry once, directly at the bracket's
 argument, and sums over nonzero table entries; the two must agree exactly,
 term for term, on zero and nonzero residuals alike.  The axiom, module and
 cocycle oracles evaluate each basis tuple with the dense product of
@@ -102,6 +105,7 @@ from confalg.gd import ProbeResult, algebra_from_gd, rb_gd_check
 from confalg.io_json import system_to_dict
 from confalg.linmap import ConformalLinearMap, ModuleMap
 from conftest import (
+    Scratch,
     gd_tables,
     normal_form3,
     oracle_apply_bilinear,
@@ -161,109 +165,102 @@ def dense_apply(T, w):
 
 
 def oracle_cybe(A, r):
-    table = A.table
-    z1 = Poly.var(table, "z1")
-    d1 = Poly.var(table, "d1")
-    d2 = Poly.var(table, "d2")
-    d3 = Poly.var(table, "d3")
+    s = Scratch(A.table, ("z1", "d3"))
+    z1, d1, d2, d3 = map(s.var, ("z1", "d1", "d2", "d3"))
     out = {}
 
     def put(key, poly):
-        out[key] = out.get(key, Poly.zero(table)) + poly
+        out[key] = out.get(key, Poly.zero(s.ext)) + poly
 
-    entries = list(r.coeffs.items())
+    entries = [(key, s.embed(f)) for key, f in r.coeffs.items()]
     for (p_, q_), f in entries:
         for (u_, v_), g in entries:
             # [a_i mu a_j] ox b_i ox b_j, mu := d2
             fa = f.subs({"d1": -z1})
             ga = g.subs({"d1": z1 + d1, "d2": d3})
             for k, P in A.product(p_, u_).items():
-                put((k, q_, v_), (fa * ga * P.subs({"d": d1, "x": z1})).subs({"z1": d2}))
+                put((k, q_, v_), (fa * ga * s.embed(P).subs({"d": d1, "x": z1})).subs({"z1": d2}))
             # - a_i ox [a_j mu b_i] ox b_j, mu := d3
             fb = f.subs({"d2": z1 + d2})
             gb = g.subs({"d1": -z1, "d2": d3})
             for k, P in A.product(u_, q_).items():
-                put((p_, k, v_), -(fb * gb * P.subs({"d": d2, "x": z1})).subs({"z1": d3}))
+                put((p_, k, v_), -(fb * gb * s.embed(P).subs({"d": d2, "x": z1})).subs({"z1": d3}))
             # - a_i ox a_j ox [b_j mu b_i], mu := d2
             fc = f.subs({"d2": z1 + d3})
             gc = g.subs({"d1": d2, "d2": -z1})
             for k, P in A.product(v_, q_).items():
-                put((p_, u_, k), -(fc * gc * P.subs({"d": d3, "x": z1})).subs({"z1": d2}))
+                put((p_, u_, k), -(fc * gc * s.embed(P).subs({"d": d3, "x": z1})).subs({"z1": d2}))
     return normal_form3(Tensor3(A, out))
 
 
 def oracle_s(A, r):
-    table = A.table
     g_alg = sub_adjacent(A, checked=False)
-    z1 = Poly.var(table, "z1")
-    d1 = Poly.var(table, "d1")
-    d2 = Poly.var(table, "d2")
-    d3 = Poly.var(table, "d3")
+    s = Scratch(A.table, ("z1", "d3"))
+    z1, d1, d2, d3 = map(s.var, ("z1", "d1", "d2", "d3"))
     out = {}
 
     def put(key, poly):
-        out[key] = out.get(key, Poly.zero(table)) + poly
+        out[key] = out.get(key, Poly.zero(s.ext)) + poly
 
-    entries = list(r.coeffs.items())
+    entries = [(key, s.embed(f)) for key, f in r.coeffs.items()]
     for (p_, q_), f in entries:
         for (u_, v_), g in entries:
             # (l_j mu r_i) ox r_j ox l_i, mu := d2
             fa = f.subs({"d1": z1 + d1, "d2": d3})
             ga = g.subs({"d1": d2, "d2": -z1})
             for k, P in A.product(v_, p_).items():
-                put((k, u_, q_), (fa * ga * P.subs({"d": d1, "x": z1})).subs({"z1": d2}))
+                put((k, u_, q_), (fa * ga * s.embed(P).subs({"d": d1, "x": z1})).subs({"z1": d2}))
             # - r_j ox (l_j mu r_i) ox l_i, mu := d1
             fb = f.subs({"d1": z1 + d2, "d2": d3})
             gb = g.subs({"d2": -z1})
             for k, P in A.product(v_, p_).items():
-                put((u_, k, q_), -(fb * gb * P.subs({"d": d2, "x": z1})).subs({"z1": d1}))
+                put((u_, k, q_), -(fb * gb * s.embed(P).subs({"d": d2, "x": z1})).subs({"z1": d1}))
             # - r_i ox r_j ox [l_i mu l_j], mu := d1
             fc = f.subs({"d2": -z1})
             gc = g.subs({"d1": d2, "d2": z1 + d3})
             for k, Q in g_alg.product(q_, v_).items():
-                put((p_, u_, k), -(fc * gc * Q.subs({"d": d3, "x": z1})).subs({"z1": d1}))
+                put((p_, u_, k), -(fc * gc * s.embed(Q).subs({"d": d3, "x": z1})).subs({"z1": d1}))
     return normal_form3(Tensor3(A, out))
 
 
 def oracle_cobracket(A, r, a):
-    table = A.table
-    z1 = Poly.var(table, "z1")
-    d1 = Poly.var(table, "d1")
-    d2 = Poly.var(table, "d2")
+    s = Scratch(A.table, ("z1",))
+    z1, d1, d2 = map(s.var, ("z1", "d1", "d2"))
     lam = -d1 - d2
     out = {}
 
     def put(key, poly):
-        out[key] = out.get(key, Poly.zero(table)) + poly
+        out[key] = out.get(key, Poly.zero(A.table)) + s.project(poly)
 
     for (p_, q_), f in r.coeffs.items():
+        f = s.embed(f)
         for i, h in enumerate(a):
             if h.is_zero:
                 continue
-            hs = h.subs({"d": -z1})
+            hs = s.embed(h).subs({"d": -z1})
             f1 = f.subs({"d1": z1 + d1})
             for k, P in A.product(i, p_).items():
-                put((k, q_), (hs * f1 * P.subs({"d": d1, "x": z1})).subs({"z1": lam}))
+                put((k, q_), (hs * f1 * s.embed(P).subs({"d": d1, "x": z1})).subs({"z1": lam}))
             f2 = f.subs({"d2": z1 + d2})
             for k, P in A.product(i, q_).items():
-                put((p_, k), (hs * f2 * P.subs({"d": d2, "x": z1})).subs({"z1": lam}))
+                put((p_, k), (hs * f2 * s.embed(P).subs({"d": d2, "x": z1})).subs({"z1": lam}))
     return Tensor2(A, out)
 
 
 def oracle_eval_at(form, a, b, lam):
-    t = form.table
-    z1 = Poly.var(t, "z1")
-    out = Poly.zero(t)
+    s = Scratch(form.table, ("z1",))
+    z1 = s.var("z1")
+    out = Poly.zero(s.ext)
     for i, p in enumerate(a):
         if p.is_zero:
             continue
-        ps = p.subs({"d": -z1})
+        ps = s.embed(p).subs({"d": -z1})
         for j, q in enumerate(b):
             c = form.matrix[i][j]
             if q.is_zero or c.is_zero:
                 continue
-            out = out + ps * q.subs({"d": z1}) * c.subs({"x": z1})
-    return out.subs({"z1": lam})
+            out = out + ps * s.embed(q).subs({"d": z1}) * s.embed(c).subs({"x": z1})
+    return s.project(out.subs({"z1": s.embed(lam)}))
 
 
 def oracle_form_pr_map(A, B, r):
@@ -1476,7 +1473,7 @@ class TestWindowOracle:
 
 def oracle_check_o_operator(T, rep, ker_mode=False):
     """check_o_operator with every module pair a dense product and two dense
-    actions; in ker_mode every residual is pushed through a dense action at z2."""
+    actions; in ker_mode every residual is pushed through a dense action at y."""
     A = rep.algebra
     t = A.table
     X = Poly.var(t, "x")
@@ -1494,10 +1491,10 @@ def oracle_check_o_operator(T, rep, ker_mode=False):
     if not ker_mode:
         report.sweep("o_operator", (rep.mbasis,) * 2, residual, A.basis)
         return report
-    Z2 = Poly.var(t, "z2")
+    Y = Poly.var(t, "y")
     pairs = {(i, j): residual(i, j) for i in range(rep.mrank) for j in range(rep.mrank)}
     report.sweep("o_operator_mod_kernel", (rep.mbasis,) * 3,
-                 lambda i, j, k: dense_act(rep, pairs[i, j], vb[k], Z2),
+                 lambda i, j, k: dense_act(rep, pairs[i, j], vb[k], Y),
                  rep.mbasis, "({},{});{}")
     return report
 

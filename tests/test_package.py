@@ -77,6 +77,35 @@ def test_no_module_imports_a_name_it_never_uses():
     assert _unused_imports("import math\nx: 'math.pi'") == []
 
 
+# the calls whose mapping argument substitutes the variables it names
+SUBSTITUTING = {"Substitution", "subs", "_view", "_contract"}
+
+
+def _variables_read(source: str) -> set[str]:
+    """The variable names a module reads: the name of a ``Poly.var`` call and
+    each key of a mapping literal passed to a substitution."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        if name == "var" and len(node.args) > 1:
+            read.add(node.args[1])
+        elif name in SUBSTITUTING:
+            read.update(k for a in node.args if isinstance(a, ast.Dict) for k in a.keys)
+    return {n.value for n in read if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+
+
+def test_every_kernel_variable_is_read():
+    """Each of the kernel's variables, which every exponent tuple carries, is
+    named by some computation of the package."""
+    read = set().union(*(_variables_read(path.read_text(encoding="utf-8"))
+                         for path in sorted(PACKAGE.glob("*.py"))))
+    assert set(poly.CANONICAL_VARS) - read == set()
+    assert _variables_read("Poly.var(t, 'q')\nf.subs({'w': 0, 'v': 1})\ng({'u': 0})") == {
+        "q", "v", "w"}
+
+
 def test_runtime_imports_neither_dataclasses_nor_inspect():
     assert not [(f, m) for f, m in _absolute_imports() if m in STARTUP_COSTS]
 

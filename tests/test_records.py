@@ -80,7 +80,7 @@ class TestEquality:
         assert r != Tensor2(vir, {(0, 0): P("d2")})
         t = Tensor3(vir, {(0, 0, 0): P("d1")})
         assert t == Tensor3(vir, {(0, 0, 0): P("d1")}) and not t != Tensor3(vir, t.coeffs)
-        assert t != Tensor3(vir, {(0, 0, 0): P("d3")})
+        assert t != Tensor3(vir, {(0, 0, 0): P("d2")})
 
     def test_algebras(self, vir, hv, P):
         same = ConformalAlgebra("lie", ("L",), vir.table, {(0, 0): {0: P("d+2*x")}})

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 
 import confalg.algebra
 from confalg import (
+    BilinearForm,
     ConformalLinearMap,
     Poly,
     PreconditionError,
@@ -15,9 +16,11 @@ from confalg import (
     check_o_operator,
     cobracket_from_r,
     cocycle_check,
+    cocycle_from_r,
     cybe_residual,
     dual_rep,
     flip,
+    parse,
     parts,
     r_from_t,
     s_residual,
@@ -27,35 +30,42 @@ from confalg import (
     t_from_r,
     with_zero_right,
 )
+from confalg.operators import form_pr_map
 from conftest import normal_form3, poly_strategy
 from test_oracles import (COCYCLE_LABELS, PERTURBED, cocycle_input, rank8_cybe_tensors,
                           rank8_s_tensors)
 
 T = VarTable(params=("b", "g0", "g1", "g2", "g3"))
+# cubes before their reduction hold the third slot derivation d3
+CUBE = T.extended(("d3",))
+
+
+def C(text):
+    return parse(CUBE, text)
 
 
 class TestNormalForm:
-    def test_ideal_generator_dies(self, vir, P):
-        t = Tensor3(vir, {(0, 0, 0): P("d1+d2+d3")})
+    def test_ideal_generator_dies(self, vir):
+        t = Tensor3(vir, {(0, 0, 0): C("d1+d2+d3")})
         assert normal_form3(t).is_zero
 
     def test_hand_reduction(self, vir, P):
-        t = Tensor3(vir, {(0, 0, 0): P("d1-d2-3*d3")})
+        t = Tensor3(vir, {(0, 0, 0): C("d1-d2-3*d3")})
         assert normal_form3(t).coeffs[(0, 0, 0)] == P("4*d1+2*d2")
 
-    def test_idempotent(self, vir, P):
-        t = normal_form3(Tensor3(vir, {(0, 0, 0): P("d3^2")}))
+    def test_idempotent(self, vir):
+        t = normal_form3(Tensor3(vir, {(0, 0, 0): C("d3^2")}))
         assert normal_form3(t) == t
 
-    @given(q=poly_strategy(T, names=("d1", "d2", "d3")))
+    @given(q=poly_strategy(CUBE, names=("d1", "d2", "d3")))
     @settings(max_examples=40, deadline=None)
-    def test_kills_exactly_diagonal_multiples(self, q, vir, P):
-        gen = P("d1+d2+d3")
+    def test_kills_exactly_diagonal_multiples(self, q, vir):
+        gen = C("d1+d2+d3")
         assert normal_form3(Tensor3(vir, {(0, 0, 0): q * gen})).is_zero
         reduced = normal_form3(Tensor3(vir, {(0, 0, 0): q}))
         # a residual already free of d3 is untouched, so it vanishes
         # only when it was zero
-        if not q.subs({"d3": P("-d1-d2")}).is_zero:
+        if not q.subs({"d3": C("-d1-d2")}).is_zero:
             assert not reduced.is_zero
 
 
@@ -151,6 +161,19 @@ class TestMapDictionary:
         for i in range(2):
             assert T.matrix[i][2 + i] == 1
         assert sum(1 for row in T.matrix for p in row if not p.is_zero) == 2
+
+    @pytest.mark.parametrize("build", [
+        lambda A, B, r: t_from_r(A, r),
+        lambda A, B, r: cocycle_from_r(A, r, "lie"),
+        lambda A, B, r: form_pr_map(A, B, r),
+    ], ids=["t_from_r", "cocycle_from_r", "form_pr_map"])
+    def test_tensor_over_a_larger_algebra_rejected(self, build, hv, table, P):
+        """A tensor over the rank-4 semidirect sum is refused on hv, as
+        cybe_residual refuses it."""
+        r = catalog("hv_lsc1_skew_r", table=table).tensor
+        B = BilinearForm(table, hv.basis, [[P("1"), P("0")], [P("0"), P("1")]])
+        with pytest.raises(PreconditionError, match="tensor indices exceed the algebra rank"):
+            build(hv, B, r)
 
     def test_r_from_t_lambda_entry(self, vir, P):
         rep = standard_rep(vir, "adjoint")

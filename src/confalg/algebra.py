@@ -24,7 +24,7 @@ instance's residual.  A nested product of basis elements is one contraction
 of the outer table with the inner table viewed by its targets (``_nested``),
 so the cost follows the number of nonzero entries, not the n^5 slot visits
 of calling ``apply_bilinear`` per instance; ``Report.sweep`` then visits only
-the nonzero sums, keyed by instance (``_nest``), not every basis tuple.
+the nonzero sums, keyed (instance..., target), not every basis tuple.
 """
 
 from __future__ import annotations
@@ -221,7 +221,7 @@ def _nested(sums: Sums, inner: ProductTable, outer: ProductTable, lam_in: Poly, 
 
 
 def _nest(sums: dict) -> dict:
-    """{(*head, last): value} as {head: {last: value}}, e.g. a product table."""
+    """Sums keyed (i, j, k) as the product table {(i, j): {k: value}}."""
     out: dict = {}
     for key, value in sums.items():
         out.setdefault(key[:-1], {})[key[-1]] = value
@@ -246,18 +246,18 @@ def check_axioms(A: ConformalAlgebra) -> Report:
         skew, jacobi = Sums(t), Sums(t)
         _contract(skew, P, {}, lambda i, j, k: (i, j, k))
         _contract(skew, P, {"x": -X - D}, lambda i, j, k: (j, i, k))
-        report.sweep("skew_symmetry", (A.basis,) * 2, _nest(skew.close()), A.basis)
+        report.sweep("skew_symmetry", (A.basis,) * 2, skew.close(), A.basis)
         _nested(jacobi, P, P, Y, X, right=True)
         _nested(jacobi, P, P, X, X + Y, right=False, sign=-1)
         _nested(jacobi, P, P, X, Y, right=True, order=(1, 0, 2), sign=-1)
-        report.sweep("jacobi", (A.basis,) * 3, _nest(jacobi.close()), A.basis)
+        report.sweep("jacobi", (A.basis,) * 3, jacobi.close(), A.basis)
     else:
         left_symmetry = Sums(t)
         _nested(left_symmetry, P, P, X, X + Y, right=False)
         _nested(left_symmetry, P, P, Y, X, right=True, sign=-1)
         _nested(left_symmetry, P, P, Y, X + Y, right=False, order=(1, 0, 2), sign=-1)
         _nested(left_symmetry, P, P, X, Y, right=True, order=(1, 0, 2))
-        report.sweep("left_symmetry", (A.basis,) * 3, _nest(left_symmetry.close()), A.basis)
+        report.sweep("left_symmetry", (A.basis,) * 3, left_symmetry.close(), A.basis)
     return report
 
 

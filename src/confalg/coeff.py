@@ -205,19 +205,16 @@ def window_checks(w: CoeffWindow, T: ModuleMap | None = None,
     cols = list(zip(*table))
     report = Report()
 
-    residuals, skipped = {}, []
+    antisymmetry, skipped = Sums(t), []
     for a, row_a in enumerate(table):
         for b, ab in enumerate(row_a):
             ba = table[b][a]
             if ab is None or ba is None:
                 skipped.append((a, b))
                 continue
-            out = Sums(t)
             for m, q in ab + ba:
-                out.add(m, q)
-            if res := out.close():
-                residuals[a, b] = res
-    report.sweep("antisymmetry", (names,) * 2, residuals, names, "[{},{}]", skipped)
+                antisymmetry.add((a, b, m), q)
+    report.sweep("antisymmetry", (names,) * 2, antisymmetry.close(), names, "[{},{}]", skipped)
 
     residuals, skipped = {}, []
     for a, row_a in enumerate(table):
@@ -234,8 +231,9 @@ def window_checks(w: CoeffWindow, T: ModuleMap | None = None,
                 if not (_chain(out, bc, row_a) and _chain(out, ab, cols[c], -1)
                         and _chain(out, ac, row_b, -1)):
                     skipped.append((a, b, c))
-                elif res := out.close():
-                    residuals[a, b, c] = res
+                else:
+                    for m, p in out.close().items():
+                        residuals[a, b, c, m] = p
     report.sweep("jacobi", (names,) * 3, residuals, names, "[{},[{},{}]]", skipped)
 
     if T is not None:
@@ -255,8 +253,8 @@ def window_checks(w: CoeffWindow, T: ModuleMap | None = None,
                         and _chain(out, rows_a[b], lifted, -1)
                         and _chain(out, right, lifted, -1)
                         and _chain(out, [(k, c * weight) for k, c in ab], lifted, -1)):
-                    if res := out.close():
-                        residuals[a, b] = res
+                    for m, p in out.close().items():
+                        residuals[a, b, m] = p
                 else:
                     skipped.append((a, b))
         report.sweep("lifted_rota_baxter", (names,) * 2, residuals, names, skipped=skipped)

@@ -89,12 +89,11 @@ def check_gd(V: GDBialgebra) -> Report:
 
     report = Report()
     triples = (V.basis,) * 3
-    report.sweep("novikov_right_commutativity", triples, _nest(right_commutativity.close()),
-                 V.basis)
+    report.sweep("novikov_right_commutativity", triples, right_commutativity.close(), V.basis)
     for item in check_axioms(novikov).checks + check_axioms(lie).checks:
         item.name = _AXIOM_NAMES[item.name]
         report.checks.append(item)
-    report.sweep("compatibility", triples, _nest(compatibility.close()), V.basis)
+    report.sweep("compatibility", triples, compatibility.close(), V.basis)
     return report
 
 

@@ -4,8 +4,9 @@ Polynomials travel as text in the input grammar, so any residual printed in
 a report can be pasted back in.  Pair keys are comma-joined basis names
 ("L,W"); missing pairs mean zero.  Every reader checks the shapes it reads,
 and the variables each polynomial may use (d and x in algebra and action
-tables and maps, d1 and d2 in tensor entries, d in elements, besides the
-declared parameters), and names the JSON path of the first one that is wrong.
+tables and conformal maps, d in module maps and elements, x in forms, d1 and
+d2 in tensor entries, besides the declared parameters), and names the JSON
+path of the first one that is wrong.
 A reader of polynomials takes an optional `Substitution`, applied to each
 one as it is parsed; the command line passes its `--param` values this way.
 """
@@ -48,10 +49,12 @@ def _container(doc, kind: type, path: str):
 
 
 def _names(doc, path: str, nonempty: bool = True) -> tuple[str, ...]:
-    """A list of distinct strings, nonempty unless told otherwise."""
+    """A list of distinct names that a pair key can address, nonempty unless told otherwise."""
     if not (isinstance(doc, list) and all(isinstance(n, str) for n in doc)) or (nonempty and not doc):
         what = "a nonempty list" if nonempty else "a list"
         raise InputError(f"{path} must be {what} of names, got {_type(doc)}")
+    if bad := [n for n in doc if "," in n or n != n.strip()]:
+        raise InputError(f"{path} name {bad[0]!r} holds a comma or surrounding whitespace")
     repeated = sorted({n for n in doc if doc.count(n) > 1})
     if repeated:
         raise InputError(f"repeated name(s) {', '.join(repeated)} in {path}")
@@ -222,11 +225,10 @@ def map_from_dict(doc: dict, src: tuple[str, ...], dst: tuple[str, ...], table: 
                   conformal: bool = False,
                   at: Substitution | None = None) -> ModuleMap | ConformalLinearMap:
     """{source name: {target name: poly}}; a module map over d, or with
-    `conformal` a conformal linear map, in d and x.  A module map refuses x
-    itself."""
+    `conformal` a conformal linear map, in d and x."""
     from .linmap import ConformalLinearMap, ModuleMap
     rows = _cells(doc, src, "map", lambda row, path: _cells(
-        row, dst, path, partial(_poly, table, names=("d", "x"), at=at)))
+        row, dst, path, partial(_poly, table, names=("d", "x") if conformal else ("d",), at=at)))
     cells = {(i, j): p for i, row in rows.items() for j, p in row.items()}
     cls = ConformalLinearMap if conformal else ModuleMap
     return cls(table, _matrix(cells, len(src), len(dst), table))
@@ -248,7 +250,8 @@ def form_from_dict(doc: dict, basis: tuple[str, ...], table: VarTable,
     kind = doc.get("kind")
     if kind not in (None, "lie", "lsc"):
         raise InputError(f"unknown form kind {kind!r}")
-    cells = _table(doc.get("matrix"), basis, basis, "form.matrix", partial(_poly, table, at=at))
+    cells = _table(doc.get("matrix"), basis, basis, "form.matrix",
+                   partial(_poly, table, names=("x",), at=at))
     return BilinearForm(table, basis, _matrix(cells, len(basis), len(basis), table), kind)
 
 

@@ -63,14 +63,14 @@ def check_o_operator(T: ModuleMap, rep: Representation, ker_mode: bool = False) 
         t, S.products, [(n + u, p, (), f) for u, p, _, f in _entries(T)], 0).close().items()}
     report = Report()
     if not ker_mode:
-        report.sweep("o_operator", (rep.mbasis,) * 2, _nest(sums), A.basis)
+        report.sweep("o_operator", (rep.mbasis,) * 2, sums, A.basis)
         return report
     # rho(R_uv)_y v_k = sum R_uvl(-y, x) rho_lkn(d, y) v_n
     Y = Poly.var(t, "y")
     pushed = Sums(t)
     _contract(pushed, rep.rho, {"x": Y}, lambda uv, k, n: (*uv, k, n),
               _view(((l, (u, v), R) for (u, v, l), R in sums.items()), {"d": -Y}))
-    report.sweep("o_operator_mod_kernel", (rep.mbasis,) * 3, _nest(pushed.close()), rep.mbasis,
+    report.sweep("o_operator_mod_kernel", (rep.mbasis,) * 3, pushed.close(), rep.mbasis,
                  "({},{});{}")
     return report
 
@@ -116,16 +116,16 @@ def _entries(T: ModuleMap) -> list[tuple]:
 
 
 def rota_baxter_residuals(A: ConformalAlgebra, T: ModuleMap,
-                          weight: Poly | Fraction | int) -> dict[tuple[int, int], dict[int, Poly]]:
+                          weight: Poly | Fraction | int) -> dict[tuple[int, int, int], Poly]:
     """The nonzero residuals of the weight-alpha Rota-Baxter identity,
-    {(i, j): {m: residual}} over basis pairs and components:
+    {(i, j, m): residual} over basis pairs and components:
 
     [T(a)_x T(b)] - T([a_x T(b)]) - T([T(a)_x b]) - alpha T([a_x b]).
     """
     if T.src_rank != A.rank or T.dst_rank != A.rank:
         raise PreconditionError("map shape does not match the algebra")
     sums = _rb_sums(A.table, A.products, _entries(T), weight).close()
-    return _nest({k[:3]: p for k, p in sums.items()})
+    return {k[:3]: p for k, p in sums.items()}
 
 
 def check_rota_baxter(A: ConformalAlgebra, T: ModuleMap,

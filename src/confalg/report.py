@@ -2,14 +2,13 @@
 
 A check passes iff every residual is the zero polynomial.  Failures keep the
 offending basis label and the rendered residual so every failed check is a
-reproducible input.  ``Report.sweep`` labels the nonzero residuals of basis tuples.
+reproducible input.  ``Report.sweep`` takes a check's residuals as one flat
+mapping {(instance..., target): polynomial} and labels the nonzero ones.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from operator import attrgetter
 
 from .poly import Record
 
@@ -38,46 +37,32 @@ class Report(Record):
         self.checks.append(item)
         return item
 
-    def sweep(self, name: str, axes: tuple[tuple[str, ...], ...], residuals,
+    def sweep(self, name: str, axes: tuple[tuple[str, ...], ...], residuals: dict,
               targets=None, label: str | None = None, skipped=()) -> CheckItem:
         """Check `name` on every index tuple over `axes`, the names of each index.
 
-        `residuals` maps index tuples to residuals (a missing one is zero) and
-        only its keys are visited, or is run as residuals(*idx) on every tuple
-        and may return None to skip it.  `skipped` holds further tuples that
-        were not evaluated; they are counted, not visited.  A residual is a
-        polynomial, or a vector over `targets`: a tuple of polynomials, or a
-        dict from target indices to polynomials read in index order.  An
-        instance with a nonzero residual is labelled label.format(*names), by
-        default "(a,b,...)", and a vector's nonzero entries get "->target" after
-        it.  The item counts the instances evaluated and skipped."""
+        `residuals` maps keys to polynomials, a missing key is zero, and only its
+        keys are visited, in sorted order.  A key is an index tuple over `axes`,
+        then an index over `targets` when they are given.  `skipped` holds the
+        further index tuples that were not evaluated; they are counted, not
+        visited.  An instance with a nonzero residual is labelled once, by
+        label.format(*names), by default "(a,b,...)", and each residual gets
+        "->target" after it.  The item counts the instances evaluated and skipped."""
         label = label or "(" + ",".join(["{}"] * len(axes)) + ")"
-        shape = tuple(map(len, axes))
-        if callable(residuals):
-            entries = ((idx, residuals(*idx)) for idx in itertools.product(*map(range, shape)))
-        else:
-            for idx in residuals:
-                if not (isinstance(idx, tuple) and len(idx) == len(shape)
-                        and all(isinstance(i, int) and 0 <= i < n for i, n in zip(idx, shape))):
-                    raise ValueError(f"check {name!r}: residual key {idx!r} is outside its axes")
-            entries = ((idx, residuals[idx]) for idx in sorted(residuals))
+        shape = tuple(map(len, axes)) + (() if targets is None else (len(targets),))
+        for key in residuals:
+            if not (isinstance(key, tuple) and len(key) == len(shape)
+                    and all(isinstance(i, int) and 0 <= i < n for i, n in zip(key, shape))):
+                raise ValueError(f"check {name!r}: residual key {key!r} is outside its axes")
         item = self.new_check(name)
-        item.skipped = len(skipped)
-        for idx, res in entries:
-            if res is None:
-                item.skipped += 1
-                continue
-            polys = (res,) if targets is None else res.values() if isinstance(res, dict) else res
-            if all(map(attrgetter("is_zero"), polys)):
-                continue
-            basis = label.format(*(axis[i] for axis, i in zip(axes, idx)))
-            if targets is None:
-                item.residuals.append((basis, str(res)))
-            else:
-                pairs = sorted(res.items()) if isinstance(res, dict) else enumerate(res)
-                item.residuals += [(f"{basis}->{targets[k]}", str(p))
-                                   for k, p in pairs if not p.is_zero]
-        item.evaluated = math.prod(shape) - item.skipped
+        item.evaluated, item.skipped = math.prod(map(len, axes)) - len(skipped), len(skipped)
+        instance = basis = None
+        for key in sorted(residuals):
+            if not (res := residuals[key]).is_zero:
+                if (idx := key[:len(axes)]) != instance:
+                    instance, basis = idx, label.format(*(axis[i] for axis, i in zip(axes, idx)))
+                target = "" if targets is None else f"->{targets[key[-1]]}"
+                item.residuals.append((basis + target, str(res)))
         return item
 
     def to_dict(self) -> dict:

@@ -76,7 +76,7 @@ def check_rep(rep: Representation) -> Report:
         _nested(module_axiom, P, rho, X, X + Y, right=False)
         _nested(module_axiom, rho, rho, Y, X, right=True, sign=-1)
         _nested(module_axiom, rho, rho, X, Y, right=True, order=(1, 0, 2))
-        report.sweep("module_axiom", axes, _nest(module_axiom.close()), rep.mbasis, label)
+        report.sweep("module_axiom", axes, module_axiom.close(), rep.mbasis, label)
         return report
     left, right = rep.left, rep.right
     left_action, right_action = Sums(t), Sums(t)
@@ -88,8 +88,8 @@ def check_rep(rep: Representation) -> Report:
     _nested(right_action, right, left, -Y - D, X, right=True, sign=-1)
     _nested(right_action, right, right, X, -X - Y - D, right=True, order=(1, 0, 2), sign=-1)
     _nested(right_action, P, right, X, -Y - D, right=False)
-    report.sweep("left_action_axiom", axes, _nest(left_action.close()), rep.mbasis, label)
-    report.sweep("right_action_axiom", axes, _nest(right_action.close()), rep.mbasis, label)
+    report.sweep("left_action_axiom", axes, left_action.close(), rep.mbasis, label)
+    report.sweep("right_action_axiom", axes, right_action.close(), rep.mbasis, label)
     return report
 
 

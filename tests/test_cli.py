@@ -580,6 +580,19 @@ class TestRejectedInput:
         pytest.param("cobracket", {"algebra": "vir", "tensor": {"entries": []},
                                    "element": {"L": "d1"}}, (),
                      "element.L may use only d and parameters, got d1", id="element_slot_variable"),
+        pytest.param("check-rb", {"algebra": "hv", "map": {"L": {"W": "x*d"}}}, (),
+                     "map.L.W may use only d and parameters, got x", id="module_map_x"),
+        pytest.param("check-cocycle", {"algebra": "hv", "form": {"matrix": {"L,W": "d"}}}, (),
+                     'form.matrix["L,W"] may use only x and parameters, got d', id="form_entry_d"),
+        # a pair key splits at commas and strips its parts, so no key could address these
+        pytest.param("build-semidirect", {"algebra": "hv", "representation": {
+                         "module_basis": ["u,v"], "action": {"L,u,v": {"u,v": "x"}}}}, (),
+                     "representation.module_basis name 'u,v' holds a comma",
+                     id="basis_name_comma"),
+        pytest.param("check-axioms", {"algebra": {"basis": ["L", " W"],
+                                                  "products": {"L,L": {"L": "d+2*x"}}}}, (),
+                     "algebra.basis name ' W' holds a comma or surrounding whitespace",
+                     id="basis_name_whitespace"),
         pytest.param("solve", SYSTEM_WITH_PARAM, ("--param", "b=0"), "solve takes no --param",
                      id="solve_param"),
         # a catalog map reads by its algebra's basis names, as an inline one does

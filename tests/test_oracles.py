@@ -164,6 +164,24 @@ def dense_apply(T, w):
     return oracle_apply_matrix(T.matrix, w, T.table)
 
 
+def dense_sweep(report, name, axes, residual, targets=None, label=None):
+    """``report.sweep`` of an oracle's per-instance residual, run on every
+    tuple over `axes` in ``itertools.product`` order: a polynomial is keyed by
+    its tuple, a tuple or dict vector by (*tuple, target), and the tuples on
+    which `residual` returns None are passed as skipped."""
+    residuals, skipped = {}, []
+    for idx in itertools.product(*(range(len(axis)) for axis in axes)):
+        res = residual(*idx)
+        if res is None:
+            skipped.append(idx)
+        elif isinstance(res, Poly):
+            residuals[idx] = res
+        else:
+            residuals.update(((*idx, k), p)
+                             for k, p in (res.items() if isinstance(res, dict) else enumerate(res)))
+    return report.sweep(name, axes, residuals, targets, label, skipped)
+
+
 def oracle_cybe(A, r):
     s = Scratch(A.table, ("z1", "d3"))
     z1, d1, d2, d3 = map(s.var, ("z1", "d1", "d2", "d3"))
@@ -314,8 +332,8 @@ def oracle_check_axioms(A):
             t2 = dense_mul_at(A, basis[j], dense_mul_at(A, basis[i], basis[k], X), Y)
             return vec_sub(vec_sub(lhs, t1), t2)
 
-        report.sweep("skew_symmetry", (A.basis,) * 2, skew, A.basis)
-        report.sweep("jacobi", (A.basis,) * 3, jacobi, A.basis)
+        dense_sweep(report, "skew_symmetry", (A.basis,) * 2, skew, A.basis)
+        dense_sweep(report, "jacobi", (A.basis,) * 3, jacobi, A.basis)
     else:
         def left_symmetry(i, j, k):
             mul = partial(dense_mul_at, A)
@@ -325,7 +343,7 @@ def oracle_check_axioms(A):
                             mul(basis[j], mul(basis[i], basis[k], X), Y))
             return vec_sub(left, right)
 
-        report.sweep("left_symmetry", (A.basis,) * 3, left_symmetry, A.basis)
+        dense_sweep(report, "left_symmetry", (A.basis,) * 3, left_symmetry, A.basis)
     return report
 
 
@@ -352,8 +370,8 @@ def oracle_cocycle_check(A, form):
                 + oracle_eval_at(form, basis[j], dense_mul_at(A, basis[i], basis[k], X), Y))
 
     report = Report()
-    report.sweep("symmetry", (A.basis,) * 2, symmetry)
-    report.sweep("cocycle_identity", (A.basis,) * 3, cocycle)
+    dense_sweep(report, "symmetry", (A.basis,) * 2, symmetry)
+    dense_sweep(report, "cocycle_identity", (A.basis,) * 3, cocycle)
     return report
 
 
@@ -377,7 +395,7 @@ def oracle_check_rep(rep):
                           dense_act(rep, eb[j], dense_act(rep, eb[i], vb[k], X), Y))
             return vec_sub(lhs, rhs)
 
-        report.sweep("module_axiom", axes, module_axiom, rep.mbasis, label)
+        dense_sweep(report, "module_axiom", axes, module_axiom, rep.mbasis, label)
         return report
     left, right = rep.left, rep.right
 
@@ -395,8 +413,8 @@ def oracle_check_rep(rep):
         t4 = dense_act_at(rep, right, dense_mul_at(A, eb[i], eb[j], X), vb[k], -Y - D)
         return vec_add(vec_sub(vec_sub(t1, t2), t3), t4)
 
-    report.sweep("left_action_axiom", axes, left_action, rep.mbasis, label)
-    report.sweep("right_action_axiom", axes, right_action, rep.mbasis, label)
+    dense_sweep(report, "left_action_axiom", axes, left_action, rep.mbasis, label)
+    dense_sweep(report, "right_action_axiom", axes, right_action, rep.mbasis, label)
     return report
 
 
@@ -555,11 +573,11 @@ def oracle_check_gd(V):
 
     report = Report()
     pairs, triples = (V.basis,) * 2, (V.basis,) * 3
-    report.sweep("novikov_right_commutativity", triples, right_commutativity, V.basis)
-    report.sweep("novikov_left_symmetry", triples, left_symmetry, V.basis)
-    report.sweep("lie_antisymmetry", pairs, antisymmetry, V.basis)
-    report.sweep("lie_jacobi", triples, jacobi, V.basis)
-    report.sweep("compatibility", triples, compatibility, V.basis)
+    dense_sweep(report, "novikov_right_commutativity", triples, right_commutativity, V.basis)
+    dense_sweep(report, "novikov_left_symmetry", triples, left_symmetry, V.basis)
+    dense_sweep(report, "lie_antisymmetry", pairs, antisymmetry, V.basis)
+    dense_sweep(report, "lie_jacobi", triples, jacobi, V.basis)
+    dense_sweep(report, "compatibility", triples, compatibility, V.basis)
     return report
 
 
@@ -1164,13 +1182,10 @@ def oracle_rota_baxter_residuals(A, T, weight):
 
 
 def nonzero_residuals(residuals):
-    """Dense residual vectors as {pair: {component: residual}}, with zero
-    components, and pairs left with none, dropped."""
-    out = {}
-    for pair, vec in residuals.items():
-        if kept := {m: p for m, p in enumerate(vec) if not p.is_zero}:
-            out[pair] = kept
-    return out
+    """Dense residual vectors as {(*pair, component): residual}, with zero
+    components dropped."""
+    return {(*pair, m): p for pair, vec in residuals.items()
+            for m, p in enumerate(vec) if not p.is_zero}
 
 
 def oracle_rb_constraints(A, degree_bound, weight=0):
@@ -1228,9 +1243,9 @@ def oracle_rb_gd_check(V, T, weight):
             extra = tuple(p * alpha for p in dense_apply(T, prod(basis[i], basis[j])))
             return tuple(a - b - c for a, b, c in zip(lhs, rhs, extra))
 
-        report.sweep(name, (V.basis,) * 2, residual, V.basis)
+        dense_sweep(report, name, (V.basis,) * 2, residual, V.basis)
     lifted = oracle_rota_baxter_residuals(algebra_from_gd(V, checked=False), T, alpha)
-    report.sweep("lifted_rota_baxter", (V.basis,) * 2, lambda i, j: lifted[i, j], V.basis)
+    dense_sweep(report, "lifted_rota_baxter", (V.basis,) * 2, lambda i, j: lifted[i, j], V.basis)
     return report
 
 
@@ -1327,14 +1342,17 @@ def oracle_window_checks(w, T=None, weight=0):
     syms = w.symbols()
     units = [w.unit(*sym) for sym in syms]
     names = tuple(w.label(*sym) for sym in syms)
-    targets = dict(zip(syms, names))
+    index = {sym: a for a, sym in enumerate(syms)}
     pair = {(a, b): window_bracket(w, units[a], units[b])
             for a in range(len(syms)) for b in range(len(syms))}
+
+    def vector(elem):  # a window element as a vector over the symbols' indices
+        return {index[sym]: c for sym, c in elem.items()}
 
     def antisymmetry(a, b):
         if OUT_OF_WINDOW in (pair[a, b], pair[b, a]):
             return None
-        return _window_add(pair[a, b], pair[b, a])
+        return vector(_window_add(pair[a, b], pair[b, a]))
 
     def jacobi(a, b, c):
         ab, bc, ac = pair[a, b], pair[b, c], pair[a, c]
@@ -1345,11 +1363,11 @@ def oracle_window_checks(w, T=None, weight=0):
         t2 = window_bracket(w, units[b], ac)
         if OUT_OF_WINDOW in (lhs, t1, t2):
             return None
-        return _window_sub(_window_sub(lhs, t1), t2)
+        return vector(_window_sub(_window_sub(lhs, t1), t2))
 
     report = Report()
-    report.sweep("antisymmetry", (names,) * 2, antisymmetry, targets, "[{},{}]")
-    report.sweep("jacobi", (names,) * 3, jacobi, targets, "[{},[{},{}]]")
+    dense_sweep(report, "antisymmetry", (names,) * 2, antisymmetry, names, "[{},{}]")
+    dense_sweep(report, "jacobi", (names,) * 3, jacobi, names, "[{},[{},{}]]")
     if T is not None:
         alpha = weight if isinstance(weight, Poly) else Poly.const(w.algebra.table, weight)
         lift = w.lift_map(T)
@@ -1365,10 +1383,10 @@ def oracle_window_checks(w, T=None, weight=0):
             r3 = lift(pair[a, b])
             if OUT_OF_WINDOW in (lhs, r1, r2, r3):
                 return None
-            return _window_sub(lhs, _window_add(_window_add(r1, r2),
-                                                {k: c * alpha for k, c in r3.items()}))
+            return vector(_window_sub(lhs, _window_add(_window_add(r1, r2),
+                                                       {k: c * alpha for k, c in r3.items()})))
 
-        report.sweep("lifted_rota_baxter", (names,) * 2, lifted_rota_baxter, targets)
+        dense_sweep(report, "lifted_rota_baxter", (names,) * 2, lifted_rota_baxter, names)
     return report
 
 
@@ -1418,22 +1436,14 @@ def workload_window(label):
 def window_outcome(check, w, T, weight):
     """The report of check(w, T, weight) as a dict, the instances each sweep
     skipped, and each check's evaluated and skipped counts: the report dict
-    alone does not tell a skip from a zero residual.  A mapping's skips are
-    the tuples passed as skipped; a callable's, the tuples it returns None on."""
+    alone does not tell a skip from a zero residual.  The skips are the
+    tuples passed to the sweep as skipped."""
     skips = []
     sweep = Report.sweep
 
-    def recording(self, name, axes, residual, targets=None, label=None, skipped=()):
+    def recording(self, name, axes, residuals, targets=None, label=None, skipped=()):
         skips.extend((name, idx) for idx in skipped)
-        if not callable(residual):
-            return sweep(self, name, axes, residual, targets, label, skipped)
-
-        def traced(*idx):
-            res = residual(*idx)
-            if res is None:
-                skips.append((name, idx))
-            return res
-        return sweep(self, name, axes, traced, targets, label, skipped)
+        return sweep(self, name, axes, residuals, targets, label, skipped)
 
     with mock.patch.object(Report, "sweep", recording):
         report = check(CoeffWindow(w.algebra, w.N, w.shifts), T, weight)
@@ -1489,11 +1499,11 @@ def oracle_check_o_operator(T, rep, ker_mode=False):
 
     report = Report()
     if not ker_mode:
-        report.sweep("o_operator", (rep.mbasis,) * 2, residual, A.basis)
+        dense_sweep(report, "o_operator", (rep.mbasis,) * 2, residual, A.basis)
         return report
     Y = Poly.var(t, "y")
     pairs = {(i, j): residual(i, j) for i in range(rep.mrank) for j in range(rep.mrank)}
-    report.sweep("o_operator_mod_kernel", (rep.mbasis,) * 3,
+    dense_sweep(report, "o_operator_mod_kernel", (rep.mbasis,) * 3,
                  lambda i, j, k: dense_act(rep, pairs[i, j], vb[k], Y),
                  rep.mbasis, "({},{});{}")
     return report
@@ -1530,7 +1540,7 @@ def oracle_invariance(A, B):
         return lhs - rhs
 
     report = Report()
-    report.sweep("invariance", (A.basis,) * 3, invariance)
+    dense_sweep(report, "invariance", (A.basis,) * 3, invariance)
     return report
 
 

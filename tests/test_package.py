@@ -106,6 +106,35 @@ def test_every_kernel_variable_is_read():
         "q", "v", "w"}
 
 
+def _callee(call: ast.Call) -> str | None:
+    return getattr(call.func, "attr", getattr(call.func, "id", None))
+
+
+def _nested_sweeps(source: str) -> list[int]:
+    """The lines of the ``sweep`` calls whose residuals are a lambda or a
+    ``_nest`` call instead of a flat mapping."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and _callee(node) == "sweep"):
+            continue
+        residuals = node.args[2:3] + [k.value for k in node.keywords if k.arg == "residuals"]
+        if any(isinstance(r, ast.Lambda) or isinstance(r, ast.Call) and _callee(r) == "_nest"
+               for r in residuals):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_every_sweep_gets_a_flat_mapping():
+    """Each check hands ``Report.sweep`` its closed sums keyed (instance...,
+    target), not a per-instance callable or sums re-nested by instance."""
+    nested = {path.name: lines for path in sorted(PACKAGE.glob("*.py"))
+              if (lines := _nested_sweeps(path.read_text(encoding="utf-8")))}
+    assert nested == {}
+    assert _nested_sweeps("r.sweep('a', ax, lambda i: p)\nr.sweep('b', ax, algebra._nest(s))\n"
+                          "r.sweep('c', ax, residuals=_nest(s))\nr.sweep('d', ax, s.close())") == [
+        1, 2, 3]
+
+
 def test_runtime_imports_neither_dataclasses_nor_inspect():
     assert not [(f, m) for f, m in _absolute_imports() if m in STARTUP_COSTS]
 

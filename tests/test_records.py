@@ -4,6 +4,7 @@ the package uses it, and instances are unhashable.  Also the two forms of
 ``Report.sweep``: a mapping of residuals and a callable per instance."""
 
 import itertools
+import math
 import re
 from fractions import Fraction
 
@@ -163,90 +164,86 @@ class _CountingLabel(str):
 
 
 def test_sweep_labels_only_nonzero_residuals(P):
+    """A label is formatted once per instance with a nonzero residual, however
+    many of its targets are nonzero; zero residuals and skipped tuples get none."""
     zero = P("0")
-    residuals = {(0, 0): P("d"), (0, 1): zero, (1, 0): None, (1, 1): zero}
-    vectors = {(0, 0): {1: P("x")}, (0, 1): {}, (1, 0): (zero, zero), (1, 1): {0: zero}}
     report, names = Report(), ("L", "W")
     _CountingLabel.calls = 0
-    poly = report.sweep("poly", (names,) * 2, lambda i, j: residuals[i, j],
-                        label=_CountingLabel("({},{})"))
-    vector = report.sweep("vector", (names,) * 2, lambda i, j: vectors[i, j], names,
-                          _CountingLabel("[{},{}]"))
-    assert _CountingLabel.calls == 2
-    assert poly.residuals == [("(L,L)", "d")] and vector.residuals == [("[L,L]->W", "x")]
-    assert (poly.evaluated, poly.skipped, vector.evaluated, vector.skipped) == (3, 1, 4, 0)
-    # the same residuals as mappings, the poly one without its skipped instance
-    _CountingLabel.calls = 0
-    poly = report.sweep("poly", (names,) * 2, {k: v for k, v in residuals.items() if v},
-                        label=_CountingLabel("({},{})"))
-    vector = report.sweep("vector", (names,) * 2, vectors, names, _CountingLabel("[{},{}]"))
-    assert _CountingLabel.calls == 2
-    assert poly.residuals == [("(L,L)", "d")] and vector.residuals == [("[L,L]->W", "x")]
-    assert (poly.evaluated, poly.skipped, vector.evaluated, vector.skipped) == (4, 0, 4, 0)
-    # and with its skipped instance passed as such
-    poly = report.sweep("poly", (names,) * 2, {k: v for k, v in residuals.items() if v},
+    poly = report.sweep("poly", (names,) * 2, {(0, 0): P("d"), (0, 1): zero, (1, 1): zero},
                         label=_CountingLabel("({},{})"), skipped=[(1, 0)])
-    assert _CountingLabel.calls == 3 and poly.residuals == [("(L,L)", "d")]
-    assert (poly.evaluated, poly.skipped) == (3, 1)
+    vector = report.sweep("vector", (names,) * 2,
+                          {(0, 0, 1): P("x"), (0, 0, 0): P("d"), (1, 0, 0): zero,
+                           (1, 1, 1): zero},
+                          names, _CountingLabel("[{},{}]"))
+    assert _CountingLabel.calls == 2
+    assert poly.residuals == [("(L,L)", "d")]
+    assert vector.residuals == [("[L,L]->L", "d"), ("[L,L]->W", "x")]
+    assert (poly.evaluated, poly.skipped, vector.evaluated, vector.skipped) == (3, 1, 4, 0)
 
 
 SWEEP_TABLE = VarTable(params=("b",))
 SWEEP_ZERO = Poly.zero(SWEEP_TABLE)
 sweep_poly = st.one_of(st.just(SWEEP_ZERO), poly_strategy(SWEEP_TABLE, names=("d", "x", "b"),
                                                           max_terms=2, max_degree=2))
-# each kind of residual, with the value a per-instance sweep reads for a missing tuple
-SWEEP_KINDS = {
-    "poly": (None, sweep_poly, SWEEP_ZERO),
-    "vector": (("u", "v"), st.tuples(sweep_poly, sweep_poly), (SWEEP_ZERO, SWEEP_ZERO)),
-    "dict": (("u", "v"), st.dictionaries(st.integers(0, 1), sweep_poly, max_size=2), {}),
-}
 
 
 @st.composite
 def sweep_cases(draw):
-    """2-3 axes of 1-3 names, residuals of one kind on some of their tuples
-    (zeros among them), some other tuples skipped, in lexicographic order,
+    """2-3 axes of 1-3 names, no targets or two, residuals (zeros among them)
+    on some keys, some tuples that hold none skipped, in lexicographic order,
     and the default or a custom label."""
     axes = tuple(("L", "W", "E")[:draw(st.integers(1, 3))] for _ in range(draw(st.integers(2, 3))))
-    targets, residual, missing = SWEEP_KINDS[draw(st.sampled_from(sorted(SWEEP_KINDS)))]
-    key = st.tuples(*(st.integers(0, len(axis) - 1) for axis in axes))
-    mapping = draw(st.dictionaries(key, residual, max_size=8))
+    targets = draw(st.sampled_from([None, ("u", "v")]))
+    index = [st.integers(0, len(axis) - 1) for axis in axes]
+    if targets is not None:
+        index.append(st.integers(0, len(targets) - 1))
+    mapping = draw(st.dictionaries(st.tuples(*index), sweep_poly, max_size=8))
     free = [idx for idx in itertools.product(*(range(len(axis)) for axis in axes))
-            if idx not in mapping]
+            if not any(key[:len(axes)] == idx for key in mapping)]
     skipped = sorted(draw(st.sets(st.sampled_from(free), max_size=6))) if free else []
     slots = ["{}"] * len(axes)
     label = draw(st.sampled_from(["(" + ",".join(slots) + ")", "<" + "|".join(slots) + ">"]))
-    return axes, targets, mapping, skipped, missing, label
-
-
-def _is_zero(res):
-    return all(p.is_zero for p in (res.values() if isinstance(res, dict) else
-                                   (res,) if isinstance(res, Poly) else res))
+    return axes, targets, mapping, skipped, label
 
 
 @given(case=sweep_cases())
 def test_sweep_of_a_mapping_equals_the_per_instance_sweep(case):
     """A mapping and its skipped tuples give the residuals, in order, and the
-    counts of the callable that reads it tuple by tuple and returns None on a
-    skipped tuple; a zero residual gets no label."""
-    axes, targets, mapping, skipped, missing, label = case
+    counts of a dense enumeration of every tuple and target; a label is
+    formatted once per instance with a nonzero residual."""
+    axes, targets, mapping, skipped, label = case
     _CountingLabel.calls = 0
     sparse = Report().sweep("check", axes, mapping, targets, _CountingLabel(label), skipped)
-    assert _CountingLabel.calls == sum(not _is_zero(res) for res in mapping.values())
-    dense = Report().sweep("check", axes,
-                           lambda *idx: None if idx in skipped else mapping.get(idx, missing),
-                           targets, label)
-    assert sparse.residuals == dense.residuals
-    assert (sparse.evaluated, sparse.skipped) == (dense.evaluated, dense.skipped)
+    want, labelled = [], 0
+    for idx in itertools.product(*(range(len(axis)) for axis in axes)):
+        if idx in skipped:
+            continue
+        keys = [idx] if targets is None else [(*idx, k) for k in range(len(targets))]
+        if not (found := [key for key in keys if not mapping.get(key, SWEEP_ZERO).is_zero]):
+            continue
+        labelled += 1
+        basis = label.format(*(axis[i] for axis, i in zip(axes, idx)))
+        want += [(basis if targets is None else f"{basis}->{targets[key[-1]]}", str(mapping[key]))
+                 for key in found]
+    assert sparse.residuals == want
+    assert _CountingLabel.calls == labelled
+    assert (sparse.evaluated, sparse.skipped) == (math.prod(map(len, axes)) - len(skipped),
+                                                  len(skipped))
 
 
-@pytest.mark.parametrize("key", [(0, 2), (2, 0), (-1, 0), (0,), (0, 0, 0), "LW"])
-def test_sweep_refuses_a_residual_keyed_outside_its_axes(P, key):
-    """A residual whose tuple is not one of the axes' would drop out of the
-    verdict; the sweep names the check and the key instead, zero or not, and
-    adds no check to the report."""
+@pytest.mark.parametrize("key, targets", [
+    *((key, None) for key in [(0, 2), (2, 0), (-1, 0), (0,), (0, 0, 0), "LW"]),
+    *((key, ("u", "v")) for key in [(0, 0, 2), (0, 0, -1), (0, 0), (0, 0, 0, 0)])],
+    ids=["key0", "key1", "key2", "key3", "key4", "LW",
+         "target_past_the_end", "target_negative", "target_missing", "target_twice"])
+def test_sweep_refuses_a_residual_keyed_outside_its_axes(P, key, targets):
+    """A residual whose tuple is not one of the axes', or whose target index is
+    not one of the targets', would drop out of the verdict or fail to label;
+    the sweep names the check and the key instead, zero or not, and adds no
+    check to the report."""
+    valid = (0, 0) if targets is None else (0, 0, 1)
     for value in (P("x"), P("0")):
         report = Report()
         with pytest.raises(ValueError, match=rf"'skew'.*{re.escape(repr(key))}"):
-            report.sweep("skew", (("L", "W"),) * 2, {(0, 0): P("d"), key: value})
+            report.sweep("skew", (("L", "W"),) * 2, {valid: P("d"), key: value}, targets)
         assert report.checks == []

@@ -151,6 +151,6 @@ class TestOOperatorIsRotaBaxterOnSemidirect:
         o_report = check_o_operator(T_map, rep)
         rb_report = check_rota_baxter(S, hat, 0)
         assert o_report.ok == rb_report.ok == (not perturb)
-        assert all(i >= n and j >= n for i, j in rota_baxter_residuals(S, hat, 0))
+        assert all(i >= n and j >= n for i, j, _ in rota_baxter_residuals(S, hat, 0))
         (o_check,), (rb_check,) = o_report.checks, rb_report.checks
         assert o_check.residuals == rb_check.residuals

@@ -7,9 +7,12 @@ The input document carries named sections ("algebra", "representation",
 as the JSON `confalg catalog NAME` prints for that section, through the same
 reader as an inline one.  A "representation" may be a standard-construction
 name.  `--param` values are substituted into each polynomial as it is read;
-`solve` and `catalog` take none.  Exit codes:
-0 all checks passed, 1 a check failed (nonzero residual, partial or
-inconsistent solve, witness found), 2 malformed input or violated precondition.
+`solve` and `catalog` take none.
+
+Each subcommand returns what it computed, and `main` alone writes it and
+chooses the exit code: 0 all checks passed, 1 a check failed (nonzero
+residual, partial or inconsistent solve, witness found), 2 malformed input,
+violated precondition or an unwritable `--out`.
 """
 
 from __future__ import annotations
@@ -164,123 +167,106 @@ def _emit(args, payload: dict) -> None:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _report_result(args, report: Report) -> int:
-    _emit(args, report.to_dict())
-    return 0 if report.ok else 1
-
-
 # -- subcommand handlers -------------------------------------------------------
+# Each returns its result: a Report, a payload dict, or a (payload, exit code)
+# pair for a verdict that is not a report; main writes it.
 
-def cmd_check_axioms(sess: Session, args) -> int:
+def cmd_check_axioms(sess: Session, args) -> Report:
     from .algebra import check_axioms
-    return _report_result(args, check_axioms(sess.section("algebra")))
+    return check_axioms(sess.section("algebra"))
 
 
-def cmd_check_rep(sess: Session, args) -> int:
+def cmd_check_rep(sess: Session, args) -> Report:
     from .reps import check_rep
     A = sess.section("algebra")
-    return _report_result(args, check_rep(sess.section("representation", A)))
+    return check_rep(sess.section("representation", A))
 
 
-def cmd_check_cybe(sess: Session, args) -> int:
+def cmd_check_cybe(sess: Session, args) -> Report:
     from .tensor import cybe_residual, tensor3_report
     A = sess.section("algebra")
-    res = cybe_residual(A, sess.section("tensor", A))
-    return _report_result(args, tensor3_report("yang_baxter", res))
+    return tensor3_report("yang_baxter", cybe_residual(A, sess.section("tensor", A)))
 
 
-def cmd_check_s(sess: Session, args) -> int:
+def cmd_check_s(sess: Session, args) -> Report:
     from .tensor import s_residual, tensor3_report
     A = sess.section("algebra")
-    res = s_residual(A, sess.section("tensor", A))
-    return _report_result(args, tensor3_report("s_equation", res))
+    return tensor3_report("s_equation", s_residual(A, sess.section("tensor", A)))
 
 
-def cmd_check_o_operator(sess: Session, args) -> int:
+def cmd_check_o_operator(sess: Session, args) -> Report:
     from .operators import check_o_operator
     A = sess.section("algebra")
     rep = sess.section("representation", A)
     T = sess.section("map", rep.mbasis, A.basis)
-    return _report_result(args, check_o_operator(T, rep, ker_mode=args.ker))
+    return check_o_operator(T, rep, ker_mode=args.ker)
 
 
-def cmd_check_rb(sess: Session, args) -> int:
+def cmd_check_rb(sess: Session, args) -> Report:
     from .operators import check_rota_baxter
     A = sess.section("algebra")
     T = sess.section("map", A.basis, A.basis)
-    return _report_result(args, check_rota_baxter(A, T, sess.weight(args)))
+    return check_rota_baxter(A, T, sess.weight(args))
 
 
-def cmd_build_semidirect(sess: Session, args) -> int:
+def cmd_build_semidirect(sess: Session, args) -> dict:
     from .reps import semidirect
     A = sess.section("algebra")
-    S = semidirect(A, sess.section("representation", A))
-    _emit(args, io.algebra_to_dict(S))
-    return 0
+    return io.algebra_to_dict(semidirect(A, sess.section("representation", A)))
 
 
-def cmd_build_dual(sess: Session, args) -> int:
+def cmd_build_dual(sess: Session, args) -> dict:
     from .reps import dual_rep
     A = sess.section("algebra")
-    rep = dual_rep(sess.section("representation", A))
-    _emit(args, io.rep_to_dict(rep))
-    return 0
+    return io.rep_to_dict(dual_rep(sess.section("representation", A)))
 
 
-def cmd_r_from_t(sess: Session, args) -> int:
+def cmd_r_from_t(sess: Session, args) -> dict:
     from .tensor import r_from_t
     A = sess.section("algebra")
     rep = sess.section("representation", A)
     T = sess.section("map", rep.mbasis, A.basis, conformal=True)
     r = r_from_t(T, rep, mode=args.mode)
-    _emit(args, {"algebra": io.algebra_to_dict(r.algebra), "tensor": io.tensor_to_dict(r)})
-    return 0
+    return {"algebra": io.algebra_to_dict(r.algebra), "tensor": io.tensor_to_dict(r)}
 
 
-def cmd_t_from_r(sess: Session, args) -> int:
+def cmd_t_from_r(sess: Session, args) -> dict:
     from .tensor import t_from_r
     A = sess.section("algebra")
     T = t_from_r(A, sess.section("tensor", A))
     dual_names = tuple(n + "*" for n in A.basis)
-    payload = {"map": io.map_to_dict(T, dual_names, A.basis),
-               "map_at_zero": io.map_to_dict(T.at_zero(), dual_names, A.basis)}
-    _emit(args, payload)
-    return 0
+    return {"map": io.map_to_dict(T, dual_names, A.basis),
+            "map_at_zero": io.map_to_dict(T.at_zero(), dual_names, A.basis)}
 
 
-def cmd_cobracket(sess: Session, args) -> int:
+def cmd_cobracket(sess: Session, args) -> dict:
     from .tensor import cobracket_from_r
     A = sess.section("algebra")
     out = cobracket_from_r(A, sess.section("tensor", A), sess.section("element", A))
-    _emit(args, io.tensor_to_dict(out))
-    return 0
+    return io.tensor_to_dict(out)
 
 
-def cmd_cocycle_from_r(sess: Session, args) -> int:
+def cmd_cocycle_from_r(sess: Session, args) -> dict:
     from .operators import cocycle_from_r
     A = sess.section("algebra")
-    form = cocycle_from_r(A, sess.section("tensor", A), args.kind)
-    _emit(args, io.form_to_dict(form))
-    return 0
+    return io.form_to_dict(cocycle_from_r(A, sess.section("tensor", A), args.kind))
 
 
-def cmd_check_cocycle(sess: Session, args) -> int:
+def cmd_check_cocycle(sess: Session, args) -> Report:
     from .operators import cocycle_check
     A = sess.section("algebra")
-    form = sess.section("form", A)
-    form.kind = form.kind or "lie"  # a form without a kind is a Lie 2-cocycle
-    return _report_result(args, cocycle_check(A, form))
+    return cocycle_check(A, sess.section("form", A))
 
 
-def cmd_form_suite(sess: Session, args) -> int:
+def cmd_form_suite(sess: Session, args) -> Report:
     from .operators import invariant_form_suite
     A = sess.section("algebra")
     form = sess.section("form", A)
     r = sess.section("tensor", A, required=False)
-    return _report_result(args, invariant_form_suite(A, form, r))
+    return invariant_form_suite(A, form, r)
 
 
-def cmd_rb_constraints(sess: Session, args) -> int:
+def cmd_rb_constraints(sess: Session, args) -> dict:
     from .operators import rb_constraints
     if args.degree < 0:
         raise InputError(f"--degree must be at least 0, got {args.degree}")
@@ -288,11 +274,10 @@ def cmd_rb_constraints(sess: Session, args) -> int:
     system, generic = rb_constraints(A, args.degree, sess.weight(args))
     payload = io.system_to_dict(system)
     payload["generic_map"] = io.map_to_dict(generic, A.basis, A.basis)
-    _emit(args, payload)
-    return 0
+    return payload
 
 
-def cmd_solve(sess: Session, args) -> int:
+def cmd_solve(sess: Session, args) -> tuple[dict, int]:
     from .operators import InconsistentSystem, solve_squares
     if args.param:
         raise InputError("solve takes no --param; a system document declares its own params")
@@ -302,37 +287,31 @@ def cmd_solve(sess: Session, args) -> int:
         result = solve_squares(system)
     except InconsistentSystem as exc:
         # a well-formed system with no solution is a decided check, not bad input
-        _emit(args, {"status": "inconsistent", "reason": str(exc)})
-        return 1
+        return {"status": "inconsistent", "reason": str(exc)}, 1
     payload = {
         "status": result.status,
         "assignment": {k: str(v) for k, v in sorted(result.assignment.items())},
         "remaining": [str(eq) for eq in result.remaining],
     }
-    _emit(args, payload)
-    return 0 if result.solved else 1
+    return payload, 0 if result.solved else 1
 
 
-def cmd_gd_convert(sess: Session, args) -> int:
+def cmd_gd_convert(sess: Session, args) -> dict:
     from .gd import algebra_from_gd, gd_from_algebra
     V = sess.section("gd", required=False)
     if V is not None:
-        _emit(args, io.algebra_to_dict(algebra_from_gd(V)))
-    else:
-        _emit(args, io.gd_to_dict(gd_from_algebra(sess.section("algebra"))))
-    return 0
+        return io.algebra_to_dict(algebra_from_gd(V))
+    return io.gd_to_dict(gd_from_algebra(sess.section("algebra")))
 
 
-def cmd_gd_check(sess: Session, args) -> int:
+def cmd_gd_check(sess: Session, args) -> Report:
     from .gd import check_gd, rb_gd_check
     V = sess.section("gd")
     T = sess.section("map", V.basis, V.basis, required=False)
-    if T is not None:
-        return _report_result(args, rb_gd_check(V, T, sess.weight(args)))
-    return _report_result(args, check_gd(V))
+    return check_gd(V) if T is None else rb_gd_check(V, T, sess.weight(args))
 
 
-def cmd_zero_divisors(sess: Session, args) -> int:
+def cmd_zero_divisors(sess: Session, args) -> tuple[dict, int]:
     from .gd import zero_divisor_probe
     V = sess.section("gd")
     probe = zero_divisor_probe(V)
@@ -342,11 +321,10 @@ def cmd_zero_divisors(sess: Session, args) -> int:
         named = probe.witness_names(V)
         if named:
             payload["witness_basis"] = list(named)
-    _emit(args, payload)
-    return 1 if probe.status == "witness" else 0
+    return payload, 1 if probe.status == "witness" else 0
 
 
-def cmd_coeff(sess: Session, args) -> int:
+def cmd_coeff(sess: Session, args) -> Report:
     from .coeff import CoeffWindow, window_checks
     if args.window < 0:
         raise InputError(f"--window must be at least 0, got {args.window}")
@@ -365,16 +343,14 @@ def cmd_coeff(sess: Session, args) -> int:
             raise InputError(f"--shift expects name=integer, got {spec!r}") from None
     w = CoeffWindow(A, args.window, shifts)
     T = sess.section("map", A.basis, A.basis, required=False)
-    return _report_result(args, window_checks(w, T, sess.weight(args)))
+    return window_checks(w, T, sess.weight(args))
 
 
-def cmd_catalog(sess: Session, args) -> int:
+def cmd_catalog(sess: Session, args) -> dict:
     if args.param:
         raise InputError("catalog prints definitions and takes no --param; "
                          "substituted checks go through the other commands")
-    entry = catalog(args.name)
-    _emit(args, io.entry_to_dict(entry))
-    return 0
+    return io.entry_to_dict(catalog(args.name))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -431,9 +407,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        doc = _load(args)
-        sess = Session(doc, args)
-        return args.handler(sess, args)
+        result = args.handler(Session(_load(args), args), args)
+        payload, code = result if isinstance(result, tuple) else (result, 0)
+        if isinstance(payload, Report):
+            payload, code = payload.to_dict(), 0 if payload.ok else 1
+        _emit(args, payload)
+        return code
     except USAGE_ERRORS as exc:
         print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}), file=sys.stderr)
         return 2

@@ -7,10 +7,10 @@ symbols v_m with
     a_m . b_n = sum_j binom(m, j) (a_(j) b)_{m+n-j},
     (d u)_k = -k u_{k-1}.
 
-Only a finite symmetric index window [-N, N] is materialized; products that
-need an index outside the window return the OutOfWindow sentinel, which
-property checks treat as "skip".  An optional per-generator shift relabels
-v_m as v_{m+s} to reproduce textbook index conventions.
+Only a finite symmetric index window [-N, N] is materialized; a product that
+needs an index outside the window is None, which property checks treat as
+"skip".  An optional per-generator shift relabels v_m as v_{m+s} to
+reproduce textbook index conventions.
 
 ``window_checks`` brackets no general elements.  It builds one unit-pair
 table, the bracket of every two window symbols as [(symbol, coefficient)],
@@ -35,15 +35,6 @@ from .linmap import ModuleMap
 from .poly import Poly, Record, Sums
 from .report import Report
 
-
-class OutOfWindow:
-    """Sentinel value for products leaving the index window."""
-
-    def __repr__(self) -> str:
-        return "OutOfWindow"
-
-
-OUT_OF_WINDOW = OutOfWindow()
 
 # the most Jacobi triples, (rank * (2N + 1))^3, that window_checks sweeps
 MAX_WINDOW_TRIPLES = 1_000_000
@@ -112,10 +103,10 @@ class CoeffWindow(Record):
     def label(self, i: int, m: int) -> str:
         return f"{self.algebra.basis[i]}_{m}"
 
-    def _reduce(self, terms) -> WinElem | OutOfWindow:
+    def _reduce(self, terms) -> WinElem | None:
         """The sum of scale * p(d) u_t over the (k, t, p, scale) in `terms`: u_t is
         generator k at raw index t, (d^s u)_t = (-1)^s t(t-1)...(t-s+1) u_{t-s} and
-        scale a polynomial; OUT_OF_WINDOW as soon as an index leaves the window."""
+        scale a polynomial; None as soon as an index leaves the window."""
         out = Sums(self.algebra.table)
         for k, t, poly, scale in terms:
             if id(poly) not in self._splits:
@@ -126,18 +117,18 @@ class CoeffWindow(Record):
                     continue
                 raw = t - s
                 if abs(raw) > self.N:
-                    return OUT_OF_WINDOW
+                    return None
                 out.add((k, raw - self.shift(k)), cof, scale, factor)
         return out.close()
 
-    def _pair_bracket(self, i: int, m: int, j: int, n: int) -> WinElem | OutOfWindow:
+    def _pair_bracket(self, i: int, m: int, j: int, n: int) -> WinElem | None:
         """The product of the unit symbols (i, m) and (j, n), memoised."""
         key = (i, m, j, n)
         if key not in self._cache:
             mu = m + self.shift(i)
             nu = n + self.shift(j)
             if abs(mu) > self.N or abs(nu) > self.N:
-                self._cache[key] = OUT_OF_WINDOW
+                self._cache[key] = None
             else:
                 # a_m . b_n = sum_deg binom(m, deg) (a_(deg) b)_{m+n-deg}
                 self._cache[key] = self._reduce(
@@ -153,8 +144,8 @@ class CoeffWindow(Record):
             raise PreconditionError("map shape does not match the algebra")
 
         def lifted(elem):
-            if elem is OUT_OF_WINDOW:
-                return OUT_OF_WINDOW
+            if elem is None:
+                return None
             return self._reduce((j, m + self.shift(i), entry, c)
                                 for (i, m), c in elem.items()
                                 for j, entry in enumerate(T.matrix[i]) if not entry.is_zero)
@@ -182,7 +173,7 @@ def window_checks(w: CoeffWindow, T: ModuleMap | None = None,
     pair that leaves the window.  A triple (or pair) is skipped when a pair it
     needs leaves the window, or when a symbol in the support of an argument of
     the lift lifts out of it; each sweep gets the nonzero residuals of the
-    instances evaluated and the tuples skipped, in lexicographic order.
+    instances evaluated and the number skipped.
     """
     if w.algebra.kind != LIE:
         raise PreconditionError("window checks expect a Lie-kind algebra")
@@ -195,7 +186,7 @@ def window_checks(w: CoeffWindow, T: ModuleMap | None = None,
     names = tuple(w.label(*sym) for sym in syms)
 
     def row(elem):
-        return None if elem is OUT_OF_WINDOW else [(index[k], c) for k, c in elem.items()]
+        return None if elem is None else [(index[k], c) for k, c in elem.items()]
 
     def chained(terms, rows):
         out = Sums(t)
@@ -205,35 +196,31 @@ def window_checks(w: CoeffWindow, T: ModuleMap | None = None,
     cols = list(zip(*table))
     report = Report()
 
-    antisymmetry, skipped = Sums(t), []
+    antisymmetry, skipped = Sums(t), 0
     for a, row_a in enumerate(table):
         for b, ab in enumerate(row_a):
             ba = table[b][a]
             if ab is None or ba is None:
-                skipped.append((a, b))
+                skipped += 1
                 continue
             for m, q in ab + ba:
                 antisymmetry.add((a, b, m), q)
     report.sweep("antisymmetry", (names,) * 2, antisymmetry.close(), names, "[{},{}]", skipped)
 
-    residuals, skipped = {}, []
+    residuals, skipped = {}, 0
     for a, row_a in enumerate(table):
         for b, ab in enumerate(row_a):
             if ab is None:
-                skipped += [(a, b, c) for c in range(n)]
+                skipped += n
                 continue
             row_b = table[b]
             for c, (bc, ac) in enumerate(zip(row_b, row_a)):
-                if bc is None or ac is None:
-                    skipped.append((a, b, c))
+                if (bc is None or ac is None or not (_chain(out := Sums(t), bc, row_a)
+                        and _chain(out, ab, cols[c], -1) and _chain(out, ac, row_b, -1))):
+                    skipped += 1
                     continue
-                out = Sums(t)
-                if not (_chain(out, bc, row_a) and _chain(out, ab, cols[c], -1)
-                        and _chain(out, ac, row_b, -1)):
-                    skipped.append((a, b, c))
-                else:
-                    for m, p in out.close().items():
-                        residuals[a, b, c, m] = p
+                for m, p in out.close().items():
+                    residuals[a, b, c, m] = p
     report.sweep("jacobi", (names,) * 3, residuals, names, "[{},[{},{}]]", skipped)
 
     if T is not None:
@@ -242,7 +229,7 @@ def window_checks(w: CoeffWindow, T: ModuleMap | None = None,
         # the rows [T a, u_l] of each a that lifts into the window, each closed or None
         lifted_rows = [None if ta is None else [chained(ta, col) for col in cols]
                        for ta in lifted]
-        residuals, skipped = {}, []
+        residuals, skipped = {}, 0
         for a, rows_a in enumerate(lifted_rows):
             for b, (tb, ab) in enumerate(zip(lifted, table[a])):
                 # [T a, T b] - T([T a, b] + [a, T b] + weight [a, b])
@@ -256,6 +243,6 @@ def window_checks(w: CoeffWindow, T: ModuleMap | None = None,
                     for m, p in out.close().items():
                         residuals[a, b, m] = p
                 else:
-                    skipped.append((a, b))
+                    skipped += 1
         report.sweep("lifted_rota_baxter", (names,) * 2, residuals, names, skipped=skipped)
     return report

@@ -244,8 +244,8 @@ def map_to_dict(m: ModuleMap | ConformalLinearMap, src: tuple[str, ...],
 
 def form_from_dict(doc: dict, basis: tuple[str, ...], table: VarTable,
                    at: Substitution | None = None) -> BilinearForm:
-    """{"matrix": {"a,b": poly}, "kind": "lie" | "lsc"}; without a kind the
-    form is not a 2-cocycle of either kind."""
+    """{"matrix": {"a,b": poly}, "kind": "lie" | "lsc"}; ``cocycle_check`` reads
+    a form without a kind as a 2-cocycle of its algebra's kind."""
     from .operators import BilinearForm
     kind = doc.get("kind")
     if kind not in (None, "lie", "lsc"):

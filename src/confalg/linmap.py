@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .algebra import AlgebraError
+from .algebra import AlgebraError, PreconditionError
 from .poly import Poly, Record, Substitution, Sums, VarTable
 
 
@@ -68,7 +68,8 @@ class ModuleMap(ConformalLinearMap):
             for p in row:
                 extra = p.variables() - set(table.params) - {"d"}
                 if extra:
-                    raise ValueError(f"module map entries may use only d and parameters, got {sorted(extra)}")
+                    raise PreconditionError(
+                        f"module map entries may use only d and parameters, got {sorted(extra)}")
         super().__init__(table, matrix)
 
     @classmethod

@@ -159,7 +159,7 @@ def induced_lsc(T: ModuleMap, rep: Representation | None = None,
         if rep is None:
             raise PreconditionError(f"mode {mode!r} needs a representation")
         if mode not in ("o_product", "bijective"):
-            raise ValueError(f"unknown mode {mode!r}")
+            raise PreconditionError(f"unknown mode {mode!r}")
         orep = check_o_operator(T, rep)
         if not orep.ok:
             raise PreconditionError("map is not an O-operator", orep)
@@ -201,7 +201,7 @@ class BilinearForm(Record):
             for j, p in enumerate(row):
                 extra = p.variables() - allowed
                 if extra:
-                    raise ValueError(
+                    raise PreconditionError(
                         f"form entries may use only x and parameters, got {sorted(extra)}")
                 if not p.is_zero:
                     self.products[(i, j)] = {0: p}
@@ -225,7 +225,7 @@ def cocycle_from_r(A: ConformalAlgebra, r: Tensor2, kind: str) -> BilinearForm:
     if kind == "lsc" and not pp.is_sym:
         raise PreconditionError("an lsc-kind cocycle needs a symmetric tensor")
     if kind not in ("lie", "lsc"):
-        raise ValueError(f"unknown cocycle kind {kind!r}")
+        raise PreconditionError(f"unknown cocycle kind {kind!r}")
     T0 = t_from_r(A, r).at_zero()
     inv = invert_module_map(T0)
     at = Substitution(A.table, {"d": -Poly.var(A.table, "x")})
@@ -239,10 +239,11 @@ def cocycle_check(A: ConformalAlgebra, form: BilinearForm) -> Report:
     Symmetry reads the matrix: B_ij(x) + B_ji(-x) (lie) or B_ij(x) - B_ji(-x)
     (lsc).  Each cocycle term is a chain sum over the structure constants and
     the form's entries, e.g. form(e_i, e_j _y e_k) at x = sum_l B_il(x) P_jkl(x, y)
-    and form(e_i _x e_j, e_k) at x+y = sum_l P_ijl(-x-y, x) B_lk(x+y).
+    and form(e_i _x e_j, e_k) at x+y = sum_l P_ijl(-x-y, x) B_lk(x+y).  A form
+    without a kind is checked as a cocycle of its algebra's kind.
     """
-    expected = "lie" if A.kind == LIE else "lsc"
-    if form.kind != expected:
+    kind = "lie" if A.kind == LIE else "lsc"
+    if form.kind not in (None, kind):
         raise PreconditionError(f"form kind {form.kind!r} does not match algebra kind")
     _check_size(A, form)
     t = A.table
@@ -250,7 +251,7 @@ def cocycle_check(A: ConformalAlgebra, form: BilinearForm) -> Report:
     Y = Poly.var(t, "y")
     P, F = A.products, form.products
     sums = Sums(t)
-    if form.kind == "lie":
+    if kind == "lie":
         _nested(sums, P, F, Y, X, right=True, scalar=True)
         _nested(sums, P, F, X, Y, right=True, order=(1, 0, 2), scalar=True, sign=-1)
         _nested(sums, P, F, X, X + Y, right=False, sign=-1)
@@ -260,7 +261,7 @@ def cocycle_check(A: ConformalAlgebra, form: BilinearForm) -> Report:
         _nested(sums, P, F, Y, X + Y, right=False, order=(1, 0, 2), sign=-1)
         _nested(sums, P, F, X, Y, right=True, order=(1, 0, 2), scalar=True)
     report = Report()
-    report.sweep("symmetry", (A.basis,) * 2, _symmetry(form, 1 if form.kind == "lie" else -1))
+    report.sweep("symmetry", (A.basis,) * 2, _symmetry(form, 1 if kind == "lie" else -1))
     report.sweep("cocycle_identity", (A.basis,) * 3, {k[:-1]: p for k, p in sums.close().items()})
     return report
 

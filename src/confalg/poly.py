@@ -14,7 +14,8 @@ common case, stays in machine-speed ``int`` operations.
 
 The parser bounds what a text may expand to (``MAX_PARSE_DEGREE``,
 ``MAX_PARSE_TERM_PRODUCTS``, ``MAX_PARSE_COEFF``) and raises ``ParseError``
-past any cap.
+past any cap; ``str`` raises ``PolyError`` for a coefficient whose numerator or
+denominator reaches ``MAX_PARSE_COEFF``, which the interpreter cannot print.
 
 An identity that holds with a free parameter left symbolic holds for every
 rational (in particular every nonzero) value of that parameter.
@@ -352,6 +353,9 @@ class Poly:
             factors = [names[i] if e == 1 else f"{names[i]}^{e}" for i, e in enumerate(exps) if e]
             coeff = self.terms[exps]
             mag = abs(coeff)
+            if max(mag.numerator, mag.denominator) >= MAX_PARSE_COEFF:
+                raise PolyError(f"a coefficient exceeds {MAX_PARSE_DIGITS} digits, "
+                                "the cap on a printed numeral")
             if factors:
                 body = "*".join(factors)
                 if mag != 1:

@@ -16,7 +16,7 @@ from .poly import Record
 class CheckItem(Record):
     def __init__(self, name: str) -> None:
         self.name, self.residuals = name, []
-        # instances a sweep evaluated and skipped; not in to_dict yet
+        # instances a sweep evaluated and skipped, read by tests and scripts
         self.evaluated, self.skipped = 0, 0
 
     @property
@@ -38,16 +38,16 @@ class Report(Record):
         return item
 
     def sweep(self, name: str, axes: tuple[tuple[str, ...], ...], residuals: dict,
-              targets=None, label: str | None = None, skipped=()) -> CheckItem:
+              targets=None, label: str | None = None, skipped: int = 0) -> CheckItem:
         """Check `name` on every index tuple over `axes`, the names of each index.
 
         `residuals` maps keys to polynomials, a missing key is zero, and only its
         keys are visited, in sorted order.  A key is an index tuple over `axes`,
-        then an index over `targets` when they are given.  `skipped` holds the
-        further index tuples that were not evaluated; they are counted, not
-        visited.  An instance with a nonzero residual is labelled once, by
-        label.format(*names), by default "(a,b,...)", and each residual gets
-        "->target" after it.  The item counts the instances evaluated and skipped."""
+        then an index over `targets` when they are given.  `skipped` counts the
+        further index tuples that were not evaluated.  An instance with a
+        nonzero residual is labelled once, by label.format(*names), by default
+        "(a,b,...)", and each residual gets "->target" after it.  The item
+        counts the instances evaluated and skipped."""
         label = label or "(" + ",".join(["{}"] * len(axes)) + ")"
         shape = tuple(map(len, axes)) + (() if targets is None else (len(targets),))
         for key in residuals:
@@ -55,7 +55,7 @@ class Report(Record):
                     and all(isinstance(i, int) and 0 <= i < n for i, n in zip(key, shape))):
                 raise ValueError(f"check {name!r}: residual key {key!r} is outside its axes")
         item = self.new_check(name)
-        item.evaluated, item.skipped = math.prod(map(len, axes)) - len(skipped), len(skipped)
+        item.evaluated, item.skipped = math.prod(map(len, axes)) - skipped, skipped
         instance = basis = None
         for key in sorted(residuals):
             if not (res := residuals[key]).is_zero:

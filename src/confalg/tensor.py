@@ -187,7 +187,7 @@ def r_from_t(T: ConformalLinearMap, rep: Representation, mode: str = "skew") -> 
     if not rr.ok:
         raise PreconditionError("module axioms fail", rr)
     if mode not in ("skew", "sym", "raw"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise PreconditionError(f"unknown mode {mode!r}")
     A = rep.algebra
     table = A.table
     n = A.rank

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import strategies as st
 
 from confalg import (
-    OUT_OF_WINDOW,
     ConformalAlgebra,
     GDBialgebra,
     LIE,
@@ -210,15 +209,15 @@ def normal_form3(t):
 
 def window_bracket(w, a, b):
     """Bilinear product of the window elements a and b of ``w``, through its
-    memoised unit-pair products; OUT_OF_WINDOW propagates."""
-    if a is OUT_OF_WINDOW or b is OUT_OF_WINDOW:
-        return OUT_OF_WINDOW
+    memoised unit-pair products; None, out of the window, propagates."""
+    if a is None or b is None:
+        return None
     out = Sums(w.algebra.table)
     for (i, m), ca in a.items():
         for (j, n), cb in b.items():
             piece = w._pair_bracket(i, m, j, n)
-            if piece is OUT_OF_WINDOW:
-                return OUT_OF_WINDOW
+            if piece is None:
+                return None
             scale = ca * cb
             for key, c in piece.items():
                 out.add(key, scale, c)

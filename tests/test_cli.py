@@ -229,6 +229,17 @@ class TestCli:
         doc2 = {"algebra": "hv_lsc1_skew_r", "form": form}
         assert run(tmp_path, "check-cocycle", doc2) == 0
 
+    def test_form_without_a_kind_takes_its_algebras(self, tmp_path, capsys):
+        """A left-symmetric algebra's form without a kind is checked as an lsc
+        cocycle; a kind that does not match the algebra exits 2."""
+        doc = {"algebra": "hv_lsc1_sym_r", "tensor": "hv_lsc1_sym_r"}
+        assert run(tmp_path, "cocycle-from-r", doc, "--kind", "lsc") == 0
+        form = json.loads(capsys.readouterr().out)
+        del form["kind"]
+        assert run(tmp_path, "check-cocycle", {"algebra": "hv_lsc1_sym_r", "form": form}) == 0
+        form["kind"] = "lie"
+        assert run(tmp_path, "check-cocycle", {"algebra": "hv_lsc1_sym_r", "form": form}) == 2
+
     def test_form_suite(self, tmp_path):
         doc = {"algebra": {"kind": "lie", "basis": ["A", "B"], "products": {}},
                "form": {"matrix": {"A,A": "1", "B,B": "1"}},
@@ -674,6 +685,9 @@ class TestFreshProcess:
                         "tensor": {"entries": [{"i": "A", "j": "B", "c": "d1"}]}}, (),
          "DegenerateForm"),
         ("check-axioms", {"algebra": "nosuch"}, (), "UnknownEntry"),
+        # a Jacobi coefficient near 2^28000, too long to print
+        ("check-axioms", {"algebra": {"basis": ["L"], "products": {"L,L": {"L": "2^14000*d + x"}}}},
+         (), "PolyError"),
     ])
     def test_exit_2(self, tmp_path, command, doc, extra, error):
         code, out, err = fresh(tmp_path, command, doc, *extra)

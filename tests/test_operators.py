@@ -26,7 +26,9 @@ from confalg import (
     induced_lsc,
     invariant_form_suite,
     invert_module_map,
+    lift_constant,
     parse,
+    r_from_t,
     rb_constraints,
     semidirect,
     solve_squares,
@@ -231,6 +233,19 @@ class TestCocycles:
         report = cocycle_check(vir, form)
         assert not report.ok
         assert report.checks[0].residuals == [("(L,L)", "2")]
+
+    @pytest.mark.parametrize("name, kind, other", [("hv_lsc1_skew_r", "lie", "lsc"),
+                                                   ("hv_lsc1_sym_r", "lsc", "lie")])
+    def test_form_without_a_kind_takes_its_algebras(self, table, name, kind, other):
+        """A form without a kind is checked as a cocycle of its algebra's kind;
+        an explicit kind that does not match is refused."""
+        e = catalog(name, table=table)
+        form = cocycle_from_r(e.algebra, e.tensor, kind)
+        want = cocycle_check(e.algebra, form)
+        assert want.ok
+        assert cocycle_check(e.algebra, BilinearForm(table, form.basis, form.matrix)) == want
+        with pytest.raises(PreconditionError, match="does not match"):
+            cocycle_check(e.algebra, BilinearForm(table, form.basis, form.matrix, other))
 
     def test_form_of_the_wrong_size_rejected(self, table, P):
         A = catalog("hv_lsc1_skew_r", table=table).algebra
@@ -488,3 +503,20 @@ class TestInvariantForms:
         named = {c.name: c.ok for c in report.checks}
         assert named["invariance"] and named["non_degenerate"]
         assert not named["induced_rota_baxter"]
+
+
+@pytest.mark.parametrize("case", ["module_map_x", "form_d", "induced_lsc_mode", "cocycle_kind",
+                                  "r_from_t_mode"])
+def test_violated_preconditions_raise_precondition_error(case, table, P, vir):
+    """Each library precondition raises PreconditionError, never a bare ValueError."""
+    adjoint = standard_rep(vir, "adjoint")
+    identity = ModuleMap.identity(table, 1)
+    call = {
+        "module_map_x": lambda: ModuleMap(table, [[P("x")]]),
+        "form_d": lambda: BilinearForm(table, vir.basis, [[P("d")]]),
+        "induced_lsc_mode": lambda: induced_lsc(identity, adjoint, mode="nosuch"),
+        "cocycle_kind": lambda: cocycle_from_r(vir, Tensor2(vir, {}), "nosuch"),
+        "r_from_t_mode": lambda: r_from_t(lift_constant(identity), adjoint, mode="nosuch"),
+    }[case]
+    with pytest.raises(PreconditionError):
+        call()

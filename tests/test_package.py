@@ -135,6 +135,23 @@ def test_every_sweep_gets_a_flat_mapping():
         1, 2, 3]
 
 
+def _emit_callers(source: str) -> tuple[list[str], bool]:
+    """The functions of a module that call ``_emit``, and whether it defines
+    ``_report_result``."""
+    functions = [f for f in ast.walk(ast.parse(source)) if isinstance(f, ast.FunctionDef)]
+    callers = {f.name for f in functions for node in ast.walk(f)
+               if isinstance(node, ast.Call) and _callee(node) == "_emit"}
+    return sorted(callers), any(f.name == "_report_result" for f in functions)
+
+
+def test_main_alone_writes_the_result():
+    """Each CLI subcommand returns its result, and ``main`` alone writes it
+    and picks the exit code: no ``cmd_*`` handler calls ``_emit``."""
+    assert _emit_callers((PACKAGE / "cli.py").read_text(encoding="utf-8")) == (["main"], False)
+    assert _emit_callers("def cmd_a(x):\n    _emit(x, {})\n\n"
+                         "def _report_result(x, r):\n    return main(x)\n") == (["cmd_a"], True)
+
+
 def test_runtime_imports_neither_dataclasses_nor_inspect():
     assert not [(f, m) for f, m in _absolute_imports() if m in STARTUP_COSTS]
 
@@ -314,8 +331,8 @@ def test_checks_hand_their_sums_to_the_sweep(monkeypatch):
 # the public names of the package
 PUBLIC_NAMES = """
     LEFT_SYMMETRIC LIE AlgebraError ConformalAlgebra PreconditionError apply_bilinear
-    check_axioms sub_adjacent CatalogEntry UnknownEntry catalog OUT_OF_WINDOW
-    CoeffWindow nth_products window_checks GDBialgebra NotQuadratic ProbeResult algebra_from_gd
+    check_axioms sub_adjacent CatalogEntry UnknownEntry catalog CoeffWindow
+    nth_products window_checks GDBialgebra NotQuadratic ProbeResult algebra_from_gd
     check_gd gd_from_algebra rb_gd_check zero_divisor_probe ConformalLinearMap ModuleMap
     NotInvertible invert_module_map lift_constant BilinearForm DegenerateForm InconsistentSystem
     PolySystem SolveResult check_o_operator check_rota_baxter cocycle_check cocycle_from_r
@@ -328,7 +345,7 @@ PUBLIC_NAMES = """
 
 
 def test_lazy_namespace_keeps_the_public_names():
-    assert len(PUBLIC_NAMES) == 67
+    assert len(PUBLIC_NAMES) == 66
     assert sorted(confalg.__all__) == sorted(PUBLIC_NAMES)
     namespace = {}
     exec("from confalg import *", namespace)

@@ -7,7 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from confalg import ParseError, Poly, UnknownVariable, VarTable, VarTableMismatch, parse
+from confalg import ParseError, Poly, PolyError, UnknownVariable, VarTable, VarTableMismatch, parse
 from confalg.poly import MAX_PARSE_DEGREE, Substitution, Sums
 from conftest import oracle_add, oracle_mul, oracle_substitute, oracle_sums_add, poly_strategy
 
@@ -218,6 +218,16 @@ class TestParser:
     @settings(max_examples=60, deadline=None)
     def test_render_roundtrip(self, q):
         assert parse(T, str(q)) == q
+
+    def test_render_refuses_what_cannot_be_printed(self):
+        """A coefficient of 4,300 digits renders; one whose numerator or
+        denominator reaches 10^4300 raises PolyError naming the cap, not the
+        interpreter's ValueError."""
+        d = Poly.var(T, "d")
+        assert str(d * int("9" * 4300) + 1) == "9" * 4300 + "*d + 1"
+        for big in (d * 10 ** 4300, d * Fraction(1, 10 ** 4300), Poly.const(T, -10 ** 4300)):
+            with pytest.raises(PolyError, match="exceeds 4300 digits"):
+                str(big)
 
 
 class TestRingAxioms:

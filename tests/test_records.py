@@ -170,7 +170,7 @@ def test_sweep_labels_only_nonzero_residuals(P):
     report, names = Report(), ("L", "W")
     _CountingLabel.calls = 0
     poly = report.sweep("poly", (names,) * 2, {(0, 0): P("d"), (0, 1): zero, (1, 1): zero},
-                        label=_CountingLabel("({},{})"), skipped=[(1, 0)])
+                        label=_CountingLabel("({},{})"), skipped=1)
     vector = report.sweep("vector", (names,) * 2,
                           {(0, 0, 1): P("x"), (0, 0, 0): P("d"), (1, 0, 0): zero,
                            (1, 1, 1): zero},
@@ -213,7 +213,8 @@ def test_sweep_of_a_mapping_equals_the_per_instance_sweep(case):
     formatted once per instance with a nonzero residual."""
     axes, targets, mapping, skipped, label = case
     _CountingLabel.calls = 0
-    sparse = Report().sweep("check", axes, mapping, targets, _CountingLabel(label), skipped)
+    sparse = Report().sweep("check", axes, mapping, targets, _CountingLabel(label),
+                            len(skipped))
     want, labelled = [], 0
     for idx in itertools.product(*(range(len(axis)) for axis in axes)):
         if idx in skipped:

@@ -20,9 +20,16 @@ T(x) = sum_k x_k T(u_k) with each lifted unit computed once, and so is each
 row [T a, u_l], so that [T a, T b] = sum_l q_l [T a, u_l].  ``_chain`` stays
 apart from ``algebra._contract``, the sum every other identity uses: a row of
 the unit-pair table may leave the window, which skips the instance, and the
-structure-constant contraction has no such case.  The Jacobi sweep visits
-(rank * (2N + 1))^3 triples, and a window past ``MAX_WINDOW_TRIPLES`` of them
-is refused before any is built.
+structure-constant contraction has no such case.  Two symbols are negated
+when their table rows are exactly each other's negatives, or both None.  For
+any bracket J(a,b,c) + J(b,a,c) = -[[a,b] + [b,a], c], with J the Jacobi
+residual, so a negated pair is evaluated in one order and the other order's
+residuals and skips are written from it; the lifted residual of (b, a) is
+likewise minus that of (a, b) when every pair of {a} + supp Ta and
+{b} + supp Tb is negated.  The test is per pair, because a window edge can
+leave [a,b] out of the window while [b,a] is zero.  The Jacobi sweep spans
+(rank * (2N + 1))^3 triples, those written from a mirror included, and a
+window past ``MAX_WINDOW_TRIPLES`` of them is refused before any is built.
 """
 
 from __future__ import annotations
@@ -173,7 +180,11 @@ def window_checks(w: CoeffWindow, T: ModuleMap | None = None,
     pair that leaves the window.  A triple (or pair) is skipped when a pair it
     needs leaves the window, or when a symbol in the support of an argument of
     the lift lifts out of it; each sweep gets the nonzero residuals of the
-    instances evaluated and the number skipped.
+    instances evaluated and the number skipped.  Where the row of [b,a] is
+    exactly minus that of [a,b], or both are None, J(b,a,c) = -J(a,b,c) with
+    the same skips, since J(a,b,c) + J(b,a,c) = -[[a,b] + [b,a], c]; so is the
+    lifted R(b,a) = -R(a,b) when every pair of {a} + supp Ta and {b} + supp Tb
+    is such a pair.  Each such pair is evaluated in one order.
     """
     if w.algebra.kind != LIE:
         raise PreconditionError("window checks expect a Lie-kind algebra")
@@ -207,20 +218,30 @@ def window_checks(w: CoeffWindow, T: ModuleMap | None = None,
                 antisymmetry.add((a, b, m), q)
     report.sweep("antisymmetry", (names,) * 2, antisymmetry.close(), names, "[{},{}]", skipped)
 
+    # negated[a][b]: [b,a] is exactly -[a,b], or both leave the window
+    negated = [[ab is None is ba or None not in (ab, ba) and dict(ab) == {k: -q for k, q in ba}
+                for ab, ba in zip(row_a, col_a)] for row_a, col_a in zip(table, cols)]
+
     residuals, skipped = {}, 0
     for a, row_a in enumerate(table):
         for b, ab in enumerate(row_a):
+            # a negated pair's (b, a, c) is written from its (a, b, c)
+            mirror = a != b and negated[a][b]
+            if mirror and b < a:
+                continue
             if ab is None:
-                skipped += n
+                skipped += n * (1 + mirror)
                 continue
             row_b = table[b]
             for c, (bc, ac) in enumerate(zip(row_b, row_a)):
                 if (bc is None or ac is None or not (_chain(out := Sums(t), bc, row_a)
                         and _chain(out, ab, cols[c], -1) and _chain(out, ac, row_b, -1))):
-                    skipped += 1
+                    skipped += 1 + mirror
                     continue
                 for m, p in out.close().items():
                     residuals[a, b, c, m] = p
+                    if mirror:
+                        residuals[b, a, c, m] = -p
     report.sweep("jacobi", (names,) * 3, residuals, names, "[{},[{},{}]]", skipped)
 
     if T is not None:
@@ -229,9 +250,16 @@ def window_checks(w: CoeffWindow, T: ModuleMap | None = None,
         # the rows [T a, u_l] of each a that lifts into the window, each closed or None
         lifted_rows = [None if ta is None else [chained(ta, col) for col in cols]
                        for ta in lifted]
+        # R(b,a) = -R(a,b) when every pair of {a} + supp Ta and {b} + supp Tb is negated
+        spans = [None if ta is None else {a, *(k for k, _ in ta)} for a, ta in enumerate(lifted)]
+        mirrored = {(a, b) for a, sa in enumerate(spans) for b, sb in enumerate(spans)
+                    if a < b and sa and sb and all(negated[k][l] for k in sa for l in sb)}
         residuals, skipped = {}, 0
         for a, rows_a in enumerate(lifted_rows):
             for b, (tb, ab) in enumerate(zip(lifted, table[a])):
+                if (b, a) in mirrored:
+                    continue
+                mirror = (a, b) in mirrored
                 # [T a, T b] - T([T a, b] + [a, T b] + weight [a, b])
                 out = Sums(t)
                 if (rows_a is not None and tb is not None and ab is not None
@@ -242,7 +270,9 @@ def window_checks(w: CoeffWindow, T: ModuleMap | None = None,
                         and _chain(out, [(k, c * weight) for k, c in ab], lifted, -1)):
                     for m, p in out.close().items():
                         residuals[a, b, m] = p
+                        if mirror:
+                            residuals[b, a, m] = -p
                 else:
-                    skipped += 1
+                    skipped += 1 + mirror
         report.sweep("lifted_rota_baxter", (names,) * 2, residuals, names, skipped=skipped)
     return report

@@ -1390,11 +1390,13 @@ def oracle_window_checks(w, T=None, weight=0):
 
 
 # window algebras: Virasoro, Heisenberg-Virasoro, the rank-1 table d+3*x (which
-# fails antisymmetry) and a rank-2 table whose constants hold b and whose
-# x^2 entry has a second n-th product (most of its instances fail)
+# fails antisymmetry), the rank-1 table (d+2*x)*(x^2+x*d) (skew-symmetric, so
+# its unit pairs are negated, but not Lie) and a rank-2 table whose constants
+# hold b and whose x^2 entry has a second n-th product (most of its instances fail)
 BA = VarTable(params=("b", "alpha"))
 WINDOW_ALGEBRAS = {
     "vir": ConformalAlgebra(LIE, ("L",), BA, {(0, 0): {0: parse(BA, "d+2*x")}}),
+    "skew": ConformalAlgebra(LIE, ("L",), BA, {(0, 0): {0: parse(BA, "(d+2*x)*(x^2+x*d)")}}),
     "hv": ConformalAlgebra(LIE, ("L", "W"), BA, {(0, 0): {0: parse(BA, "d+2*x")},
                                                  (0, 1): {1: parse(BA, "d+x")},
                                                  (1, 0): {1: parse(BA, "x")}}),
@@ -1459,11 +1461,34 @@ class TestWindowOracle:
             assert all(skipped for _, _, skipped in want[1])
             assert window_outcome(window_checks, w, T, weight) == want
 
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_mirrored_residuals_are_compared(self, N):
+        """The skew-symmetric table is not Lie: every pair of its window whose
+        brackets both stay in it is negated, so window_checks writes the (b, a)
+        residuals from the (a, b) ones, and at N = 3 Jacobi and the lifted
+        identity fail with such residuals."""
+        w = CoeffWindow(WINDOW_ALGEBRAS["skew"], N, {0: 1})
+        T = ModuleMap(BA, [[parse(BA, "b*d+1")]])
+        want = window_outcome(oracle_window_checks, w, T, 0)
+        if N == 3:
+            assert [(c["ok"], len(c["residuals"])) for c in want[0]["checks"]] == [
+                (True, 0), (False, 24), (False, 16)]
+        assert window_outcome(window_checks, w, T, 0) == want
+
     @pytest.mark.parametrize("label", sorted(WORKLOAD_WINDOWS))
     def test_workload_windows(self, label):
         N, A, T = workload_window(label)
         w = CoeffWindow(A, N, {0: 1, 1: 0})
         assert window_outcome(window_checks, w, T, 0) == window_outcome(oracle_window_checks, w, T, 0)
+
+    def test_workload_window_has_a_pair_that_is_not_negated(self):
+        """At N = 6, [L_-7, W_0] leaves the window while [W_0, L_-7] is zero, so
+        window_checks evaluates that pair in both orders; test_workload_windows
+        compares the whole window."""
+        N, A, _ = workload_window("N6.family1")
+        w = CoeffWindow(A, N, {0: 1, 1: 0})
+        assert w._pair_bracket(0, -7, 1, 0) is None
+        assert w._pair_bracket(1, 0, 0, -7) == {}
 
 
 def oracle_check_o_operator(T, rep, ker_mode=False):

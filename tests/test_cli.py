@@ -142,6 +142,12 @@ class TestJsonRoundTrips:
             assert gd_from_dict(doc["gd"], entry.gd.table) == entry.gd
 
 
+# a skew-symmetric rank-1 table that is not Lie, with x^2 and x^3 terms, and a map
+SKEW_CUBIC = {"params": ["b"], "map": {"L": {"L": "b*d+1"}},
+              "algebra": {"kind": "lie", "basis": ["L"],
+                          "products": {"L,L": {"L": "(d+2*x)*(x^2+x*d)"}}}}
+
+
 def run(tmp_path, command, doc=None, *extra):
     argv = [command]
     if doc is not None:
@@ -321,6 +327,22 @@ class TestCli:
         doc = {"algebra": "hv", "map": "hv_rb_family1"}
         assert run(tmp_path, "coeff", doc, "--window", "4",
                    "--shift", "L=1", "--shift", "W=0") == 0
+
+    @pytest.mark.parametrize("name, doc, argv, code", [
+        ("hv_rb_family1.N4", {"algebra": "hv", "map": "hv_rb_family1"},
+         ["--window", "4", "--shift", "L=1", "--shift", "W=0"], 0),
+        ("hv_rb_family2.N4", {"algebra": "hv", "map": "hv_rb_family2"},
+         ["--window", "4", "--shift", "L=1", "--shift", "W=0"], 0),
+        ("skew.N3", SKEW_CUBIC, ["--window", "3", "--shift", "L=1"], 1),
+    ])
+    def test_coeff_golden(self, tmp_path, capsys, name, doc, argv, code):
+        """coeff prints the text in tests/golden byte for byte.  The skew cubic
+        table fails Jacobi and the lifted identity, so residuals that hold its
+        x^2 and x^3 terms are printed."""
+        golden = Path(__file__).resolve().parent / "golden"
+        assert run(tmp_path, "coeff", doc, *argv) == code
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ((golden / f"coeff.{name}.json").read_text(), "")
 
     def test_catalog_output(self, tmp_path, capsys):
         assert run(tmp_path, "catalog", None, "hv_rb_family1") == 0

@@ -1490,6 +1490,60 @@ class TestWindowOracle:
         assert w._pair_bracket(0, -7, 1, 0) is None
         assert w._pair_bracket(1, 0, 0, -7) == {}
 
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    @pytest.mark.parametrize("name", ["skew", "b_table", "vir", "hv"])
+    def test_unit_bracket(self, name, N):
+        """Every unit pair's bracket, the one that window_bracket and the window
+        oracle share, equals the textbook formula in sympy; the skew and b
+        tables have x^2 and x^3 entries, whose n-th products carry an n! != 1."""
+        A = WINDOW_ALGEBRAS[name]
+        for shift in (-1, 0, 1):
+            w = CoeffWindow(A, N, {0: shift})
+            for sa in w.symbols():
+                for sb in w.symbols():
+                    want = oracle_unit_bracket(w, *sa, *sb)
+                    got = w._pair_bracket(*sa, *sb)
+                    assert (got is None) == (want is None), (shift, sa, sb)
+                    if got is not None:
+                        assert {k: poly_to_sympy(p) for k, p in got.items()} == want, \
+                            (shift, sa, sb)
+
+
+def poly_to_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    total = sympy.Integer(0)
+    for exps, c in p.terms.items():
+        mono = sympy.Rational(c.numerator, c.denominator)
+        for n, e in zip(p.table.names, exps):
+            mono *= sympy.Symbol(n) ** e
+        total += mono
+    return sympy.expand(total)
+
+
+def oracle_unit_bracket(w, i, m, j, n):
+    """The textbook bracket of the window units (i, m) and (j, n): with raw
+    indices m, n (the user's plus the shift) and c_p the x^p coefficient of the
+    table entry, a_m . b_n = sum_p binomial(m, p) p! (c_p)_{m+n-p}, reduced by
+    (d^s u)_t = (-1)^s t(t-1)...(t-s+1) u_{t-s}, all in sympy; None when a
+    unit or a nonzero term leaves the window, and zero sums dropped."""
+    sympy = pytest.importorskip("sympy")
+    x, d = sympy.symbols("x d")
+    m, n = m + w.shift(i), n + w.shift(j)
+    if abs(m) > w.N or abs(n) > w.N:
+        return None
+    out = {}
+    for k, P in w.algebra.products.get((i, j), {}).items():
+        for (p, s), e in sympy.Poly(poly_to_sympy(P), x, d).as_dict(native=False).items():
+            t = m + n - p
+            c = sympy.binomial(m, p) * sympy.factorial(p) * (-1) ** s * sympy.ff(t, s)
+            if c == 0:
+                continue
+            if abs(t - s) > w.N:
+                return None
+            key = (k, t - s - w.shift(k))
+            out[key] = out.get(key, 0) + c * e
+    return {key: v for key, v in ((key, sympy.expand(v)) for key, v in out.items()) if v != 0}
+
 
 def oracle_check_o_operator(T, rep, ker_mode=False):
     """check_o_operator with every module pair a dense product and two dense

@@ -14,7 +14,7 @@ _EXPORTS = {
     "algebra": "LEFT_SYMMETRIC LIE AlgebraError ConformalAlgebra PreconditionError "
                "apply_bilinear check_axioms sub_adjacent",
     "catalog": "CatalogEntry UnknownEntry catalog",
-    "coeff": "CoeffWindow nth_products window_checks",
+    "coeff": "CoeffWindow window_checks",
     "gd": "GDBialgebra NotQuadratic ProbeResult algebra_from_gd check_gd gd_from_algebra "
           "rb_gd_check zero_divisor_probe",
     "linmap": "ConformalLinearMap ModuleMap NotInvertible invert_module_map lift_constant",

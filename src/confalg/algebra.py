@@ -44,9 +44,15 @@ class AlgebraError(Exception):
 
 
 class PreconditionError(AlgebraError):
-    def __init__(self, message: str, report: Report | None = None):
-        super().__init__(message)
-        self.report = report
+    pass
+
+
+def _require(report: Report, message: str) -> None:
+    """PreconditionError unless `report` passes: `message`, then the report's
+    first failing check and the label of its first failing instance."""
+    if not report.ok:
+        check = next(c for c in report.checks if not c.ok)
+        raise PreconditionError(f"{message}: {check.name} at {check.residuals[0][0]}")
 
 
 def clean_table(products: ProductTable) -> ProductTable:
@@ -270,9 +276,7 @@ def sub_adjacent(A: ConformalAlgebra, checked: bool = True) -> ConformalAlgebra:
     if A.kind != LEFT_SYMMETRIC:
         raise PreconditionError("sub_adjacent expects a left-symmetric algebra")
     if checked:
-        rep = check_axioms(A)
-        if not rep.ok:
-            raise PreconditionError("input fails left-symmetry", rep)
+        _require(check_axioms(A), "input fails left-symmetry")
     t = A.table
     X = Poly.var(t, "x")
     D = Poly.var(t, "d")

@@ -28,10 +28,11 @@ from . import io_json as io
 from .algebra import AlgebraError
 from .catalog import UnknownEntry, catalog, required_params
 from .io_json import InputError
-from .poly import MAX_PARSE_COEFF, MAX_PARSE_DIGITS, Poly, PolyError, Substitution, VarTable
+from .poly import (MAX_PARSE_COEFF, MAX_PARSE_DIGITS, Poly, PolyError, Substitution, VarTable,
+                   _numeral)
 from .report import Report
 
-USAGE_ERRORS = (InputError, PolyError, AlgebraError, UnknownEntry, ValueError)
+USAGE_ERRORS = (InputError, PolyError, AlgebraError, UnknownEntry)
 
 
 # sections that may be a string, those of them that name a catalog entry (a
@@ -146,7 +147,7 @@ def _load(args) -> dict:
     try:
         with open(args.infile, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read input: {exc}") from None
 
 
@@ -317,7 +318,7 @@ def cmd_zero_divisors(sess: Session, args) -> tuple[dict, int]:
     probe = zero_divisor_probe(V)
     payload = {"status": probe.status}
     if probe.witness:
-        payload["witness"] = [[str(c) for c in vec] for vec in probe.witness]
+        payload["witness"] = [[_numeral(c) for c in vec] for vec in probe.witness]
         named = probe.witness_names(V)
         if named:
             payload["witness_basis"] = list(named)

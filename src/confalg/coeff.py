@@ -1,10 +1,11 @@
 """Truncated coefficient algebras of a conformal algebra.
 
-The bracket argument expands into a family of bilinear n-th products,
-bracket = sum_n x^n / n! (a_(n) b), and the coefficient algebra lives on
-symbols v_m with
+The table stores the lambda-bracket by its x^j coefficients
+c_j = a_(j) b / j!, so the n-th products a_(j) b = j! c_j never need to be
+formed: the coefficient algebra lives on symbols v_m with
 
-    a_m . b_n = sum_j binom(m, j) (a_(j) b)_{m+n-j},
+    a_m . b_n = sum_j binom(m, j) (a_(j) b)_{m+n-j}
+              = sum_j m(m-1)...(m-j+1) (c_j)_{m+n-j},
     (d u)_k = -k u_{k-1}.
 
 Only a finite symmetric index window [-N, N] is materialized; a product that
@@ -34,12 +35,11 @@ window past ``MAX_WINDOW_TRIPLES`` of them is refused before any is built.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
-from .algebra import LIE, ConformalAlgebra, PreconditionError, Vector
+from .algebra import LIE, ConformalAlgebra, PreconditionError
 from .linmap import ModuleMap
-from .poly import Poly, Record, Sums
+from .poly import Poly, Record, Sums, _shown
 from .report import Report
 
 
@@ -50,22 +50,6 @@ MAX_WINDOW_TRIPLES = 1_000_000
 WinElem = dict[tuple[int, int], Poly]
 
 
-def nth_products(A: ConformalAlgebra) -> dict[tuple[int, int], list[Vector]]:
-    """Per basis pair, the finite list of n-th products as d-coefficient vectors."""
-    out: dict[tuple[int, int], list[Vector]] = {}
-    zero = Poly.zero(A.table)
-    for (i, j), targets in A.products.items():
-        per_n: dict[int, list[Poly]] = {}
-        for k, P in targets.items():
-            for (xdeg,), cof in P.split(("x",)).items():
-                vec = per_n.setdefault(xdeg, [zero] * A.rank)
-                vec[k] = cof * math.factorial(xdeg)
-        if per_n:
-            top = max(per_n)
-            out[(i, j)] = [tuple(per_n.get(n, [zero] * A.rank)) for n in range(top + 1)]
-    return out
-
-
 def _falling(t: int, s: int) -> int:
     out = 1
     for k in range(s):
@@ -73,14 +57,10 @@ def _falling(t: int, s: int) -> int:
     return out
 
 
-def _binom(m: int, j: int) -> int:
-    return _falling(m, j) // math.factorial(j)
-
-
 class CoeffWindow(Record):
     """Symbols v_m for each generator v and |m + shift_v| <= N."""
 
-    _uncompared = ("_nth", "_cache", "_splits")
+    _uncompared = ("_entries", "_cache")
 
     def __init__(self, algebra: ConformalAlgebra, N: int,
                  shifts: dict[int, int] | None = None) -> None:
@@ -88,9 +68,12 @@ class CoeffWindow(Record):
             raise PreconditionError(f"window size {N} is negative")
         self.algebra, self.N = algebra, N
         self.shifts = {} if shifts is None else shifts
-        self._nth = nth_products(algebra)
+        # (i, j) -> [(k, n, d-split of the x^n coefficient of the entry P_ijk)]
+        self._entries = {ij: [(k, n, cof.split(("d",)))
+                              for k, P in targets.items()
+                              for (n,), cof in P.split(("x",)).items()]
+                         for ij, targets in algebra.products.items()}
         self._cache = {}
-        self._splits = {}  # id(p) -> (p, p's d-split); holding p keeps its id its own
 
     def shift(self, i: int) -> int:
         return self.shifts.get(i, 0)
@@ -111,21 +94,20 @@ class CoeffWindow(Record):
         return f"{self.algebra.basis[i]}_{m}"
 
     def _reduce(self, terms) -> WinElem | None:
-        """The sum of scale * p(d) u_t over the (k, t, p, scale) in `terms`: u_t is
-        generator k at raw index t, (d^s u)_t = (-1)^s t(t-1)...(t-s+1) u_{t-s} and
-        scale a polynomial; None as soon as an index leaves the window."""
+        """The sum of scale * c * p(d) u_t over the (k, t, split, c, scale) in
+        `terms`: u_t is generator k at raw index t, split the d-split of p,
+        (d^s u)_t = (-1)^s t(t-1)...(t-s+1) u_{t-s}, c a polynomial or None for 1
+        and scale an integer; None as soon as an index leaves the window."""
         out = Sums(self.algebra.table)
-        for k, t, poly, scale in terms:
-            if id(poly) not in self._splits:
-                self._splits[id(poly)] = poly, poly.split(("d",))
-            for (s,), cof in self._splits[id(poly)][1].items():
+        for k, t, split, c, scale in terms:
+            for (s,), cof in split.items():
                 factor = (-1) ** s * _falling(t, s)
-                if not factor or scale.is_zero:
+                if not factor:
                     continue
                 raw = t - s
                 if abs(raw) > self.N:
                     return None
-                out.add((k, raw - self.shift(k)), cof, scale, factor)
+                out.add((k, raw - self.shift(k)), cof, c, scale * factor)
         return out.close()
 
     def _pair_bracket(self, i: int, m: int, j: int, n: int) -> WinElem | None:
@@ -137,25 +119,27 @@ class CoeffWindow(Record):
             if abs(mu) > self.N or abs(nu) > self.N:
                 self._cache[key] = None
             else:
-                # a_m . b_n = sum_deg binom(m, deg) (a_(deg) b)_{m+n-deg}
+                # a_m . b_n = sum_deg m(m-1)...(m-deg+1) (c_deg)_{m+n-deg}, with
+                # c_deg = a_(deg) b / deg! the x^deg coefficient of the bracket
                 self._cache[key] = self._reduce(
-                    (k, mu + nu - deg, poly, Poly.const(self.algebra.table, cb))
-                    for deg, vec in enumerate(self._nth.get((i, j), []))
-                    for cb in [_binom(mu, deg)] if cb != 0
-                    for k, poly in enumerate(vec) if not poly.is_zero)
+                    (k, mu + nu - deg, split, None, f)
+                    for k, deg, split in self._entries.get((i, j), ())
+                    if (f := _falling(mu, deg)))
         return self._cache[key]
 
     def lift_map(self, T: ModuleMap):
         """The operator a_n -> T(a)_n, with d-powers reduced into index shifts."""
         if T.src_rank != self.algebra.rank or T.dst_rank != self.algebra.rank:
             raise PreconditionError("map shape does not match the algebra")
+        rows = [[(j, entry.split(("d",))) for j, entry in enumerate(row) if not entry.is_zero]
+                for row in T.matrix]
 
         def lifted(elem):
             if elem is None:
                 return None
-            return self._reduce((j, m + self.shift(i), entry, c)
-                                for (i, m), c in elem.items()
-                                for j, entry in enumerate(T.matrix[i]) if not entry.is_zero)
+            return self._reduce((j, m + self.shift(i), split, c, 1)
+                                for (i, m), c in elem.items() if not c.is_zero
+                                for j, split in rows[i])
 
         return lifted
 
@@ -190,7 +174,7 @@ def window_checks(w: CoeffWindow, T: ModuleMap | None = None,
         raise PreconditionError("window checks expect a Lie-kind algebra")
     n = w.algebra.rank * (2 * w.N + 1)
     if n ** 3 > MAX_WINDOW_TRIPLES:
-        raise PreconditionError(f"window {w.N} needs {n ** 3} Jacobi triples, "
+        raise PreconditionError(f"window {w.N} needs {_shown(n ** 3)} Jacobi triples, "
                                 f"over the cap of {MAX_WINDOW_TRIPLES}")
     t, syms = w.algebra.table, w.symbols()
     index = {sym: a for a, sym in enumerate(syms)}

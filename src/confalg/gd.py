@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 
 from .algebra import (LEFT_SYMMETRIC, LIE, AlgebraError, ConformalAlgebra, PreconditionError,
-                      _nest, _nested, check_axioms)
+                      _nest, _nested, _require, check_axioms)
 from .linmap import ModuleMap, kernel
 from .operators import rota_baxter_residuals
 from .poly import Poly, Record, Sums, VarTable
@@ -125,9 +125,7 @@ def gd_from_algebra(A: ConformalAlgebra) -> GDBialgebra:
 def algebra_from_gd(V: GDBialgebra, checked: bool = True) -> ConformalAlgebra:
     """The conformal algebra with affine brackets determined by a bialgebra."""
     if checked:
-        rep = check_gd(V)
-        if not rep.ok:
-            raise PreconditionError("bialgebra axioms fail", rep)
+        _require(check_gd(V), "bialgebra axioms fail")
     t = V.table
     D, X = Poly.var(t, "d"), Poly.var(t, "x")
     one, sums = Poly.const(t, 1), Sums(t)
@@ -233,9 +231,7 @@ def rb_gd_check(V: GDBialgebra, T: ModuleMap, weight: Poly | Fraction | int = 0)
     The lift reuses the same constant matrix as an operator on the
     corresponding conformal algebra; the two verdicts agree for valid input.
     """
-    gdrep = check_gd(V)
-    if not gdrep.ok:
-        raise PreconditionError("bialgebra axioms fail", gdrep)
+    _require(check_gd(V), "bialgebra axioms fail")
     if any("d" in p.variables() for row in T.matrix for p in row):
         raise PreconditionError("the operator on a bialgebra must be constant")
     report = Report()

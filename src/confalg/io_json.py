@@ -19,7 +19,7 @@ from functools import partial
 from typing import TYPE_CHECKING
 
 from .algebra import LEFT_SYMMETRIC, LIE, ConformalAlgebra, ProductTable
-from .poly import Poly, PolyError, Substitution, Sums, VarTable, parse
+from .poly import Poly, PolyError, Substitution, Sums, VarTable, _numeral, parse
 
 if TYPE_CHECKING:
     from .catalog import CatalogEntry
@@ -121,7 +121,8 @@ def _table_to_dict(tbl: dict, rows: tuple[str, ...], cols: tuple[str, ...],
     """Inverse of `_table` with targets; zero cells and empty entries are left out."""
     out: dict = {}
     for (i, j), cells in sorted(tbl.items()):
-        entry = {targets[k]: str(c) for k, c in sorted(cells.items()) if c != 0}
+        entry = {targets[k]: str(c) if isinstance(c, Poly) else _numeral(c)
+                 for k, c in sorted(cells.items()) if c != 0}
         if entry:
             out[f"{rows[i]},{cols[j]}"] = entry
     return out

@@ -29,10 +29,12 @@ from .algebra import (
     _contract,
     _nest,
     _nested,
+    _require,
     _view,
 )
 from .linmap import ConformalLinearMap, ModuleMap, NotInvertible, _matmul, invert_module_map
-from .poly import Poly, Record, Substitution, Sums, VarTable, VarTableMismatch, _make, _normal
+from .poly import (Poly, Record, Substitution, Sums, VarTable, VarTableMismatch, _make, _normal,
+                   _shown)
 from .report import Report
 
 if TYPE_CHECKING:
@@ -151,18 +153,14 @@ def induced_lsc(T: ModuleMap, rep: Representation | None = None,
     if mode == "rb":
         if algebra is None:
             raise PreconditionError("rb mode needs the ambient Lie algebra")
-        rbrep = check_rota_baxter(algebra, T, 0)
-        if not rbrep.ok:
-            raise PreconditionError("map is not Rota-Baxter of weight 0", rbrep)
+        _require(check_rota_baxter(algebra, T, 0), "map is not Rota-Baxter of weight 0")
         t, table, basis = algebra.table, algebra.products, algebra.basis
     else:
         if rep is None:
             raise PreconditionError(f"mode {mode!r} needs a representation")
         if mode not in ("o_product", "bijective"):
             raise PreconditionError(f"unknown mode {mode!r}")
-        orep = check_o_operator(T, rep)
-        if not orep.ok:
-            raise PreconditionError("map is not an O-operator", orep)
+        _require(check_o_operator(T, rep), "map is not an O-operator")
         t, table, basis = rep.algebra.table, rep.rho, rep.mbasis
         if mode == "bijective":
             # sum T^-1_jk(x+d) rho_ikn(d, x) T_nm(d)
@@ -362,7 +360,8 @@ def rb_constraints(A: ConformalAlgebra, degree_bound: int,
         raise PreconditionError(f"degree bound {degree_bound} is negative")
     n, k1 = A.rank, degree_bound + 1
     if (size := n ** 3 * k1 ** 2) > MAX_RB_SIZE:
-        raise PreconditionError(f"rank^3 (degree + 1)^2 = {size} is over the cap of {MAX_RB_SIZE}")
+        raise PreconditionError(f"rank^3 (degree + 1)^2 = {_shown(size)} is over the cap "
+                                f"of {MAX_RB_SIZE}")
     unknowns = tuple(f"t{i}_{j}_{k}" for i in range(n) for j in range(n) for k in range(k1))
     for u in unknowns:
         if u in A.table:
@@ -423,7 +422,7 @@ def _live(row: dict, unknowns: dict[int, str]) -> list | None:
     if len(row) == 1:
         (m, c), = row.items()
         if not m:
-            raise InconsistentSystem(f"equation reduces to {c}")
+            raise InconsistentSystem(f"equation reduces to {_shown(c)}")
         if len(m) == 2 and m[0] == m[1] and m[0] in unknowns:
             return [row, {m[0]}, (m[0], None)]
     flat = [*chain.from_iterable(row)]  # a unit c*v is in no other term iff v occurs once

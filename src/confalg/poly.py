@@ -352,16 +352,13 @@ class Poly:
         for exps in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
             factors = [names[i] if e == 1 else f"{names[i]}^{e}" for i, e in enumerate(exps) if e]
             coeff = self.terms[exps]
-            mag = abs(coeff)
-            if max(mag.numerator, mag.denominator) >= MAX_PARSE_COEFF:
-                raise PolyError(f"a coefficient exceeds {MAX_PARSE_DIGITS} digits, "
-                                "the cap on a printed numeral")
+            mag = _numeral(abs(coeff))
             if factors:
                 body = "*".join(factors)
-                if mag != 1:
+                if mag != "1":
                     body = f"{mag}*{body}"
             else:
-                body = str(mag)
+                body = mag
             if not parts:
                 parts.append(body if coeff > 0 else f"-{body}")
             else:
@@ -492,6 +489,24 @@ MAX_PARSE_DIGITS = 4300
 MAX_PARSE_COEFF = 10 ** MAX_PARSE_DIGITS
 
 _OPS = set("+-*^()")
+
+
+def _numeral(c: Scalar) -> str:
+    """The text of a rational; PolyError when its numerator or denominator
+    passes MAX_PARSE_DIGITS digits, the cap on a printed numeral."""
+    if max(abs(c.numerator), c.denominator) >= MAX_PARSE_COEFF:
+        raise PolyError(f"a coefficient exceeds {MAX_PARSE_DIGITS} digits, "
+                        "the cap on a printed numeral")
+    return str(c)
+
+
+def _shown(c: Scalar) -> str:
+    """The text of a rational in a message; past the cap on a printed numeral,
+    which str() itself enforces on ints, the cap is named instead."""
+    try:
+        return _numeral(c)
+    except PolyError:
+        return f"a number of more than {MAX_PARSE_DIGITS} digits"
 
 
 def _degree(p: Poly) -> int:

@@ -19,6 +19,7 @@ from .algebra import (
     _contract,
     _nest,
     _nested,
+    _require,
     clean_table,
     sub_adjacent,
 )
@@ -151,9 +152,7 @@ def semidirect(A: ConformalAlgebra, rep: Representation, checked: bool = True) -
     LSC kind:   (a+u)_x (b+v) = a_x b + l(a)_x v + r(b)_{-x-d} u.
     """
     if checked:
-        rr = check_rep(rep)
-        if not rr.ok:
-            raise PreconditionError("module axioms fail", rr)
+        _require(check_rep(rep), "module axioms fail")
     if rep.is_lie != (A.kind == LIE):
         raise PreconditionError("a Lie-kind algebra needs a Lie-kind module, "
                                 "a left-symmetric one a bimodule")

@@ -27,6 +27,7 @@ from .algebra import (
     PreconditionError,
     Vector,
     _contract,
+    _require,
     _view,
     sub_adjacent,
 )
@@ -183,9 +184,7 @@ def r_from_t(T: ConformalLinearMap, rep: Representation, mode: str = "skew") -> 
     subtracts the flip, sym adds it, raw returns the bare tensor.  The module
     axioms of `rep` are checked first.
     """
-    rr = check_rep(rep)
-    if not rr.ok:
-        raise PreconditionError("module axioms fail", rr)
+    _require(check_rep(rep), "module axioms fail")
     if mode not in ("skew", "sym", "raw"):
         raise PreconditionError(f"unknown mode {mode!r}")
     A = rep.algebra

@@ -470,6 +470,20 @@ SYSTEM_WITH_PARAM = {"params": ["b"], "unknowns": ["u"], "equations": ["b*u + 1"
 DUPLICATE_ALGEBRA = {"algebra": {"kind": "lie", "basis": ["L", "L"],
                                  "products": {"L,L": {"L": "d+2*x"}}}}
 
+# the first equation fixes u = 10^4000, and the second reduces to 10^8000 - 1
+BIG_CONSTANT_SYSTEM = {"unknowns": ["u"], "equations": ["u - 10^4000", "u^2 - 1"]}
+
+
+def big_witness_gd():
+    """A 2-dimensional bialgebra whose zero-divisor witness has coordinates of
+    more than 4300 digits: p1, q1, p2, q2 are odd numbers of 2,200 digits, each
+    pair coprime, and each entry one reduced rational numeral."""
+    base = 10 ** 2199
+    p1, q1, p2, q2 = base + 1, base + 3, base + 7, base + 9
+    return {"gd": {"basis": ["a", "b"], "circ": {
+        "b,a": {"a": f"{p1}/{q1}", "b": f"{2 * p1}/{q1}"},
+        "b,b": {"a": f"{p2}/{2 * q2}", "b": f"{p2}/{q2}"}}}}
+
 
 class TestRejectedInput:
     """Malformed input exits 2 with a JSON error, never with a traceback."""
@@ -628,6 +642,26 @@ class TestRejectedInput:
                      id="basis_name_whitespace"),
         pytest.param("solve", SYSTEM_WITH_PARAM, ("--param", "b=0"), "solve takes no --param",
                      id="solve_param"),
+        # numbers past int()'s 4300 digits are named by the package's cap, not printed
+        pytest.param("zero-divisors", big_witness_gd(), (),
+                     "PolyError: a coefficient exceeds 4300 digits, the cap on a printed numeral",
+                     id="witness_digit_cap"),
+        pytest.param("gd-convert", {"params": ["b"], "algebra": {
+                         "kind": "lie", "basis": ["L"],
+                         "products": {"L,L": {"L": "b^2*d + 2*b^2*x"}}}},
+                     ("--param", "b=1" + "0" * 4000),
+                     "PolyError: a coefficient exceeds 4300 digits", id="gd_constant_digit_cap"),
+        pytest.param("rb-constraints", {"algebra": "hv"}, ("--degree", "1" + "0" * 2200),
+                     "= a number of more than 4300 digits is over the cap of 5000",
+                     id="degree_digit_cap"),
+        pytest.param("coeff", {"algebra": "hv"}, ("--window", "1" + "0" * 1500),
+                     "needs a number of more than 4300 digits Jacobi triples",
+                     id="window_digit_cap"),
+        # a precondition that fails names its first failing check and instance
+        pytest.param("build-semidirect", {"algebra": "vir", "representation": {
+                         "module_basis": ["L"], "action": {"L,L": {"L": "2*d+2*x"}}}}, (),
+                     "PreconditionError: module axioms fail: module_axiom at (L,L;L)->L",
+                     id="semidirect_bumped_action"),
         # a catalog map reads by its algebra's basis names, as an inline one does
         pytest.param("check-o-operator", {"algebra": "hv",
                                           "representation": {"standard": "adjoint", "dual": True},
@@ -653,6 +687,50 @@ class TestRejectedInput:
         assert main(["check-axioms", "--in", str(path)]) == 2
         error = json.loads(capsys.readouterr().err)["error"]
         assert error.startswith("InputError: cannot read input: 'utf-8' codec can't decode")
+
+    def test_integer_past_the_digit_limit(self, tmp_path, capsys):
+        """The JSON decoder refuses an integer of more than 4300 digits."""
+        path = tmp_path / "in.json"
+        path.write_text('{"algebra": ' + "1" * 5000 + "}")
+        assert main(["check-axioms", "--in", str(path)]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error.startswith("InputError: cannot read input: Exceeds the limit")
+
+    def test_oversize_witness_is_computed(self):
+        """The witness_digit_cap document's probe finds a witness that str()
+        would refuse: the exit 2 comes from printing it."""
+        from confalg import VarTable, zero_divisor_probe
+        probe = zero_divisor_probe(gd_from_dict(big_witness_gd()["gd"], VarTable()))
+        assert probe.status == "witness"
+        assert max(max(abs(c.numerator), c.denominator)
+                   for vec in probe.witness for c in vec) >= 10 ** 4300
+
+    def test_inconsistent_past_the_digit_limit(self, tmp_path, capsys):
+        """A constant too long to print still decides the system: exit 1, and
+        the reason names the package's cap."""
+        assert run(tmp_path, "solve", BIG_CONSTANT_SYSTEM) == 1
+        out = capsys.readouterr()
+        assert json.loads(out.out) == {
+            "status": "inconsistent",
+            "reason": "equation reduces to a number of more than 4300 digits"}
+        assert out.err == ""
+
+    def test_value_error_is_not_bad_input(self, tmp_path, monkeypatch):
+        """Report.sweep raises ValueError on a key outside its axes, a program
+        fault: main lets it through instead of exiting 2."""
+        import confalg.algebra
+        from confalg import Poly, Report
+        from confalg.cli import USAGE_ERRORS
+
+        def broken_check(A):
+            report = Report()
+            report.sweep("broken", (A.basis,), {(A.rank,): Poly.const(A.table, 1)})
+            return report
+
+        monkeypatch.setattr(confalg.algebra, "check_axioms", broken_check)
+        assert ValueError not in USAGE_ERRORS
+        with pytest.raises(ValueError, match="outside its axes"):
+            run(tmp_path, "check-axioms", {"algebra": "vir"})
 
     def test_deeply_nested_document(self, tmp_path, capsys):
         """The JSON decoder recurses once per nested array."""

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 import confalg.coeff
@@ -10,53 +8,11 @@ from confalg import (
     Poly,
     PreconditionError,
     VarTable,
-    apply_bilinear,
     catalog,
     check_rota_baxter,
-    nth_products,
     window_checks,
 )
 from conftest import window_bracket
-
-F = Fraction
-
-
-class TestNthProducts:
-    def test_virasoro(self, vir, P):
-        table = nth_products(vir)
-        prods = table[(0, 0)]
-        assert prods[0] == (P("d"),)
-        assert prods[1] == (P("2"),)
-        assert len(prods) == 2
-
-    def test_heisenberg_virasoro(self, hv, P):
-        table = nth_products(hv)
-        assert table[(0, 1)][0] == (P("0"), P("d"))
-        assert table[(0, 1)][1] == (P("0"), P("1"))
-        assert table[(1, 0)][0] == (P("0"), P("0"))
-        assert table[(1, 0)][1] == (P("0"), P("1"))
-        assert (1, 1) not in table
-
-    def test_abelian(self, table):
-        ab = ConformalAlgebra("lie", ("A",), table, {})
-        assert nth_products(ab) == {}
-
-    def test_reconstruction(self, vir, hv, comm1, table, P):
-        # sum of x^n / n! times the n-th product rebuilds the bracket; the
-        # cubic table has n-th products with n! other than 1
-        import math
-        X = P("x")
-        cubic = ConformalAlgebra("lie", ("L",), table, {(0, 0): {0: P("d*x^2 + b*x^3 + 1")}})
-        for A in (vir, hv, comm1, cubic):
-            table = nth_products(A)
-            for i in range(A.rank):
-                for j in range(A.rank):
-                    acc = [Poly.zero(A.table)] * A.rank
-                    for n, vec in enumerate(table.get((i, j), [])):
-                        scale = X ** n * F(1, math.factorial(n))
-                        acc = [a + scale * p for a, p in zip(acc, vec)]
-                    assert tuple(acc) == apply_bilinear(A.table, A.products, A.basis_vector(i),
-                                                        A.basis_vector(j), X, A.rank)
 
 
 class TestWindowBracket:

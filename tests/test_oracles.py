@@ -7,7 +7,9 @@ replaced, and the square/linear solver against the round-by-round elimination
 it replaced, which substitutes the whole assignment into every equation and
 matches every equation again after each elimination.  The coefficient-window
 checks are compared against the sweep that brackets general window elements
-with ``conftest.window_bracket`` and lifts them with ``lift_map``.  The
+with ``conftest.window_bracket`` and lifts them with ``lift_map``; that sweep
+shares the unit bracket, which ``oracle_unit_bracket`` compares with the
+textbook formula in sympy.  The
 Rota-Baxter residuals are compared against four dense products per basis
 pair, and the constraint systems against the expansion of the generic map,
 whose entries hold every unknown, split by (d, x) exponents: as ordered

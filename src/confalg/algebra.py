@@ -25,6 +25,10 @@ of the outer table with the inner table viewed by its targets (``_nested``),
 so the cost follows the number of nonzero entries, not the n^5 slot visits
 of calling ``apply_bilinear`` per instance; ``Report.sweep`` then visits only
 the nonzero sums, keyed (instance..., target), not every basis tuple.
+
+Each law is expanded once: ``_law`` for Jacobi and left-symmetry, whose
+tables are arguments (algebra, module and 2-cocycle alike), and
+``_commutator`` for skew-symmetry and the sub-adjacent bracket.
 """
 
 from __future__ import annotations
@@ -234,36 +238,47 @@ def _nest(sums: dict) -> dict:
     return out
 
 
+def _law(t: VarTable, kind: str, P: ProductTable, inner: ProductTable, outer: ProductTable,
+         scalar: bool = False, sign: int = 1) -> dict:
+    """sign * the Jacobi identity (Lie kind) or left-symmetry on basis triples,
+    closed sums keyed (i, j, k, m).  a_x b and b_y a come from P, b_y c and
+    a_x c from ``inner``, each outer product from ``outer``, a form when ``scalar``:
+
+    Lie:  a_x (b_y c) - (a_x b)_{x+y} c - b_y (a_x c)
+    LSC:  (a_x b)_{x+y} c - a_x (b_y c) - (b_y a)_{x+y} c + b_y (a_x c)
+    """
+    X, Y = Poly.var(t, "x"), Poly.var(t, "y")
+    s = sign if kind == LIE else -sign  # LSC is minus Jacobi's three terms, minus (b_y a) c
+    sums = Sums(t)
+    _nested(sums, inner, outer, Y, X, right=True, scalar=scalar, sign=s)
+    _nested(sums, P, outer, X, X + Y, right=False, sign=-s)
+    _nested(sums, inner, outer, X, Y, right=True, order=(1, 0, 2), scalar=scalar, sign=-s)
+    if kind != LIE:
+        _nested(sums, P, outer, Y, X + Y, right=False, order=(1, 0, 2), sign=s)
+    return sums.close()
+
+
+def _commutator(t: VarTable, P: ProductTable, sign: int) -> dict:
+    """P_ijk(d, x) + sign * P_jik(d, -x-d), closed sums keyed (i, j, k)."""
+    sums = Sums(t)
+    _contract(sums, P, {}, lambda i, j, k: (i, j, k))
+    _contract(sums, P, {"x": -Poly.var(t, "x") - Poly.var(t, "d")}, lambda i, j, k: (j, i, k),
+              sign=sign)
+    return sums.close()
+
+
 def check_axioms(A: ConformalAlgebra) -> Report:
     """Defining identities on all basis pairs/triples, as residuals.
 
     Lie kind: skew-symmetry and the Jacobi identity.  Left-symmetric kind:
-    symmetry of the associator in the first two arguments.  Each identity is
-    a signed sum of nested products from ``_nested``.
+    symmetry of the associator in the first two arguments.
     """
-    t = A.table
-    X = Poly.var(t, "x")
-    Y = Poly.var(t, "y")
-    D = Poly.var(t, "d")
-    P = A.products
+    t, P = A.table, A.products
     report = Report()
-
     if A.kind == LIE:
-        skew, jacobi = Sums(t), Sums(t)
-        _contract(skew, P, {}, lambda i, j, k: (i, j, k))
-        _contract(skew, P, {"x": -X - D}, lambda i, j, k: (j, i, k))
-        report.sweep("skew_symmetry", (A.basis,) * 2, skew.close(), A.basis)
-        _nested(jacobi, P, P, Y, X, right=True)
-        _nested(jacobi, P, P, X, X + Y, right=False, sign=-1)
-        _nested(jacobi, P, P, X, Y, right=True, order=(1, 0, 2), sign=-1)
-        report.sweep("jacobi", (A.basis,) * 3, jacobi.close(), A.basis)
-    else:
-        left_symmetry = Sums(t)
-        _nested(left_symmetry, P, P, X, X + Y, right=False)
-        _nested(left_symmetry, P, P, Y, X, right=True, sign=-1)
-        _nested(left_symmetry, P, P, Y, X + Y, right=False, order=(1, 0, 2), sign=-1)
-        _nested(left_symmetry, P, P, X, Y, right=True, order=(1, 0, 2))
-        report.sweep("left_symmetry", (A.basis,) * 3, left_symmetry.close(), A.basis)
+        report.sweep("skew_symmetry", (A.basis,) * 2, _commutator(t, P, 1), A.basis)
+    name = "jacobi" if A.kind == LIE else "left_symmetry"
+    report.sweep(name, (A.basis,) * 3, _law(t, A.kind, P, P, P), A.basis)
     return report
 
 
@@ -277,10 +292,4 @@ def sub_adjacent(A: ConformalAlgebra, checked: bool = True) -> ConformalAlgebra:
         raise PreconditionError("sub_adjacent expects a left-symmetric algebra")
     if checked:
         _require(check_axioms(A), "input fails left-symmetry")
-    t = A.table
-    X = Poly.var(t, "x")
-    D = Poly.var(t, "d")
-    sums = Sums(t)
-    _contract(sums, A.products, {}, lambda i, j, k: (i, j, k))
-    _contract(sums, A.products, {"x": -X - D}, lambda i, j, k: (j, i, k), sign=-1)
-    return ConformalAlgebra(LIE, A.basis, t, _nest(sums.close()))
+    return ConformalAlgebra(LIE, A.basis, A.table, _nest(_commutator(A.table, A.products, -1)))

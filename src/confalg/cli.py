@@ -141,12 +141,20 @@ class Session:
         return _rational(w, "--weight")
 
 
+def _json_int(text: str) -> int:
+    """A JSON integer of at most ``poly.MAX_PARSE_DIGITS`` digits."""
+    if (digits := len(text.lstrip("-"))) > MAX_PARSE_DIGITS:
+        raise InputError(f"cannot read input: a JSON integer of {digits} digits"
+                         f" exceeds the cap of {MAX_PARSE_DIGITS} digits")
+    return int(text)
+
+
 def _load(args) -> dict:
     if not args.infile:
         return {}
     try:
         with open(args.infile, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=_json_int)
     except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read input: {exc}") from None
 

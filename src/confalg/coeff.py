@@ -60,7 +60,7 @@ def _falling(t: int, s: int) -> int:
 class CoeffWindow(Record):
     """Symbols v_m for each generator v and |m + shift_v| <= N."""
 
-    _uncompared = ("_entries", "_cache")
+    _uncompared = ("_entries",)
 
     def __init__(self, algebra: ConformalAlgebra, N: int,
                  shifts: dict[int, int] | None = None) -> None:
@@ -73,7 +73,6 @@ class CoeffWindow(Record):
                               for k, P in targets.items()
                               for (n,), cof in P.split(("x",)).items()]
                          for ij, targets in algebra.products.items()}
-        self._cache = {}
 
     def shift(self, i: int) -> int:
         return self.shifts.get(i, 0)
@@ -111,21 +110,16 @@ class CoeffWindow(Record):
         return out.close()
 
     def _pair_bracket(self, i: int, m: int, j: int, n: int) -> WinElem | None:
-        """The product of the unit symbols (i, m) and (j, n), memoised."""
-        key = (i, m, j, n)
-        if key not in self._cache:
-            mu = m + self.shift(i)
-            nu = n + self.shift(j)
-            if abs(mu) > self.N or abs(nu) > self.N:
-                self._cache[key] = None
-            else:
-                # a_m . b_n = sum_deg m(m-1)...(m-deg+1) (c_deg)_{m+n-deg}, with
-                # c_deg = a_(deg) b / deg! the x^deg coefficient of the bracket
-                self._cache[key] = self._reduce(
-                    (k, mu + nu - deg, split, None, f)
-                    for k, deg, split in self._entries.get((i, j), ())
-                    if (f := _falling(mu, deg)))
-        return self._cache[key]
+        """The product of the unit symbols (i, m) and (j, n)."""
+        mu = m + self.shift(i)
+        nu = n + self.shift(j)
+        if abs(mu) > self.N or abs(nu) > self.N:
+            return None
+        # a_m . b_n = sum_deg m(m-1)...(m-deg+1) (c_deg)_{m+n-deg}, with
+        # c_deg = a_(deg) b / deg! the x^deg coefficient of the bracket
+        return self._reduce((k, mu + nu - deg, split, None, f)
+                            for k, deg, split in self._entries.get((i, j), ())
+                            if (f := _falling(mu, deg)))
 
     def lift_map(self, T: ModuleMap):
         """The operator a_n -> T(a)_n, with d-powers reduced into index shifts."""

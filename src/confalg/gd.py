@@ -26,7 +26,7 @@ from .algebra import (LEFT_SYMMETRIC, LIE, AlgebraError, ConformalAlgebra, Preco
                       _nest, _nested, _require, check_axioms)
 from .linmap import ModuleMap, kernel
 from .operators import rota_baxter_residuals
-from .poly import Poly, Record, Sums, VarTable
+from .poly import Poly, Record, Sums, VarTable, _shown
 from .report import Report
 
 ConstTable = dict[tuple[int, int], dict[int, Fraction]]
@@ -206,16 +206,16 @@ def zero_divisor_probe(V: GDBialgebra, bound: int = 3) -> ProbeResult:
     order; it may lie outside the box.  Otherwise the result is Unknown:
     absence is never claimed.  The box is enumerated lazily, so a witness
     near the origin returns at once; a box of more than MAX_PROBE_CANDIDATES
-    vectors is refused up front.
+    vectors is refused before the star matrices are built.
     """
+    if V.dim > 1 and (size := (2 * bound + 1) ** V.dim) > MAX_PROBE_CANDIDATES:
+        raise PreconditionError(f"the probe box [-{bound}, {bound}]^{V.dim} holds {_shown(size)}"
+                                f" vectors, over the cap of {MAX_PROBE_CANDIDATES}")
     mats = _star_matrices(V)
     if V.dim == 1:
         if mats[0][0][0]:
             return ProbeResult("no_zero_divisors")
         return ProbeResult("witness", ((Fraction(1),),) * 2)
-    if (size := (2 * bound + 1) ** V.dim) > MAX_PROBE_CANDIDATES:
-        raise PreconditionError(f"the probe box [-{bound}, {bound}]^{V.dim} holds {size}"
-                                f" vectors, over the cap of {MAX_PROBE_CANDIDATES}")
     columns = range(V.dim)
     for a in _box(bound, V.dim):
         rows = [{j: sum(x * m[k][j] for x, m in zip(a, mats)) for j in columns} for k in columns]

@@ -14,6 +14,7 @@ one as it is parsed; the command line passes its `--param` values this way.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 from typing import TYPE_CHECKING
@@ -55,7 +56,7 @@ def _names(doc, path: str, nonempty: bool = True) -> tuple[str, ...]:
         raise InputError(f"{path} must be {what} of names, got {_type(doc)}")
     if bad := [n for n in doc if "," in n or n != n.strip()]:
         raise InputError(f"{path} name {bad[0]!r} holds a comma or surrounding whitespace")
-    repeated = sorted({n for n in doc if doc.count(n) > 1})
+    repeated = sorted(n for n, count in Counter(doc).items() if count > 1)
     if repeated:
         raise InputError(f"repeated name(s) {', '.join(repeated)} in {path}")
     return tuple(doc)

@@ -27,6 +27,7 @@ from .algebra import (
     PreconditionError,
     ProductTable,
     _contract,
+    _law,
     _nest,
     _nested,
     _require,
@@ -235,8 +236,8 @@ def cocycle_check(A: ConformalAlgebra, form: BilinearForm) -> Report:
     """Cocycle identity and the symmetry law, on all basis pairs/triples.
 
     Symmetry reads the matrix: B_ij(x) + B_ji(-x) (lie) or B_ij(x) - B_ji(-x)
-    (lsc).  Each cocycle term is a chain sum over the structure constants and
-    the form's entries, e.g. form(e_i, e_j _y e_k) at x = sum_l B_il(x) P_jkl(x, y)
+    (lsc).  The cocycle identity is the algebra's law from ``_law`` with the
+    form as outer table, e.g. form(e_i, e_j _y e_k) at x = sum_l B_il(x) P_jkl(x, y)
     and form(e_i _x e_j, e_k) at x+y = sum_l P_ijl(-x-y, x) B_lk(x+y).  A form
     without a kind is checked as a cocycle of its algebra's kind.
     """
@@ -244,23 +245,10 @@ def cocycle_check(A: ConformalAlgebra, form: BilinearForm) -> Report:
     if form.kind not in (None, kind):
         raise PreconditionError(f"form kind {form.kind!r} does not match algebra kind")
     _check_size(A, form)
-    t = A.table
-    X = Poly.var(t, "x")
-    Y = Poly.var(t, "y")
-    P, F = A.products, form.products
-    sums = Sums(t)
-    if kind == "lie":
-        _nested(sums, P, F, Y, X, right=True, scalar=True)
-        _nested(sums, P, F, X, Y, right=True, order=(1, 0, 2), scalar=True, sign=-1)
-        _nested(sums, P, F, X, X + Y, right=False, sign=-1)
-    else:
-        _nested(sums, P, F, X, X + Y, right=False)
-        _nested(sums, P, F, Y, X, right=True, scalar=True, sign=-1)
-        _nested(sums, P, F, Y, X + Y, right=False, order=(1, 0, 2), sign=-1)
-        _nested(sums, P, F, X, Y, right=True, order=(1, 0, 2), scalar=True)
+    residuals = _law(A.table, A.kind, A.products, A.products, form.products, scalar=True)
     report = Report()
     report.sweep("symmetry", (A.basis,) * 2, _symmetry(form, 1 if kind == "lie" else -1))
-    report.sweep("cocycle_identity", (A.basis,) * 3, {k[:-1]: p for k, p in sums.close().items()})
+    report.sweep("cocycle_identity", (A.basis,) * 3, {k[:-1]: p for k, p in residuals.items()})
     return report
 
 

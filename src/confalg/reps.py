@@ -17,6 +17,7 @@ from .algebra import (
     PreconditionError,
     ProductTable,
     _contract,
+    _law,
     _nest,
     _nested,
     _require,
@@ -60,36 +61,32 @@ class Representation(Record):
 
 
 def check_rep(rep: Representation) -> Report:
-    """Module axioms as residuals on algebra pairs x module basis, each a
-    signed sum of nested actions from ``_nested``."""
+    """Module axioms as residuals on algebra pairs x module basis: the Lie
+    module axiom is minus Jacobi and the left-action axiom left-symmetry, from
+    ``_law`` with the action as inner and outer table; the right-action axiom
+    is a signed sum of nested actions from ``_nested``."""
     A = rep.algebra
     t = A.table
-    X = Poly.var(t, "x")
-    Y = Poly.var(t, "y")
-    D = Poly.var(t, "d")
     P = A.products
     report = Report()
     axes = (A.basis, A.basis, rep.mbasis)
     label = "({},{};{})"
 
     if rep.is_lie:
-        rho, module_axiom = rep.rho, Sums(t)
-        _nested(module_axiom, P, rho, X, X + Y, right=False)
-        _nested(module_axiom, rho, rho, Y, X, right=True, sign=-1)
-        _nested(module_axiom, rho, rho, X, Y, right=True, order=(1, 0, 2))
-        report.sweep("module_axiom", axes, module_axiom.close(), rep.mbasis, label)
+        report.sweep("module_axiom", axes, _law(t, LIE, P, rep.rho, rep.rho, sign=-1),
+                     rep.mbasis, label)
         return report
+    X = Poly.var(t, "x")
+    Y = Poly.var(t, "y")
+    D = Poly.var(t, "d")
     left, right = rep.left, rep.right
-    left_action, right_action = Sums(t), Sums(t)
-    _nested(left_action, P, left, X, X + Y, right=False)
-    _nested(left_action, left, left, Y, X, right=True, sign=-1)
-    _nested(left_action, P, left, Y, X + Y, right=False, order=(1, 0, 2), sign=-1)
-    _nested(left_action, left, left, X, Y, right=True, order=(1, 0, 2))
+    right_action = Sums(t)
     _nested(right_action, left, right, X, -X - Y - D, right=True, order=(1, 0, 2))
     _nested(right_action, right, left, -Y - D, X, right=True, sign=-1)
     _nested(right_action, right, right, X, -X - Y - D, right=True, order=(1, 0, 2), sign=-1)
     _nested(right_action, P, right, X, -Y - D, right=False)
-    report.sweep("left_action_axiom", axes, left_action.close(), rep.mbasis, label)
+    report.sweep("left_action_axiom", axes, _law(t, LEFT_SYMMETRIC, P, left, left), rep.mbasis,
+                 label)
     report.sweep("right_action_axiom", axes, right_action.close(), rep.mbasis, label)
     return report
 

@@ -209,7 +209,7 @@ def normal_form3(t):
 
 def window_bracket(w, a, b):
     """Bilinear product of the window elements a and b of ``w``, through its
-    memoised unit-pair products; None, out of the window, propagates."""
+    unit-pair products; None, out of the window, propagates."""
     if a is None or b is None:
         return None
     out = Sums(w.algebra.table)

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -689,12 +690,13 @@ class TestRejectedInput:
         assert error.startswith("InputError: cannot read input: 'utf-8' codec can't decode")
 
     def test_integer_past_the_digit_limit(self, tmp_path, capsys):
-        """The JSON decoder refuses an integer of more than 4300 digits."""
+        """An integer of more than 4300 digits is refused by the package's cap."""
         path = tmp_path / "in.json"
         path.write_text('{"algebra": ' + "1" * 5000 + "}")
         assert main(["check-axioms", "--in", str(path)]) == 2
         error = json.loads(capsys.readouterr().err)["error"]
-        assert error.startswith("InputError: cannot read input: Exceeds the limit")
+        assert error == ("InputError: cannot read input: a JSON integer of 5000 digits"
+                         " exceeds the cap of 4300 digits")
 
     def test_oversize_witness_is_computed(self):
         """The witness_digit_cap document's probe finds a witness that str()
@@ -751,6 +753,17 @@ class TestRejectedInput:
         # constructions such as the dual-adjoint tower repeat names legitimately
         A = ConformalAlgebra("lie", ("L", "L"), t, {})
         assert A.basis == ("L", "L")
+
+    def test_names_are_read_in_linear_time(self):
+        from confalg import VarTable
+        from confalg.io_json import InputError, gd_from_dict
+        t = VarTable()
+        with pytest.raises(InputError, match=r"repeated name\(s\) a, b in gd.basis"):
+            gd_from_dict({"basis": ["b", "c", "a", "b", "a", "b"]}, t)
+        names = [f"e{i}" for i in range(20000)]
+        start = time.process_time()
+        assert algebra_from_dict({"kind": "lie", "basis": names}, t).rank == 20000
+        assert time.process_time() - start < 0.5
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")

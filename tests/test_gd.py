@@ -10,6 +10,7 @@ from confalg import (
     ModuleMap,
     NotQuadratic,
     PolySystem,
+    PreconditionError,
     VarTable,
     algebra_from_gd,
     check_axioms,
@@ -176,6 +177,26 @@ class TestZeroDivisors:
         V = GDBialgebra(tuple(f"e{i}" for i in range(6)), table, {}, {})
         assert zero_divisor_probe(V).witness_names(V) == ("e5", "e5")
         assert len(keys) == 6
+
+    def test_cap_is_checked_before_the_star_matrices(self, table, monkeypatch):
+        """A box over the cap is refused from the dimension alone; dimension 1
+        is still decided exactly at any bound."""
+        def unbuilt(V):
+            raise AssertionError("star matrices built for a refused box")
+
+        monkeypatch.setattr("confalg.gd._star_matrices", unbuilt)
+        V = GDBialgebra(tuple(f"e{i}" for i in range(7)), table, {(0, 0): {0: F(1)}}, {})
+        with pytest.raises(PreconditionError, match=r"\^7 holds 823543 vectors, over the cap"):
+            zero_divisor_probe(V)
+        monkeypatch.undo()
+        line = GDBialgebra(("e",), table, {}, {})
+        assert zero_divisor_probe(line, bound=10 ** 6).status == "witness"
+
+    def test_cap_message_names_a_box_too_large_to_print(self, table):
+        V = GDBialgebra(tuple(f"e{i}" for i in range(6000)), table, {}, {})
+        with pytest.raises(PreconditionError,
+                           match="holds a number of more than 4300 digits vectors"):
+            zero_divisor_probe(V)
 
     def test_product_of_fields_has_a_verified_witness(self, table):
         # Q(sqrt 2) x Q(sqrt 2): the two units multiply to zero

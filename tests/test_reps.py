@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from confalg import (
     ConformalAlgebra,
+    LEFT_SYMMETRIC,
     LIE,
     PreconditionError,
     Representation,
@@ -9,6 +12,7 @@ from confalg import (
     check_axioms,
     check_rep,
     dual_rep,
+    parse,
     semidirect,
     standard_rep,
     sub_adjacent,
@@ -158,9 +162,51 @@ class TestSemidirect:
             semidirect(vir, bad)
 
 
+def _residuals(report, name):
+    """The named check's residuals as {instance: text}, the module label's
+    ';' read as the ',' of the algebra label."""
+    check = next(c for c in report.checks if c.name == name)
+    return {label.replace(";", ","): text for label, text in check.residuals}
+
+
+def _random_lie_table(table, seed):
+    """A rank-2 table of random entries in d and x, which fails the axioms."""
+    rng = random.Random(seed)
+    monomials = ("1", "d", "x", "d*x", "x^2", "d^2")
+
+    def entry():
+        return parse(table, " + ".join(f"({rng.randint(-2, 2)})*{m}"
+                                       for m in rng.sample(monomials, 3)))
+
+    return ConformalAlgebra(LIE, ("a", "b"), table,
+                            {(i, j): {k: entry() for k in range(2)}
+                             for i in range(2) for j in range(2)})
+
+
 class TestAdjointJacobiAgreement:
+    """A module axiom is its algebra's own law with the action as the inner
+    and outer products, so on the regular module the residuals agree."""
+
     def test_mutant_adjoint_fails_like_jacobi(self, table, P):
         mutant = ConformalAlgebra(LIE, ("L",), table, {(0, 0): {0: P("d+3*x")}})
         rep = Representation(mutant, ("L",), rho=dict(mutant.products))
         assert not check_rep(rep).ok
         assert not check_axioms(mutant).ok
+
+    @pytest.mark.parametrize("which", ["mutant", "random"])
+    def test_adjoint_module_axiom_is_minus_jacobi(self, table, P, which):
+        A = (ConformalAlgebra(LIE, ("L",), table, {(0, 0): {0: P("d+3*x")}})
+             if which == "mutant" else _random_lie_table(table, 2))
+        jacobi = _residuals(check_axioms(A), "jacobi")
+        module = _residuals(check_rep(standard_rep(A, "adjoint")), "module_axiom")
+        assert jacobi and module.keys() == jacobi.keys()
+        assert all(P(module[k]) == -P(jacobi[k]) for k in jacobi)
+
+    def test_left_action_axiom_is_left_symmetry(self, table, P, hv_lsc1):
+        products = dict(hv_lsc1.products)
+        products[(1, 1)] = {1: P("b*(d+x) + 1")}
+        A = ConformalAlgebra(LEFT_SYMMETRIC, hv_lsc1.basis, table, products)
+        rep = Representation(A, A.basis, left=A.products, right={})
+        left_symmetry = _residuals(check_axioms(A), "left_symmetry")
+        assert left_symmetry
+        assert _residuals(check_rep(rep), "left_action_axiom") == left_symmetry

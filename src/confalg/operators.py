@@ -34,8 +34,8 @@ from .algebra import (
     _view,
 )
 from .linmap import ConformalLinearMap, ModuleMap, NotInvertible, _matmul, invert_module_map
-from .poly import (Poly, Record, Substitution, Sums, VarTable, VarTableMismatch, _make, _normal,
-                   _shown)
+from .poly import (MAX_PARSE_TERM_PRODUCTS, Poly, Record, Substitution, Sums, VarTable,
+                   VarTableMismatch, _make, _normal, _shown)
 from .report import Report
 
 if TYPE_CHECKING:
@@ -302,18 +302,22 @@ def _poly(table: VarTable, row: dict) -> Poly:
     return _make(table, terms)
 
 
-def _substitution(values: dict[int, dict]):
+def _substitution(values: dict[int, dict], spend):
     """row -> row with each variable position in ``values`` replaced by its
     row.  Each pattern of replaced positions is expanded once, for all rows,
-    as one row product: each pair of monomials merged and sorted."""
+    as one row product: each pair of monomials merged and sorted.  Every
+    expansion and application first hands ``spend`` the number of term
+    products it is about to take."""
     expansions: dict[tuple, dict] = {(): {(): 1}}
     replaced = values.keys()
 
     def expand(pattern: tuple) -> dict:
         if pattern not in expansions:
             out: dict = {}
-            for m1, c1 in expand(pattern[:-1]).items():
-                for m2, c2 in values[pattern[-1]].items():
+            head, value = expand(pattern[:-1]), values[pattern[-1]]
+            spend(len(head) * len(value))
+            for m1, c1 in head.items():
+                for m2, c2 in value.items():
                     m = tuple(sorted(m1 + m2))
                     out[m] = out.get(m, 0) + c1 * c2
             expansions[pattern] = _normal(out)
@@ -323,6 +327,7 @@ def _substitution(values: dict[int, dict]):
         out = {m: c for m, c in row.items() if replaced.isdisjoint(m)}
         touched = [t for t in ((m, c, expand(tuple(i for i in m if i in values)))
                                for m, c in row.items() if not replaced.isdisjoint(m)) if t[2]]
+        spend(sum(len(expansion) for _, _, expansion in touched))
         for m, c, expansion in touched:  # a term whose expansion is zero is dropped
             rest = tuple(i for i in m if i not in values)
             for m2, c2 in expansion.items():
@@ -427,41 +432,75 @@ def solve_squares(system: PolySystem) -> SolveResult:
     Each round eliminates one unknown through the first equation, in list
     order, that matches: q*v^2 sets v := 0, and c*v + rest with v in no other
     term sets v := -rest/c. Within an equation the square comes first, then
-    the linear unknown first by name. Only the equations that hold v are
-    substituted and matched again; an assigned unknown appears in no live
+    the linear unknown first by name. An assigned unknown appears in no live
     equation and in no value assigned after it.
 
-    Raises InconsistentSystem when an equation reduces to a nonzero constant.
+    ``holds`` maps each unknown to the positions of the equations that may
+    hold it, and a heap holds the positions whose equation had a match when
+    it last changed; the smallest that still matches is the first match.
+    Eliminating v visits only the positions that hold v, in order: v := 0
+    drops the terms that hold v, and any other value is substituted.  A
+    changed equation is matched again only when it can match: one term is
+    left, or a term is a single unknown.
+
+    Raises InconsistentSystem when an equation reduces to a nonzero constant,
+    and PreconditionError when the substitutions would take more than
+    ``poly.MAX_PARSE_TERM_PRODUCTS`` term products, counted before they are taken.
     """
+    from heapq import heappop, heappush  # loaded only by the solver
     table = system.table
     unknowns = {table.index[v]: v for v in set(system.unknowns) if v in table.index}
-    assignment: dict[int, dict] = {}
+    spent = 0
+
+    def spend(products: int) -> None:
+        nonlocal spent
+        spent += products
+        if spent > MAX_PARSE_TERM_PRODUCTS:
+            raise PreconditionError(f"elimination exceeds the cap of {MAX_PARSE_TERM_PRODUCTS} "
+                                    "term products")
+
     live = [state for state in (_live(row, unknowns) for row in system.rows) if state]
-    while True:
-        first = next((state for state in live if state[2] is not None), None)
-        if first is None:
-            break
-        row, _, (v, c) = first
-        assignment[v] = {} if c is None else _normal(
+    rows = [state[0] for state in live]  # a zero row stays as {}, so positions hold
+    holds: dict[int, list[int]] = {v: [] for v in unknowns}
+    for pos, (_, held, _) in enumerate(live):
+        for v in held:
+            holds[v].append(pos)
+    heap = [pos for pos, state in enumerate(live) if state[2] is not None]  # sorted, so a heap
+    del live  # its held sets are in holds now; keeping them raised the peak
+    assignment: dict[int, dict] = {}
+    while heap:
+        state = _live(rows[at := heappop(heap)], unknowns)
+        if not state or state[2] is None:
+            continue
+        row, _, (v, c) = state
+        value = assignment[v] = {} if c is None else _normal(
             {m: q * (Fraction(-1) / c) for m, q in row.items() if m != (v,)})
-        eliminate = _substitution({v: assignment[v]})
-        kept = []
-        for state in live:
-            if v in state[1]:
-                state = _live(eliminate(state[0]), unknowns)
-            if state:
-                kept.append(state)
-        live = kept
+        rows[at] = {}  # the value makes its own row zero
+        eliminate = value and _substitution({v: value}, spend)  # none for v := 0
+        brought = unknowns.keys() & chain.from_iterable(value)
+        for pos in sorted(set(holds.pop(v))):
+            row = rows[pos]
+            kept = {m: q for m, q in row.items() if v not in m}
+            if len(kept) == len(row):
+                continue  # an earlier round cleared the row of v
+            rows[pos] = kept = eliminate(row) if value else kept
+            for u in brought:
+                holds[u].append(pos)
+            if len(kept) == 1 or any(len(m) == 1 and m[0] in unknowns for m in kept):
+                state = _live(kept, unknowns)  # raises on a nonzero constant
+                if state and state[2] is not None:
+                    heappush(heap, pos)
     # back-substitute in reverse elimination order, so solved values are
     # unknown-free: a value holds no unknown eliminated before its own
     for v in reversed(assignment):
-        assignment[v] = _substitution(assignment)(assignment[v])
+        assignment[v] = _substitution(assignment, spend)(assignment[v])
     solved = {unknowns[v]: _poly(table, row) for v, row in assignment.items()}
     names = set(system.unknowns)
     fixed = {v for v, p in solved.items() if not (p.variables() & names)}
-    if not live and fixed == names:
+    remaining = [_poly(table, row) for row in rows if row]
+    if not remaining and fixed == names:
         return SolveResult("solved", solved, [])
-    return SolveResult("partial", solved, [_poly(table, state[0]) for state in live])
+    return SolveResult("partial", solved, remaining)
 
 
 # -- invariant bilinear forms --------------------------------------------------

@@ -475,6 +475,14 @@ DUPLICATE_ALGEBRA = {"algebra": {"kind": "lie", "basis": ["L", "L"],
 BIG_CONSTANT_SYSTEM = {"unknowns": ["u"], "equations": ["u - 10^4000", "u^2 - 1"]}
 
 
+def squaring_chain(k):
+    """a1 = b1 + b2 + b3 + b4 and a_j = a_(j-1)^2 up to j = k: solving to a6
+    would take about 970,000 term products, past the cap of 200,000."""
+    return {"params": ["b1", "b2", "b3", "b4"], "unknowns": [f"a{j}" for j in range(1, k + 1)],
+            "equations": ["a1 - (b1 + b2 + b3 + b4)"]
+            + [f"a{j} - a{j - 1}^2" for j in range(2, k + 1)]}
+
+
 def big_witness_gd():
     """A 2-dimensional bialgebra whose zero-divisor witness has coordinates of
     more than 4300 digits: p1, q1, p2, q2 are odd numbers of 2,200 digits, each
@@ -716,6 +724,14 @@ class TestRejectedInput:
             "status": "inconsistent",
             "reason": "equation reduces to a number of more than 4300 digits"}
         assert out.err == ""
+
+    @pytest.mark.parametrize("k", [6, 7])
+    def test_squaring_chain_is_refused_quickly(self, tmp_path, capsys, k):
+        start = time.process_time()
+        assert run(tmp_path, "solve", squaring_chain(k)) == 2
+        assert time.process_time() - start < 0.5
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "PreconditionError: elimination exceeds the cap of 200000 term products"}
 
     def test_value_error_is_not_bad_input(self, tmp_path, monkeypatch):
         """Report.sweep raises ValueError on a key outside its axes, a program

@@ -38,7 +38,7 @@ from confalg import (
 from confalg import operators
 from confalg.io_json import form_from_dict
 from confalg.operators import MAX_RB_SIZE
-from confalg.poly import Substitution
+from confalg.poly import MAX_PARSE_TERM_PRODUCTS, Substitution
 
 
 def plain_algebra(name):
@@ -366,6 +366,13 @@ class TestConstraints:
                 rb_constraints(A, D, 0)
 
 
+# _live calls of one solve of each benchmark system at weight 0, a ratchet:
+# lower a budget when the work falls
+LIVE_BUDGETS = {("vir", 1): 12, ("vir", 2): 28, ("vir", 3): 53, ("vir", 4): 92,
+                ("hv", 1): 69, ("hv", 2): 170, ("hv", 3): 368, ("hv", 4): 606,
+                ("hv_dual", 0): 118, ("hv_dual", 1): 679, ("hv_dual", 2): 1627}
+
+
 class TestSolver:
     def test_single_square(self):
         t = VarTable(params=("c",))
@@ -405,27 +412,46 @@ class TestSolver:
             solve_squares(system)
 
     def test_substitutes_only_equations_that_hold_the_unknown(self, monkeypatch):
-        """Work guard: each elimination substitutes into the equations that hold
-        the eliminated unknown, not into every equation (13,090 calls when
-        every round substituted the whole assignment into every equation)."""
-        hv = catalog("hv", table=VarTable()).algebra
-        hv_dual = semidirect(hv, dual_rep(standard_rep(hv, "adjoint")), checked=False)
-        system, _ = rb_constraints(hv_dual, 2, 0)
+        """Work guard: each elimination visits the equations that hold the
+        eliminated unknown and matches again only those that can match.  The
+        _live calls of one solve of each benchmark system stay within
+        LIVE_BUDGETS (4,126 on hv_dual D2 when every round scanned every
+        equation and matched again each one that held the unknown)."""
         calls = []
+        live = operators._live
+        monkeypatch.setattr(operators, "_live", lambda row, unknowns: calls.append(row) or live(
+            row, unknowns))
+        counts = {}
+        for name, D in LIVE_BUDGETS:
+            system, _ = rb_constraints(plain_algebra(name), D, 0)
+            calls.clear()
+            res = solve_squares(system)
+            counts[name, D] = len(calls)
+            if (name, D) == ("hv_dual", 2):
+                assert res.status == "partial" and len(res.assignment) == 17
+        assert {k: n for k, n in counts.items() if n > LIVE_BUDGETS[k]} == {}
+
+    @pytest.mark.parametrize("k, products", [(5, 29_959), (6, None)])
+    def test_substitution_work_is_capped(self, k, products, monkeypatch):
+        """A chain a1 = b1 + b2 + b3 + b4, a_j = a_(j-1)^2 squares a value of
+        more terms each step: to a5 it takes 29,959 term products, to a6 about
+        939,000 more, past the cap, which is refused before they are taken."""
+        t = VarTable(params=("b1", "b2", "b3", "b4") + tuple(f"a{j}" for j in range(1, k + 1)))
+        eqs = [parse(t, "a1 - (b1 + b2 + b3 + b4)")] + [
+            parse(t, f"a{j} - a{j - 1}^2") for j in range(2, k + 1)]
+        system = PolySystem(t, tuple(f"a{j}" for j in range(1, k + 1)), eqs)
+        spent = []
         substitution = operators._substitution
-
-        def counted(values):
-            apply = substitution(values)
-
-            def counted_apply(row):
-                calls.append(row)
-                return apply(row)
-            return counted_apply
-
-        monkeypatch.setattr(operators, "_substitution", counted)
-        res = solve_squares(system)
-        assert res.status == "partial" and len(res.assignment) == 17
-        assert 17 < len(calls) <= 4000
+        monkeypatch.setattr(operators, "_substitution", lambda values, spend: substitution(
+            values, lambda n: spent.append(n) or spend(n)))
+        if products is None:
+            with pytest.raises(PreconditionError, match="cap of 200000 term products"):
+                solve_squares(system)
+            assert sum(spent) > MAX_PARSE_TERM_PRODUCTS
+        else:
+            res = solve_squares(system)
+            assert res.solved and len(res.assignment["a5"].terms) == 969
+            assert sum(spent) == products
 
     def test_rank2_classification_stays_partial(self, hv):
         # the rank-2 system has genuinely mixed quadratic equations, so the

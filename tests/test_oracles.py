@@ -44,6 +44,7 @@ basis pair or triple.
 import importlib
 import itertools
 import pkgutil
+import random
 from fractions import Fraction
 from functools import cache, partial
 from unittest import mock
@@ -100,11 +101,13 @@ from confalg import (
     with_zero_right,
     zero_divisor_probe,
 )
+from confalg import operators
 from confalg.algebra import apply_bilinear, unit_vector
 from confalg.operators import BilinearForm, form_pr_map, rota_baxter_residuals
 from confalg.gd import ProbeResult, algebra_from_gd, rb_gd_check
 from confalg.io_json import system_to_dict
 from confalg.linmap import ConformalLinearMap, ModuleMap
+from confalg.poly import Substitution
 from conftest import (
     Scratch,
     gd_tables,
@@ -618,8 +621,10 @@ def _match_square(eq, unknowns):
 
 
 def _match_linear(eq, unknowns):
-    """c * v + rest with rational c and rest free of v; first match by name."""
-    for v in sorted(eq.variables() & unknowns):
+    """c * v + rest with rational c and rest free of v; first match by name.
+    Only a name with a term c * v is split on."""
+    units = {eq.table.names[exps.index(1)] for exps in eq.terms if sum(exps) == 1}
+    for v in sorted(units & unknowns):
         groups = eq.split((v,))
         if max(groups) != (1,):
             continue
@@ -636,14 +641,15 @@ def _match_linear(eq, unknowns):
 def oracle_solve_squares(system):
     """Round by round: substitute the whole assignment into every equation,
     then match every equation from the start; close the assignment under
-    itself at the end."""
+    itself at the end.  Each round prepares its substitution once."""
     unknowns = set(system.unknowns)
     assignment = {}
     equations = list(system.equations)
     while True:
         substituted = []
+        at = Substitution(system.table, assignment)
         for eq in equations:
-            eq = eq.subs(assignment) if assignment else eq
+            eq = at(eq) if assignment else eq
             value = eq.constant_value()
             if value is not None:
                 if value != 0:
@@ -1081,6 +1087,43 @@ def solver_systems():
     return solver_equations().map(lambda drawn: PolySystem(*drawn))
 
 
+SEEDED_COEFFS = [Fraction(c) for c in (1, -1, 2, -3)] + [Fraction(1, 2), Fraction(-2, 3)]
+
+
+def seeded_system(seed, rows=300, unknowns=30):
+    """A system drawn by random.Random(seed) over params b, c and unknowns
+    u0..u29: a third of the rows are c*v + rest, rest mostly of degree 1-2
+    and rarely constant, so that linear eliminations with nonzero values
+    interleave with the squares (one row in twenty); the other rows are sums
+    of two to four degree-2 monomials."""
+    rng = random.Random(seed)
+    names = tuple(f"u{i}" for i in range(unknowns))
+    table = VarTable(params=("b", "c") + names)
+    pool = ("b", "c") + names
+
+    def monomial(size):
+        out = Poly.const(table, rng.choice(SEEDED_COEFFS))
+        for name in rng.sample(pool, size):
+            out = out * Poly.var(table, name)
+        return out
+
+    def total(polys):
+        return sum(polys, Poly.zero(table))
+
+    equations = []
+    for _ in range(rows):
+        kind, v = rng.random(), Poly.var(table, rng.choice(names))
+        if kind < 0.34:
+            sizes = (0,) + (1,) * 40 + (2,) * 59
+            rest = total(monomial(rng.choice(sizes)) for _ in range(rng.randint(0, 2)))
+            equations.append(rng.choice(SEEDED_COEFFS) * v + rest)
+        elif kind < 0.39:
+            equations.append(rng.choice(SEEDED_COEFFS) * v * v)
+        else:
+            equations.append(total(monomial(2) for _ in range(rng.randint(2, 4))))
+    return PolySystem(table, names, equations)
+
+
 # the constraint systems of the benchmark's systems workload, at weights 0 and 1
 SYSTEM_DEGREES = {"vir": range(1, 5), "hv": range(1, 5), "hv_dual": range(0, 3)}
 WORKLOAD_SYSTEMS = [f"{name}.D{D}.w{weight}" for name, degrees in SYSTEM_DEGREES.items()
@@ -1131,11 +1174,55 @@ class TestSolverOracle:
         assert solve_outcome(oracle_solve_squares, bad) == ("inconsistent", "equation reduces to 1")
         assert solve_outcome(solve_squares, bad) == solve_outcome(oracle_solve_squares, bad)
 
-    @pytest.mark.parametrize("label", sorted(WORKLOAD_SYSTEMS))
+    @pytest.mark.parametrize("label", sorted(WORKLOAD_SYSTEMS) + ["hv_dual.D4.w0", "vir.D30.w1"])
     def test_workload_systems(self, label):
         A, D, weight = workload_system(label)
         system, _ = rb_constraints(A, D, weight)
         assert solve_outcome(solve_squares, system) == solve_outcome(oracle_solve_squares, system)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_seeded_systems(self, seed):
+        """Linear eliminations with nonzero values interleaved with squares,
+        on about 300 rows in 30 unknowns."""
+        system = seeded_system(seed)
+        assert solve_outcome(solve_squares, system) == solve_outcome(oracle_solve_squares, system)
+
+    def test_seeded_systems_reach_every_outcome(self, monkeypatch):
+        """The seeds of test_seeded_systems eliminate nonzero values, and end
+        both partial, with a nonzero value left, and inconsistent."""
+        values = []
+        substitution = operators._substitution
+        monkeypatch.setattr(operators, "_substitution",
+                            lambda v, spend: values.append(v) or substitution(v, spend))
+        outcomes = [solve_outcome(solve_squares, seeded_system(seed)) for seed in range(20)]
+        assert sum(len(v) == 1 and all(v.values()) for v in values) >= 100
+        assert {"partial", "inconsistent"} <= {outcome[0] for outcome in outcomes}
+        assert any(not p.is_zero for outcome in outcomes if outcome[0] == "partial"
+                   for _, p in outcome[1])
+
+    @pytest.mark.parametrize("texts, unknowns, want", [
+        # u := 0 brings row 2 to 2 and row 3 to 3; row 2 joined u's rows
+        # after row 3, when w := b*u was substituted into it
+        pytest.param(["w - b*u", "u^2", "w*v + 2", "u*v + 3"], ("u", "v", "w"),
+                     ("inconsistent", "equation reduces to 2"), id="earlier_constant_named"),
+        # u := 0 gives rows 1 and 2 their matches in one round: w before v
+        pytest.param(["u^2", "u*v + w^2", "u*w + v^2"], ("u", "v", "w"),
+                     ("solved", ["u", "w", "v"]), id="earlier_row_first"),
+        # w := b*u makes u occur twice in row 1, which matched u before
+        pytest.param(["w - b*u", "u + v*w"], ("u", "v", "w"),
+                     ("partial", ["w"]), id="linear_match_lost"),
+        # row 1 holds u until w := b*u cancels it; u := 0 then skips row 1
+        pytest.param(["w - b*u", "v*w - b*u*v + v*z", "u^2"], ("u", "v", "w", "z"),
+                     ("partial", ["w", "u"]), id="row_cleared_of_unknown"),
+    ])
+    def test_elimination_order(self, texts, unknowns, want):
+        """Cases pinning the order in which eliminations visit and match rows."""
+        table = VarTable(params=("b",) + unknowns)
+        system = PolySystem(table, unknowns, [parse(table, text) for text in texts])
+        outcome = solve_outcome(oracle_solve_squares, system)
+        assert (outcome if want[0] == "inconsistent" else
+                (outcome[0], [v for v, _ in outcome[1]])) == want
+        assert solve_outcome(solve_squares, system) == outcome
 
     @given(drawn=solver_equations())
     @settings(max_examples=100, deadline=None)

@@ -1864,27 +1864,66 @@ def dense_matmul(a, b, table):
 
 
 @st.composite
-def module_maps(draw, max_rank=5):
-    """Square maps of rank 0 to max_rank in d and b: random entries (mostly
-    singular or of non-constant determinant), a unit lower times a unit upper
-    triangular map (determinant 1), the same with its first row scaled
-    (a rational determinant other than 1), or with two equal rows."""
+def shaped_maps(draw, max_rank=5):
+    """(shape, map) for square maps of rank 0 to max_rank in d and b: random
+    entries (mostly singular or of non-constant determinant), a unit lower
+    times a unit upper triangular map (determinant 1), the same with its first
+    row scaled (a rational determinant other than 1), or with two equal rows;
+    a signed permutation, the shape of every T0 the benchmark's cocycles
+    invert, now and then with an entry b; a unit upper times a unit lower
+    triangular map whose cells hold no constant, so that its last diagonal
+    entry is mostly its only unit; and a block of units beside a block
+    [[1 + f, f], [f, f - 1]] of determinant -1 with no unit, coupled by random
+    cells, with rows and columns shuffled."""
     n = draw(st.integers(0, max_rank))
-    kind = draw(st.sampled_from(("random", "unimodular", "scaled", "singular")))
-    if kind == "random":
-        return ModuleMap(BC, [[draw(inverse_cell) for _ in range(n)] for _ in range(n)])
+    kind = draw(st.sampled_from(MAP_SHAPES))
     one, zero = Poly.const(BC, 1), Poly.zero(BC)
+    if kind == "random":
+        return kind, ModuleMap(BC, [[draw(inverse_cell) for _ in range(n)] for _ in range(n)])
+    if kind in ("permutation", "blocks"):
+        units, k = st.sampled_from(SIGNED_UNITS), n - 2 if kind == "blocks" and n > 2 else n
+        perm = draw(st.permutations(range(k)))
+        matrix = [[draw(units) if j == perm[i] else zero for j in range(k)] for i in range(k)]
+        if k < n:
+            f = draw(no_unit_cell)
+            matrix = [row + [draw(inverse_cell), draw(inverse_cell)] for row in matrix] + [
+                [zero] * k + [1 + f, f], [zero] * k + [f, f - 1]]
+            rows, cols = draw(st.permutations(range(n))), draw(st.permutations(range(n)))
+            matrix = [[matrix[i][j] for j in cols] for i in rows]
+        return kind, ModuleMap(BC, matrix)
 
-    def triangular(below):
-        return [[one if i == j else draw(inverse_cell) if (j < i) == below else zero
+    def triangular(below, cell):
+        return [[one if i == j else draw(cell) if (j < i) == below else zero
                  for j in range(n)] for i in range(n)]
 
-    matrix = dense_matmul(triangular(True), triangular(False), BC)
+    if kind == "upper_lower":
+        return kind, ModuleMap(BC, dense_matmul(triangular(False, no_unit_cell),
+                                                triangular(True, no_unit_cell), BC))
+    matrix = dense_matmul(triangular(True, inverse_cell), triangular(False, inverse_cell), BC)
     if kind == "scaled" and n:
-        matrix[0] = [p * draw(st.sampled_from((2, -1, Fraction(-1, 3)))) for p in matrix[0]]
+        scale = draw(st.sampled_from((2, -1, Fraction(-1, 3))))
+        matrix[0] = [p * scale for p in matrix[0]]
     if kind == "singular" and n > 1:
         matrix[-1] = list(matrix[0])
-    return ModuleMap(BC, matrix)
+    return kind, ModuleMap(BC, matrix)
+
+
+MAP_SHAPES = ("random", "unimodular", "scaled", "singular", "permutation", "upper_lower", "blocks")
+SIGNED_UNITS = [Poly.const(BC, u) for u in (1, -1, 2, Fraction(-1, 3))] * 2 + [parse(BC, "b")]
+# a nonzero cell times d or b: of positive degree, never a unit
+no_unit_cell = st.builds(lambda p, q: p * q, inverse_cell.filter(lambda p: not p.is_zero),
+                         st.sampled_from((parse(BC, "d"), parse(BC, "b"))))
+
+
+def module_maps(max_rank=5):
+    return shaped_maps(max_rank).map(lambda shaped: shaped[1])
+
+
+NOT_A_UNIT = "determinant d^4 - 2*d^3*b + d^3 - 2*d - 2 is not a unit"
+
+
+def units_in(m):
+    return sum(p.constant_value() not in (None, 0) for row in m.matrix for p in row)
 
 
 def inversion_outcome(invert, m):
@@ -1926,7 +1965,7 @@ class TestEngineOracles:
             parse(BC, "-2*x-d"),)
 
     @given(m=module_maps())
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=150, deadline=None)
     def test_invert_module_map(self, m):
         assert (inversion_outcome(invert_module_map, m)
                 == inversion_outcome(oracle_invert_module_map, m))
@@ -1943,6 +1982,53 @@ class TestEngineOracles:
         assert find(module_maps(), lambda m: m.src_rank > 2 and not isinstance(
             inversion_outcome(oracle_invert_module_map, m), str),
             settings=settings(database=None, phases=[Phase.generate]))
+
+    @pytest.mark.parametrize("shape", ["permutation", "upper_lower", "blocks"])
+    def test_invert_module_map_shapes_are_drawn(self, shape):
+        """Each shape that Gauss-Jordan on units meets is drawn at rank 3 or
+        more, both invertible and holding b; an upper times lower map is drawn
+        whose only unit is its last diagonal entry, and a block map whose
+        unit-free block is left to Faddeev-LeVerrier."""
+        def drawn(condition):
+            return find(shaped_maps(), lambda km: km[0] == shape and km[1].src_rank > 2
+                        and condition(km[1]), settings=settings(
+                            database=None, phases=[Phase.generate], max_examples=2000))
+
+        assert drawn(lambda m: not isinstance(inversion_outcome(oracle_invert_module_map, m), str))
+        assert drawn(lambda m: any("b" in p.variables() for row in m.matrix for p in row))
+        if shape == "upper_lower":
+            assert drawn(lambda m: units_in(m) == 1 and not isinstance(
+                inversion_outcome(oracle_invert_module_map, m), str))
+
+    @pytest.mark.parametrize("texts", [
+        ["1+d", "d", "d", "d-1"], ["1+b*d", "b*d", "b*d", "b*d-1"]])
+    def test_invert_unimodular_without_units(self, texts):
+        """Unimodular maps with no unit entry go to Faddeev-LeVerrier whole."""
+        m = ModuleMap(BC, [[parse(BC, t) for t in texts[:2]], [parse(BC, t) for t in texts[2:]]])
+        assert units_in(m) == 0
+        inverse = invert_module_map(m)
+        assert inverse == oracle_invert_module_map(m)
+        assert dense_matmul(m.matrix, inverse.matrix, BC) == ModuleMap.identity(BC, 2).matrix
+
+    def test_invert_signed_permutation_rank64(self):
+        """A signed permutation of rank 64 with entries 1, -1, 2 and -1/3."""
+        n, zero = 64, Poly.zero(BC)
+        units = [Poly.const(BC, u) for u in (1, -1, 2, Fraction(-1, 3))]
+        m = ModuleMap(BC, [[units[i % 4] if j == (5 * i + 3) % n else zero for j in range(n)]
+                           for i in range(n)])
+        inverse = invert_module_map(m).matrix
+        assert dense_matmul(m.matrix, inverse, BC) == ModuleMap.identity(BC, n).matrix
+
+    def test_not_a_unit_message(self):
+        """Pivots 2 (column 1) and -1 (column 2) beside a 1 x 1 block without a
+        unit: the message prints sign * pivots * det S, expanded, as the
+        Laplace determinant."""
+        m = ModuleMap(BC, [[parse(BC, t) for t in row] for row in (
+            ("d", "2", "0"), ("b*d", "d+1", "-1"), ("1+d", "0", "d^2"))])
+        with pytest.raises(NotInvertible) as exc:
+            invert_module_map(m)
+        assert str(exc.value) == NOT_A_UNIT
+        assert inversion_outcome(oracle_invert_module_map, m) == f"NotInvertible: {NOT_A_UNIT}"
 
     def test_invert_dense_rank10(self):
         """A dense unimodular map of rank 10 with entries linear in d, a unit

@@ -5,8 +5,8 @@ T_x(v_i) = sum_j a_ij(x, d) e_j, acting on coefficient vectors.  A ModuleMap
 is a conformal linear map free of x, a matrix t_ij(d); it commutes with the
 derivation by construction, and ``at_zero`` specializes any conformal linear
 map to one.  Invertibility over the polynomial ring in d means the
-determinant is a nonzero rational constant; the inverse comes from the
-Faddeev-LeVerrier recurrence, n products of n x n matrices.
+determinant is a nonzero rational constant; the inverse comes from
+Gauss-Jordan on unit pivots, then Faddeev-LeVerrier on the block left over.
 
 Over Q, `rref` reduces sparse rows {column: rational} one at a time, by
 sparse Gauss-Jordan over the integers, and `kernel` gives a basis of their
@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 from .algebra import AlgebraError, PreconditionError
-from .poly import Poly, Record, Substitution, Sums, VarTable
+from .poly import Poly, Record, Substitution, Sums, VarTable, _constant
 
 
 class NotInvertible(AlgebraError):
@@ -66,8 +67,7 @@ class ModuleMap(ConformalLinearMap):
     def __init__(self, table: VarTable, matrix: list[list[Poly]]) -> None:
         for row in matrix:
             for p in row:
-                extra = p.variables() - set(table.params) - {"d"}
-                if extra:
+                if p.terms and (extra := p.variables() - {"d", *table.params}):
                     raise PreconditionError(
                         f"module map entries may use only d and parameters, got {sorted(extra)}")
         super().__init__(table, matrix)
@@ -88,31 +88,70 @@ def lift_constant(m: ModuleMap) -> ConformalLinearMap:
     return ConformalLinearMap(m.table, [list(row) for row in m.matrix])
 
 
+def _faddeev_leverrier(a: list[list[Poly]], table: VarTable) -> tuple[Poly, list[list[Poly]]]:
+    """c_n and M_n of the Faddeev-LeVerrier recurrence on an n x n matrix a: M_1 = 1,
+    c_k = -tr(a M_k)/k, M_{k+1} = a M_k + c_k; det a = (-1)^n c_n, a^-1 = -M_n/c_n."""
+    n = len(a)
+    M, c = ModuleMap.identity(table, n).matrix, Poly.const(table, 1)
+    for k in range(1, n + 1):
+        AM = _matmul(a, M, table)
+        c = sum((AM[i][i] for i in range(n)), Poly.zero(table)) * Fraction(-1, k)
+        if k < n:
+            M = [[p + c if i == j else p for j, p in enumerate(row)] for i, row in enumerate(AM)]
+    return c, M
+
+
+def _subtract(row: dict, f: Poly, pivot: dict) -> None:
+    """row -= f * pivot on sparse rows {column: Poly}; an entry that cancels leaves."""
+    for k, h in pivot.items():
+        if (g := row.pop(k, 0) - f * h).terms:
+            row[k] = g
+
+
 def invert_module_map(m: ModuleMap) -> ModuleMap:
     """Inverse of an invertible module map (unit determinant over d-polynomials).
 
     Raises NotInvertible when the determinant is zero or non-constant; this
-    is the non-degeneracy test used throughout.  Faddeev-LeVerrier: with
-    M_1 = 1, c_k = -tr(A M_k)/k and M_{k+1} = A M_k + c_k, the determinant
-    is (-1)^n c_n and the inverse -M_n/c_n, after n matrix products.
+    is the non-degeneracy test used throughout.  Gauss-Jordan on the sparse
+    rows of [A | 1] pivots each column on the first row without a pivot that
+    holds a unit (a nonzero rational) there; Faddeev-LeVerrier takes the
+    block S left over.  det A = sign(sigma) (product of the pivots) det S,
+    sigma mapping each column to its row; the unpivoted columns' inverse
+    rows are S^-1 Y, Y the rest of S's rows, cleared from the pivot rows.
     """
     n, table = m.src_rank, m.table
     if any(len(row) != n for row in m.matrix):
         raise NotInvertible("matrix is not square")
-    M, c = ModuleMap.identity(table, n).matrix, Poly.const(table, 1)
-    for k in range(1, n + 1):
-        AM = _matmul(m.matrix, M, table)
-        c = sum((AM[i][i] for i in range(n)), Poly.zero(table)) * Fraction(-1, k)
-        if k < n:
-            M = [[p + c if i == j else p for j, p in enumerate(row)] for i, row in enumerate(AM)]
-    det = -c if n % 2 else c
-    value = det.constant_value()
-    if value is None:
+    # row i of [A | 1] as its nonzero entries, column j of the 1 as n + j
+    rows = [{j: p for j, p in enumerate(row) if p.terms} | {n + i: Poly.const(table, 1)}
+            for i, row in enumerate(m.matrix)]
+    taken, units, zero = {}, 1, Poly.zero(table)  # pivot row -> its column
+    for c in range(n):
+        held = [i for i, row in enumerate(rows) if c in row]
+        p = next((i for i in held if i not in taken and _constant(rows[i][c]) is not None), None)
+        if p is not None:
+            if (u := _constant(rows[p].pop(c))) != 1:
+                rows[p] = {k: h * Fraction(1, u) for k, h in rows[p].items()}
+            taken[p], units = c, units * u
+            for i in (i for i in held if i != p):
+                _subtract(rows[i], rows[i].pop(c), rows[p])
+    left, cols = sorted({*range(n)} - {*taken}), sorted({*range(n)} - {*taken.values()})
+    c_n, M = _faddeev_leverrier([[rows[i].get(j, zero) for j in cols] for i in left], table)
+    sigma = [*taken.items(), *zip(left, cols)]  # (row, column) pairs
+    parity = len(cols) + sum((a < b) != (x < y) for (a, x), (b, y) in combinations(sigma, 2))
+    det = c_n * (-units if parity % 2 else units)
+    if (value := det.constant_value()) is None:
         raise NotInvertible(f"determinant {det} is not a unit")
     if value == 0:
         raise NotInvertible("determinant is zero")
-    scale = Fraction(-1) / c.constant_value()
-    return ModuleMap(table, [[p * scale for p in row] for row in M])
+    Z = _matmul([[f * Fraction(-1, _constant(c_n)) for f in row] for row in M],  # S^-1 Y
+                [[rows[i].get(n + k, zero) for k in range(n)] for i in left], table)
+    solved = {j: {n + k: p for k, p in enumerate(z) if p.terms} for j, z in zip(cols, Z)}
+    for i in taken:
+        for j in [j for j in rows[i] if j < n]:
+            _subtract(rows[i], rows[i].pop(j), solved[j])
+    inverse = solved | {j: rows[i] for i, j in taken.items()}
+    return ModuleMap(table, [[inverse[j].get(n + k, zero) for k in range(n)] for j in range(n)])
 
 
 def _eliminate(row: dict, pivot_row: dict, p) -> dict:

@@ -217,14 +217,13 @@ def cocycle_from_r(A: ConformalAlgebra, r: Tensor2, kind: str) -> BilinearForm:
     Requires r skew (lie) or symmetric (lsc); raises NotInvertible when the
     associated module map is degenerate.
     """
-    from .tensor import parts, t_from_r
-    pp = parts(r)
-    if kind == "lie" and not pp.is_skew:
-        raise PreconditionError("a lie-kind cocycle needs a skew-symmetric tensor")
-    if kind == "lsc" and not pp.is_sym:
-        raise PreconditionError("an lsc-kind cocycle needs a symmetric tensor")
+    from .tensor import flip, t_from_r
     if kind not in ("lie", "lsc"):
         raise PreconditionError(f"unknown cocycle kind {kind!r}")
+    if kind == "lie" and not (r + flip(r)).is_zero:
+        raise PreconditionError("a lie-kind cocycle needs a skew-symmetric tensor")
+    if kind == "lsc" and not (r - flip(r)).is_zero:
+        raise PreconditionError("an lsc-kind cocycle needs a symmetric tensor")
     T0 = t_from_r(A, r).at_zero()
     inv = invert_module_map(T0)
     at = Substitution(A.table, {"d": -Poly.var(A.table, "x")})
@@ -305,22 +304,23 @@ def _poly(table: VarTable, row: dict) -> Poly:
 def _substitution(values: dict[int, dict], spend):
     """row -> row with each variable position in ``values`` replaced by its
     row.  Each pattern of replaced positions is expanded once, for all rows,
-    as one row product: each pair of monomials merged and sorted.  Every
-    expansion and application first hands ``spend`` the number of term
+    from its longest expanded prefix, one row product per position: each
+    pair of monomials merged and sorted; a one-position pattern is its value.
+    Every expansion and application first hands ``spend`` the number of term
     products it is about to take."""
-    expansions: dict[tuple, dict] = {(): {(): 1}}
+    expansions: dict[tuple, dict] = {(v,): value for v, value in values.items()}
     replaced = values.keys()
 
-    def expand(pattern: tuple) -> dict:
-        if pattern not in expansions:
-            out: dict = {}
-            head, value = expand(pattern[:-1]), values[pattern[-1]]
+    def expand(pattern: tuple) -> dict:  # a loop, not recursion: no closure cycle
+        k = max(k for k in range(1, len(pattern) + 1) if pattern[:k] in expansions)
+        for k in range(k, len(pattern)):
+            head, value, out = expansions[pattern[:k]], values[pattern[k]], {}
             spend(len(head) * len(value))
             for m1, c1 in head.items():
                 for m2, c2 in value.items():
                     m = tuple(sorted(m1 + m2))
                     out[m] = out.get(m, 0) + c1 * c2
-            expansions[pattern] = _normal(out)
+            expansions[pattern[:k + 1]] = _normal(out)
         return expansions[pattern]
 
     def apply(row: dict) -> dict:

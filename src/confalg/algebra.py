@@ -209,16 +209,16 @@ def _nested(sums: Sums, inner: ProductTable, outer: ProductTable, lam_in: Poly, 
 
     as one contraction of the outer table with the inner table viewed by its
     targets l; ``order`` permutes (i, j, k) in the key, so (1, 0, 2) puts the
-    product at (j, i, k, m).  The inner argument is substituted first and the
-    shift acts on the whole inner product, so lam_in may contain d.  With
+    product at (j, i, k, m).  The shift d -> s acts on the whole inner product,
+    lam_in included, so the view is the one simultaneous substitution
+    {d: s, x: lam_in|_{d -> s}}, which holds when lam_in contains d.  With
     ``scalar`` the outer table is a form, whose output carries no d, so the
     right shift is d -> lam_out.
     """
     d_out = Poly.zero(lam_out.table) if scalar else Poly.var(lam_out.table, "d")
-    shift = {"d": lam_out + d_out} if right else {"d": -lam_out}
-    at = Substitution(sums.table, {"x": lam_in})
-    view = _view(((l, (p, q), at(P)) for (p, q), targets in inner.items()
-                  for l, P in targets.items()), shift)
+    s = lam_out + d_out if right else -lam_out
+    view = _view(((l, (p, q), P) for (p, q), targets in inner.items() for l, P in targets.items()),
+                 {"d": s, "x": Substitution(sums.table, {"d": s})(lam_in)})
 
     i, j, k = order
 

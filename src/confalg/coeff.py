@@ -18,7 +18,12 @@ table, the bracket of every two window symbols as [(symbol, coefficient)],
 and evaluates each identity as a sum over chains of its entries (``_chain``):
 [a,[b,c]] = sum_k C_bc^k C_ak.  The lifted operator is linear, so
 T(x) = sum_k x_k T(u_k) with each lifted unit computed once, and so is each
-row [T a, u_l], so that [T a, T b] = sum_l q_l [T a, u_l].  ``_chain`` stays
+row [T a, u_l], so that [T a, T b] = sum_l q_l [T a, u_l].  Rows are of two
+kinds: when every coefficient of the table is constant, as for a table free
+of parameters, its rows hold rationals, which an instance sums in a plain
+dict, building a Poly only for a nonzero residual; otherwise, and for the
+lifted rows, which carry the map's parameters, rows hold Polys summed in
+``Sums``, into which a rational coefficient enters as the sign.  ``_chain`` stays
 apart from ``algebra._contract``, the sum every other identity uses: a row of
 the unit-pair table may leave the window, which skips the instance, and the
 structure-constant contraction has no such case.  Two symbols are negated
@@ -39,7 +44,7 @@ from fractions import Fraction
 
 from .algebra import LIE, ConformalAlgebra, PreconditionError
 from .linmap import ModuleMap
-from .poly import Poly, Record, Sums, _shown
+from .poly import Poly, Record, Sums, _constant, _shown
 from .report import Report
 
 
@@ -138,15 +143,25 @@ class CoeffWindow(Record):
         return lifted
 
 
-def _chain(out: Sums, terms, rows, sign: int = 1) -> bool:
+def _chain(out, terms, rows, sign: int = 1, rational_rows: bool = False) -> bool:
     """Add sign * sum of c * rows[k] over (k, c) in `terms` into `out`, where a
-    row is [(symbol, coefficient)]; False as soon as a needed row is None."""
+    row is [(symbol, coefficient)]; False as soon as a needed row is None.
+    `out` is a plain {symbol: rational} dict when c and the rows are rational,
+    else a Sums, into which each coefficient of `rational_rows` enters as the sign."""
+    plain = type(out) is dict
     for k, c in terms:
         row = rows[k]
         if row is None:
             return False
-        for m, q in row:
-            out.add(m, c, q, sign)
+        if plain:
+            for m, q in row:
+                out[m] = out.get(m, 0) + sign * c * q
+        elif rational_rows:
+            for m, q in row:
+                out.add(m, c, None, sign * q)
+        else:
+            for m, q in row:
+                out.add(m, c, q, sign)
     return True
 
 
@@ -179,13 +194,20 @@ def window_checks(w: CoeffWindow, T: ModuleMap | None = None,
 
     def chained(terms, rows):
         out = Sums(t)
-        return list(out.close().items()) if _chain(out, terms, rows) else None
+        return list(out.close().items()) if _chain(out, terms, rows, 1, rational) else None
+
+    def constants(out):  # an instance's nonzero rational sums as Polys
+        return {m: Poly.const(t, v) for m, v in out.items() if v}
 
     table = [[row(w._pair_bracket(*sa, *sb)) for sb in syms] for sa in syms]
+    # a table whose coefficients are all constant holds them as rationals
+    if rational := all(_constant(q) for row_a in table for r in row_a if r for _, q in r):
+        table = [[r and [(m, _constant(q)) for m, q in r] for r in row_a] for row_a in table]
+    close = constants if rational else Sums.close
     cols = list(zip(*table))
     report = Report()
 
-    antisymmetry, skipped = Sums(t), 0
+    antisymmetry, skipped = {} if rational else Sums(t), 0
     for a, row_a in enumerate(table):
         for b, ab in enumerate(row_a):
             ba = table[b][a]
@@ -193,8 +215,11 @@ def window_checks(w: CoeffWindow, T: ModuleMap | None = None,
                 skipped += 1
                 continue
             for m, q in ab + ba:
-                antisymmetry.add((a, b, m), q)
-    report.sweep("antisymmetry", (names,) * 2, antisymmetry.close(), names, "[{},{}]", skipped)
+                if rational:
+                    antisymmetry[a, b, m] = antisymmetry.get((a, b, m), 0) + q
+                else:
+                    antisymmetry.add((a, b, m), q)
+    report.sweep("antisymmetry", (names,) * 2, close(antisymmetry), names, "[{},{}]", skipped)
 
     # negated[a][b]: [b,a] is exactly -[a,b], or both leave the window
     negated = [[ab is None is ba or None not in (ab, ba) and dict(ab) == {k: -q for k, q in ba}
@@ -212,11 +237,12 @@ def window_checks(w: CoeffWindow, T: ModuleMap | None = None,
                 continue
             row_b = table[b]
             for c, (bc, ac) in enumerate(zip(row_b, row_a)):
-                if (bc is None or ac is None or not (_chain(out := Sums(t), bc, row_a)
-                        and _chain(out, ab, cols[c], -1) and _chain(out, ac, row_b, -1))):
+                if (bc is None or ac is None
+                        or not (_chain(out := {} if rational else Sums(t), bc, row_a)
+                                and _chain(out, ab, cols[c], -1) and _chain(out, ac, row_b, -1))):
                     skipped += 1 + mirror
                     continue
-                for m, p in out.close().items():
+                for m, p in close(out).items():
                     residuals[a, b, c, m] = p
                     if mirror:
                         residuals[b, a, c, m] = -p
@@ -224,6 +250,8 @@ def window_checks(w: CoeffWindow, T: ModuleMap | None = None,
 
     if T is not None:
         lift = w.lift_map(T)
+        # a Poly weight makes each c * weight a Poly, as _chain takes into Sums
+        weight = weight if isinstance(weight, Poly) else Poly.const(t, weight)
         lifted = [row(lift(w.unit(*sym))) for sym in syms]
         # the rows [T a, u_l] of each a that lifts into the window, each closed or None
         lifted_rows = [None if ta is None else [chained(ta, col) for col in cols]

@@ -198,11 +198,10 @@ class BilinearForm(Record):
         self.products: ProductTable = {}
         for i, row in enumerate(matrix):
             for j, p in enumerate(row):
-                extra = p.variables() - allowed
-                if extra:
-                    raise PreconditionError(
-                        f"form entries may use only x and parameters, got {sorted(extra)}")
-                if not p.is_zero:
+                if p.terms:
+                    if extra := p.variables() - allowed:
+                        raise PreconditionError(
+                            f"form entries may use only x and parameters, got {sorted(extra)}")
                     self.products[(i, j)] = {0: p}
 
     def induced_map(self) -> ModuleMap:

@@ -171,7 +171,8 @@ def t_from_r(A: ConformalAlgebra, r: Tensor2) -> ConformalLinearMap:
     D = Poly.var(table, "d")
     at = Substitution(table, {"d1": -Poly.var(table, "x") - D, "d2": D})
     n = A.rank
-    matrix = [[Poly.zero(table) for _ in range(n)] for _ in range(n)]
+    zero = Poly.zero(table)
+    matrix = [[zero] * n for _ in range(n)]
     for i, k, f in _entries(A, r)[0]:
         matrix[i][k] = at(f)
     return ConformalLinearMap(table, matrix)

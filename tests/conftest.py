@@ -8,7 +8,7 @@ from operator import add
 from pathlib import Path
 
 import pytest
-from hypothesis import strategies as st
+from hypothesis import settings, strategies as st
 
 from confalg import (
     ConformalAlgebra,
@@ -26,6 +26,11 @@ from confalg import (
 )
 from confalg.linmap import ModuleMap, NotInvertible
 from confalg.poly import Substitution, Sums, _make, _normal
+
+# Every run draws the same examples, so that a failure, or a kill in a
+# mutation run, repeats from one run to the next.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,7 @@ import confalg.coeff
 from confalg import (
     CoeffWindow,
     ConformalAlgebra,
+    LIE,
     ModuleMap,
     Poly,
     PreconditionError,
@@ -12,6 +13,8 @@ from confalg import (
     check_rota_baxter,
     window_checks,
 )
+from confalg.poly import Sums
+from confalg.report import Report
 from conftest import window_bracket
 
 
@@ -200,6 +203,45 @@ class TestChainSums:
                 assert window_checks(CoeffWindow(hv, N, {0: 1, 1: 0}), T, 0).ok
                 counts.append(calls)
         assert all(0 < c <= budget for c, budget in zip(counts, [6124, 5975, 17278, 17090]))
+
+    def test_rational_tables_sum_without_sums(self, monkeypatch, table, P):
+        """Every unit-pair coefficient of hv is constant, so once its table is
+        built, the antisymmetry and Jacobi sweeps of the four windows of the
+        systems benchmark workload sum rationals and add nothing into a Sums;
+        the lifted identity, whose rows hold the maps' parameters, still does.
+        A table whose coefficients hold a parameter sums every sweep in Sums."""
+        hv = catalog("hv", table=table).algebra
+        add, pair_bracket, sweep = Sums.add, CoeffWindow._pair_bracket, Report.sweep
+        adds, marks = 0, {}
+
+        def counting(self, *args):
+            nonlocal adds
+            adds += 1
+            return add(self, *args)
+
+        def pair(self, *args):  # marks the end of the table
+            out = pair_bracket(self, *args)
+            marks["table"] = adds
+            return out
+
+        def marking(self, name, *args, **kwargs):  # marks the end of a sweep
+            marks[name] = adds
+            return sweep(self, name, *args, **kwargs)
+
+        monkeypatch.setattr(Sums, "add", counting)
+        monkeypatch.setattr(CoeffWindow, "_pair_bracket", pair)
+        monkeypatch.setattr(Report, "sweep", marking)
+        for N in (4, 6):
+            for fam in (1, 2):
+                T = catalog(f"hv_rb_family{fam}", table=table).linmap
+                adds = 0
+                assert window_checks(CoeffWindow(hv, N, {0: 1, 1: 0}), T, 0).ok
+                assert (0 < marks["table"] == marks["antisymmetry"] == marks["jacobi"]
+                        < marks["lifted_rota_baxter"]), (N, fam, marks)
+        scaled = ConformalAlgebra(LIE, ("L",), table, {(0, 0): {0: P("b*d+2*b*x")}})
+        adds = 0
+        window_checks(CoeffWindow(scaled, 3))
+        assert marks["table"] < marks["antisymmetry"] < marks["jacobi"], marks
 
     def test_window_cap(self, monkeypatch, hv):
         """A window whose Jacobi sweep passes the cap is refused before any

@@ -315,6 +315,24 @@ class TestCocycles:
         with pytest.raises(PreconditionError, match="form size"):
             cocycle_check(A, short_rows)
 
+    def test_sparse_form_reads_the_variables_of_its_nonzero_entries(self, monkeypatch,
+                                                                    table, P):
+        """A form checks the variables of its nonzero entries only, as a module
+        map does: a 16 x 16 form with two nonzero entries reads two of them."""
+        variables, calls = Poly.variables, 0
+
+        def counting(self):
+            nonlocal calls
+            calls += 1
+            return variables(self)
+
+        monkeypatch.setattr(Poly, "variables", counting)
+        matrix = [[P("0")] * 16 for _ in range(16)]
+        matrix[0][1], matrix[1][0] = P("b*x"), P("-b*x")
+        form = BilinearForm(table, tuple(f"e{i}" for i in range(16)), matrix, "lie")
+        assert calls == 2
+        assert form.products == {(0, 1): {0: P("b*x")}, (1, 0): {0: P("-b*x")}}
+
     def test_non_solution_gives_non_cocycle(self, hv, P):
         # skew and non-degenerate, but not a Yang-Baxter solution: the
         # induced form must fail the cocycle identity (and only that)

@@ -18,12 +18,13 @@ table, the bracket of every two window symbols as [(symbol, coefficient)],
 and evaluates each identity as a sum over chains of its entries (``_chain``):
 [a,[b,c]] = sum_k C_bc^k C_ak.  The lifted operator is linear, so
 T(x) = sum_k x_k T(u_k) with each lifted unit computed once, and so is each
-row [T a, u_l], so that [T a, T b] = sum_l q_l [T a, u_l].  Rows are of two
-kinds: when every coefficient of the table is constant, as for a table free
-of parameters, its rows hold rationals, which an instance sums in a plain
-dict, building a Poly only for a nonzero residual; otherwise, and for the
-lifted rows, which carry the map's parameters, rows hold Polys summed in
-``Sums``, into which a rational coefficient enters as the sign.  ``_chain`` stays
+row [T a, u_l], so that [T a, T b] = sum_l q_l [T a, u_l].  The table's
+entries pick the kind of rows.  When every d-split cofactor of the entries is
+constant, as for a table free of parameters, the unit-pair table is built as
+rationals and every sweep sums an instance in plain dicts, building a Poly
+only for a nonzero residual; the lifted sweep splits each lifted unit and
+the weight into monomials and sums by monomial (``_split_lift``).  Otherwise
+every row holds Polys, summed in ``Sums`` (``_sums_lift``).  ``_chain`` stays
 apart from ``algebra._contract``, the sum every other identity uses: a row of
 the unit-pair table may leave the window, which skips the instance, and the
 structure-constant contraction has no such case.  Two symbols are negated
@@ -44,7 +45,7 @@ from fractions import Fraction
 
 from .algebra import LIE, ConformalAlgebra, PreconditionError
 from .linmap import ModuleMap
-from .poly import Poly, Record, Sums, _constant, _shown
+from .poly import Poly, Record, Sums, VarTableMismatch, _constant, _shown
 from .report import Report
 
 
@@ -65,7 +66,7 @@ def _falling(t: int, s: int) -> int:
 class CoeffWindow(Record):
     """Symbols v_m for each generator v and |m + shift_v| <= N."""
 
-    _uncompared = ("_entries",)
+    _uncompared = ("_entries", "_rational")
 
     def __init__(self, algebra: ConformalAlgebra, N: int,
                  shifts: dict[int, int] | None = None) -> None:
@@ -78,6 +79,11 @@ class CoeffWindow(Record):
                               for k, P in targets.items()
                               for (n,), cof in P.split(("x",)).items()]
                          for ij, targets in algebra.products.items()}
+        # the same with each cofactor a rational, or None when one is not constant
+        rational = {ij: [(k, n, {s: _constant(cof) for s, cof in split.items()})
+                         for k, n, split in row] for ij, row in self._entries.items()}
+        self._rational = None if any(q is None for row in rational.values()
+                                     for *_, split in row for q in split.values()) else rational
 
     def shift(self, i: int) -> int:
         return self.shifts.get(i, 0)
@@ -97,12 +103,13 @@ class CoeffWindow(Record):
     def label(self, i: int, m: int) -> str:
         return f"{self.algebra.basis[i]}_{m}"
 
-    def _reduce(self, terms) -> WinElem | None:
+    def _reduce(self, terms, rational: bool = False) -> WinElem | None:
         """The sum of scale * c * p(d) u_t over the (k, t, split, c, scale) in
         `terms`: u_t is generator k at raw index t, split the d-split of p,
         (d^s u)_t = (-1)^s t(t-1)...(t-s+1) u_{t-s}, c a polynomial or None for 1
-        and scale an integer; None as soon as an index leaves the window."""
-        out = Sums(self.algebra.table)
+        and scale an integer; None as soon as an index leaves the window.  With
+        `rational`, cofactors are rationals and the sum a {symbol: rational} dict."""
+        out = {} if rational else Sums(self.algebra.table)
         for k, t, split, c, scale in terms:
             for (s,), cof in split.items():
                 factor = (-1) ** s * _falling(t, s)
@@ -111,20 +118,26 @@ class CoeffWindow(Record):
                 raw = t - s
                 if abs(raw) > self.N:
                     return None
-                out.add((k, raw - self.shift(k)), cof, c, scale * factor)
-        return out.close()
+                key = k, raw - self.shift(k)
+                if rational:
+                    out[key] = out.get(key, 0) + scale * factor * cof
+                else:
+                    out.add(key, cof, c, scale * factor)
+        return {key: q for key, q in out.items() if q} if rational else out.close()
 
-    def _pair_bracket(self, i: int, m: int, j: int, n: int) -> WinElem | None:
-        """The product of the unit symbols (i, m) and (j, n)."""
+    def _pair_bracket(self, i: int, m: int, j: int, n: int,
+                      rational: bool = False) -> WinElem | None:
+        """The product of the unit symbols (i, m) and (j, n), as rationals with `rational`."""
         mu = m + self.shift(i)
         nu = n + self.shift(j)
         if abs(mu) > self.N or abs(nu) > self.N:
             return None
         # a_m . b_n = sum_deg m(m-1)...(m-deg+1) (c_deg)_{m+n-deg}, with
         # c_deg = a_(deg) b / deg! the x^deg coefficient of the bracket
-        return self._reduce((k, mu + nu - deg, split, None, f)
-                            for k, deg, split in self._entries.get((i, j), ())
-                            if (f := _falling(mu, deg)))
+        entries = self._rational if rational else self._entries
+        return self._reduce(((k, mu + nu - deg, split, None, f)
+                             for k, deg, split in entries.get((i, j), ())
+                             if (f := _falling(mu, deg))), rational)
 
     def lift_map(self, T: ModuleMap):
         """The operator a_n -> T(a)_n, with d-powers reduced into index shifts."""
@@ -143,11 +156,11 @@ class CoeffWindow(Record):
         return lifted
 
 
-def _chain(out, terms, rows, sign: int = 1, rational_rows: bool = False) -> bool:
+def _chain(out, terms, rows, sign: int = 1) -> bool:
     """Add sign * sum of c * rows[k] over (k, c) in `terms` into `out`, where a
     row is [(symbol, coefficient)]; False as soon as a needed row is None.
     `out` is a plain {symbol: rational} dict when c and the rows are rational,
-    else a Sums, into which each coefficient of `rational_rows` enters as the sign."""
+    else a Sums."""
     plain = type(out) is dict
     for k, c in terms:
         row = rows[k]
@@ -156,13 +169,98 @@ def _chain(out, terms, rows, sign: int = 1, rational_rows: bool = False) -> bool
         if plain:
             for m, q in row:
                 out[m] = out.get(m, 0) + sign * c * q
-        elif rational_rows:
-            for m, q in row:
-                out.add(m, c, None, sign * q)
         else:
             for m, q in row:
                 out.add(m, c, q, sign)
     return True
+
+
+def _sums_lift(t, table, cols, lifted, weight):
+    """The lifted residual R(a, b), or None for a skip, on a table of Polys:
+    each row [T a, u_l] is closed once, and each R sums in a Sums."""
+    def chained(terms, rows):
+        out = Sums(t)
+        return list(out.close().items()) if _chain(out, terms, rows) else None
+
+    # the rows [T a, u_l] of each a that lifts into the window, each closed or None
+    lifted_rows = [None if ta is None else [chained(ta, col) for col in cols] for ta in lifted]
+
+    def residual(a, b):
+        rows_a, tb, ab = lifted_rows[a], lifted[b], table[a][b]
+        out = Sums(t)
+        if (rows_a is not None and tb is not None and ab is not None
+                and rows_a[b] is not None and _chain(out, tb, rows_a)
+                and (right := chained(tb, table[a])) is not None
+                and _chain(out, rows_a[b], lifted, -1)
+                and _chain(out, right, lifted, -1)
+                and _chain(out, [(k, c * weight) for k, c in ab], lifted, -1)):
+            return out.close()
+
+    return residual
+
+
+def _split_chain(out, terms, rows, prod, sign: int = 1) -> bool:
+    """``_chain`` by monomials: add sign * sum of c x_p rows[k] over (k, p, c) in
+    `terms` into the plain dict `out`, keyed (symbol, monomial), where a row is
+    [(symbol, q, v)] for v x_q and x_p x_q is the monomial prod[p][q]; False as
+    soon as a needed row is None."""
+    for k, p, c in terms:
+        if (row := rows[k]) is None:
+            return False
+        pp = prod[p]
+        for m, q, v in row:
+            key = m, pp[q]
+            out[key] = out.get(key, 0) + sign * c * v
+    return True
+
+
+def _split_lift(t, table, lifted, weight):
+    """The lifted residual R(a, b), or None for a skip, on a table of rationals,
+    as ``_sums_lift`` computes it: each coefficient of a lifted unit and of the
+    weight is split into monomials, indexed once, rows hold rationals keyed by
+    (symbol, monomial) and R sums in a plain dict, through ``_split_chain``; a
+    Poly is built only for a nonzero residual."""
+    monos = {(0,) * len(t.names): 0}  # exponent tuple -> index, the monomial 1 first
+
+    def split(ta):  # [(symbol, Poly)] -> [(symbol, monomial, rational)]
+        return ta and [(k, monos.setdefault(e, len(monos)), c)
+                       for k, q in ta for e, c in q.terms.items()]
+
+    units = [split(ta) for ta in lifted]
+    # a zero weight still needs each symbol of [a, b] to lift into the window
+    omega = split([(None, weight)]) or [(None, 0, 0)]
+    factors = list(monos)
+    prod = [[monos.setdefault(tuple(x + y for x, y in zip(e, f)), len(monos)) for f in factors]
+            for e in factors]
+    exps = list(monos)
+    table = [[r and [(m, 0, v) for m, v in r] for r in row] for row in table]  # monomial 1
+    cols = list(zip(*table))
+
+    def chained(terms, rows):
+        out = {}
+        if _split_chain(out, terms, rows, prod):
+            return [(m, p, v) for (m, p), v in out.items() if v]
+
+    # the rows [T a, u_l] of each a that lifts into the window, each closed or None
+    lifted_rows = [None if ta is None else [chained(ta, col) for col in cols] for ta in units]
+
+    def residual(a, b):
+        rows_a, tb, ab = lifted_rows[a], units[b], table[a][b]
+        out = {}
+        if (rows_a is not None and tb is not None and ab is not None
+                and rows_a[b] is not None and _split_chain(out, tb, rows_a, prod)
+                and (right := chained(tb, table[a])) is not None
+                and _split_chain(out, rows_a[b], units, prod, -1)
+                and _split_chain(out, right, units, prod, -1)
+                and _split_chain(out, [(k, p, c * w) for k, _, c in ab for _, p, w in omega],
+                                 units, prod, -1)):
+            terms = {}
+            for (m, e), v in out.items():
+                if v:
+                    terms.setdefault(m, {})[exps[e]] = v
+            return {m: Poly(t, ts) for m, ts in terms.items()}
+
+    return residual
 
 
 def window_checks(w: CoeffWindow, T: ModuleMap | None = None,
@@ -192,17 +290,12 @@ def window_checks(w: CoeffWindow, T: ModuleMap | None = None,
     def row(elem):
         return None if elem is None else [(index[k], c) for k, c in elem.items()]
 
-    def chained(terms, rows):
-        out = Sums(t)
-        return list(out.close().items()) if _chain(out, terms, rows, 1, rational) else None
-
     def constants(out):  # an instance's nonzero rational sums as Polys
         return {m: Poly.const(t, v) for m, v in out.items() if v}
 
-    table = [[row(w._pair_bracket(*sa, *sb)) for sb in syms] for sa in syms]
-    # a table whose coefficients are all constant holds them as rationals
-    if rational := all(_constant(q) for row_a in table for r in row_a if r for _, q in r):
-        table = [[r and [(m, _constant(q)) for m, q in r] for r in row_a] for row_a in table]
+    # a table whose cofactors are all constant is built and summed as rationals
+    rational = w._rational is not None
+    table = [[row(w._pair_bracket(*sa, *sb, rational)) for sb in syms] for sa in syms]
     close = constants if rational else Sums.close
     cols = list(zip(*table))
     report = Report()
@@ -250,35 +343,29 @@ def window_checks(w: CoeffWindow, T: ModuleMap | None = None,
 
     if T is not None:
         lift = w.lift_map(T)
-        # a Poly weight makes each c * weight a Poly, as _chain takes into Sums
         weight = weight if isinstance(weight, Poly) else Poly.const(t, weight)
+        if weight.table != t:
+            raise VarTableMismatch("the weight and the algebra have different variable tables")
         lifted = [row(lift(w.unit(*sym))) for sym in syms]
-        # the rows [T a, u_l] of each a that lifts into the window, each closed or None
-        lifted_rows = [None if ta is None else [chained(ta, col) for col in cols]
-                       for ta in lifted]
+        residual = (_split_lift(t, table, lifted, weight) if rational
+                    else _sums_lift(t, table, cols, lifted, weight))
         # R(b,a) = -R(a,b) when every pair of {a} + supp Ta and {b} + supp Tb is negated
         spans = [None if ta is None else {a, *(k for k, _ in ta)} for a, ta in enumerate(lifted)]
         mirrored = {(a, b) for a, sa in enumerate(spans) for b, sb in enumerate(spans)
                     if a < b and sa and sb and all(negated[k][l] for k in sa for l in sb)}
         residuals, skipped = {}, 0
-        for a, rows_a in enumerate(lifted_rows):
-            for b, (tb, ab) in enumerate(zip(lifted, table[a])):
+        for a in range(n):
+            for b in range(n):
                 if (b, a) in mirrored:
                     continue
                 mirror = (a, b) in mirrored
-                # [T a, T b] - T([T a, b] + [a, T b] + weight [a, b])
-                out = Sums(t)
-                if (rows_a is not None and tb is not None and ab is not None
-                        and rows_a[b] is not None and _chain(out, tb, rows_a)
-                        and (right := chained(tb, table[a])) is not None
-                        and _chain(out, rows_a[b], lifted, -1)
-                        and _chain(out, right, lifted, -1)
-                        and _chain(out, [(k, c * weight) for k, c in ab], lifted, -1)):
-                    for m, p in out.close().items():
-                        residuals[a, b, m] = p
-                        if mirror:
-                            residuals[b, a, m] = -p
-                else:
+                # [T a, T b] - T([T a, b] + [a, T b] + weight [a, b]), None for a skip
+                if (out := residual(a, b)) is None:
                     skipped += 1 + mirror
+                    continue
+                for m, p in out.items():
+                    residuals[a, b, m] = p
+                    if mirror:
+                        residuals[b, a, m] = -p
         report.sweep("lifted_rota_baxter", (names,) * 2, residuals, names, skipped=skipped)
     return report

@@ -1497,6 +1497,11 @@ WINDOW_ALGEBRAS = {
         (1, 1): {0: parse(BA, "b*x^2"), 1: parse(BA, "1")}}),
 }
 WINDOW_WEIGHTS = (0, Fraction(1, 2), Poly.var(BA, "alpha"))
+# hv over the parameters that the monomial-split maps and weights need
+SPLIT = VarTable(params=("b", "g0", "g1", "alpha"))
+SPLIT_MAPS = [ModuleMap(SPLIT, [[parse(SPLIT, p) for p in row] for row in rows]) for rows in (
+    [["b+1", "g0*d-2"], ["3*b*g1", "d^2"]], [["0", "1"], ["b", "0"]])]
+SPLIT_WEIGHTS = (0, 1, parse(SPLIT, "alpha"), parse(SPLIT, "1/2+alpha*b"))
 map_entry = poly_strategy(BA, names=("d", "b"), max_terms=3, max_degree=3)
 
 
@@ -1578,6 +1583,22 @@ class TestWindowOracle:
         w = CoeffWindow(A, N, {0: 1, 1: 0})
         assert w._pair_bracket(0, -7, 1, 0) is None
         assert w._pair_bracket(1, 0, 0, -7) == {}
+
+    @pytest.mark.parametrize("shifts", [{0: 1, 1: 0}, None])
+    @pytest.mark.parametrize("N", [1, 2, 4])
+    def test_monomial_split(self, N, shifts):
+        """hv's table is rational, so window_checks sums the lifted identity by
+        monomial: maps whose entries mix a constant, b, a d-term and a product
+        of two parameters, under a zero, a constant, a parameter and a mixed
+        weight, give the oracle's residuals and counts.  Each case fails the
+        lifted identity, so residuals that hold products of two monomials,
+        such as b*g1, are compared."""
+        w = CoeffWindow(catalog("hv", table=SPLIT).algebra, N, shifts)
+        for T in SPLIT_MAPS:
+            for weight in SPLIT_WEIGHTS:
+                want = window_outcome(oracle_window_checks, w, T, weight)
+                assert not want[0]["checks"][-1]["ok"]
+                assert window_outcome(window_checks, w, T, weight) == want
 
     @pytest.mark.parametrize("N", [2, 3, 4])
     @pytest.mark.parametrize("name", ["skew", "b_table", "vir", "hv"])

@@ -147,6 +147,14 @@ class TestJsonRoundTrips:
 SKEW_CUBIC = {"params": ["b"], "map": {"L": {"L": "b*d+1"}},
               "algebra": {"kind": "lie", "basis": ["L"],
                           "products": {"L,L": {"L": "(d+2*x)*(x^2+x*d)"}}}}
+# a rank-2 table whose entries hold the parameter b in their d-split cofactors,
+# and a map holding b*d and b^2
+B_TABLE = {"params": ["b"],
+           "map": {"L": {"L": "b+1", "W": "b*d"}, "W": {"L": "b", "W": "b^2"}},
+           "algebra": {"kind": "lie", "basis": ["L", "W"],
+                       "products": {"L,L": {"L": "d+2*x"}, "L,W": {"W": "b*d+b*x"},
+                                    "W,L": {"L": "b", "W": "x-b*d"},
+                                    "W,W": {"L": "b*x^2", "W": "1"}}}}
 
 
 def run(tmp_path, command, doc=None, *extra):
@@ -335,11 +343,13 @@ class TestCli:
         ("hv_rb_family2.N4", {"algebra": "hv", "map": "hv_rb_family2"},
          ["--window", "4", "--shift", "L=1", "--shift", "W=0"], 0),
         ("skew.N3", SKEW_CUBIC, ["--window", "3", "--shift", "L=1"], 1),
+        ("b_table.N1", B_TABLE, ["--weight", "free", "--window", "1", "--shift", "L=1"], 1),
     ])
     def test_coeff_golden(self, tmp_path, capsys, name, doc, argv, code):
         """coeff prints the text in tests/golden byte for byte.  The skew cubic
         table fails Jacobi and the lifted identity, so residuals that hold its
-        x^2 and x^3 terms are printed."""
+        x^2 and x^3 terms are printed; the b table fails all three checks with
+        residuals that hold b^2 to b^5 and the free weight alpha."""
         golden = Path(__file__).resolve().parent / "golden"
         assert run(tmp_path, "coeff", doc, *argv) == code
         out = capsys.readouterr()

@@ -7,9 +7,11 @@ replaced, and the square/linear solver against the round-by-round elimination
 it replaced, which substitutes the whole assignment into every equation and
 matches every equation again after each elimination.  The coefficient-window
 checks are compared against the sweep that brackets general window elements
-with ``conftest.window_bracket`` and lifts them with ``lift_map``; that sweep
-shares the unit bracket, which ``oracle_unit_bracket`` compares with the
-textbook formula in sympy.  The
+with ``conftest.window_bracket`` and lifts them with ``lift_map``, multiplying
+polynomials where ``window_checks`` adds packed monomials; that sweep shares
+the unit bracket and each unit's lift, read from the same monomial split, and
+``oracle_unit_bracket`` compares the unit bracket with the textbook formula in
+sympy.  The
 Rota-Baxter residuals are compared against four dense products per basis
 pair, and the constraint systems against the expansion of the generic map,
 whose entries hold every unknown, split by (d, x) exponents: as ordered
@@ -1554,6 +1556,20 @@ class TestWindowOracle:
             assert [c["ok"] for c in want[0]["checks"]] == [False, False, False]
             assert all(skipped for _, _, skipped in want[1])
             assert window_outcome(window_checks, w, T, weight) == want
+
+    def test_packed_monomials_do_not_carry(self):
+        """window_checks packs each monomial in base 1 + 3e, with e the largest
+        exponent in the table, the map and the weight: here e = 1, and the
+        weight b times the table's b times the lifted unit b gives the b^3 of
+        22 lifted residuals, which a base of 3e would carry into another
+        monomial."""
+        b = parse(BA, "b")
+        w = CoeffWindow(WINDOW_ALGEBRAS["b_table"], 2, {0: 1})
+        T = ModuleMap(BA, [[b, Poly.zero(BA)], [Poly.zero(BA), Poly.const(BA, 1)]])
+        want = window_outcome(oracle_window_checks, w, T, b)
+        residuals = [r["poly"] for c in want[0]["checks"] for r in c["residuals"]]
+        assert (len(residuals), sum("b^3" in r for r in residuals)) == (459, 22)
+        assert window_outcome(window_checks, w, T, b) == want
 
     @pytest.mark.parametrize("N", [2, 3])
     def test_mirrored_residuals_are_compared(self, N):

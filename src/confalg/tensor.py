@@ -16,6 +16,8 @@ plain substitution, taken directly at d3 := -d1 - d2, so each term is one
 ``algebra._contract`` of the table with the entries of r viewed by row or
 column, each entry and table value substituted once per term, as the
 general-element entry ``algebra.apply_bilinear`` does for two elements.
+Equal entries of r are one object, so a view substitutes each distinct value
+once; the cobracket views only the rows and columns its element reaches.
 """
 
 from __future__ import annotations
@@ -38,9 +40,14 @@ from .reps import Representation, check_rep, dual_rep, semidirect
 
 
 class Tensor2(Record):
+    """An element of the tensor square, coeffs[i, j] = f_ij(d1, d2), nonzero
+    only.  Each coefficient equal to an earlier one, in variable table and
+    terms, is replaced by it, as ``algebra.clean_table`` does for tables."""
+
     def __init__(self, algebra: ConformalAlgebra, coeffs: dict[tuple[int, int], Poly]) -> None:
         self.algebra = algebra
-        self.coeffs = {k: p for k, p in coeffs.items() if not p.is_zero}
+        first: dict[Poly, Poly] = {}
+        self.coeffs = {k: first.setdefault(p, p) for k, p in coeffs.items() if not p.is_zero}
 
     @property
     def is_zero(self) -> bool:
@@ -218,7 +225,8 @@ def cobracket_from_r(A: ConformalAlgebra, r: Tensor2, a: Vector) -> Tensor2:
     lam = -d1 - d2
     shift = Substitution(t, {"d": -lam})
     element = {p: [(p, shift(h))] for p, h in enumerate(a) if not h.is_zero}
-    rows, cols = _entries(A, r)
+    reach = {q for p, q in P if p in element}  # the only rows and columns _contract looks up
+    rows, cols = ([e for e in view if e[0] in reach] for view in _entries(A, r))
     out = Sums(t)
     _contract(out, P, {"d": d1, "x": lam}, lambda _, i, k: (k, i), element,
               _view(rows, {"d1": -d2}))

@@ -846,13 +846,25 @@ class TestOracles:
 
     @pytest.mark.parametrize("fam", sorted(PERTURBED))
     def test_cobracket_rank8(self, fam):
+        """Basis elements, the zero element, a general one and elements with
+        two or three nonzero components, some of which reach only part of the
+        rows of r."""
         tensors = list(rank8_cybe_tensors(fam).values()) + list(rank8_s_tensors(fam).values())
+        supports = ((0, 5), (1, 2, 6), (3, 4, 7))
+        partial = 0
         for r in tensors:
             S = r.algebra
             general = tuple(Poly.const(T, i - 3) + D ** (i % 3) * Poly.var(T, "b")
                             for i in range(S.rank))
-            for a in [S.basis_vector(i) for i in range(S.rank)] + [general]:
+            sparse = [tuple(g if i in support else Poly.zero(T) for i, g in enumerate(general))
+                      for support in supports]
+            rows = {p for p, _ in r.coeffs}
+            partial += sum(0 < len(rows & {q for p, q in S.products if p in support}) < len(rows)
+                           for support in supports)
+            zero = tuple(Poly.zero(T) for _ in range(S.rank))
+            for a in [S.basis_vector(i) for i in range(S.rank)] + [general, zero] + sparse:
                 assert cobracket_from_r(S, r, a).coeffs == oracle_cobracket(S, r, a).coeffs
+        assert partial
 
     @pytest.mark.parametrize("label", sorted(COCYCLE_LABELS))
     @given(data=st.data())

@@ -200,6 +200,49 @@ def test_benchmark_constraint_jobs_meet_their_answers():
         assert job.observe(job.run())[0] == expected[job.key]["expect"], job.key
 
 
+def test_benchmark_tensor_jobs_meet_their_answers():
+    """Every tensor_eqs job, run and observed untimed, gives the label
+    perfbench/expected.json holds."""
+    workloads = _benchmark_module("workloads")
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
+    expected = json.loads(path.read_text())["tensor_eqs"]
+    jobs = [job for group in workloads.setup_tensor_eqs() for job in group]
+    assert {job.key for job in jobs} == set(expected)
+    for job in jobs:
+        assert job.observe(job.run())[0] == expected[job.key]["expect"], job.key
+
+
+# substitutions that miss Substitution's memo, per dense rank-8 tensor_eqs job:
+# a ratchet, lowered when the work falls
+TENSOR_SUBSTITUTION_BUDGETS = {"dense.hv_lsc1.cybe": 63, "dense.hv_lsc2.cybe": 39,
+                               "dense.hv_lsc1.cobracket": 224, "dense.hv_lsc2.cobracket": 80}
+
+
+def test_dense_tensor_jobs_substitute_each_distinct_entry_once(monkeypatch):
+    """Equal entries of r are one object, and the cobracket views only the
+    rows its element reaches, so the dense jobs run at most these
+    substitution term loops; substituting every copy of every entry took
+    167, 143, 784 and 680."""
+    workloads = _benchmark_module("workloads")
+    jobs = {job.key: job for group in workloads.setup_tensor_eqs() for job in group}
+    loops = 0
+    call = Substitution.__call__
+
+    def counting_call(sub, p):
+        nonlocal loops
+        if sub.values and p.terms and id(p) not in sub.memo:
+            loops += 1
+        return call(sub, p)
+
+    monkeypatch.setattr(Substitution, "__call__", counting_call)
+    counts = {}
+    for key in TENSOR_SUBSTITUTION_BUDGETS:
+        loops = 0
+        jobs[key].run()
+        counts[key] = loops
+    assert all(counts[key] <= budget for key, budget in TENSOR_SUBSTITUTION_BUDGETS.items()), counts
+
+
 def test_benchmark_tracer_reads_kernel_terms(hv):
     """The tracer reads Poly.terms directly: exponent tuples and coefficients."""
     tracer = _benchmark_module("tracer")

@@ -30,6 +30,7 @@ from confalg import (
     t_from_r,
     with_zero_right,
 )
+from confalg.io_json import tensor_from_dict
 from confalg.operators import form_pr_map
 from conftest import normal_form3, poly_strategy
 from test_oracles import (COCYCLE_LABELS, PERTURBED, cocycle_input, rank8_cybe_tensors,
@@ -94,6 +95,46 @@ class TestParts:
         assert pp.skew + pp.sym == two_r
         assert parts(pp.skew).is_skew
         assert parts(pp.sym).is_sym
+
+
+class TestSharedEntries:
+    """Equal coefficients of a Tensor2 are one object, so the memos keyed by
+    object (Substitution, _contract) substitute and multiply a value once."""
+
+    def test_constructor(self, hv, P):
+        r = Tensor2(hv, {(0, 0): P("d1+1"), (0, 1): P("d2"), (1, 1): P("d1+1")})
+        assert r.coeffs[0, 0] is r.coeffs[1, 1]
+        assert r.coeffs[0, 1] is not r.coeffs[0, 0]
+
+    def test_sum(self, hv, P):
+        r = Tensor2(hv, {(0, 0): P("d1"), (1, 1): P("2*d1")}) + Tensor2(hv, {(0, 0): P("d1")})
+        assert r.coeffs == {(0, 0): P("2*d1"), (1, 1): P("2*d1")}
+        assert r.coeffs[0, 0] is r.coeffs[1, 1]
+
+    def test_flip(self, hv, P):
+        r = flip(Tensor2(hv, {(0, 1): P("d1*d2"), (1, 0): P("d1*d2"), (1, 1): P("d1")}))
+        assert r.coeffs == {(1, 0): P("d1*d2"), (0, 1): P("d1*d2"), (1, 1): P("d2")}
+        assert r.coeffs[1, 0] is r.coeffs[0, 1]
+
+    @pytest.mark.parametrize("mode", ["raw", "skew", "sym"])
+    def test_r_from_t(self, hv, P, mode):
+        """The map's equal entries are separate objects; the tensor's are one."""
+        T = ConformalLinearMap(hv.table, [[P("d"), P("x")], [P("x"), P("d")]])
+        r = r_from_t(T, standard_rep(hv, "adjoint"), mode=mode)
+        assert r.coeffs[0, 2] is r.coeffs[1, 3] and r.coeffs[1, 2] is r.coeffs[0, 3]
+
+    def test_tensor_from_dict(self, hv):
+        doc = {"entries": [{"i": "L", "j": "L", "c": "d1+1"}, {"i": "W", "j": "W", "c": "1+d1"},
+                           {"i": "L", "j": "W", "c": "d2"}]}
+        r = tensor_from_dict(doc, hv)
+        assert r.coeffs[0, 0] is r.coeffs[1, 1]
+        assert r.coeffs[0, 1] is not r.coeffs[0, 0]
+
+    def test_entries_over_other_tables_stay_apart(self, hv):
+        pa, pc = parse(VarTable(params=("a",)), "d1+1"), parse(VarTable(params=("c",)), "d1+1")
+        assert pa.terms == pc.terms
+        r = Tensor2(hv, {(0, 0): pa, (1, 1): pc})
+        assert r.coeffs[0, 0] is pa and r.coeffs[1, 1] is pc
 
 
 class TestCybe:

@@ -136,8 +136,8 @@ def _contract(sums: Sums, products: ProductTable, at: dict, place, left: dict | 
     A view maps an index to [(index, factor)]; a missing view is the identity,
     which yields (p, None) for p, and a None factor is 1.  Within a table
     entry, a * b and, when there is an out view, a * b * P are memoised by the
-    ids of their factors, which views share (a constraint system's map
-    entries are a few powers of d); ``Sums.add`` multiplies in the last factor.
+    ids of their factors, which views share where a map's entries are one
+    object; ``Sums.add`` multiplies in the last factor.
     Without an out view, a pair (a * b, P) that recurs anywhere in the
     contraction, as equal table entries (one object after ``clean_table``)
     and shared view entries make it, is multiplied once: its first use

@@ -10,7 +10,9 @@ identities and the rb and o_product tables.  A form's value on general
 elements is ``algebra.apply_bilinear`` of its ``products`` with ``out=0``.
 The constraint generator turns the Rota-Baxter identity for an undetermined
 polynomial operator into a plain polynomial system in its coefficients,
-solved (when possible) by a deliberately small elimination loop.
+solved (when possible) by a deliberately small elimination loop; it forms
+each coefficient polynomial of the identity once per table entry and pair
+of degrees, and relabels it to every pair of unknowns, not via ``_rb_sums``.
 """
 
 from __future__ import annotations
@@ -62,8 +64,8 @@ def check_o_operator(T: ModuleMap, rep: Representation, ker_mode: bool = False) 
     if T.src_rank != rep.mrank or T.dst_rank != A.rank:
         raise PreconditionError("map shape does not match the representation")
     t, n, S = A.table, A.rank, semidirect(A, rep, checked=False)
-    sums = {(u - n, v - n, m): R for (u, v, m, _), R in _rb_sums(
-        t, S.products, [(n + u, p, (), f) for u, p, _, f in _entries(T)], 0).close().items()}
+    sums = {(u - n, v - n, m): R for (u, v, m), R in _rb_sums(
+        t, S.products, [(n + u, p, f) for u, p, f in _entries(T)], 0).close().items()}
     report = Report()
     if not ker_mode:
         report.sweep("o_operator", (rep.mbasis,) * 2, sums, A.basis)
@@ -80,41 +82,36 @@ def check_o_operator(T: ModuleMap, rep: Representation, ker_mode: bool = False) 
 
 def _rb_sums(t: VarTable, P: ProductTable, entries: list[tuple], weight=None) -> Sums:
     """The weight-alpha Rota-Baxter residual of a map T as four sums over the
-    nonzero table entries (p, q) -> l and the map's entries (i, p, tag, T_ip(d)):
+    nonzero table entries (p, q) -> l and the concrete map's entries (i, p, T_ip(d)):
 
         sum T_ip(-x) T_jq(x+d) P_pqm - sum T_jq(x+d) P_iql T_lm(d)
         - sum T_ip(-x) P_pjl T_lm(d) - alpha sum P_ijl T_lm(d);
 
-    with no weight, the product [T(e_i)_x e_j] = sum T_ip(-x) P_pjm alone.  A
-    tag is a tuple of unknown indices, () for a concrete map.  The accumulator
-    returned is keyed (i, j, m, the sorted tags of a term's factors).
-    Each sum is one ``_contract``, with each map entry substituted once at each
-    argument; a zero weight skips the last sum.
+    with no weight, the product [T(e_i)_x e_j] = sum T_ip(-x) P_pjm alone.  The
+    accumulator returned is keyed (i, j, m).  Each sum is one ``_contract``,
+    with each map entry substituted once at each argument; a zero weight skips
+    the last sum.
     """
     X = Poly.var(t, "x")
-    cols = [(p, (i, tag), f) for i, p, tag, f in entries]
+    cols = [(p, i, f) for i, p, f in entries]
     at_neg, at_shift = _view(cols, {"d": -X}), _view(cols, {"d": X + Poly.var(t, "d")})
-    rows = _view((i, (p, tag), f) for i, p, tag, f in entries)
-    ident = {k: [((k, ()), None)] for pair, targets in P.items() for k in (*pair, *targets)}
-
-    def place(a, b, c):
-        return a[0], b[0], c[0], tuple(sorted(a[1] + b[1] + c[1]))
-
+    rows = _view(entries)
+    ident = {k: [(k, None)] for pair, targets in P.items() for k in (*pair, *targets)}
     views = [(at_neg, ident, ident, 1)]
     if weight is not None:
         alpha = weight if isinstance(weight, Poly) else Poly.const(t, weight)
         views = [(at_neg, at_shift, ident, 1), (ident, at_shift, rows, -1),
                  (at_neg, ident, rows, -1)]
         if not alpha.is_zero:
-            views.append(({k: [((k, ()), alpha)] for k in ident}, ident, rows, -1))
+            views.append(({k: [(k, alpha)] for k in ident}, ident, rows, -1))
     acc = Sums(t)
     for left, right, out, sign in views:
-        _contract(acc, P, {}, place, left, right, out, sign)
+        _contract(acc, P, {}, lambda i, j, m: (i, j, m), left, right, out, sign)
     return acc
 
 
 def _entries(T: ModuleMap) -> list[tuple]:
-    return [(i, p, (), f) for i, row in enumerate(T.matrix) for p, f in enumerate(row)
+    return [(i, p, f) for i, row in enumerate(T.matrix) for p, f in enumerate(row)
             if not f.is_zero]
 
 
@@ -127,8 +124,7 @@ def rota_baxter_residuals(A: ConformalAlgebra, T: ModuleMap,
     """
     if T.src_rank != A.rank or T.dst_rank != A.rank:
         raise PreconditionError("map shape does not match the algebra")
-    sums = _rb_sums(A.table, A.products, _entries(T), weight).close()
-    return {k[:3]: p for k, p in sums.items()}
+    return _rb_sums(A.table, A.products, _entries(T), weight).close()
 
 
 def check_rota_baxter(A: ConformalAlgebra, T: ModuleMap,
@@ -168,10 +164,10 @@ def induced_lsc(T: ModuleMap, rep: Representation | None = None,
             shift = {"d": Poly.var(t, "x") + Poly.var(t, "d")}
             sums = Sums(t)
             _contract(sums, rep.rho, {}, lambda i, j, m: (i, j, m), None,
-                      _view(((k, j, f) for j, k, _, f in _entries(invert_module_map(T))), shift),
-                      _view((n, m, f) for n, m, _, f in _entries(T)))
+                      _view(((k, j, f) for j, k, f in _entries(invert_module_map(T))), shift),
+                      _view(_entries(T)))
             return ConformalAlgebra(LEFT_SYMMETRIC, rep.algebra.basis, t, _nest(sums.close()))
-    products = _nest({k[:3]: p for k, p in _rb_sums(t, table, _entries(T)).close().items()})
+    products = _nest(_rb_sums(t, table, _entries(T)).close())
     return ConformalAlgebra(LEFT_SYMMETRIC, basis, t, products)
 
 
@@ -344,9 +340,14 @@ def rb_constraints(A: ConformalAlgebra, degree_bound: int,
     The candidate is T(e_i) = sum_{j, k <= degree_bound} t_i_j_k d^k e_j with
     one unknown per coefficient; each (d, x)-monomial of each residual
     contributes one equation.  Returns the system and the generic map.
-    The equations are read off ``_rb_sums`` in (i, j, m, d-exponent, x-exponent)
-    order; of two equal up to sign, only the first is kept.  A term's monomial
-    is its parameters' positions, then its tag shifted past the parameters.
+
+    Each unknown enters as d^k, so for a table entry (p, q) -> l : P and
+    degrees (k, k') the polynomials (-x)^k (x+d)^k' P, -(x+d)^k P d^k',
+    -(-x)^k P d^k' and -alpha P d^k' are formed once and summed into the
+    rows of every (f, g) they reach, as the comments below say.  A term's
+    monomial is its parameters' positions, then the sorted positions of its
+    unknowns.  The equations come out in (i, j, m, d-exponent, x-exponent)
+    order; of two equal up to sign, only the first is kept.
     """
     if degree_bound < 0:
         raise PreconditionError(f"degree bound {degree_bound} is negative")
@@ -359,27 +360,61 @@ def rb_constraints(A: ConformalAlgebra, degree_bound: int,
         if u in A.table:
             raise PreconditionError(f"unknown name {u} collides with an existing variable")
     t = A.table
-    powers = [Poly.var(t, "d", k) for k in range(k1)]
-    acc = _rb_sums(t, A.products, [(i, p, ((i * n + p) * k1 + k,), powers[k])
-                                   for i in range(n) for p in range(n) for k in range(k1)], weight)
+    X, XD = Poly.var(t, "x"), Poly.var(t, "x") + Poly.var(t, "d")
+    neg, shift = [(-X) ** k for k in range(k1)], [XD ** k for k in range(k1)]
+    alpha = weight if isinstance(weight, Poly) else Poly.const(t, weight)
     base, di, xi = len(t.names), t.index["d"], t.index["x"]  # unknowns follow t's names
+    N = range(n)  # pos[p][k][i] is the position of t_i_p_k
+    pos = [[[base + (i * n + p) * k1 + k for i in N] for k in range(k1)] for p in N]
     split: dict[tuple, tuple] = {}  # a term's exponents -> its d- and x-exponent, parameters
-    groups: dict[tuple, dict] = {}  # (i, j, m, d-exponent, x-exponent) -> the equation's row
-    for (i, j, m, tag), terms in acc.drain():  # each sum is freed once its terms are in rows
-        tag = tuple(base + u for u in tag)  # a fresh tuple: rows holding the sums' would pin them
-        for e, c in terms.items():
-            if e not in split:
-                split[e] = e[di], e[xi], tuple(
+    groups: dict[tuple, dict] = {}  # (i, j, m) -> {(d-exponent, x-exponent): equation row}
+
+    def scatter(poly: Poly, labels, sign: int = 1, dshift: int = 0) -> None:
+        """Add sign * poly * d^dshift at each (i, j, m) of ``labels``, each
+        term's monomial its parameters, then the label's unknowns."""
+        terms = []
+        for e, c in poly.terms.items():
+            if (s := split.get(e)) is None:
+                s = split[e] = e[di], e[xi], tuple(
                     p for p, k in enumerate(e) if p != di and p != xi for _ in range(k))
-            de, xe, params = split[e]
-            groups.setdefault((i, j, m, de, xe), {})[params + tag] = c
+            terms.append(((s[0] + dshift, s[1]), s[2], sign * c))
+        for key, tag in labels:
+            group = groups.setdefault(key, {})
+            for dx, params, c in terms:
+                row = group.setdefault(dx, {})
+                m = params + tag
+                row[m] = row.get(m, 0) + c
+
+    for (p, q), targets in A.products.items():
+        for l, P in targets.items():
+            for k in range(k1):
+                left, right = neg[k] * P, shift[k] * P
+                for k2 in range(k1):
+                    lg = [pos[g][k2][l] for g in N]  # t_l_g_k2 for each g
+                    # T_fp(-x) T_gq(x+d) P_pql at (f, g, l)
+                    scatter(left * shift[k2], (((f, g, l), (a, b) if a < b else (b, a))
+                            for f, a in zip(N, pos[p][k]) for g, b in zip(N, pos[q][k2])))
+                    # -T_fq(x+d) P_pql T_lg(d) at (p, f, g)
+                    scatter(right, (((p, f, g), (a, b) if a < b else (b, a))
+                            for f, a in zip(N, pos[q][k]) for g, b in zip(N, lg)), -1, k2)
+                    # -T_fp(-x) P_pql T_lg(d) at (f, q, g)
+                    scatter(left, (((f, q, g), (a, b) if a < b else (b, a))
+                            for f, a in zip(N, pos[p][k]) for g, b in zip(N, lg)), -1, k2)
+            if not alpha.is_zero:  # -alpha P_pql T_lg(d) at (p, q, g)
+                scaled = alpha * P
+                for k2 in range(k1):
+                    scatter(scaled, (((p, q, g), (pos[g][k2][l],)) for g in N), -1, k2)
     ext = t.extended(unknowns)
     system, seen = PolySystem(ext, unknowns), set()
     for key in sorted(groups):
-        terms = frozenset(groups[key].items())
-        if terms not in seen and frozenset((e, -c) for e, c in terms) not in seen:
-            seen.add(terms)
-            system.rows.append(groups[key])
+        group = groups.pop(key)  # each group is freed once its rows are out
+        for dx in sorted(group):
+            if not (row := _normal(group[dx])):
+                continue
+            items = frozenset(row.items())
+            if items not in seen and frozenset((e, -c) for e, c in items) not in seen:
+                seen.add(items)
+                system.rows.append(row)
     D = Poly.var(ext, "d")
     generic = ModuleMap(ext, [[sum(Poly.var(ext, f"t{i}_{j}_{k}") * D ** k for k in range(k1))
                                for j in range(n)] for i in range(n)])

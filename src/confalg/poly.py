@@ -458,13 +458,6 @@ class Sums:
         """Add sign * a * b, or sign * a when ``b`` is None, at ``key``."""
         _accumulate(self.table, self.raw.setdefault(key, {}), a, b, sign)
 
-    def drain(self):
-        """Pop each key's nonzero sum as a normal-form term dict, last-added key first."""
-        while self.raw:
-            key, terms = self.raw.popitem()
-            if terms := _normal(terms):
-                yield key, terms
-
     def close(self) -> dict:
         """Each key's nonzero sum as a Poly, in the order keys were first added."""
         out = {}

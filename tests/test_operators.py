@@ -346,7 +346,45 @@ class TestCocycles:
         assert not named["cocycle_identity"].ok
 
 
+# Poly.__mul__ calls of one rb_constraints of each benchmark system at weights
+# 0 and 1, a ratchet: lower a budget when the work falls
+RB_MUL_BUDGETS = {
+    ("vir", 1, 0): 13, ("vir", 1, 1): 14, ("vir", 2, 0): 27, ("vir", 2, 1): 28,
+    ("vir", 3, 0): 46, ("vir", 3, 1): 47, ("vir", 4, 0): 67, ("vir", 4, 1): 68,
+    ("hv", 1, 0): 38, ("hv", 1, 1): 41, ("hv", 2, 0): 75, ("hv", 2, 1): 78,
+    ("hv", 3, 0): 124, ("hv", 3, 1): 127, ("hv", 4, 0): 179, ("hv", 4, 1): 182,
+    ("hv_dual", 0, 0): 43, ("hv_dual", 0, 1): 52, ("hv_dual", 1, 0): 122,
+    ("hv_dual", 1, 1): 131, ("hv_dual", 2, 0): 237, ("hv_dual", 2, 1): 246}
+
+
 class TestConstraints:
+    def test_rows_are_summed_without_sums(self, monkeypatch):
+        """Work guard: each coefficient polynomial is formed once per table
+        entry and pair of degrees and relabelled into the rows, so building a
+        benchmark system adds nothing into a poly.Sums and its products stay
+        within RB_MUL_BUDGETS (3,888 adds and 316 products on hv_dual D2 at
+        weight 0 when the rows were read off the Rota-Baxter sums)."""
+        counts = {"mul": 0, "add": 0}
+        mul, add = Poly.__mul__, poly.Sums.add
+
+        def counted_mul(self, other):
+            counts["mul"] += 1
+            return mul(self, other)
+
+        def counted_add(self, *args, **kwargs):
+            counts["add"] += 1
+            return add(self, *args, **kwargs)
+
+        monkeypatch.setattr(Poly, "__mul__", counted_mul)
+        monkeypatch.setattr(poly.Sums, "add", counted_add)
+        seen = {}
+        for name, D, weight in RB_MUL_BUDGETS:
+            A = plain_algebra(name)
+            counts.update(mul=0, add=0)
+            rb_constraints(A, D, weight)
+            seen[name, D, weight] = counts["mul"], counts["add"]
+        assert {k: n for k, n in seen.items() if n[1] or n[0] > RB_MUL_BUDGETS[k]} == {}
+
     def test_negative_degree_rejected(self, hv):
         with pytest.raises(PreconditionError, match="negative"):
             rb_constraints(hv, -1)

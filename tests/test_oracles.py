@@ -1159,6 +1159,20 @@ def workload_system(label):
     return system_algebra(name), int(D[1:]), int(weight[1:])
 
 
+# systems whose monomials hold a parameter: hv at the weight alpha, as the
+# CLI's --weight free gives it, and hv_lsc1, whose table holds b, at weight b
+PARAM_SYSTEMS = [f"{name}.D{D}.w{param}" for name, param in (("hv", "alpha"), ("hv_lsc1", "b"))
+                 for D in range(3)]
+
+
+def param_system(label):
+    """(algebra, degree, weight) of a label of PARAM_SYSTEMS, over a table
+    whose one parameter is the weight."""
+    name, D, param = label.split(".")
+    table = VarTable(params=(param[1:],))
+    return catalog(name, table=table).algebra, int(D[1:]), Poly.var(table, param[1:])
+
+
 class TestSolverOracle:
     @given(system=solver_systems())
     @settings(max_examples=200, deadline=None)
@@ -1412,10 +1426,14 @@ class TestRotaBaxterOracle:
         T = ModuleMap(BC, [[data.draw(constant) for _ in range(V.dim)] for _ in range(V.dim)])
         assert rb_gd_check(V, T, weight).to_dict() == oracle_rb_gd_check(V, T, weight).to_dict()
 
-    @pytest.mark.parametrize("label", sorted(WORKLOAD_SYSTEMS))
+    @pytest.mark.parametrize("label", sorted(WORKLOAD_SYSTEMS) + PARAM_SYSTEMS)
     def test_workload_systems(self, label):
-        A, D, weight = workload_system(label)
-        assert (system_outcome(*rb_constraints(A, D, weight))
+        A, D, weight = (param_system if label in PARAM_SYSTEMS else workload_system)(label)
+        system, generic = rb_constraints(A, D, weight)
+        if label in PARAM_SYSTEMS:  # the parameter is in the rows' monomials, sorted
+            assert any(str(weight) in eq.variables() for eq in system.equations)
+            assert system.rows == PolySystem(system.table, system.unknowns, system.equations).rows
+        assert (system_outcome(system, generic)
                 == system_outcome(*oracle_rb_constraints(A, D, weight)))
 
 

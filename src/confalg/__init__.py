@@ -25,7 +25,7 @@ _EXPORTS = {
     "report": "CheckItem Report",
     "reps": "Representation check_rep dual_rep semidirect standard_rep with_zero_right",
     "tensor": "Tensor2 Tensor3 canonical_skew_tensor canonical_sym_tensor cobracket_from_r "
-              "cybe_residual flip parts r_from_t s_residual t_from_r",
+              "cybe_residual flip r_from_t s_residual t_from_r",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -29,12 +29,14 @@ symbol + n * packed, and a Poly is built only for a nonzero sum.
 ``_chain`` stays apart from ``algebra._contract``, the sum every other
 identity uses: a row of the unit-pair table may leave the window, which skips
 the instance, and the structure-constant contraction has no such case.  Two
-symbols are negated when their table rows are exactly each other's
-negatives, or both None.  For any bracket
-J(a,b,c) + J(b,a,c) = -[[a,b] + [b,a], c], with J the Jacobi residual, so a
-negated pair is evaluated in one order and the other order's residuals and
-skips are written from it; the lifted residual of (b, a) is likewise minus
-that of (a, b) when every pair of {a} + supp Ta and {b} + supp Tb is negated.
+symbols are negated when their antisymmetry sum is zero, or when both their
+brackets leave the window.  For any bracket
+J(a,b,c) + J(b,a,c) = -[[a,b] + [b,a], c], with J the Jacobi residual, and
+the lifted residual of (b, a) is likewise minus that of (a, b) when every
+pair of {a} + supp Ta and {b} + supp Tb is negated.  So one mirror rule
+serves both sweeps: with spans[a] = {a} for Jacobi and {a} + supp Ta for the
+lift, an ordered pair is evaluated once, and the other order's residuals and
+skips are written from it, when every pair of spans[a] x spans[b] is negated.
 The test is per pair, because a window edge can leave [a,b] out of the window
 while [b,a] is zero.  The Jacobi sweep spans (rank * (2N + 1))^3 triples,
 those written from a mirror included, and a window past
@@ -54,9 +56,6 @@ from .report import Report
 # the most Jacobi triples, (rank * (2N + 1))^3, that window_checks sweeps
 MAX_WINDOW_TRIPLES = 1_000_000
 
-# window element: (basis index, user index) -> coefficient (parameter poly)
-WinElem = dict[tuple[int, int], Poly]
-
 
 def _falling(t: int, s: int) -> int:
     out = 1
@@ -68,15 +67,6 @@ def _falling(t: int, s: int) -> int:
 def _d_split(p: Poly) -> list:
     """p as [(s, terms)]: the term dict of the cofactor of each power d^s."""
     return [(s, cof.terms) for (s,), cof in p.split(("d",)).items()]
-
-
-def _polys(table, split: dict) -> WinElem:
-    """A window element split by monomial, {(symbol, exponents): rational}, as
-    {symbol: Poly}."""
-    out = {}
-    for (sym, e), q in split.items():
-        out.setdefault(sym, {})[e] = q
-    return {sym: Poly(table, terms) for sym, terms in out.items()}
 
 
 class CoeffWindow(Record):
@@ -95,22 +85,11 @@ class CoeffWindow(Record):
                               for k, P in targets.items()
                               for (n,), cof in P.split(("x",)).items()]
                          for ij, targets in algebra.products.items()}
-        self._shift = [self.shift(i) for i in range(algebra.rank)]
-
-    def shift(self, i: int) -> int:
-        return self.shifts.get(i, 0)
+        self._shift = [self.shifts.get(i, 0) for i in range(algebra.rank)]
 
     def symbols(self) -> list[tuple[int, int]]:
-        out = []
-        for i in range(self.algebra.rank):
-            s = self.shift(i)
-            out.extend((i, raw - s) for raw in range(-self.N, self.N + 1))
-        return out
-
-    def unit(self, i: int, m: int) -> WinElem:
-        if abs(m + self.shift(i)) > self.N:
-            raise PreconditionError(f"symbol index {m} outside the window")
-        return {(i, m): Poly.const(self.algebra.table, 1)}
+        return [(i, raw - s) for i, s in enumerate(self._shift)
+                for raw in range(-self.N, self.N + 1)]
 
     def label(self, i: int, m: int) -> str:
         return f"{self.algebra.basis[i]}_{m}"
@@ -146,11 +125,6 @@ class CoeffWindow(Record):
                             for k, deg, split in self._entries.get((i, j), ())
                             if (f := _falling(mu, deg)))
 
-    def _pair_bracket(self, i: int, m: int, j: int, n: int) -> WinElem | None:
-        """The product of the unit symbols (i, m) and (j, n)."""
-        split = self._pair_split(i, m, j, n)
-        return None if split is None else _polys(self.algebra.table, split)
-
     def _lift_rows(self, T: ModuleMap) -> list:
         """Each row of T as [(j, d-split of T_ij)] over its nonzero entries."""
         if T.src_rank != self.algebra.rank or T.dst_rank != self.algebra.rank:
@@ -163,27 +137,6 @@ class CoeffWindow(Record):
     def _lift_unit(self, rows: list, i: int, m: int) -> dict | None:
         """T of the unit symbol (i, m), split by monomial, for the rows of T."""
         return self._reduce((j, m + self._shift[i], split, 1) for j, split in rows[i])
-
-    def lift_map(self, T: ModuleMap):
-        """The operator a_n -> T(a)_n, with d-powers reduced into index shifts."""
-        rows = self._lift_rows(T)
-
-        def lifted(elem):
-            if elem is None:
-                return None
-            out = {}
-            for (i, m), c in elem.items():
-                if c.is_zero:
-                    continue
-                if (unit := self._lift_unit(rows, i, m)) is None:
-                    return None
-                for (sym, e), q in unit.items():
-                    for f, v in c.terms.items():
-                        key = sym, tuple(x + y for x, y in zip(e, f))
-                        out[key] = out.get(key, 0) + q * v
-            return _polys(self.algebra.table, {key: q for key, q in out.items() if q})
-
-        return lifted
 
 
 def _chain(out, terms, rows, sign: int = 1) -> bool:
@@ -249,54 +202,68 @@ def window_checks(w: CoeffWindow, T: ModuleMap | None = None,
                 for _ in t.names:
                     p, x = divmod(p, base)
                     e.append(x)
-                split[m, tuple(e)] = q
-        return _polys(t, split)
+                split.setdefault(m, {})[tuple(e)] = q
+        return {m: Poly(t, terms) for m, terms in split.items()}
 
     table = [[row(w._pair_split(*sa, *sb)) for sb in syms] for sa in syms]
     cols = list(zip(*table))
     report = Report()
 
-    residuals, skipped = {}, 0
+    # negated[a]: each b with [a,b] + [b,a] zero, or with both out of the window
+    residuals, skipped, negated = {}, 0, [set() for _ in syms]
     for a, row_a in enumerate(table):
         for b, ab in enumerate(row_a):
             ba = table[b][a]
             if ab is None or ba is None:
+                if ab is None is ba:
+                    negated[a].add(b)
                 skipped += 1
                 continue
             out = {}
             for m, p, q in ab + ba:
                 out[m + p] = out.get(m + p, 0) + q
-            for m, poly in polys(out).items():
+            if not (sums := polys(out)):
+                negated[a].add(b)
+            for m, poly in sums.items():
                 residuals[a, b, m] = poly
     report.sweep("antisymmetry", (names,) * 2, residuals, names, "[{},{}]", skipped)
 
-    # negated[a][b]: [b,a] is exactly -[a,b], or both leave the window
-    negated = [[ab is None is ba or None not in (ab, ba)
-                and {m + p: q for m, p, q in ab} == {m + p: -q for m, p, q in ba}
-                for ab, ba in zip(row_a, col_a)] for row_a, col_a in zip(table, cols)]
-
-    residuals, skipped = {}, 0
-    for a, row_a in enumerate(table):
-        for b, ab in enumerate(row_a):
-            # a negated pair's (b, a, c) is written from its (a, b, c)
-            mirror = a != b and negated[a][b]
-            if mirror and b < a:
-                continue
-            if ab is None:
-                skipped += n * (1 + mirror)
-                continue
-            row_b = table[b]
-            for c, (bc, ac) in enumerate(zip(row_b, row_a)):
-                if (bc is None or ac is None
-                        or not (_chain(out := {}, bc, row_a)
-                                and _chain(out, ab, cols[c], -1) and _chain(out, ac, row_b, -1))):
-                    skipped += 1 + mirror
+    def pair_sweep(spans, evaluate):
+        # evaluate(a, b) gives the nonzero residuals {rest: Poly} of the
+        # instances (a, b, *rest) and the number it skipped; (b, a)'s are
+        # written from (a, b)'s when every pair of spans[a] x spans[b] is negated
+        residuals, skipped = {}, 0
+        for a, sa in enumerate(spans):
+            # the symbols negated with every symbol of spans[a]
+            common = set.intersection(*(negated[k] for k in sa)) if sa else set()
+            for b, sb in enumerate(spans):
+                mirror = a != b and sb is not None and sb <= common
+                if mirror and b < a:
                     continue
-                if any(out.values()):
-                    for m, p in polys(out).items():
-                        residuals[a, b, c, m] = p
-                        if mirror:
-                            residuals[b, a, c, m] = -p
+                sums, skips = evaluate(a, b)
+                skipped += skips * (1 + mirror)
+                for rest, p in sums.items():
+                    residuals[(a, b, *rest)] = p
+                    if mirror:
+                        residuals[(b, a, *rest)] = -p
+        return residuals, skipped
+
+    def jacobi(a, b):  # [a,[b,c]] - [[a,b],c] - [b,[a,c]] over every c
+        row_a, row_b, ab = table[a], table[b], table[a][b]
+        if ab is None:
+            return {}, n
+        sums, skips = {}, 0
+        for c, (bc, ac) in enumerate(zip(row_b, row_a)):
+            if (bc is None or ac is None
+                    or not (_chain(out := {}, bc, row_a)
+                            and _chain(out, ab, cols[c], -1) and _chain(out, ac, row_b, -1))):
+                skips += 1
+            elif any(out.values()):
+                for m, p in polys(out).items():
+                    sums[c, m] = p
+        return sums, skips
+
+    residuals, skipped = pair_sweep([{a} for a in range(n)], jacobi)
     report.sweep("jacobi", (names,) * 3, residuals, names, "[{},[{},{}]]", skipped)
 
     if T is not None:
@@ -312,8 +279,7 @@ def window_checks(w: CoeffWindow, T: ModuleMap | None = None,
         # the rows [T a, u_l] of each a that lifts into the window, each closed or None
         lifted_rows = [None if ta is None else [chained(ta, col) for col in cols] for ta in units]
 
-        def residual(a, b):
-            # [T a, T b] - T([T a, b] + [a, T b] + weight [a, b]), None for a skip
+        def lifted(a, b):  # [T a, T b] - T([T a, b] + [a, T b] + weight [a, b])
             rows_a, tb, ab = lifted_rows[a], units[b], table[a][b]
             out = {}
             if (rows_a is not None and tb is not None and ab is not None
@@ -323,24 +289,10 @@ def window_checks(w: CoeffWindow, T: ModuleMap | None = None,
                     and _chain(out, right, units, -1)
                     and _chain(out, [(k, p + r, c * v) for k, p, c in ab for r, v in omega],
                                units, -1)):
-                return out
+                return {(m,): p for m, p in polys(out).items()}, 0
+            return {}, 1
 
-        # R(b,a) = -R(a,b) when every pair of {a} + supp Ta and {b} + supp Tb is negated
         spans = [None if ta is None else {a, *(k for k, _, _ in ta)} for a, ta in enumerate(units)]
-        mirrored = {(a, b) for a, sa in enumerate(spans) for b, sb in enumerate(spans)
-                    if a < b and sa and sb and all(negated[k][l] for k in sa for l in sb)}
-        residuals, skipped = {}, 0
-        for a in range(n):
-            for b in range(n):
-                if (b, a) in mirrored:
-                    continue
-                mirror = (a, b) in mirrored
-                if (out := residual(a, b)) is None:
-                    skipped += 1 + mirror
-                    continue
-                for m, p in polys(out).items():
-                    residuals[a, b, m] = p
-                    if mirror:
-                        residuals[b, a, m] = -p
+        residuals, skipped = pair_sweep(spans, lifted)
         report.sweep("lifted_rota_baxter", (names,) * 2, residuals, names, skipped=skipped)
     return report

@@ -80,25 +80,11 @@ class Tensor3(Record):
         return not self.coeffs
 
 
-class Parts(Record):
-    def __init__(self, r21: Tensor2, skew: Tensor2, sym: Tensor2, is_skew: bool,
-                 is_sym: bool) -> None:
-        self.r21, self.skew, self.sym = r21, skew, sym
-        self.is_skew, self.is_sym = is_skew, is_sym
-
-
 def flip(r: Tensor2) -> Tensor2:
     """r^21: swap the tensor factors (basis indices and d1 <-> d2)."""
     table = r.algebra.table
     swap = Substitution(table, {"d1": Poly.var(table, "d2"), "d2": Poly.var(table, "d1")})
     return Tensor2(r.algebra, {(j, i): swap(p) for (i, j), p in r.coeffs.items()})
-
-
-def parts(r: Tensor2) -> Parts:
-    r21 = flip(r)
-    skew = r - r21
-    sym = r + r21
-    return Parts(r21, skew, sym, is_skew=sym.is_zero, is_sym=skew.is_zero)
 
 
 def _entries(A: ConformalAlgebra, r: Tensor2) -> tuple[list, list]:

@@ -25,7 +25,7 @@ from confalg import (
     standard_rep,
 )
 from confalg.linmap import ModuleMap, NotInvertible
-from confalg.poly import Substitution, Sums, _make, _normal
+from confalg.poly import Substitution, _make, _normal
 
 # Every run draws the same examples, so that a failure, or a kill in a
 # mutation run, repeats from one run to the next.
@@ -212,21 +212,82 @@ def normal_form3(t):
     return Tensor3(t.algebra, out)
 
 
+def window_unit(w, i, m):
+    """The window element u_m of generator i."""
+    return {(i, m): Poly.const(w.algebra.table, 1)}
+
+
+def window_modes(out, w, scale, k, P, t, x_factor):
+    """Add scale times the modes of P(x, d) u_k at raw index t into `out`, by
+    the textbook rule: a term c x^p d^s gives x_factor(p) (d^s c u_k)_{t-p},
+    and (d^s u)_t = (-1)^s t(t-1)...(t-s+1) u_{t-s}.  False when a mode with a
+    nonzero factor leaves the window [-N, N] of raw indices."""
+    table = P.table
+    ix, id_ = table.index["x"], table.index["d"]
+    for exps, c in P.terms.items():
+        p, s = exps[ix], exps[id_]
+        f = x_factor(p) * (-1) ** s * math.prod(range(t - p - s + 1, t - p + 1))
+        if f == 0:
+            continue
+        raw = t - p - s
+        if abs(raw) > w.N:
+            return False
+        rest = list(exps)
+        rest[ix] = rest[id_] = 0
+        key = (k, raw - w.shifts.get(k, 0))
+        piece = scale * Poly(table, {tuple(rest): f * c})
+        out[key] = out[key] + piece if key in out else piece
+    return True
+
+
 def window_bracket(w, a, b):
-    """Bilinear product of the window elements a and b of ``w``, through its
-    unit-pair products; None, out of the window, propagates."""
+    """The bracket of the window elements a and b of ``w``, by the textbook
+    formula: with raw indices m, n (the user's plus the shift) and c_p the
+    x^p coefficient of the table entry,
+    a_m . b_n = sum_p m(m-1)...(m-p+1) (c_p)_{m+n-p}.  None, out of the
+    window, propagates, and zero sums are dropped."""
     if a is None or b is None:
         return None
-    out = Sums(w.algebra.table)
+    out = {}
     for (i, m), ca in a.items():
+        mu = m + w.shifts.get(i, 0)
         for (j, n), cb in b.items():
-            piece = w._pair_bracket(i, m, j, n)
-            if piece is None:
+            nu = n + w.shifts.get(j, 0)
+            if abs(mu) > w.N or abs(nu) > w.N:
                 return None
-            scale = ca * cb
-            for key, c in piece.items():
-                out.add(key, scale, c)
-    return out.close()
+            for k, P in w.algebra.products.get((i, j), {}).items():
+                if not window_modes(out, w, ca * cb, k, P, mu + nu,
+                                    lambda p: math.prod(range(mu - p + 1, mu + 1))):
+                    return None
+    return {key: c for key, c in out.items() if not c.is_zero}
+
+
+def window_lift(w, T, a):
+    """T(a) for the window element a of ``w``, by the textbook rule: u_m of
+    generator i at raw index m (the user's plus the shift of i) lifts to
+    sum_j (T_ij(d) u_j)_m.  None, out of the window, propagates, and zero
+    sums are dropped."""
+    if a is None:
+        return None
+    out = {}
+    for (i, m), c in a.items():
+        for j, P in enumerate(T.matrix[i]):
+            if not window_modes(out, w, c, j, P, m + w.shifts.get(i, 0), lambda p: 1):
+                return None
+    return {key: c for key, c in out.items() if not c.is_zero}
+
+
+def package_bracket(w, i, m, j, n):
+    """The package's bracket of the unit symbols (i, m) and (j, n), read from
+    the monomial split that ``window_checks`` builds its table from, as
+    {symbol: Poly}; None out of the window."""
+    split = w._pair_split(i, m, j, n)
+    if split is None:
+        return None
+    out = {}
+    for (sym, e), q in split.items():
+        out.setdefault(sym, {})[e] = q
+    return {sym: Poly(w.algebra.table, terms) for sym, terms in out.items()}
 
 
 def oracle_apply_matrix(matrix, w, table):

@@ -14,7 +14,7 @@ from confalg import (ModuleMap, Poly, PolySystem, VarTable, algebra_from_gd, cob
                      gd_from_algebra, induced_lsc, lift_constant, parse, rb_constraints,
                      rb_gd_check, solve_squares)
 from confalg.gd import GDBialgebra
-from conftest import load_script, window_bracket
+from conftest import load_script, package_bracket
 
 verify = load_script("verify_builtins")
 T, P, CLAIMS = verify.T, verify.P, verify.CLAIMS
@@ -91,15 +91,15 @@ def test_criterion_9():
     checked = 0
     for m in range(-4, 5):
         for n in range(-4, 5):
-            ll = window_bracket(w, w.unit(0, m), w.unit(0, n))
+            ll = package_bracket(w, 0, m, 0, n)
             if ll is not None:
                 assert ll == ({} if m == n else {(0, m + n): one * (m - n)})
                 checked += 1
-            lw = window_bracket(w, w.unit(0, m), w.unit(1, n))
+            lw = package_bracket(w, 0, m, 1, n)
             if lw is not None:
                 assert lw == ({} if n == 0 else {(1, m + n): one * (-n)})
                 checked += 1
-            ww = window_bracket(w, w.unit(1, m), w.unit(1, n))
+            ww = package_bracket(w, 1, m, 1, n)
             if ww is not None:
                 assert ww == {}
     assert checked > 100

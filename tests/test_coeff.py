@@ -15,14 +15,14 @@ from confalg import (
     window_checks,
 )
 from confalg.poly import Sums
-from conftest import window_bracket
+from conftest import package_bracket, window_bracket
 
 
 class TestWindowBracket:
     def test_raw_virasoro_product(self, vir, P):
         w = CoeffWindow(vir, 5)
         # oracle: (d L)_3 + 2 binom(2,1) L_2 = -3 L_2 + 4 L_2 = L_2
-        out = window_bracket(w, w.unit(0, 2), w.unit(0, 1))
+        out = package_bracket(w, 0, 2, 0, 1)
         assert out == {(0, 2): P("1")}
 
     def test_raw_relation(self, vir):
@@ -30,7 +30,7 @@ class TestWindowBracket:
         one = Poly.const(vir.table, 1)
         for m in range(-3, 4):
             for n in range(-3, 4):
-                out = window_bracket(w, w.unit(0, m), w.unit(0, n))
+                out = package_bracket(w, 0, m, 0, n)
                 if out is None:
                     continue
                 expected = {} if m == n else {(0, m + n - 1): one * (m - n)}
@@ -40,7 +40,7 @@ class TestWindowBracket:
         w = CoeffWindow(hv, 5)
         for m in range(-5, 6):
             for n in range(-5, 6):
-                out = window_bracket(w, w.unit(1, m), w.unit(1, n))
+                out = package_bracket(w, 1, m, 1, n)
                 assert out == {}
 
     def test_shifted_textbook_relations(self, hv):
@@ -48,16 +48,16 @@ class TestWindowBracket:
         one = Poly.const(hv.table, 1)
         for m in range(-4, 5):
             for n in range(-4, 5):
-                ll = window_bracket(w, w.unit(0, m), w.unit(0, n))
+                ll = package_bracket(w, 0, m, 0, n)
                 if ll is not None:
                     assert ll == ({} if m == n else {(0, m + n): one * (m - n)})
-                lw = window_bracket(w, w.unit(0, m), w.unit(1, n))
+                lw = package_bracket(w, 0, m, 1, n)
                 if lw is not None:
                     assert lw == ({} if n == 0 else {(1, m + n): one * (-n)})
 
     def test_out_of_window(self, vir):
         w = CoeffWindow(vir, 2)
-        assert window_bracket(w, w.unit(0, 2), w.unit(0, 2)) is None
+        assert package_bracket(w, 0, 2, 0, 2) is None
 
     def test_empty_window_vacuous(self, vir):
         w = CoeffWindow(vir, 0)
@@ -70,6 +70,8 @@ class TestWindowBracket:
             CoeffWindow(hv, -1)
 
     def test_bilinearity(self, hv, P):
+        # the textbook bracket of general elements is the sum of the
+        # package's unit-pair brackets
         w = CoeffWindow(hv, 6)
         a = {(0, 1): P("2"), (1, -1): P("-3/2")}
         b = {(0, 0): P("1/3")}
@@ -77,7 +79,7 @@ class TestWindowBracket:
         expect = {}
         for (i, m), ca in a.items():
             for (j, n), cb in b.items():
-                piece = window_bracket(w, w.unit(i, m), w.unit(j, n))
+                piece = package_bracket(w, i, m, j, n)
                 for key, c in piece.items():
                     expect[key] = expect.get(key, c * 0) + ca * cb * c
         expect = {k: v for k, v in expect.items() if not v.is_zero}
@@ -177,7 +179,7 @@ class TestChainSums:
                 assert sorted(calls) == unit_pairs
                 if A is hv:
                     assert [c.ok for c in report.checks] == [True, True, T is good]
-        window_bracket(w, w.unit(0, 0), w.unit(0, 1))
+        w._pair_split(0, 0, 0, 1)
         assert sorted(calls) != unit_pairs
 
     def test_multiplications_on_the_benchmark_windows(self, monkeypatch, table, P):

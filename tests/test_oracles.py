@@ -7,11 +7,11 @@ replaced, and the square/linear solver against the round-by-round elimination
 it replaced, which substitutes the whole assignment into every equation and
 matches every equation again after each elimination.  The coefficient-window
 checks are compared against the sweep that brackets general window elements
-with ``conftest.window_bracket`` and lifts them with ``lift_map``, multiplying
-polynomials where ``window_checks`` adds packed monomials; that sweep shares
-the unit bracket and each unit's lift, read from the same monomial split, and
-``oracle_unit_bracket`` compares the unit bracket with the textbook formula in
-sympy.  The
+with ``conftest.window_bracket`` and lifts them with ``conftest.window_lift``,
+multiplying polynomials where ``window_checks`` adds packed monomials; both
+helpers apply the textbook mode formulas to the table and the map, and share
+no window code with the package, and ``oracle_unit_bracket`` compares the
+package's unit bracket with the textbook formula in sympy.  The
 Rota-Baxter residuals are compared against four dense products per basis
 pair, and the constraint systems against the expansion of the generic map,
 whose entries hold every unknown, split by (d, x) exponents: as ordered
@@ -120,9 +120,13 @@ from conftest import (
     oracle_invert_module_map,
     oracle_regular_right,
     oracle_semidirect,
+    package_bracket,
     poly_strategy,
     regular_module,
     window_bracket,
+    window_lift,
+    window_modes,
+    window_unit,
 )
 
 T = VarTable(params=("b", "g0", "g1", "g2", "g3"))
@@ -1456,11 +1460,11 @@ def _window_sub(a, b):
 def oracle_window_checks(w, T=None, weight=0):
     """The window sweep that brackets general elements: each Jacobi triple
     brackets a unit with a unit-pair bracket through ``window_bracket``,
-    and each Rota-Baxter pair lifts general elements through ``lift_map``."""
+    and each Rota-Baxter pair lifts general elements through ``window_lift``."""
     if w.algebra.kind != LIE:
         raise PreconditionError("window checks expect a Lie-kind algebra")
     syms = w.symbols()
-    units = [w.unit(*sym) for sym in syms]
+    units = [window_unit(w, *sym) for sym in syms]
     names = tuple(w.label(*sym) for sym in syms)
     index = {sym: a for a, sym in enumerate(syms)}
     pair = {(a, b): window_bracket(w, units[a], units[b])
@@ -1490,17 +1494,16 @@ def oracle_window_checks(w, T=None, weight=0):
     dense_sweep(report, "jacobi", (names,) * 3, jacobi, names, "[{},[{},{}]]")
     if T is not None:
         alpha = weight if isinstance(weight, Poly) else Poly.const(w.algebra.table, weight)
-        lift = w.lift_map(T)
-        lifted_units = [lift(u) for u in units]
+        lifted_units = [window_lift(w, T, u) for u in units]
 
         def lifted_rota_baxter(a, b):
             ta, tb = lifted_units[a], lifted_units[b]
             if None in (ta, tb):
                 return None
             lhs = window_bracket(w, ta, tb)
-            r1 = lift(window_bracket(w, ta, units[b]))
-            r2 = lift(window_bracket(w, units[a], tb))
-            r3 = lift(pair[a, b])
+            r1 = window_lift(w, T, window_bracket(w, ta, units[b]))
+            r2 = window_lift(w, T, window_bracket(w, units[a], tb))
+            r3 = window_lift(w, T, pair[a, b])
             if None in (lhs, r1, r2, r3):
                 return None
             return vector(_window_sub(lhs, _window_add(_window_add(r1, r2),
@@ -1627,8 +1630,8 @@ class TestWindowOracle:
         compares the whole window."""
         N, A, _ = workload_window("N6.family1")
         w = CoeffWindow(A, N, {0: 1, 1: 0})
-        assert w._pair_bracket(0, -7, 1, 0) is None
-        assert w._pair_bracket(1, 0, 0, -7) == {}
+        assert w._pair_split(0, -7, 1, 0) is None
+        assert w._pair_split(1, 0, 0, -7) == {}
 
     @pytest.mark.parametrize("shifts", [{0: 1, 1: 0}, None])
     @pytest.mark.parametrize("N", [1, 2, 4])
@@ -1646,11 +1649,28 @@ class TestWindowOracle:
                 assert not want[0]["checks"][-1]["ok"]
                 assert window_outcome(window_checks, w, T, weight) == want
 
+    def test_oracle_shares_no_window_code(self):
+        """The window oracle brackets and lifts by the textbook formulas, so
+        that a fault in the package's index rule or chain sums shows as a
+        difference: none of its helpers names the package's window code."""
+        shared = {"_reduce", "_pair_split", "_lift_rows", "_lift_unit", "_chain"}
+
+        def names(code):
+            out = set(code.co_names)
+            for const in code.co_consts:
+                if hasattr(const, "co_names"):
+                    out |= names(const)
+            return out
+
+        for helper in (oracle_window_checks, window_bracket, window_lift, window_modes,
+                       window_unit):
+            assert not names(helper.__code__) & shared, helper.__name__
+
     @pytest.mark.parametrize("N", [2, 3, 4])
     @pytest.mark.parametrize("name", ["skew", "b_table", "vir", "hv"])
     def test_unit_bracket(self, name, N):
-        """Every unit pair's bracket, the one that window_bracket and the window
-        oracle share, equals the textbook formula in sympy; the skew and b
+        """Every unit pair's bracket, the split that window_checks builds its
+        table from, equals the textbook formula in sympy; the skew and b
         tables have x^2 and x^3 entries, whose n-th products carry an n! != 1."""
         A = WINDOW_ALGEBRAS[name]
         for shift in (-1, 0, 1):
@@ -1658,7 +1678,7 @@ class TestWindowOracle:
             for sa in w.symbols():
                 for sb in w.symbols():
                     want = oracle_unit_bracket(w, *sa, *sb)
-                    got = w._pair_bracket(*sa, *sb)
+                    got = package_bracket(w, *sa, *sb)
                     assert (got is None) == (want is None), (shift, sa, sb)
                     if got is not None:
                         assert {k: poly_to_sympy(p) for k, p in got.items()} == want, \
@@ -1684,7 +1704,7 @@ def oracle_unit_bracket(w, i, m, j, n):
     unit or a nonzero term leaves the window, and zero sums dropped."""
     sympy = pytest.importorskip("sympy")
     x, d = sympy.symbols("x d")
-    m, n = m + w.shift(i), n + w.shift(j)
+    m, n = m + w.shifts.get(i, 0), n + w.shifts.get(j, 0)
     if abs(m) > w.N or abs(n) > w.N:
         return None
     out = {}
@@ -1696,7 +1716,7 @@ def oracle_unit_bracket(w, i, m, j, n):
                 continue
             if abs(t - s) > w.N:
                 return None
-            key = (k, t - s - w.shift(k))
+            key = (k, t - s - w.shifts.get(k, 0))
             out[key] = out.get(key, 0) + c * e
     return {key: v for key, v in ((key, sympy.expand(v)) for key, v in out.items()) if v != 0}
 

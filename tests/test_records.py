@@ -29,17 +29,15 @@ from confalg import (
     Tensor2,
     Tensor3,
     VarTable,
-    parts,
     rb_constraints,
     solve_squares,
 )
 from confalg.poly import Record
-from confalg.tensor import Parts
 from conftest import poly_strategy
 
 RECORDS = (ConformalAlgebra, CatalogEntry, CoeffWindow, GDBialgebra, ProbeResult, ModuleMap,
            ConformalLinearMap, BilinearForm, PolySystem, SolveResult, CheckItem, Report,
-           Representation, Tensor2, Tensor3, Parts)
+           Representation, Tensor2, Tensor3)
 
 
 @pytest.fixture
@@ -54,7 +52,7 @@ def records(vir, hv, P):
         ConformalLinearMap(t, [[P("x")]]), BilinearForm(t, vir.basis, [[P("x")]], kind="lie"),
         system, solve_squares(system), CheckItem("c"), Report(),
         Representation(vir, vir.basis, rho=vir.products), r,
-        Tensor3(vir, {(0, 0, 0): P("d1")}), parts(r),
+        Tensor3(vir, {(0, 0, 0): P("d1")}),
     ]
 
 
@@ -149,8 +147,7 @@ def test_keyword_construction(vir, P):
     assert ProbeResult("witness", witness=witness).witness == witness
     entry = CatalogEntry("vir", "note", algebra=vir)
     assert entry.algebra is vir and entry.linmap is entry.tensor is entry.gd is None
-    assert CoeffWindow(vir, 2, shifts={0: 1}).shift(0) == 1
-    assert Parts(*[Tensor2(vir, {})] * 3, is_skew=True, is_sym=False).is_skew
+    assert CoeffWindow(vir, 2, shifts={0: 1}).shifts[0] == 1
 
 
 class _CountingLabel(str):

@@ -133,12 +133,9 @@ class Session:
         return READERS[name](ref, self.table, self.at, *context, **options)
 
     def weight(self, args) -> Poly | Fraction:
-        w = getattr(args, "weight", None)
-        if w is None:
-            return Fraction(0)
-        if w == "free":
+        if args.weight == "free":
             return self.at(Poly.var(self.table, "alpha"))
-        return _rational(w, "--weight")
+        return _rational(args.weight, "--weight")
 
 
 def _json_int(text: str) -> int:

@@ -114,11 +114,9 @@ class CoeffWindow(Record):
         return {key: q for key, q in out.items() if q}
 
     def _pair_split(self, i: int, m: int, j: int, n: int) -> dict | None:
-        """The product of the unit symbols (i, m) and (j, n), split by monomial."""
+        """The product of the window symbols (i, m) and (j, n), split by monomial."""
         mu = m + self._shift[i]
         nu = n + self._shift[j]
-        if abs(mu) > self.N or abs(nu) > self.N:
-            return None
         # a_m . b_n = sum_deg m(m-1)...(m-deg+1) (c_deg)_{m+n-deg}, with
         # c_deg = a_(deg) b / deg! the x^deg coefficient of the bracket
         return self._reduce((k, mu + nu - deg, split, f)

@@ -36,8 +36,8 @@ from .algebra import (
     _view,
 )
 from .linmap import ConformalLinearMap, ModuleMap, NotInvertible, _matmul, invert_module_map
-from .poly import (MAX_PARSE_TERM_PRODUCTS, Poly, Record, Substitution, Sums, VarTable,
-                   VarTableMismatch, _make, _normal, _shown)
+from .poly import (MAX_PARSE_DEGREE, MAX_PARSE_TERM_PRODUCTS, Poly, Record, Substitution, Sums,
+                   VarTable, VarTableMismatch, _make, _normal, _shown)
 from .report import Report
 
 if TYPE_CHECKING:
@@ -299,36 +299,42 @@ def _poly(table: VarTable, row: dict) -> Poly:
 def _substitution(values: dict[int, dict], spend):
     """row -> row with each variable position in ``values`` replaced by its
     row.  Each pattern of replaced positions is expanded once, for all rows,
-    from its longest expanded prefix, one row product per position: each
-    pair of monomials merged and sorted; a one-position pattern is its value.
-    Every expansion and application first hands ``spend`` the number of term
-    products it is about to take."""
+    from its longest expanded prefix, one row product per position; a
+    one-position pattern is its value.  A row product adds c*m*row to an
+    output, each pair of monomials merged and sorted.  Each first hands
+    ``spend`` the number of term products it is about to take, and a product
+    whose monomial passes ``poly.MAX_PARSE_DEGREE`` is refused."""
     expansions: dict[tuple, dict] = {(v,): value for v, value in values.items()}
     replaced = values.keys()
+
+    def product(out: dict, c, m: tuple, row: dict) -> None:
+        spend(len(row))
+        room = MAX_PARSE_DEGREE - len(m)
+        for m2, c2 in row.items():
+            if len(m2) > room:
+                raise PreconditionError(f"elimination reaches total degree {len(m) + len(m2)}, "
+                                        f"over the cap of {MAX_PARSE_DEGREE}")
+            key = tuple(sorted(m + m2))
+            out[key] = out.get(key, 0) + c * c2
 
     def expand(pattern: tuple) -> dict:  # a loop, not recursion: no closure cycle
         k = max(k for k in range(1, len(pattern) + 1) if pattern[:k] in expansions)
         for k in range(k, len(pattern)):
-            head, value, out = expansions[pattern[:k]], values[pattern[k]], {}
-            spend(len(head) * len(value))
-            for m1, c1 in head.items():
-                for m2, c2 in value.items():
-                    m = tuple(sorted(m1 + m2))
-                    out[m] = out.get(m, 0) + c1 * c2
+            out, value = {}, values[pattern[k]]
+            for m, c in expansions[pattern[:k]].items():
+                product(out, c, m, value)
             expansions[pattern[:k + 1]] = _normal(out)
         return expansions[pattern]
 
     def apply(row: dict) -> dict:
         out = {m: c for m, c in row.items() if replaced.isdisjoint(m)}
-        touched = [t for t in ((m, c, expand(tuple(i for i in m if i in values)))
-                               for m, c in row.items() if not replaced.isdisjoint(m)) if t[2]]
-        spend(sum(len(expansion) for _, _, expansion in touched))
-        for m, c, expansion in touched:  # a term whose expansion is zero is dropped
-            rest = tuple(i for i in m if i not in values)
-            for m2, c2 in expansion.items():
-                key = tuple(sorted(rest + m2))
-                out[key] = out.get(key, 0) + c * c2
-        return _normal(out) if touched else out
+        if len(out) == len(row):
+            return out
+        for m, c in row.items():
+            if not replaced.isdisjoint(m):
+                pattern = tuple(i for i in m if i in values)
+                product(out, c, tuple(i for i in m if i not in values), expand(pattern))
+        return _normal(out)
 
     return apply
 
@@ -437,27 +443,22 @@ class SolveResult(Record):
         return self.status == "solved"
 
 
-def _live(row: dict, unknowns: dict[int, str]) -> list | None:
-    """[row, the unknowns it holds, its match], or None when the row is zero.
-
-    The match is (v, None) for q*v^2, or (v, c) for c*v + rest with v in no
-    other term; the square comes first, then the linear unknown first by name.
-    Raises InconsistentSystem when the row is a nonzero constant.
-    """
-    if not row:
-        return None
+def _match(row: dict, unknowns: dict[int, str]) -> tuple | None:
+    """The elimination ``row`` allows, or None: (v, None) for q*v^2, or
+    (v, c) for c*v + rest with v in no other term; the square comes first,
+    then the linear unknown first by name.  Raises InconsistentSystem when
+    the row is a nonzero constant."""
     if len(row) == 1:
         (m, c), = row.items()
         if not m:
             raise InconsistentSystem(f"equation reduces to {_shown(c)}")
         if len(m) == 2 and m[0] == m[1] and m[0] in unknowns:
-            return [row, {m[0]}, (m[0], None)]
-    flat = [*chain.from_iterable(row)]  # a unit c*v is in no other term iff v occurs once
-    linear = [m[0] for m in row if len(m) == 1 and m[0] in unknowns and flat.count(m[0]) == 1]
-    if not linear:
-        return [row, unknowns.keys() & flat, None]
-    v = min(linear, key=unknowns.__getitem__)
-    return [row, unknowns.keys() & flat, (v, row[(v,)])]
+            return m[0], None
+    if not (units := [m[0] for m in row if len(m) == 1 and m[0] in unknowns]):
+        return None
+    flat = [*chain.from_iterable(row)]  # c*v is in no other term iff v occurs once
+    v = min((v for v in units if flat.count(v) == 1), key=unknowns.__getitem__, default=None)
+    return None if v is None else (v, row[(v,)])
 
 
 def solve_squares(system: PolySystem) -> SolveResult:
@@ -479,7 +480,8 @@ def solve_squares(system: PolySystem) -> SolveResult:
 
     Raises InconsistentSystem when an equation reduces to a nonzero constant,
     and PreconditionError when the substitutions would take more than
-    ``poly.MAX_PARSE_TERM_PRODUCTS`` term products, counted before they are taken.
+    ``poly.MAX_PARSE_TERM_PRODUCTS`` term products, counted before they are
+    taken, or reach a monomial of total degree over ``poly.MAX_PARSE_DEGREE``.
     """
     from heapq import heappop, heappush  # loaded only by the solver
     table = system.table
@@ -493,20 +495,17 @@ def solve_squares(system: PolySystem) -> SolveResult:
             raise PreconditionError(f"elimination exceeds the cap of {MAX_PARSE_TERM_PRODUCTS} "
                                     "term products")
 
-    live = [state for state in (_live(row, unknowns) for row in system.rows) if state]
-    rows = [state[0] for state in live]  # a zero row stays as {}, so positions hold
+    rows = [row for row in system.rows if row]  # a row made zero stays as {}, so positions hold
+    heap = [pos for pos, row in enumerate(rows) if _match(row, unknowns)]  # sorted, so a heap
     holds: dict[int, list[int]] = {v: [] for v in unknowns}
-    for pos, (_, held, _) in enumerate(live):
-        for v in held:
+    for pos, row in enumerate(rows):
+        for v in unknowns.keys() & chain.from_iterable(row):
             holds[v].append(pos)
-    heap = [pos for pos, state in enumerate(live) if state[2] is not None]  # sorted, so a heap
-    del live  # its held sets are in holds now; keeping them raised the peak
     assignment: dict[int, dict] = {}
     while heap:
-        state = _live(rows[at := heappop(heap)], unknowns)
-        if not state or state[2] is None:
+        if not (match := _match(row := rows[at := heappop(heap)], unknowns)):
             continue
-        row, _, (v, c) = state
+        v, c = match
         value = assignment[v] = {} if c is None else _normal(
             {m: q * (Fraction(-1) / c) for m, q in row.items() if m != (v,)})
         rows[at] = {}  # the value makes its own row zero
@@ -520,21 +519,18 @@ def solve_squares(system: PolySystem) -> SolveResult:
             rows[pos] = kept = eliminate(row) if value else kept
             for u in brought:
                 holds[u].append(pos)
-            if len(kept) == 1 or any(len(m) == 1 and m[0] in unknowns for m in kept):
-                state = _live(kept, unknowns)  # raises on a nonzero constant
-                if state and state[2] is not None:
-                    heappush(heap, pos)
+            if (len(kept) == 1 or any(len(m) == 1 and m[0] in unknowns for m in kept)) \
+                    and _match(kept, unknowns):  # raises on a nonzero constant
+                heappush(heap, pos)
     # back-substitute in reverse elimination order, so solved values are
     # unknown-free: a value holds no unknown eliminated before its own
     for v in reversed(assignment):
         assignment[v] = _substitution(assignment, spend)(assignment[v])
-    solved = {unknowns[v]: _poly(table, row) for v, row in assignment.items()}
-    names = set(system.unknowns)
-    fixed = {v for v, p in solved.items() if not (p.variables() & names)}
     remaining = [_poly(table, row) for row in rows if row]
-    if not remaining and fixed == names:
-        return SolveResult("solved", solved, [])
-    return SolveResult("partial", solved, remaining)
+    fixed = sum(unknowns.keys().isdisjoint(chain.from_iterable(row)) for row in assignment.values())
+    status = "solved" if not remaining and fixed == len(set(system.unknowns)) else "partial"
+    return SolveResult(status, {unknowns[v]: _poly(table, row) for v, row in assignment.items()},
+                       remaining)
 
 
 # -- invariant bilinear forms --------------------------------------------------

@@ -220,15 +220,11 @@ class Poly:
         return _make(table, {(0,) * len(table.names): value})
 
     @classmethod
-    def var(cls, table: VarTable, name: str, power: int = 1) -> "Poly":
+    def var(cls, table: VarTable, name: str) -> "Poly":
         if name not in table.index:
             raise UnknownVariable(f"unknown variable {name!r}")
-        if power < 0:
-            raise PolyError("negative exponent")
-        if power == 0:
-            return cls.const(table, 1)
         exps = [0] * len(table.names)
-        exps[table.index[name]] = power
+        exps[table.index[name]] = 1
         return _make(table, {tuple(exps): 1})
 
     # -- ring operations ---------------------------------------------------

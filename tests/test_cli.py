@@ -437,6 +437,56 @@ def written(doc, params: tuple[str, ...], value: str):
     return re.sub(r"\b(" + "|".join(params) + r")\b", f"({value})", doc)
 
 
+def regular_bimodule():
+    """hv_lsc1 and its regular bimodule, on primed names: the left action is
+    the algebra's products, the right one regular_right's table."""
+    from confalg import standard_rep
+    from confalg.reps import Representation
+    A = catalog("hv_lsc1").algebra
+    right = standard_rep(A, "regular_right").rho
+    return A, Representation(A, tuple(n + "'" for n in A.basis), left=dict(A.products),
+                             right=right)
+
+
+class TestBimodule:
+    """A left-symmetric module read from action_l and action_r."""
+
+    def test_round_trip(self):
+        from confalg import check_rep
+        A, rep = regular_bimodule()
+        assert len(rep.right) == 4 and check_rep(rep).ok
+        doc = rep_to_dict(rep)
+        assert set(doc) == {"module_basis", "action_l", "action_r"}
+        assert rep_from_dict(doc, A) == rep
+
+    def test_check_rep_and_semidirect(self, tmp_path, capsys):
+        from confalg.reps import semidirect
+        A, rep = regular_bimodule()
+        doc = {"algebra": "hv_lsc1", "representation": rep_to_dict(rep)}
+        assert run(tmp_path, "check-rep", doc) == 0
+        capsys.readouterr()
+        assert run(tmp_path, "build-semidirect", doc) == 0
+        assert capsys.readouterr().out == json.dumps(algebra_to_dict(semidirect(A, rep)),
+                                                     indent=2) + "\n"
+
+    def test_bumped_right_action_fails(self, tmp_path, capsys):
+        _, rep = regular_bimodule()
+        doc = {"algebra": "hv_lsc1", "representation": rep_to_dict(rep)}
+        doc["representation"]["action_r"]["W,L'"]["W'"] += " + d"
+        assert run(tmp_path, "check-rep", doc) == 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert [(c["name"], c["ok"]) for c in checks] == [
+            ("left_action_axiom", True), ("right_action_axiom", False)]
+
+    def test_list_action_is_bad_input(self, tmp_path, capsys):
+        _, rep = regular_bimodule()
+        doc = {"algebra": "hv_lsc1", "representation": rep_to_dict(rep)}
+        doc["representation"]["action_l"] = ["L'"]
+        assert run(tmp_path, "check-rep", doc) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "InputError: representation.action_l must be an object, got list"}
+
+
 class TestParamDifferential:
     """A document run with --param prints what it prints, without --param,
     with each parameter replaced by its value in the text."""
@@ -491,6 +541,13 @@ def squaring_chain(k):
     return {"params": ["b1", "b2", "b3", "b4"], "unknowns": [f"a{j}" for j in range(1, k + 1)],
             "equations": ["a1 - (b1 + b2 + b3 + b4)"]
             + [f"a{j} - a{j - 1}^2" for j in range(2, k + 1)]}
+
+
+def degree_chain(k):
+    """v_i + v_(i+1)^2 for i < k: one term product per step, and the degree of
+    v0's value doubles each step, to 2^k."""
+    return {"params": [f"v{k}"], "unknowns": [f"v{i}" for i in range(k)],
+            "equations": [f"v{i} + v{i + 1}^2" for i in range(k)]}
 
 
 def big_witness_gd():
@@ -742,6 +799,14 @@ class TestRejectedInput:
         assert time.process_time() - start < 0.5
         assert json.loads(capsys.readouterr().err) == {
             "error": "PreconditionError: elimination exceeds the cap of 200000 term products"}
+
+    def test_degree_chain_is_refused_quickly(self, tmp_path, capsys):
+        start = time.process_time()
+        assert run(tmp_path, "solve", degree_chain(40)) == 2
+        assert time.process_time() - start < 0.5
+        assert capsys.readouterr().err == json.dumps({
+            "error": "PreconditionError: elimination reaches total degree 128, "
+                     "over the cap of 100"}) + "\n"
 
     def test_value_error_is_not_bad_input(self, tmp_path, monkeypatch):
         """Report.sweep raises ValueError on a key outside its axes, a program

@@ -480,7 +480,7 @@ class TestConstraints:
                 rb_constraints(A, D, 0)
 
 
-# _live calls of one solve of each benchmark system at weight 0, a ratchet:
+# _match calls of one solve of each benchmark system at weight 0, a ratchet:
 # lower a budget when the work falls
 LIVE_BUDGETS = {("vir", 1): 12, ("vir", 2): 28, ("vir", 3): 53, ("vir", 4): 92,
                 ("hv", 1): 69, ("hv", 2): 170, ("hv", 3): 368, ("hv", 4): 606,
@@ -493,6 +493,14 @@ def squaring_chain(k):
     eqs = [parse(t, "a1 - (b1 + b2 + b3 + b4)")] + [
         parse(t, f"a{j} - a{j - 1}^2") for j in range(2, k + 1)]
     return PolySystem(t, tuple(f"a{j}" for j in range(1, k + 1)), eqs)
+
+
+def degree_chain(k):
+    """v_i + v_(i+1)^2 for i < k, in v0..v(k-1) over the parameter vk: one
+    term product per step, and it solves to v0 = -vk^(2^k)."""
+    t = VarTable(params=tuple(f"v{i}" for i in range(k + 1)))
+    return PolySystem(t, tuple(f"v{i}" for i in range(k)),
+                      [parse(t, f"v{i} + v{i + 1}^2") for i in range(k)])
 
 
 class TestSolver:
@@ -536,12 +544,12 @@ class TestSolver:
     def test_substitutes_only_equations_that_hold_the_unknown(self, monkeypatch):
         """Work guard: each elimination visits the equations that hold the
         eliminated unknown and matches again only those that can match.  The
-        _live calls of one solve of each benchmark system stay within
+        _match calls of one solve of each benchmark system stay within
         LIVE_BUDGETS (4,126 on hv_dual D2 when every round scanned every
         equation and matched again each one that held the unknown)."""
         calls = []
-        live = operators._live
-        monkeypatch.setattr(operators, "_live", lambda row, unknowns: calls.append(row) or live(
+        match = operators._match
+        monkeypatch.setattr(operators, "_match", lambda row, unknowns: calls.append(row) or match(
             row, unknowns))
         counts = {}
         for name, D in LIVE_BUDGETS:
@@ -573,6 +581,17 @@ class TestSolver:
             res = solve_squares(system)
             assert res.solved and len(res.assignment["a5"].terms) == 969
             assert sum(spent) == products
+
+    def test_monomial_degree_is_capped(self):
+        """A monomial's degree is bounded apart from the term products: the
+        one-term chain doubles it each step, so v0 reaches degree 64 at k = 6
+        and 128, past poly.MAX_PARSE_DEGREE, at k = 7."""
+        system = degree_chain(6)
+        res = solve_squares(system)
+        assert res.solved
+        assert res.assignment["v0"] == -Poly.var(system.table, "v6") ** 64
+        with pytest.raises(PreconditionError, match="total degree 128, over the cap of 100"):
+            solve_squares(degree_chain(7))
 
     def test_solve_leaves_no_cyclic_garbage(self):
         """The substitutions a solve builds hold no reference cycle, so the

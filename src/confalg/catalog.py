@@ -1,9 +1,9 @@
-"""Builtin catalog: the worked rank-1 and rank-2 structures and the objects
-derived from them (operator families, induced products, canonical tensors).
-
-Each entry records a note describing what the object is; derived entries are
-constructed by the package's own operations so that loading the catalog
-exercises the constructions it documents.
+"""Builtin catalog: the worked rank-1 and rank-2 structures and what each
+weight-0 Rota-Baxter family T on the rank-2 one yields through ``_family``:
+T, its induced left-symmetric product A, and A's skew and symmetric canonical
+tensors over g(A) x A* and A x A*.  Each entry records a note describing what
+the object is; derived entries are constructed by the package's own operations
+so that loading the catalog exercises the constructions it documents.
 """
 
 from __future__ import annotations
@@ -57,29 +57,20 @@ def rb_family2(table: VarTable) -> ModuleMap:
     return ModuleMap(table, [[z, g], [z, z]])
 
 
-def _lsc(table: VarTable, family: int) -> ConformalAlgebra:
+def _lsc(table: VarTable, family: Callable[[VarTable], ModuleMap]) -> ConformalAlgebra:
     from .operators import induced_lsc
-    hv = heisenberg_virasoro(table)
-    T = rb_family1(table) if family == 1 else rb_family2(table)
-    return induced_lsc(T, mode="rb", algebra=hv)
+    return induced_lsc(family(table), mode="rb", algebra=heisenberg_virasoro(table))
 
 
-def _skew_entry(table: VarTable, family: int) -> dict:
-    from .reps import REGULAR_LEFT, dual_rep, semidirect, standard_rep
-    from .tensor import canonical_skew_tensor
-    A = _lsc(table, family)
-    dual = dual_rep(standard_rep(A, REGULAR_LEFT))
-    S = semidirect(dual.algebra, dual, checked=False)
-    return {"algebra": S, "tensor": canonical_skew_tensor(S, A.rank)}
-
-
-def _sym_entry(table: VarTable, family: int) -> dict:
+def _canonical(table: VarTable, family: Callable[[VarTable], ModuleMap], symmetric: bool) -> dict:
     from .reps import REGULAR_LEFT, dual_rep, semidirect, standard_rep, with_zero_right
-    from .tensor import canonical_sym_tensor
+    from .tensor import canonical_skew_tensor, canonical_sym_tensor
     A = _lsc(table, family)
     dual = dual_rep(standard_rep(A, REGULAR_LEFT))
-    S = semidirect(A, with_zero_right(A, dual), checked=False)
-    return {"algebra": S, "tensor": canonical_sym_tensor(S, A.rank)}
+    module = with_zero_right(A, dual) if symmetric else dual
+    S = semidirect(module.algebra, module, checked=False)
+    canonical = canonical_sym_tensor if symmetric else canonical_skew_tensor
+    return {"algebra": S, "tensor": canonical(S, A.rank)}
 
 
 def _gd_entry(A: ConformalAlgebra) -> dict:
@@ -87,8 +78,20 @@ def _gd_entry(A: ConformalAlgebra) -> dict:
     return {"gd": gd_from_algebra(A)}
 
 
-FAMILY1 = ("b",)
-FAMILY2 = ("g0", "g1", "g2", "g3")
+def _family(f: int, family: Callable[[VarTable], ModuleMap], params: tuple[str, ...],
+            note: str) -> dict:
+    return {
+        f"hv_rb_family{f}": (params, f"weight-0 family {note}", lambda t: {
+            "algebra": heisenberg_virasoro(t), "linmap": family(t)}),
+        f"hv_lsc{f}": (params, f"left-symmetric product induced by operator family {f}",
+                       lambda t: {"algebra": _lsc(t, family)}),
+        f"hv_lsc{f}_skew_r": (params, "skew canonical tensor over the rank-4 sum with the dual "
+                                      f"module (family {f})",
+                              lambda t: _canonical(t, family, False)),
+        f"hv_lsc{f}_sym_r": (params, "symmetric canonical tensor over the rank-4 left-symmetric "
+                                     f"sum (family {f})", lambda t: _canonical(t, family, True)),
+    }
+
 
 # name -> (free parameters, note, builder); a builder takes the variable table
 # and returns the CatalogEntry fields besides the name and the note.
@@ -101,24 +104,9 @@ ENTRIES: dict[str, tuple[tuple[str, ...], str, Callable[[VarTable], dict]]] = {
                lambda t: _gd_entry(virasoro(t))),
     "hv_gd": ((), "dimension-2 Novikov product L.L = L, W.L = W, zero bracket",
               lambda t: _gd_entry(heisenberg_virasoro(t))),
-    "hv_rb_family1": (
-        FAMILY1, "weight-0 family T(L) = -b(L+W), T(W) = b(L+W) on the rank-2 algebra",
-        lambda t: {"algebra": heisenberg_virasoro(t), "linmap": rb_family1(t)}),
-    "hv_rb_family2": (
-        FAMILY2, "weight-0 family T(L) = g(d) W, T(W) = 0 with cubic symbolic g",
-        lambda t: {"algebra": heisenberg_virasoro(t), "linmap": rb_family2(t)}),
-    "hv_lsc1": (FAMILY1, "left-symmetric product induced by operator family 1",
-                lambda t: {"algebra": _lsc(t, 1)}),
-    "hv_lsc2": (FAMILY2, "left-symmetric product induced by operator family 2",
-                lambda t: {"algebra": _lsc(t, 2)}),
-    "hv_lsc1_skew_r": (FAMILY1, "skew canonical tensor over the rank-4 sum with the dual module "
-                                "(family 1)", lambda t: _skew_entry(t, 1)),
-    "hv_lsc2_skew_r": (FAMILY2, "skew canonical tensor over the rank-4 sum with the dual module "
-                                "(family 2)", lambda t: _skew_entry(t, 2)),
-    "hv_lsc1_sym_r": (FAMILY1, "symmetric canonical tensor over the rank-4 left-symmetric sum "
-                               "(family 1)", lambda t: _sym_entry(t, 1)),
-    "hv_lsc2_sym_r": (FAMILY2, "symmetric canonical tensor over the rank-4 left-symmetric sum "
-                               "(family 2)", lambda t: _sym_entry(t, 2)),
+    **_family(1, rb_family1, ("b",), "T(L) = -b(L+W), T(W) = b(L+W) on the rank-2 algebra"),
+    **_family(2, rb_family2, ("g0", "g1", "g2", "g3"),
+              "T(L) = g(d) W, T(W) = 0 with cubic symbolic g"),
 }
 
 

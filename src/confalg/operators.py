@@ -159,16 +159,16 @@ def induced_lsc(T: ModuleMap, rep: Representation | None = None,
             raise PreconditionError(f"unknown mode {mode!r}")
         _require(check_o_operator(T, rep), "map is not an O-operator")
         t, table, basis = rep.algebra.table, rep.rho, rep.mbasis
-        if mode == "bijective":
-            # sum T^-1_jk(x+d) rho_ikn(d, x) T_nm(d)
-            shift = {"d": Poly.var(t, "x") + Poly.var(t, "d")}
-            sums = Sums(t)
-            _contract(sums, rep.rho, {}, lambda i, j, m: (i, j, m), None,
-                      _view(((k, j, f) for j, k, f in _entries(invert_module_map(T))), shift),
-                      _view(_entries(T)))
-            return ConformalAlgebra(LEFT_SYMMETRIC, rep.algebra.basis, t, _nest(sums.close()))
-    products = _nest(_rb_sums(t, table, _entries(T)).close())
-    return ConformalAlgebra(LEFT_SYMMETRIC, basis, t, products)
+    if mode == "bijective":
+        # sum T^-1_jk(x+d) rho_ikn(d, x) T_nm(d)
+        shift = {"d": Poly.var(t, "x") + Poly.var(t, "d")}
+        sums, basis = Sums(t), rep.algebra.basis
+        _contract(sums, table, {}, lambda i, j, m: (i, j, m), None,
+                  _view(((k, j, f) for j, k, f in _entries(invert_module_map(T))), shift),
+                  _view(_entries(T)))
+    else:
+        sums = _rb_sums(t, table, _entries(T))
+    return ConformalAlgebra(LEFT_SYMMETRIC, basis, t, _nest(sums.close()))
 
 
 # -- bilinear forms and 2-cocycles ----------------------------------------------

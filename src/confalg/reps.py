@@ -100,6 +100,8 @@ def standard_rep(A: ConformalAlgebra, which: str) -> Representation:
     R(e_i)_x e_j = (e_j)_{-x-d} e_i, left_minus_right their difference.
     """
     t = A.table
+    if which not in (ADJOINT, REGULAR_LEFT, REGULAR_RIGHT, LEFT_MINUS_RIGHT):
+        raise AlgebraError(f"unknown standard representation {which!r}")
     if which == ADJOINT:
         if A.kind != LIE:
             raise PreconditionError("adjoint requires a Lie-kind algebra")
@@ -114,10 +116,8 @@ def standard_rep(A: ConformalAlgebra, which: str) -> Representation:
         _contract(sums, A.products, {"x": -Poly.var(t, "x") - Poly.var(t, "d")},
                   lambda j, i, k: (i, j, k))
         return Representation(g, A.basis, rho=_nest(sums.close()))
-    if which == LEFT_MINUS_RIGHT:
-        # L - R has the table P_ij - P_ji(-x-d): the adjoint of g
-        return Representation(g, A.basis, rho=g.products)
-    raise AlgebraError(f"unknown standard representation {which!r}")
+    # L - R has the table P_ij - P_ji(-x-d): the adjoint of g
+    return Representation(g, A.basis, rho=g.products)
 
 
 def dual_rep(rep: Representation) -> Representation:

@@ -65,6 +65,13 @@ class TestCatalog:
             else:
                 assert check_axioms(entry.algebra).ok, name
 
+    def test_entries_match_the_golden_file(self):
+        """Every entry's document, indented as the CLI prints it, equals the
+        text in tests/golden/catalog.json byte for byte."""
+        golden = Path(__file__).resolve().parent / "golden" / "catalog.json"
+        doc = {name: entry_to_dict(catalog(name)) for name in names()}
+        assert json.dumps(doc, indent=2) + "\n" == golden.read_text()
+
 
 class TestJsonRoundTrips:
     def test_algebra(self, hv):
@@ -743,6 +750,59 @@ class TestRejectedInput:
                                           "representation": {"standard": "adjoint", "dual": True},
                                           "map": "hv_rb_family1"}, (),
                      "unknown basis name 'L' in map", id="catalog_map_dual_module"),
+        # an unknown name is reported as unknown whatever the algebra's kind
+        *(pytest.param("check-rep", {"algebra": algebra, "representation": "nosuch"}, (),
+                       "AlgebraError: unknown standard representation 'nosuch'",
+                       id=f"unknown_standard_rep_{algebra}") for algebra in ("vir", "hv_lsc1")),
+        pytest.param("gd-check", {"gd": {"basis": ["a"], "circ": {"a,a": {"a": "x"}}}}, (),
+                     """gd.circ["a,a"].a must be a rational, got 'x'""", id="gd_constant_text"),
+        pytest.param("check-axioms", {"algebra": {"basis": ["L"], "products": {"L": {"L": "d"}}}},
+                     (), "bad key 'L' in algebra.products", id="product_key_not_a_pair"),
+        pytest.param("check-axioms", {"algebra": {"kind": "assoc", "basis": ["L"]}}, (),
+                     "unknown algebra kind 'assoc'", id="unknown_algebra_kind"),
+        pytest.param("check-rep", {"algebra": "vir", "representation": {"standard": 3}}, (),
+                     "representation.standard must be a name, got int", id="standard_not_a_name"),
+        pytest.param("check-rep", {"algebra": "vir", "representation": {"module_basis": ["v"]}},
+                     (), "representation needs action or action_l/action_r",
+                     id="representation_without_action"),
+        pytest.param("check-cybe", {"algebra": "vir", "tensor": {
+                         "entries": [{"i": "L", "j": "Q", "c": "1"}]}}, (),
+                     "tensor.entries[0] needs basis names i and j, got 'L', 'Q'",
+                     id="tensor_entry_unknown_name"),
+        pytest.param("check-cocycle", {"algebra": "vir", "form": {"kind": "assoc", "matrix": {}}},
+                     (), "unknown form kind 'assoc'", id="unknown_form_kind"),
+        pytest.param("check-axioms", {"algebra": "vir"}, ("--param", "b"),
+                     "--param expects name=value|free, got 'b'", id="param_without_value"),
+        pytest.param("check-cybe", {"algebra": "vir", "tensor": "vir"}, (),
+                     "catalog entry 'vir' has no tensor", id="catalog_entry_without_tensor"),
+        pytest.param("coeff", {"algebra": "vir"}, ("--window", "1", "--shift", "Q=1"),
+                     "unknown generator 'Q' in --shift", id="shift_unknown_generator"),
+        pytest.param("coeff", {"algebra": "hv_lsc1"}, ("--window", "1"),
+                     "window checks expect a Lie-kind algebra", id="window_left_symmetric"),
+        pytest.param("check-o-operator", {"algebra": "hv_lsc1", "map": {}, "representation": {
+                         "module_basis": ["v"], "action": {}}}, (),
+                     "O-operators are defined against a Lie-kind representation",
+                     id="o_operator_left_symmetric"),
+        pytest.param("cocycle-from-r", {"algebra": "hv_lsc1_skew_r", "tensor": "hv_lsc1_skew_r"},
+                     ("--kind", "lsc"), "an lsc-kind cocycle needs a symmetric tensor",
+                     id="lsc_cocycle_skew_tensor"),
+        pytest.param("form-suite", {"algebra": "hv_lsc1", "form": {"matrix": {}}}, (),
+                     "the invariant form suite expects a Lie-kind algebra",
+                     id="form_suite_left_symmetric"),
+        pytest.param("check-s", {"algebra": "vir", "tensor": {"entries": []}}, (),
+                     "the conformal S-equation lives in a left-symmetric algebra",
+                     id="s_equation_on_lie"),
+        pytest.param("rb-constraints", {"params": ["t0_0_0"], "algebra": {
+                         "kind": "lie", "basis": ["L"], "products": {"L,L": {"L": "d+2*x"}}}},
+                     ("--degree", "0"), "unknown name t0_0_0 collides with an existing variable",
+                     id="param_named_like_an_unknown"),
+        pytest.param("check-axioms", {"algebra": "vir", "params": ["1x"]}, (),
+                     "invalid parameter name '1x'", id="invalid_param_name"),
+        pytest.param("check-axioms", {"algebra": "vir", "params": ["d"]}, (),
+                     "duplicate or reserved parameter name 'd'", id="reserved_param_name"),
+        pytest.param("check-axioms", {"algebra": {"basis": ["L"],
+                                                  "products": {"L,L": {"L": "d x"}}}}, (),
+                     'algebra.products["L,L"].L: trailing input at token 1', id="trailing_input"),
     ])
     def test_exit_2_names_the_path(self, tmp_path, capsys, command, doc, extra, names):
         assert run(tmp_path, command, doc, *extra) == 2

@@ -160,6 +160,7 @@ class TestParser:
 
     def test_unary_minus(self):
         assert p("-d-2*x") == -p("d+2*x")
+        assert p("d*-x") == -(p("d") * p("x"))
 
     @pytest.mark.parametrize("text", ["(d+x+y+d1+d2+d3)^40", "x^999999999", "2^999999999",
                                       "x^60*d^41", "(d+x+y+d1+d2+d3+b)^5*(d+x+y+d1+d2+d3+b)^5",

@@ -48,7 +48,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import LIE, ConformalAlgebra, PreconditionError
-from .linmap import ModuleMap
+from .linmap import ModuleMap, _checked_entries
 from .poly import Poly, Record, VarTableMismatch, _shown
 from .report import Report
 
@@ -125,12 +125,14 @@ class CoeffWindow(Record):
 
     def _lift_rows(self, T: ModuleMap) -> list:
         """Each row of T as [(j, d-split of T_ij)] over its nonzero entries."""
-        if T.src_rank != self.algebra.rank or T.dst_rank != self.algebra.rank:
-            raise PreconditionError("map shape does not match the algebra")
+        n = self.algebra.rank
+        entries = _checked_entries(T, n, n, "the algebra")
         if T.table != self.algebra.table:
             raise VarTableMismatch("the map and the algebra have different variable tables")
-        return [[(j, _d_split(entry)) for j, entry in enumerate(row) if not entry.is_zero]
-                for row in T.matrix]
+        rows = [[] for _ in range(n)]
+        for i, j, entry in entries:
+            rows[i].append((j, _d_split(entry)))
+        return rows
 
     def _lift_unit(self, rows: list, i: int, m: int) -> dict | None:
         """T of the unit symbol (i, m), split by monomial, for the rows of T."""

@@ -258,12 +258,8 @@ def form_from_dict(doc: dict, basis: tuple[str, ...], table: VarTable,
 
 
 def form_to_dict(form: BilinearForm) -> dict:
-    matrix = {}
-    for i, row in enumerate(form.matrix):
-        for j, p in enumerate(row):
-            if not p.is_zero:
-                matrix[f"{form.basis[i]},{form.basis[j]}"] = str(p)
-    out = {"matrix": matrix}
+    basis = form.basis
+    out = {"matrix": {f"{basis[i]},{basis[j]}": str(p[0]) for (i, j), p in form.products.items()}}
     if form.kind is not None:
         out["kind"] = form.kind
     return out

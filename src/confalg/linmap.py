@@ -7,6 +7,9 @@ derivation by construction, and ``at_zero`` specializes any conformal linear
 map to one.  Invertibility over the polynomial ring in d means the
 determinant is a nonzero rational constant; the inverse comes from
 Gauss-Jordan on unit pivots, then Faddeev-LeVerrier on the block left over.
+Every check that reads a map's entries reads them through `_checked_entries`,
+which refuses a map whose rows are not the shape the check expects, ragged
+rows included, with one message, and gives the nonzero entries row by row.
 
 Over Q, `rref` reduces sparse rows {column: rational} one at a time, by
 sparse Gauss-Jordan over the integers, and `kernel` gives a basis of their
@@ -82,6 +85,14 @@ class ModuleMap(ConformalLinearMap):
         out = [list(row) for row in self.matrix]
         out[i][j] = out[i][j] + delta
         return ModuleMap(self.table, out)
+
+
+def _checked_entries(T: ConformalLinearMap, src: int, dst: int, onto: str) -> list[tuple]:
+    """The nonzero entries (i, j, T_ij) of a map with `src` rows of `dst`
+    entries each, row by row; every reader of a map's entries comes here."""
+    if len(T.matrix) != src or any(len(row) != dst for row in T.matrix):
+        raise PreconditionError(f"map shape does not match {onto}")
+    return [(i, j, f) for i, row in enumerate(T.matrix) for j, f in enumerate(row) if f.terms]
 
 
 def lift_constant(m: ModuleMap) -> ConformalLinearMap:

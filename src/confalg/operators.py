@@ -35,7 +35,8 @@ from .algebra import (
     _require,
     _view,
 )
-from .linmap import ConformalLinearMap, ModuleMap, NotInvertible, _matmul, invert_module_map
+from .linmap import (ConformalLinearMap, ModuleMap, NotInvertible, _checked_entries, _matmul,
+                     invert_module_map)
 from .poly import (MAX_PARSE_DEGREE, MAX_PARSE_TERM_PRODUCTS, Poly, Record, Substitution, Sums,
                    VarTable, VarTableMismatch, _make, _normal, _shown)
 from .report import Report
@@ -61,11 +62,10 @@ def check_o_operator(T: ModuleMap, rep: Representation, ker_mode: bool = False) 
     A = rep.algebra
     if A.kind != LIE:
         raise PreconditionError("O-operators are defined against a Lie-kind representation")
-    if T.src_rank != rep.mrank or T.dst_rank != A.rank:
-        raise PreconditionError("map shape does not match the representation")
+    entries = _checked_entries(T, rep.mrank, A.rank, "the representation")
     t, n, S = A.table, A.rank, semidirect(A, rep, checked=False)
     sums = {(u - n, v - n, m): R for (u, v, m), R in _rb_sums(
-        t, S.products, [(n + u, p, f) for u, p, f in _entries(T)], 0).close().items()}
+        t, S.products, [(n + u, p, f) for u, p, f in entries], 0).close().items()}
     report = Report()
     if not ker_mode:
         report.sweep("o_operator", (rep.mbasis,) * 2, sums, A.basis)
@@ -110,11 +110,6 @@ def _rb_sums(t: VarTable, P: ProductTable, entries: list[tuple], weight=None) ->
     return acc
 
 
-def _entries(T: ModuleMap) -> list[tuple]:
-    return [(i, p, f) for i, row in enumerate(T.matrix) for p, f in enumerate(row)
-            if not f.is_zero]
-
-
 def rota_baxter_residuals(A: ConformalAlgebra, T: ModuleMap,
                           weight: Poly | Fraction | int) -> dict[tuple[int, int, int], Poly]:
     """The nonzero residuals of the weight-alpha Rota-Baxter identity,
@@ -122,9 +117,8 @@ def rota_baxter_residuals(A: ConformalAlgebra, T: ModuleMap,
 
     [T(a)_x T(b)] - T([a_x T(b)]) - T([T(a)_x b]) - alpha T([a_x b]).
     """
-    if T.src_rank != A.rank or T.dst_rank != A.rank:
-        raise PreconditionError("map shape does not match the algebra")
-    return _rb_sums(A.table, A.products, _entries(T), weight).close()
+    entries = _checked_entries(T, A.rank, A.rank, "the algebra")
+    return _rb_sums(A.table, A.products, entries, weight).close()
 
 
 def check_rota_baxter(A: ConformalAlgebra, T: ModuleMap,
@@ -151,23 +145,24 @@ def induced_lsc(T: ModuleMap, rep: Representation | None = None,
         if algebra is None:
             raise PreconditionError("rb mode needs the ambient Lie algebra")
         _require(check_rota_baxter(algebra, T, 0), "map is not Rota-Baxter of weight 0")
-        t, table, basis = algebra.table, algebra.products, algebra.basis
+        A, table, basis, onto = algebra, algebra.products, algebra.basis, "the algebra"
     else:
         if rep is None:
             raise PreconditionError(f"mode {mode!r} needs a representation")
         if mode not in ("o_product", "bijective"):
             raise PreconditionError(f"unknown mode {mode!r}")
         _require(check_o_operator(T, rep), "map is not an O-operator")
-        t, table, basis = rep.algebra.table, rep.rho, rep.mbasis
+        A, table, basis, onto = rep.algebra, rep.rho, rep.mbasis, "the representation"
+    t, entries = A.table, _checked_entries(T, len(basis), A.rank, onto)
     if mode == "bijective":
         # sum T^-1_jk(x+d) rho_ikn(d, x) T_nm(d)
+        inverse = _checked_entries(invert_module_map(T), A.rank, len(basis), onto)
         shift = {"d": Poly.var(t, "x") + Poly.var(t, "d")}
-        sums, basis = Sums(t), rep.algebra.basis
+        sums, basis = Sums(t), A.basis
         _contract(sums, table, {}, lambda i, j, m: (i, j, m), None,
-                  _view(((k, j, f) for j, k, f in _entries(invert_module_map(T))), shift),
-                  _view(_entries(T)))
+                  _view(((k, j, f) for j, k, f in inverse), shift), _view(entries))
     else:
-        sums = _rb_sums(t, table, _entries(T))
+        sums = _rb_sums(t, table, entries)
     return ConformalAlgebra(LEFT_SYMMETRIC, basis, t, _nest(sums.close()))
 
 
@@ -547,6 +542,7 @@ def form_pr_map(A: ConformalAlgebra, B: BilinearForm, r: Tensor2) -> ConformalLi
     with T = t_from_r(A, r).
     """
     from .tensor import t_from_r
+    _check_size(A, B)
     t = A.table
     shift = Substitution(t, {"x": Poly.var(t, "x") + Poly.var(t, "d")})
     shifted_transpose = [list(map(shift, column)) for column in zip(*B.matrix)]

@@ -153,7 +153,7 @@ def semidirect(A: ConformalAlgebra, rep: Representation, checked: bool = True) -
     if rep.is_lie != (A.kind == LIE):
         raise PreconditionError("a Lie-kind algebra needs a Lie-kind module, "
                                 "a left-symmetric one a bimodule")
-    if A.kind == LIE and rep.algebra is not A and rep.algebra.products != A.products:
+    if rep.algebra is not A and rep.algebra.products != A.products:
         raise PreconditionError("representation is not over the given algebra")
     t, n = A.table, A.rank
     sums = Sums(t)

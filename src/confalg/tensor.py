@@ -33,7 +33,7 @@ from .algebra import (
     _view,
     sub_adjacent,
 )
-from .linmap import ConformalLinearMap
+from .linmap import ConformalLinearMap, _checked_entries
 from .poly import Poly, Record, Substitution, Sums
 from .report import Report
 from .reps import Representation, check_rep, dual_rep, semidirect
@@ -184,19 +184,11 @@ def r_from_t(T: ConformalLinearMap, rep: Representation, mode: str = "skew") -> 
     A = rep.algebra
     table = A.table
     n = A.rank
-    if T.src_rank != rep.mrank or T.dst_rank != n:
-        raise PreconditionError("map shape does not match the representation")
+    entries = _checked_entries(T, rep.mrank, n, "the representation")
     S = semidirect(A, dual_rep(rep), checked=False)
     d1 = Poly.var(table, "d1")
     at = Substitution(table, {"x": -d1 - Poly.var(table, "d2"), "d": d1})
-    coeffs: dict[tuple[int, int], Poly] = {}
-    for i in range(rep.mrank):
-        for j in range(n):
-            a = T.matrix[i][j]
-            if a.is_zero:
-                continue
-            coeffs[(j, n + i)] = at(a)
-    rT = Tensor2(S, coeffs)
+    rT = Tensor2(S, {(j, n + i): at(a) for i, j, a in entries})
     if mode == "raw":
         return rT
     return rT - flip(rT) if mode == "skew" else rT + flip(rT)

@@ -4,17 +4,23 @@ import tracemalloc
 import pytest
 
 from confalg import (
+    AlgebraError,
     BilinearForm,
+    CoeffWindow,
     ConformalAlgebra,
     DegenerateForm,
     InconsistentSystem,
     ModuleMap,
     NotInvertible,
+    NotQuadratic,
     Poly,
     PolySystem,
     PreconditionError,
+    Representation,
     Tensor2,
+    UnknownEntry,
     VarTable,
+    VarTableMismatch,
     canonical_skew_tensor,
     canonical_sym_tensor,
     catalog,
@@ -25,6 +31,7 @@ from confalg import (
     cocycle_from_r,
     cybe_residual,
     dual_rep,
+    gd_from_algebra,
     induced_lsc,
     invariant_form_suite,
     invert_module_map,
@@ -32,11 +39,13 @@ from confalg import (
     parse,
     r_from_t,
     rb_constraints,
+    rb_gd_check,
     semidirect,
     solve_squares,
     standard_rep,
     sub_adjacent,
     t_from_r,
+    window_checks,
     with_zero_right,
 )
 from confalg import linmap, operators, poly
@@ -642,12 +651,15 @@ class TestInvariantForms:
 
     def test_form_size_must_match_the_rank(self, hv, table, P):
         """A 1x1 or 3x3 form on the rank-2 algebra is refused, not read out of
-        range or checked as some other form."""
+        range or checked as some other form, by the suite and by the map it
+        induces from a tensor."""
         for size in (1, 3):
             identity = [[P("1") if i == j else P("0") for j in range(size)] for i in range(size)]
             B = BilinearForm(table, ("L", "W", "E")[:size], identity)
             with pytest.raises(PreconditionError, match="form size"):
                 invariant_form_suite(hv, B)
+            with pytest.raises(PreconditionError, match="form size"):
+                operators.form_pr_map(hv, B, Tensor2(hv, {}))
 
     def test_tensor_check_on_abelian(self, table, P):
         ab = ConformalAlgebra("lie", ("A", "B"), table, {})
@@ -684,18 +696,72 @@ class TestInvariantForms:
         assert not named["induced_rota_baxter"]
 
 
+RAGGED = {"short": [["1", "0"], ["1"]], "long": [["1", "0"], ["1", "0", "1"]]}
+
+
+@pytest.mark.parametrize("rows", RAGGED)
+@pytest.mark.parametrize("consumer", ["check_rota_baxter", "check_o_operator", "r_from_t",
+                                      "window_checks", "rb_gd_check"])
+def test_ragged_map_is_refused_by_every_check(consumer, rows, hv, table, P):
+    """A map over hv whose second row is short or long is refused with the
+    same shape error by every check that reads a map, never a failing
+    verdict, an IndexError or a truncated tensor."""
+    T = ModuleMap(table, [[P(c) for c in row] for row in RAGGED[rows]])
+    adjoint = standard_rep(hv, "adjoint")
+    onto, call = {
+        "check_rota_baxter": ("the algebra", lambda: check_rota_baxter(hv, T)),
+        "check_o_operator": ("the representation", lambda: check_o_operator(T, adjoint)),
+        "r_from_t": ("the representation", lambda: r_from_t(T, adjoint)),
+        "window_checks": ("the algebra", lambda: window_checks(CoeffWindow(hv, 2), T, 0)),
+        "rb_gd_check": ("the algebra", lambda: rb_gd_check(gd_from_algebra(hv), T, 0)),
+    }[consumer]
+    with pytest.raises(PreconditionError) as raised:
+        call()
+    assert str(raised.value) == f"map shape does not match {onto}"
+
+
 @pytest.mark.parametrize("case", ["module_map_x", "form_d", "induced_lsc_mode", "cocycle_kind",
-                                  "r_from_t_mode"])
-def test_violated_preconditions_raise_precondition_error(case, table, P, vir):
-    """Each library precondition raises PreconditionError, never a bare ValueError."""
+                                  "r_from_t_mode", "algebra_kind", "catalog_parameter",
+                                  "gd_of_lsc", "induced_lsc_rb_algebra", "induced_lsc_rep",
+                                  "system_table", "representation_tables", "zero_right_kinds",
+                                  "semidirect_algebra"])
+def test_violated_preconditions_raise_precondition_error(case, table, P, vir, hv):
+    """Each library precondition raises its own error class with its message,
+    never a bare ValueError; most raise PreconditionError."""
     adjoint = standard_rep(vir, "adjoint")
     identity = ModuleMap.identity(table, 1)
-    call = {
-        "module_map_x": lambda: ModuleMap(table, [[P("x")]]),
-        "form_d": lambda: BilinearForm(table, vir.basis, [[P("d")]]),
-        "induced_lsc_mode": lambda: induced_lsc(identity, adjoint, mode="nosuch"),
-        "cocycle_kind": lambda: cocycle_from_r(vir, Tensor2(vir, {}), "nosuch"),
-        "r_from_t_mode": lambda: r_from_t(lift_constant(identity), adjoint, mode="nosuch"),
+    error, message, call = {
+        "module_map_x": (PreconditionError,
+                         "module map entries may use only d and parameters, got ['x']",
+                         lambda: ModuleMap(table, [[P("x")]])),
+        "form_d": (PreconditionError, "form entries may use only x and parameters, got ['d']",
+                   lambda: BilinearForm(table, vir.basis, [[P("d")]])),
+        "induced_lsc_mode": (PreconditionError, "unknown mode 'nosuch'",
+                             lambda: induced_lsc(identity, adjoint, mode="nosuch")),
+        "cocycle_kind": (PreconditionError, "unknown cocycle kind 'nosuch'",
+                         lambda: cocycle_from_r(vir, Tensor2(vir, {}), "nosuch")),
+        "r_from_t_mode": (PreconditionError, "unknown mode 'nosuch'",
+                          lambda: r_from_t(lift_constant(identity), adjoint, mode="nosuch")),
+        "algebra_kind": (AlgebraError, "unknown algebra kind 'assoc'",
+                         lambda: ConformalAlgebra("assoc", ("L",), table, {})),
+        "catalog_parameter": (UnknownEntry, "entry hv_lsc1 needs parameter b in the variable table",
+                              lambda: catalog("hv_lsc1", VarTable())),
+        "gd_of_lsc": (NotQuadratic, "the correspondence applies to Lie-kind algebras",
+                      lambda: gd_from_algebra(catalog("hv_lsc1").algebra)),
+        "induced_lsc_rb_algebra": (PreconditionError, "rb mode needs the ambient Lie algebra",
+                                   lambda: induced_lsc(identity, mode="rb")),
+        "induced_lsc_rep": (PreconditionError, "mode 'o_product' needs a representation",
+                            lambda: induced_lsc(identity, mode="o_product")),
+        "system_table": (VarTableMismatch, "equation over another variable table",
+                         lambda: PolySystem(table, (), [Poly.const(VarTable(), 1)])),
+        "representation_tables": (AlgebraError, "give either rho (lie) or left/right tables (lsc)",
+                                  lambda: Representation(vir, ("v",))),
+        "zero_right_kinds": (PreconditionError,
+                             "expected a left-symmetric algebra and a lie representation",
+                             lambda: with_zero_right(vir, adjoint)),
+        "semidirect_algebra": (PreconditionError, "representation is not over the given algebra",
+                               lambda: semidirect(hv, adjoint)),
     }[case]
-    with pytest.raises(PreconditionError):
+    with pytest.raises(error) as raised:
         call()
+    assert raised.type is error and str(raised.value) == message

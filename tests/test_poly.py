@@ -36,6 +36,7 @@ class TestArithmetic:
         assert 2 * p("d") - p("d") == p("d")
         assert p("d") * Fraction(1, 2) == p("1/2*d")
         assert (p("d") + 1) - 1 == p("d")
+        assert (p("d") == "d") is False
 
     def test_pow(self):
         assert p("d+x") ** 0 == 1
@@ -145,6 +146,19 @@ class TestStructure:
         q = p("d*b + 2")
         moved = q.embed(big)
         assert moved == parse(big, "d*b + 2")
+        assert q.embed(T) is q
+
+    @pytest.mark.parametrize("error, message, call", [
+        (TypeError, "expected a rational scalar, got str", lambda: Poly.const(T, "1")),
+        (PolyError, "bad exponent tuple (1,)", lambda: Poly(T, {(1,): 1})),
+        (UnknownVariable, "unknown variable 'q'", lambda: Poly.var(T, "q")),
+        (UnknownVariable, "unknown variable 'q'", lambda: p("d").split(("q",))),
+        (UnknownVariable, "target table lacks variable 'b'", lambda: p("b").embed(VarTable())),
+    ], ids=["const_scalar", "exponent_tuple", "var_name", "split_name", "embed_target"])
+    def test_guards_raise_their_class_and_message(self, error, message, call):
+        with pytest.raises(error) as raised:
+            call()
+        assert raised.type is error and str(raised.value) == message
 
 
 class TestParser:

@@ -152,6 +152,14 @@ class TestSemidirect:
         assert S.kind == "left_symmetric"
         assert check_axioms(S).ok
 
+    def test_lsc_bimodule_over_another_algebra(self, hv_lsc1, table):
+        """A bimodule over hv_lsc2 is refused on hv_lsc1, as a Lie module over
+        another algebra is, not summed into a table that breaks left-symmetry."""
+        hv_lsc2 = catalog("hv_lsc2", table).algebra
+        other = with_zero_right(hv_lsc2, dual_rep(standard_rep(hv_lsc2, "regular_left")))
+        with pytest.raises(PreconditionError, match="representation is not over the given algebra"):
+            semidirect(hv_lsc1, other)
+
     def test_lsc_semidirect_regular_module(self, comm1):
         S = semidirect(comm1, regular_module(comm1))
         assert check_axioms(S).ok

@@ -56,6 +56,8 @@ def ranges(missed: list[int], lines: list[int]) -> str:
 def main(argv: list[str]) -> int:
     sys.path.insert(0, str(PACKAGE.parent))
     modules = {str(path): path.name for path in sorted(PACKAGE.glob("*.py"))}
+    # read before the run, so that a module edited during it is listed as it ran
+    sources = {path: Path(path).read_text(encoding="utf-8") for path in modules}
     hits: dict[str, set[int]] = {name: set() for name in modules.values()}
     names: dict[str, str | None] = {}  # a code object's filename -> its module, or None
 
@@ -83,7 +85,7 @@ def main(argv: list[str]) -> int:
     print(f"\nlines of src/confalg that never ran under pytest {' '.join(argv)}".rstrip())
     print("(child processes are not traced, so what only they run is listed too):")
     for path, name in modules.items():
-        lines = sorted(executable_lines(Path(path).read_text(encoding="utf-8"), path))
+        lines = sorted(executable_lines(sources[path], path))
         missed = [line for line in lines if line not in hits[name]]
         print(f"  {name}: {ranges(missed, lines) if missed else 'none'}")
     return int(code)

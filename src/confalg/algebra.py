@@ -28,7 +28,7 @@ the nonzero sums, keyed (instance..., target), not every basis tuple.
 
 Each law is expanded once: ``_law`` for Jacobi and left-symmetry, whose
 tables are arguments (algebra, module and 2-cocycle alike), and
-``_commutator`` for skew-symmetry and the sub-adjacent bracket.
+``_commutator`` for skew-symmetry, the sub-adjacent bracket and form symmetry.
 """
 
 from __future__ import annotations
@@ -59,17 +59,20 @@ def _require(report: Report, message: str) -> None:
         raise PreconditionError(f"{message}: {check.name} at {check.residuals[0][0]}")
 
 
-def clean_table(products: ProductTable) -> ProductTable:
-    """The table without its zero entries, and with equal entries one object:
-    each entry equal to an earlier one, in variable table and terms, is
-    replaced by it, so the memos keyed by object (``Substitution``,
-    ``_contract``) treat copies of a value as the value."""
+def clean_table(products: ProductTable, n: int, m: int) -> ProductTable:
+    """The table of a rank-n algebra on a rank-m space without its zero
+    entries, and with equal entries one object: each entry equal to an
+    earlier one, in variable table and terms, is replaced by it, so the memos
+    keyed by object (``Substitution``, ``_contract``) treat copies of a value
+    as the value.  An entry (i, j) -> k outside the ranks: PreconditionError."""
     out: ProductTable = {}
     first: dict[Poly, Poly] = {}  # Poly hashes and compares by (table, terms)
-    for pair, targets in products.items():
-        kept = {k: first.setdefault(p, p) for k, p in targets.items() if not p.is_zero}
-        if kept:
-            out[pair] = kept
+    for (i, j), targets in products.items():
+        if kept := {k: first.setdefault(p, p) for k, p in targets.items() if not p.is_zero}:
+            for k in kept:
+                if not (0 <= i < n and 0 <= j < m and 0 <= k < m):
+                    raise PreconditionError(f"entry ({i}, {j}) -> {k} is outside ranks ({n}, {m})")
+            out[i, j] = kept
     return out
 
 
@@ -79,7 +82,7 @@ class ConformalAlgebra(Record):
         if kind not in (LIE, LEFT_SYMMETRIC):
             raise AlgebraError(f"unknown algebra kind {kind!r}")
         self.kind, self.basis, self.table = kind, basis, table
-        self.products = clean_table(products)
+        self.products = clean_table(products, len(basis), len(basis))
 
     @property
     def rank(self) -> int:
@@ -258,12 +261,13 @@ def _law(t: VarTable, kind: str, P: ProductTable, inner: ProductTable, outer: Pr
     return sums.close()
 
 
-def _commutator(t: VarTable, P: ProductTable, sign: int) -> dict:
-    """P_ijk(d, x) + sign * P_jik(d, -x-d), closed sums keyed (i, j, k)."""
+def _commutator(t: VarTable, P: ProductTable, sign: int, scalar: bool = False) -> dict:
+    """P_ijk(d, x) + sign * P_jik(d, -x-d), closed sums keyed (i, j, k); with
+    ``scalar`` P is a form, whose value carries no d, so the reflection is -x."""
+    reflected = -Poly.var(t, "x") if scalar else -Poly.var(t, "x") - Poly.var(t, "d")
     sums = Sums(t)
     _contract(sums, P, {}, lambda i, j, k: (i, j, k))
-    _contract(sums, P, {"x": -Poly.var(t, "x") - Poly.var(t, "d")}, lambda i, j, k: (j, i, k),
-              sign=sign)
+    _contract(sums, P, {"x": reflected}, lambda i, j, k: (j, i, k), sign=sign)
     return sums.close()
 
 

@@ -119,14 +119,10 @@ def _table(doc, rows: tuple[str, ...], cols: tuple[str, ...], path: str, cell,
 
 def _table_to_dict(tbl: dict, rows: tuple[str, ...], cols: tuple[str, ...],
                    targets: tuple[str, ...]) -> dict:
-    """Inverse of `_table` with targets; zero cells and empty entries are left out."""
-    out: dict = {}
-    for (i, j), cells in sorted(tbl.items()):
-        entry = {targets[k]: str(c) if isinstance(c, Poly) else _numeral(c)
-                 for k, c in sorted(cells.items()) if c != 0}
-        if entry:
-            out[f"{rows[i]},{cols[j]}"] = entry
-    return out
+    """Inverse of `_table` with targets, of a table without zero cells or empty entries."""
+    return {f"{rows[i]},{cols[j]}": {targets[k]: str(c) if isinstance(c, Poly) else _numeral(c)
+                                     for k, c in sorted(cells.items())}
+            for (i, j), cells in sorted(tbl.items())}
 
 
 def _matrix(cells: dict, rows: int, cols: int, table: VarTable) -> list[list[Poly]]:

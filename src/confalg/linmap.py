@@ -55,10 +55,6 @@ class ConformalLinearMap(Record):
     def src_rank(self) -> int:
         return len(self.matrix)
 
-    @property
-    def dst_rank(self) -> int:
-        return len(self.matrix[0]) if self.matrix else 0
-
     def at_zero(self) -> ModuleMap:
         at = Substitution(self.table, {"x": 0})
         return ModuleMap(self.table, [list(map(at, row)) for row in self.matrix])

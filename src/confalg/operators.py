@@ -28,6 +28,7 @@ from .algebra import (
     ConformalAlgebra,
     PreconditionError,
     ProductTable,
+    _commutator,
     _contract,
     _law,
     _nest,
@@ -224,29 +225,23 @@ def cocycle_from_r(A: ConformalAlgebra, r: Tensor2, kind: str) -> BilinearForm:
 def cocycle_check(A: ConformalAlgebra, form: BilinearForm) -> Report:
     """Cocycle identity and the symmetry law, on all basis pairs/triples.
 
-    Symmetry reads the matrix: B_ij(x) + B_ji(-x) (lie) or B_ij(x) - B_ji(-x)
-    (lsc).  The cocycle identity is the algebra's law from ``_law`` with the
-    form as outer table, e.g. form(e_i, e_j _y e_k) at x = sum_l B_il(x) P_jkl(x, y)
-    and form(e_i _x e_j, e_k) at x+y = sum_l P_ijl(-x-y, x) B_lk(x+y).  A form
-    without a kind is checked as a cocycle of its algebra's kind.
+    Symmetry is ``_commutator`` of the form, a scalar table: B_ij(x) + B_ji(-x)
+    (lie) or B_ij(x) - B_ji(-x) (lsc).  The cocycle identity is the algebra's
+    law from ``_law`` with the form as outer table, e.g. form(e_i, e_j _y e_k)
+    at x = sum_l B_il(x) P_jkl(x, y) and form(e_i _x e_j, e_k) at x+y =
+    sum_l P_ijl(-x-y, x) B_lk(x+y).  A form without a kind is checked as a
+    cocycle of its algebra's kind.
     """
     kind = "lie" if A.kind == LIE else "lsc"
     if form.kind not in (None, kind):
         raise PreconditionError(f"form kind {form.kind!r} does not match algebra kind")
     _check_size(A, form)
+    symmetry = _commutator(A.table, form.products, 1 if kind == "lie" else -1, scalar=True)
     residuals = _law(A.table, A.kind, A.products, A.products, form.products, scalar=True)
     report = Report()
-    report.sweep("symmetry", (A.basis,) * 2, _symmetry(form, 1 if kind == "lie" else -1))
+    report.sweep("symmetry", (A.basis,) * 2, {k[:-1]: p for k, p in symmetry.items()})
     report.sweep("cocycle_identity", (A.basis,) * 3, {k[:-1]: p for k, p in residuals.items()})
     return report
-
-
-def _symmetry(form: BilinearForm, sign: int) -> dict[tuple[int, int], Poly]:
-    """B_ij(x) + sign * B_ji(-x) on the nonzero entries and their transposes."""
-    t, B = form.table, form.matrix
-    reflect = Substitution(t, {"x": -Poly.var(t, "x")})
-    pairs = {k for i, j in form.products for k in ((i, j), (j, i))}
-    return {(i, j): B[i][j] + reflect(B[j][i]) * sign for i, j in pairs}
 
 
 def _check_size(A: ConformalAlgebra, form: BilinearForm) -> None:
@@ -568,7 +563,8 @@ def invariant_form_suite(A: ConformalAlgebra, B: BilinearForm,
     _nested(sums, A.products, B.products, Y, X, right=False)
     _nested(sums, A.products, B.products, X - D, Y, right=True, scalar=True, sign=-1)
     report = Report()
-    report.sweep("symmetry", (A.basis,) * 2, _symmetry(B, -1))
+    symmetry = _commutator(t, B.products, -1, scalar=True)
+    report.sweep("symmetry", (A.basis,) * 2, {k[:-1]: p for k, p in symmetry.items()})
     report.sweep("invariance", (A.basis,) * 3, {k[:-1]: p for k, p in sums.close().items()})
     nondeg = report.new_check("non_degenerate")
     nondeg.evaluated = 1  # the determinant of the induced map

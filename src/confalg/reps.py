@@ -46,10 +46,12 @@ class Representation(Record):
         if (rho is None) == (left is None and right is None):
             raise AlgebraError("give either rho (lie) or left/right tables (lsc)")
         self.algebra, self.mbasis = algebra, mbasis
+        n, m = algebra.rank, len(mbasis)
         if rho is None:  # a missing left or right table is the zero action
-            self.rho, self.left, self.right = None, clean_table(left or {}), clean_table(right or {})
+            self.rho, self.left, self.right = (None, clean_table(left or {}, n, m),
+                                               clean_table(right or {}, n, m))
         else:
-            self.rho, self.left, self.right = clean_table(rho), None, None
+            self.rho, self.left, self.right = clean_table(rho, n, m), None, None
 
     @property
     def is_lie(self) -> bool:
@@ -135,10 +137,17 @@ def dual_rep(rep: Representation) -> Representation:
     return Representation(rep.algebra, names, rho=_nest(sums.close()))
 
 
+def _require_over(A: ConformalAlgebra, rep: Representation) -> None:
+    """PreconditionError unless `rep` is over A itself or an algebra with A's products."""
+    if rep.algebra is not A and rep.algebra.products != A.products:
+        raise PreconditionError("representation is not over the given algebra")
+
+
 def with_zero_right(A: ConformalAlgebra, rep: Representation) -> Representation:
-    """View a representation of the sub-adjacent Lie algebra as an A-module (sigma, 0)."""
+    """View a module over the sub-adjacent Lie algebra, and no other, as an A-module (sigma, 0)."""
     if A.kind != LEFT_SYMMETRIC or not rep.is_lie:
         raise PreconditionError("expected a left-symmetric algebra and a lie representation")
+    _require_over(sub_adjacent(A, checked=False), rep)
     return Representation(A, rep.mbasis, left=dict(rep.rho), right={})
 
 
@@ -153,8 +162,7 @@ def semidirect(A: ConformalAlgebra, rep: Representation, checked: bool = True) -
     if rep.is_lie != (A.kind == LIE):
         raise PreconditionError("a Lie-kind algebra needs a Lie-kind module, "
                                 "a left-symmetric one a bimodule")
-    if rep.algebra is not A and rep.algebra.products != A.products:
-        raise PreconditionError("representation is not over the given algebra")
+    _require_over(A, rep)
     t, n = A.table, A.rank
     sums = Sums(t)
     _contract(sums, A.products, {}, lambda i, j, k: (i, j, k))

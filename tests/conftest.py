@@ -328,7 +328,7 @@ def oracle_determinant(matrix, table):
 def oracle_invert_module_map(m):
     """Adjugate over the Laplace determinant, one minor per entry."""
     n = m.src_rank
-    if n != m.dst_rank:
+    if any(len(row) != n for row in m.matrix):
         raise NotInvertible("matrix is not square")
     det = oracle_determinant(m.matrix, m.table)
     value = det.constant_value()

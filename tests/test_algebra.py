@@ -200,7 +200,7 @@ class TestSharedEntries:
     def test_clean_table_keeps_entries_over_other_tables_apart(self):
         pa, pc = parse(VarTable(params=("a",)), "d+x"), parse(VarTable(params=("c",)), "d+x")
         assert pa.terms == pc.terms
-        cleaned = clean_table({(0, 0): {0: pa, 1: pc}})
+        cleaned = clean_table({(0, 0): {0: pa, 1: pc}}, 1, 2)
         assert cleaned[0, 0][0] is pa and cleaned[0, 0][1] is pc
 
     def test_contract_forms_a_product_only_for_a_recurring_pair(self, table, P, monkeypatch):

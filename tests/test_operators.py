@@ -724,7 +724,8 @@ def test_ragged_map_is_refused_by_every_check(consumer, rows, hv, table, P):
                                   "r_from_t_mode", "algebra_kind", "catalog_parameter",
                                   "gd_of_lsc", "induced_lsc_rb_algebra", "induced_lsc_rep",
                                   "system_table", "representation_tables", "zero_right_kinds",
-                                  "semidirect_algebra"])
+                                  "semidirect_algebra", "algebra_key_rank",
+                                  "module_target_rank"])
 def test_violated_preconditions_raise_precondition_error(case, table, P, vir, hv):
     """Each library precondition raises its own error class with its message,
     never a bare ValueError; most raise PreconditionError."""
@@ -761,6 +762,13 @@ def test_violated_preconditions_raise_precondition_error(case, table, P, vir, hv
                              lambda: with_zero_right(vir, adjoint)),
         "semidirect_algebra": (PreconditionError, "representation is not over the given algebra",
                                lambda: semidirect(hv, adjoint)),
+        "algebra_key_rank": (PreconditionError, "entry (0, 1) -> 0 is outside ranks (1, 1)",
+                             lambda: check_axioms(ConformalAlgebra("lie", ("L",), table,
+                                                                   {(0, 1): {0: P("x")}}))),
+        "module_target_rank": (PreconditionError, "entry (0, 0) -> 4 is outside ranks (1, 1)",
+                               lambda: semidirect(vir, Representation(vir, ("v",),
+                                                                      rho={(0, 0): {4: P("x")}}),
+                                                  checked=False)),
     }[case]
     with pytest.raises(error) as raised:
         call()

@@ -1768,11 +1768,15 @@ def oracle_induced_lsc(T, rep, mode):
 
 
 def oracle_invariance(A, B):
-    """The invariance sweep of invariant_form_suite, each triple through
-    dense products and form values: pairing([a_y b], c) at x - pairing(a, [b_{x-d} c]) at y."""
+    """The symmetry and invariance sweeps of invariant_form_suite, each
+    instance through form values of dense products: pairing(a, b) at x -
+    pairing(b, a) at -x, and pairing([a_y b], c) at x - pairing(a, [b_{x-d} c]) at y."""
     t = A.table
     X, Y, D = (Poly.var(t, n) for n in ("x", "y", "d"))
     basis = [A.basis_vector(i) for i in range(A.rank)]
+
+    def symmetry(i, j):
+        return oracle_eval_at(B, basis[i], basis[j], X) - oracle_eval_at(B, basis[j], basis[i], -X)
 
     def invariance(i, j, k):
         lhs = oracle_eval_at(B, dense_mul_at(A, basis[i], basis[j], Y), basis[k], X)
@@ -1780,6 +1784,7 @@ def oracle_invariance(A, B):
         return lhs - rhs
 
     report = Report()
+    dense_sweep(report, "symmetry", (A.basis,) * 2, symmetry)
     dense_sweep(report, "invariance", (A.basis,) * 3, invariance)
     return report
 
@@ -1852,8 +1857,9 @@ def induced_tables(T, rep, mode):
         return induced_lsc(T, rep=rep, mode=mode).products
 
 
-def invariance_item(A, B):
-    return next(c for c in invariant_form_suite(A, B).checks if c.name == "invariance")
+def form_items(report):
+    """A report's symmetry and invariance items, by name."""
+    return {c.name: c for c in report.checks if c.name in ("symmetry", "invariance")}
 
 
 INVARIANCE_ALGEBRAS = {"vir": lambda: entry("vir").algebra, "hv": lambda: entry("hv").algebra,
@@ -1921,20 +1927,22 @@ class TestInvarianceOracle:
         cells = st.lists(st.lists(form_cell, min_size=A.rank, max_size=A.rank),
                          min_size=A.rank, max_size=A.rank)
         B = BilinearForm(T, A.basis, data.draw(cells))
-        assert invariance_item(A, B) == oracle_invariance(A, B).checks[0]
+        assert form_items(invariant_form_suite(A, B)) == form_items(oracle_invariance(A, B))
 
     def test_invariant_trace_form(self):
-        """The trace form of a simple current algebra is invariant; bumping
-        one entry breaks it, and the residuals agree."""
-        want = oracle_invariance(CUR, TRACE_FORM).checks[0]
-        assert want.ok and want.evaluated == 27
-        assert invariance_item(CUR, TRACE_FORM) == want
+        """The trace form of a simple current algebra is symmetric and
+        invariant; bumping one diagonal entry by x breaks both, and the
+        residuals agree."""
+        want = form_items(oracle_invariance(CUR, TRACE_FORM))
+        assert want["symmetry"].ok and want["symmetry"].evaluated == 9
+        assert want["invariance"].ok and want["invariance"].evaluated == 27
+        assert form_items(invariant_form_suite(CUR, TRACE_FORM)) == want
         matrix = [row[:] for row in TRACE_FORM.matrix]
         matrix[1][1] = matrix[1][1] + X
         bumped_form = BilinearForm(T, CUR.basis, matrix)
-        want = oracle_invariance(CUR, bumped_form).checks[0]
-        assert not want.ok
-        assert invariance_item(CUR, bumped_form) == want
+        want = form_items(oracle_invariance(CUR, bumped_form))
+        assert not want["symmetry"].ok and not want["invariance"].ok
+        assert form_items(invariant_form_suite(CUR, bumped_form)) == want
 
 
 # the bracket arguments the engine meets: shifted by d, in the second argument

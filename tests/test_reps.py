@@ -160,6 +160,20 @@ class TestSemidirect:
         with pytest.raises(PreconditionError, match="representation is not over the given algebra"):
             semidirect(hv_lsc1, other)
 
+    @pytest.mark.parametrize("over", ["hv_lsc2", "vir"])
+    def test_zero_right_of_a_module_over_another_algebra(self, hv_lsc1, table, vir, over):
+        """with_zero_right refuses a module that is not over hv_lsc1's
+        sub-adjacent algebra, as semidirect refuses one not over its algebra,
+        not a bimodule that unchecked semidirect sums into a failing table."""
+        if over == "vir":
+            module = standard_rep(vir, "adjoint")
+        else:
+            hv_lsc2 = catalog("hv_lsc2", table).algebra
+            module = dual_rep(standard_rep(hv_lsc2, "regular_left"))
+        with pytest.raises(PreconditionError) as raised:
+            with_zero_right(hv_lsc1, module)
+        assert str(raised.value) == "representation is not over the given algebra"
+
     def test_lsc_semidirect_regular_module(self, comm1):
         S = semidirect(comm1, regular_module(comm1))
         assert check_axioms(S).ok

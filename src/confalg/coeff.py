@@ -19,13 +19,13 @@ as a sum over chains of its entries (``_chain``): [a,[b,c]] = sum_k C_bc^k C_ak.
 The lifted operator is linear, so T(x) = sum_k x_k T(u_k) with each lifted unit
 computed once, and so is each row [T a, u_l], so that
 [T a, T b] = sum_l q_l [T a, u_l].  Every coefficient is split into rationals,
-one per monomial in the parameters, and each monomial is packed into an
-integer in base B = 1 + 3e, with e the largest exponent of any variable in the
-table's cofactors, the map's entries and the weight (Monagan & Pearce, CASC
-2007): no chain multiplies more than three of them, so a product of monomials
-is the sum of their keys, without a carry.  A row over n symbols is
-[(symbol, n * packed, rational)], each chain sums in a plain dict keyed
-symbol + n * packed, and a Poly is built only for a nonzero sum.
+one per monomial in the parameters, keyed by the monomial's ``poly`` key,
+which the d-split cofactors already carry, so that a product of monomials is
+the sum of their keys.  No chain multiplies more than three of them, so a
+window whose largest degree, tripled, would pass the kernel's slots is
+refused before any chain is summed.  A row over n symbols is [(symbol, n * key, rational)],
+each chain sums in a plain dict keyed symbol + n * key, and a Poly is built
+only for a nonzero sum.
 ``_chain`` stays apart from ``algebra._contract``, the sum every other
 identity uses: a row of the unit-pair table may leave the window, which skips
 the instance, and the structure-constant contraction has no such case.  Two
@@ -49,7 +49,7 @@ from fractions import Fraction
 
 from .algebra import LIE, ConformalAlgebra, PreconditionError
 from .linmap import ModuleMap, _checked_entries
-from .poly import Poly, Record, VarTableMismatch, _shown
+from .poly import Poly, Record, VarTableMismatch, _degree, _fit, _make, _normal, _shown
 from .report import Report
 
 
@@ -65,8 +65,8 @@ def _falling(t: int, s: int) -> int:
 
 
 def _d_split(p: Poly) -> list:
-    """p as [(s, terms)]: the term dict of the cofactor of each power d^s."""
-    return [(s, cof.terms) for (s,), cof in p.split(("d",)).items()]
+    """p as [(s, terms)]: the terms by key of the cofactor of each power d^s."""
+    return [(s, cof.packed) for (s,), cof in p.split(("d",)).items()]
 
 
 class CoeffWindow(Record):
@@ -179,31 +179,21 @@ def window_checks(w: CoeffWindow, T: ModuleMap | None = None,
         weight = weight if isinstance(weight, Poly) else Poly.const(t, weight)
         if weight.table != t:
             raise VarTableMismatch("the weight and the algebra have different variable tables")
-        factors += [cof for row in rows for _, split in row for _, cof in split] + [weight.terms]
-    # no chain multiplies more than three monomials, so no packed digit carries
-    base = 1 + 3 * max((x for terms in factors for e in terms for x in e), default=0)
-    packed = {}
+        factors += [cof for row in rows for _, split in row for _, cof in split] + [weight.packed]
+    # no chain multiplies more than three monomials
+    _fit(3 * max(map(_degree, factors), default=0))
 
-    def pack(e):  # n times the exponents e read as the digits of a base-B number
-        if (p := packed.get(e)) is None:
-            p = packed[e] = n * sum(x * base ** i for i, x in enumerate(e))
-        return p
-
-    def row(split):  # a split element as a row [(symbol, n * packed, rational)]
+    def row(split):  # a split element as a row [(symbol, n * key, rational)]
         if split is not None:
-            return [(index[sym], pack(e), q) for (sym, e), q in split.items()]
+            return [(index[sym], n * e, q) for (sym, e), q in split.items()]
 
     def polys(out):  # an instance's nonzero sums as {symbol: Poly}
         split = {}
         for key, q in out.items():
             if q:
                 p, m = divmod(key, n)
-                e = []
-                for _ in t.names:
-                    p, x = divmod(p, base)
-                    e.append(x)
-                split.setdefault(m, {})[tuple(e)] = q
-        return {m: Poly(t, terms) for m, terms in split.items()}
+                split.setdefault(m, {})[p] = q
+        return {m: _make(t, _normal(terms)) for m, terms in split.items()}
 
     table = [[row(w._pair_split(*sa, *sb)) for sb in syms] for sa in syms]
     cols = list(zip(*table))
@@ -269,7 +259,7 @@ def window_checks(w: CoeffWindow, T: ModuleMap | None = None,
     if T is not None:
         units = [row(w._lift_unit(rows, *sym)) for sym in syms]
         # a zero weight still needs each symbol of [a, b] to lift into the window
-        omega = [(pack(e), q) for e, q in weight.terms.items()] or [(0, 0)]
+        omega = [(n * e, q) for e, q in weight.packed.items()] or [(0, 0)]
 
         def chained(terms, rows):  # a chain sum as a row, or None
             out = {}

@@ -66,7 +66,7 @@ class ModuleMap(ConformalLinearMap):
     def __init__(self, table: VarTable, matrix: list[list[Poly]]) -> None:
         for row in matrix:
             for p in row:
-                if p.terms and (extra := p.variables() - {"d", *table.params}):
+                if p.packed and (extra := p.variables() - {"d", *table.params}):
                     raise PreconditionError(
                         f"module map entries may use only d and parameters, got {sorted(extra)}")
         super().__init__(table, matrix)
@@ -88,7 +88,7 @@ def _checked_entries(T: ConformalLinearMap, src: int, dst: int, onto: str) -> li
     entries each, row by row; every reader of a map's entries comes here."""
     if len(T.matrix) != src or any(len(row) != dst for row in T.matrix):
         raise PreconditionError(f"map shape does not match {onto}")
-    return [(i, j, f) for i, row in enumerate(T.matrix) for j, f in enumerate(row) if f.terms]
+    return [(i, j, f) for i, row in enumerate(T.matrix) for j, f in enumerate(row) if f.packed]
 
 
 def lift_constant(m: ModuleMap) -> ConformalLinearMap:
@@ -111,7 +111,7 @@ def _faddeev_leverrier(a: list[list[Poly]], table: VarTable) -> tuple[Poly, list
 def _subtract(row: dict, f: Poly, pivot: dict) -> None:
     """row -= f * pivot on sparse rows {column: Poly}; an entry that cancels leaves."""
     for k, h in pivot.items():
-        if (g := row.pop(k, 0) - f * h).terms:
+        if (g := row.pop(k, 0) - f * h).packed:
             row[k] = g
 
 
@@ -130,7 +130,7 @@ def invert_module_map(m: ModuleMap) -> ModuleMap:
     if any(len(row) != n for row in m.matrix):
         raise NotInvertible("matrix is not square")
     # row i of [A | 1] as its nonzero entries, column j of the 1 as n + j
-    rows = [{j: p for j, p in enumerate(row) if p.terms} | {n + i: Poly.const(table, 1)}
+    rows = [{j: p for j, p in enumerate(row) if p.packed} | {n + i: Poly.const(table, 1)}
             for i, row in enumerate(m.matrix)]
     taken, units, zero = {}, 1, Poly.zero(table)  # pivot row -> its column
     for c in range(n):
@@ -153,7 +153,7 @@ def invert_module_map(m: ModuleMap) -> ModuleMap:
         raise NotInvertible("determinant is zero")
     Z = _matmul([[f * Fraction(-1, _constant(c_n)) for f in row] for row in M],  # S^-1 Y
                 [[rows[i].get(n + k, zero) for k in range(n)] for i in left], table)
-    solved = {j: {n + k: p for k, p in enumerate(z) if p.terms} for j, z in zip(cols, Z)}
+    solved = {j: {n + k: p for k, p in enumerate(z) if p.packed} for j, z in zip(cols, Z)}
     for i in taken:
         for j in [j for j in rows[i] if j < n]:
             _subtract(rows[i], rows[i].pop(j), solved[j])

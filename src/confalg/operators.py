@@ -9,16 +9,18 @@ viewed by row or column; ``_rb_sums`` builds the Rota-Baxter and O-operator
 identities and the rb and o_product tables.  A form's value on general
 elements is ``algebra.apply_bilinear`` of its ``products`` with ``out=0``.
 The constraint generator turns the Rota-Baxter identity for an undetermined
-polynomial operator into a plain polynomial system in its coefficients,
-solved (when possible) by a deliberately small elimination loop; it forms
-each coefficient polynomial of the identity once per table entry and pair
-of degrees, and relabels it to every pair of unknowns, not via ``_rb_sums``.
+polynomial operator into rows of its coefficients, keyed by ``poly``'s packed
+monomial keys, solved (when possible) by a deliberately small elimination
+loop; it forms each coefficient polynomial once per table entry and pair of
+degrees, not via ``_rb_sums``, and relabels it to every pair of unknowns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from functools import reduce
+from itertools import compress
+from operator import or_
 from typing import TYPE_CHECKING
 
 from .algebra import (
@@ -39,7 +41,8 @@ from .algebra import (
 from .linmap import (ConformalLinearMap, ModuleMap, NotInvertible, _checked_entries, _matmul,
                      invert_module_map)
 from .poly import (MAX_PARSE_DEGREE, MAX_PARSE_TERM_PRODUCTS, Poly, Record, Substitution, Sums,
-                   VarTable, VarTableMismatch, _make, _normal, _shown)
+                   VarTable, VarTableMismatch, _key_degree, _make, _normal, _power, _shown,
+                   _slot, _unit, _widen)
 from .report import Report
 
 if TYPE_CHECKING:
@@ -190,7 +193,7 @@ class BilinearForm(Record):
         self.products: ProductTable = {}
         for i, row in enumerate(matrix):
             for j, p in enumerate(row):
-                if p.terms:
+                if p.packed:
                     if extra := p.variables() - allowed:
                         raise PreconditionError(
                             f"form entries may use only x and parameters, got {sorted(extra)}")
@@ -258,8 +261,8 @@ MAX_RB_SIZE = 5000
 
 class PolySystem(Record):
     """Fully expanded polynomial equations in the unknown parameters, kept as
-    rows {monomial: rational}: a monomial is the sorted tuple of its variables'
-    positions in ``table``, one per power.  ``equations`` reads them as Polys."""
+    rows {monomial: rational}, each monomial the packed key of ``poly`` over
+    ``table``.  ``equations`` reads them as Polys."""
 
     def __init__(self, table: VarTable, unknowns: tuple[str, ...],
                  equations: list[Poly] | None = None) -> None:
@@ -267,44 +270,32 @@ class PolySystem(Record):
         for eq in equations or ():
             if eq.table != table:
                 raise VarTableMismatch("equation over another variable table")
-            self.rows.append({tuple(i for i, e in enumerate(exps) for _ in range(e)): c
-                              for exps, c in eq.terms.items()})
+            self.rows.append(dict(eq.packed))
 
     @property
     def equations(self) -> list[Poly]:
         """The rows as Polys over ``table``, in a new list on each read."""
-        return [_poly(self.table, row) for row in self.rows]
-
-
-def _poly(table: VarTable, row: dict) -> Poly:
-    terms = {}
-    for m, c in row.items():
-        exps = [0] * len(table.names)
-        for i in m:
-            exps[i] += 1
-        terms[tuple(exps)] = c
-    return _make(table, terms)
+        return [_make(self.table, row) for row in self.rows]
 
 
 def _substitution(values: dict[int, dict], spend):
-    """row -> row with each variable position in ``values`` replaced by its
-    row.  Each pattern of replaced positions is expanded once, for all rows,
-    from its longest expanded prefix, one row product per position; a
-    one-position pattern is its value.  A row product adds c*m*row to an
-    output, each pair of monomials merged and sorted.  Each first hands
+    """row -> row with each variable key in ``values`` replaced by its row.
+    Each pattern of replaced variables is expanded once, for all rows, from
+    its longest expanded prefix in table order, one row product per
+    variable; a one-variable pattern is its value.  A row product adds
+    c*m*row to an output, each pair of keys added.  Each first hands
     ``spend`` the number of term products it is about to take, and a product
     whose monomial passes ``poly.MAX_PARSE_DEGREE`` is refused."""
     expansions: dict[tuple, dict] = {(v,): value for v, value in values.items()}
-    replaced = values.keys()
+    order = sorted(values, reverse=True)  # the variables in table order
+    replaced = sum(map(_slot, values))
 
-    def product(out: dict, c, m: tuple, row: dict) -> None:
+    def product(out: dict, c, m: int, row: dict) -> None:
         spend(len(row))
-        room = MAX_PARSE_DEGREE - len(m)
         for m2, c2 in row.items():
-            if len(m2) > room:
-                raise PreconditionError(f"elimination reaches total degree {len(m) + len(m2)}, "
+            if (degree := _key_degree(key := m + m2)) > MAX_PARSE_DEGREE:
+                raise PreconditionError(f"elimination reaches total degree {degree}, "
                                         f"over the cap of {MAX_PARSE_DEGREE}")
-            key = tuple(sorted(m + m2))
             out[key] = out.get(key, 0) + c * c2
 
     def expand(pattern: tuple) -> dict:  # a loop, not recursion: no closure cycle
@@ -317,13 +308,13 @@ def _substitution(values: dict[int, dict], spend):
         return expansions[pattern]
 
     def apply(row: dict) -> dict:
-        out = {m: c for m, c in row.items() if replaced.isdisjoint(m)}
+        out = {m: c for m, c in row.items() if not m & replaced}
         if len(out) == len(row):
             return out
         for m, c in row.items():
-            if not replaced.isdisjoint(m):
-                pattern = tuple(i for i in m if i in values)
-                product(out, c, tuple(i for i in m if i not in values), expand(pattern))
+            if m & replaced:
+                pattern = tuple(v for v in order for _ in range(_power(m, v)))
+                product(out, c, m - sum(pattern), expand(pattern))
         return _normal(out)
 
     return apply
@@ -340,8 +331,8 @@ def rb_constraints(A: ConformalAlgebra, degree_bound: int,
     Each unknown enters as d^k, so for a table entry (p, q) -> l : P and
     degrees (k, k') the polynomials (-x)^k (x+d)^k' P, -(x+d)^k P d^k',
     -(-x)^k P d^k' and -alpha P d^k' are formed once and summed into the
-    rows of every (f, g) they reach, as the comments below say.  A term's
-    monomial is its parameters' positions, then the sorted positions of its
+    rows of every (f, g) they reach, as the comments below say: a term's
+    parameters' key over the extended table plus the keys of the label's
     unknowns.  The equations come out in (i, j, m, d-exponent, x-exponent)
     order; of two equal up to sign, only the first is kept.
     """
@@ -355,52 +346,53 @@ def rb_constraints(A: ConformalAlgebra, degree_bound: int,
     for u in unknowns:
         if u in A.table:
             raise PreconditionError(f"unknown name {u} collides with an existing variable")
-    t = A.table
+    t, ext = A.table, A.table.extended(unknowns)
     X, XD = Poly.var(t, "x"), Poly.var(t, "x") + Poly.var(t, "d")
     neg, shift = [(-X) ** k for k in range(k1)], [XD ** k for k in range(k1)]
     alpha = weight if isinstance(weight, Poly) else Poly.const(t, weight)
-    base, di, xi = len(t.names), t.index["d"], t.index["x"]  # unknowns follow t's names
-    N = range(n)  # pos[p][k][i] is the position of t_i_p_k
-    pos = [[[base + (i * n + p) * k1 + k for i in N] for k in range(k1)] for p in N]
-    split: dict[tuple, tuple] = {}  # a term's exponents -> its d- and x-exponent, parameters
+    base = len(t.names)  # unknowns follow t's names
+    N = range(n)  # keys[p][k][i] is the key of t_i_p_k
+    keys = [[[_unit(ext, base + (i * n + p) * k1 + k) for i in N] for k in range(k1)] for p in N]
     groups: dict[tuple, dict] = {}  # (i, j, m) -> {(d-exponent, x-exponent): equation row}
 
-    def scatter(poly: Poly, labels, sign: int = 1, dshift: int = 0) -> None:
-        """Add sign * poly * d^dshift at each (i, j, m) of ``labels``, each
-        term's monomial its parameters, then the label's unknowns."""
-        terms = []
-        for e, c in poly.terms.items():
-            if (s := split.get(e)) is None:
-                s = split[e] = e[di], e[xi], tuple(
-                    p for p, k in enumerate(e) if p != di and p != xi for _ in range(k))
-            terms.append(((s[0] + dshift, s[1]), s[2], sign * c))
-        for key, tag in labels:
-            group = groups.setdefault(key, {})
+    memo: dict[int, tuple] = {}  # a key over t -> its (d, x) exponents, its parameters over ext
+
+    def split(poly: Poly) -> list:  # [((d-exponent, x-exponent), parameters' key over ext, c)]
+        for e in poly.packed.keys() - memo.keys():
+            (dx, rest), = _make(t, {e: 1}).split(("d", "x")).items()
+            memo[e] = dx, _widen(*rest.packed, t, ext)
+        return [(*memo[e], c) for e, c in poly.packed.items()]
+
+    def scatter(terms: list, labels, sign: int = 1, dshift: int = 0) -> None:
+        """Add sign * d^dshift times the split ``terms`` at each (i, j, m) of ``labels``."""
+        terms = [((d + dshift, x), params, sign * c) for (d, x), params, c in terms]
+        for at, tag in labels:
+            group = groups.setdefault(at, {})
             for dx, params, c in terms:
                 row = group.setdefault(dx, {})
-                m = params + tag
+                m = params + tag if params else tag  # keys without parameters are shared
                 row[m] = row.get(m, 0) + c
 
     for (p, q), targets in A.products.items():
         for l, P in targets.items():
             for k in range(k1):
-                left, right = neg[k] * P, shift[k] * P
+                left = neg[k] * P
+                left_split, right_split = split(left), split(shift[k] * P)
                 for k2 in range(k1):
-                    lg = [pos[g][k2][l] for g in N]  # t_l_g_k2 for each g
+                    lg = [keys[g][k2][l] for g in N]  # t_l_g_k2 for each g
                     # T_fp(-x) T_gq(x+d) P_pql at (f, g, l)
-                    scatter(left * shift[k2], (((f, g, l), (a, b) if a < b else (b, a))
-                            for f, a in zip(N, pos[p][k]) for g, b in zip(N, pos[q][k2])))
+                    scatter(split(left * shift[k2]), (((f, g, l), a + b)
+                            for f, a in zip(N, keys[p][k]) for g, b in zip(N, keys[q][k2])))
                     # -T_fq(x+d) P_pql T_lg(d) at (p, f, g)
-                    scatter(right, (((p, f, g), (a, b) if a < b else (b, a))
-                            for f, a in zip(N, pos[q][k]) for g, b in zip(N, lg)), -1, k2)
+                    scatter(right_split, (((p, f, g), a + b)
+                            for f, a in zip(N, keys[q][k]) for g, b in zip(N, lg)), -1, k2)
                     # -T_fp(-x) P_pql T_lg(d) at (f, q, g)
-                    scatter(left, (((f, q, g), (a, b) if a < b else (b, a))
-                            for f, a in zip(N, pos[p][k]) for g, b in zip(N, lg)), -1, k2)
+                    scatter(left_split, (((f, q, g), a + b)
+                            for f, a in zip(N, keys[p][k]) for g, b in zip(N, lg)), -1, k2)
             if not alpha.is_zero:  # -alpha P_pql T_lg(d) at (p, q, g)
-                scaled = alpha * P
+                scaled = split(alpha * P)
                 for k2 in range(k1):
-                    scatter(scaled, (((p, q, g), (pos[g][k2][l],)) for g in N), -1, k2)
-    ext = t.extended(unknowns)
+                    scatter(scaled, (((p, q, g), keys[g][k2][l]) for g in N), -1, k2)
     system, seen = PolySystem(ext, unknowns), set()
     for key in sorted(groups):
         group = groups.pop(key)  # each group is freed once its rows are out
@@ -435,20 +427,20 @@ class SolveResult(Record):
 
 def _match(row: dict, unknowns: dict[int, str]) -> tuple | None:
     """The elimination ``row`` allows, or None: (v, None) for q*v^2, or
-    (v, c) for c*v + rest with v in no other term; the square comes first,
-    then the linear unknown first by name.  Raises InconsistentSystem when
-    the row is a nonzero constant."""
+    (v, c) for c*v + rest with v in no other term, v an unknown's key; the
+    square comes first, then the linear unknown first by name.  Raises
+    InconsistentSystem when the row is a nonzero constant."""
     if len(row) == 1:
         (m, c), = row.items()
         if not m:
             raise InconsistentSystem(f"equation reduces to {_shown(c)}")
-        if len(m) == 2 and m[0] == m[1] and m[0] in unknowns:
-            return m[0], None
-    if not (units := [m[0] for m in row if len(m) == 1 and m[0] in unknowns]):
+        if m % 2 == 0 and m // 2 in unknowns:
+            return m // 2, None
+    if not (units := [m for m in row if _key_degree(m) == 1 and m in unknowns]):
         return None
-    flat = [*chain.from_iterable(row)]  # c*v is in no other term iff v occurs once
-    v = min((v for v in units if flat.count(v) == 1), key=unknowns.__getitem__, default=None)
-    return None if v is None else (v, row[(v,)])
+    v = min((v for v in units if not any(m & _slot(v) for m in row if m is not v)),
+            key=unknowns.__getitem__, default=None)
+    return None if v is None else (v, row[v])
 
 
 def solve_squares(system: PolySystem) -> SolveResult:
@@ -460,13 +452,13 @@ def solve_squares(system: PolySystem) -> SolveResult:
     the linear unknown first by name. An assigned unknown appears in no live
     equation and in no value assigned after it.
 
-    ``holds`` maps each unknown to the positions of the equations that may
-    hold it, and a heap holds the positions whose equation had a match when
-    it last changed; the smallest that still matches is the first match.
-    Eliminating v visits only the positions that hold v, in order: v := 0
-    drops the terms that hold v, and any other value is substituted.  A
-    changed equation is matched again only when it can match: one term is
-    left, or a term is a single unknown.
+    ``held`` keeps the OR of each equation's keys, which has a bit in the
+    slot of every unknown the equation may hold, and a heap holds the
+    positions whose equation had a match when it last changed; the smallest
+    that still matches is the first match.  Eliminating v visits only the
+    positions that may hold v, in order: v := 0 drops the terms that hold v,
+    and any other value is substituted.  A changed equation is matched again
+    only when it can match: one term is left, or a term is a single unknown.
 
     Raises InconsistentSystem when an equation reduces to a nonzero constant,
     and PreconditionError when the substitutions would take more than
@@ -475,7 +467,7 @@ def solve_squares(system: PolySystem) -> SolveResult:
     """
     from heapq import heappop, heappush  # loaded only by the solver
     table = system.table
-    unknowns = {table.index[v]: v for v in set(system.unknowns) if v in table.index}
+    unknowns = {_unit(table, table.index[v]): v for v in set(system.unknowns) if v in table.index}
     spent = 0
 
     def spend(products: int) -> None:
@@ -487,39 +479,36 @@ def solve_squares(system: PolySystem) -> SolveResult:
 
     rows = [row for row in system.rows if row]  # a row made zero stays as {}, so positions hold
     heap = [pos for pos, row in enumerate(rows) if _match(row, unknowns)]  # sorted, so a heap
-    holds: dict[int, list[int]] = {v: [] for v in unknowns}
-    for pos, row in enumerate(rows):
-        for v in unknowns.keys() & chain.from_iterable(row):
-            holds[v].append(pos)
+    held = [reduce(or_, row, 0) for row in rows]
     assignment: dict[int, dict] = {}
     while heap:
         if not (match := _match(row := rows[at := heappop(heap)], unknowns)):
             continue
         v, c = match
         value = assignment[v] = {} if c is None else _normal(
-            {m: q * (Fraction(-1) / c) for m, q in row.items() if m != (v,)})
+            {m: q * (Fraction(-1) / c) for m, q in row.items() if m != v})
         rows[at] = {}  # the value makes its own row zero
         eliminate = value and _substitution({v: value}, spend)  # none for v := 0
-        brought = unknowns.keys() & chain.from_iterable(value)
-        for pos in sorted(set(holds.pop(v))):
+        slot, brought = _slot(v), reduce(or_, value, 0)
+        for pos in [*compress(range(len(held)), map(slot.__and__, held))]:
             row = rows[pos]
-            kept = {m: q for m, q in row.items() if v not in m}
+            kept = {m: q for m, q in row.items() if not m & slot}
             if len(kept) == len(row):
                 continue  # an earlier round cleared the row of v
             rows[pos] = kept = eliminate(row) if value else kept
-            for u in brought:
-                holds[u].append(pos)
-            if (len(kept) == 1 or any(len(m) == 1 and m[0] in unknowns for m in kept)) \
+            held[pos] |= brought
+            if (len(kept) == 1 or any(_key_degree(m) == 1 and m in unknowns for m in kept)) \
                     and _match(kept, unknowns):  # raises on a nonzero constant
                 heappush(heap, pos)
     # back-substitute in reverse elimination order, so solved values are
     # unknown-free: a value holds no unknown eliminated before its own
     for v in reversed(assignment):
         assignment[v] = _substitution(assignment, spend)(assignment[v])
-    remaining = [_poly(table, row) for row in rows if row]
-    fixed = sum(unknowns.keys().isdisjoint(chain.from_iterable(row)) for row in assignment.values())
+    remaining = [_make(table, row) for row in rows if row]
+    every = sum(map(_slot, unknowns))
+    fixed = sum(not reduce(or_, row, 0) & every for row in assignment.values())
     status = "solved" if not remaining and fixed == len(set(system.unknowns)) else "partial"
-    return SolveResult(status, {unknowns[v]: _poly(table, row) for v, row in assignment.items()},
+    return SolveResult(status, {unknowns[v]: _make(table, row) for v, row in assignment.items()},
                        remaining)
 
 

@@ -4,13 +4,20 @@ Every identity this package checks reduces to an equality of polynomials in
 a small set of formal variables: the derivation ``d``, one derivation per
 tensor slot ``d1, d2`` (a cube is kept modulo the diagonal, so its third slot
 is -d1 - d2), the bracket arguments ``x, y`` (lambda and mu), and any number
-of user-declared free parameters.  A polynomial is a sparse map from exponent
-tuples to nonzero rational coefficients, always kept in normal form: an
+of user-declared free parameters.  A polynomial is a sparse map from
+monomials to nonzero rational coefficients, always kept in normal form: an
 integral coefficient is stored as an ``int`` and any other as a ``Fraction``
 (denominator never 1), and every operation returns a normal form.  So
 polynomial equality is literal dict equality, equal polynomials hash alike,
 and residual-zero checks are exact and decidable.  Integral arithmetic, the
 common case, stays in machine-speed ``int`` operations.
+
+A monomial is one integer, its packed key (Monagan & Pearce, CASC 2007):
+each name's exponent in a ``SLOT``-bit slot, the first name's highest, above
+a slot for the total degree, so keys add as monomials multiply and names
+appended last take the smallest slots.  A result that could reach degree
+2^SLOT, and carry, raises ``PolyError`` before any term is formed.  Only
+this module decodes a key: ``terms`` reads ``Poly.packed`` as tuples.
 
 The parser bounds what a text may expand to (``MAX_PARSE_DEGREE``,
 ``MAX_PARSE_TERM_PRODUCTS``, ``MAX_PARSE_COEFF``) and raises ``ParseError``
@@ -24,13 +31,18 @@ rational (in particular every nonzero) value of that parameter.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache, reduce
 from math import comb, lcm
-from operator import add, itemgetter
+from operator import or_
+from struct import Struct
 from typing import Iterable, Mapping, Union
 
 Scalar = Union[int, Fraction]
 
 CANONICAL_VARS = ("d", "d1", "d2", "x", "y")
+
+SLOT = 16  # bits per exponent slot of a packed key; a total degree stays below 2^SLOT
+_SLOT_MAX = (1 << SLOT) - 1
 
 
 class PolyError(Exception):
@@ -123,41 +135,71 @@ def _scalar(value: Scalar) -> Scalar:
 
 def _normal(terms: dict) -> dict:
     """``terms`` with zero values dropped and integral Fractions stored as int."""
-    out = {}
-    for exps, c in terms.items():
-        if c:
-            out[exps] = c if type(c) is int or c.denominator != 1 else c.numerator
-    return out
+    return {e: c if type(c) is int or c.denominator != 1 else c.numerator
+            for e, c in terms.items() if c}
 
 
-def _make(table: VarTable, terms: dict) -> "Poly":
-    """A Poly over ``table`` whose ``terms`` are already in normal form."""
+@cache
+def _layout(width: int) -> Struct:  # a key's slots over `width` names, the degree last
+    return Struct(f">{width + 1}H")
+
+
+def _key(exps) -> int:
+    return int.from_bytes(_layout(len(exps)).pack(*exps, sum(exps)), "big")
+
+
+def _exponents(table: VarTable, key: int) -> tuple[int, ...]:  # of an OR of keys too
+    layout = _layout(len(table.names))
+    return layout.unpack(key.to_bytes(layout.size, "big"))[:-1]
+
+
+def _unit(table: VarTable, i: int) -> int:  # the key of the i-th name
+    return 1 << SLOT * (len(table.names) - i) | 1
+
+
+def _slot(unit: int) -> int:  # the exponent bits of the name whose key is `unit`
+    return (unit - 1) * _SLOT_MAX
+
+
+def _power(key: int, unit: int) -> int:  # the exponent in `key` of the name whose key is `unit`
+    return (key & _slot(unit)) // (unit - 1)
+
+
+def _widen(key: int, table: VarTable, wider: VarTable) -> int:  # wider's names extend table's
+    return key >> SLOT << SLOT * (len(wider.names) - len(table.names) + 1) | key & _SLOT_MAX
+
+
+_key_degree = _SLOT_MAX.__and__  # a key's total degree
+
+
+def _degree(keys) -> int:  # the largest total degree of some keys
+    return max(map(_key_degree, keys), default=0)
+
+
+def _fit(degree: int) -> None:
+    if degree >> SLOT:
+        raise PolyError(f"a result may reach total degree {degree}, past the {SLOT}-bit slots")
+
+
+def _make(table: VarTable, packed: dict) -> "Poly":
+    """A Poly over ``table`` whose terms by key are already in normal form."""
     res = Poly.__new__(Poly)
     res.table = table
-    res.terms = terms
-    res._sparse_terms = None
+    res.packed = packed
     return res
-
-
-def _sparse(p: "Poly") -> list:
-    """p's terms as (exponents, coefficient, [(position, nonzero exponent)]), computed once."""
-    if p._sparse_terms is None:
-        p._sparse_terms = [(e, c, [(i, v) for i, v in enumerate(e) if v])
-                           for e, c in p.terms.items()]
-    return p._sparse_terms
 
 
 def _constant(p: "Poly") -> Scalar | None:
     """The coefficient of a nonzero constant Poly, else None."""
-    if len(p.terms) == 1 and not (s := _sparse(p)[0])[2]:
-        return s[1]
+    if len(t := p.packed) == 1 and 0 in t:
+        return t[0]
 
 
 def _accumulate(table: VarTable, terms: dict, a: "Poly", b: "Poly | None" = None,
                 sign: Scalar = 1) -> None:
-    """Add sign * a * b, or sign * a when ``b`` is None, into the raw exponent ->
+    """Add sign * a * b, or sign * a when ``b`` is None, into the raw key ->
     coefficient dict ``terms``; ``_normal`` finishes it.  The one term-product
-    loop of the kernel: a product adds the right term's nonzero exponents, and a
+    loop of the kernel: a product whose degree fits a slot adds keys, and a
     constant factor only scales the other's coefficients."""
     if (a.table is not table and a.table != table
             or b is not None and b.table is not table and b.table != table):
@@ -169,32 +211,29 @@ def _accumulate(table: VarTable, terms: dict, a: "Poly", b: "Poly | None" = None
         elif (c := _constant(a)) is not None:
             a, b, sign = b, None, sign * c
     if b is None:
-        for e, c in a.terms.items():
+        for e, c in a.packed.items():
             terms[e] = get(e, 0) + sign * c
         return
-    right = _sparse(b)
-    for e1, c1 in a.terms.items():
+    _fit(_degree(a.packed) + _degree(b.packed))
+    right = b.packed.items()
+    for e1, c1 in a.packed.items():
         c1 *= sign
-        for _, c2, nz in right:
-            e = [*e1]
-            for i, v in nz:
-                e[i] += v
-            e = tuple(e)
+        for e2, c2 in right:
+            e = e1 + e2
             terms[e] = get(e, 0) + c1 * c2
 
 
 class Poly:
-    """Normal-form sparse polynomial: exponent tuple -> nonzero coefficient.
+    """Normal-form sparse polynomial: packed key -> nonzero coefficient.
 
     A coefficient is an int when it is integral and a Fraction otherwise, so
     two equal polynomials have equal term maps.
     """
 
-    __slots__ = ("table", "terms", "_sparse_terms")
+    __slots__ = ("table", "packed")
 
     def __init__(self, table: VarTable, terms: Mapping[tuple[int, ...], Scalar] | None = None):
-        self.table, self._sparse_terms = table, None
-        clean: dict[tuple[int, ...], Scalar] = {}
+        self.table, clean = table, {}
         if terms:
             width = len(table.names)
             for exps, c in terms.items():
@@ -203,8 +242,14 @@ class Poly:
                     continue
                 if len(exps) != width or any(e < 0 for e in exps):
                     raise PolyError(f"bad exponent tuple {exps!r}")
-                clean[tuple(exps)] = c
-        self.terms = clean
+                _fit(sum(exps))
+                clean[_key(exps)] = c
+        self.packed = clean
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], Scalar]:
+        """The terms as a new map from exponent tuples, as ``Poly()`` takes them."""
+        return {_exponents(self.table, k): c for k, c in self.packed.items()}
 
     # -- constructors ------------------------------------------------------
 
@@ -217,15 +262,13 @@ class Poly:
         value = _scalar(value)
         if value == 0:
             return cls(table)
-        return _make(table, {(0,) * len(table.names): value})
+        return _make(table, {0: value})
 
     @classmethod
     def var(cls, table: VarTable, name: str) -> "Poly":
         if name not in table.index:
             raise UnknownVariable(f"unknown variable {name!r}")
-        exps = [0] * len(table.names)
-        exps[table.index[name]] = 1
-        return _make(table, {tuple(exps): 1})
+        return _make(table, {_unit(table, table.index[name]): 1})
 
     # -- ring operations ---------------------------------------------------
 
@@ -233,14 +276,14 @@ class Poly:
         """self + sign * other; ``-`` is ``+`` with sign -1."""
         if not isinstance(other, Poly):
             other = Poly.const(self.table, other)
-        out = dict(self.terms)
+        out = dict(self.packed)
         _accumulate(self.table, out, other, sign=sign)
         return _make(self.table, _normal(out))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return _make(self.table, {e: -c for e, c in self.terms.items()})
+        return _make(self.table, {e: -c for e, c in self.packed.items()})
 
     def __sub__(self, other: "Poly | Scalar") -> "Poly":
         return self.__add__(other, -1)
@@ -249,7 +292,7 @@ class Poly:
         return Poly.const(self.table, other) - self
 
     def __mul__(self, other: "Poly | Scalar") -> "Poly":
-        out: dict[tuple[int, ...], Scalar] = {}
+        out: dict[int, Scalar] = {}
         if isinstance(other, Poly):
             _accumulate(self.table, out, self, other)
         else:
@@ -261,8 +304,8 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if not isinstance(n, int) or n < 0:
             raise PolyError("exponent must be a nonnegative integer")
-        result = Poly.const(self.table, 1)
-        base = self
+        _fit(_degree(self.packed) * n)
+        result, base = Poly.const(self.table, 1), self
         while n:
             if n & 1:
                 result = result * base
@@ -273,28 +316,28 @@ class Poly:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
-            return self.terms == Poly.const(self.table, other).terms
+            return self.packed == Poly.const(self.table, other).packed
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.table == other.table and self.terms == other.terms
+        return self.table == other.table and self.packed == other.packed
 
     def __hash__(self) -> int:
-        return hash((self.table, frozenset(self.terms.items())))
+        return hash((self.table, frozenset(self.packed.items())))
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     def constant_value(self) -> Fraction | None:
         """The rational value if this polynomial is constant, else None."""
-        c = _constant(self) if self.terms else 0
+        c = _constant(self) if self.packed else 0
         return None if c is None else Fraction(c)
 
     # -- structure queries -------------------------------------------------
 
     def variables(self) -> set[str]:
         names = self.table.names
-        return {names[i] for i, column in enumerate(zip(*self.terms)) if any(column)}
+        return {n for n, e in zip(names, _exponents(self.table, reduce(or_, self.packed, 0))) if e}
 
     def split(self, names: tuple[str, ...]) -> dict[tuple[int, ...], "Poly"]:
         """Group terms by their exponents in ``names``.
@@ -306,14 +349,11 @@ class Poly:
         for n in names:
             if n not in self.table.index:
                 raise UnknownVariable(f"unknown variable {n!r}")
-        idxs = [self.table.index[n] for n in names]
-        groups: dict[tuple[int, ...], dict[tuple[int, ...], Scalar]] = {}
-        for exps, c in self.terms.items():
-            key = tuple(exps[i] for i in idxs)
-            rest = list(exps)
-            for i in idxs:
-                rest[i] = 0
-            groups.setdefault(key, {})[tuple(rest)] = c
+        units = [_unit(self.table, self.table.index[n]) for n in names]
+        groups: dict[tuple[int, ...], dict[int, Scalar]] = {}
+        for key, c in self.packed.items():
+            exps = tuple([_power(key, u) for u in units])
+            groups.setdefault(exps, {})[key - sum([e * u for e, u in zip(exps, units)])] = c
         return {k: _make(self.table, v) for k, v in groups.items()}
 
     def subs(self, mapping: Mapping[str, "Poly | Scalar"]) -> "Poly":
@@ -324,30 +364,24 @@ class Poly:
         """Re-express over a larger table containing all current names."""
         if table == self.table:
             return self
-        pos = []
         for n in self.table.names:
             if n not in table.index:
                 raise UnknownVariable(f"target table lacks variable {n!r}")
-            pos.append(table.index[n])
-        width = len(table.names)
-        out: dict[tuple[int, ...], Scalar] = {}
-        for exps, c in self.terms.items():
-            new = [0] * width
-            for p, e in zip(pos, exps):
-                new[p] = e
-            out[tuple(new)] = c
-        return _make(table, out)
+        here = [self.table.index.get(n) for n in table.names]  # each name's position here
+        return _make(table, {_key([0 if i is None else exps[i] for i in here]): c
+                             for exps, c in self.terms.items()})
 
     # -- rendering ---------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.packed:
             return "0"
         names = self.table.names
         parts: list[str] = []
-        for exps in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
-            factors = [names[i] if e == 1 else f"{names[i]}^{e}" for i, e in enumerate(exps) if e]
-            coeff = self.terms[exps]
+        for key in sorted(self.packed, key=lambda k: (_key_degree(k), k), reverse=True):
+            factors = [names[i] if e == 1 else f"{names[i]}^{e}"
+                       for i, e in enumerate(_exponents(self.table, key)) if e]
+            coeff = self.packed[key]
             mag = _numeral(abs(coeff))
             if factors:
                 body = "*".join(factors)
@@ -371,14 +405,14 @@ class Substitution:
 
     Terms are grouped by their exponents in the substituted variables; each
     distinct exponent pattern expands its product of powers once per instance,
-    as sparse exponent changes, and terms free of those variables are copied
-    as they are.  A variable mapped to itself is dropped, and a polynomial none
-    of whose terms is touched is returned as it is.  Each input object is
-    substituted once per instance: a repeated input, such as a table entry
-    that several entries share, gets back the same result object.
+    as key shifts, and terms free of those variables are copied as they are.
+    A variable mapped to itself is dropped, and a polynomial none of whose
+    terms is touched is returned as it is.  Each input object is substituted
+    once per instance: a repeated input, such as a table entry that several
+    entries share, gets back the same result object.
     """
 
-    __slots__ = ("table", "values", "pick", "untouched", "powers", "expansions", "memo")
+    __slots__ = ("table", "values", "mask", "degree", "powers", "expansions", "memo")
 
     def __init__(self, table: VarTable, mapping: Mapping[str, "Poly | Scalar"]):
         # memo: id(p) -> (p, p|mapping); holding p keeps its id its own
@@ -392,49 +426,44 @@ class Substitution:
                 raise VarTableMismatch("polynomials over different variable tables")
             if value != Poly.var(table, name):
                 self.values[table.index[name]] = value
-        if self.values:  # pick gives a bare exponent when one variable is substituted
-            self.pick = itemgetter(*self.values)
-            self.untouched = self.pick((0,) * len(table.names))
+        self.mask = sum(_slot(_unit(table, i)) for i in self.values)
+        # a term of degree k becomes terms of degree at most k * self.degree
+        self.degree = max([1, *(_degree(v.packed) for v in self.values.values())])
 
     def __call__(self, p: Poly) -> Poly:
-        values, terms = self.values, p.terms
+        values, terms = self.values, p.packed
         if not values or not terms:
             return p
         if (seen := self.memo.get(id(p))) is not None:
             return seen[1]
         if p.table is not self.table and p.table != self.table:
             raise VarTableMismatch("polynomials over different variable tables")
-        pick, untouched = self.pick, self.untouched
-        powers, expansions = self.powers, self.expansions
+        if self.degree > 1:
+            _fit(_degree(terms) * self.degree)
+        mask, powers, expansions = self.mask, self.powers, self.expansions
         touched = False
-        out: dict[tuple[int, ...], Scalar] = {}
+        out: dict[int, Scalar] = {}
         get = out.get
-        for exps, c in terms.items():
-            pattern = pick(exps)
-            if pattern == untouched:
-                out[exps] = get(exps, 0) + c
+        for key, c in terms.items():
+            if not (pattern := key & mask):
+                out[key] = get(key, 0) + c
                 continue
             touched = True
             expansion = expansions.get(pattern)
             if expansion is None:
                 prod = None
-                shift = [0] * len(exps)
-                for i, e in zip(values, pattern if len(values) > 1 else (pattern,)):
-                    if e:
+                exps = _exponents(self.table, pattern)
+                for i in values:
+                    if e := exps[i]:
                         if (i, e) not in powers:
                             powers[i, e] = values[i] if e == 1 else values[i] ** e
                         prod = powers[i, e] if prod is None else prod * powers[i, e]
-                        shift[i] = -e
                 # each product term replaces the term's own powers of the variables
-                expansion = [([(i, v) for i, v in enumerate(map(add, e2, shift)) if v], c2)
-                             for e2, c2 in prod.terms.items()]
-                expansions[pattern] = expansion
-            for nz, c2 in expansion:
-                key = [*exps]
-                for i, v in nz:
-                    key[i] += v
-                key = tuple(key)
-                out[key] = get(key, 0) + c * c2
+                own = _key(exps)
+                expansion = expansions[pattern] = [(k2 - own, c2) for k2, c2 in prod.packed.items()]
+            for shift, c2 in expansion:
+                k = key + shift
+                out[k] = get(k, 0) + c * c2
         result = _make(p.table, _normal(out)) if touched else p
         self.memo[id(p)] = p, result
         return result
@@ -442,7 +471,7 @@ class Substitution:
 
 class Sums:
     """Sums of products, one polynomial per key: ``add`` multiplies term by term
-    into the key's raw exponent -> coefficient dict, ``close`` normalises every
+    into the key's raw packed key -> coefficient dict, ``close`` normalises every
     key once and drops zero sums (Monagan & Pearce, CASC 2007)."""
 
     __slots__ = ("table", "raw")
@@ -456,11 +485,8 @@ class Sums:
 
     def close(self) -> dict:
         """Each key's nonzero sum as a Poly, in the order keys were first added."""
-        out = {}
-        for key, terms in self.raw.items():
-            if terms := _normal(terms):
-                out[key] = _make(self.table, terms)
-        return out
+        return {key: _make(self.table, terms) for key, raw in self.raw.items()
+                if (terms := _normal(raw))}
 
 
 # -- parsing ---------------------------------------------------------------
@@ -498,17 +524,13 @@ def _shown(c: Scalar) -> str:
         return f"a number of more than {MAX_PARSE_DIGITS} digits"
 
 
-def _degree(p: Poly) -> int:
-    return max(map(sum, p.terms), default=0)
-
-
 def _height(p: Poly) -> int:
     """The larger of the common denominator of p's coefficients and the largest
     numerator over it: it bounds each coefficient's numerator and denominator,
     and the height of a product is at most the heights' product times the
     smaller term count."""
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    return max([den, *(abs(c.numerator) * (den // c.denominator) for c in p.terms.values())])
+    den = lcm(*(c.denominator for c in p.packed.values()))
+    return max([den, *(abs(c.numerator) * (den // c.denominator) for c in p.packed.values())])
 
 
 def _int(text: str) -> int:
@@ -592,13 +614,13 @@ class _Parser:
         common denominator of all terms so far is checked against it, so each
         raw coefficient keeps a numerator below (terms added) * cap^2.  The
         sum's own height is checked at the end."""
-        terms: dict[tuple[int, ...], Scalar] = {}
+        terms: dict[int, Scalar] = {}
         den, kind = 1, "+"
         if self.peek() in "+-":
             kind, _ = self.next()
         while True:
             t = self.term()
-            den = lcm(den, *(c.denominator for c in t.terms.values()))
+            den = lcm(den, *(c.denominator for c in t.packed.values()))
             self.check_height(den)
             _accumulate(self.table, terms, t, sign=-1 if kind == "-" else 1)
             if self.peek() not in "+-":
@@ -612,10 +634,10 @@ class _Parser:
         while self.peek() == "*":
             self.next()
             right = self.factor()
-            self.check_degree(_degree(result) + _degree(right))
+            self.check_degree(_degree(result.packed) + _degree(right.packed))
             self.check_height(_height(result) * _height(right)
-                              * min(len(result.terms), len(right.terms)))
-            self.spend(len(result.terms) * len(right.terms))
+                              * min(len(result.packed), len(right.packed)))
+            self.spend(len(result.packed) * len(right.packed))
             result = result * right
         return result
 
@@ -626,8 +648,8 @@ class _Parser:
             kind, text = self.next()
             if kind != "num" or "/" in text:
                 raise ParseError("exponent must be a nonnegative integer")
-            n, t = _int(text), len(base.terms)
-            self.check_degree(_degree(base) * n)
+            n, t = _int(text), len(base.packed)
+            self.check_degree(_degree(base.packed) * n)
             # n - 1 multiplications by base, the k-th of at most comb(t + k - 1, k) terms
             self.spend(t * comb(t + n - 1, n - 1) if n and t else 0)
             # base^n has height at most (h * t)^n, h the height of base

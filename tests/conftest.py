@@ -280,14 +280,15 @@ def window_lift(w, T, a):
 def package_bracket(w, i, m, j, n):
     """The package's bracket of the unit symbols (i, m) and (j, n), read from
     the monomial split that ``window_checks`` builds its table from, as
-    {symbol: Poly}; None out of the window."""
+    {symbol: Poly}; None out of the window.  The split is keyed by the
+    kernel's packed monomial keys."""
     split = w._pair_split(i, m, j, n)
     if split is None:
         return None
     out = {}
     for (sym, e), q in split.items():
         out.setdefault(sym, {})[e] = q
-    return {sym: Poly(w.algebra.table, terms) for sym, terms in out.items()}
+    return {sym: _make(w.algebra.table, _normal(terms)) for sym, terms in out.items()}
 
 
 def oracle_apply_matrix(matrix, w, table):
@@ -459,7 +460,7 @@ def oracle_add(a, b):
             out[exps] = s
         else:
             out[exps] = s.numerator
-    return _make(a.table, out)
+    return Poly(a.table, out)
 
 
 def oracle_mul(a, b):
@@ -472,11 +473,12 @@ def oracle_mul(a, b):
         for e2, c2 in right:
             key = tuple(map(add, e1, e2))
             out[key] = get(key, 0) + c1 * c2
-    return _make(a.table, _normal(out))
+    return Poly(a.table, out)
 
 
 def oracle_sums_add(sums, key, a, b=None, sign=1):
-    """``sums.add(key, a, b, sign)``, each product key built full width."""
+    """``sums.add(key, a, b, sign)``, each product key built full width, into
+    a ``Sums`` that ``oracle_sums_close`` closes."""
     _oracle_check(a, *(() if b is None else (b,)))
     if a.table != sums.table:
         raise VarTableMismatch("polynomials over different variable tables")
@@ -492,6 +494,11 @@ def oracle_sums_add(sums, key, a, b=None, sign=1):
         for e2, c2 in right:
             e = tuple(map(add, e1, e2))
             terms[e] = get(e, 0) + c1 * c2
+
+
+def oracle_sums_close(sums):
+    """``sums.close()`` of the exponent-tuple sums ``oracle_sums_add`` made."""
+    return {key: q for key, terms in sums.raw.items() if not (q := Poly(sums.table, terms)).is_zero}
 
 
 def _oracle_pow(q, n):
@@ -531,4 +538,4 @@ def oracle_substitute(mapping, p):
         for e2, c2 in prod.terms.items():
             key = tuple(map(add, exps, map(add, e2, shift)))
             out[key] = get(key, 0) + c * c2
-    return _make(table, _normal(out))
+    return Poly(table, out)

@@ -14,7 +14,7 @@ from confalg import (
     check_rota_baxter,
     window_checks,
 )
-from confalg.poly import Sums
+from confalg.poly import SLOT, PolyError, Sums
 from conftest import package_bracket, window_bracket
 
 
@@ -87,6 +87,21 @@ class TestWindowBracket:
 
 
 class TestWindowChecks:
+    def test_a_chain_past_the_slot_width_is_refused(self, table, P):
+        """A chain multiplies up to three monomials of the table, the map and
+        the weight, so a window whose largest degree, tripled, reaches 2^SLOT
+        is refused before any chain is summed; one just below runs."""
+        b = Poly.var(table, "b")
+        for power, fits in ((2 ** SLOT // 3 + 1, False), (2 ** SLOT // 3, True)):
+            A = ConformalAlgebra(LIE, ("L",), table, {(0, 0): {0: P("d+2*x") * b ** power}})
+            T = ModuleMap(table, [[b]])
+            if fits:
+                report = window_checks(CoeffWindow(A, 1), T, 0)
+                assert [c.ok for c in report.checks] == [True, True, False]
+            else:
+                with pytest.raises(PolyError, match=f"past the {SLOT}-bit slots"):
+                    window_checks(CoeffWindow(A, 1), T, 0)
+
     def test_virasoro_jacobi(self, vir):
         report = window_checks(CoeffWindow(vir, 6))
         assert report.ok

@@ -77,6 +77,24 @@ def test_no_module_imports_a_name_it_never_uses():
     assert _unused_imports("import math\nx: 'math.pi'") == []
 
 
+def _terms_reads(source: str) -> list[int]:
+    """The lines of a module that read an attribute named ``terms``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == "terms")
+
+
+def test_only_the_kernel_decodes_monomials():
+    """A monomial has one encoding, the kernel's packed key: no module but
+    ``poly.py`` reads the decoded ``Poly.terms``, whose keys are exponent
+    tuples; the others read ``Poly.packed``."""
+    readers = {path.name: lines for path in sorted(PACKAGE.glob("*.py"))
+               if path.name != "poly.py"
+               and (lines := _terms_reads(path.read_text(encoding="utf-8")))}
+    assert readers == {}
+    assert _terms_reads("p.packed\nlen(q.terms)") == [2]
+    assert _terms_reads("terms = {}\nterms.items()") == []
+
+
 # the calls whose mapping argument substitutes the variables it names
 SUBSTITUTING = {"Substitution", "subs", "_view", "_contract"}
 

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from confalg import ParseError, Poly, PolyError, UnknownVariable, VarTable, VarTableMismatch, parse
-from confalg.poly import MAX_PARSE_DEGREE, Substitution, Sums
-from conftest import oracle_add, oracle_mul, oracle_substitute, oracle_sums_add, poly_strategy
+from confalg.poly import MAX_PARSE_DEGREE, SLOT, Substitution, Sums
+from conftest import (oracle_add, oracle_mul, oracle_substitute, oracle_sums_add, oracle_sums_close,
+                      poly_strategy)
 
 # d3 is a declared parameter like b: the kernel's variables are d, d1, d2, x, y
 T = VarTable(params=("b", "d3"))
@@ -429,7 +430,7 @@ class TestSparseKernel:
         for key, a, b, s in adds:
             sums.add(key, a, b, s)
             oracle_sums_add(oracle, key, a, b, s)
-        assert _closed(sums) == _closed(oracle)
+        assert _closed(sums) == [(key, _items(q)) for key, q in oracle_sums_close(oracle).items()]
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -465,3 +466,66 @@ class TestSparseKernel:
                 Sums(table).add(0, a, b)
         with pytest.raises(VarTableMismatch):
             Substitution(table, {"d": 1})(const)
+
+
+class TestSlotWidth:
+    """Each exponent and the total degree of a monomial sit in SLOT-bit slots
+    of one integer key, so a result whose total degree could reach 2^SLOT
+    would carry into the next slot: products, powers, sums of products and
+    substitutions refuse it with PolyError before they form any term."""
+
+    TOP = 2 ** SLOT - 1  # the largest total degree a key holds
+
+    def test_a_product_at_the_limit_fits(self):
+        x, b = Poly.var(T, "x"), Poly.var(T, "b")
+        top = x ** (self.TOP - 1) * b
+        assert top.terms == {(0, 0, 0, self.TOP - 1, 0, 1, 0): 1}
+        assert str(top) == f"x^{self.TOP - 1}*b"
+
+    def test_product_and_power_refuse_a_carry(self):
+        x = Poly.var(T, "x")
+        top = x ** self.TOP
+        for make in (lambda: top * x, lambda: top * (x + 1), lambda: x ** (self.TOP + 1),
+                     lambda: (x + 1) ** (2 ** SLOT), lambda: (x * x + 1) ** (2 ** (SLOT - 1))):
+            with pytest.raises(PolyError, match=f"total degree .* past the {SLOT}-bit slots"):
+                make()
+
+    def test_sums_add_refuses_before_forming_a_term(self):
+        x = Poly.var(T, "x")
+        sums = Sums(T)
+        sums.add(0, p("d + b"), p("x"))
+        before = {key: dict(raw) for key, raw in sums.raw.items()}
+        with pytest.raises(PolyError):
+            sums.add(0, x ** self.TOP + 1, p("d + x"))
+        assert sums.raw == before
+        assert sums.close() == {0: p("d*x + b*x")}
+
+    def test_substitution_refuses_before_forming_a_term(self):
+        x = Poly.var(T, "x")
+        sub = Substitution(T, {"x": p("x^2 + d")})
+        high = x ** (2 ** (SLOT - 1)) + p("b")
+        with pytest.raises(PolyError):
+            sub(high)
+        with pytest.raises(PolyError):
+            high.subs({"x": p("x*d")})
+        assert sub.memo == {} and sub.expansions == {}
+        assert p("x^3 + b").subs({"x": x ** 20000}) == x ** 60000 + p("b")
+
+    def test_constructor_refuses_an_exponent_past_the_slot(self):
+        width = len(T.names)
+        with pytest.raises(PolyError):
+            Poly(T, {(0, 0, 0, 2 ** SLOT, 0, 0, 0): 1})
+        with pytest.raises(PolyError):
+            Poly(T, {(0, 0, 0, self.TOP, 0, 1, 0): 1})
+        assert Poly(T, {(0,) * (width - 1) + (self.TOP,): 2}).terms == {
+            (0,) * (width - 1) + (self.TOP,): 2}
+
+    def test_tables_with_equal_names_interoperate(self):
+        one, other = VarTable(("b",)), VarTable(("b",))
+        assert one is not other
+        a, b = parse(one, "b*x + d - 1"), parse(other, "b*x + d - 1")
+        assert a == b and hash(a) == hash(b) and a.terms == b.terms
+        assert a + b == parse(one, "2*b*x + 2*d - 2")
+        assert a - b == 0
+        assert a * b == parse(other, "(b*x + d - 1)^2")
+        assert Substitution(one, {"x": parse(other, "d")})(b) == parse(one, "b*d + d - 1")

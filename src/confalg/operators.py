@@ -438,7 +438,7 @@ def _match(row: dict, unknowns: dict[int, str]) -> tuple | None:
             return m // 2, None
     if not (units := [m for m in row if _key_degree(m) == 1 and m in unknowns]):
         return None
-    v = min((v for v in units if not any(m & _slot(v) for m in row if m is not v)),
+    v = min((v for v in units if not any(m & _slot(v) for m in row if m != v)),
             key=unknowns.__getitem__, default=None)
     return None if v is None else (v, row[v])
 

@@ -15,7 +15,7 @@ from confalg import Poly, VarTable, catalog, parse, rb_constraints, solve_square
 
 
 def show_system(name, system):
-    print(f"{name}: {len(system.unknowns)} unknowns, {len(system.rows)} equations")
+    print(f"{name}: {len(system.unknowns)} unknowns, {len(system.equations)} equations")
     result = solve_squares(system)
     print(f"  solver: {result.status}")
     fixed = {k: str(v) for k, v in sorted(result.assignment.items())}

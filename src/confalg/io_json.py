@@ -20,7 +20,7 @@ from functools import partial
 from typing import TYPE_CHECKING
 
 from .algebra import LEFT_SYMMETRIC, LIE, ConformalAlgebra, ProductTable
-from .poly import Poly, PolyError, Substitution, Sums, VarTable, _make, _numeral, parse
+from .poly import Poly, PolyError, Substitution, Sums, VarTable, _numeral, parse
 
 if TYPE_CHECKING:
     from .catalog import CatalogEntry
@@ -287,10 +287,10 @@ def element_from_dict(doc: dict, A: ConformalAlgebra,
 
 
 def system_to_dict(system: PolySystem) -> dict:
-    return {  # one row at a time, not PolySystem.equations' list
+    return {
         "params": [p for p in system.table.params if p not in system.unknowns],
         "unknowns": list(system.unknowns),
-        "equations": [str(_make(system.table, row)) for row in system.rows],
+        "equations": [str(eq) for eq in system.equations],
     }
 
 

@@ -9,10 +9,11 @@ viewed by row or column; ``_rb_sums`` builds the Rota-Baxter and O-operator
 identities and the rb and o_product tables.  A form's value on general
 elements is ``algebra.apply_bilinear`` of its ``products`` with ``out=0``.
 The constraint generator turns the Rota-Baxter identity for an undetermined
-polynomial operator into rows of its coefficients, keyed by ``poly``'s packed
-monomial keys, solved (when possible) by a deliberately small elimination
-loop; it forms each coefficient polynomial once per table entry and pair of
-degrees, not via ``_rb_sums``, and relabels it to every pair of unknowns.
+polynomial operator into a list of coefficient Polys, whose ``packed`` dicts
+are the rows, solved (when possible) by a deliberately small elimination
+loop that substitutes one unknown at a time; it forms each coefficient
+polynomial once per table entry and pair of degrees, not via ``_rb_sums``,
+and relabels it to every pair of unknowns.
 """
 
 from __future__ import annotations
@@ -260,35 +261,25 @@ MAX_RB_SIZE = 5000
 
 
 class PolySystem(Record):
-    """Fully expanded polynomial equations in the unknown parameters, kept as
-    rows {monomial: rational}, each monomial the packed key of ``poly`` over
-    ``table``.  ``equations`` reads them as Polys."""
+    """Fully expanded polynomial equations in the unknown parameters: a list of
+    Polys over ``table``, whose ``packed`` dicts are the rows the solver reads."""
 
     def __init__(self, table: VarTable, unknowns: tuple[str, ...],
                  equations: list[Poly] | None = None) -> None:
-        self.table, self.unknowns, self.rows = table, unknowns, []
-        for eq in equations or ():
-            if eq.table != table:
-                raise VarTableMismatch("equation over another variable table")
-            self.rows.append(dict(eq.packed))
-
-    @property
-    def equations(self) -> list[Poly]:
-        """The rows as Polys over ``table``, in a new list on each read."""
-        return [_make(self.table, row) for row in self.rows]
+        self.table, self.unknowns, self.equations = table, unknowns, list(equations or ())
+        if any(eq.table != table for eq in self.equations):
+            raise VarTableMismatch("equation over another variable table")
 
 
-def _substitution(values: dict[int, dict], spend):
-    """row -> row with each variable key in ``values`` replaced by its row.
-    Each pattern of replaced variables is expanded once, for all rows, from
-    its longest expanded prefix in table order, one row product per
-    variable; a one-variable pattern is its value.  A row product adds
-    c*m*row to an output, each pair of keys added.  Each first hands
-    ``spend`` the number of term products it is about to take, and a product
-    whose monomial passes ``poly.MAX_PARSE_DEGREE`` is refused."""
-    expansions: dict[tuple, dict] = {(v,): value for v, value in values.items()}
-    order = sorted(values, reverse=True)  # the variables in table order
-    replaced = sum(map(_slot, values))
+def _substitution(v: int, value: dict, spend):
+    """row -> row with the unknown whose key is ``v`` replaced by the row
+    ``value``; a row that does not hold v is returned as it is.  Each power of
+    ``value`` is formed once, for all rows, by one row product on the power
+    below.  A row product adds c*m*row to an output, each pair of keys added.
+    Each first hands ``spend`` the number of term products it is about to
+    take, and a product whose monomial passes ``poly.MAX_PARSE_DEGREE`` is
+    refused."""
+    slot, powers = _slot(v), [{0: 1}, value]
 
     def product(out: dict, c, m: int, row: dict) -> None:
         spend(len(row))
@@ -298,23 +289,20 @@ def _substitution(values: dict[int, dict], spend):
                                         f"over the cap of {MAX_PARSE_DEGREE}")
             out[key] = out.get(key, 0) + c * c2
 
-    def expand(pattern: tuple) -> dict:  # a loop, not recursion: no closure cycle
-        k = max(k for k in range(1, len(pattern) + 1) if pattern[:k] in expansions)
-        for k in range(k, len(pattern)):
-            out, value = {}, values[pattern[k]]
-            for m, c in expansions[pattern[:k]].items():
-                product(out, c, m, value)
-            expansions[pattern[:k + 1]] = _normal(out)
-        return expansions[pattern]
-
     def apply(row: dict) -> dict:
-        out = {m: c for m, c in row.items() if not m & replaced}
+        out = {m: c for m, c in row.items() if not m & slot}
         if len(out) == len(row):
+            return row
+        if not value:
             return out
         for m, c in row.items():
-            if m & replaced:
-                pattern = tuple(v for v in order for _ in range(_power(m, v)))
-                product(out, c, m - sum(pattern), expand(pattern))
+            if e := _power(m, v):
+                while len(powers) <= e:
+                    power = {}
+                    for m2, c2 in powers[-1].items():
+                        product(power, c2, m2, value)
+                    powers.append(_normal(power))
+                product(out, c, m - e * v, powers[e])
         return _normal(out)
 
     return apply
@@ -402,7 +390,7 @@ def rb_constraints(A: ConformalAlgebra, degree_bound: int,
             items = frozenset(row.items())
             if items not in seen and frozenset((e, -c) for e, c in items) not in seen:
                 seen.add(items)
-                system.rows.append(row)
+                system.equations.append(_make(ext, row))
     D = Poly.var(ext, "d")
     generic = ModuleMap(ext, [[sum(Poly.var(ext, f"t{i}_{j}_{k}") * D ** k for k in range(k1))
                                for j in range(n)] for i in range(n)])
@@ -477,7 +465,7 @@ def solve_squares(system: PolySystem) -> SolveResult:
             raise PreconditionError(f"elimination exceeds the cap of {MAX_PARSE_TERM_PRODUCTS} "
                                     "term products")
 
-    rows = [row for row in system.rows if row]  # a row made zero stays as {}, so positions hold
+    rows = [eq.packed for eq in system.equations if eq.packed]  # a row made zero stays as {}
     heap = [pos for pos, row in enumerate(rows) if _match(row, unknowns)]  # sorted, so a heap
     held = [reduce(or_, row, 0) for row in rows]
     assignment: dict[int, dict] = {}
@@ -488,22 +476,25 @@ def solve_squares(system: PolySystem) -> SolveResult:
         value = assignment[v] = {} if c is None else _normal(
             {m: q * (Fraction(-1) / c) for m, q in row.items() if m != v})
         rows[at] = {}  # the value makes its own row zero
-        eliminate = value and _substitution({v: value}, spend)  # none for v := 0
-        slot, brought = _slot(v), reduce(or_, value, 0)
-        for pos in [*compress(range(len(held)), map(slot.__and__, held))]:
-            row = rows[pos]
-            kept = {m: q for m, q in row.items() if not m & slot}
-            if len(kept) == len(row):
+        eliminate, brought = _substitution(v, value, spend), reduce(or_, value, 0)
+        for pos in [*compress(range(len(held)), map(_slot(v).__and__, held))]:
+            if (kept := eliminate(row := rows[pos])) is row:
                 continue  # an earlier round cleared the row of v
-            rows[pos] = kept = eliminate(row) if value else kept
+            rows[pos] = kept
             held[pos] |= brought
             if (len(kept) == 1 or any(_key_degree(m) == 1 and m in unknowns for m in kept)) \
                     and _match(kept, unknowns):  # raises on a nonzero constant
                 heappush(heap, pos)
     # back-substitute in reverse elimination order, so solved values are
-    # unknown-free: a value holds no unknown eliminated before its own
+    # unknown-free: a value holds only unknowns eliminated after its own,
+    # whose final values are substituted one at a time
+    substitutes: dict = {}  # an unknown's key -> the substitution of its final value
     for v in reversed(assignment):
-        assignment[v] = _substitution(assignment, spend)(assignment[v])
+        holds = reduce(or_, value := assignment[v], 0)
+        for w, substitute in substitutes.items():
+            if holds & _slot(w):
+                value = substitute(value)
+        assignment[v], substitutes[v] = value, _substitution(v, value, spend)
     remaining = [_make(table, row) for row in rows if row]
     every = sum(map(_slot, unknowns))
     fixed = sum(not reduce(or_, row, 0) & every for row in assignment.values())

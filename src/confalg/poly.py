@@ -417,16 +417,17 @@ class Substitution:
     def __init__(self, table: VarTable, mapping: Mapping[str, "Poly | Scalar"]):
         # memo: id(p) -> (p, p|mapping); holding p keeps its id its own
         self.table, self.values, self.powers, self.expansions, self.memo = table, {}, {}, {}, {}
+        self.mask = 0
         for name, value in mapping.items():
-            if name not in table.index:
+            if (i := table.index.get(name)) is None:
                 raise UnknownVariable(f"unknown variable {name!r}")
             if not isinstance(value, Poly):
                 value = Poly.const(table, value)
             elif value.table is not table and value.table != table:
                 raise VarTableMismatch("polynomials over different variable tables")
-            if value != Poly.var(table, name):
-                self.values[table.index[name]] = value
-        self.mask = sum(_slot(_unit(table, i)) for i in self.values)
+            if value.packed != {(unit := _unit(table, i)): 1}:
+                self.values[i] = value
+                self.mask |= _slot(unit)
         # a term of degree k becomes terms of degree at most k * self.degree
         self.degree = max([1, *(_degree(v.packed) for v in self.values.values())])
 

@@ -10,7 +10,6 @@ import pytest
 
 from confalg import (
     BilinearForm,
-    PolySystem,
     UnknownEntry,
     catalog,
     check_axioms,
@@ -118,18 +117,6 @@ class TestJsonRoundTrips:
         system, _ = rb_constraints(vir, 2, 0)
         back = system_from_dict(system_to_dict(system))
         assert back == system
-
-    def test_system_renders_row_by_row(self, hv, monkeypatch):
-        """The document renders each row as it is read, without the list of
-        every row as a Poly that ``PolySystem.equations`` builds."""
-        system, _ = rb_constraints(hv, 2, 0)
-        want = [str(eq) for eq in system.equations]
-
-        def every_row(_):
-            raise AssertionError("system_to_dict read PolySystem.equations")
-
-        monkeypatch.setattr(PolySystem, "equations", property(every_row))
-        assert system_to_dict(system)["equations"] == want
 
     @pytest.mark.parametrize("name", names())
     def test_catalog_entry(self, name):

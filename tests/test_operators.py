@@ -580,8 +580,8 @@ class TestSolver:
         system = squaring_chain(k)
         spent = []
         substitution = operators._substitution
-        monkeypatch.setattr(operators, "_substitution", lambda values, spend: substitution(
-            values, lambda n: spent.append(n) or spend(n)))
+        monkeypatch.setattr(operators, "_substitution", lambda v, value, spend: substitution(
+            v, value, lambda n: spent.append(n) or spend(n)))
         if products is None:
             with pytest.raises(PreconditionError, match="cap of 200000 term products"):
                 solve_squares(system)

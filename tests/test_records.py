@@ -126,10 +126,8 @@ def test_mutable_defaults_are_not_shared(vir, hv):
     c.residuals.append(("(L)", "x"))
     assert d.residuals == [] and c != d
     s, u = PolySystem(vir.table, ()), PolySystem(vir.table, ())
-    s.rows.append({0: 1})  # the constant row 1: key 0 is the empty monomial
-    assert u.rows == []
-    s.equations.append(Poly.zero(vir.table))  # a list read off the rows, not a view
-    assert s.rows == [{0: 1}]
+    s.equations.append(Poly.const(vir.table, 1))
+    assert u.equations == []
     v, w = CoeffWindow(hv, 1), CoeffWindow(hv, 1)
     v.shifts[0] = 1
     assert w.shifts == {}

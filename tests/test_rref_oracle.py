@@ -71,7 +71,7 @@ def test_against_sympy(matrix):
 @pytest.mark.parametrize("degree", [1, 2, 3])
 def test_rb_rows_against_dense(hv, degree):
     """The weight-0 Rota-Baxter constraint rows of hv, columns in key order."""
-    rows = rb_constraints(hv, degree, 0)[0].rows
+    rows = [eq.packed for eq in rb_constraints(hv, degree, 0)[0].equations]
     columns = sorted({m for row in rows for m in row})  # packed keys, in integer order
     got, want = rref(rows, columns), oracle_rref(rows, columns)
     assert got == want and repr(got) == repr(want)

@@ -13,6 +13,7 @@ any table, left-symmetric or not. Free parameters stay symbolic throughout.
 Usage: python scripts/verify_builtins.py
 """
 
+import sys
 import time
 from functools import cache, partial
 from operator import attrgetter
@@ -291,8 +292,9 @@ def main():
     print(*rows, sep="\n")
     held = sum("[FAIL]" not in text for text in rows)
     print(f"\n{'all claims hold' if held == len(CLAIMS) else 'SOME CLAIMS FAILED'}: {held} of "
-          f"{len(CLAIMS)}, {sum(c.tautology for c in CLAIMS)} marked tautology "
-          f"({time.time() - t0:.1f}s)")
+          f"{len(CLAIMS)}, {sum(c.tautology for c in CLAIMS)} marked tautology")
+    # the time goes to stderr, so that two runs of one tree print the same stdout
+    print(f"{time.time() - t0:.1f}s", file=sys.stderr)
     return 0 if held == len(CLAIMS) else 1
 
 

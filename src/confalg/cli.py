@@ -11,18 +11,18 @@ name.  `--param` values are substituted into each polynomial as it is read;
 
 Each subcommand returns what it computed, and `main` alone writes it and
 chooses the exit code: 0 all checks passed, 1 a check failed (nonzero
-residual, partial or inconsistent solve, witness found), 2 malformed input,
-violated precondition or an unwritable `--out`.
+residual, partial or inconsistent solve, witness found), 2 a refused command
+line, malformed input, violated precondition or an unwritable `--out`.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import io_json as io
 from .algebra import AlgebraError
@@ -58,19 +58,22 @@ READERS = {
 }
 
 
+def _shown(text: str) -> str:
+    """`text` quoted, or named by its length if it is longer than 40 characters."""
+    return repr(text) if len(text) <= 40 else f"a text of {len(text)} characters"
+
+
 _LONG_EXPONENT = re.compile(r"[eE][-+]?[0_]*[1-9](_?\d){4}")  # five or more digits
 
 
 def _rational(text: str, what: str) -> Fraction:
     """``text`` as a rational of at most ``poly.MAX_PARSE_DIGITS`` digits above
     and below the line, the parser's cap on numerals and coefficients; an
-    exponent of five or more digits is refused before it is expanded.
-    A rejected text longer than 40 characters is named by its length."""
+    exponent of five or more digits is refused before it is expanded."""
     try:
         value = None if _LONG_EXPONENT.search(text) else Fraction(text)
     except (ValueError, ZeroDivisionError):
-        got = repr(text) if len(text) <= 40 else f"a text of {len(text)} characters"
-        raise InputError(f"{what} expects a rational, got {got}") from None
+        raise InputError(f"{what} expects a rational, got {_shown(text)}") from None
     if value is None or max(abs(value.numerator), value.denominator) >= MAX_PARSE_COEFF:
         raise InputError(f"{what} exceeds {MAX_PARSE_DIGITS} digits or a four-digit exponent")
     return value
@@ -104,9 +107,7 @@ class Session:
         for section in CATALOG_SECTIONS:
             ref = doc.get(section)
             if isinstance(ref, str):
-                for p in required_params(ref):
-                    if p not in declared:
-                        declared.append(p)
+                declared += [p for p in required_params(ref) if p not in declared]
         weight = getattr(args, "weight", None)
         if weight == "free" and "alpha" not in declared:
             declared.append("alpha")
@@ -359,60 +360,99 @@ def cmd_catalog(sess: Session, args) -> dict:
     return io.entry_to_dict(catalog(args.name))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="confalg",
-        description="exact checks and constructions for finite conformal algebras")
-    sub = parser.add_subparsers(dest="command", required=True)
+class UsageError(InputError):
+    """A command line that COMMANDS does not accept."""
 
-    def add(name, handler, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(handler=handler)
-        p.add_argument("--in", dest="infile", help="input JSON document")
-        p.add_argument("--out", help="write the result JSON here instead of stdout")
-        p.add_argument("--param", action="append",
-                       help="declare or fix a parameter: name=value or name=free")
-        return p
 
-    add("check-axioms", cmd_check_axioms, help="defining identities of an algebra")
-    add("check-rep", cmd_check_rep, help="module axioms of a representation")
-    add("check-cybe", cmd_check_cybe, help="conformal Yang-Baxter residual of a tensor")
-    add("check-s", cmd_check_s, help="conformal S-equation residual of a tensor")
-    p = add("check-o-operator", cmd_check_o_operator, help="O-operator identity for a map")
-    p.add_argument("--ker", action="store_true", help="check only modulo the kernel of the action")
-    p = add("check-rb", cmd_check_rb, help="Rota-Baxter identity for a map")
-    p.add_argument("--weight", default="0", help="weight: a rational or 'free'")
-    add("build-semidirect", cmd_build_semidirect, help="semidirect sum with a module")
-    add("build-dual", cmd_build_dual, help="contragredient representation")
-    p = add("r-from-t", cmd_r_from_t, help="tensor associated with a conformal linear map")
-    p.add_argument("--mode", choices=("skew", "sym", "raw"), default="skew")
-    add("t-from-r", cmd_t_from_r, help="conformal linear map associated with a tensor")
-    add("cobracket", cmd_cobracket, help="element action on a tensor at the diagonal")
-    p = add("cocycle-from-r", cmd_cocycle_from_r, help="2-cocycle of a non-degenerate tensor")
-    p.add_argument("--kind", choices=("lie", "lsc"), required=True)
-    add("check-cocycle", cmd_check_cocycle, help="2-cocycle identity for a form")
-    add("form-suite", cmd_form_suite, help="symmetry/invariance/non-degeneracy of a form")
-    p = add("rb-constraints", cmd_rb_constraints, help="constraint system for generic operators")
-    p.add_argument("--degree", type=int, required=True, help="degree bound of the candidate")
-    p.add_argument("--weight", default="0")
-    p = add("solve", cmd_solve, help="square/linear elimination on a constraint system")
-    add("gd-convert", cmd_gd_convert, help="convert between bialgebra and algebra")
-    p = add("gd-check", cmd_gd_check, help="bialgebra axioms; with a map, both operator identities")
-    p.add_argument("--weight", default="0")
-    add("zero-divisors", cmd_zero_divisors, help="probe the star product for zero divisors")
-    p = add("coeff", cmd_coeff, help="window checks on the coefficient algebra")
-    p.add_argument("--window", type=int, required=True)
-    p.add_argument("--shift", action="append", help="per-generator reindexing: name=shift")
-    p.add_argument("--weight", default="0")
-    p = add("catalog", cmd_catalog, help="print a builtin catalog entry")
-    p.add_argument("name")
-    return parser
+# command -> (its help line, its flags besides --in, --out and --param).  A
+# flag maps to (kind, default): str a value, list a repeated value, int an
+# integer, a tuple its choices, bool a switch; a default of ... marks one that
+# must be given, and NAME is a positional.  The handler of `a-b`, cmd_a_b, is
+# looked up when the command runs, so a wrapper put on it after import runs.
+WEIGHT = {"--weight": (str, "0")}
+COMMON = {"--in": (str, None), "--out": (str, None), "--param": (list, None)}
+COMMANDS = {
+    "check-axioms": ("defining identities of an algebra", {}),
+    "check-rep": ("module axioms of a representation", {}),
+    "check-cybe": ("conformal Yang-Baxter residual of a tensor", {}),
+    "check-s": ("conformal S-equation residual of a tensor", {}),
+    "check-o-operator": ("O-operator identity for a map", {"--ker": (bool, False)}),
+    "check-rb": ("Rota-Baxter identity for a map; WEIGHT is a rational or 'free'", WEIGHT),
+    "build-semidirect": ("semidirect sum with a module", {}),
+    "build-dual": ("contragredient representation", {}),
+    "r-from-t": ("tensor of a conformal linear map", {"--mode": (("skew", "sym", "raw"), "skew")}),
+    "t-from-r": ("conformal linear map associated with a tensor", {}),
+    "cobracket": ("element action on a tensor at the diagonal", {}),
+    "cocycle-from-r": ("2-cocycle of a non-degenerate tensor", {"--kind": (("lie", "lsc"), ...)}),
+    "check-cocycle": ("2-cocycle identity for a form", {}),
+    "form-suite": ("symmetry/invariance/non-degeneracy of a form", {}),
+    "rb-constraints": ("constraints on a generic operator", {"--degree": (int, ...), **WEIGHT}),
+    "solve": ("square/linear elimination on a constraint system", {}),
+    "gd-convert": ("convert between bialgebra and algebra", {}),
+    "gd-check": ("bialgebra axioms; with a map, both operator identities", WEIGHT),
+    "zero-divisors": ("probe the star product for zero divisors", {}),
+    "coeff": ("window checks on the coefficient algebra; a SHIFT is generator=integer",
+              {"--window": (int, ...), "--shift": (list, None), **WEIGHT}),
+    "catalog": ("print a builtin catalog entry", {"NAME": (str, ...)}),
+}
+
+
+def _usage() -> str:
+    lines = ["usage: confalg COMMAND [--in FILE] [--out FILE] [--param NAME=VALUE|NAME=free]..."]
+    for command, (text, flags) in COMMANDS.items():
+        words = [command]
+        for flag, (kind, default) in flags.items():
+            word = flag if kind is bool or flag == "NAME" else f"{flag} " + (
+                "|".join(kind) if isinstance(kind, tuple) else flag[2:].upper())
+            words.append(word if default is ... else f"[{word}]" + "..." * (kind is list))
+        lines.append(f"  {' '.join(words)}\n      {text}")
+    return "\n".join(lines)
+
+
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """`argv` read against COMMANDS, or None if it asks for help."""
+    if {"-h", "--help"} & set(argv):
+        return None
+    if not argv or argv[0] not in COMMANDS:
+        got = f"unknown command {_shown(argv[0])}" if argv else "a command is required"
+        raise UsageError(f"{got}; one of {', '.join(COMMANDS)}")
+    command, tokens = argv[0], iter(argv[1:])
+    flags = {**COMMON, **COMMANDS[command][1]}
+    values = {flag: None if default is ... else default for flag, (_, default) in flags.items()}
+    for token in tokens:
+        # a word without a leading dash is the value of NAME
+        flag, eq, value = token.partition("=") if token[:1] == "-" else ("NAME", "=", token)
+        if flag not in flags or flag == "NAME" and values[flag] is not None:
+            raise UsageError(f"{command} does not take {_shown(token)}")
+        kind = flags[flag][0]
+        if kind is bool:
+            if eq:
+                raise UsageError(f"{flag} takes no value, got {_shown(token)}")
+            value = True
+        elif not eq and (value := next(tokens, None)) is None:
+            raise UsageError(f"{flag} expects a value")
+        elif kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise UsageError(f"{flag} expects an integer, got {_shown(value)}") from None
+        elif isinstance(kind, tuple) and value not in kind:
+            raise UsageError(f"{flag} expects one of {'|'.join(kind)}, got {_shown(value)}")
+        values[flag] = [*(values[flag] or ()), value] if kind is list else value
+    for flag, (_, default) in flags.items():
+        if default is ... and values[flag] is None:
+            raise UsageError(f"{command} needs {flag}")
+    return SimpleNamespace(command=command, handler=globals()["cmd_" + command.replace("-", "_")],
+                           **{"infile" if flag == "--in" else flag.strip("-").lower(): value
+                              for flag, value in values.items()})
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
+        if args is None:
+            print(_usage())
+            return 0
         result = args.handler(Session(_load(args), args), args)
         payload, code = result if isinstance(result, tuple) else (result, 0)
         if isinstance(payload, Report):

@@ -138,6 +138,19 @@ def load_script(name):
     return module
 
 
+def load_benchmark(name):
+    """A fresh module of perfbench/<name>.py."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up while defined
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
 # -- dense references ------------------------------------------------------------
 # The bodies the library replaced with table contractions and one sparse
 # accumulator, kept as they were so that the differential tests compare the

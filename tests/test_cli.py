@@ -21,7 +21,8 @@ from confalg import (
     t_from_r,
 )
 from confalg.catalog import names, required_params
-from confalg.cli import main
+from confalg import cli
+from confalg.cli import COMMANDS, main
 from confalg.io_json import (
     algebra_from_dict,
     algebra_to_dict,
@@ -39,6 +40,7 @@ from confalg.io_json import (
     tensor_from_dict,
     tensor_to_dict,
 )
+from conftest import load_benchmark
 
 
 class TestCatalog:
@@ -408,6 +410,184 @@ class TestCli:
         doc = {"algebra": {"basis": ["map"], "products": {"map,map": {"map": "d+2*x"}}},
                "map": {"map": {"map": "0"}}}
         assert run(tmp_path, "check-rb", doc) == 0
+
+
+def fields(command, handler, **given):
+    """The namespace fields of a `command` line: the command, its handler's
+    name, --in, --out and --param unless `given`, and the rest of `given`."""
+    return {"command": command, "handler": handler, "infile": None, "out": None, "param": None,
+            **given}
+
+
+# perfbench's cli jobs by key, as the command line reads them; the paths are
+# the templates the workload fills in
+CLI_JOB_FIELDS = {
+    "check_axioms.hv": fields("check-axioms", "cmd_check_axioms", infile="{doc:hv}"),
+    "check_axioms.vir_inline": fields("check-axioms", "cmd_check_axioms",
+                                      infile="{doc:vir_inline}"),
+    "check_axioms.mutant_inline": fields("check-axioms", "cmd_check_axioms",
+                                         infile="{doc:mutant_inline}"),
+    "check_rb.family1.weight0": fields("check-rb", "cmd_check_rb", infile="{doc:hv_family1}",
+                                       weight="0"),
+    "check_rb.family1.weight0.b_1_3": fields("check-rb", "cmd_check_rb",
+                                             infile="{doc:hv_family1}", weight="0",
+                                             param=["b=1/3"]),
+    "check_rb.family1.weight_free": fields("check-rb", "cmd_check_rb",
+                                           infile="{doc:hv_family1}", weight="free"),
+    "check_rb.family1_inline.b_1_3": fields("check-rb", "cmd_check_rb",
+                                            infile="{doc:hv_family1_inline}", weight="0",
+                                            param=["b=1/3"]),
+    "check_cybe.lsc1_skew": fields("check-cybe", "cmd_check_cybe", infile="{doc:lsc1_skew}"),
+    "check_cybe.lsc1_skew.b_1_3": fields("check-cybe", "cmd_check_cybe",
+                                         infile="{doc:lsc1_skew}", param=["b=1/3"]),
+    "check_s.lsc2_sym": fields("check-s", "cmd_check_s", infile="{doc:lsc2_sym}"),
+    "check_o_operator.family1": fields("check-o-operator", "cmd_check_o_operator",
+                                       infile="{doc:hv_adjoint_family1}", ker=False),
+    "coeff.window4.family1": fields("coeff", "cmd_coeff", infile="{doc:hv_family1}", window=4,
+                                    shift=["L=1", "W=0"], weight="0"),
+    "catalog.hv_lsc1": fields("catalog", "cmd_catalog", name="hv_lsc1"),
+    "catalog.hv_lsc2_sym_r": fields("catalog", "cmd_catalog", name="hv_lsc2_sym_r"),
+    "cocycle_from_r.lsc1_skew": fields("cocycle-from-r", "cmd_cocycle_from_r",
+                                       infile="{doc:lsc1_skew}", kind="lie"),
+    "rb_constraints.vir.D2": fields("rb-constraints", "cmd_rb_constraints", infile="{doc:vir}",
+                                    out="{out:vir_system}", degree=2, weight="0"),
+    "solve.vir.D2": fields("solve", "cmd_solve", infile="{out:vir_system}"),
+    "rb_constraints.hv.D2": fields("rb-constraints", "cmd_rb_constraints", infile="{doc:hv}",
+                                   out="{out:hv_system}", degree=2, weight="0"),
+    "solve.hv.D2": fields("solve", "cmd_solve", infile="{out:hv_system}"),
+    **{f"reject.{key}": fields("check-axioms", "cmd_check_axioms", infile=f"{{doc:{doc}}}")
+       for key, doc in [("unknown_entry", "unknown_entry"), ("malformed_json", "malformed"),
+                        ("list_algebra", "list_algebra"), ("zero_denominator", "zero_denominator"),
+                        ("duplicate_basis", "duplicate_basis")]},
+}
+
+
+def read(argv):
+    """The namespace fields the command line `argv` reads as, the handler by name."""
+    args = vars(cli._parse(argv))
+    return {**args, "handler": args["handler"].__name__}
+
+
+class TestCommandLine:
+    """The command line is read against COMMANDS into the fields argparse gave
+    each command: no more, with the same defaults."""
+
+    def test_benchmark_jobs(self):
+        jobs = {key: argv for group in load_benchmark("workloads").CLI_GROUPS
+                for key, argv in group}
+        assert jobs.keys() == CLI_JOB_FIELDS.keys()
+        for key, argv in jobs.items():
+            assert read(argv) == CLI_JOB_FIELDS[key], key
+
+    @pytest.mark.parametrize("argv, expected", [
+        # the README's command block
+        ("check-axioms --in algebra.json",
+         fields("check-axioms", "cmd_check_axioms", infile="algebra.json")),
+        ("check-rb --in doc.json --weight 0",
+         fields("check-rb", "cmd_check_rb", infile="doc.json", weight="0")),
+        ("check-cybe --in doc.json", fields("check-cybe", "cmd_check_cybe", infile="doc.json")),
+        ("check-s --in doc.json", fields("check-s", "cmd_check_s", infile="doc.json")),
+        ("check-o-operator --in doc.json --ker",
+         fields("check-o-operator", "cmd_check_o_operator", infile="doc.json", ker=True)),
+        ("build-semidirect", fields("build-semidirect", "cmd_build_semidirect")),
+        ("build-dual", fields("build-dual", "cmd_build_dual")),
+        ("r-from-t --mode sym", fields("r-from-t", "cmd_r_from_t", mode="sym")),
+        ("r-from-t", fields("r-from-t", "cmd_r_from_t", mode="skew")),
+        ("t-from-r", fields("t-from-r", "cmd_t_from_r")),
+        ("cobracket", fields("cobracket", "cmd_cobracket")),
+        ("cocycle-from-r --kind lsc", fields("cocycle-from-r", "cmd_cocycle_from_r", kind="lsc")),
+        ("check-cocycle", fields("check-cocycle", "cmd_check_cocycle")),
+        ("form-suite", fields("form-suite", "cmd_form_suite")),
+        ("rb-constraints --degree 3 --weight free",
+         fields("rb-constraints", "cmd_rb_constraints", degree=3, weight="free")),
+        ("solve", fields("solve", "cmd_solve")),
+        ("gd-convert", fields("gd-convert", "cmd_gd_convert")),
+        ("gd-check", fields("gd-check", "cmd_gd_check", weight="0")),
+        ("zero-divisors", fields("zero-divisors", "cmd_zero_divisors")),
+        ("coeff --window 4 --shift L=1 --shift W=0",
+         fields("coeff", "cmd_coeff", window=4, shift=["L=1", "W=0"], weight="0")),
+        ("catalog hv", fields("catalog", "cmd_catalog", name="hv")),
+        # --flag=value, which splits at the first "="
+        ("check-rb --in=doc.json --weight=-1/2 --param=b=1/3",
+         fields("check-rb", "cmd_check_rb", infile="doc.json", weight="-1/2", param=["b=1/3"])),
+        ("rb-constraints --degree=2 --out=s.json",
+         fields("rb-constraints", "cmd_rb_constraints", out="s.json", degree=2, weight="0")),
+        ("cocycle-from-r --kind=lie", fields("cocycle-from-r", "cmd_cocycle_from_r", kind="lie")),
+        ("check-axioms --in=", fields("check-axioms", "cmd_check_axioms", infile="")),
+        # the positional before and after a flag
+        ("catalog --param b=1 hv", fields("catalog", "cmd_catalog", name="hv", param=["b=1"])),
+        ("catalog hv --param b=1", fields("catalog", "cmd_catalog", name="hv", param=["b=1"])),
+        # a value that begins with "-", which argparse took only as --weight=-1/2
+        ("check-rb --weight -1/2", fields("check-rb", "cmd_check_rb", weight="-1/2")),
+        ("rb-constraints --degree -1",
+         fields("rb-constraints", "cmd_rb_constraints", degree=-1, weight="0")),
+        # a repeated single-value flag keeps its last value; --param collects
+        ("check-axioms --in a.json --in b.json",
+         fields("check-axioms", "cmd_check_axioms", infile="b.json")),
+        ("check-o-operator --ker --ker", fields("check-o-operator", "cmd_check_o_operator",
+                                                ker=True)),
+        ("check-s --param b=1 --param c=free",
+         fields("check-s", "cmd_check_s", param=["b=1", "c=free"])),
+    ])
+    def test_accepted(self, argv, expected):
+        assert read(argv.split(" ")) == expected
+
+    @pytest.mark.parametrize("argv, named", [
+        ([], "a command is required"),
+        (["nosuch", "--in", "x"], "'nosuch'"),
+        (["--in", "x", "check-axioms"], "'--in'"),
+        (["check-axioms", "--bogus"], "'--bogus'"),
+        (["rb-constraints", "--deg", "2"], "'--deg'"),  # abbreviated
+        (["check-axioms", "-i", "x"], "'-i'"),
+        (["check-rb", "--in", "x", "--weight"], "--weight"),
+        (["check-o-operator", "--ker=yes"], "'--ker=yes'"),
+        (["rb-constraints", "--degree", "two"], "'two'"),
+        (["coeff", "--window", "9" * 4301], "--window expects an integer, got a text of 4301"),
+        (["r-from-t", "--mode", "skw"], "'skw'"),
+        (["cocycle-from-r", "--kind=LIE"], "'LIE'"),
+        (["cocycle-from-r", "--in", "x"], "--kind"),
+        (["rb-constraints", "--weight", "1"], "--degree"),
+        (["catalog", "--param", "b=1"], "NAME"),
+        (["check-axioms", "hv"], "'hv'"),
+        (["catalog", "hv", "vir"], "'vir'"),
+    ])
+    def test_refused(self, capsys, argv, named):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and "Traceback" not in err
+        error = json.loads(err)["error"]
+        assert error.startswith("UsageError: ") and named in error
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["check-rb", "--in", "x", "-h"],
+                                      ["nosuch", "--help"]])
+    def test_help(self, capsys, argv):
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.startswith("usage: confalg COMMAND")
+        listed = {line.split()[0] for line in out.splitlines()
+                  if line.startswith("  ") and not line.startswith("   ")}
+        assert listed == set(COMMANDS)
+        assert "  coeff --window WINDOW [--shift SHIFT]... [--weight WEIGHT]\n" in out
+        assert "  r-from-t [--mode skew|sym|raw]\n" in out and "  catalog NAME\n" in out
+
+    def test_every_handler_has_a_command(self):
+        required = {"cocycle-from-r": ["--kind", "lie"], "rb-constraints": ["--degree", "1"],
+                    "coeff": ["--window", "1"], "catalog": ["hv"]}
+        handlers = [read([command, *required.get(command, [])])["handler"] for command in COMMANDS]
+        assert sorted(handlers) == sorted(name for name in vars(cli) if name.startswith("cmd_"))
+
+    def test_handler_is_looked_up_when_the_command_runs(self, monkeypatch, capsys):
+        """A wrapper put on a handler after import, as perfbench's tracer puts
+        one, is the one that runs."""
+        calls = []
+        original = cli.cmd_catalog
+
+        def wrapped(sess, args):
+            calls.append(args.name)
+            return original(sess, args)
+
+        monkeypatch.setattr(cli, "cmd_catalog", wrapped)
+        assert main(["catalog", "hv"]) == 0 and calls == ["hv"]
 
 
 def commands(sections: dict) -> list[tuple[str, dict]]:
@@ -946,6 +1126,15 @@ class TestFreshProcess:
         assert "Traceback" not in err
         assert json.loads(err)["error"].startswith(f"{error}: ")
 
+    def test_usage_error(self, tmp_path):
+        code, out, err = fresh(tmp_path, "rb-constraints", {"algebra": "vir"}, "--deg", "2")
+        assert (code, out) == (2, "") and len(err.splitlines()) == 1 and "Traceback" not in err
+        assert json.loads(err)["error"] == "UsageError: rb-constraints does not take '--deg'"
+
+    def test_help(self, tmp_path):
+        code, out, err = fresh(tmp_path, "--help")
+        assert (code, err) == (0, "") and out.startswith("usage: confalg COMMAND")
+
     # runs the front end, then prints the modules it loaded
     LOADED = ("import json, sys\n"
               "from confalg.cli import main\n"
@@ -961,13 +1150,15 @@ class TestFreshProcess:
 
     def test_subcommands_load_only_what_they_run(self, tmp_path, bare_modules):
         family1 = {"algebra": "hv", "map": "hv_rb_family1"}
-        # unless a bare interpreter loads them too
+        # unless a bare interpreter loads them too; the command line is read
+        # without argparse and the gettext and locale modules it imports
         startup = {"dataclasses", "inspect"} - bare_modules
+        parser = {"argparse", "gettext", "locale"} - bare_modules
         assert not self.loaded(tmp_path, "check-axioms", {"algebra": "hv"}) & {
-            "operators", "gd", "tensor", "reps", "linmap", "coeff", *startup}
+            "operators", "gd", "tensor", "reps", "linmap", "coeff", *startup, *parser}
         assert not self.loaded(tmp_path, "coeff", family1, "--window", "2") & {
-            "operators", "gd", "tensor", "reps", *startup}
-        without = {"gd", "coeff", "reps", "tensor"}
+            "operators", "gd", "tensor", "reps", *startup, *parser}
+        without = {"gd", "coeff", "reps", "tensor", *parser}
         assert not self.loaded(tmp_path, "check-rb", family1) & without
         assert not self.loaded(tmp_path, "rb-constraints", {"algebra": "vir"},
                                "--degree", "2") & without

@@ -1,6 +1,5 @@
 import ast
 import importlib
-import importlib.util
 import json
 import os
 import subprocess
@@ -19,6 +18,7 @@ from confalg import (BilinearForm, CoeffWindow, ConformalAlgebra, ModuleMap, Pol
 from confalg.algebra import unit_vector
 from confalg.poly import Substitution
 from confalg.tensor import tensor3_report
+from conftest import load_benchmark
 
 
 PACKAGE = Path(confalg.__file__).parent
@@ -187,28 +187,16 @@ def test_submodules_load_neither_dataclasses_nor_inspect(bare_modules):
     assert "confalg.tensor" in loaded and not (loaded - bare_modules) & STARTUP_COSTS
 
 
-def _benchmark_module(name: str):
-    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up while defined
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    return module
-
-
 def test_benchmark_workloads_import():
     """The benchmark's workloads import the names they use from the package."""
-    assert set(_benchmark_module("workloads").SETUPS) == {"tower", "tensor_eqs", "systems"}
+    assert set(load_benchmark("workloads").SETUPS) == {"tower", "tensor_eqs", "systems"}
 
 
 def test_benchmark_constraint_jobs_meet_their_answers():
     """The systems workload's rb.* jobs, run and observed untimed, give the
     labels perfbench/expected.json holds: they read system.table,
     system.equations (embed, subs) and result.remaining."""
-    workloads = _benchmark_module("workloads")
+    workloads = load_benchmark("workloads")
     path = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
     expected = json.loads(path.read_text())["systems"]
     jobs = [job for group in workloads.setup_systems() for job in group
@@ -221,7 +209,7 @@ def test_benchmark_constraint_jobs_meet_their_answers():
 def test_benchmark_tensor_jobs_meet_their_answers():
     """Every tensor_eqs job, run and observed untimed, gives the label
     perfbench/expected.json holds."""
-    workloads = _benchmark_module("workloads")
+    workloads = load_benchmark("workloads")
     path = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
     expected = json.loads(path.read_text())["tensor_eqs"]
     jobs = [job for group in workloads.setup_tensor_eqs() for job in group]
@@ -241,7 +229,7 @@ def test_dense_tensor_jobs_substitute_each_distinct_entry_once(monkeypatch):
     rows its element reaches, so the dense jobs run at most these
     substitution term loops; substituting every copy of every entry took
     167, 143, 784 and 680."""
-    workloads = _benchmark_module("workloads")
+    workloads = load_benchmark("workloads")
     jobs = {job.key: job for group in workloads.setup_tensor_eqs() for job in group}
     loops = 0
     call = Substitution.__call__
@@ -263,7 +251,7 @@ def test_dense_tensor_jobs_substitute_each_distinct_entry_once(monkeypatch):
 
 def test_benchmark_tracer_reads_kernel_terms(hv):
     """The tracer reads Poly.terms directly: exponent tuples and coefficients."""
-    tracer = _benchmark_module("tracer")
+    tracer = load_benchmark("tracer")
     t = VarTable()
     unit = unit_vector(t, 3, 1)
     assert tracer._is_basis_vector(unit)
@@ -298,7 +286,7 @@ def test_benchmark_checks_never_call_poly_subs(monkeypatch):
     """Every identity check on the benchmark's tower and tensor_eqs inputs
     substitutes through one prepared poly.Substitution per mapping: wrapped,
     Poly.subs is never called."""
-    workloads = _benchmark_module("workloads")
+    workloads = load_benchmark("workloads")
     jobs = [job for setup in (workloads.setup_tower, workloads.setup_tensor_eqs)
             for group in setup() for job in group]
     levels = workloads.dual_adjoint_tower(catalog("vir", table=VarTable()).algebra, 8)

@@ -3,6 +3,7 @@ line-coverage tool lists the lines a run missed."""
 
 import inspect
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -51,6 +52,19 @@ def test_script_main_returns_zero(name, monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", [f"{name}.py"])
     assert load_script(name).main() == 0
     assert "FAIL" not in capsys.readouterr().out
+
+
+def test_verify_builtins_repeats_byte_for_byte(capsys):
+    """Two runs print the same stdout; the elapsed time goes to stderr."""
+    module = load_script("verify_builtins")
+    outputs = []
+    for _ in range(2):
+        assert module.main() == 0
+        out, err = capsys.readouterr()
+        outputs.append(out)
+        assert re.fullmatch(r"\d+\.\ds\n", err)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].splitlines()[-1].endswith(" marked tautology")
 
 
 @pytest.mark.parametrize("found", [ProbeResult("unknown"),

@@ -17,6 +17,7 @@ line, malformed input, violated precondition or an unwritable `--out`.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
@@ -96,10 +97,14 @@ class Session:
         declared = list(declared)
         self.doc = doc
         self.values: dict[str, Fraction] = {}
+        given = set()
         for spec in args.param or []:
             if "=" not in spec:
                 raise InputError(f"--param expects name=value|free, got {spec!r}")
             name, value = spec.split("=", 1)
+            if name in given:
+                raise InputError(f"--param names parameter {name!r} twice")
+            given.add(name)
             if name not in declared:
                 declared.append(name)
             if value != "free":
@@ -465,7 +470,10 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    # frozen, the heap is skipped by the collections finalization runs
+    code = main()
+    gc.freeze()
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -821,6 +821,15 @@ class TestRejectedInput:
         pytest.param("coeff", {"algebra": "hv"},
                      ("--window", "2", "--shift", "L=1", "--shift", "L=2"),
                      "--shift names generator 'L' twice", id="shift_twice"),
+        pytest.param("check-rb", {"algebra": "hv", "map": "hv_rb_family1"},
+                     ("--param", "b=1/3", "--param", "b=free"),
+                     "--param names parameter 'b' twice", id="param_value_then_free"),
+        pytest.param("check-rb", {"algebra": "hv", "map": "hv_rb_family1"},
+                     ("--param", "b=free", "--param", "b=1/3"),
+                     "--param names parameter 'b' twice", id="param_free_then_value"),
+        pytest.param("check-rb", {"algebra": "hv", "map": "hv_rb_family1"},
+                     ("--param", "b=1", "--param", "b=2"),
+                     "--param names parameter 'b' twice", id="param_value_then_value"),
         pytest.param("build-semidirect", {"algebra": "vir", "representation": {
                          "module_basis": ["L"], "action": {"L,L": {"L": "d+2*x"}}}}, (),
                      "repeated name(s) L in the algebra's basis", id="semidirect_repeated_names"),
@@ -1134,6 +1143,39 @@ class TestFreshProcess:
     def test_help(self, tmp_path):
         code, out, err = fresh(tmp_path, "--help")
         assert (code, err) == (0, "") and out.startswith("usage: confalg COMMAND")
+
+    def test_writes_what_main_writes(self, tmp_path, capsys):
+        """The front end's stdout, --out file, stderr and exit code are those
+        of ``main`` in-process."""
+        hv = {"algebra": "hv"}
+        assert fresh(tmp_path, "check-axioms", hv) == (
+            run(tmp_path, "check-axioms", hv), *capsys.readouterr())
+        out, inproc = tmp_path / "fresh.out.json", tmp_path / "inproc.out.json"
+        vir = ("rb-constraints", {"algebra": "vir"}, "--degree", "2", "--out")
+        assert fresh(tmp_path, *vir, str(out)) == (0, "", "")
+        assert run(tmp_path, *vir, str(inproc)) == 0
+        assert out.read_bytes() == inproc.read_bytes()
+        rejected = {"algebra": {"basis": ["L"], "products": ["x"]}}
+        code, out, err = fresh(tmp_path, "check-axioms", rejected)
+        assert (code, out, err) == (run(tmp_path, "check-axioms", rejected), *capsys.readouterr())
+        assert code == 2 and "algebra.products" in err
+
+    # registers an exit hook, then ends through the front end's entry point
+    EXIT_HOOK = ("import atexit, gc, sys\n"
+                 "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0,"
+                 " file=sys.stderr))\n"
+                 "from confalg.cli import entry\n"
+                 "entry()\n")
+
+    @pytest.mark.parametrize("doc, code", [({"algebra": "hv"}, 0),
+                                           ({"algebra": ["L"]}, 2)])
+    def test_entry_freezes_the_heap_and_runs_exit_hooks(self, tmp_path, doc, code):
+        """``entry`` freezes the heap once ``main`` has returned, and ends
+        through a normal exit: exit hooks run and the exit code stands."""
+        plain = fresh(tmp_path, "check-axioms", doc)
+        hooked = fresh(tmp_path, "check-axioms", doc, code=self.EXIT_HOOK)
+        assert hooked == (plain[0], plain[1], plain[2] + "frozen True\n")
+        assert plain[0] == code
 
     # runs the front end, then prints the modules it loaded
     LOADED = ("import json, sys\n"

@@ -1,4 +1,5 @@
 import ast
+import gc
 import importlib
 import json
 import os
@@ -15,6 +16,7 @@ from confalg import (BilinearForm, CoeffWindow, ConformalAlgebra, ModuleMap, Pol
                      check_rep, check_rota_baxter, cocycle_check, cocycle_from_r,
                      cybe_residual, dual_rep, invariant_form_suite, parse, poly, rb_gd_check,
                      semidirect, standard_rep, window_checks, with_zero_right)
+from confalg import cli
 from confalg.algebra import unit_vector
 from confalg.poly import Substitution
 from confalg.tensor import tensor3_report
@@ -168,6 +170,65 @@ def test_main_alone_writes_the_result():
     assert _emit_callers((PACKAGE / "cli.py").read_text(encoding="utf-8")) == (["main"], False)
     assert _emit_callers("def cmd_a(x):\n    _emit(x, {})\n\n"
                          "def _report_result(x, r):\n    return main(x)\n") == (["cmd_a"], True)
+
+
+# the exits that skip finalization work: a heap freeze, and an exit that
+# skips atexit handlers and the flush of stdout and stderr as well
+EXIT_SHORTCUTS = {"gc.freeze", "os._exit"}
+
+
+def _exit_shortcuts(source: str) -> list[tuple[str, str]]:
+    """(top-level definition, or ``<module>``, dotted name) for each use or
+    import of a name of ``EXIT_SHORTCUTS`` in a module."""
+    uses = []
+    for top in ast.parse(source).body:
+        where = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [f"{node.value.id}.{node.attr}"]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            uses += [(where, name) for name in names if name in EXIT_SHORTCUTS]
+    return uses
+
+
+def test_only_the_command_line_entry_freezes_the_heap():
+    """``cli.entry``, which ends the process, freezes the heap after ``main``
+    returns; no module freezes it elsewhere or leaves through ``os._exit``."""
+    uses = {path.name: found for path in sorted(PACKAGE.glob("*.py"))
+            if (found := _exit_shortcuts(path.read_text(encoding="utf-8")))}
+    assert uses == {"cli.py": [("entry", "gc.freeze")]}
+    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    entry = next(f for f in ast.parse(source).body if getattr(f, "name", None) == "entry")
+    calls = [_callee(node) for node in sorted(
+        (n for n in ast.walk(entry) if isinstance(n, ast.Call)), key=lambda n: n.lineno)]
+    assert calls.index("main") < calls.index("freeze")
+    assert _exit_shortcuts("from os import _exit\nclass A:\n    def f(self):\n"
+                           "        gc.freeze()\nos._exit(0)\n") == [
+        ("<module>", "os._exit"), ("A", "gc.freeze"), ("<module>", "os._exit")]
+
+
+def test_main_leaves_the_collector_unfrozen(capsys):
+    """In-process callers of ``cli.main`` keep a collector that sees the
+    whole heap."""
+    frozen = gc.get_freeze_count()
+    assert cli.main(["check-axioms", "--in", "/nonexistent/in.json"]) == 2
+    assert cli.main(["catalog", "hv"]) == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_both_command_line_entries_take_the_same_exit():
+    """The installed ``confalg`` script and ``python -m confalg.cli`` both
+    end through ``cli.entry``."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["scripts"] == {"confalg": "confalg.cli:entry"}
+    module = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    guard = module.body[-1]
+    assert ast.unparse(guard.test) == "__name__ == '__main__'"
+    assert [ast.unparse(node) for node in guard.body] == ["entry()"]
 
 
 def test_runtime_imports_neither_dataclasses_nor_inspect():

@@ -198,9 +198,9 @@ def _constant(p: "Poly") -> Scalar | None:
 def _accumulate(table: VarTable, terms: dict, a: "Poly", b: "Poly | None" = None,
                 sign: Scalar = 1) -> None:
     """Add sign * a * b, or sign * a when ``b`` is None, into the raw key ->
-    coefficient dict ``terms``; ``_normal`` finishes it.  The one term-product
-    loop of the kernel: a product whose degree fits a slot adds keys, and a
-    constant factor only scales the other's coefficients."""
+    coefficient dict ``terms``; ``_normal`` finishes it.  A product whose degree
+    fits a slot adds keys in ``_product``, the kernel's one term-product loop,
+    and a constant factor only scales the other's coefficients."""
     if (a.table is not table and a.table != table
             or b is not None and b.table is not table and b.table != table):
         raise VarTableMismatch("polynomials over different variable tables")
@@ -215,12 +215,21 @@ def _accumulate(table: VarTable, terms: dict, a: "Poly", b: "Poly | None" = None
             terms[e] = get(e, 0) + sign * c
         return
     _fit(_degree(a.packed) + _degree(b.packed))
-    right = b.packed.items()
-    for e1, c1 in a.packed.items():
+    _product(terms, a.packed, b.packed, sign)
+
+
+def _product(terms: dict, a: dict, b: dict, sign: Scalar = 1) -> dict:  # terms += sign * a * b
+    get, right = terms.get, b.items()
+    for e1, c1 in a.items():
         c1 *= sign
         for e2, c2 in right:
             e = e1 + e2
             terms[e] = get(e, 0) + c1 * c2
+    return terms
+
+
+def _times(a: dict, b: dict) -> dict:  # the normal-form product of two raw rows
+    return _normal(_product({}, a, b))
 
 
 class Poly:
@@ -403,21 +412,24 @@ class Substitution:
     """Simultaneous substitution of variables by polynomials, prepared once for
     any number of polynomials over ``table``.
 
+    Each value is kept as a row of key shifts, its keys less its variable's.
     Terms are grouped by their exponents in the substituted variables; each
-    distinct exponent pattern expands its product of powers once per instance,
-    as key shifts, and terms free of those variables are copied as they are.
-    A variable mapped to itself is dropped, and a polynomial none of whose
-    terms is touched is returned as it is.  Each input object is substituted
-    once per instance: a repeated input, such as a table entry that several
-    entries share, gets back the same result object.
+    distinct exponent pattern expands once per instance into the product of
+    its powers' rows, each power formed once by binary powering on rows, and
+    terms free of those variables are copied as they are.  A variable mapped
+    to itself is dropped, and a polynomial none of whose terms is touched is
+    returned as it is.  Each input object is substituted once per instance: a
+    repeated input, such as a table entry that several entries share, gets
+    back the same result object.
     """
 
     __slots__ = ("table", "values", "mask", "degree", "powers", "expansions", "memo")
 
     def __init__(self, table: VarTable, mapping: Mapping[str, "Poly | Scalar"]):
+        # values: slot -> step, the slot's unit less 1; powers: (slot, e) -> row
         # memo: id(p) -> (p, p|mapping); holding p keeps its id its own
         self.table, self.values, self.powers, self.expansions, self.memo = table, {}, {}, {}, {}
-        self.mask = 0
+        self.mask, self.degree = 0, 1
         for name, value in mapping.items():
             if (i := table.index.get(name)) is None:
                 raise UnknownVariable(f"unknown variable {name!r}")
@@ -426,10 +438,19 @@ class Substitution:
             elif value.table is not table and value.table != table:
                 raise VarTableMismatch("polynomials over different variable tables")
             if value.packed != {(unit := _unit(table, i)): 1}:
-                self.values[i] = value
-                self.mask |= _slot(unit)
-        # a term of degree k becomes terms of degree at most k * self.degree
-        self.degree = max([1, *(_degree(v.packed) for v in self.values.values())])
+                slot = _slot(unit)
+                self.values[slot] = unit - 1
+                self.powers[slot, 1] = {k - unit: c for k, c in value.packed.items()}
+                self.mask |= slot
+                # a term of degree k becomes terms of degree at most k * self.degree
+                self.degree = max(self.degree, _degree(value.packed))
+
+    def _row(self, slot: int, e: int) -> dict:  # the row of the value at `slot`, to the power e
+        if (row := self.powers.get((slot, e))) is None:  # e >= 2: powers holds e = 1
+            half = self._row(slot, e >> 1)
+            row = _times(half, half)
+            row = self.powers[slot, e] = _times(row, self.powers[slot, 1]) if e & 1 else row
+        return row
 
     def __call__(self, p: Poly) -> Poly:
         values, terms = self.values, p.packed
@@ -441,7 +462,7 @@ class Substitution:
             raise VarTableMismatch("polynomials over different variable tables")
         if self.degree > 1:
             _fit(_degree(terms) * self.degree)
-        mask, powers, expansions = self.mask, self.powers, self.expansions
+        mask, expansions = self.mask, self.expansions
         touched = False
         out: dict[int, Scalar] = {}
         get = out.get
@@ -452,16 +473,9 @@ class Substitution:
             touched = True
             expansion = expansions.get(pattern)
             if expansion is None:
-                prod = None
-                exps = _exponents(self.table, pattern)
-                for i in values:
-                    if e := exps[i]:
-                        if (i, e) not in powers:
-                            powers[i, e] = values[i] if e == 1 else values[i] ** e
-                        prod = powers[i, e] if prod is None else prod * powers[i, e]
-                # each product term replaces the term's own powers of the variables
-                own = _key(exps)
-                expansion = expansions[pattern] = [(k2 - own, c2) for k2, c2 in prod.packed.items()]
+                rows = [self._row(slot, e) for slot, step in values.items()
+                        if (e := (pattern & slot) // step)]
+                expansion = expansions[pattern] = list(reduce(_times, rows).items())
             for shift, c2 in expansion:
                 k = key + shift
                 out[k] = get(k, 0) + c * c2

@@ -18,11 +18,12 @@ from hypothesis import strategies as st
 
 from confalg import catalog, cocycle_from_r, dual_rep, rb_constraints, standard_rep
 from confalg.catalog import required_params
-from confalg.cli import main
+from confalg.cli import COMMANDS, main
 from confalg.io_json import entry_to_dict, form_to_dict, rep_to_dict, system_to_dict
 
-COMMANDS = ["check-axioms", "check-rb", "check-rep", "check-cybe", "check-cocycle",
-            "cobracket", "gd-check", "solve"]
+# the flags besides --in that a command cannot run without
+REQUIRED = {"cocycle-from-r": ["--kind", "lie"], "rb-constraints": ["--degree", "1"],
+            "coeff": ["--window", "2"], "catalog": ["hv"]}
 
 README_EXAMPLE = {
     "params": ["b"],
@@ -41,7 +42,7 @@ def _entry_doc(name: str) -> dict:
 @cache
 def base_documents() -> list[tuple[dict, list[str]]]:
     """Small valid documents, each with the commands it feeds; between them
-    they feed every command in COMMANDS.  Built at the first draw, not at
+    they feed every command of the CLI.  Built at the first draw, not at
     import, so that a fault in building a catalog entry fails the tests one by
     one instead of the module at collection."""
     readme = dict(README_EXAMPLE, representation="adjoint",
@@ -55,10 +56,13 @@ def base_documents() -> list[tuple[dict, list[str]]]:
     lsc["form"] = form_to_dict(cocycle_from_r(skew.algebra, skew.tensor, "lie"))
     lsc["element"] = {"L": "1"}
     gd = dict(_entry_doc("hv_gd"), params=["b"], map=README_EXAMPLE["map"])
-    return [(readme, ["check-axioms", "check-rb", "check-rep", "check-cocycle", "cobracket"]),
-            (vir, ["check-axioms", "check-rep", "solve"]),
-            (lsc, ["check-cybe", "check-cocycle", "cobracket"]),
-            (gd, ["gd-check"])]
+    return [(readme, ["check-axioms", "check-rb", "check-rep", "check-cocycle", "cobracket",
+                      "check-o-operator", "build-dual", "r-from-t", "t-from-r",
+                      "rb-constraints", "coeff", "catalog"]),
+            (vir, ["check-axioms", "check-rep", "solve", "build-semidirect"]),
+            (lsc, ["check-cybe", "check-cocycle", "cobracket", "cocycle-from-r", "form-suite"]),
+            (_entry_doc("hv_lsc2_sym_r"), ["check-s", "t-from-r"]),
+            (gd, ["gd-check", "gd-convert", "zero-divisors"])]
 
 
 REPLACEMENTS = st.one_of(
@@ -103,7 +107,7 @@ def _run(doc_path, command: str, doc: dict, extra=()) -> tuple[int, str]:
     doc_path.write_text(json.dumps(doc))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([command, "--in", str(doc_path), *extra])
+        code = main([command, "--in", str(doc_path), *REQUIRED.get(command, []), *extra])
     return code, err.getvalue()
 
 
@@ -115,7 +119,7 @@ def test_base_documents_feed_every_command(doc_path):
             assert _run(doc_path, command, doc)[0] in (0, 1), command
 
 
-@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(case=fuzzed_cases(), extra=st.sampled_from([[], ["--param", "b=1/3"]]))
 def test_exit_code_is_total(doc_path, case, extra):
     command, doc = case

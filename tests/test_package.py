@@ -310,6 +310,45 @@ def test_dense_tensor_jobs_substitute_each_distinct_entry_once(monkeypatch):
     assert all(counts[key] <= budget for key, budget in TENSOR_SUBSTITUTION_BUDGETS.items()), counts
 
 
+def test_substitution_expands_patterns_without_polys(monkeypatch):
+    """Substitution forms each power and each pattern's product on raw rows of
+    key shifts: while it substitutes the dense rank-8 tensor_eqs inputs, no
+    Poly is multiplied or raised to a power and no key is packed or
+    unpacked."""
+    workloads = load_benchmark("workloads")
+    jobs = [job for group in workloads.setup_tensor_eqs() for job in group
+            if job.key.startswith("dense.")]
+    counts = dict.fromkeys(("__mul__", "__pow__", "_exponents", "_key", "patterns"), 0)
+    inside = False
+    call = Substitution.__call__
+
+    def flagged_call(sub, p):
+        nonlocal inside
+        before, inside, formed = inside, True, len(sub.expansions)
+        try:
+            return call(sub, p)
+        finally:
+            inside = before
+            counts["patterns"] += len(sub.expansions) - formed
+
+    def counting(name, f):
+        def wrapped(*args):
+            counts[name] += inside
+            return f(*args)
+        return wrapped
+
+    monkeypatch.setattr(Substitution, "__call__", flagged_call)
+    for name in ("__mul__", "__pow__"):
+        monkeypatch.setattr(Poly, name, counting(name, getattr(Poly, name)))
+    for name in ("_exponents", "_key"):
+        monkeypatch.setattr(poly, name, counting(name, getattr(poly, name)))
+    assert len(jobs) == 6
+    for job in jobs:
+        job.run()
+    assert counts.pop("patterns") > 0
+    assert counts == dict.fromkeys(("__mul__", "__pow__", "_exponents", "_key"), 0)
+
+
 def test_benchmark_tracer_reads_kernel_terms(hv):
     """The tracer reads Poly.terms directly: exponent tuples and coefficients."""
     tracer = load_benchmark("tracer")

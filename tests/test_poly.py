@@ -1,6 +1,7 @@
 import itertools
 import operator
 import time
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -122,6 +123,31 @@ class TestSubstitution:
     def test_unknown_variable(self):
         with pytest.raises(UnknownVariable):
             p("d").subs({"q": 1})
+
+    def test_powers_and_products_term_by_term(self):
+        """Odd, even and first powers of two values, multiplied in one pattern;
+        a wrong key shift gives other terms here, not a runaway elsewhere."""
+        got = p("d^3*x^2 - b*d*x + y").subs({"d": p("d1 + d2"), "x": p("-d1")})
+        # (d1 + d2)^3 d1^2 + b (d1 + d2) d1 + y, over (d, d1, d2, x, y, b, d3)
+        assert got.terms == {(0, 5, 0, 0, 0, 0, 0): 1, (0, 4, 1, 0, 0, 0, 0): 3,
+                             (0, 3, 2, 0, 0, 0, 0): 3, (0, 2, 3, 0, 0, 0, 0): 1,
+                             (0, 2, 0, 0, 0, 1, 0): 1, (0, 1, 1, 0, 0, 1, 0): 1,
+                             (0, 0, 0, 0, 1, 0, 0): 1}
+
+    def test_high_powers_keep_memory_bounded(self):
+        """x^300 and x^299 under x := x + d share their halves' powers: the
+        substitution peaks near 0.2 MB, where a chain that kept every power
+        from the first up takes 5.7 MB."""
+        x, d = p("x"), p("d")
+        q = x ** 300 + d * x ** 299
+        tracemalloc.start()
+        try:
+            got = q.subs({"x": x + d})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == (x + d) ** 299 * (x + 2 * d)
+        assert peak < 2 << 20, peak
 
 
 class TestStructure:

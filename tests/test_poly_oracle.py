@@ -8,7 +8,7 @@ results must be the same polynomial, compared as exact term maps.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from confalg import Poly, VarTable, parse
 from confalg.poly import Substitution
@@ -111,6 +111,24 @@ class TestSubstitution:
     def test_scalar_value(self, a, name, q):
         expr = to_sympy(a).xreplace({SYMS[name]: sympy.Rational(q.numerator, q.denominator)})
         assert same(a.subs({name: q}), expr)
+
+    @given(pool=st.lists(polys(("d", "x", "y", "b"), max_terms=4, max_degree=9), min_size=1,
+                         max_size=3),
+           vals=st.dictionaries(st.sampled_from(("d", "x", "y")),
+                                polys(("d", "x", "y", "b"), max_terms=2, max_degree=1),
+                                min_size=2, max_size=2))
+    @example(pool=[parse(T, "x^9*y^8 + d*x^7*y^6 + x^5*y^4 + b*x^3*y^2 + x*y^9")],
+             vals={"x": parse(T, "y"), "y": parse(T, "x + d")})
+    @settings(max_examples=80, deadline=None)
+    def test_high_powers_simultaneous(self, pool, vals):
+        """Exponents up to 9 of each substituted name through one instance: odd
+        and even binary powers, whose halves one pattern caches and the next
+        reuses.  The values hold the substituted names, so the substitution
+        must be simultaneous."""
+        sub = Substitution(T, vals)
+        replace = {SYMS[n]: to_sympy(v) for n, v in vals.items()}
+        for q in pool:
+            assert same(sub(q), to_sympy(q).xreplace(replace))
 
     @given(data=st.data(), pool=st.lists(polys(max_degree=2), min_size=1, max_size=4),
            scale=rationals, vals=st.dictionaries(st.sampled_from(NAMES),

@@ -244,11 +244,13 @@ def window_checks(w: CoeffWindow, T: ModuleMap | None = None,
             return {}, n
         sums, skips = {}, 0
         for c, (bc, ac) in enumerate(zip(row_b, row_a)):
+            out = {}  # a chain over no terms adds nothing and needs no row, so it is not run
             if (bc is None or ac is None
-                    or not (_chain(out := {}, bc, row_a)
-                            and _chain(out, ab, cols[c], -1) and _chain(out, ac, row_b, -1))):
+                    or not ((not bc or _chain(out, bc, row_a))
+                            and (not ab or _chain(out, ab, cols[c], -1))
+                            and (not ac or _chain(out, ac, row_b, -1)))):
                 skips += 1
-            elif any(out.values()):
+            elif out and any(out.values()):
                 for m, p in polys(out).items():
                     sums[c, m] = p
         return sums, skips

@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import mul
 
 from .algebra import (LEFT_SYMMETRIC, LIE, AlgebraError, ConformalAlgebra, PreconditionError,
                       _nest, _nested, _require, check_axioms)
@@ -182,9 +183,27 @@ def _coprime(v: dict[int, Fraction], columns: range) -> tuple[Fraction, ...]:
     return tuple(v.get(j, 0) * scale for j in columns)
 
 
-# without a witness the probe computes one kernel per vector of its box;
+# without a witness the probe takes one determinant per vector of its box;
 # this is [-3, 3]^6
 MAX_PROBE_CANDIDATES = 7 ** 6
+
+
+def _det(M: list[list[int]]) -> int:
+    """The determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination: each division by the previous pivot is exact."""
+    M, n, sign, prev = [row[:] for row in M], len(M), 1, 1
+    for k in range(n - 1):
+        if not M[k][k]:
+            if (swap := next((i for i in range(k + 1, n) if M[i][k]), None)) is None:
+                return 0
+            M[k], M[swap], sign = M[swap], M[k], -sign
+        pivot, top = M[k][k], M[k]
+        for row in M[k + 1:]:
+            c = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - c * top[j]) // prev
+        prev = pivot
+    return sign * M[-1][-1]
 
 
 def _box(bound: int, dim: int):
@@ -201,7 +220,9 @@ def zero_divisor_probe(V: GDBialgebra, bound: int = 3) -> ProbeResult:
 
     Dimension 1 is decided exactly.  In higher dimension the probe tries
     integer vectors a in [-bound, bound]^n, simplest first, and stops at the
-    first a with a nonzero kernel of b -> a * b over Q.  The partner b is the
+    first a with a nonzero kernel of b -> a * b over Q.  That integer matrix
+    has a nonzero kernel exactly when its determinant is 0, so each a takes
+    one determinant, and only a singular one a kernel.  The partner b is the
     kernel basis vector in coprime integers that comes first in the same
     order; it may lie outside the box.  Otherwise the result is Unknown:
     absence is never claimed.  The box is enumerated lazily, so a witness
@@ -217,9 +238,14 @@ def zero_divisor_probe(V: GDBialgebra, bound: int = 3) -> ProbeResult:
             return ProbeResult("no_zero_divisors")
         return ProbeResult("witness", ((Fraction(1),),) * 2)
     columns = range(V.dim)
+    # entries[k][j] holds M_i[k][j] for each i, so that a's matrix sum_i a_i M_i
+    # is one sum of products per entry
+    entries = [[tuple(m[k][j] for m in mats) for j in columns] for k in columns]
     for a in _box(bound, V.dim):
-        rows = [{j: sum(x * m[k][j] for x, m in zip(a, mats)) for j in columns} for k in columns]
-        if null := kernel(rows, columns):
+        M = [[sum(map(mul, a, e)) for e in row] for row in entries]
+        if _det(M):
+            continue
+        if null := kernel([dict(zip(columns, row)) for row in M], columns):
             b = min((_coprime(v, columns) for v in null), key=_candidate_key)
             return ProbeResult("witness", (tuple(map(Fraction, a)), b))
     return ProbeResult("unknown")

@@ -387,13 +387,14 @@ def rb_constraints(A: ConformalAlgebra, degree_bound: int,
         for dx in sorted(group):
             if not (row := _normal(group[dx])):
                 continue
-            items = frozenset(row.items())
-            if items not in seen and frozenset((e, -c) for e, c in items) not in seen:
+            # the row or its negation, whichever has a positive coefficient at its smallest key
+            sign = 1 if row[min(row)] > 0 else -1
+            if (items := frozenset((e, sign * c) for e, c in row.items())) not in seen:
                 seen.add(items)
                 system.equations.append(_make(ext, row))
-    D = Poly.var(ext, "d")
-    generic = ModuleMap(ext, [[sum(Poly.var(ext, f"t{i}_{j}_{k}") * D ** k for k in range(k1))
-                               for j in range(n)] for i in range(n)])
+    d = _unit(ext, ext.index["d"])  # t_i_j_k d^k has the key keys[j][k][i] + k d
+    generic = ModuleMap(ext, [[_make(ext, {keys[j][k][i] + k * d: 1 for k in range(k1)})
+                               for j in N] for i in N])
     return system, generic
 
 

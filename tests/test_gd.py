@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from confalg import (
     ConformalAlgebra,
@@ -11,8 +11,10 @@ from confalg import (
     NotQuadratic,
     PolySystem,
     PreconditionError,
+    ProbeResult,
     VarTable,
     algebra_from_gd,
+    catalog,
     check_axioms,
     check_gd,
     gd_from_algebra,
@@ -21,7 +23,8 @@ from confalg import (
     solve_squares,
     zero_divisor_probe,
 )
-from confalg.gd import _box, _candidate_key
+from confalg.gd import _box, _candidate_key, _coprime, _det, _star_matrices
+from confalg.linmap import kernel
 from conftest import gd_tables
 
 F = Fraction
@@ -37,6 +40,36 @@ def radical_fields(table, n, copies=1):
             k, c = (i + j, F(1, 2)) if i + j < n else (i + j - n, F(1))
             circ[o + i, o + j] = {o + k: c}
     return GDBialgebra(tuple(f"e{i}" for i in range(n * copies)), table, circ, {})
+
+
+def kernel_per_candidate_probe(V, bound=3):
+    """The probe as it was before candidates were tested by determinant:
+    one kernel over Q for every vector a of the box."""
+    mats = _star_matrices(V)
+    if V.dim == 1:
+        if mats[0][0][0]:
+            return ProbeResult("no_zero_divisors")
+        return ProbeResult("witness", ((F(1),),) * 2)
+    columns = range(V.dim)
+    for a in _box(bound, V.dim):
+        rows = [{j: sum(x * m[k][j] for x, m in zip(a, mats)) for j in columns} for k in columns]
+        if null := kernel(rows, columns):
+            b = min((_coprime(v, columns) for v in null), key=_candidate_key)
+            return ProbeResult("witness", (tuple(map(F, a)), b))
+    return ProbeResult("unknown")
+
+
+@st.composite
+def square_matrices(draw):
+    """Integer matrices of size 1 to 6 with entries in [-9, 9]; in some, one
+    row is the sum of two others, so that singular ones are common."""
+    n = draw(st.integers(1, 6))
+    M = draw(st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    if n >= 3 and draw(st.booleans()):
+        i, j, k = draw(st.permutations(range(n)))[:3]
+        M[k] = [x + y for x, y in zip(M[i], M[j])]
+    return M
 
 
 def hv_gd_with(extra):
@@ -124,7 +157,53 @@ class TestConvert:
             assert (back.circ, back.lie) == (V.circ, V.lie)
 
 
+class TestDeterminant:
+    @given(M=square_matrices())
+    @example(M=[[0, 1], [1, 0]])                              # a zero pivot: a row swap
+    @example(M=[[0, 2, 1], [0, 1, 3], [4, 5, 6]])             # a swap past the next row
+    @example(M=[[0, 1, 2], [0, 3, 4], [0, 5, 6]])             # a zero column
+    @example(M=[[1, 2, 3], [2, 4, 5], [3, 6, 7]])             # a zero column after one step
+    @example(M=[[1, 2, 3], [4, 5, 6], [5, 7, 9]])             # row 3 = row 1 + row 2
+    @example(M=[[-7]])
+    @settings(max_examples=300, deadline=None)
+    def test_against_sympy_and_the_kernel(self, M):
+        """The Bareiss determinant is sympy's, and it is 0 exactly when the
+        kernel over Q is nonzero; the matrix itself is left as it was."""
+        sympy = pytest.importorskip("sympy")
+        before = [row[:] for row in M]
+        det = _det(M)
+        assert M == before
+        assert det == sympy.Matrix(M).det()
+        columns = range(len(M))
+        assert (det == 0) == bool(kernel([dict(zip(columns, row)) for row in M], columns))
+
+
+# name -> the bialgebra over a table: the catalog's, radical fields, a product
+# of two fields and the zero tables
+PROBE_CASES = {
+    "vir": lambda t: gd_from_algebra(catalog("vir", table=t).algebra),
+    "hv": lambda t: gd_from_algebra(catalog("hv", table=t).algebra),
+    "hv_gd": lambda t: catalog("hv_gd", table=t).gd,
+    **{f"radical{n}": lambda t, n=n: radical_fields(t, n) for n in range(2, 5)},
+    "radical2^2": lambda t: radical_fields(t, 2, copies=2),
+    **{f"zero{n}": lambda t, n=n: GDBialgebra(tuple(f"e{i}" for i in range(n)), t, {}, {})
+       for n in range(1, 5)},
+}
+
+
 class TestZeroDivisors:
+    @pytest.mark.parametrize("name", PROBE_CASES)
+    def test_same_result_as_a_kernel_per_candidate(self, table, name):
+        """Testing each candidate by its determinant first finds the same
+        first witness, partner and verdict as taking every kernel."""
+        V = PROBE_CASES[name](table)
+        assert zero_divisor_probe(V) == kernel_per_candidate_probe(V)
+
+    @given(V=gd_tables(max_dim=3))
+    @settings(max_examples=60, deadline=None)
+    def test_same_result_as_a_kernel_per_candidate_on_drawn_tables(self, V):
+        assert zero_divisor_probe(V, 2) == kernel_per_candidate_probe(V, 2)
+
     def test_virasoro_side(self, vir):
         assert zero_divisor_probe(gd_from_algebra(vir)).status == "no_zero_divisors"
 
@@ -151,8 +230,8 @@ class TestZeroDivisors:
         assert zero_divisor_probe(V).status == "unknown"
 
     def test_fields_of_dim_4_and_5_are_unknown(self, table):
-        """Kernel per candidate a: 2,400 candidates at dim 4 and bound 3, not
-        the 5.8 million pairs of a search over (a, b)."""
+        """One determinant per candidate a: 2,400 candidates at dim 4 and
+        bound 3, not the 5.8 million pairs of a search over (a, b)."""
         assert zero_divisor_probe(radical_fields(table, 4)).status == "unknown"
         assert zero_divisor_probe(radical_fields(table, 5), bound=2).status == "unknown"
 

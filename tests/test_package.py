@@ -267,6 +267,28 @@ def test_benchmark_constraint_jobs_meet_their_answers():
         assert job.observe(job.run())[0] == expected[job.key]["expect"], job.key
 
 
+def test_probe_takes_a_kernel_only_at_a_singular_candidate(monkeypatch):
+    """Work guard: the zero-divisor probe tests each candidate by an integer
+    determinant and takes a kernel over Q only where it is 0. The benchmark's
+    cube-root field at bound 2 has no singular candidate, so no kernel (124
+    when every candidate took one), and hv takes one, at its witness."""
+    from confalg import gd
+    kernel, calls = gd.kernel, []
+
+    def counting(rows, columns):
+        calls.append(len(rows))
+        return kernel(rows, columns)
+
+    monkeypatch.setattr(gd, "kernel", counting)
+    plain = VarTable()
+    assert gd.zero_divisor_probe(load_benchmark("workloads").cube_root_field(plain), 2).status \
+        == "unknown"
+    assert calls == []
+    V = gd.gd_from_algebra(catalog("hv", table=plain).algebra)
+    assert gd.zero_divisor_probe(V).witness_names(V) == ("W", "W")
+    assert calls == [2]
+
+
 def test_benchmark_tensor_jobs_meet_their_answers():
     """Every tensor_eqs job, run and observed untimed, gives the label
     perfbench/expected.json holds."""
